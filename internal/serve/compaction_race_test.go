@@ -18,7 +18,7 @@ import (
 
 // TestJournalCompactionRacingSubmits hammers a durable server with
 // concurrent submitters and a stats/metrics poller while the journal's
-// compaction threshold is set low enough to fold the log repeatedly
+// compaction floor is set low enough to fold the log several times
 // mid-storm. Run under -race in CI. The property: compaction racing
 // live appends loses nothing — every submit is journaled, and a
 // post-kill replay recovers the full registry.
@@ -31,7 +31,11 @@ func TestJournalCompactionRacingSubmits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
-	jl.SetCompactBytes(2048) // compact constantly under the submit storm
+	// The trigger is growth-relative (the tail must double the snapshot),
+	// so compactions are logarithmic in the storm's bytes: a 256-byte
+	// floor makes the doublings start early enough that ~7 folds race
+	// the 48 submits.
+	jl.SetCompactBytes(256)
 	reg := obs.NewRegistry()
 	ds := tpch.Generate(0.005, 1)
 	cat := tpch.NewCatalog(ds, 1)
@@ -136,8 +140,8 @@ func TestJournalCompactionRacingSubmits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, compactions, _ := jl.Stats(); compactions == 0 {
-		t.Fatalf("no compaction ran during the storm — threshold premise broken")
+	if _, compactions, _, _ := jl.Stats(); compactions < 4 {
+		t.Fatalf("%d compactions ran during the storm, want >= 4 — threshold premise broken", compactions)
 	}
 	c := dial(t, socket)
 	for w := 0; w < workers; w++ {

@@ -14,11 +14,15 @@ import (
 // lines — recovery must (1) never panic or error, (2) replay exactly
 // the longest valid prefix and report everything after it as dropped,
 // (3) truncate the file so that recovery is idempotent: a second open
-// finds a clean journal and drops zero bytes, and (4) agree with a
-// fresh open about the recovered job registry.
+// finds a clean journal and drops zero bytes, (4) agree with a fresh
+// open about the recovered job registry, and (5) learn the compaction
+// trigger's snapshot size from the last snapshot line of the valid
+// prefix. The prefix is either a young journal (plain records) or, with
+// aged set, a snapshot-headed one as compaction and heal leave behind.
 func FuzzJournalReplay(f *testing.F) {
 	// A realistic valid prefix: one prior incarnation's lifecycle.
-	base := validJournalBytes(f)
+	young := validJournalBytes(f)
+	aged := agedJournalBytes(f)
 
 	frame := func(rec Record) []byte {
 		line, err := frameJournalLine(rec)
@@ -27,20 +31,30 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		return line
 	}
-	f.Add([]byte{})                                                        // clean journal
-	f.Add([]byte("RJNL1 12345678 {"))                                      // torn append, no newline
-	f.Add([]byte("RJNL1 zzzzzzzz {}\n"))                                   // malformed checksum field
-	f.Add([]byte("\n\n\n"))                                                // empty lines
-	f.Add([]byte("garbage tail\n"))                                        // no magic
-	f.Add(frame(Record{Kind: recEpoch, ID: "q-1", Epochs: 3, At: 42}))     // valid extra line
-	f.Add(frame(Record{Kind: recTerminal, ID: "q-1", Status: "attained"})) // valid terminal
+	f.Add(false, []byte{})                                                        // clean journal
+	f.Add(false, []byte("RJNL1 12345678 {"))                                      // torn append, no newline
+	f.Add(false, []byte("RJNL1 zzzzzzzz {}\n"))                                   // malformed checksum field
+	f.Add(false, []byte("\n\n\n"))                                                // empty lines
+	f.Add(false, []byte("garbage tail\n"))                                        // no magic
+	f.Add(false, frame(Record{Kind: recEpoch, ID: "q-1", Epochs: 3, At: 42}))     // valid extra line
+	f.Add(false, frame(Record{Kind: recTerminal, ID: "q-1", Status: "attained"})) // valid terminal
 	half := frame(Record{Kind: recGrant, ID: "q-1", At: 50})
-	f.Add(half[:len(half)/2]) // torn mid-line
+	f.Add(false, half[:len(half)/2]) // torn mid-line
 	flip := frame(Record{Kind: recClock, At: 60})
 	flip[len(flip)/2] ^= 0x40
-	f.Add(flip) // bit flip inside a framed line
+	f.Add(false, flip) // bit flip inside a framed line
+	// Snapshot-headed (aged) prefixes: clean, extended, torn, and a young
+	// journal that meets a snapshot line mid-file.
+	f.Add(true, []byte{})
+	f.Add(true, frame(Record{Kind: recTerminal, ID: "q-2", Status: "expired", At: 70}))
+	f.Add(true, half[:len(half)/2])
+	f.Add(false, aged)
 
-	f.Fuzz(func(t *testing.T, tail []byte) {
+	f.Fuzz(func(t *testing.T, agedPrefix bool, tail []byte) {
+		base := young
+		if agedPrefix {
+			base = aged
+		}
 		dir := t.TempDir()
 		path := filepath.Join(dir, journalFile)
 		data := append(append([]byte{}, base...), tail...)
@@ -51,7 +65,7 @@ func FuzzJournalReplay(f *testing.F) {
 		// Reference model: scan the raw bytes exactly as recovery defines
 		// the valid prefix — whole newline-terminated lines that frame and
 		// parse, up to the first deviation.
-		wantValid := int64(0)
+		wantValid, wantSnap := int64(0), int64(0)
 		r := bufio.NewReader(bytes.NewReader(data))
 		for {
 			line, rerr := r.ReadBytes('\n')
@@ -61,8 +75,12 @@ func FuzzJournalReplay(f *testing.F) {
 			if rerr != nil {
 				break
 			}
-			if _, perr := parseJournalLine(line[:len(line)-1]); perr != nil {
+			rec, perr := parseJournalLine(line[:len(line)-1])
+			if perr != nil {
 				break
+			}
+			if rec.Kind == recSnapshot {
+				wantSnap = int64(len(line))
 			}
 			wantValid += int64(len(line))
 		}
@@ -77,6 +95,9 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		if wantValid < int64(len(base)) {
 			t.Fatalf("valid prefix %d shrank below the untouched base journal (%d bytes)", wantValid, len(base))
+		}
+		if _, _, _, snap := jl.Stats(); snap != wantSnap {
+			t.Fatalf("journal learned snapshotBytes=%d, last valid snapshot line is %d bytes", snap, wantSnap)
 		}
 		firstJobs := rec.Jobs
 		firstEpoch := rec.ServerEpoch
@@ -116,6 +137,29 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// agedJournalBytes builds a snapshot-headed journal: the folded state of
+// validJournalBytes' history, a boot stamp, and a short tail.
+func agedJournalBytes(f *testing.F) []byte {
+	f.Helper()
+	var buf bytes.Buffer
+	for _, rec := range []Record{
+		{Kind: recSnapshot, ServerEpoch: 1, At: 15, Jobs: []JobRecord{
+			{ID: "q-1", ReqID: "r1", Statement: "select avg(x)", BatchRows: 500, ArrivalAt: 1, Status: "pending", Epochs: 1},
+			{ID: "q-2", ReqID: "r2", Statement: "select sum(y)", BatchRows: 200, ArrivalAt: 2, Status: "pending", BestEffort: true},
+		}},
+		{Kind: recServerEpoch, ServerEpoch: 2, At: 15},
+		{Kind: recGrant, ID: "q-2", At: 16},
+		{Kind: recEpoch, ID: "q-2", Epochs: 1, At: 22},
+	} {
+		line, err := frameJournalLine(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		buf.Write(line)
+	}
+	return buf.Bytes()
 }
 
 // validJournalBytes builds a well-formed journal: an incarnation stamp,

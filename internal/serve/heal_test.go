@@ -114,6 +114,7 @@ type healHarness struct {
 	dir    string
 	socket string
 	faulty *diskio.Faulty
+	dio    diskio.IO // overrides faulty as the durability stack's disk when set
 
 	jl   *Journal
 	srv  *Server
@@ -133,7 +134,11 @@ func newHealHarness(t *testing.T) *healHarness {
 
 func (h *healHarness) start(t *testing.T, cfg Config) {
 	t.Helper()
-	jl, store, err := OpenDurableIO(h.dir, h.faulty)
+	var dio diskio.IO = h.faulty
+	if h.dio != nil {
+		dio = h.dio
+	}
+	jl, store, err := OpenDurableIO(h.dir, dio)
 	if err != nil {
 		t.Fatalf("OpenDurableIO: %v", err)
 	}

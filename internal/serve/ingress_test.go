@@ -145,6 +145,37 @@ func newTestServerCfg(t *testing.T, mut func(*Config)) (*Server, string) {
 	return srv, cfg.Socket
 }
 
+// TestListenAddrsCompleteOnceConnectable is the regression loop for the
+// bind/publish race: the Unix socket accepts connections the moment it
+// is bound, which used to be before the TCP listener was bound and
+// before the set was published, so a client that had already connected
+// could read ListenAddrs() == []. Fifty boots: connect (serveAsync
+// returns on the first successful dial), then the set must be complete.
+func TestListenAddrsCompleteOnceConnectable(t *testing.T) {
+	ds := tpch.Generate(0.005, 1)
+	cat := tpch.NewCatalog(ds, 1)
+	for i := 0; i < 50; i++ {
+		ecfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
+		ecfg.Obs = obs.NewRegistry()
+		exec := core.NewAQPExecutor(ecfg, baselines.RoundRobinAQP{}, nil)
+		srv, err := New(Config{
+			Socket:    filepath.Join(t.TempDir(), "rotary.sock"),
+			Listeners: []string{"tcp:127.0.0.1:0"},
+			Obs:       ecfg.Obs,
+		}, exec, cat)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		wg := serveAsync(t, srv)
+		addrs := srv.ListenAddrs()
+		srv.Drain()
+		wg.Wait()
+		if len(addrs) != 2 || addrs[0].Network() != "unix" || addrs[1].Network() != "tcp" {
+			t.Fatalf("boot %d: connected client saw ListenAddrs() = %v, want [unix tcp]", i, addrs)
+		}
+	}
+}
+
 // TestTCPBinaryEndToEnd drives the full protocol over a TCP listener
 // with the binary codec on one connection and JSON lines on another:
 // both negotiate against the same listener and observe the same jobs.

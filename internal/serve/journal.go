@@ -6,10 +6,23 @@
 // SIGKILL at any instant loses at most the transition in flight. On
 // restart the journal replays to the last durable state: the registry of
 // jobs, each job's latest status, the admission queue's arrival order,
-// and the virtual-clock position. Size-triggered compaction folds the log
-// into a single snapshot record published through the checkpoint store's
-// atomic-write machinery, so the journal stays bounded however long the
-// daemon lives.
+// and the virtual-clock position. Growth-triggered compaction folds the
+// log into a single snapshot record published through the checkpoint
+// store's atomic-write machinery.
+//
+// Compaction trigger and bound: the active segment is compacted when it
+// exceeds max(C, 2·S), where C is the compaction floor (SetCompactBytes,
+// 1 MiB by default) and S is the framed size of the snapshot line that
+// heads the segment (0 if none). Above the floor a fold therefore runs
+// only once the tail appended since the last snapshot is as large as the
+// snapshot itself: each O(history) fold is paid for by O(history) bytes
+// of appends, so the per-append compaction cost is amortised O(1) — the
+// standard log-compaction argument — instead of one full rewrite per
+// append once S alone passes C. The file is at most max(C, 2·S) plus one
+// append group, so replay reads at most ~2× the snapshot. S itself grows
+// with retained history (terminal jobs stay in the snapshot: status and
+// req_id dedupe answer from them), so the journal is bounded relative to
+// the state it must remember, not by a constant.
 //
 // Corruption tolerance: a torn append (power cut mid-line) or a
 // bit-flipped tail is detected by the per-line CRC32 and the journal
@@ -174,8 +187,9 @@ const journalMagic = "RJNL1"
 // (serve.journal.000001, …); replay walks them in sequence order.
 const journalFile = "serve.journal"
 
-// DefaultCompactBytes is the journal size that triggers compaction to a
-// snapshot record.
+// DefaultCompactBytes is the compaction floor: below it the journal never
+// compacts; above it the trigger is relative to the snapshot's own size
+// (see the package comment).
 const DefaultCompactBytes = 1 << 20
 
 // segmentName renders one segment's file name: the bare journal file
@@ -218,6 +232,11 @@ type Journal struct {
 	f            diskio.File
 	size         int64
 	compactBytes int64
+	// snapshotBytes is the framed size of the snapshot line heading the
+	// active segment (0 if it has none): the S of the max(C, 2·S) trigger.
+	// Set wherever a snapshot becomes the segment head — compaction, heal,
+	// and replay at open, so a restarted aged journal stays aged.
+	snapshotBytes int64
 
 	// Live replay state, mirrored on every append so compaction can fold
 	// the log into a snapshot without re-reading it.
@@ -408,6 +427,7 @@ func (jl *Journal) replaySegment(path string, truncate bool) (dropped int64, err
 		return 0, fmt.Errorf("serve: read journal: %w", err)
 	}
 	valid := int64(0)
+	jl.snapshotBytes = 0
 	r := bufio.NewReader(bytes.NewReader(data))
 	for {
 		line, rerr := r.ReadBytes('\n')
@@ -423,6 +443,9 @@ func (jl *Journal) replaySegment(path string, truncate bool) (dropped int64, err
 			break
 		}
 		jl.apply(rec)
+		if rec.Kind == recSnapshot {
+			jl.snapshotBytes = int64(len(line))
+		}
 		valid += int64(len(line))
 	}
 	dropped = int64(len(data)) - valid
@@ -611,11 +634,12 @@ func (jl *Journal) NonTerminalIDs() map[string]bool {
 }
 
 // Stats reports journal activity: records appended and compactions run
-// by this incarnation, and the current file size.
-func (jl *Journal) Stats() (appends, compactions, sizeBytes int64) {
+// by this incarnation, the active segment's current size, and the size
+// of the snapshot line heading it (0 if none).
+func (jl *Journal) Stats() (appends, compactions, sizeBytes, snapshotBytes int64) {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	return jl.appends, jl.compactions, jl.size
+	return jl.appends, jl.compactions, jl.size, jl.snapshotBytes
 }
 
 // SyncStats reports fsync amortization: how many f.Sync calls covered how
@@ -751,6 +775,7 @@ func (jl *Journal) healLocked() error {
 	jl.seq = seq
 	jl.path = path
 	jl.size = int64(len(want))
+	jl.snapshotBytes = int64(len(snapLine))
 	jl.degraded = nil
 	jl.heals++
 	for s := oldSeq; s >= 0; s-- {
@@ -767,9 +792,12 @@ func (jl *Journal) healLocked() error {
 // After a write/sync failure the journal latches degraded — the tail may
 // hold a torn frame that ends the longest valid prefix, so further
 // appends would be unrecoverable on replay and are refused — until Heal
-// rolls to a verified fresh segment. When the file outgrows the
-// compaction threshold it is folded into a snapshot published with the
-// checkpoint store's atomic-write machinery.
+// rolls to a verified fresh segment. When the file outgrows
+// max(compactBytes, 2·snapshotBytes) it is folded into a snapshot
+// published with the checkpoint store's atomic-write machinery. By then
+// the group is durable and applied, so a failed compaction latches
+// degraded (the next append is refused, Heal recovers) but must not fail
+// this append: the caller would un-ack records the disk provably holds.
 func (jl *Journal) Append(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -816,14 +844,16 @@ func (jl *Journal) Append(recs ...Record) error {
 	if len(recs) > 1 {
 		jl.groups++
 	}
-	if jl.size > jl.compactBytes {
-		return jl.compactLocked()
+	if jl.size > max(jl.compactBytes, 2*jl.snapshotBytes) {
+		if err := jl.compactLocked(); err != nil {
+			jl.degraded = err
+		}
 	}
 	return nil
 }
 
-// SetCompactBytes overrides the size threshold that triggers compaction
-// (non-positive restores the default).
+// SetCompactBytes overrides the compaction floor (non-positive restores
+// the default).
 func (jl *Journal) SetCompactBytes(n int64) {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
@@ -837,7 +867,7 @@ func (jl *Journal) SetCompactBytes(n int64) {
 // replaces the active segment with it, and best-effort removes older
 // segments (the snapshot subsumes them). A crash during compaction
 // leaves either the old chain or the new snapshot — both replay to the
-// same state. A compaction failure latches the journal degraded: the
+// same state. The returned error is the degraded latch's cause: the
 // appended records are durable, but the write handle may be in an
 // unknown state, and Heal's segment roll is the recovery path.
 func (jl *Journal) compactLocked() error {
@@ -849,23 +879,21 @@ func (jl *Journal) compactLocked() error {
 	}
 	line, err := frameJournalLine(snap)
 	if err != nil {
-		return err
+		return fmt.Errorf("compaction: %w", err)
 	}
 	if err := core.AtomicWriteFileIO(jl.dio, jl.path, line); err != nil {
-		jl.degraded = fmt.Errorf("compaction: %w", err)
-		return fmt.Errorf("serve: journal compaction: %w", err)
+		return fmt.Errorf("compaction: %w", err)
 	}
 	if err := jl.f.Close(); err != nil {
-		jl.degraded = fmt.Errorf("compaction close: %w", err)
-		return fmt.Errorf("serve: journal compaction: %w", err)
+		return fmt.Errorf("compaction close: %w", err)
 	}
 	f, err := jl.dio.OpenFile(jl.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		jl.degraded = fmt.Errorf("compaction reopen: %w", err)
-		return fmt.Errorf("serve: journal compaction reopen: %w", err)
+		return fmt.Errorf("compaction reopen: %w", err)
 	}
 	jl.f = f
 	jl.size = int64(len(line))
+	jl.snapshotBytes = jl.size
 	jl.compactions++
 	for s := jl.seq - 1; s >= 0; s-- {
 		_ = jl.dio.Remove(filepath.Join(jl.dir, segmentName(s)))

@@ -106,7 +106,7 @@ func TestJournalCompaction(t *testing.T) {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
-	_, compactions, size := jl.Stats()
+	_, compactions, size, _ := jl.Stats()
 	if compactions == 0 {
 		t.Fatalf("no compaction after %d appends over a 512-byte threshold", 64*3)
 	}
@@ -229,7 +229,7 @@ func TestJournalFrameErrorMidBatch(t *testing.T) {
 	); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	appendsBefore, _, sizeBefore := jl.Stats()
+	appendsBefore, _, sizeBefore, _ := jl.Stats()
 
 	jl.frameHook = func(rec Record) ([]byte, error) {
 		if rec.ID == "boom" {
@@ -254,7 +254,7 @@ func TestJournalFrameErrorMidBatch(t *testing.T) {
 			t.Fatalf("record %q from failed group folded into memory", id)
 		}
 	}
-	if appends, _, size := jl.Stats(); appends != appendsBefore || size != sizeBefore {
+	if appends, _, size, _ := jl.Stats(); appends != appendsBefore || size != sizeBefore {
 		t.Fatalf("failed group moved stats: appends %d→%d size %d→%d",
 			appendsBefore, appends, sizeBefore, size)
 	}

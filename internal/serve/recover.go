@@ -120,6 +120,7 @@ func (s *Server) recoverFromJournal() error {
 	s.recovered = len(live)
 	s.met.recoveredJobs.Add(int64(len(live)))
 	s.syncState()
+	s.observeJournal()
 	return nil
 }
 
@@ -193,11 +194,21 @@ func (s *Server) appendNow(recs []Record) error {
 		return err
 	}
 	s.met.journalRecords.Add(int64(len(recs)))
-	_, compactions, _ := s.jl.Stats()
+	s.observeJournal()
+	return nil
+}
+
+// observeJournal mirrors the journal's own ledger — compactions run,
+// active segment size, size of the snapshot heading it — into the
+// registry: after every append, and once at boot so a restarted idle
+// daemon already reports the journal it inherited.
+func (s *Server) observeJournal() {
+	_, compactions, size, snapshot := s.jl.Stats()
 	if d := compactions - s.met.journalCompact.Value(); d > 0 {
 		s.met.journalCompact.Add(d)
 	}
-	return nil
+	s.met.journalSize.Set(float64(size))
+	s.met.journalSnapshot.Set(float64(snapshot))
 }
 
 // journalClock persists the current clock position unconditionally (the

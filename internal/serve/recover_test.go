@@ -133,6 +133,11 @@ func TestRestartRecoversNonTerminalJobs(t *testing.T) {
 	if res3.Recovered != 0 || res3.Jobs != 0 {
 		t.Fatalf("terminal jobs re-registered: %+v", res3)
 	}
+	// An idle restart already reports the journal it inherited, before
+	// any append of its own.
+	if _, _, size, _ := h.srv.jl.Stats(); size == 0 || h.srv.met.journalSize.Value() != float64(size) {
+		t.Fatalf("rotary_serve_journal_size_bytes = %v at boot, journal is %d bytes", h.srv.met.journalSize.Value(), size)
+	}
 	if r := c3.call(t, Message{Op: "drain"}); !r.OK {
 		t.Fatalf("final drain: %+v", r)
 	}

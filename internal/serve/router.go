@@ -233,13 +233,15 @@ func (r *Router) Serve() error {
 			r.markDown(h, err)
 		}
 	}
+	// Held across bind and publish, as in Server.Serve: an early client
+	// must never see a partial ListenAddrs.
+	r.mu.Lock()
 	lns, err := bindListeners(r.cfg.Socket, r.cfg.Listeners)
+	r.lns = lns
+	r.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	r.mu.Lock()
-	r.lns = lns
-	r.mu.Unlock()
 	go r.supervise()
 	close(r.ready)
 	var accept sync.WaitGroup
@@ -307,15 +309,18 @@ func (r *Router) Drain() Response {
 	var notes []string
 	for _, h := range r.shards {
 		h.mu.Lock()
-		state, cl := h.state, h.client
+		state, srv := h.state, h.srv
 		h.state = ShardRetired // no restarts past this point
 		h.mu.Unlock()
 		switch state {
 		case ShardRunning:
-			resp, err := cl.Do(Message{Op: "drain"})
-			if err != nil {
+			// In-process call, not a "drain" RPC: a drain may legitimately
+			// outlast RequestTimeout, and a timed-out forward would retry
+			// the op and report failure with live jobs left behind.
+			resp := srv.Drain()
+			if resp.Status != "drained" {
 				ok = false
-				notes = append(notes, fmt.Sprintf("shard %d: drain: %v", h.index, err))
+				notes = append(notes, fmt.Sprintf("shard %d: drain: shard stopped before it drained", h.index))
 				continue
 			}
 			jobs += resp.Jobs
@@ -898,14 +903,14 @@ func (r *Router) retire(m Message) Response {
 	// Flip the state before draining so the supervisor does not mistake
 	// the drain-induced serve exit for a crash and restart the shard.
 	h.mu.Lock()
-	cl := h.client
+	srv := h.srv
 	h.state = ShardRetired
 	h.mu.Unlock()
 	r.met.shardUp[h.index].Set(0)
-	final, err := cl.Do(Message{Op: "drain"})
+	final := srv.Drain() // in-process, see Router.Drain
 	resp := Response{OK: true, Shard: h.index, Status: "retired", Jobs: moved, VirtualNow: final.VirtualNow}
-	if err != nil {
-		resp.Error = fmt.Sprintf("serve: retire shard %d: drain: %v", h.index, err)
+	if final.Status != "drained" {
+		resp.Error = fmt.Sprintf("serve: retire shard %d: drain: shard stopped before it drained", h.index)
 	}
 	return resp
 }

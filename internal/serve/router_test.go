@@ -324,6 +324,50 @@ func TestRouterRetire(t *testing.T) {
 	}
 }
 
+// TestRouterDrainOutlastsRequestTimeout: draining a shard with queued
+// work takes as long as fast-forwarding that work does, which has
+// nothing to do with the router→shard RequestTimeout. The drain used to
+// be a "drain" RPC through the deadline-bounded client: past the
+// timeout the forward was retried (a second drain), the router reported
+// failure, and jobs were left live in the shard's journal. Each shard's
+// drain here runs ~5× the timeout.
+func TestRouterDrainOutlastsRequestTimeout(t *testing.T) {
+	base := t.TempDir()
+	r := startTestRouter(t, RouterConfig{
+		Socket:         filepath.Join(base, "r.sock"),
+		Shards:         2,
+		Dir:            filepath.Join(base, "state"),
+		Pace:           0,
+		RequestTimeout: 100 * time.Millisecond,
+	})
+	c := dial(t, r.cfg.Socket)
+	const jobs = 40
+	perShard := map[int]int{}
+	for i := 0; i < jobs; i++ {
+		resp := c.call(t, Message{Op: "submit", ID: fmt.Sprintf("d-%d", i), Statement: "q5 ACC MIN 99% WITHIN 3600 SECONDS"})
+		if !resp.OK {
+			t.Fatalf("submit %d: %+v", i, resp)
+		}
+		perShard[resp.Shard]++
+	}
+	if perShard[0] == 0 || perShard[1] == 0 {
+		t.Fatalf("premise: queued jobs on every shard, got %v", perShard)
+	}
+	dr := c.call(t, Message{Op: "drain"})
+	if !dr.OK || dr.Jobs != jobs || dr.Terminal != jobs {
+		t.Fatalf("router drain with shard drains past RequestTimeout: %+v", dr)
+	}
+	for i := 0; i < 2; i++ {
+		rec, err := ReplayJournal(filepath.Join(base, "state", fmt.Sprintf("shard-%d", i)))
+		if err != nil {
+			t.Fatalf("ReplayJournal shard %d: %v", i, err)
+		}
+		if live := rec.NonTerminal(); len(live) != 0 {
+			t.Fatalf("shard %d journal still holds %d live jobs after the drain", i, len(live))
+		}
+	}
+}
+
 // TestRouterResponseCodes pins the machine-readable Code on each
 // router-level error class, so clients can branch without
 // string-matching Error.

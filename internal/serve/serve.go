@@ -465,6 +465,11 @@ type serveMetrics struct {
 	healFailures   *obs.Counter
 	oversized      *obs.Counter
 	dedupedSubmits *obs.Counter
+	// journalSize / journalSnapshot are the active segment's size and the
+	// size of the snapshot line heading it: compaction fires when the
+	// first passes max(floor, 2 × the second).
+	journalSize     *obs.Gauge
+	journalSnapshot *obs.Gauge
 	// Heavy-traffic front-end handles. Batch counters are deterministic
 	// for a sequential client (every request is its own batch); the batch
 	// size distribution and ring depth depend on wall-clock arrival
@@ -496,6 +501,8 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	m.recoveredJobs = reg.Counter("rotary_serve_recovered_jobs_total", "journaled non-terminal jobs re-registered at startup")
 	m.journalRecords = reg.Counter("rotary_serve_journal_records_total", "journal records appended by this incarnation")
 	m.journalCompact = reg.Counter("rotary_serve_journal_compactions_total", "journal compactions to a snapshot record")
+	m.journalSize = reg.Gauge("rotary_serve_journal_size_bytes", "active journal segment size after the last append")
+	m.journalSnapshot = reg.Gauge("rotary_serve_journal_snapshot_bytes", "size of the snapshot record heading the active journal segment (0 if none)")
 	m.journalErrors = reg.Counter("rotary_serve_journal_errors_total", "journal append failures (durability degraded)")
 	m.journalHeals = reg.Counter("rotary_serve_journal_heals_total", "degraded journals healed by rolling to a fresh segment")
 	m.healFailures = reg.Counter("rotary_serve_journal_heal_failures_total", "failed heal attempts against a degraded journal")
@@ -527,13 +534,16 @@ func (m *serveMetrics) count(op string) {
 // blocks until a drain completes (a client "drain" op or a Drain call,
 // typically from the SIGTERM handler).
 func (s *Server) Serve() error {
+	// The primary socket is connectable the moment it is bound, before the
+	// extra listeners are: s.mu is held across bind and publish so a client
+	// that got in early sees ListenAddrs block, never a partial set.
+	s.mu.Lock()
 	lns, err := bindListeners(s.cfg.Socket, s.cfg.Listeners)
+	s.lns = lns
+	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.lns = lns
-	s.mu.Unlock()
 	go s.drive()
 	var accept sync.WaitGroup
 	for _, ln := range lns {

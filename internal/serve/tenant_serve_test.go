@@ -37,6 +37,7 @@ type tenantHarness struct {
 	fastPath bool
 
 	srv  *Server
+	jl   *Journal
 	exec *core.AQPExecutor
 	ctrl *admission.Controller
 	reg  *obs.Registry
@@ -59,6 +60,7 @@ func (h *tenantHarness) start(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
+	h.jl = jl
 	h.reg = obs.NewRegistry()
 	ds := tpch.Generate(0.005, 1)
 	cat := tpch.NewCatalog(ds, 1)
@@ -751,6 +753,17 @@ func TestNoisyNeighborChaos(t *testing.T) {
 					if !ok || int(got) != want {
 						t.Errorf("obs %s = %v (present %v), ledger says %d", full, got, ok, want)
 					}
+				}
+			}
+			// The journal-state gauges agree with the journal's own ledger.
+			_, compactions, size, snapshot := chaos.jl.Stats()
+			for name, want := range map[string]int64{
+				"rotary_serve_journal_compactions_total": compactions,
+				"rotary_serve_journal_size_bytes":        size,
+				"rotary_serve_journal_snapshot_bytes":    snapshot,
+			} {
+				if got, ok := chaos.reg.Value(name); !ok || int64(got) != want {
+					t.Errorf("obs %s = %v (present %v), journal says %d", name, got, ok, want)
 				}
 			}
 		})
