@@ -376,3 +376,44 @@ func benchmarkAQPEpoch(b *testing.B, width int) {
 	}
 	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
 }
+
+// BenchmarkAQPCheckpoint times the job checkpoint codec apart from the
+// store's disk write, at the state a job carries ~16 % into its stream on
+// the end-to-end benchmark's dataset (SF 0.02): q1 is a handful of groups
+// in per-partition partials, q18 and q21 carry the large per-order aux
+// maps. encode is Checkpoint(); restore is Restore() into a live query.
+// The bytes metric is the payload length.
+func BenchmarkAQPCheckpoint(b *testing.B) {
+	cat := tpch.NewCatalog(rotary.GenerateTPCH(0.02, 1), 1)
+	for _, name := range []string{"q1", "q18", "q21"} {
+		q, err := cat.NewQuery(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for q.DataProgress() < 0.16 {
+			q.ProcessBatch(2000, 1)
+		}
+		cp, err := q.Checkpoint()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := q.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(cp)), "bytes")
+		})
+		b.Run(name+"/restore", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := q.Restore(cp); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(cp)), "bytes")
+		})
+	}
+}

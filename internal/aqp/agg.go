@@ -10,7 +10,6 @@
 package aqp
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -64,11 +63,11 @@ type AggSpec struct {
 // tables combinable: sums and counts add, extrema compare, and the
 // pooled variance behind ConfidenceInterval falls out of Sum/SumSq/Count.
 type cell struct {
-	Sum   float64 `json:"sum"`
-	SumSq float64 `json:"sumsq"`
-	Count int64   `json:"count"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
+	Sum   float64
+	SumSq float64
+	Count int64
+	Min   float64
+	Max   float64
 }
 
 // merge folds o into c. Addition order is caller-fixed (partials merge in
@@ -84,92 +83,6 @@ func (c *cell) merge(o cell) {
 	if o.Max > c.Max {
 		c.Max = o.Max
 	}
-}
-
-// cellJSON is the wire form of a cell. Float accumulators are encoded
-// through encodeBound so the non-finite values a cell can legitimately
-// hold — the ±Inf extrema sentinels of a column that has seen no finite
-// value, or a Sum/SumSq that overflowed — survive serialization, which
-// encoding/json cannot represent as numbers.
-type cellJSON struct {
-	Sum   json.RawMessage `json:"sum"`
-	SumSq json.RawMessage `json:"sumsq"`
-	Count int64           `json:"count"`
-	Min   json.RawMessage `json:"min"`
-	Max   json.RawMessage `json:"max"`
-}
-
-func encodeBound(v float64) json.RawMessage {
-	switch {
-	case math.IsInf(v, 1):
-		return json.RawMessage(`"+Inf"`)
-	case math.IsInf(v, -1):
-		return json.RawMessage(`"-Inf"`)
-	case math.IsNaN(v):
-		return json.RawMessage(`"NaN"`)
-	default:
-		b, _ := json.Marshal(v)
-		return b
-	}
-}
-
-func decodeBound(raw json.RawMessage, def float64) (float64, error) {
-	if len(raw) == 0 {
-		return def, nil
-	}
-	var s string
-	if err := json.Unmarshal(raw, &s); err == nil {
-		switch s {
-		case "+Inf":
-			return math.Inf(1), nil
-		case "-Inf":
-			return math.Inf(-1), nil
-		case "NaN":
-			return math.NaN(), nil
-		default:
-			return 0, fmt.Errorf("aqp: bad bound %q", s)
-		}
-	}
-	var v float64
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
-// MarshalJSON encodes the cell with non-finite values made representable.
-func (c cell) MarshalJSON() ([]byte, error) {
-	return json.Marshal(cellJSON{
-		Sum: encodeBound(c.Sum), SumSq: encodeBound(c.SumSq), Count: c.Count,
-		Min: encodeBound(c.Min), Max: encodeBound(c.Max),
-	})
-}
-
-// UnmarshalJSON decodes the wire form; absent Min/Max restore the empty
-// sentinels so later Updates still compare correctly.
-func (c *cell) UnmarshalJSON(data []byte) error {
-	var w cellJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	sum, err := decodeBound(w.Sum, 0)
-	if err != nil {
-		return err
-	}
-	sumSq, err := decodeBound(w.SumSq, 0)
-	if err != nil {
-		return err
-	}
-	mn, err := decodeBound(w.Min, math.Inf(1))
-	if err != nil {
-		return err
-	}
-	mx, err := decodeBound(w.Max, math.Inf(-1))
-	if err != nil {
-		return err
-	}
-	*c = cell{Sum: sum, SumSq: sumSq, Count: w.Count, Min: mn, Max: mx}
-	return nil
 }
 
 // value reduces the cell under kind.
@@ -451,42 +364,6 @@ func Accuracy(current, final Snapshot) float64 {
 		acc = 0
 	}
 	return acc
-}
-
-// tableState is the serialized form of a GroupTable.
-type tableState struct {
-	Specs  []AggSpec         `json:"specs"`
-	Groups map[string][]cell `json:"groups"`
-}
-
-// MarshalJSON serializes the running state for checkpointing.
-func (t *GroupTable) MarshalJSON() ([]byte, error) {
-	return json.Marshal(tableState{Specs: t.specs, Groups: t.groups})
-}
-
-// UnmarshalJSON restores a checkpointed running state.
-func (t *GroupTable) UnmarshalJSON(data []byte) error {
-	var st tableState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	if len(st.Specs) == 0 {
-		return fmt.Errorf("aqp: checkpoint has no aggregate specs")
-	}
-	// Every group must carry exactly one cell per spec: a shorter or
-	// longer row would make later Update/Snapshot calls index out of
-	// range, so a malformed checkpoint is rejected here instead.
-	for g, cs := range st.Groups {
-		if len(cs) != len(st.Specs) {
-			return fmt.Errorf("aqp: checkpoint group %q has %d cells for %d specs", g, len(cs), len(st.Specs))
-		}
-	}
-	t.specs = st.Specs
-	t.groups = st.Groups
-	if t.groups == nil {
-		t.groups = make(map[string][]cell)
-	}
-	return nil
 }
 
 // StateBytes estimates the in-memory footprint of the running aggregate

@@ -1,7 +1,7 @@
 package aqp
 
 import (
-	"encoding/json"
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -94,42 +94,45 @@ func TestAccuracyWeightsHonored(t *testing.T) {
 	}
 }
 
-func TestGroupTableJSONRoundTrip(t *testing.T) {
+func TestGroupTableRoundTrip(t *testing.T) {
+	specs := []AggSpec{{Name: "s", Kind: Sum}, {Name: "m", Kind: Min}}
 	check := func(seed uint64, rows uint8) bool {
 		r := sim.NewRand(seed)
-		gt := NewGroupTable([]AggSpec{{Name: "s", Kind: Sum}, {Name: "m", Kind: Min}})
+		gt := NewGroupTable(specs)
 		for i := 0; i < int(rows); i++ {
 			gt.Update(string(rune('a'+r.IntN(5))), r.Range(-10, 10), r.Range(-10, 10))
 		}
-		data, err := json.Marshal(gt)
-		if err != nil {
+		data := gt.appendTo(nil)
+		d := &Dec{b: data}
+		back := decodeTable(d, specs)
+		if d.err != nil || len(d.b) != 0 || !tablesEqual(gt, back) {
 			return false
 		}
-		back := &GroupTable{}
-		if err := json.Unmarshal(data, back); err != nil {
-			return false
-		}
-		a, b := gt.Snapshot(), back.Snapshot()
-		if len(a.Groups) != len(b.Groups) {
-			return false
-		}
-		for g, vals := range a.Groups {
-			for i, v := range vals {
-				if b.Groups[g][i] != v {
-					return false
-				}
-			}
-		}
-		return true
+		return bytes.Equal(data, back.appendTo(nil))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// A checkpoint that declares no aggregate specs can never match a query
+// (NewGroupTable demands at least one) and must be rejected, not decoded
+// into zero-cell groups.
 func TestUnmarshalRejectsEmptySpecs(t *testing.T) {
-	gt := &GroupTable{}
-	if err := json.Unmarshal([]byte(`{"specs":[],"groups":{}}`), gt); err == nil {
+	topic := stream.NewTopic("t", []float64{1, 2, 3}, 1)
+	q := NewRunning("q", stream.NewConsumer(topic), []AggSpec{{Name: "sum", Kind: Sum}},
+		Processor[float64]{Process: func([]float64, *GroupTable) {}}, CostModel{})
+	cp, err := q.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// name "q" (2 bytes), partitions+offset (2), pointer, rows, then specs.
+	const specsAt = 6
+	if cp[specsAt] != 1 {
+		t.Fatalf("spec count not at byte %d of %x", specsAt, cp)
+	}
+	cp[specsAt] = 0
+	if err := q.Restore(cp); err == nil {
 		t.Error("accepted checkpoint without specs")
 	}
 }

@@ -2,90 +2,74 @@ package aqp
 
 import (
 	"bytes"
-	"encoding/json"
-	"math"
+	"encoding/binary"
 	"testing"
+
+	"rotary/internal/stream"
 )
 
-// FuzzGroupTableJSON fuzzes the checkpoint format: any input that
-// UnmarshalJSON accepts must re-marshal without error, and the re-decoded
-// table must hold the identical cells (checkpoints are lossless). No
-// input may panic — malformed group rows are rejected with an error
-// instead.
-func FuzzGroupTableJSON(f *testing.F) {
-	// Seed corpus from the shapes the checkpoint tests exercise.
-	seed := func(build func(*GroupTable)) {
-		gt := NewGroupTable([]AggSpec{
-			{Name: "s", Kind: Sum}, {Name: "c", Kind: Count}, {Name: "a", Kind: Avg},
-			{Name: "mn", Kind: Min}, {Name: "mx", Kind: Max},
-		})
-		build(gt)
-		data, err := json.Marshal(gt)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+// FuzzCheckpointDecode fuzzes Restore on both data paths: no input may
+// panic, a rejected input must leave the query as it was, and anything
+// accepted must re-encode to a canonical form — Checkpoint after Restore
+// is itself restorable and checkpoints to the same bytes again.
+func FuzzCheckpointDecode(f *testing.F) {
+	topic := stream.NewTopic("t", synthRows(5, 400, 7), 3)
+	queries := []struct {
+		path string
+		mk   func() *Running[synthRow]
+	}{
+		{"partitioned", func() *Running[synthRow] {
+			return NewRunning("fz", stream.NewConsumer(topic), allKindSpecs(), synthProcessor(), CostModel{})
+		}},
+		{"aux", func() *Running[synthRow] {
+			return NewRunning("fz", stream.NewConsumer(topic), allKindSpecs(), auxProcessor(), CostModel{})
+		}},
 	}
-	seed(func(gt *GroupTable) {})
-	seed(func(gt *GroupTable) {
-		gt.Update("g", 4, 1, 4, 4, 4)
-		gt.Update("g", -2, 1, -2, -2, -2)
-		gt.Update("h", 1e300, 1, 1e-300, 0, 0)
-	})
-	seed(func(gt *GroupTable) {
-		// ±Inf extrema sentinels: a group whose columns saw only NaN.
-		gt.Update("empty", math.NaN(), math.NaN(), math.NaN(), math.NaN(), math.NaN())
-	})
-	f.Add([]byte(`{"specs":[{"name":"x","kind":0,"weight":2}],"groups":{"":[{"sum":1,"sumsq":1,"count":1,"min":"-Inf","max":"+Inf"}]}}`))
-	f.Add([]byte(`{"specs":[],"groups":{}}`))
-	f.Add([]byte(`{"specs":[{"name":"x","kind":0}],"groups":{"g":[]}}`))
-	f.Add([]byte(`not json`))
+	for _, qs := range queries {
+		q := qs.mk()
+		for _, rows := range []int{0, 150, 250} { // pristine, mid-stream, exhausted
+			q.ProcessBatch(rows, 2)
+			cp, err := q.Checkpoint()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(cp)
+			f.Add(cp[:len(cp)/2])                  // truncated mid-table
+			f.Add(cp[:len(cp)-1])                  // truncated in the last field
+			f.Add(append(cp[:len(cp):len(cp)], 0)) // trailing byte
+		}
+	}
+	// A 0xFFFFFFFF count where the name length, then the group count, goes.
+	huge := binary.AppendUvarint(nil, 0xFFFFFFFF)
+	f.Add(huge)
+	f.Add(append([]byte{2, 'f', 'z', 3, 0, 0, 0, 0, 0, 5, 3}, huge...))
+	f.Add([]byte{})
+	f.Add([]byte(`{"name":"fz","consumer":{"offsets":[0,0,0],"next":0,"read":0},"rows":0}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		gt := &GroupTable{}
-		if err := json.Unmarshal(data, gt); err != nil {
-			return // rejected inputs are fine; panics are not
-		}
-		out, err := json.Marshal(gt)
-		if err != nil {
-			t.Fatalf("accepted input failed to re-marshal: %v\ninput: %q", err, data)
-		}
-		back := &GroupTable{}
-		if err := json.Unmarshal(out, back); err != nil {
-			t.Fatalf("round trip rejected its own output: %v\noutput: %q", err, out)
-		}
-		// Every cell must survive bit-for-bit: compare the raw accumulator
-		// state, not just the reduced snapshot.
-		if len(back.specs) != len(gt.specs) || len(back.groups) != len(gt.groups) {
-			t.Fatalf("round trip changed shape: %d/%d specs, %d/%d groups",
-				len(back.specs), len(gt.specs), len(back.groups), len(gt.groups))
-		}
-		for g, cs := range gt.groups {
-			bs, ok := back.groups[g]
-			if !ok || len(bs) != len(cs) {
-				t.Fatalf("round trip lost group %q", g)
-			}
-			for i := range cs {
-				if !cellsEqual(cs[i], bs[i]) {
-					t.Fatalf("group %q cell %d changed: %+v vs %+v", g, i, cs[i], bs[i])
+		for _, qs := range queries {
+			path, mk := qs.path, qs.mk
+			q := mk()
+			q.ProcessBatch(100, 1)
+			before, _ := q.Checkpoint()
+			if err := q.Restore(data); err != nil {
+				if after, _ := q.Checkpoint(); !bytes.Equal(before, after) {
+					t.Fatalf("%s: rejected input (%v) still changed the query\ninput: %x", path, err, data)
 				}
+				continue
 			}
-		}
-		// The second marshal must be byte-stable (same canonical form).
-		out2, err := json.Marshal(back)
-		if err != nil {
-			t.Fatalf("re-marshal failed: %v", err)
-		}
-		if !bytes.Equal(out, out2) {
-			t.Fatalf("marshal not canonical:\n%q\n%q", out, out2)
+			out, _ := q.Checkpoint()
+			back := mk()
+			if err := back.Restore(out); err != nil {
+				t.Fatalf("%s: round trip rejected its own output: %v\ninput:  %x\noutput: %x", path, err, data, out)
+			}
+			if out2, _ := back.Checkpoint(); !bytes.Equal(out, out2) {
+				t.Fatalf("%s: checkpoint not canonical:\n%x\n%x", path, out, out2)
+			}
+			// What was accepted must also be safe to keep running.
+			for n, _ := q.ProcessBatch(64, 2); n > 0; n, _ = q.ProcessBatch(64, 2) {
+			}
+			q.Snapshot()
 		}
 	})
-}
-
-// cellsEqual compares accumulators bit-for-bit, treating NaN as equal to
-// itself (the round trip must preserve it, even though NaN != NaN).
-func cellsEqual(a, b cell) bool {
-	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	return eq(a.Sum, b.Sum) && eq(a.SumSq, b.SumSq) && a.Count == b.Count &&
-		eq(a.Min, b.Min) && eq(a.Max, b.Max)
 }

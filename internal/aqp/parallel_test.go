@@ -1,7 +1,6 @@
 package aqp
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"testing"
@@ -223,16 +222,21 @@ func TestParallelCheckpointRoundTrip(t *testing.T) {
 	drain(q2, 700, 2) // different width and epoch sizing after restore
 	snapshotsIdentical(t, "drained after restore", q1.Snapshot(), q2.Snapshot())
 
-	// A sequential-path checkpoint must not restore into a parallel query.
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(cp, &raw); err != nil {
+	// A sequential-path checkpoint must not restore into a parallel query,
+	// nor the other way round.
+	optOut := synthProcessor()
+	optOut.Sequential = true
+	seq := NewRunning("cpq", stream.NewConsumer(topic), allKindSpecs(), optOut, CostModel{SecsPerRow: 0.001})
+	seq.ProcessBatch(1100, 1)
+	seqCP, err := seq.Checkpoint()
+	if err != nil {
 		t.Fatal(err)
 	}
-	delete(raw, "partials")
-	raw["table"], _ = json.Marshal(NewGroupTable(allKindSpecs()))
-	mangled, _ := json.Marshal(raw)
-	if err := mk().Restore(mangled); err == nil {
+	if err := mk().Restore(seqCP); err == nil {
 		t.Error("parallel query restored a checkpoint without partials")
+	}
+	if err := seq.Restore(cp); err == nil {
+		t.Error("sequential query restored a per-partition checkpoint")
 	}
 }
 
@@ -247,8 +251,8 @@ func TestPathSelection(t *testing.T) {
 		t.Error("stateless processor not on the parallel path")
 	}
 	withAux := synthProcessor()
-	withAux.SaveAux = func() (json.RawMessage, error) { return json.Marshal(0) }
-	withAux.LoadAux = func(json.RawMessage) error { return nil }
+	withAux.SaveAux = func(b []byte) []byte { return b }
+	withAux.LoadAux = func(*Dec) func() { return func() {} }
 	aux := NewRunning("b", stream.NewConsumer(topic), allKindSpecs(), withAux, CostModel{})
 	if aux.partials != nil || aux.gt == nil {
 		t.Error("aux-state processor not on the sequential path")
@@ -280,23 +284,30 @@ func TestMaxDataWidthCapsWithoutChangingResults(t *testing.T) {
 	snapshotsIdentical(t, "capped vs uncapped", capped.Snapshot(), uncapped.Snapshot())
 }
 
-// A group whose column has seen no finite value keeps the ±Inf extrema
-// sentinels; those must survive the checkpoint round trip (encoding/json
-// cannot represent them as numbers, so the cell encodes them itself).
+// Cells hold non-finite values legitimately — the ±Inf extrema sentinels
+// of a group whose column has seen no finite value, a NaN, a SumSq that
+// overflowed — and every one must survive a checkpoint bit for bit.
 func TestCheckpointPreservesNonFiniteSentinels(t *testing.T) {
-	gt := NewGroupTable([]AggSpec{{Name: "s", Kind: Sum}, {Name: "m", Kind: Min}})
-	gt.Update("g", math.NaN(), math.NaN()) // group exists, no finite values
-	data, err := json.Marshal(gt)
-	if err != nil {
-		t.Fatalf("marshal with ±Inf sentinels: %v", err)
+	specs := []AggSpec{{Name: "s", Kind: Sum}, {Name: "m", Kind: Min}}
+	gt := NewGroupTable(specs)
+	gt.Update("sentinels", math.NaN(), math.NaN()) // group exists, no finite values
+	gt.Update("overflow", 1e200, math.Inf(-1))     // SumSq = +Inf, Min = -Inf
+	gt.Update("overflow", math.Inf(1), 0)
+	gt.Update("overflow", math.Inf(-1), 0) // Sum = +Inf + -Inf = NaN
+	if c := gt.groups["overflow"][0]; !math.IsInf(c.SumSq, 1) || !math.IsNaN(c.Sum) {
+		t.Fatalf("fixture lost its non-finite accumulators: %+v", c)
 	}
-	back := &GroupTable{}
-	if err := json.Unmarshal(data, back); err != nil {
-		t.Fatal(err)
+	d := &Dec{b: gt.appendTo(nil)}
+	back := decodeTable(d, specs)
+	if d.err != nil || len(d.b) != 0 {
+		t.Fatalf("decode: %v, %d bytes left", d.err, len(d.b))
+	}
+	if !tablesEqual(gt, back) {
+		t.Fatalf("round trip changed cells:\n%+v\n%+v", gt.groups, back.groups)
 	}
 	// The restored sentinels must still lose to any finite update.
-	back.Update("g", 4, 4)
-	vals := back.Snapshot().Groups["g"]
+	back.Update("sentinels", 4, 4)
+	vals := back.Snapshot().Groups["sentinels"]
 	if vals[0] != 4 || vals[1] != 4 {
 		t.Fatalf("post-restore update got %v, want [4 4]", vals)
 	}

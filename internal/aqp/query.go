@@ -1,8 +1,6 @@
 package aqp
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 
 	"rotary/internal/stream"
@@ -55,8 +53,14 @@ type Processor[T any] struct {
 	// Process folds a batch into the running aggregates.
 	Process func(rows []T, gt *GroupTable)
 	// SaveAux/LoadAux serialize auxiliary state. Nil means stateless.
-	SaveAux func() (json.RawMessage, error)
-	LoadAux func(json.RawMessage) error
+	// SaveAux appends the state to the checkpoint buffer, map keys in
+	// ascending order so equal state gives equal bytes. LoadAux decodes
+	// what SaveAux wrote into fresh state and returns the function that
+	// installs it; it must not touch the live state itself, because the
+	// caller installs nothing unless the whole checkpoint decoded cleanly
+	// (a decode failure is latched in d).
+	SaveAux func(b []byte) []byte
+	LoadAux func(d *Dec) (commit func())
 	// AuxBytes reports the auxiliary state's current footprint. Nil means
 	// zero.
 	AuxBytes func() int64
@@ -126,6 +130,7 @@ type Running[T any] struct {
 	final    *Snapshot
 	rows     int64
 	maxWidth int // physical fan-out cap; 0 = granted threads pass through
+	ckptLen  int // length of the previous checkpoint, sizes the next buffer
 }
 
 // NewRunning assembles an online query from its parts. The consumer must
@@ -257,92 +262,4 @@ func (r *Running[T]) StateMemMB() float64 {
 		b += r.proc.AuxBytes()
 	}
 	return float64(b) / (1 << 20)
-}
-
-// checkpoint is the serialized form of a Running query. Sequential-path
-// queries persist the single interleaved table; parallel-path queries
-// persist one partial table per stream partition, so a restore resumes
-// with the exact per-partition accumulators (and therefore the exact
-// bits) the checkpointed query held.
-type checkpoint struct {
-	Name     string               `json:"name"`
-	Consumer stream.ConsumerState `json:"consumer"`
-	Table    json.RawMessage      `json:"table,omitempty"`
-	Partials []json.RawMessage    `json:"partials,omitempty"`
-	Aux      json.RawMessage      `json:"aux,omitempty"`
-	Rows     int64                `json:"rows"`
-}
-
-// Checkpoint implements OnlineQuery.
-func (r *Running[T]) Checkpoint() ([]byte, error) {
-	cp := checkpoint{Name: r.name, Consumer: r.consumer.Offsets(), Rows: r.rows}
-	if r.partials == nil {
-		tbl, err := json.Marshal(r.gt)
-		if err != nil {
-			return nil, fmt.Errorf("aqp: checkpoint %s: %w", r.name, err)
-		}
-		cp.Table = tbl
-	} else {
-		cp.Partials = make([]json.RawMessage, len(r.partials))
-		for p, gt := range r.partials {
-			tbl, err := json.Marshal(gt)
-			if err != nil {
-				return nil, fmt.Errorf("aqp: checkpoint %s partial %d: %w", r.name, p, err)
-			}
-			cp.Partials[p] = tbl
-		}
-	}
-	if r.proc.SaveAux != nil {
-		aux, err := r.proc.SaveAux()
-		if err != nil {
-			return nil, fmt.Errorf("aqp: checkpoint %s aux: %w", r.name, err)
-		}
-		cp.Aux = aux
-	}
-	return json.Marshal(cp)
-}
-
-// Restore implements OnlineQuery.
-func (r *Running[T]) Restore(data []byte) error {
-	var cp checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return fmt.Errorf("aqp: restore: %w", err)
-	}
-	if cp.Name != r.name {
-		return fmt.Errorf("aqp: restore: checkpoint is for %q, query is %q", cp.Name, r.name)
-	}
-	if err := r.consumer.Seek(cp.Consumer); err != nil {
-		return fmt.Errorf("aqp: restore %s: %w", r.name, err)
-	}
-	if r.partials == nil {
-		if cp.Table == nil {
-			return fmt.Errorf("aqp: restore %s: checkpoint lacks the sequential-path table", r.name)
-		}
-		gt := &GroupTable{}
-		if err := json.Unmarshal(cp.Table, gt); err != nil {
-			return fmt.Errorf("aqp: restore %s table: %w", r.name, err)
-		}
-		r.gt = gt
-	} else {
-		if len(cp.Partials) != len(r.partials) {
-			return fmt.Errorf("aqp: restore %s: %d partial tables for %d partitions", r.name, len(cp.Partials), len(r.partials))
-		}
-		partials := make([]*GroupTable, len(cp.Partials))
-		for p, raw := range cp.Partials {
-			gt := &GroupTable{}
-			if err := json.Unmarshal(raw, gt); err != nil {
-				return fmt.Errorf("aqp: restore %s partial %d: %w", r.name, p, err)
-			}
-			partials[p] = gt
-		}
-		r.partials = partials
-		r.merged = nil
-	}
-	if cp.Aux != nil && r.proc.LoadAux != nil {
-		if err := r.proc.LoadAux(cp.Aux); err != nil {
-			return fmt.Errorf("aqp: restore %s aux: %w", r.name, err)
-		}
-	}
-	r.rows = cp.Rows
-	return nil
 }

@@ -39,17 +39,21 @@ var (
 //
 //	offset size  field
 //	0      4     magic "RCKP"
-//	4      1     format version (1)
+//	4      1     format version (2)
 //	5      3     reserved (zero)
 //	8      4     payload length, little-endian
 //	12     4     CRC32 (IEEE) of the payload, little-endian
 //	16     …     payload
 //
 // The header lets Load reject torn, truncated, or bit-flipped files by
-// checksum before any byte of the payload reaches a deserializer.
+// checksum before any byte of the payload reaches a deserializer. The
+// version names the payload encoding as well: version 1 carried JSON job
+// state, version 2 carries the binary codec of internal/aqp. A frame of
+// another version is ErrCorrupt, so a checkpoint directory written by
+// older code costs each job a restart from scratch, never a failed run.
 const (
 	ckptMagic     = "RCKP"
-	ckptVersion   = 1
+	ckptVersion   = 2
 	ckptHeaderLen = 16
 )
 

@@ -256,6 +256,9 @@ func TestCheckpointStoreDetectsTamperedFrames(t *testing.T) {
 		"bad-magic":  func(b []byte) []byte { b[0] ^= 0xFF; return b },
 		"bit-flip":   func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b },
 		"bad-length": func(b []byte) []byte { b[8] ^= 0xFF; return b },
+		// A frame valid in every other respect from the version-1 (JSON
+		// payload) format: rejected on the version byte alone.
+		"old-version": func(b []byte) []byte { b[4] = 1; return b },
 	}
 	pristine, err := os.ReadFile(path)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"rotary/internal/admission"
 	"rotary/internal/aqp"
@@ -312,7 +313,7 @@ func (e *AQPExecutor) register(j *AQPJob, at sim.Time, recovered bool) {
 	// Capture the pristine state before any processing: the restart-from-
 	// scratch fallback when no usable checkpoint survives a failure.
 	if e.cfg.Store != nil && j.pristine == nil {
-		if data, err := j.query.Checkpoint(); err != nil {
+		if data, err := e.encodeCheckpoint(j); err != nil {
 			e.storeErr = fmt.Errorf("core: pristine checkpoint %s: %w", j.ID(), err)
 		} else {
 			j.pristine = data
@@ -731,6 +732,15 @@ func (e *AQPExecutor) preemptEpoch(j *AQPJob, wastedSecs float64) {
 	e.scheduleArbitrate()
 }
 
+// encodeCheckpoint serializes the job's state, timing the encode apart
+// from the store's disk write.
+func (e *AQPExecutor) encodeCheckpoint(j *AQPJob) ([]byte, error) {
+	start := time.Now()
+	data, err := j.query.Checkpoint()
+	e.met.ckptEncode.Observe(time.Since(start).Seconds())
+	return data, err
+}
+
 // resumeJob replays the job's persisted state and returns the virtual
 // resume cost. An unusable checkpoint (missing, corrupt, or persistently
 // failing I/O) falls back to a from-scratch restart off the pristine
@@ -902,7 +912,7 @@ func (e *AQPExecutor) finishEpoch(j *AQPJob, epochSecs, normWork float64) {
 		// Persist the deferred job's state; if it is re-granted this very
 		// instant the checkpoint is simply never replayed.
 		if e.cfg.Store != nil {
-			if data, err := j.query.Checkpoint(); err != nil {
+			if data, err := e.encodeCheckpoint(j); err != nil {
 				e.storeErr = fmt.Errorf("core: checkpoint %s: %w", j.ID(), err)
 			} else if err := e.cfg.Store.Save(j.ID(), data); err != nil {
 				j.deferredPenaltySecs += e.cfg.Store.TakePenaltySecs()

@@ -53,6 +53,7 @@ type execMetrics struct {
 	ooms             *obs.Counter // dlt only
 	pendingJobs      *obs.Gauge
 	runningJobs      *obs.Gauge
+	ckptEncode       *obs.Histogram // wall, aqp only: Checkpoint() before the store sees a byte
 }
 
 func newExecMetrics(reg *obs.Registry, sub string) *execMetrics {
@@ -87,6 +88,8 @@ func newExecMetrics(reg *obs.Registry, sub string) *execMetrics {
 		m.ooms = reg.Counter(p+"oom_total", "placements aborted by device OOM")
 	} else {
 		m.grants = reg.Counter(p+"grants_total", "thread grants applied")
+		m.ckptEncode = reg.WallHistogram("rotary_checkpoint_encode_seconds",
+			"wall-clock time encoding a job's state for a checkpoint (disk time is rotary_ckpt_write_seconds)", ckptLatencyBuckets)
 	}
 	return m
 }

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -23,9 +26,10 @@ type durableHarness struct {
 	dir    string
 	socket string
 
-	srv  *Server
-	exec *core.AQPExecutor
-	wg   *sync.WaitGroup
+	srv    *Server
+	exec   *core.AQPExecutor
+	tracer *core.Tracer // optional; attached to the next incarnation
+	wg     *sync.WaitGroup
 }
 
 func newDurableHarness(t *testing.T) *durableHarness {
@@ -50,6 +54,7 @@ func (h *durableHarness) start(t *testing.T) {
 	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
 	cfg.Obs = reg
 	cfg.Store = store
+	cfg.Tracer = h.tracer
 	h.exec = core.NewAQPExecutor(cfg, baselines.RoundRobinAQP{}, nil)
 	h.srv, err = New(Config{Socket: h.socket, Pace: 0, Obs: reg, Journal: jl}, h.exec, cat)
 	if err != nil {
@@ -307,6 +312,87 @@ func TestScratchFallbackWithoutCheckpoints(t *testing.T) {
 	}
 	if r := c2.call(t, Message{Op: "drain"}); !r.OK {
 		t.Fatalf("drain: %+v", r)
+	}
+}
+
+// TestOldFormatCheckpointsRestartFromScratch plants version-1 frames —
+// well-formed by the old rules, CRC and all, around the JSON payload the
+// previous format carried — under a recovering daemon. The version byte
+// rejects them as corrupt before the payload reaches the binary decoder,
+// so each job replays from its pristine state and ends with the status it
+// reaches when its checkpoints were left alone; the run never fails. (The
+// target is loose enough that a replay from scratch still attains it
+// inside the deadline — a restart costs time, not the outcome.)
+func TestOldFormatCheckpointsRestartFromScratch(t *testing.T) {
+	ids := []string{"v1-a", "v1-b"}
+	run := func(plant bool) (map[string]string, *durableHarness) {
+		h := newDurableHarness(t)
+		h.start(t)
+		c := dial(t, h.socket)
+		for _, id := range ids {
+			if r := c.call(t, Message{Op: "submit", ID: id, Statement: "q1 ACC MIN 70% WITHIN 900 SECONDS"}); !r.OK {
+				t.Fatalf("submit %s: %+v", id, r)
+			}
+		}
+		if r := c.call(t, Message{Op: "advance", Seconds: 60}); !r.OK {
+			t.Fatalf("advance: %+v", r)
+		}
+		h.kill(t)
+		ckpts, _ := filepath.Glob(filepath.Join(h.dir, "ckpt", "*.ckpt"))
+		if len(ckpts) != len(ids) {
+			t.Fatalf("%d checkpoints on disk at kill time, want %d", len(ckpts), len(ids))
+		}
+		if plant {
+			payload := []byte(`{"name":"q1","consumer":{"offsets":[7,7,7,7],"next":28,"read":28},"partials":[],"rows":28}`)
+			frame := append([]byte("RCKP\x01\x00\x00\x00"), make([]byte, 8)...)
+			binary.LittleEndian.PutUint32(frame[8:], uint32(len(payload)))
+			binary.LittleEndian.PutUint32(frame[12:], crc32.ChecksumIEEE(payload))
+			for _, p := range ckpts {
+				if err := os.WriteFile(p, append(frame, payload...), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		h.tracer = core.NewTracer(0)
+		h.start(t)
+		c2 := dial(t, h.socket)
+		if r := c2.call(t, Message{Op: "advance", Seconds: 2000}); !r.OK {
+			t.Fatalf("advance after restart (plant=%v): %+v", plant, r)
+		}
+		statuses := map[string]string{}
+		for _, id := range ids {
+			r := c2.call(t, Message{Op: "status", ID: id})
+			if !r.OK || r.Status == "pending" || r.Status == "running" {
+				t.Fatalf("job %s not terminal (plant=%v): %+v", id, plant, r)
+			}
+			statuses[id] = r.Status
+		}
+		if r := c2.call(t, Message{Op: "drain"}); !r.OK {
+			t.Fatalf("drain: %+v", r)
+		}
+		return statuses, h
+	}
+	control, ch := run(false)
+	if rec := ch.exec.Recovery(); rec.ScratchRestarts != 0 {
+		t.Fatalf("control run scratch-restarted: %+v", rec)
+	}
+	planted, h := run(true)
+	if !reflect.DeepEqual(planted, control) {
+		t.Errorf("terminal statuses %v, control %v", planted, control)
+	}
+	if rec := h.exec.Recovery(); rec.ScratchRestarts != len(ids) {
+		t.Errorf("scratch restarts %d, want %d (%+v)", rec.ScratchRestarts, len(ids), rec)
+	}
+	for _, id := range ids {
+		var causes []string
+		for _, ev := range h.tracer.JobEvents(id) {
+			if ev.Kind == core.TraceRestart {
+				causes = append(causes, ev.Detail)
+			}
+		}
+		if !reflect.DeepEqual(causes, []string{"corrupt"}) {
+			t.Errorf("job %s restart causes %v, want [corrupt]", id, causes)
+		}
 	}
 }
 

@@ -33,6 +33,9 @@ func NewTopic[T any](name string, records []T, nparts int) *Topic[T] {
 		nparts = 1
 	}
 	parts := make([][]T, nparts)
+	for p := range parts {
+		parts[p] = make([]T, 0, (len(records)+nparts-1-p)/nparts)
+	}
 	for i, rec := range records {
 		p := i % nparts
 		parts[p] = append(parts[p], rec)
@@ -87,7 +90,7 @@ func (c *Consumer[T]) NextBatch(n int) ([]T, bool) {
 	if n <= 0 {
 		return nil, false
 	}
-	batch := make([]T, 0, n)
+	batch := make([]T, 0, max(0, min(n, c.Remaining())))
 	parts := len(c.topic.partitions)
 	empty := 0
 	for len(batch) < n && empty < parts {
@@ -204,9 +207,9 @@ func (c *Consumer[T]) Seek(s ConsumerState) error {
 	return nil
 }
 
-// ConsumerState is a serializable consumer position.
+// ConsumerState is a consumer position, as job checkpoints carry it.
 type ConsumerState struct {
-	Offsets []int `json:"offsets"`
-	Next    int   `json:"next"`
-	Read    int   `json:"read"`
+	Offsets []int
+	Next    int
+	Read    int
 }

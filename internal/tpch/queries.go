@@ -1,7 +1,7 @@
 package tpch
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -519,8 +519,13 @@ func (c *Catalog) buildQ4() (built, error) {
 				gt.Update(o.OrderPriority, 1)
 			}
 		},
-		SaveAux:  func() (json.RawMessage, error) { return json.Marshal(seen) },
-		LoadAux:  func(m json.RawMessage) error { seen = make(map[int32]bool); return json.Unmarshal(m, &seen) },
+		SaveAux: func(b []byte) []byte {
+			return appendAux(b, seen, func(b []byte, _ bool) []byte { return b })
+		},
+		LoadAux: func(d *aqp.Dec) func() {
+			m := decodeAux(d, 0, func(*aqp.Dec) bool { return true })
+			return func() { seen = m }
+		},
 		AuxBytes: func() int64 { return int64(len(seen)) * 16 },
 	})
 }
@@ -797,8 +802,8 @@ func (c *Catalog) buildQ16() (built, error) {
 // correlated subquery).
 func (c *Catalog) buildQ17() (built, error) {
 	type pavg struct {
-		Sum   float64 `json:"s"`
-		Count int64   `json:"c"`
+		Sum   float64
+		Count int64
 	}
 	avgs := make(map[int32]*pavg)
 	specs := []aqp.AggSpec{{Name: "sum_extendedprice", Kind: aqp.Sum}, {Name: "count", Kind: aqp.Count}}
@@ -825,10 +830,14 @@ func (c *Catalog) buildQ17() (built, error) {
 				}
 			}
 		},
-		SaveAux: func() (json.RawMessage, error) { return json.Marshal(avgs) },
-		LoadAux: func(m json.RawMessage) error {
-			avgs = make(map[int32]*pavg)
-			return json.Unmarshal(m, &avgs)
+		SaveAux: func(b []byte) []byte {
+			return appendAux(b, avgs, func(b []byte, a *pavg) []byte {
+				return binary.AppendUvarint(aqp.AppendFloat(b, a.Sum), uint64(a.Count))
+			})
+		},
+		LoadAux: func(d *aqp.Dec) func() {
+			m := decodeAux(d, 9, func(d *aqp.Dec) *pavg { return &pavg{Sum: d.Float(), Count: int64(d.Uvarint())} })
+			return func() { avgs = m }
 		},
 		AuxBytes: func() int64 { return int64(len(avgs)) * 48 },
 	})
@@ -838,8 +847,8 @@ func (c *Catalog) buildQ17() (built, error) {
 // the heaviest stateful query.
 func (c *Catalog) buildQ18() (built, error) {
 	type ostate struct {
-		Qty   float64 `json:"q"`
-		Added bool    `json:"a"`
+		Qty   float64
+		Added bool
 	}
 	acc := make(map[int32]*ostate)
 	specs := []aqp.AggSpec{{Name: "count_orders", Kind: aqp.Count}, {Name: "sum_totalprice", Kind: aqp.Sum}}
@@ -859,10 +868,17 @@ func (c *Catalog) buildQ18() (built, error) {
 				}
 			}
 		},
-		SaveAux: func() (json.RawMessage, error) { return json.Marshal(acc) },
-		LoadAux: func(m json.RawMessage) error {
-			acc = make(map[int32]*ostate)
-			return json.Unmarshal(m, &acc)
+		SaveAux: func(b []byte) []byte {
+			return appendAux(b, acc, func(b []byte, st *ostate) []byte {
+				if b = aqp.AppendFloat(b, st.Qty); st.Added {
+					return append(b, 1)
+				}
+				return append(b, 0)
+			})
+		},
+		LoadAux: func(d *aqp.Dec) func() {
+			m := decodeAux(d, 9, func(d *aqp.Dec) *ostate { return &ostate{Qty: d.Float(), Added: d.Uvarint() != 0} })
+			return func() { acc = m }
 		},
 		AuxBytes: func() int64 { return int64(len(acc)) * 48 },
 	})
@@ -931,9 +947,9 @@ func (c *Catalog) buildQ20() (built, error) {
 // state is evaluated once the order's lines have all streamed past.
 func (c *Catalog) buildQ21() (built, error) {
 	type o21 struct {
-		Seen  int32   `json:"n"`
-		Supps []int32 `json:"s"`
-		Late  []int32 `json:"l"`
+		Seen  int32
+		Supps []int32
+		Late  []int32
 	}
 	states := make(map[int32]*o21)
 	specs := []aqp.AggSpec{{Name: "numwait", Kind: aqp.Count}}
@@ -975,10 +991,17 @@ func (c *Catalog) buildQ21() (built, error) {
 				}
 			}
 		},
-		SaveAux: func() (json.RawMessage, error) { return json.Marshal(states) },
-		LoadAux: func(m json.RawMessage) error {
-			states = make(map[int32]*o21)
-			return json.Unmarshal(m, &states)
+		SaveAux: func(b []byte) []byte {
+			return appendAux(b, states, func(b []byte, st *o21) []byte {
+				return appendKeys(appendKeys(binary.AppendUvarint(b, uint64(st.Seen)), st.Supps), st.Late)
+			})
+		},
+		LoadAux: func(d *aqp.Dec) func() {
+			m := decodeAux(d, 3, func(d *aqp.Dec) *o21 {
+				n := len(c.ds.Suppliers)
+				return &o21{Seen: int32(d.Uvarint()), Supps: decodeKeys(d, n), Late: decodeKeys(d, n)}
+			})
+			return func() { states = m }
 		},
 		AuxBytes: func() int64 { return int64(len(states)) * 96 },
 	})

@@ -1,7 +1,12 @@
 package tpch
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"testing"
+
+	"rotary/internal/aqp"
 )
 
 func testCatalog(t *testing.T, sf float64) *Catalog {
@@ -64,41 +69,93 @@ func TestAllQueriesConvergeToFullAccuracy(t *testing.T) {
 	}
 }
 
+// Every query, on both data paths (the aux-state queries run interleaved,
+// the rest partitioned), checkpointed at 0 %, ~15 %, ~60 % and 100 % of its
+// stream: Checkpoint → Restore → Checkpoint is byte-identical, the restored
+// copy reports bit-identical results, and continuing it lands exactly
+// where a query that was never checkpointed lands.
 func TestQueryCheckpointRestoreRoundTrip(t *testing.T) {
 	cat := testCatalog(t, 0.01)
-	for _, name := range []string{"q1", "q4", "q17", "q18", "q21", "q13", "q22", "q11"} {
-		q1, err := cat.NewQuery(name)
+	for _, name := range AllQueries {
+		total, err := cat.FactRows(name)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		for i := 0; i < 3; i++ {
-			q1.ProcessBatch(2000, 1)
+		fresh := func() aqp.OnlineQuery {
+			q, err := cat.NewQuery(name)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return q
 		}
-		cp, err := q1.Checkpoint()
-		if err != nil {
-			t.Fatalf("%s: checkpoint: %v", name, err)
+		never := fresh() // drained in lockstep, never checkpointed
+		restored := fresh()
+		for _, upTo := range []int{0, total * 15 / 100, total * 60 / 100, total} {
+			label := fmt.Sprintf("%s at %d/%d rows", name, upTo, total)
+			for int(never.RowsProcessed()) < upTo {
+				n := min(1500, upTo-int(never.RowsProcessed()))
+				never.ProcessBatch(n, 2)
+				restored.ProcessBatch(n, 3)
+			}
+			cp, err := restored.Checkpoint()
+			if err != nil {
+				t.Fatalf("%s: checkpoint: %v", label, err)
+			}
+			// Each stage continues from a copy rebuilt from bytes alone.
+			restored = fresh()
+			if err := restored.Restore(cp); err != nil {
+				t.Fatalf("%s: restore: %v", label, err)
+			}
+			if cp2, _ := restored.Checkpoint(); !bytes.Equal(cp, cp2) {
+				t.Fatalf("%s: re-checkpoint differs (%d vs %d bytes)", label, len(cp), len(cp2))
+			}
+			snap := never.Snapshot()
+			requireIdenticalSnapshots(t, label, snap, restored.Snapshot())
+			requireIdenticalIntervals(t, label, snap, never, restored)
+			if a, b := never.Accuracy(), restored.Accuracy(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: accuracy %v vs %v", label, a, b)
+			}
+			if never.RowsProcessed() != restored.RowsProcessed() || never.DataProgress() != restored.DataProgress() ||
+				never.StateMemMB() != restored.StateMemMB() {
+				t.Fatalf("%s: rows %d/%d progress %v/%v state %v/%v MB", label,
+					never.RowsProcessed(), restored.RowsProcessed(), never.DataProgress(), restored.DataProgress(),
+					never.StateMemMB(), restored.StateMemMB())
+			}
 		}
-		q2, err := cat.NewQuery(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if !restored.Exhausted() || restored.Accuracy() < 0.999 {
+			t.Errorf("%s: restored copy ended at progress %v accuracy %v", name, restored.DataProgress(), restored.Accuracy())
 		}
-		if err := q2.Restore(cp); err != nil {
-			t.Fatalf("%s: restore: %v", name, err)
+	}
+}
+
+// A checkpoint whose aux section is damaged must not half-install: the
+// aux-state queries keep their live maps and go on to the exact answer.
+func TestFailedAuxRestoreLeavesQueryUntouched(t *testing.T) {
+	cat := testCatalog(t, 0.01)
+	for _, name := range []string{"q4", "q17", "q18", "q21"} {
+		donor, _ := cat.NewQuery(name)
+		donor.ProcessBatch(20000, 1)
+		good, _ := donor.Checkpoint()
+		q, _ := cat.NewQuery(name)
+		control, _ := cat.NewQuery(name)
+		q.ProcessBatch(9000, 1)
+		control.ProcessBatch(9000, 1)
+		before, _ := q.Checkpoint()
+		for what, data := range map[string][]byte{
+			"aux cut short": good[:len(good)-3], "aux byte appended": append(good[:len(good):len(good)], 1),
+		} {
+			if err := q.Restore(data); err == nil {
+				t.Errorf("%s: %s: restore accepted it", name, what)
+			}
+			if after, _ := q.Checkpoint(); !bytes.Equal(before, after) {
+				t.Fatalf("%s: %s: failed restore changed the query", name, what)
+			}
 		}
-		if q1.RowsProcessed() != q2.RowsProcessed() {
-			t.Errorf("%s: rows %d vs %d after restore", name, q1.RowsProcessed(), q2.RowsProcessed())
+		for !q.Exhausted() {
+			q.ProcessBatch(5000, 1)
+			control.ProcessBatch(5000, 1)
 		}
-		// Drain both; they must land on identical accuracy.
-		for !q1.Exhausted() {
-			q1.ProcessBatch(5000, 1)
-		}
-		for !q2.Exhausted() {
-			q2.ProcessBatch(5000, 1)
-		}
-		a1, a2 := q1.Accuracy(), q2.Accuracy()
-		if diff := a1 - a2; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("%s: post-restore accuracy diverged: %v vs %v", name, a1, a2)
-		}
+		requireIdenticalSnapshots(t, name+" after failed restores", control.Snapshot(), q.Snapshot())
 	}
 }
 

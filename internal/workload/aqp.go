@@ -9,6 +9,8 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"rotary/internal/core"
 	"rotary/internal/criteria"
@@ -166,55 +168,88 @@ func DefaultAQPMemoryMB(cat *tpch.Catalog) float64 {
 // the repository — the historical data Rotary-AQP's progress estimator
 // fits against ("the historical data are from the selected historical
 // jobs that are similar to job j", §IV-A).
+//
+// The 22 runs are independent (each query owns its consumer; the catalog's
+// shared caches are locked), so they are spread over GOMAXPROCS goroutines.
+// The records are added in tpch.AllQueries order once all are in, which
+// makes the repository identical to one seeded query by query.
 func SeedAQPHistory(repo *estimate.Repository, cat *tpch.Catalog, batchRows int) error {
 	if batchRows <= 0 {
 		batchRows = 2000
 	}
-	for _, name := range tpch.AllQueries {
-		q, err := cat.NewQuery(name)
+	recs := make([]estimate.AQPRecord, len(tpch.AllQueries))
+	errs := make([]error, len(tpch.AllQueries))
+	work := make(chan int, len(recs)) // every index up front, as aqp.runPartitions queues its partitions
+	for i := range recs {
+		work <- i
+	}
+	close(work)
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(recs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				recs[i], errs[i] = aqpHistoryRecord(cat, tpch.AllQueries[i], batchRows)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-		cls, err := tpch.ClassOf(name)
-		if err != nil {
-			return err
-		}
-		// Size batches against the query's own fact stream so every
-		// historical curve has enough points to fit, even for queries
-		// whose fact table is small (customers, partsupp).
-		qBatch := batchRows
-		if factRows, ferr := cat.FactRows(name); ferr == nil {
-			if cap := factRows / 64; cap < qBatch {
-				qBatch = cap
-			}
-		}
-		if qBatch < 10 {
-			qBatch = 10
-		}
-		var secs float64
-		var curve []estimate.Point
-		for !q.Exhausted() {
-			var epochCost float64
-			for b := 0; b < 4; b++ {
-				rows, cost := q.ProcessBatch(qBatch, 1)
-				epochCost += cost
-				if rows == 0 {
-					break
-				}
-			}
-			secs += epochCost
-			// Historical curves store the retrospective true accuracy:
-			// once a job has run to completion its final answer is known,
-			// so its whole αc/αf trajectory is reconstructible.
-			curve = append(curve, estimate.Point{X: secs, Y: q.Accuracy()})
-		}
-		repo.AddAQP(estimate.AQPRecord{
-			ID:        "hist-" + name,
-			Query:     name,
-			Class:     cls.String(),
-			BatchRows: batchRows,
-			Curve:     curve,
-		})
+	}
+	for _, rec := range recs {
+		repo.AddAQP(rec)
 	}
 	return nil
+}
+
+// aqpHistoryRecord is one query's standalone run for SeedAQPHistory.
+func aqpHistoryRecord(cat *tpch.Catalog, name string, batchRows int) (estimate.AQPRecord, error) {
+	q, err := cat.NewQuery(name)
+	if err != nil {
+		return estimate.AQPRecord{}, err
+	}
+	cls, err := tpch.ClassOf(name)
+	if err != nil {
+		return estimate.AQPRecord{}, err
+	}
+	// Size batches against the query's own fact stream so every
+	// historical curve has enough points to fit, even for queries
+	// whose fact table is small (customers, partsupp).
+	qBatch := batchRows
+	if factRows, ferr := cat.FactRows(name); ferr == nil {
+		if cap := factRows / 64; cap < qBatch {
+			qBatch = cap
+		}
+	}
+	if qBatch < 10 {
+		qBatch = 10
+	}
+	var secs float64
+	var curve []estimate.Point
+	for !q.Exhausted() {
+		var epochCost float64
+		for b := 0; b < 4; b++ {
+			rows, cost := q.ProcessBatch(qBatch, 1)
+			epochCost += cost
+			if rows == 0 {
+				break
+			}
+		}
+		secs += epochCost
+		// Historical curves store the retrospective true accuracy:
+		// once a job has run to completion its final answer is known,
+		// so its whole αc/αf trajectory is reconstructible.
+		curve = append(curve, estimate.Point{X: secs, Y: q.Accuracy()})
+	}
+	return estimate.AQPRecord{
+		ID:        "hist-" + name,
+		Query:     name,
+		Class:     cls.String(),
+		BatchRows: batchRows,
+		Curve:     curve,
+	}, nil
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"rotary/internal/criteria"
@@ -175,6 +177,29 @@ func TestSeedAQPHistoryCoversEveryQuery(t *testing.T) {
 		if last := curve[len(curve)-1]; last.Y < 0.99 {
 			t.Errorf("%s: history curve ends at accuracy %v, want ≈1", q, last.Y)
 		}
+	}
+}
+
+// The concurrent seeding must be unobservable: on more goroutines than
+// this box has cores, over a cold catalog (so ground truths are computed
+// concurrently too), the repository equals one built query by query.
+func TestSeedAQPHistoryMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	want := estimate.NewRepository()
+	seqCat := testCatalog(t)
+	for _, name := range tpch.AllQueries {
+		rec, err := aqpHistoryRecord(seqCat, name, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.AddAQP(rec)
+	}
+	got := estimate.NewRepository()
+	if err := SeedAQPHistory(got, testCatalog(t), 500); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("concurrently seeded repository differs from the sequential one")
 	}
 }
 
