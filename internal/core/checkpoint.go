@@ -168,6 +168,11 @@ type StoreHealth struct {
 // fsynced, and renamed over the final path, so a torn write can never
 // shadow a previously valid checkpoint, and every frame carries a CRC32
 // header that Load verifies before any payload byte is deserialized.
+//
+// A write-behind store (DeferWrites) stages the newest saved frame per id
+// and writes it at its owner's Flush: twenty saves of a job between two
+// flushes cost one disk write, or none if it was deleted first. Reads see
+// the stage as if it were the disk.
 type CheckpointStore struct {
 	mu  sync.Mutex
 	dir string
@@ -192,6 +197,13 @@ type CheckpointStore struct {
 	maxRetries       int
 	retryBackoffSecs float64
 	penaltySecs      float64
+
+	// deferred marks a write-behind store: staged holds the frames saved
+	// since the last Flush, stageOrder their ids in first-staged order (an
+	// id that has left the stage since is skipped at Flush).
+	deferred   bool
+	staged     map[string][]byte
+	stageOrder []string
 
 	memHits, diskHits, writes int
 	diskBytes                 int64
@@ -243,11 +255,12 @@ func NewCheckpointStoreIO(dir string, memorySlots int, retain func(id string) bo
 		memory:           make(map[string][]byte),
 		lru:              list.New(),
 		lruIdx:           make(map[string]*list.Element),
+		staged:           make(map[string][]byte),
 		maxRetries:       3,
 		retryBackoffSecs: 1.0,
 		met:              newStoreMetrics(nil),
 	}
-	s.health.Swept = s.sweep()
+	s.health.Swept, _ = s.sweep() // best effort: the next open sweeps again
 	s.met.swept.Add(int64(s.health.Swept))
 	return s, nil
 }
@@ -263,19 +276,18 @@ func (s *CheckpointStore) SetObs(reg *obs.Registry) {
 	s.met.swept.Add(int64(s.health.Swept))
 }
 
-// sweep removes leftover *.ckpt and *.ckpt.tmp files and reports how many
-// it deleted. Checkpoints are scratch state scoped to one run; anything
-// present at store creation is an orphan — except checkpoints the retain
-// predicate claims, which a durable journal still references for jobs a
-// restarted daemon will reattach. Torn temp files are always swept: the
-// atomic-write protocol means a .ckpt.tmp never holds the only copy of a
-// valid checkpoint.
-func (s *CheckpointStore) sweep() int {
+// sweep removes leftover *.ckpt and *.ckpt.tmp files, reporting how many
+// it deleted and the first failure. Checkpoints are scratch state scoped
+// to one run; anything present at store creation (or left at Close) is an
+// orphan — except checkpoints the retain predicate claims, which a
+// durable journal still references for jobs a restarted daemon will
+// reattach. Torn temp files are always swept: the atomic-write protocol
+// means a .ckpt.tmp never holds the only copy of a valid checkpoint.
+func (s *CheckpointStore) sweep() (n int, err error) {
 	entries, err := s.dio.ReadDir(s.dir)
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	n := 0
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() {
@@ -286,11 +298,13 @@ func (s *CheckpointStore) sweep() int {
 		} else if !ok && !strings.HasSuffix(name, ".ckpt.tmp") {
 			continue
 		}
-		if s.dio.Remove(filepath.Join(s.dir, name)) == nil {
+		if rmErr := s.dio.Remove(filepath.Join(s.dir, name)); rmErr == nil {
 			n++
+		} else if err == nil {
+			err = rmErr
 		}
 	}
-	return n
+	return n, err
 }
 
 // SetFaults arms the store with a deterministic fault injector (nil
@@ -319,8 +333,19 @@ func (s *CheckpointStore) path(id string) string {
 	return filepath.Join(s.dir, id+".ckpt")
 }
 
+// DeferWrites switches the store to write-behind, for an owner with a
+// durability boundary of its own to Flush at (the serving mode's journal
+// step). Every other store writes through on each Save.
+func (s *CheckpointStore) DeferWrites() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.deferred = true
+}
+
 // Save persists a job's checkpoint. The newest checkpoints stay in the
-// memory tier; the eviction spills to disk.
+// memory tier; the eviction spills to disk. A write-behind store stages
+// the frame, replacing any frame of the same id staged since the last
+// Flush.
 func (s *CheckpointStore) Save(id string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -350,7 +375,59 @@ func (s *CheckpointStore) Save(id string, data []byte) error {
 		}
 		return nil
 	}
-	return s.writeFile(id, data)
+	if !s.deferred {
+		return s.writeFile(id, data)
+	}
+	if !s.dropStaged(id) {
+		s.stageOrder = append(s.stageOrder, id)
+	}
+	s.staged[id] = data
+	s.met.stagedBytes.Add(float64(len(data)))
+	return nil
+}
+
+// dropStaged discards id's staged frame, if any: a newer save or a delete
+// overtook it before it cost a disk write.
+func (s *CheckpointStore) dropStaged(id string) bool {
+	old, ok := s.staged[id]
+	if ok {
+		delete(s.staged, id)
+		s.met.stagedBytes.Add(-float64(len(old)))
+		s.met.coalesced.Inc()
+	}
+	return ok
+}
+
+// Flush writes the staged frames to disk, in first-staged order, on the
+// caller's goroutine. A frame whose write fails (after the usual bounded
+// retries) stays staged — still served to Load and Export, the previous
+// file still intact — for the next Flush to retry; the first such error is
+// returned. Retry backoff is not billed: no job is running the write, and
+// penaltySecs would charge it to whichever job drains the penalty next.
+func (s *CheckpointStore) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer func(p float64) { s.penaltySecs = p }(s.penaltySecs)
+	var firstErr error
+	failed := s.stageOrder[:0]
+	for _, id := range s.stageOrder {
+		data, ok := s.staged[id]
+		if !ok {
+			continue
+		}
+		if err := s.writeFile(id, data); err != nil {
+			s.met.flushErrors.Inc()
+			failed = append(failed, id)
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		delete(s.staged, id)
+		s.met.stagedBytes.Add(-float64(len(data)))
+	}
+	s.stageOrder = failed
+	return firstErr
 }
 
 // writeFile frames the payload and writes it atomically: temp file in the
@@ -383,13 +460,17 @@ func (s *CheckpointStore) writeFile(id string, data []byte) error {
 		}
 		break
 	}
+	return s.writeFrame(id, frame)
+}
 
-	// Real (or disk-layer-injected) I/O failures get the same bounded
-	// retries as injected transients, then surface as ErrTransient —
-	// the typed error the executor answers with a scratch restart. An
-	// ENOSPC blip therefore costs the affected job a replay, not the
-	// whole run: the atomic-write protocol guarantees the previous
-	// checkpoint (if any) is still intact under the final path.
+// writeFrame is the one place a frame reaches disk (Save, Flush, Import).
+// Real (or disk-layer-injected) I/O failures get the same bounded
+// retries as injected transients, then surface as ErrTransient — the
+// typed error the executor answers with a scratch restart. An ENOSPC
+// blip therefore costs the affected job a replay, not the whole run: the
+// atomic-write protocol guarantees the previous checkpoint (if any) is
+// still intact under the final path.
+func (s *CheckpointStore) writeFrame(id string, frame []byte) error {
 	ioStart := time.Now()
 	for attempt := 0; ; attempt++ {
 		err := AtomicWriteFileIO(s.dio, s.path(id), frame)
@@ -407,6 +488,7 @@ func (s *CheckpointStore) writeFile(id string, data []byte) error {
 		return fmt.Errorf("core: write checkpoint %s: %w (%v)", id, ErrTransient, err)
 	}
 	s.diskBytes += int64(len(frame))
+	s.met.diskWrites.Inc()
 	s.met.frameBytes.Observe(float64(len(frame)))
 	s.met.writeLatency.Observe(time.Since(ioStart).Seconds())
 	return nil
@@ -429,6 +511,11 @@ func (s *CheckpointStore) Load(id string) (data []byte, fromMemory bool, err err
 		s.met.memHits.Inc()
 		s.lru.MoveToFront(s.lruIdx[id])
 		return d, true, nil
+	}
+	if d, ok := s.staged[id]; ok { // stands in for its file: billed as the disk replay it replaces
+		s.diskHits++
+		s.met.diskHits.Inc()
+		return d, false, nil
 	}
 	for attempt := 0; ; attempt++ {
 		switch s.injector.ReadFault() {
@@ -470,10 +557,10 @@ func (s *CheckpointStore) Load(id string) (data []byte, fromMemory bool, err err
 // Export reads a checkpoint as a validated CRC-framed blob, ready to be
 // Imported into another store's namespace — the transfer primitive behind
 // checkpoint-carried job migration between arbiter shards. A checkpoint
-// still resident in the memory tier is framed on the fly, so the export is
-// durable-equivalent regardless of which tier held it. The source copy is
-// left in place; the caller removes it (via the executor's Detach) once
-// the migration commits.
+// still resident in the memory tier or the stage is framed on the fly, so
+// the export is durable-equivalent regardless of where it was held. The
+// source copy is left in place; the caller removes it (via the executor's
+// Detach) once the migration commits.
 func (s *CheckpointStore) Export(id string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -481,6 +568,9 @@ func (s *CheckpointStore) Export(id string) ([]byte, error) {
 		return nil, fmt.Errorf("core: export checkpoint %s: store closed", id)
 	}
 	if d, ok := s.memory[id]; ok {
+		return encodeCheckpointFrame(d), nil
+	}
+	if d, ok := s.staged[id]; ok {
 		return encodeCheckpointFrame(d), nil
 	}
 	frame, err := s.dio.ReadFile(s.path(id))
@@ -500,9 +590,10 @@ func (s *CheckpointStore) Export(id string) ([]byte, error) {
 
 // Import publishes an exported frame under this store's namespace,
 // validating the frame before any byte lands on disk. The write goes
-// straight to the disk tier through the atomic-write protocol: a migrated
-// job's reattach target must be durable before the receiving shard
-// journals the migration as committed.
+// straight to disk — never the stage — through the same retried, metered
+// write as a save, and counts as one: a migrated job's reattach target
+// must be durable before the receiving shard journals the migration as
+// committed. Retry backoff is not billed (see Flush).
 func (s *CheckpointStore) Import(id string, frame []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -512,10 +603,12 @@ func (s *CheckpointStore) Import(id string, frame []byte) error {
 	if _, err := decodeCheckpointFrame(frame); err != nil {
 		return fmt.Errorf("core: import checkpoint %s: %w", id, err)
 	}
-	if err := AtomicWriteFileIO(s.dio, s.path(id), frame); err != nil {
+	defer func(p float64) { s.penaltySecs = p }(s.penaltySecs)
+	s.writes++
+	s.met.writes.Inc()
+	if err := s.writeFrame(id, frame); err != nil {
 		return fmt.Errorf("core: import checkpoint %s: %w", id, err)
 	}
-	s.diskBytes += int64(len(frame))
 	return nil
 }
 
@@ -530,15 +623,12 @@ func (s *CheckpointStore) TakePenaltySecs() float64 {
 	return p
 }
 
-// Delete removes a job's checkpoint from both tiers. Deleting an id with
-// no checkpoint is a no-op.
+// Delete removes a job's checkpoint from both tiers and the stage.
+// Deleting an id with no checkpoint is a no-op.
 func (s *CheckpointStore) Delete(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.deleteLocked(id)
-}
-
-func (s *CheckpointStore) deleteLocked(id string) error {
+	s.dropStaged(id)
 	if el, ok := s.lruIdx[id]; ok {
 		s.lru.Remove(el)
 		delete(s.lruIdx, id)
@@ -556,15 +646,15 @@ func (s *CheckpointStore) Remove(id string) {
 	_ = s.Delete(id)
 }
 
-// Close releases the store: the memory tier is dropped and every
-// remaining on-disk checkpoint is deleted (checkpoints are scratch state
-// scoped to one run — terminal jobs already removed theirs; whatever is
-// left belongs to jobs that will never resume). Checkpoints claimed by the
-// retain predicate survive: a journal-referenced job may still reattach to
-// them after a restart. Note the memory tier is NOT flushed to disk first;
-// a durable configuration should use MemorySlots = 0 so every checkpoint
-// reaches disk at save time. Operations after Close fail. Close is
-// idempotent.
+// Close releases the store: the memory tier and the stage are dropped and
+// every remaining on-disk checkpoint is deleted (checkpoints are scratch
+// state scoped to one run — terminal jobs already removed theirs; whatever
+// is left belongs to jobs that will never resume). Checkpoints claimed by
+// the retain predicate survive: a journal-referenced job may still
+// reattach to them after a restart. Nothing resident is written out first —
+// Close leaves the disk as abandoning the store (a kill -9) would — so a
+// durable owner flushes at its own boundary and uses MemorySlots = 0.
+// Operations after Close fail. Close is idempotent.
 func (s *CheckpointStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -572,31 +662,17 @@ func (s *CheckpointStore) Close() error {
 		return nil
 	}
 	s.closed = true
-	var firstErr error
 	for id := range s.memory {
 		delete(s.memory, id)
 	}
 	s.lru.Init()
 	s.lruIdx = make(map[string]*list.Element)
-	entries, err := s.dio.ReadDir(s.dir)
-	if err != nil {
+	s.staged, s.stageOrder = nil, nil
+	s.met.stagedBytes.Set(0)
+	if _, err := s.sweep(); err != nil {
 		return fmt.Errorf("core: close checkpoint store: %w", err)
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if id, ok := strings.CutSuffix(name, ".ckpt"); ok && s.retain != nil && s.retain(id) {
-			continue
-		} else if !ok && !strings.HasSuffix(name, ".ckpt.tmp") {
-			continue
-		}
-		if err := s.dio.Remove(filepath.Join(s.dir, name)); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: close checkpoint store: %w", err)
-		}
-	}
-	return firstErr
+	return nil
 }
 
 // Stats reports the store's activity: checkpoint writes, memory-tier and

@@ -203,6 +203,10 @@ func (e *AQPExecutor) Engine() *sim.Engine { return e.eng }
 // the serving mode's trace-tail op reads it.
 func (e *AQPExecutor) Tracer() *Tracer { return e.cfg.Tracer }
 
+// Store exposes the configured checkpoint store (nil when there is none);
+// the serving mode flushes it at each journal step.
+func (e *AQPExecutor) Store() *CheckpointStore { return e.cfg.Store }
+
 // Jobs returns every submitted job.
 func (e *AQPExecutor) Jobs() []*AQPJob { return e.jobs }
 

@@ -110,6 +110,10 @@ func (m *execMetrics) outcome(status JobStatus) {
 // histograms measure real I/O and are wall-class.
 type storeMetrics struct {
 	writes       *obs.Counter
+	diskWrites   *obs.Counter
+	coalesced    *obs.Counter
+	flushErrors  *obs.Counter
+	stagedBytes  *obs.Gauge
 	memHits      *obs.Counter
 	diskHits     *obs.Counter
 	corrupt      *obs.Counter
@@ -132,7 +136,11 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	}
 	const p = "rotary_ckpt_"
 	return &storeMetrics{
-		writes:       reg.Counter(p+"writes_total", "checkpoint saves accepted"),
+		writes:       reg.Counter(p+"writes_total", "checkpoint saves and imports accepted"),
+		diskWrites:   reg.Counter(p+"disk_writes_total", "frames written to disk"),
+		coalesced:    reg.Counter(p+"coalesced_total", "staged saves superseded or deleted before they were flushed"),
+		flushErrors:  reg.Counter(p+"flush_errors_total", "staged frames a flush failed to write (kept staged for the next flush)"),
+		stagedBytes:  reg.Gauge(p+"staged_bytes", "payload bytes staged for the next flush"),
 		memHits:      reg.Counter(p+"mem_hits_total", "loads served from the memory tier"),
 		diskHits:     reg.Counter(p+"disk_hits_total", "loads replayed from disk"),
 		corrupt:      reg.Counter(p+"corrupt_detected_total", "loads rejected by frame validation"),

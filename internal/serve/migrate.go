@@ -90,6 +90,9 @@ func (s *Server) migrateOut(m Message) Response {
 		}
 	}
 	now := eng.Now().Seconds()
+	// Other jobs may have progressed during the drain; the sweep also
+	// flushes the drain's checkpoints ahead of the epoch record below.
+	s.syncState()
 	// Journal epochs the drain completed before handing off the record, so
 	// the target resumes from the same durable position a crash-restart
 	// would. The diff mark goes terminal-shaped only at migrate-commit.
@@ -103,7 +106,6 @@ func (s *Server) migrateOut(m Message) Response {
 		mark.epochs = e
 	}
 	mark.running = false
-	s.syncState() // other jobs may have progressed during the drain
 	jr.Status = "pending"
 	jr.BestEffort = j.BestEffort()
 	if e := j.Epochs(); e > jr.Epochs {

@@ -33,8 +33,11 @@ import (
 // (dir/ckpt) whose startup sweep retains every checkpoint the journal
 // still references as live — a recovered job's reattach target must
 // survive the sweep that would otherwise clear "stale" files from the
-// killed incarnation. The store is disk-only (no memory tier) so every
-// save is durable by the time the epoch that produced it is journaled.
+// killed incarnation. The store is disk-only (no memory tier) and
+// write-behind: Server.syncState flushes it just before journaling a
+// step's epochs, so every save is durable by the time the epoch that
+// produced it is journaled — and no sooner, which keeps the frames on disk
+// a consistent cut with the journaled clock.
 func OpenDurable(dir string) (*Journal, *core.CheckpointStore, error) {
 	return OpenDurableIO(dir, nil)
 }
@@ -56,6 +59,7 @@ func OpenDurableIO(dir string, dio diskio.IO) (*Journal, *core.CheckpointStore, 
 		jl.Close()
 		return nil, nil, err
 	}
+	store.DeferWrites()
 	return jl, store, nil
 }
 
@@ -237,7 +241,16 @@ func (s *Server) journalClock() {
 // without a journal — the live set and counters back resume/stats — and
 // s.journal drops the records when jl is nil. A periodic clock record
 // bounds how far an idle paced server's restart may rewind time.
+//
+// The sweep opens by flushing the checkpoint store — before the degraded
+// return, so the stage never piles up — so the frames the step staged reach
+// disk ahead of the epoch records that refer to them. A failed flush loses
+// nothing live (DESIGN.md §7): its error is kept for the health op and
+// journaling goes on.
 func (s *Server) syncState() {
+	if st := s.exec.Store(); st != nil {
+		s.ckptErr = st.Flush()
+	}
 	if s.jl != nil && s.jl.Degraded() != nil {
 		// Freeze the diff marks while the journal is degraded: advancing
 		// them would count transitions as journaled that the failed

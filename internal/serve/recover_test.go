@@ -12,6 +12,7 @@ import (
 
 	"rotary/internal/baselines"
 	"rotary/internal/core"
+	"rotary/internal/diskio"
 	"rotary/internal/obs"
 	"rotary/internal/tpch"
 	"rotary/internal/workload"
@@ -25,6 +26,7 @@ import (
 type durableHarness struct {
 	dir    string
 	socket string
+	dio    diskio.IO // optional; nil is the real disk
 
 	srv    *Server
 	exec   *core.AQPExecutor
@@ -44,11 +46,12 @@ func newDurableHarness(t *testing.T) *durableHarness {
 // start boots one incarnation and waits for the socket.
 func (h *durableHarness) start(t *testing.T) {
 	t.Helper()
-	jl, store, err := OpenDurable(h.dir)
+	jl, store, err := OpenDurableIO(h.dir, h.dio)
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
 	reg := obs.NewRegistry()
+	store.SetObs(reg)
 	ds := tpch.Generate(0.005, 1)
 	cat := tpch.NewCatalog(ds, 1)
 	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))

@@ -309,6 +309,7 @@ type Server struct {
 	reqIndex    map[string]string // req_id -> job id
 	lastClockAt float64
 	jlErr       error
+	ckptErr     error // the last checkpoint flush's failure, nil once one succeeds
 	// Heal probing (driver goroutine only): lastHealProbe rate-limits
 	// Journal.Heal attempts to one per HealProbeSecs; healFails counts
 	// consecutive failed attempts — at MaxHealFailures the prober stops
@@ -1046,6 +1047,16 @@ func (s *Server) handle(m Message) Response {
 		} else if s.jlErr != nil {
 			resp.Status = "journal-degraded"
 			resp.Error = s.jlErr.Error()
+		}
+		// A failed checkpoint flush costs recovery freshness, not the
+		// write-ahead contract: reported beside a journal status, never as one.
+		if s.ckptErr != nil {
+			if resp.Error == "" {
+				resp.Status = "checkpoint-degraded"
+				resp.Error = s.ckptErr.Error()
+			} else {
+				resp.Error += "; " + s.ckptErr.Error()
+			}
 		}
 		if tr := s.exec.Tracer(); tr != nil {
 			resp.Dropped = tr.Dropped()

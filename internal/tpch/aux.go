@@ -16,28 +16,60 @@ import (
 // keyFloor sits below every int32, so the first key's gap is positive too.
 const keyFloor = math.MinInt32 - 1
 
-// appendAux appends m as a count followed by (key gap, put(value)) pairs.
-func appendAux[V any](b []byte, m map[int32]V, put func([]byte, V) []byte) []byte {
-	keys := make([]int32, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// auxMap keeps such a map's keys beside it, so that a checkpoint sorts only
+// the keys added since the last one: keys[:sorted] ascends, the rest is in
+// insertion order. A key deleted from m stays listed until the next encode.
+type auxMap[V any] struct {
+	m      map[int32]V
+	keys   []int32
+	sorted int
+}
+
+func newAuxMap[V any]() *auxMap[V] { return &auxMap[V]{m: make(map[int32]V)} }
+
+// add stores v under a key m does not hold.
+func (a *auxMap[V]) add(k int32, v V) {
+	a.m[k] = v
+	a.keys = append(a.keys, k)
+}
+
+// append appends the map as a count followed by (key gap, put(value))
+// pairs, merging the new keys into the ascending rest as it writes; a key
+// whose lookup misses (deleted) or that repeats (added again) is left out.
+func (a *auxMap[V]) append(b []byte, put func([]byte, V) []byte) []byte {
+	old, fresh := a.keys[:a.sorted], a.keys[a.sorted:]
+	slices.Sort(fresh)
+	merged := old[:0] // nothing new: dropping deleted keys in place is safe
+	if len(fresh) > 0 {
+		merged = make([]int32, 0, len(a.m))
 	}
-	slices.Sort(keys)
-	b = binary.AppendUvarint(b, uint64(len(keys)))
+	b = binary.AppendUvarint(b, uint64(len(a.m)))
 	prev := int64(keyFloor)
-	for _, k := range keys {
+	for len(old)+len(fresh) > 0 {
+		var k int32
+		if len(fresh) == 0 || (len(old) > 0 && old[0] <= fresh[0]) {
+			k, old = old[0], old[1:]
+		} else {
+			k, fresh = fresh[0], fresh[1:]
+		}
+		v, ok := a.m[k]
+		if !ok || int64(k) == prev {
+			continue
+		}
+		merged = append(merged, k)
 		b = binary.AppendUvarint(b, uint64(int64(k)-prev))
 		prev = int64(k)
-		b = put(b, m[k])
+		b = put(b, v)
 	}
+	a.keys, a.sorted = merged, len(merged)
 	return b
 }
 
-// decodeAux reads what appendAux wrote into a fresh map; valueBytes is the
+// decodeAux reads what append wrote into a fresh map; valueBytes is the
 // least get consumes, which bounds the count by the input left.
-func decodeAux[V any](d *aqp.Dec, valueBytes int, get func(*aqp.Dec) V) map[int32]V {
+func decodeAux[V any](d *aqp.Dec, valueBytes int, get func(*aqp.Dec) V) *auxMap[V] {
 	n := d.Count(1 + valueBytes)
-	m := make(map[int32]V, n)
+	a := &auxMap[V]{m: make(map[int32]V, n), keys: make([]int32, 0, n), sorted: n}
 	prev := int64(keyFloor)
 	for i := 0; i < n; i++ {
 		gap := d.Uvarint()
@@ -46,9 +78,10 @@ func decodeAux[V any](d *aqp.Dec, valueBytes int, get func(*aqp.Dec) V) map[int3
 			gap = 0
 		}
 		prev += int64(gap)
-		m[int32(prev)] = get(d)
+		a.m[int32(prev)] = get(d)
+		a.keys = append(a.keys, int32(prev))
 	}
-	return m
+	return a
 }
 
 // appendKeys and decodeKeys carry Q21's supplier lists in stored order.

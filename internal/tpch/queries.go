@@ -503,30 +503,30 @@ func (c *Catalog) buildQ3() (built, error) {
 func (c *Catalog) buildQ4() (built, error) {
 	lo, hi := MakeDate(1993, 7, 1), MakeDate(1993, 10, 1)
 	specs := []aqp.AggSpec{{Name: "order_count", Kind: aqp.Count}}
-	seen := make(map[int32]bool)
+	seen := newAuxMap[bool]()
 	return c.lineQuery("q4", specs, aqp.Processor[Lineitem]{
 		Process: func(rows []Lineitem, gt *aqp.GroupTable) {
 			for i := range rows {
 				l := &rows[i]
-				if l.CommitDate >= l.ReceiptDate || seen[l.OrderKey] {
+				if l.CommitDate >= l.ReceiptDate || seen.m[l.OrderKey] {
 					continue
 				}
 				o := c.order(l.OrderKey)
 				if o.OrderDate < lo || o.OrderDate >= hi {
 					continue
 				}
-				seen[l.OrderKey] = true
+				seen.add(l.OrderKey, true)
 				gt.Update(o.OrderPriority, 1)
 			}
 		},
 		SaveAux: func(b []byte) []byte {
-			return appendAux(b, seen, func(b []byte, _ bool) []byte { return b })
+			return seen.append(b, func(b []byte, _ bool) []byte { return b })
 		},
 		LoadAux: func(d *aqp.Dec) func() {
 			m := decodeAux(d, 0, func(*aqp.Dec) bool { return true })
 			return func() { seen = m }
 		},
-		AuxBytes: func() int64 { return int64(len(seen)) * 16 },
+		AuxBytes: func() int64 { return int64(len(seen.m)) * 16 },
 	})
 }
 
@@ -805,7 +805,7 @@ func (c *Catalog) buildQ17() (built, error) {
 		Sum   float64
 		Count int64
 	}
-	avgs := make(map[int32]*pavg)
+	avgs := newAuxMap[*pavg]()
 	specs := []aqp.AggSpec{{Name: "sum_extendedprice", Kind: aqp.Sum}, {Name: "count", Kind: aqp.Count}}
 	return c.lineQuery("q17", specs, aqp.Processor[Lineitem]{
 		Process: func(rows []Lineitem, gt *aqp.GroupTable) {
@@ -818,10 +818,10 @@ func (c *Catalog) buildQ17() (built, error) {
 				if p.Brand != "Brand#23" || !strings.HasPrefix(p.Container, "MED") {
 					continue
 				}
-				a, ok := avgs[l.PartKey]
+				a, ok := avgs.m[l.PartKey]
 				if !ok {
 					a = &pavg{}
-					avgs[l.PartKey] = a
+					avgs.add(l.PartKey, a)
 				}
 				a.Sum += l.Quantity
 				a.Count++
@@ -831,7 +831,7 @@ func (c *Catalog) buildQ17() (built, error) {
 			}
 		},
 		SaveAux: func(b []byte) []byte {
-			return appendAux(b, avgs, func(b []byte, a *pavg) []byte {
+			return avgs.append(b, func(b []byte, a *pavg) []byte {
 				return binary.AppendUvarint(aqp.AppendFloat(b, a.Sum), uint64(a.Count))
 			})
 		},
@@ -839,7 +839,7 @@ func (c *Catalog) buildQ17() (built, error) {
 			m := decodeAux(d, 9, func(d *aqp.Dec) *pavg { return &pavg{Sum: d.Float(), Count: int64(d.Uvarint())} })
 			return func() { avgs = m }
 		},
-		AuxBytes: func() int64 { return int64(len(avgs)) * 48 },
+		AuxBytes: func() int64 { return int64(len(avgs.m)) * 48 },
 	})
 }
 
@@ -850,16 +850,16 @@ func (c *Catalog) buildQ18() (built, error) {
 		Qty   float64
 		Added bool
 	}
-	acc := make(map[int32]*ostate)
+	acc := newAuxMap[*ostate]()
 	specs := []aqp.AggSpec{{Name: "count_orders", Kind: aqp.Count}, {Name: "sum_totalprice", Kind: aqp.Sum}}
 	return c.lineQuery("q18", specs, aqp.Processor[Lineitem]{
 		Process: func(rows []Lineitem, gt *aqp.GroupTable) {
 			for i := range rows {
 				l := &rows[i]
-				st, ok := acc[l.OrderKey]
+				st, ok := acc.m[l.OrderKey]
 				if !ok {
 					st = &ostate{}
-					acc[l.OrderKey] = st
+					acc.add(l.OrderKey, st)
 				}
 				st.Qty += l.Quantity
 				if !st.Added && st.Qty > 300 {
@@ -869,7 +869,7 @@ func (c *Catalog) buildQ18() (built, error) {
 			}
 		},
 		SaveAux: func(b []byte) []byte {
-			return appendAux(b, acc, func(b []byte, st *ostate) []byte {
+			return acc.append(b, func(b []byte, st *ostate) []byte {
 				if b = aqp.AppendFloat(b, st.Qty); st.Added {
 					return append(b, 1)
 				}
@@ -880,7 +880,7 @@ func (c *Catalog) buildQ18() (built, error) {
 			m := decodeAux(d, 9, func(d *aqp.Dec) *ostate { return &ostate{Qty: d.Float(), Added: d.Uvarint() != 0} })
 			return func() { acc = m }
 		},
-		AuxBytes: func() int64 { return int64(len(acc)) * 48 },
+		AuxBytes: func() int64 { return int64(len(acc.m)) * 48 },
 	})
 }
 
@@ -951,7 +951,7 @@ func (c *Catalog) buildQ21() (built, error) {
 		Supps []int32
 		Late  []int32
 	}
-	states := make(map[int32]*o21)
+	states := newAuxMap[*o21]()
 	specs := []aqp.AggSpec{{Name: "numwait", Kind: aqp.Count}}
 	contains := func(s []int32, v int32) bool {
 		for _, x := range s {
@@ -969,10 +969,10 @@ func (c *Catalog) buildQ21() (built, error) {
 				if o.OrderStatus != 'F' {
 					continue
 				}
-				st, ok := states[l.OrderKey]
+				st, ok := states.m[l.OrderKey]
 				if !ok {
 					st = &o21{}
-					states[l.OrderKey] = st
+					states.add(l.OrderKey, st)
 				}
 				st.Seen++
 				if !contains(st.Supps, l.SuppKey) {
@@ -987,12 +987,12 @@ func (c *Catalog) buildQ21() (built, error) {
 							gt.Update("saudi-arabia", 1)
 						}
 					}
-					delete(states, l.OrderKey)
+					delete(states.m, l.OrderKey)
 				}
 			}
 		},
 		SaveAux: func(b []byte) []byte {
-			return appendAux(b, states, func(b []byte, st *o21) []byte {
+			return states.append(b, func(b []byte, st *o21) []byte {
 				return appendKeys(appendKeys(binary.AppendUvarint(b, uint64(st.Seen)), st.Supps), st.Late)
 			})
 		},
@@ -1003,7 +1003,7 @@ func (c *Catalog) buildQ21() (built, error) {
 			})
 			return func() { states = m }
 		},
-		AuxBytes: func() int64 { return int64(len(states)) * 96 },
+		AuxBytes: func() int64 { return int64(len(states.m)) * 96 },
 	})
 }
 
