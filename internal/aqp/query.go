@@ -86,6 +86,10 @@ type OnlineQuery interface {
 	// second cost under the given thread allocation. rows == 0 means the
 	// stream is exhausted.
 	ProcessBatch(batchRows, threads int) (rows int, cost float64)
+	// EpochCost prices the next batches ProcessBatch calls without running
+	// them and without changing state: the sum, in call order, of the costs
+	// those calls would return, so the two agree bit for bit.
+	EpochCost(batchRows, batches, threads int) float64
 	// Exhausted reports whether the whole dataset has been processed.
 	Exhausted() bool
 	// Snapshot returns the current intermediate aggregates.
@@ -221,6 +225,18 @@ func (r *Running[T]) ProcessBatch(batchRows, threads int) (int, float64) {
 	r.merged = nil
 	r.rows += int64(n)
 	return n, r.cost.BatchCost(n, threads)
+}
+
+// EpochCost implements OnlineQuery. Both data paths draw min(batchRows,
+// Remaining()) rows per batch, so the consumer's position prices the epoch.
+func (r *Running[T]) EpochCost(batchRows, batches, threads int) float64 {
+	var cost float64
+	for left := r.consumer.Remaining(); batches > 0 && batchRows > 0 && left > 0; batches-- {
+		n := min(batchRows, left)
+		cost += r.cost.BatchCost(n, threads)
+		left -= n
+	}
+	return cost
 }
 
 // Exhausted implements OnlineQuery.

@@ -469,16 +469,21 @@ func (q *benchQuery) Name() string { return q.name }
 
 // ProcessBatch implements aqp.OnlineQuery.
 func (q *benchQuery) ProcessBatch(batchRows, threads int) (int, float64) {
-	remaining := q.totalRows - q.processed
-	if remaining <= 0 {
-		return 0, 0
-	}
-	n := int64(batchRows)
-	if n > remaining {
-		n = remaining
-	}
+	n := max(0, min(int64(batchRows), q.totalRows-q.processed))
+	cost := q.EpochCost(batchRows, 1, threads)
 	q.processed += n
-	return int(n), float64(n) * q.costPerRow / aqp.Speedup(threads)
+	return int(n), cost
+}
+
+// EpochCost implements aqp.OnlineQuery.
+func (q *benchQuery) EpochCost(batchRows, batches, threads int) float64 {
+	var cost float64
+	for left := q.totalRows - q.processed; batches > 0 && batchRows > 0 && left > 0; batches-- {
+		n := min(int64(batchRows), left)
+		cost += float64(n) * q.costPerRow / aqp.Speedup(threads)
+		left -= n
+	}
+	return cost
 }
 
 // Exhausted implements aqp.OnlineQuery.

@@ -171,8 +171,8 @@ type StoreHealth struct {
 //
 // A write-behind store (DeferWrites) stages the newest saved frame per id
 // and writes it at its owner's Flush: twenty saves of a job between two
-// flushes cost one disk write, or none if it was deleted first. Reads see
-// the stage as if it were the disk.
+// flushes cost one disk write, or none if it was deleted first — and, saved
+// as encoders (SaveLazy), one encode or none. Reads see the stage as the disk.
 type CheckpointStore struct {
 	mu  sync.Mutex
 	dir string
@@ -202,7 +202,7 @@ type CheckpointStore struct {
 	// since the last Flush, stageOrder their ids in first-staged order (an
 	// id that has left the stage since is skipped at Flush).
 	deferred   bool
-	staged     map[string][]byte
+	staged     map[string]*stagedFrame
 	stageOrder []string
 
 	memHits, diskHits, writes int
@@ -255,7 +255,7 @@ func NewCheckpointStoreIO(dir string, memorySlots int, retain func(id string) bo
 		memory:           make(map[string][]byte),
 		lru:              list.New(),
 		lruIdx:           make(map[string]*list.Element),
-		staged:           make(map[string][]byte),
+		staged:           make(map[string]*stagedFrame),
 		maxRetries:       3,
 		retryBackoffSecs: 1.0,
 		met:              newStoreMetrics(nil),
@@ -342,16 +342,64 @@ func (s *CheckpointStore) DeferWrites() {
 	s.deferred = true
 }
 
+// stagedFrame is one id's entry in the write-behind stage: the payload's
+// bytes, or the encoder that produces them when a Flush, Load or Export first
+// needs them. A pending encoder reads live job state, so it is valid only
+// while that state is unchanged. The AQP executor changes a job's query state
+// in exactly three places — a finishing epoch's batches, resumeJob's Restore,
+// scratchRestart's Restore — each followed in the same call by a new save or
+// a Remove of the id, or preceded by the Load that forces the entry.
+type stagedFrame struct {
+	data   []byte
+	encode func() ([]byte, error) // non-nil until forced
+}
+
+// payload returns the frame's bytes, first running a pending encoder (once:
+// the frame keeps the bytes) on the caller's goroutine. staged says the frame
+// sits in the stage, whose gauge counts encoded bytes only.
+func (s *CheckpointStore) payload(id string, f *stagedFrame, staged bool) ([]byte, error) {
+	if f.encode != nil {
+		data, err := f.encode()
+		if err != nil {
+			return nil, fmt.Errorf("core: encode checkpoint %s: %w", id, err)
+		}
+		f.data, f.encode = data, nil
+		s.met.encodes.Inc()
+		if staged {
+			s.met.stagedBytes.Add(float64(len(data)))
+		}
+	}
+	return f.data, nil
+}
+
 // Save persists a job's checkpoint. The newest checkpoints stay in the
 // memory tier; the eviction spills to disk. A write-behind store stages
 // the frame, replacing any frame of the same id staged since the last
 // Flush.
 func (s *CheckpointStore) Save(id string, data []byte) error {
+	return s.save(id, stagedFrame{data: data})
+}
+
+// SaveLazy is Save of the bytes encode will return. A write-behind store
+// calls encode only if a Flush, Load or Export needs the frame while it is
+// still staged, so encode must stay valid until the id's next save or delete
+// (see stagedFrame) and must not call the store; every other store calls it now.
+func (s *CheckpointStore) SaveLazy(id string, encode func() ([]byte, error)) error {
+	return s.save(id, stagedFrame{encode: encode})
+}
+
+func (s *CheckpointStore) save(id string, f stagedFrame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("core: save checkpoint %s: store closed", id)
 	}
+	if !s.deferred || s.memorySlots > 0 {
+		if _, err := s.payload(id, &f, false); err != nil {
+			return err
+		}
+	}
+	data := f.data
 	s.writes++
 	s.met.writes.Inc()
 	if s.memorySlots > 0 {
@@ -381,29 +429,29 @@ func (s *CheckpointStore) Save(id string, data []byte) error {
 	if !s.dropStaged(id) {
 		s.stageOrder = append(s.stageOrder, id)
 	}
-	s.staged[id] = data
+	s.staged[id] = &f
 	s.met.stagedBytes.Add(float64(len(data)))
 	return nil
 }
 
 // dropStaged discards id's staged frame, if any: a newer save or a delete
-// overtook it before it cost a disk write.
+// overtook it before it cost a disk write — or, still pending, an encode.
 func (s *CheckpointStore) dropStaged(id string) bool {
 	old, ok := s.staged[id]
 	if ok {
 		delete(s.staged, id)
-		s.met.stagedBytes.Add(-float64(len(old)))
+		s.met.stagedBytes.Add(-float64(len(old.data)))
 		s.met.coalesced.Inc()
 	}
 	return ok
 }
 
-// Flush writes the staged frames to disk, in first-staged order, on the
+// Flush forces and writes the staged frames, in first-staged order, on the
 // caller's goroutine. A frame whose write fails (after the usual bounded
-// retries) stays staged — still served to Load and Export, the previous
-// file still intact — for the next Flush to retry; the first such error is
-// returned. Retry backoff is not billed: no job is running the write, and
-// penaltySecs would charge it to whichever job drains the penalty next.
+// retries) stays staged as the bytes it was forced to — still served to Load
+// and Export, the previous file still intact — for the next Flush to retry;
+// the first such error is returned. Retry backoff is not billed: no job is
+// running the write, and penaltySecs would charge it to whichever job drains it.
 func (s *CheckpointStore) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -411,11 +459,15 @@ func (s *CheckpointStore) Flush() error {
 	var firstErr error
 	failed := s.stageOrder[:0]
 	for _, id := range s.stageOrder {
-		data, ok := s.staged[id]
+		f, ok := s.staged[id]
 		if !ok {
 			continue
 		}
-		if err := s.writeFile(id, data); err != nil {
+		data, err := s.payload(id, f, true)
+		if err == nil {
+			err = s.writeFile(id, data)
+		}
+		if err != nil {
 			s.met.flushErrors.Inc()
 			failed = append(failed, id)
 			if firstErr == nil {
@@ -512,7 +564,11 @@ func (s *CheckpointStore) Load(id string) (data []byte, fromMemory bool, err err
 		s.lru.MoveToFront(s.lruIdx[id])
 		return d, true, nil
 	}
-	if d, ok := s.staged[id]; ok { // stands in for its file: billed as the disk replay it replaces
+	if f, ok := s.staged[id]; ok { // stands in for its file: billed as the disk replay it replaces
+		d, err := s.payload(id, f, true)
+		if err != nil {
+			return nil, false, err
+		}
 		s.diskHits++
 		s.met.diskHits.Inc()
 		return d, false, nil
@@ -570,7 +626,11 @@ func (s *CheckpointStore) Export(id string) ([]byte, error) {
 	if d, ok := s.memory[id]; ok {
 		return encodeCheckpointFrame(d), nil
 	}
-	if d, ok := s.staged[id]; ok {
+	if f, ok := s.staged[id]; ok {
+		d, err := s.payload(id, f, true)
+		if err != nil {
+			return nil, err
+		}
 		return encodeCheckpointFrame(d), nil
 	}
 	frame, err := s.dio.ReadFile(s.path(id))

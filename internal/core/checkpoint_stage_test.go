@@ -263,6 +263,177 @@ func TestFailedFlushKeepsStageAndPreviousFile(t *testing.T) {
 	}
 }
 
+// countedEncoder returns an encoder of payload that counts its calls.
+func countedEncoder(calls *int, payload string) func() ([]byte, error) {
+	return func() ([]byte, error) {
+		*calls++
+		return []byte(payload), nil
+	}
+}
+
+// Three lazy saves of one id between two flushes cost one encode and one
+// atomic write; a frame still pending holds no bytes, and the saves the
+// stage absorbed read as writes_total − encodes_total.
+func TestStageLazySavesEncodeOnceAtFlush(t *testing.T) {
+	dir := t.TempDir()
+	store, dio, reg := stagedStore(t, dir, nil)
+	calls := 0
+	for _, v := range []string{"v1", "v2", "v3"} {
+		if err := store.SaveLazy("j", countedEncoder(&calls, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls != 0 || metric(t, reg, "staged_bytes") != 0 || len(dio.take()) != 0 {
+		t.Fatalf("lazy saves ran %d encoders, hold %v bytes", calls, metric(t, reg, "staged_bytes"))
+	}
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"open j.ckpt.tmp", "write 18", "sync", "close", "rename j.ckpt.tmp j.ckpt", "syncdir"}
+	if ops := dio.take(); calls != 1 || !reflect.DeepEqual(ops, want) {
+		t.Fatalf("flush ran %d encoders and issued %v, want 1 and %v", calls, ops, want)
+	}
+	if got, err := onDisk(t, dir, "j"); err != nil || got != "v3" {
+		t.Fatalf("disk holds %q (err %v) after flush, want v3", got, err)
+	}
+	for name, want := range map[string]float64{"writes_total": 3, "encodes_total": 1, "disk_writes_total": 1,
+		"coalesced_total": 2, "staged_bytes": 0} {
+		if got := metric(t, reg, name); got != want {
+			t.Errorf("rotary_ckpt_%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// Load and Export force a pending frame exactly once; every later read,
+// and the flush, reuse the bytes.
+func TestStageReadsForceOnce(t *testing.T) {
+	for _, first := range []string{"load", "export"} {
+		store, _, reg := stagedStore(t, t.TempDir(), nil)
+		calls := 0
+		store.SaveLazy("j", countedEncoder(&calls, "state"))
+		read := map[string]func(){
+			"load": func() {
+				if data, fromMem, err := store.Load("j"); err != nil || fromMem || string(data) != "state" {
+					t.Fatalf("load: %q fromMemory=%v err=%v", data, fromMem, err)
+				}
+			},
+			"export": func() {
+				if _, err := store.Export("j"); err != nil {
+					t.Fatalf("export: %v", err)
+				}
+			},
+		}
+		read[first]()
+		if calls != 1 || metric(t, reg, "staged_bytes") != 5 {
+			t.Fatalf("%s first: %d encoder calls, staged_bytes %v, want 1 and 5", first, calls, metric(t, reg, "staged_bytes"))
+		}
+		read["load"]()
+		read["export"]()
+		if err := store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 || metric(t, reg, "encodes_total") != 1 || metric(t, reg, "staged_bytes") != 0 {
+			t.Fatalf("%s first: %d encoder calls after re-reads and a flush, encodes_total %v, staged_bytes %v",
+				first, calls, metric(t, reg, "encodes_total"), metric(t, reg, "staged_bytes"))
+		}
+	}
+}
+
+// A frame nobody needed is never encoded: deleted, superseded, or dropped
+// with the stage at Close.
+func TestStageDeleteAndCloseRunNoEncoder(t *testing.T) {
+	store, _, reg := stagedStore(t, t.TempDir(), nil)
+	calls := 0
+	store.SaveLazy("gone", countedEncoder(&calls, "x"))
+	if err := store.Delete("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.Load("gone"); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("deleted pending checkpoint still loads: %v", err)
+	}
+	store.SaveLazy("lost", countedEncoder(&calls, "y"))
+	if err := store.Flush(); err != nil { // "lost" needed: one call
+		t.Fatal(err)
+	}
+	store.SaveLazy("lost", countedEncoder(&calls, "z"))
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Flush(); err != nil {
+		t.Fatalf("flush after close: %v", err)
+	}
+	if calls != 1 || metric(t, reg, "encodes_total") != 1 {
+		t.Fatalf("%d encoder calls (encodes_total %v), want only the flushed frame's", calls, metric(t, reg, "encodes_total"))
+	}
+}
+
+// A flush the disk refuses has already forced the frame: it stays staged
+// as those bytes, and the retry writes them without asking the job — which
+// may have moved on — to encode again.
+func TestFailedFlushKeepsForcedBytes(t *testing.T) {
+	dir := t.TempDir()
+	faulty := diskio.NewFaulty(nil, diskio.FaultConfig{Seed: 3})
+	store, _, reg := stagedStore(t, dir, faulty)
+	calls, live := 0, "at-save"
+	store.SaveLazy("j", func() ([]byte, error) { calls++; return []byte(live), nil })
+	faulty.ForceFail(nil)
+	if err := store.Flush(); !errors.Is(err, core.ErrTransient) {
+		t.Fatalf("flush on a full disk: %v, want ErrTransient", err)
+	}
+	if got := metric(t, reg, "staged_bytes"); calls != 1 || got != 7 {
+		t.Fatalf("failed flush: %d encoder calls, staged_bytes %v, want 1 and 7", calls, got)
+	}
+	live = "moved-on"
+	faulty.Clear()
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := onDisk(t, dir, "j"); err != nil || got != "at-save" || calls != 1 {
+		t.Fatalf("retry wrote %q (err %v) after %d encoder calls, want the bytes of the first force", got, err, calls)
+	}
+}
+
+// A write-through store and one with a memory tier run the encoder inside
+// the save, so they write — or hold — per save exactly what Save would.
+func TestEagerStoresEncodeInsideSave(t *testing.T) {
+	for _, slots := range []int{0, 2} {
+		dio := newOpLogIO(nil)
+		store, err := core.NewCheckpointStoreIO(t.TempDir(), slots, nil, dio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slots > 0 {
+			store.DeferWrites() // the memory tier takes precedence over the stage
+		}
+		dio.take()
+		calls := 0
+		for i, v := range []string{"a1", "a2"} {
+			if err := store.SaveLazy("a", countedEncoder(&calls, v)); err != nil || calls != i+1 {
+				t.Fatalf("slots=%d: save %d returned %v after %d encoder calls", slots, i+1, err, calls)
+			}
+		}
+		opens := 0
+		for _, op := range dio.take() {
+			if strings.HasPrefix(op, "open ") {
+				opens++
+			}
+		}
+		if want := map[int]int{0: 2, 2: 0}[slots]; opens != want {
+			t.Fatalf("slots=%d: %d disk writes for two saves, want %d", slots, opens, want)
+		}
+		if data, fromMem, err := store.Load("a"); err != nil || string(data) != "a2" || fromMem != (slots > 0) || calls != 2 {
+			t.Fatalf("slots=%d: load %q fromMemory=%v err=%v after %d encoder calls", slots, data, fromMem, err, calls)
+		}
+		boom := errors.New("boom")
+		if err := store.SaveLazy("a", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+			t.Fatalf("slots=%d: failing encoder surfaced as %v", slots, err)
+		}
+		if data, _, err := store.Load("a"); err != nil || string(data) != "a2" {
+			t.Fatalf("slots=%d: a failed encode replaced the checkpoint: %q %v", slots, data, err)
+		}
+	}
+}
+
 // Frames flush in first-staged order whatever order they were last saved
 // in, so a seeded faulty disk sees the same sequence every run.
 func TestFlushOrderIsFirstStaged(t *testing.T) {
@@ -335,9 +506,10 @@ func TestWriteThroughOpLogUnchanged(t *testing.T) {
 	}
 }
 
-// Save, Flush, Load, Export and Delete from several goroutines (run under
-// -race): every read sees some saved value of its id, and afterwards
-// every save is accounted for as written, coalesced, or still staged.
+// Save, SaveLazy, Flush, Load, Export and Delete from several goroutines
+// (run under -race): every read sees the newest saved value of its id, and
+// afterwards every save is accounted for as written, coalesced, or still
+// staged, and no lazy save was encoded twice.
 func TestStageConcurrentUseReconciles(t *testing.T) {
 	store, _, reg := stagedStore(t, t.TempDir(), nil)
 	stop := make(chan struct{})
@@ -364,7 +536,14 @@ func TestStageConcurrentUseReconciles(t *testing.T) {
 			defer wg.Done()
 			id := fmt.Sprintf("job-%d", w)
 			for i := 0; i < 200; i++ {
-				if err := store.Save(id, []byte(fmt.Sprintf("%s@%d", id, i))); err != nil {
+				payload := []byte(fmt.Sprintf("%s@%d", id, i))
+				var err error
+				if i%2 == 0 {
+					err = store.Save(id, payload)
+				} else {
+					err = store.SaveLazy(id, func() ([]byte, error) { return payload, nil })
+				}
+				if err != nil {
 					t.Errorf("save: %v", err)
 					return
 				}
@@ -391,5 +570,9 @@ func TestStageConcurrentUseReconciles(t *testing.T) {
 	writes, disk, coalesced := metric(t, reg, "writes_total"), metric(t, reg, "disk_writes_total"), metric(t, reg, "coalesced_total")
 	if writes != 6*200+1 || writes != disk+coalesced+1 {
 		t.Fatalf("writes_total %v != disk_writes_total %v + coalesced_total %v + 1 staged", writes, disk, coalesced)
+	}
+	// Each lazy save is read back before the next save, so each is forced once.
+	if encodes := metric(t, reg, "encodes_total"); encodes != 6*100 {
+		t.Fatalf("encodes_total %v for %d lazy saves", encodes, 6*100)
 	}
 }

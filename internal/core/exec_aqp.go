@@ -608,8 +608,10 @@ func (e *AQPExecutor) FastPath() FastPathStats {
 }
 
 // startEpoch applies one grant: books resources, charges resume overhead
-// if the job was checkpointed, processes the running epoch's batches, and
-// schedules the epoch-completion event.
+// if the job was checkpointed, prices the running epoch's batches, and
+// schedules the event that ends the epoch. The batches run when the epoch
+// completes — an epoch cut short runs none — so between events every job's
+// query state is the state of its last completed epoch.
 func (e *AQPExecutor) startEpoch(g AQPGrant) {
 	j := g.Job
 	if j.status.Terminal() || e.running[j.ID()] != nil {
@@ -653,19 +655,8 @@ func (e *AQPExecutor) startEpoch(g AQPGrant) {
 	if j.needsRestore || (j.everRan && j.lastRelease != e.eng.Now()) {
 		epochSecs += e.resumeJob(j)
 	}
-	// The grant's thread count is passed straight into the data path:
-	// stateless queries fan the epoch's batches out across that many
-	// goroutines (partitioned accumulation, deterministic merge), so a
-	// larger grant is real wall-clock speedup, not just a smaller
-	// virtual-time charge. Results are bit-identical at every width.
-	var workSecs float64
-	for b := 0; b < j.epochBatches; b++ {
-		rows, cost := j.query.ProcessBatch(j.batchRows, g.Threads)
-		workSecs += cost
-		if rows == 0 {
-			break
-		}
-	}
+	batches := j.epochBatches
+	workSecs := j.query.EpochCost(j.batchRows, batches, g.Threads)
 	epochSecs = (epochSecs + workSecs) * pressure
 	if epochSecs <= 0 {
 		epochSecs = 0.001
@@ -698,14 +689,25 @@ func (e *AQPExecutor) startEpoch(g AQPGrant) {
 		e.eng.Schedule(watchAt, func() { e.preemptEpoch(j, watchAt) })
 		return
 	}
-	e.eng.Schedule(epochSecs, func() { e.finishEpoch(j, epochSecs, normWork) })
+	e.eng.Schedule(epochSecs, func() {
+		// The grant's thread count is real in the data path: stateless
+		// queries fan the batches out across that many goroutines, merged
+		// deterministically, so results are bit-identical at every width.
+		for b := 0; b < batches; b++ {
+			if rows, _ := j.query.ProcessBatch(j.batchRows, g.Threads); rows == 0 {
+				break
+			}
+		}
+		e.finishEpoch(j, epochSecs, normWork)
+	})
 }
 
 // preemptEpoch handles the watchdog firing wastedSecs into a running
 // epoch: the epoch's in-flight results are lost, resources free
 // immediately, and the job rejoins the queue after the penalty delay with
 // a forced rollback to its last valid checkpoint (like a crash, minus the
-// failure-detection machinery).
+// failure-detection machinery). The rollback goes through Store.Load even
+// though no batch ran: read faults and corrupt frames must still fire.
 func (e *AQPExecutor) preemptEpoch(j *AQPJob, wastedSecs float64) {
 	e.pool.Release(j.ID())
 	delete(e.running, j.ID())
@@ -797,10 +799,11 @@ func (e *AQPExecutor) scratchRestart(j *AQPJob, cause error) error {
 	if j.pristine == nil {
 		return fmt.Errorf("core: restart %s: no pristine state: %w", j.ID(), cause)
 	}
+	// Remove first: a frame staged as an encoder reads the state Restore replaces.
+	e.cfg.Store.Remove(j.ID())
 	if err := j.query.Restore(j.pristine); err != nil {
 		return fmt.Errorf("core: restart %s: %w", j.ID(), err)
 	}
-	e.cfg.Store.Remove(j.ID())
 	j.resetForScratchRestart()
 	e.rec.ScratchRestarts++
 	e.met.scratchRestarts.Inc()
@@ -914,26 +917,23 @@ func (e *AQPExecutor) finishEpoch(j *AQPJob, epochSecs, normWork float64) {
 		j.status = StatusPending
 		e.enqueue(j)
 		// Persist the deferred job's state; if it is re-granted this very
-		// instant the checkpoint is simply never replayed.
+		// instant the checkpoint is simply never replayed — nor, if a later
+		// save overtakes it on a write-behind store, ever encoded.
 		if e.cfg.Store != nil {
-			if data, err := e.encodeCheckpoint(j); err != nil {
-				e.storeErr = fmt.Errorf("core: checkpoint %s: %w", j.ID(), err)
-			} else if err := e.cfg.Store.Save(j.ID(), data); err != nil {
-				j.deferredPenaltySecs += e.cfg.Store.TakePenaltySecs()
-				if errors.Is(err, ErrTransient) {
-					// The save failed for good, but any previously persisted
-					// checkpoint is now behind the in-memory bookkeeping, so
-					// rolling back to it would desynchronize the job. Replay
-					// from scratch instead — deterministic data makes that
-					// exact, just slower.
-					if serr := e.scratchRestart(j, err); serr != nil {
-						e.storeErr = serr
-					}
-				} else {
-					e.storeErr = err
+			err := e.cfg.Store.SaveLazy(j.ID(), func() ([]byte, error) { return e.encodeCheckpoint(j) })
+			j.deferredPenaltySecs += e.cfg.Store.TakePenaltySecs()
+			if errors.Is(err, ErrTransient) {
+				// The save failed for good, but any previously persisted
+				// checkpoint is now behind the in-memory bookkeeping, so
+				// rolling back to it would desynchronize the job. Replay
+				// from scratch instead — deterministic data makes that
+				// exact, just slower.
+				if serr := e.scratchRestart(j, err); serr != nil {
+					e.storeErr = serr
 				}
+			} else if err != nil {
+				e.storeErr = err
 			} else {
-				j.deferredPenaltySecs += e.cfg.Store.TakePenaltySecs()
 				e.met.checkpoints.Inc()
 				e.cfg.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceCheckpoint, Job: j.ID()})
 			}

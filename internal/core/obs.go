@@ -112,6 +112,7 @@ type storeMetrics struct {
 	writes       *obs.Counter
 	diskWrites   *obs.Counter
 	coalesced    *obs.Counter
+	encodes      *obs.Counter
 	flushErrors  *obs.Counter
 	stagedBytes  *obs.Gauge
 	memHits      *obs.Counter
@@ -140,7 +141,8 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		diskWrites:   reg.Counter(p+"disk_writes_total", "frames written to disk"),
 		coalesced:    reg.Counter(p+"coalesced_total", "staged saves superseded or deleted before they were flushed"),
 		flushErrors:  reg.Counter(p+"flush_errors_total", "staged frames a flush failed to write (kept staged for the next flush)"),
-		stagedBytes:  reg.Gauge(p+"staged_bytes", "payload bytes staged for the next flush"),
+		encodes:      reg.Counter(p+"encodes_total", "lazy saves whose encoder ran, inside the save or forced by a flush, load or export (writes_total minus this is saves that cost no encode)"),
+		stagedBytes:  reg.Gauge(p+"staged_bytes", "encoded payload bytes staged for the next flush (a frame whose encoder has not run counts 0)"),
 		memHits:      reg.Counter(p+"mem_hits_total", "loads served from the memory tier"),
 		diskHits:     reg.Counter(p+"disk_hits_total", "loads replayed from disk"),
 		corrupt:      reg.Counter(p+"corrupt_detected_total", "loads rejected by frame validation"),

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -166,9 +167,9 @@ func TestKillMidAdvanceRecoversLastJournaledStep(t *testing.T) {
 	for id := range queries {
 		j := srv.jobIndex[id]
 		epochs[id] = j.Epochs()
-		// A job waiting in the queue holds exactly what its checkpoint holds
-		// (a running one has already consumed its in-flight epoch's rows).
-		if j.Status() == core.StatusPending && j.Query().RowsProcessed() != before[id] {
+		// Waiting or mid-epoch, a job holds exactly what its checkpoint holds:
+		// an in-flight epoch's rows are consumed when it completes.
+		if j.Query().RowsProcessed() != before[id] {
 			t.Fatalf("%s: %d rows live, %d on disk at a step boundary", id, j.Query().RowsProcessed(), before[id])
 		}
 	}
@@ -266,22 +267,25 @@ func (c ckptOnly) Rename(oldpath, newpath string) error {
 func (c ckptOnly) Remove(name string) error { return c.pick(name).Remove(name) }
 func (c ckptOnly) SyncDir(dir string) error { return c.pick(dir).SyncDir(dir) }
 
-// ckptMetrics pulls the checkpoint store's deterministic series out of a
-// metrics report.
-func ckptMetrics(report string) (lines string, values map[string]float64) {
+// seriesOf pulls the series whose name keep accepts out of a metrics
+// report, as rendered lines and as values.
+func seriesOf(report string, keep func(name string) bool) (lines string, values map[string]float64) {
 	values = map[string]float64{}
 	for _, line := range strings.Split(report, "\n") {
-		if !strings.HasPrefix(line, "rotary_ckpt_") {
-			continue
-		}
-		lines += line + "\n"
 		var name string
 		var v float64
-		if n, _ := fmt.Sscanf(line, "%s %g", &name, &v); n == 2 {
+		if n, _ := fmt.Sscanf(line, "%s %g", &name, &v); n == 2 && keep(name) {
+			lines += line + "\n"
 			values[name] = v
 		}
 	}
 	return lines, values
+}
+
+// ckptMetrics pulls the checkpoint store's deterministic series out of a
+// metrics report.
+func ckptMetrics(report string) (lines string, values map[string]float64) {
+	return seriesOf(report, func(name string) bool { return strings.HasPrefix(name, "rotary_ckpt_") })
 }
 
 // TestFlushUnderSeededCheckpointFaults runs one scripted workload twice
@@ -344,6 +348,105 @@ func TestFlushUnderSeededCheckpointFaults(t *testing.T) {
 			}
 			if series1 != series2 {
 				t.Fatalf("same seed, different checkpoint series:\n%s\n%s", series1, series2)
+			}
+		})
+	}
+}
+
+// TestStatusOfRunningJobIsItsLastCompletedEpoch: an epoch's results commit
+// when it completes, so a status read mid-epoch reports exactly what the
+// job's last completed epoch observed, not a mix with in-flight rows.
+func TestStatusOfRunningJobIsItsLastCompletedEpoch(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	cat := tpch.NewCatalog(tpch.Generate(0.005, 1), 1)
+	jl, store, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
+	cfg.Obs = obs.NewRegistry()
+	cfg.Store = store
+	exec := core.NewAQPExecutor(cfg, baselines.RoundRobinAQP{}, nil)
+	srv, err := New(Config{Socket: filepath.Join(dir, "unused.sock"), Obs: cfg.Obs, Journal: jl}, exec, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := srv.handle(Message{Op: "submit", ID: "solo", Statement: "q3 ACC MIN 95% WITHIN 2000 SECONDS"}); !r.OK {
+		t.Fatalf("submit: %+v", r)
+	}
+	// Alone on the pool the job is re-granted the instant it releases, so
+	// every step boundary finds it mid-epoch.
+	for i := 0; i < 5; i++ {
+		if r := srv.handle(Message{Op: "advance", Seconds: 40}); !r.OK {
+			t.Fatalf("advance: %+v", r)
+		}
+		j := srv.jobIndex["solo"]
+		log := j.EpochLog()
+		st := srv.handle(Message{Op: "status", ID: "solo"})
+		if st.Status != "running" || len(log) == 0 {
+			t.Fatalf("step %d: status %q after %d epochs, want a running job with history", i, st.Status, len(log))
+		}
+		// The estimate sums per-cell terms in map order, so two reads of one
+		// state may differ in the last bits; an in-flight epoch's rows move it
+		// by whole percents.
+		last := log[len(log)-1]
+		if math.Abs(st.Accuracy-last.EstAcc) > 1e-9 || math.Abs(st.Progress-last.Progress) > 1e-9 {
+			t.Fatalf("step %d: mid-epoch status reports accuracy %v progress %v, epoch %d ended at %v and %v",
+				i, st.Accuracy, st.Progress, last.Epoch, last.EstAcc, last.Progress)
+		}
+	}
+}
+
+// TestEncodesBoundedByFramesNeeded runs the scripted plan on a healthy
+// disk: a deferral hands the store an encoder, so job state is encoded
+// only for a frame something needed — the pristine copy at admission, a
+// frame a flush wrote, a frame a resume read — never once per epoch. The
+// count repeats exactly across runs of one seed.
+func TestEncodesBoundedByFramesNeeded(t *testing.T) {
+	keep := func(name string) bool {
+		switch name {
+		case "rotary_checkpoint_encode_seconds_count", "rotary_ckpt_encodes_total", "rotary_ckpt_writes_total",
+			"rotary_ckpt_disk_writes_total", "rotary_ckpt_disk_hits_total", "rotary_aqp_epochs_total":
+			return true
+		}
+		return false
+	}
+	run := func(t *testing.T, seed uint64) string {
+		h := newDurableHarness(t)
+		h.start(t)
+		c := dial(t, h.socket)
+		now, admitted := 0.0, 0
+		for _, ev := range chaosPlan(seed, false) {
+			for ev.at > now {
+				now = c.call(t, Message{Op: "advance", Seconds: min(15, ev.at-now)}).VirtualNow
+			}
+			if r := c.call(t, Message{Op: "submit", ID: ev.id, Statement: ev.stmt}); !r.OK {
+				t.Fatalf("submit %s: %+v", ev.id, r)
+			}
+			admitted++
+		}
+		c.call(t, Message{Op: "advance", Seconds: 3000})
+		// The encode histogram is wall-class; its count is not.
+		lines, m := seriesOf(c.call(t, Message{Op: "metrics", Wall: true}).Report, keep)
+		encodes, epochs := m["rotary_checkpoint_encode_seconds_count"], m["rotary_aqp_epochs_total"]
+		needed := float64(admitted) + m["rotary_ckpt_disk_writes_total"] + m["rotary_ckpt_disk_hits_total"]
+		if encodes == 0 || encodes > needed || encodes >= epochs/2 {
+			t.Fatalf("%v encodes for %v frames needed and %v epochs:\n%s", encodes, needed, epochs, lines)
+		}
+		if m["rotary_ckpt_encodes_total"] != encodes-float64(admitted) {
+			t.Fatalf("store forced %v encoders, executor ran %v beyond the %d pristine copies:\n%s",
+				m["rotary_ckpt_encodes_total"], encodes-float64(admitted), admitted, lines)
+		}
+		if r := c.call(t, Message{Op: "drain"}); !r.OK || r.Terminal != r.Jobs {
+			t.Fatalf("drain: %+v", r)
+		}
+		return lines
+	}
+	for _, seed := range []uint64{1, 7, 42} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			if a, b := run(t, seed), run(t, seed); a != b {
+				t.Fatalf("same seed, different encode series:\n%s\n%s", a, b)
 			}
 		})
 	}

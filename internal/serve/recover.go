@@ -37,7 +37,9 @@ import (
 // write-behind: Server.syncState flushes it just before journaling a
 // step's epochs, so every save is durable by the time the epoch that
 // produced it is journaled — and no sooner, which keeps the frames on disk
-// a consistent cut with the journaled clock.
+// a consistent cut with the journaled clock. The executor saves encoders,
+// not bytes: the flush, between engine events on the driver goroutine,
+// encodes only the frames still staged.
 func OpenDurable(dir string) (*Journal, *core.CheckpointStore, error) {
 	return OpenDurableIO(dir, nil)
 }

@@ -11,6 +11,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 
 	"rotary/internal/sim"
 )
@@ -71,6 +72,7 @@ type Consumer[T any] struct {
 	offsets []int
 	next    int // round-robin partition pointer
 	read    int
+	buf     []T // NextBatch's row buffer, reused across calls
 }
 
 // NewConsumer returns a consumer positioned at the start of the topic.
@@ -86,11 +88,13 @@ func NewConsumer[T any](t *Topic[T]) *Consumer[T] {
 // does not depend on the batch sizes a consumer happens to use. Queries
 // with order-sensitive auxiliary state (Q17's running averages) rely on
 // this to agree with the ground-truth pass regardless of epoch sizing.
+// The returned slice is the consumer's own buffer: valid until the next
+// NextBatch call, and read-only.
 func (c *Consumer[T]) NextBatch(n int) ([]T, bool) {
 	if n <= 0 {
 		return nil, false
 	}
-	batch := make([]T, 0, max(0, min(n, c.Remaining())))
+	batch := slices.Grow(c.buf[:0], min(n, c.Remaining()))
 	parts := len(c.topic.partitions)
 	empty := 0
 	for len(batch) < n && empty < parts {
@@ -106,6 +110,7 @@ func (c *Consumer[T]) NextBatch(n int) ([]T, bool) {
 		batch = append(batch, part[off])
 		c.offsets[p] = off + 1
 	}
+	c.buf = batch
 	c.read += len(batch)
 	if len(batch) == 0 {
 		return nil, false
@@ -125,8 +130,8 @@ func (c *Consumer[T]) Partitions() int { return len(c.topic.partitions) }
 // exactly, so a consumer advanced with NextBatchPartitioned consumes the
 // same record set per call and lands on the same ConsumerState as one
 // advanced with NextBatch — checkpoints are interchangeable between the
-// two access paths. Unlike NextBatch, the returned slices alias the
-// topic's partitions (zero copy); callers must treat them as read-only.
+// two access paths. The returned slices alias the topic's partitions
+// (zero copy); callers must treat them as read-only.
 //
 // This is the parallel data path's entry point: each partition's run can
 // be folded independently (partition p's record order is a pure function

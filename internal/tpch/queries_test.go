@@ -305,3 +305,67 @@ func TestDescribeAllQueries(t *testing.T) {
 		t.Error("described an unknown query")
 	}
 }
+
+// EpochCost prices an epoch without running it: for every query, batch
+// size, thread count and epoch length — at the head of the stream, across
+// the short tail batch, and on the exhausted stream — it equals the sum of
+// the costs ProcessBatch then returns, bit for bit, and leaves the
+// checkpoint bytes as they were.
+func TestEpochCostMatchesProcessBatch(t *testing.T) {
+	cat := testCatalog(t, 0.01)
+	q1Rows, err := cat.FactRows("q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recommended := max(50, q1Rows/256) // workload.RecommendedBatchRows
+	for _, name := range AllQueries {
+		total, err := cat.FactRows(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batchRows := range []int{1, 10, recommended} {
+			for _, threads := range []int{1, 4} {
+				for _, batches := range []int{1, 4, 16} {
+					q, err := cat.NewQuery(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					epoch := func(at string) (rows int) {
+						label := fmt.Sprintf("%s batch %d × %d at %d threads, %s", name, batchRows, batches, threads, at)
+						before, _ := q.Checkpoint()
+						planned := q.EpochCost(batchRows, batches, threads)
+						if after, _ := q.Checkpoint(); !bytes.Equal(before, after) {
+							t.Fatalf("%s: EpochCost changed the checkpoint", label)
+						}
+						var ran float64
+						for b := 0; b < batches; b++ {
+							n, cost := q.ProcessBatch(batchRows, threads)
+							ran += cost
+							rows += n
+							if n == 0 {
+								break
+							}
+						}
+						if math.Float64bits(planned) != math.Float64bits(ran) {
+							t.Fatalf("%s: EpochCost %v, ProcessBatch summed %v", label, planned, ran)
+						}
+						return rows
+					}
+					epoch("head")
+					epoch("second epoch")
+					// Leave one full epoch, then one that ends in a short batch.
+					tail := batchRows*batches + batchRows*batches/2 + 1
+					if left := total - int(q.RowsProcessed()); left > tail {
+						q.ProcessBatch(left-tail, 1)
+					}
+					for !q.Exhausted() {
+						epoch("tail")
+					}
+					if rows := epoch("exhausted"); rows != 0 || q.EpochCost(batchRows, batches, threads) != 0 {
+						t.Fatalf("%s: exhausted stream yielded %d rows at cost %v", name, rows, q.EpochCost(batchRows, batches, threads))
+					}
+				}
+			}
+		}
+	}
+}
