@@ -5,12 +5,6 @@
 //
 //	rotary-bench [-experiment all|fig1a|fig1b|fig6|fig7|fig8|fig9|fig10|fig11|table1|table2|table3|ablations]
 //	             [-sf 0.02] [-runs 3] [-aqp-jobs 30] [-dlt-jobs 30] [-seed 1]
-//
-// The control-plane microbenchmark (real wall-clock cost per arbitration
-// decision, excluded from "all") is requested explicitly:
-//
-//	rotary-bench -experiment arbiter [-bench-out BENCH_1.json]
-//	             [-bench-baseline BENCH_1.json] [-bench-quick]
 package main
 
 import (
@@ -75,10 +69,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "base random seed")
 		traceOut   = flag.String("trace-out", "", "stream every executor trace event across all experiments as JSON lines to this file")
 		metricsOut = flag.String("metrics-out", "", "write the final metrics registry (Prometheus text format) to this file")
-
-		benchOut      = flag.String("bench-out", "", "arbiter experiment: write the benchmark report (BENCH_<n>.json schema) to this file")
-		benchBaseline = flag.String("bench-baseline", "", "arbiter experiment: compare against this committed report; exit 1 on regression")
-		benchQuick    = flag.Bool("bench-quick", false, "arbiter experiment: drop the 10k-queue tier (CI mode)")
 	)
 	flag.Parse()
 	if err := cliutil.ValidateAll(
@@ -108,17 +98,6 @@ func main() {
 
 	cfg := experiments.Config{SF: *sf, Seed: *seed, Runs: *runs, AQPJobs: *aqpJobs, DLTJobs: *dltJobs}
 	want := strings.ToLower(*experiment)
-
-	// The arbiter microbenchmark measures real wall-clock cost, not the
-	// virtual clock, so it is excluded from "all" (which must stay
-	// machine-independent) and requested explicitly.
-	if want == "arbiter" {
-		if err := runArbiterBench(*seed, *benchOut, *benchBaseline, *benchQuick); err != nil {
-			log.Fatalf("arbiter: %v", err)
-		}
-		return
-	}
-
 	matched := false
 	for _, r := range runners {
 		switch want {
@@ -146,7 +125,7 @@ func main() {
 		for _, r := range runners {
 			fmt.Fprintf(os.Stderr, " %s", r.name)
 		}
-		fmt.Fprintln(os.Stderr, " arbiter")
+		fmt.Fprintln(os.Stderr)
 		os.Exit(2)
 	}
 	if *metricsOut != "" {

@@ -18,7 +18,7 @@
 // after any prefix of decisions is a pure fold over the admitted
 // arrivals' virtual times. That is what lets journal replay rebuild the
 // exact bucket (ReplayAdmitted) and what makes quota verdicts
-// bit-identical across restarts and fast-path on/off runs.
+// bit-identical across restarts.
 package admission
 
 import (

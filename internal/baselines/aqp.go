@@ -62,14 +62,6 @@ type RoundRobinAQP struct{}
 // Name implements core.AQPScheduler.
 func (RoundRobinAQP) Name() string { return "round-robin" }
 
-// ArbiterProfile implements core.ProfiledAQPScheduler: the ranking reads
-// only the pending jobs' epoch/arrival state, so the default signature
-// (pending queue + capacity) is sound and the decision cache may serve
-// repeats.
-func (RoundRobinAQP) ArbiterProfile() core.ArbiterProfile {
-	return core.ArbiterProfile{Cachable: true}
-}
-
 // Assign implements core.AQPScheduler.
 func (RoundRobinAQP) Assign(ctx *core.AQPContext) []core.AQPGrant {
 	ranked := append([]*core.AQPJob(nil), ctx.Pending...)
@@ -90,13 +82,6 @@ type EDFAQP struct{}
 // Name implements core.AQPScheduler.
 func (EDFAQP) Name() string { return "edf" }
 
-// ArbiterProfile implements core.ProfiledAQPScheduler: absolute
-// deadlines derive from arrival + criteria, both covered by the job
-// fingerprints.
-func (EDFAQP) ArbiterProfile() core.ArbiterProfile {
-	return core.ArbiterProfile{Cachable: true}
-}
-
 // Assign implements core.AQPScheduler.
 func (EDFAQP) Assign(ctx *core.AQPContext) []core.AQPGrant {
 	ranked := append([]*core.AQPJob(nil), ctx.Pending...)
@@ -114,13 +99,6 @@ type LAFAQP struct{}
 
 // Name implements core.AQPScheduler.
 func (LAFAQP) Name() string { return "laf" }
-
-// ArbiterProfile implements core.ProfiledAQPScheduler: estimated
-// accuracy equals the last recorded real-time point for any queued job,
-// which the job fingerprint folds.
-func (LAFAQP) ArbiterProfile() core.ArbiterProfile {
-	return core.ArbiterProfile{Cachable: true}
-}
 
 // Assign implements core.AQPScheduler.
 func (LAFAQP) Assign(ctx *core.AQPContext) []core.AQPGrant {
@@ -140,15 +118,6 @@ type ReLAQS struct{}
 
 // Name implements core.AQPScheduler.
 func (ReLAQS) Name() string { return "relaqs" }
-
-// ArbiterProfile implements core.ProfiledAQPScheduler: the improvement
-// slope reads the last two real-time points — covered by the curve
-// length + last point in the job fingerprint (the penultimate point is
-// immutable once the last one exists). The fixed SetEpochBatches(4)
-// writes are recorded as template diffs and replayed on hits.
-func (ReLAQS) ArbiterProfile() core.ArbiterProfile {
-	return core.ArbiterProfile{Cachable: true}
-}
 
 // Assign implements core.AQPScheduler.
 func (ReLAQS) Assign(ctx *core.AQPContext) []core.AQPGrant {

@@ -51,13 +51,6 @@ type SRF struct{}
 // Name implements core.DLTScheduler.
 func (SRF) Name() string { return "srf" }
 
-// ArbiterProfile implements core.ProfiledDLTScheduler: the ranking
-// reads immutable criteria plus the epoch/arrival state covered by the
-// job fingerprints, so the decision cache may serve repeats.
-func (SRF) ArbiterProfile() core.ArbiterProfile {
-	return core.ArbiterProfile{Cachable: true}
-}
-
 // Place implements core.DLTScheduler.
 func (SRF) Place(ctx *core.DLTContext) []core.DLTPlacement {
 	ranked := append([]*core.DLTJob(nil), ctx.Pending...)
@@ -84,11 +77,6 @@ type BCF struct{}
 // Name implements core.DLTScheduler.
 func (BCF) Name() string { return "bcf" }
 
-// ArbiterProfile implements core.ProfiledDLTScheduler (see SRF).
-func (BCF) ArbiterProfile() core.ArbiterProfile {
-	return core.ArbiterProfile{Cachable: true}
-}
-
 // Place implements core.DLTScheduler.
 func (BCF) Place(ctx *core.DLTContext) []core.DLTPlacement {
 	ranked := append([]*core.DLTJob(nil), ctx.Pending...)
@@ -113,11 +101,6 @@ type LAFDLT struct{}
 
 // Name implements core.DLTScheduler.
 func (LAFDLT) Name() string { return "laf" }
-
-// ArbiterProfile implements core.ProfiledDLTScheduler (see SRF).
-func (LAFDLT) ArbiterProfile() core.ArbiterProfile {
-	return core.ArbiterProfile{Cachable: true}
-}
 
 // Place implements core.DLTScheduler.
 func (LAFDLT) Place(ctx *core.DLTContext) []core.DLTPlacement {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"rotary/internal/admission"
@@ -79,15 +80,6 @@ type AQPExecConfig struct {
 	// arbitration rounds is forced a minimal grant. Zero leaves the policy
 	// unwrapped.
 	AgingRounds int
-	// FastPath enables the arbitration decision cache (DESIGN.md §11):
-	// when the scheduler implements ProfiledAQPScheduler, repeated
-	// arbitrations over an identical queue-state signature replay the
-	// cached grant template instead of re-running the policy. Decisions
-	// are bit-identical either way — the cache key covers every input
-	// the policy declares — so this is purely a control-plane
-	// optimization. Unprofiled schedulers (including any AgingRounds
-	// guard wrap) bypass the cache and behave exactly as before.
-	FastPath bool
 }
 
 // DefaultAQPExecConfig mirrors the paper's 20-thread server, scaled to a
@@ -132,7 +124,6 @@ type AQPExecutor struct {
 	overload      OverloadStats
 	guard         *StarvationGuardAQP
 	met           *execMetrics
-	fast          *aqpFastPath
 
 	// Arbitration scratch, reused across rounds so the per-epoch control
 	// plane stays allocation-free: the context and its Pending/Running
@@ -189,9 +180,6 @@ func NewAQPExecutorOn(eng *sim.Engine, cfg AQPExecConfig, sched AQPScheduler, re
 	if cfg.AgingRounds > 0 {
 		e.guard = NewStarvationGuardAQP(sched, cfg.AgingRounds)
 		e.sched = e.guard
-	}
-	if cfg.FastPath {
-		e.fast = newAQPFastPath(e.sched)
 	}
 	return e
 }
@@ -573,13 +561,7 @@ func (e *AQPExecutor) arbitrate() {
 		FreeMemMB:    e.pool.FreeMemMB(),
 		TotalMemMB:   e.pool.TotalMemMB(),
 	}
-	var grants []AQPGrant
-	if e.fast != nil {
-		grants = e.fast.assign(&e.arbCtx)
-	} else {
-		grants = e.sched.Assign(&e.arbCtx)
-	}
-	for _, g := range grants {
+	for _, g := range e.sched.Assign(&e.arbCtx) {
 		e.startEpoch(g)
 	}
 }
@@ -587,24 +569,15 @@ func (e *AQPExecutor) arbitrate() {
 // runningJobs presents the running set sorted by job ID: map iteration
 // order is randomized per run, and policies that read ctx.Running must
 // see a deterministic queue state (the bit-identical replay guarantees
-// of both the fast path and the chaos suites depend on it).
+// of the chaos suites depend on it).
 func (e *AQPExecutor) runningJobs() []*AQPJob {
 	out := e.arbRunning[:0]
 	for _, j := range e.running {
 		out = append(out, j)
 	}
-	sortAQPJobsByID(out)
+	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
 	e.arbRunning = out
 	return out
-}
-
-// FastPath reports the decision-cache counters; all-zero when the fast
-// path is disabled.
-func (e *AQPExecutor) FastPath() FastPathStats {
-	if e.fast == nil {
-		return FastPathStats{}
-	}
-	return e.fast.stats
 }
 
 // startEpoch applies one grant: books resources, charges resume overhead

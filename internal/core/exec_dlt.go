@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"rotary/internal/admission"
 	"rotary/internal/cluster"
@@ -56,11 +57,6 @@ type DLTExecConfig struct {
 	// AgingRounds, when > 0, wraps the scheduler in a starvation guard
 	// (see AQPExecConfig.AgingRounds).
 	AgingRounds int
-	// FastPath enables the arbitration decision cache (see
-	// AQPExecConfig.FastPath and DESIGN.md §11): profiled schedulers
-	// replay cached placement templates on identical queue-state
-	// signatures, with bit-identical decisions either way.
-	FastPath bool
 }
 
 // DefaultDLTExecConfig mirrors the paper's 4 × 8 GB testbed.
@@ -113,7 +109,6 @@ type DLTExecutor struct {
 	overload      OverloadStats
 	guard         *StarvationGuardDLT
 	met           *execMetrics
-	fast          *dltFastPath
 
 	// Arbitration scratch, reused across rounds (see AQPExecutor): the
 	// context and its slices are valid only during one Place call.
@@ -168,9 +163,6 @@ func NewDLTExecutorOn(eng *sim.Engine, cfg DLTExecConfig, sched DLTScheduler, re
 	if cfg.AgingRounds > 0 {
 		e.guard = NewStarvationGuardDLT(sched, cfg.AgingRounds)
 		e.sched = e.guard
-	}
-	if cfg.FastPath {
-		e.fast = newDLTFastPath(e.sched)
 	}
 	return e
 }
@@ -416,13 +408,7 @@ func (e *DLTExecutor) arbitrate() {
 		Running:  e.runningJobs(),
 		FreeGPUs: free,
 	}
-	var placements []DLTPlacement
-	if e.fast != nil {
-		placements = e.fast.place(&e.arbCtx)
-	} else {
-		placements = e.sched.Place(&e.arbCtx)
-	}
-	for _, p := range placements {
+	for _, p := range e.sched.Place(&e.arbCtx) {
 		e.startEpoch(p)
 	}
 }
@@ -434,18 +420,9 @@ func (e *DLTExecutor) runningJobs() []*DLTJob {
 	for _, j := range e.running {
 		out = append(out, j)
 	}
-	sortDLTJobsByID(out)
+	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
 	e.arbRunning = out
 	return out
-}
-
-// FastPath reports the decision-cache counters; all-zero when the fast
-// path is disabled.
-func (e *DLTExecutor) FastPath() FastPathStats {
-	if e.fast == nil {
-		return FastPathStats{}
-	}
-	return e.fast.stats
 }
 
 func (e *DLTExecutor) startEpoch(p DLTPlacement) {

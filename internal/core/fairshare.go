@@ -27,12 +27,6 @@ import (
 // one arbitration round — a returning tenant gets its full entitlement
 // immediately but cannot starve the field to "repay" arbitrarily old
 // idleness.
-//
-// Fast-path composition: the wrapper implements ArbiterProfile when the
-// inner policy does, folding the deficit ledger into StateFingerprint
-// (a hit therefore proves the ledger matched), and implements
-// AQPReplayCommitter/DLTReplayCommitter so a replayed decision advances
-// the ledger exactly as the skipped Assign/Place would have.
 
 // fairLedger is the tenant usage account shared by both wrappers.
 type fairLedger struct {
@@ -40,8 +34,7 @@ type fairLedger struct {
 	usage   map[string]float64
 	// wasBack is the previous round's backlogged set: the idle-return
 	// clamp raises only tenants (re)entering the backlog, and "entering"
-	// is defined against this. Ledger state proper — folded into the
-	// fast-path fingerprint alongside usage.
+	// is defined against this.
 	wasBack map[string]bool
 }
 
@@ -77,9 +70,7 @@ func (l *fairLedger) weight(tenant string) float64 {
 // gets its full weight-proportional entitlement immediately but carries
 // no accumulated credit for the rounds it sat idle — others reclaimed
 // that share for good. live holds every tenant present in the round
-// (pending or running); backlogged the subset with pending work. Both
-// are deterministic functions of the arbitration context, so the clamp
-// replays identically under the fast path.
+// (pending or running); backlogged the subset with pending work.
 func (l *fairLedger) clamp(live, backlogged map[string]bool) {
 	for name := range l.usage {
 		if !live[name] {
@@ -140,84 +131,24 @@ func (l *fairLedger) charge(tenant string, dominant float64) {
 	l.usage[tenant] += dominant / l.weight(tenant)
 }
 
-// fingerprint folds the ledger into a fast-path state fingerprint. Both
-// state maps participate: usage drives the share split, wasBack drives
-// the idle-return clamp, and a cache hit must prove both matched.
-func (l *fairLedger) fingerprint(h uint64) uint64 {
-	names := make([]string, 0, len(l.usage))
-	for name := range l.usage {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	h = fpMix(h, uint64(len(names)))
-	for _, name := range names {
-		h = fpMix(h, fpString(name))
-		h = fpFloat(h, l.usage[name])
-		h = fpFloat(h, l.weight(name))
-	}
-	back := make([]string, 0, len(l.wasBack))
-	for name := range l.wasBack {
-		back = append(back, name)
-	}
-	sort.Strings(back)
-	h = fpMix(h, uint64(len(back)))
-	for _, name := range back {
-		h = fpMix(h, fpString(name))
-	}
-	return h
-}
-
-// FairShareAQP wraps an AQP policy with weighted fair share over
-// threads and memory. Compose it under the starvation guard and the
-// fast path: executor wiring puts the guard (when configured) outside
-// and the decision cache outside that.
-type FairShareAQP struct {
-	inner  AQPScheduler
-	ledger fairLedger
-}
-
-// NewFairShareAQP wraps inner with the given tenant weight map (absent
-// or non-positive weights default to 1).
-func NewFairShareAQP(inner AQPScheduler, weights map[string]float64) *FairShareAQP {
-	return &FairShareAQP{inner: inner, ledger: newFairLedger(weights)}
-}
-
-// Name implements AQPScheduler.
-func (f *FairShareAQP) Name() string { return f.inner.Name() + "+fair" }
-
 // Usage snapshots the deficit ledger (tests and reports).
-func (f *FairShareAQP) Usage() map[string]float64 {
-	out := make(map[string]float64, len(f.ledger.usage))
-	for name, v := range f.ledger.usage {
+func (l *fairLedger) Usage() map[string]float64 {
+	out := make(map[string]float64, len(l.usage))
+	for name, v := range l.usage {
 		out[name] = v
 	}
 	return out
 }
 
-// ArbiterProfile opts into the fast path when the inner policy does,
-// folding the deficit ledger into the state fingerprint so a cache hit
-// proves the ledger (and hence the share computation) matched.
-func (f *FairShareAQP) ArbiterProfile() ArbiterProfile {
-	p, ok := f.inner.(ProfiledAQPScheduler)
-	if !ok {
-		return ArbiterProfile{}
-	}
-	prof := p.ArbiterProfile()
-	if !prof.Cachable {
-		return prof
-	}
-	prof.StateFingerprint = f.ledger.fingerprint(fpMix(fpInit, prof.StateFingerprint))
-	return prof
-}
-
-// tenantSets derives the live/backlogged tenant sets and the pending
-// grouping for one round.
-func aqpTenantSets(ctx *AQPContext) (live, backlogged map[string]bool, groups map[string][]*AQPJob, names []string) {
+// tenantSets derives one round's live/backlogged tenant sets and groups
+// the pending jobs by tenant; names lists the backlogged tenants in
+// first-seen order.
+func tenantSets[J interface{ Tenant() string }](pending, running []J) (live, backlogged map[string]bool, groups map[string][]J, names []string) {
 	live = make(map[string]bool)
 	backlogged = make(map[string]bool)
-	groups = make(map[string][]*AQPJob)
-	for _, j := range ctx.Pending {
-		t := CanonicalTenantName(j.tenant)
+	groups = make(map[string][]J)
+	for _, j := range pending {
+		t := CanonicalTenantName(j.Tenant())
 		live[t] = true
 		if !backlogged[t] {
 			backlogged[t] = true
@@ -225,32 +156,36 @@ func aqpTenantSets(ctx *AQPContext) (live, backlogged map[string]bool, groups ma
 		}
 		groups[t] = append(groups[t], j)
 	}
-	for _, j := range ctx.Running {
-		live[CanonicalTenantName(j.tenant)] = true
+	for _, j := range running {
+		live[CanonicalTenantName(j.Tenant())] = true
 	}
 	return live, backlogged, groups, names
 }
+
+// FairShareAQP wraps an AQP policy with weighted fair share over
+// threads and memory. Compose it under the starvation guard: executor
+// wiring puts the guard (when configured) outside.
+type FairShareAQP struct {
+	inner AQPScheduler
+	fairLedger
+}
+
+// NewFairShareAQP wraps inner with the given tenant weight map (absent
+// or non-positive weights default to 1).
+func NewFairShareAQP(inner AQPScheduler, weights map[string]float64) *FairShareAQP {
+	return &FairShareAQP{inner: inner, fairLedger: newFairLedger(weights)}
+}
+
+// Name implements AQPScheduler.
+func (f *FairShareAQP) Name() string { return f.inner.Name() + "+fair" }
 
 // Assign implements AQPScheduler: clamp the ledger, partition the free
 // pool by weight in deficit order, reclaim leftovers work-conservingly,
 // then charge the final grants.
 func (f *FairShareAQP) Assign(ctx *AQPContext) []AQPGrant {
-	live, backlogged, groups, names := aqpTenantSets(ctx)
-	f.ledger.clamp(live, backlogged)
+	live, backlogged, groups, names := tenantSets(ctx.Pending, ctx.Running)
+	f.clamp(live, backlogged)
 	grants := f.assignFair(ctx, groups, names)
-	f.commit(ctx, grants)
-	return grants
-}
-
-// CommitReplay implements AQPReplayCommitter: advance the ledger for a
-// fast-path replayed decision exactly as Assign would have.
-func (f *FairShareAQP) CommitReplay(ctx *AQPContext, grants []AQPGrant) {
-	live, backlogged, _, _ := aqpTenantSets(ctx)
-	f.ledger.clamp(live, backlogged)
-	f.commit(ctx, grants)
-}
-
-func (f *FairShareAQP) commit(ctx *AQPContext, grants []AQPGrant) {
 	for _, g := range grants {
 		dom := 0.0
 		if ctx.TotalThreads > 0 {
@@ -261,8 +196,9 @@ func (f *FairShareAQP) commit(ctx *AQPContext, grants []AQPGrant) {
 				dom = m
 			}
 		}
-		f.ledger.charge(CanonicalTenantName(g.Job.tenant), dom)
+		f.charge(CanonicalTenantName(g.Job.tenant), dom)
 	}
+	return grants
 }
 
 func (f *FairShareAQP) assignFair(ctx *AQPContext, groups map[string][]*AQPJob, names []string) []AQPGrant {
@@ -271,10 +207,10 @@ func (f *FairShareAQP) assignFair(ctx *AQPContext, groups map[string][]*AQPJob, 
 	if len(names) <= 1 {
 		return f.inner.Assign(ctx)
 	}
-	order := f.ledger.order(names)
+	order := f.order(names)
 	totalW := 0.0
 	for _, name := range order {
-		totalW += f.ledger.weight(name)
+		totalW += f.weight(name)
 	}
 	remThreads := ctx.FreeThreads
 	remMem := ctx.FreeMemMB
@@ -298,7 +234,7 @@ func (f *FairShareAQP) assignFair(ctx *AQPContext, groups map[string][]*AQPJob, 
 		if remThreads <= 0 {
 			break
 		}
-		w := f.ledger.weight(name)
+		w := f.weight(name)
 		ent := int(float64(ctx.FreeThreads) * w / totalW)
 		if ent < 1 {
 			ent = 1
@@ -359,90 +295,37 @@ func (f *FairShareAQP) assignFair(ctx *AQPContext, groups map[string][]*AQPJob, 
 // slots: the dominant resource is the device count, entitlements are
 // weight-proportional slices of this round's free device list.
 type FairShareDLT struct {
-	inner  DLTScheduler
-	ledger fairLedger
+	inner DLTScheduler
+	fairLedger
 }
 
 // NewFairShareDLT wraps inner with the given tenant weight map.
 func NewFairShareDLT(inner DLTScheduler, weights map[string]float64) *FairShareDLT {
-	return &FairShareDLT{inner: inner, ledger: newFairLedger(weights)}
+	return &FairShareDLT{inner: inner, fairLedger: newFairLedger(weights)}
 }
 
 // Name implements DLTScheduler.
 func (f *FairShareDLT) Name() string { return f.inner.Name() + "+fair" }
 
-// Usage snapshots the deficit ledger.
-func (f *FairShareDLT) Usage() map[string]float64 {
-	out := make(map[string]float64, len(f.ledger.usage))
-	for name, v := range f.ledger.usage {
-		out[name] = v
-	}
-	return out
-}
-
-// ArbiterProfile opts into the fast path when the inner policy does.
-func (f *FairShareDLT) ArbiterProfile() ArbiterProfile {
-	p, ok := f.inner.(ProfiledDLTScheduler)
-	if !ok {
-		return ArbiterProfile{}
-	}
-	prof := p.ArbiterProfile()
-	if !prof.Cachable {
-		return prof
-	}
-	prof.StateFingerprint = f.ledger.fingerprint(fpMix(fpInit, prof.StateFingerprint))
-	return prof
-}
-
-func dltTenantSets(ctx *DLTContext) (live, backlogged map[string]bool, groups map[string][]*DLTJob, names []string) {
-	live = make(map[string]bool)
-	backlogged = make(map[string]bool)
-	groups = make(map[string][]*DLTJob)
-	for _, j := range ctx.Pending {
-		t := CanonicalTenantName(j.tenant)
-		live[t] = true
-		if !backlogged[t] {
-			backlogged[t] = true
-			names = append(names, t)
-		}
-		groups[t] = append(groups[t], j)
-	}
-	for _, j := range ctx.Running {
-		live[CanonicalTenantName(j.tenant)] = true
-	}
-	return live, backlogged, groups, names
-}
-
 // Place implements DLTScheduler.
 func (f *FairShareDLT) Place(ctx *DLTContext) []DLTPlacement {
-	live, backlogged, groups, names := dltTenantSets(ctx)
-	f.ledger.clamp(live, backlogged)
+	live, backlogged, groups, names := tenantSets(ctx.Pending, ctx.Running)
+	f.clamp(live, backlogged)
 	placements := f.placeFair(ctx, groups, names)
-	f.commit(placements)
-	return placements
-}
-
-// CommitReplay implements DLTReplayCommitter.
-func (f *FairShareDLT) CommitReplay(ctx *DLTContext, placements []DLTPlacement) {
-	live, backlogged, _, _ := dltTenantSets(ctx)
-	f.ledger.clamp(live, backlogged)
-	f.commit(placements)
-}
-
-func (f *FairShareDLT) commit(placements []DLTPlacement) {
 	for _, p := range placements {
-		f.ledger.charge(CanonicalTenantName(p.Job.tenant), 1)
+		f.charge(CanonicalTenantName(p.Job.tenant), 1)
 	}
+	return placements
 }
 
 func (f *FairShareDLT) placeFair(ctx *DLTContext, groups map[string][]*DLTJob, names []string) []DLTPlacement {
 	if len(names) <= 1 {
 		return f.inner.Place(ctx)
 	}
-	order := f.ledger.order(names)
+	order := f.order(names)
 	totalW := 0.0
 	for _, name := range order {
-		totalW += f.ledger.weight(name)
+		totalW += f.weight(name)
 	}
 	remaining := make([]cluster.GPU, len(ctx.FreeGPUs))
 	copy(remaining, ctx.FreeGPUs)
@@ -473,7 +356,7 @@ func (f *FairShareDLT) placeFair(ctx *DLTContext, groups map[string][]*DLTJob, n
 		if len(remaining) == 0 {
 			break
 		}
-		ent := int(float64(len(ctx.FreeGPUs)) * f.ledger.weight(name) / totalW)
+		ent := int(float64(len(ctx.FreeGPUs)) * f.weight(name) / totalW)
 		if ent < 1 {
 			ent = 1
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"rotary/internal/cluster"
@@ -123,25 +124,11 @@ func TestFairLedgerIdleReturnClamp(t *testing.T) {
 	}
 }
 
-func TestFairLedgerFingerprintCoversWasBack(t *testing.T) {
-	a := newFairLedger(nil)
-	b := newFairLedger(nil)
-	a.usage["x"] = 1
-	b.usage["x"] = 1
-	if a.fingerprint(fpInit) != b.fingerprint(fpInit) {
-		t.Fatalf("identical ledgers fingerprint differently")
-	}
-	b.wasBack["x"] = true
-	if a.fingerprint(fpInit) == b.fingerprint(fpInit) {
-		t.Fatalf("wasBack divergence not visible in fingerprint")
-	}
-}
-
 func TestFairShareAQPWeightedSplit(t *testing.T) {
-	jobs := synthAQPQueue(16, 1)
+	jobs := synthAQPQueue(16)
 	tagTenants(jobs, []string{"a", "b"}, map[string]int{"a": 8, "b": 8})
 	f := NewFairShareAQP(unitAQP{}, map[string]float64{"a": 3, "b": 1})
-	grants := f.Assign(benchCtx(jobs))
+	grants := f.Assign(synthCtx(jobs))
 	got := grantsPerTenant(grants)
 	// 8 free threads, weights 3:1 -> entitlements floor(8*3/4)=6 and
 	// floor(8*1/4)=2; both tenants have backlog to fill them.
@@ -157,10 +144,10 @@ func TestFairShareAQPWeightedSplit(t *testing.T) {
 }
 
 func TestFairShareAQPWorkConserving(t *testing.T) {
-	jobs := synthAQPQueue(9, 2)
+	jobs := synthAQPQueue(9)
 	tagTenants(jobs, []string{"a", "b"}, map[string]int{"a": 8, "b": 1})
 	f := NewFairShareAQP(unitAQP{}, nil)
-	grants := f.Assign(benchCtx(jobs))
+	grants := f.Assign(synthCtx(jobs))
 	got := grantsPerTenant(grants)
 	// Equal weights entitle 4 threads each, but b has one job: its unused
 	// share must be reclaimed by a, leaving zero idle threads.
@@ -177,14 +164,14 @@ func TestFairShareAQPWorkConserving(t *testing.T) {
 }
 
 func TestFairShareAQPSingleTenantPassthrough(t *testing.T) {
-	jobs := synthAQPQueue(5, 3)
+	jobs := synthAQPQueue(5)
 	for _, j := range jobs {
 		j.tenant = "solo"
 	}
 	f := NewFairShareAQP(unitAQP{}, map[string]float64{"solo": 2})
-	bare := unitAQP{}.Assign(benchCtx(jobs))
-	wrapped := f.Assign(benchCtx(jobs))
-	if !grantsEqual(bare, wrapped) {
+	bare := unitAQP{}.Assign(synthCtx(jobs))
+	wrapped := f.Assign(synthCtx(jobs))
+	if !slices.Equal(bare, wrapped) {
 		t.Fatalf("single-tenant round diverged from inner policy:\nbare    %v\nwrapped %v", bare, wrapped)
 	}
 	if u := f.Usage(); u["solo"] == 0 {
@@ -192,47 +179,8 @@ func TestFairShareAQPSingleTenantPassthrough(t *testing.T) {
 	}
 }
 
-func TestFairShareAQPCommitReplayMatchesAssign(t *testing.T) {
-	weights := map[string]float64{"a": 3, "b": 1}
-	mk := func() (*FairShareAQP, []*AQPJob) {
-		jobs := synthAQPQueue(16, 4)
-		tagTenants(jobs, []string{"a", "b"}, map[string]int{"a": 8, "b": 8})
-		return NewFairShareAQP(unitAQP{}, weights), jobs
-	}
-	live, jobsA := mk()
-	replay, jobsB := mk()
-	grants := live.Assign(benchCtx(jobsA))
-	// Map the grants onto the replay wrapper's job instances by index —
-	// synthAQPQueue is deterministic, so index i is the same job.
-	byIdx := make(map[*AQPJob]int, len(jobsA))
-	for i, j := range jobsA {
-		byIdx[j] = i
-	}
-	mirror := make([]AQPGrant, len(grants))
-	for i, g := range grants {
-		mirror[i] = AQPGrant{Job: jobsB[byIdx[g.Job]], Threads: g.Threads, ReserveMemMB: g.ReserveMemMB}
-	}
-	replay.CommitReplay(benchCtx(jobsB), mirror)
-
-	ul, ur := live.Usage(), replay.Usage()
-	if len(ul) != len(ur) {
-		t.Fatalf("ledger shape diverged: assign %v, replay %v", ul, ur)
-	}
-	for name, v := range ul {
-		if ur[name] != v {
-			t.Fatalf("ledger diverged for %q: assign %v, replay %v", name, v, ur[name])
-		}
-	}
-	if live.ledger.fingerprint(fpInit) != replay.ledger.fingerprint(fpInit) {
-		t.Fatalf("ledger fingerprints diverged after replay")
-	}
-}
-
 func TestFairShareDLTWeightedSplit(t *testing.T) {
-	jobs, err := synthDLTQueue(16, 1)
-	if err != nil {
-		t.Fatalf("synthDLTQueue: %v", err)
-	}
+	jobs := synthDLTQueue(16)
 	for i, j := range jobs {
 		if i < 8 {
 			j.tenant = "a"

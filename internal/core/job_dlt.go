@@ -96,8 +96,8 @@ func (j *DLTJob) ID() string { return j.id }
 func (j *DLTJob) Tenant() string { return j.tenant }
 
 // SetTenant attributes the job to a tenant. Call before submission —
-// the attribution is folded into admission, fair-share, and fast-path
-// state at registration.
+// the attribution is folded into admission and fair-share state at
+// registration.
 func (j *DLTJob) SetTenant(t string) { j.tenant = t }
 
 // Criteria returns the completion criterion.

@@ -47,32 +47,6 @@ func NewRotaryAQP(est estimate.ProgressEstimator) *RotaryAQP {
 // Name implements AQPScheduler.
 func (r *RotaryAQP) Name() string { return "rotary-aqp" }
 
-// ArbiterProfile implements ProfiledAQPScheduler. Cachability is
-// decided at runtime from the estimator: the joint historical+real-time
-// fit is a pure function of the repository (its mutation counter is the
-// state fingerprint), but a non-Versioned estimator — RandomProgress
-// consumes an RNG draw per call — has hidden state the signature cannot
-// cover, so the profile degrades to uncachable. The policy reads the
-// clock (aging, deadline slack) and the running set (the adaptive-epoch
-// memory reference scans pending ∪ running), hence both flags.
-func (r *RotaryAQP) ArbiterProfile() ArbiterProfile {
-	v, ok := r.Estimator.(estimate.Versioned)
-	if !ok {
-		return ArbiterProfile{}
-	}
-	h := fpMix(fpInit, v.EstimatorVersion())
-	h = fpBool(h, r.AdaptiveEpochs)
-	h = fpBool(h, r.MemoryAware)
-	h = fpMix(h, uint64(r.BaseEpochBatches))
-	h = fpMix(h, uint64(r.MaxThreadsPerJob))
-	return ArbiterProfile{
-		Cachable:         true,
-		TimeDependent:    true,
-		ReadsRunning:     true,
-		StateFingerprint: h,
-	}
-}
-
 // Assign implements AQPScheduler (Algorithm 2).
 func (r *RotaryAQP) Assign(ctx *AQPContext) []AQPGrant {
 	if len(ctx.Pending) == 0 || ctx.FreeThreads == 0 {

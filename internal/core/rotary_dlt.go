@@ -55,28 +55,6 @@ func (r *RotaryDLT) Name() string {
 	}
 }
 
-// ArbiterProfile implements ProfiledDLTScheduler. TEE and TME are pure
-// functions of the repository, so their mutation counters (plus the
-// threshold and trial-first knobs) fingerprint the policy's state. The
-// policy is clock-free but reads the running set for the all-meet-T
-// check, so Running folds into the signature.
-func (r *RotaryDLT) ArbiterProfile() ArbiterProfile {
-	h := fpInit
-	if r.TEE != nil {
-		h = fpMix(h, r.TEE.EstimatorVersion()+1)
-	}
-	if r.TME != nil {
-		h = fpMix(h, r.TME.EstimatorVersion()+2)
-	}
-	h = fpFloat(h, r.Threshold)
-	h = fpBool(h, r.TrialFirst)
-	return ArbiterProfile{
-		Cachable:         true,
-		ReadsRunning:     true,
-		StateFingerprint: h,
-	}
-}
-
 // EstimateMemMB returns the TME prediction for the job, falling back to
 // the analytic model when the repository has no same-dataset history.
 func (r *RotaryDLT) EstimateMemMB(j *DLTJob) float64 {

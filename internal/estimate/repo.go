@@ -47,19 +47,6 @@ type Repository struct {
 	dlt  []DLTRecord
 	aqp  []AQPRecord
 	path string
-	// version advances on every record mutation. Estimators backed by the
-	// repository expose it through EstimatorVersion so the arbitration
-	// fast path can tell when a cached decision's inputs moved.
-	version uint64
-}
-
-// Version reports the mutation counter: it advances every time a record
-// is added or removed, so two equal Version values bracket a span in
-// which every estimate over the repository was reproducible.
-func (r *Repository) Version() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.version
 }
 
 // NewRepository returns an empty in-memory repository.
@@ -126,7 +113,6 @@ func (r *Repository) AddDLT(rec DLTRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.dlt = append(r.dlt, rec)
-	r.version++
 }
 
 // AddAQP stores a completed AQP job.
@@ -134,7 +120,6 @@ func (r *Repository) AddAQP(rec AQPRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.aqp = append(r.aqp, rec)
-	r.version++
 }
 
 // DLTCount and AQPCount report stored record counts.
@@ -158,9 +143,6 @@ func (r *Repository) RemoveDLT(keep func(DLTRecord) bool) int {
 		}
 	}
 	r.dlt = kept
-	if removed > 0 {
-		r.version++
-	}
 	return removed
 }
 

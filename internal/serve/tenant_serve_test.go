@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -31,10 +30,9 @@ import (
 // CURRENT incarnation's ledger and registry (both are incarnation-local
 // by design — the journal, not the counters, is the durable record).
 type tenantHarness struct {
-	dir      string
-	socket   string
-	table    admission.TenantTable
-	fastPath bool
+	dir    string
+	socket string
+	table  admission.TenantTable
 
 	srv  *Server
 	jl   *Journal
@@ -67,7 +65,6 @@ func (h *tenantHarness) start(t *testing.T) {
 	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
 	cfg.Obs = h.reg
 	cfg.Store = store
-	cfg.FastPath = h.fastPath
 	h.ctrl = admission.NewController(admission.Config{Tenants: h.table, Obs: h.reg})
 	cfg.Admission = h.ctrl
 	sched := core.NewFairShareAQP(baselines.RoundRobinAQP{}, h.table.Weights())
@@ -150,7 +147,7 @@ func TestTenantQuotaRefusalOverSocket(t *testing.T) {
 
 // quotaVerdict is the externally observable admission outcome of one
 // submission — exactly the fields the determinism contract promises to
-// reproduce bit-identically across restarts and fast-path modes.
+// reproduce bit-identically across restarts.
 type quotaVerdict struct {
 	OK    bool
 	Code  string
@@ -305,56 +302,6 @@ func TestJournalForwardCompat(t *testing.T) {
 	}
 	if st = c.call(t, Message{Op: "status", ID: "fc-default"}); !st.OK || !liveStatus(st.Status) {
 		t.Fatalf("fc-default after future-journal replay: %+v", st)
-	}
-}
-
-// TestTenantQuotaFastPathBitIdentical proves quota enforcement is
-// oblivious to the arbitration fast path: the same multi-tenant script
-// (admits, rate refusals, cap refusals, clock advances) yields the same
-// verdict sequence and the same final per-tenant ledgers with decision
-// caching on and off.
-func TestTenantQuotaFastPathBitIdentical(t *testing.T) {
-	table := admission.TenantTable{
-		Tenants: map[string]admission.TenantQuota{
-			"a": {Weight: 3},
-			"b": {Weight: 1, RatePerSec: 0.2, Burst: 2, MaxActive: 1, MaxPending: 1},
-		},
-	}
-	run := func(fastPath bool) ([]quotaVerdict, map[string]admission.TenantStats) {
-		h := newTenantHarness(t, table)
-		h.fastPath = fastPath
-		h.start(t)
-		defer h.kill(t)
-		c := dial(t, h.socket)
-		var verdicts []quotaVerdict
-		step := func(tenant, id string, adv float64) {
-			if adv > 0 {
-				if r := c.call(t, Message{Op: "advance", Seconds: adv}); !r.OK {
-					t.Fatalf("advance: %+v", r)
-				}
-			}
-			r := c.call(t, Message{Op: "submit", ID: id, Tenant: tenant,
-				Statement: "q6 ACC MIN 50% WITHIN 2000 SECONDS"})
-			verdicts = append(verdicts, quotaVerdict{OK: r.OK, Code: r.Code, Retry: r.RetryAfterSecs})
-		}
-		step("a", "fp-a0", 0)
-		step("b", "fp-b0", 0)
-		step("b", "fp-b1", 0) // active-cap or rate refusal
-		step("a", "fp-a1", 2)
-		step("b", "fp-b2", 0)
-		step("a", "fp-a2", 6)
-		step("b", "fp-b3", 0)
-		step("b", "fp-b4", 1)
-		step("a", "fp-a3", 4)
-		return verdicts, h.ctrl.TenantStats()
-	}
-	slowV, slowS := run(false)
-	fastV, fastS := run(true)
-	if !reflect.DeepEqual(slowV, fastV) {
-		t.Fatalf("verdicts diverged under fast path:\noff %+v\non  %+v", slowV, fastV)
-	}
-	if !reflect.DeepEqual(slowS, fastS) {
-		t.Fatalf("tenant ledgers diverged under fast path:\noff %+v\non  %+v", slowS, fastS)
 	}
 }
 

@@ -656,48 +656,6 @@ var (
 	StartMetricsDebug = obs.StartDebug
 )
 
-// Control-plane fast path: the exact decision cache in front of the
-// arbitration loop, its per-scheduler capability declaration, and the
-// arbiter microbenchmark harness behind `rotary-bench -experiment
-// arbiter`. Enable the cache per executor with the FastPath flag on
-// AQPExecConfig / DLTExecConfig; correctness is policy-proven — a
-// scheduler participates only by implementing ArbiterProfile(), and
-// everything else bypasses.
-type (
-	// ArbiterProfile declares what a scheduling policy observes, making
-	// its decisions cachable (or not) by signature.
-	ArbiterProfile = core.ArbiterProfile
-	// FastPathStats counts decision-cache hits, misses, and bypasses.
-	FastPathStats = core.FastPathStats
-	// EstimatorVersioned is implemented by estimators whose observable
-	// state carries a version counter; profiles fold it into their
-	// fingerprints so any history mutation invalidates cached decisions.
-	EstimatorVersioned = estimate.Versioned
-
-	// ArbBenchConfig parameterizes the arbiter microbenchmark matrix.
-	ArbBenchConfig = core.ArbBenchConfig
-	// ArbBenchAQPPolicy and ArbBenchDLTPolicy name one policy cell.
-	ArbBenchAQPPolicy = core.ArbBenchAQPPolicy
-	ArbBenchDLTPolicy = core.ArbBenchDLTPolicy
-	// ArbBenchReport is the BENCH_<n>.json artifact.
-	ArbBenchReport = core.ArbBenchReport
-	// ArbBenchCase is one measured (path, policy, depth, cache) cell.
-	ArbBenchCase = core.ArbBenchCase
-)
-
-var (
-	// RunArbiterBench measures every configured policy × queue depth ×
-	// cache toggle with real wall-clock benchmarks.
-	RunArbiterBench = core.RunArbiterBench
-	// CompareArbBench gates a report against a baseline: ns/op within a
-	// calibration-scaled band, allocs/op within a raw band, no missing
-	// cells.
-	CompareArbBench = core.CompareArbBench
-	// MergeArbBenchMin folds two measurements of the same matrix,
-	// keeping each cell's faster run (retry-under-interference merge).
-	MergeArbBenchMin = core.MergeArbBenchMin
-)
-
 // Self-healing durability (PR 11): the pluggable disk layer under the
 // journal and checkpoint writers, the recoverable journal-degraded
 // mode (typed refusals with retry hints, heal by rolling to a fresh
