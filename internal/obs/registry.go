@@ -317,48 +317,13 @@ func family(name string) string {
 	return name
 }
 
-// InjectLabel rewrites a Prometheus text exposition so every sample line
-// carries an extra key="value" label — the fan-in primitive a shard
-// router uses to merge per-shard registries into one scrape without name
-// collisions. Comment lines (# HELP / # TYPE) pass through untouched:
-// they describe the metric family, which the label does not change.
-// Sample lines gain the label as the first entry of their label set, after
-// any histogram _bucket suffix's existing labels.
-func InjectLabel(rendered, key, value string) string {
-	if rendered == "" {
-		return ""
-	}
-	label := fmt.Sprintf("%s=%q", key, value)
-	var b strings.Builder
-	b.Grow(len(rendered) + 16*strings.Count(rendered, "\n"))
-	for _, line := range strings.SplitAfter(rendered, "\n") {
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			b.WriteString(line)
-			continue
-		}
-		sp := strings.IndexByte(line, ' ')
-		if sp < 0 {
-			b.WriteString(line)
-			continue
-		}
-		name, rest := line[:sp], line[sp:]
-		if br := strings.IndexByte(name, '{'); br >= 0 {
-			b.WriteString(name[:br+1])
-			b.WriteString(label)
-			b.WriteString(",")
-			b.WriteString(name[br+1:])
-		} else {
-			b.WriteString(name)
-			b.WriteString("{")
-			b.WriteString(label)
-			b.WriteString("}")
-		}
-		b.WriteString(rest)
-	}
-	return b.String()
+// Labeled is one registry's share of a merged exposition: every sample
+// it renders carries Key="Value" as its first label (none when Key is
+// empty) — how a shard router serves every shard's registry in one scrape
+// without name collisions.
+type Labeled struct {
+	Reg        *Registry
+	Key, Value string
 }
 
 // RenderText writes every metric in the Prometheus text exposition format
@@ -366,23 +331,51 @@ func InjectLabel(rendered, key, value string) string {
 // includeWall false, wall-clock metrics are omitted and the rendering of
 // a seeded run is bit-identical across replays.
 func (r *Registry) RenderText(includeWall bool) string {
-	if r == nil {
-		return ""
+	return RenderMerged(includeWall, Labeled{Reg: r})
+}
+
+// RenderMerged renders several registries as one exposition. Families
+// merge across registries: each gets one # HELP / # TYPE header (from the
+// first registry that has it), and its samples stay contiguous, ordered by
+// registry and then by name.
+func RenderMerged(includeWall bool, regs ...Labeled) string {
+	type sample struct {
+		e     *entry
+		src   int
+		label string // `key="value",` or empty
 	}
-	r.mu.Lock()
-	es := make([]*entry, 0, len(r.entries))
-	for _, e := range r.entries {
-		if e.wall && !includeWall {
+	var ss []sample
+	for i, l := range regs {
+		if l.Reg == nil {
 			continue
 		}
-		es = append(es, e)
+		label := ""
+		if l.Key != "" {
+			label = fmt.Sprintf("%s=%q,", l.Key, l.Value)
+		}
+		l.Reg.mu.Lock()
+		for _, e := range l.Reg.entries {
+			if includeWall || !e.wall {
+				ss = append(ss, sample{e, i, label})
+			}
+		}
+		l.Reg.mu.Unlock()
 	}
-	r.mu.Unlock()
-	sort.Slice(es, func(i, j int) bool { return es[i].name < es[j].name })
+	sort.Slice(ss, func(i, j int) bool {
+		a, b := ss[i], ss[j]
+		if fa, fb := family(a.e.name), family(b.e.name); fa != fb {
+			return fa < fb
+		}
+		if a.src != b.src {
+			return a.src < b.src
+		}
+		return a.e.name < b.e.name
+	})
 
 	var b strings.Builder
 	lastFamily := ""
-	for _, e := range es {
+	for _, s := range ss {
+		e := s.e
 		if f := family(e.name); f != lastFamily {
 			lastFamily = f
 			if e.help != "" {
@@ -392,23 +385,34 @@ func (r *Registry) RenderText(includeWall bool) string {
 		}
 		switch e.kind {
 		case kindCounter:
-			fmt.Fprintf(&b, "%s %d\n", e.name, e.counter.Value())
+			fmt.Fprintf(&b, "%s %d\n", withLabel(e.name, s.label), e.counter.Value())
 		case kindGauge:
-			fmt.Fprintf(&b, "%s %s\n", e.name, formatValue(e.gauge.Value()))
+			fmt.Fprintf(&b, "%s %s\n", withLabel(e.name, s.label), formatValue(e.gauge.Value()))
 		case kindHistogram:
 			h := e.hist
 			cum := int64(0)
 			for i, bound := range h.bounds {
 				cum += h.buckets[i].Load()
-				fmt.Fprintf(&b, "%s_bucket{le=\"%s\"} %d\n", e.name, formatValue(bound), cum)
+				fmt.Fprintf(&b, "%s_bucket{%sle=\"%s\"} %d\n", e.name, s.label, formatValue(bound), cum)
 			}
 			// The +Inf bucket equals the total count by definition; read
 			// count once so the line stays consistent even mid-Observe.
 			count := h.Count()
-			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", e.name, count)
-			fmt.Fprintf(&b, "%s_sum %s\n", e.name, formatValue(h.Sum()))
-			fmt.Fprintf(&b, "%s_count %d\n", e.name, count)
+			fmt.Fprintf(&b, "%s_bucket{%sle=\"+Inf\"} %d\n", e.name, s.label, count)
+			fmt.Fprintf(&b, "%s %s\n", withLabel(e.name+"_sum", s.label), formatValue(h.Sum()))
+			fmt.Fprintf(&b, "%s %d\n", withLabel(e.name+"_count", s.label), count)
 		}
 	}
 	return b.String()
+}
+
+// withLabel prepends label (`key="value",`) to a metric name's label set.
+func withLabel(name, label string) string {
+	if label == "" {
+		return name
+	}
+	if i := strings.IndexByte(name, '{'); i >= 0 {
+		return name[:i+1] + label + name[i+1:]
+	}
+	return name + "{" + label[:len(label)-1] + "}"
 }

@@ -36,6 +36,7 @@ import (
 	"math"
 	"net"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -752,4 +753,92 @@ func bindListeners(socket string, extra []string) ([]net.Listener, error) {
 		return nil, errors.New("serve: no listen addresses")
 	}
 	return lns, nil
+}
+
+// listenerSet is the accept side Server and Router share: the bound
+// listeners, and the live connections each running connLoop.
+type listenerSet struct {
+	lnMu  sync.Mutex // guards lns and conns
+	lns   []net.Listener
+	conns map[net.Conn]struct{}
+	wg    sync.WaitGroup // one per live connection
+}
+
+// bind binds the primary socket plus every extra spec. The mutex is held
+// across bind and publish: a client that got in on the socket before the
+// extra listeners were bound sees ListenAddrs block, never a partial set.
+func (l *listenerSet) bind(socket string, extra []string) error {
+	l.lnMu.Lock()
+	defer l.lnMu.Unlock()
+	lns, err := bindListeners(socket, extra)
+	l.lns = lns
+	return err
+}
+
+// acceptAll runs connLoop (with its handle, onCodec and onOversized
+// arguments) on every connection the bound listeners accept, returning
+// once they are all closed.
+func (l *listenerSet) acceptAll(handle func(Message) Response, onCodec func(string), onOversized func()) {
+	var accept sync.WaitGroup
+	for _, ln := range l.lns {
+		accept.Add(1)
+		go func(ln net.Listener) {
+			defer accept.Done()
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return // listener closed by drain/close
+				}
+				l.lnMu.Lock()
+				if l.conns == nil {
+					l.conns = make(map[net.Conn]struct{})
+				}
+				l.conns[conn] = struct{}{}
+				l.lnMu.Unlock()
+				l.wg.Add(1)
+				go func() {
+					defer l.wg.Done()
+					connLoop(conn, handle, onCodec, onOversized)
+					conn.Close()
+					l.lnMu.Lock()
+					delete(l.conns, conn)
+					l.lnMu.Unlock()
+				}()
+			}
+		}(ln)
+	}
+	accept.Wait()
+}
+
+// quiesce unblocks idle readers without cutting off in-flight replies —
+// a handler mid-write finishes, then its next read fails and it closes
+// its own connection — and waits for every handler to return.
+func (l *listenerSet) quiesce() {
+	l.lnMu.Lock()
+	for c := range l.conns {
+		c.SetReadDeadline(time.Now())
+	}
+	l.lnMu.Unlock()
+	l.wg.Wait()
+}
+
+// ListenAddrs reports the bound listener addresses, in bind order (the
+// Unix socket first). Useful with "tcp:127.0.0.1:0" specs, where the
+// kernel picks the port.
+func (l *listenerSet) ListenAddrs() []net.Addr {
+	l.lnMu.Lock()
+	defer l.lnMu.Unlock()
+	addrs := make([]net.Addr, 0, len(l.lns))
+	for _, ln := range l.lns {
+		addrs = append(addrs, ln.Addr())
+	}
+	return addrs
+}
+
+func (l *listenerSet) closeListeners() {
+	l.lnMu.Lock()
+	for _, ln := range l.lns {
+		ln.Close()
+	}
+	l.lnMu.Unlock()
 }

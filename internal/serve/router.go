@@ -1,29 +1,37 @@
-// Sharded multi-arbiter serving: a router fronting N shard workers, each
-// a full durable arbiter (own engine, journal, checkpoint namespace) on
-// a private socket. The router speaks the same JSON-line protocol as a
-// single server, so existing clients work unchanged: submits are routed
-// by consistent hash on the job id, status follows the job wherever it
+// Sharded multi-arbiter serving: a router fronting N shards, each a full
+// durable arbiter (own engine, journal, checkpoint namespace) living in
+// the router's process. The router speaks the same protocol as a single
+// server, so existing clients work unchanged: submits are routed by
+// consistent hash on the job id, status follows the job wherever it
 // lives (including across migrations), and stats/metrics/health fan in
-// across shards — per-shard metrics merge into one scrape under a
+// across shards — every shard's registry renders into one scrape under a
 // shard="i" label. Router-only ops extend the protocol:
 //
 //	shards    the supervision report, one row per shard
 //	migrate   move a job to another shard via checkpoint-carried handoff
 //	retire    migrate a shard's jobs off, drain it, reroute around it
 //
-// Graceful degradation is the router's core robustness contract: every
-// router→shard call is deadline-bounded (never a hang), and a down shard
-// yields a typed shard-unavailable reply with a retry-after hint while
-// the supervisor restarts it from its journal. Down shards are never
-// rerouted around — their durable state lives in their journal — but
-// retired shards are, by walking the hash ring to the next live shard.
+// A router→shard call is a method call onto the shard's ingress ring
+// (Server.dispatch), the path a connection on the shard's own socket
+// takes, so the shard's single driver goroutine, ring backpressure and
+// group commit apply unchanged. It returns when the shard replies or its
+// driver exits. There is no timeout: the call can only fail to return if
+// the driver never does, and no deadline recovers that (a restart's Kill
+// waits on the same driver), while a retried timeout would re-send ops
+// that are not idempotent.
+//
+// Graceful degradation is the router's core robustness contract: a down
+// shard yields a typed shard-unavailable reply with a retry-after hint
+// while the supervisor restarts it from its journal. Down shards are
+// never rerouted around — their durable state lives in their journal —
+// but retired shards are, by walking the hash ring to the next live
+// shard.
 package serve
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,15 +47,14 @@ import (
 
 // RouterConfig parameterizes a sharded daemon.
 type RouterConfig struct {
-	// Socket is the router's public Unix socket. Shard i listens on
-	// Socket + ".shard<i>" unless SocketFor overrides it.
+	// Socket is the router's public Unix socket. Shard i also listens on
+	// Socket + ".shard<i>", for direct access only: the router calls its
+	// shards in-process.
 	Socket string
 	// Listeners are extra public listen specs ("tcp:host:port" or
 	// "unix:/path") served alongside Socket, each speaking both codecs.
-	// Shard sockets stay private Unix sockets regardless.
+	// Shard sockets stay Unix sockets regardless.
 	Listeners []string
-	// SocketFor overrides the per-shard socket path.
-	SocketFor func(index int) string
 	// Shards is the shard count (>= 1).
 	Shards int
 	// Dir is the durable-state root; shard i journals under Dir/shard-<i>.
@@ -76,8 +83,6 @@ type RouterConfig struct {
 	// Defaults to 100ms / 5s.
 	RestartBackoff    time.Duration
 	MaxRestartBackoff time.Duration
-	// RequestTimeout bounds every router→shard round trip. Defaults to 2s.
-	RequestTimeout time.Duration
 	// DiskIO, when set, supplies the disk-I/O layer each shard's durable
 	// pair (journal + checkpoint store) routes through — the torture
 	// harness's hook for dealing per-shard disk faults. Called at boot
@@ -109,17 +114,15 @@ type Router struct {
 	// migMu serializes migrations (including the ones retire runs).
 	migMu sync.Mutex
 
-	mu    sync.Mutex
-	lns   []net.Listener
-	conns map[net.Conn]struct{}
-	wg    sync.WaitGroup
+	listenerSet
+
+	mu    sync.Mutex // guards final
 	final Response
 
 	ready       chan struct{}
 	supStop     chan struct{}
 	supDone     chan struct{}
 	supStopOnce sync.Once
-	closeOnce   sync.Once
 }
 
 // routerMetrics holds the router's own obs handles: per-op request
@@ -179,10 +182,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Build == nil {
 		return nil, errors.New("serve: router needs a shard builder")
 	}
-	if cfg.SocketFor == nil {
-		base := cfg.Socket
-		cfg.SocketFor = func(i int) string { return fmt.Sprintf("%s.shard%d", base, i) }
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 200 * time.Millisecond
 	}
@@ -191,9 +190,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if cfg.MaxRestartBackoff <= 0 {
 		cfg.MaxRestartBackoff = 5 * time.Second
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 2 * time.Second
 	}
 	reg := cfg.Obs
 	if reg == nil {
@@ -205,16 +201,14 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		reg:      reg,
 		met:      newRouterMetrics(reg, cfg.Shards),
 		location: make(map[string]int),
-		conns:    make(map[net.Conn]struct{}),
 		ready:    make(chan struct{}),
 		supStop:  make(chan struct{}),
 		supDone:  make(chan struct{}),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		r.shards = append(r.shards, &shardHandle{
-			index:  i,
-			socket: cfg.SocketFor(i),
-			dir:    filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d", i)),
+			index: i,
+			dir:   filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d", i)),
 		})
 	}
 	return r, nil
@@ -233,56 +227,14 @@ func (r *Router) Serve() error {
 			r.markDown(h, err)
 		}
 	}
-	// Held across bind and publish, as in Server.Serve: an early client
-	// must never see a partial ListenAddrs.
-	r.mu.Lock()
-	lns, err := bindListeners(r.cfg.Socket, r.cfg.Listeners)
-	r.lns = lns
-	r.mu.Unlock()
-	if err != nil {
+	if err := r.bind(r.cfg.Socket, r.cfg.Listeners); err != nil {
 		return err
 	}
 	go r.supervise()
 	close(r.ready)
-	var accept sync.WaitGroup
-	for _, ln := range lns {
-		accept.Add(1)
-		go func(ln net.Listener) {
-			defer accept.Done()
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return // listener closed by drain/close
-				}
-				r.mu.Lock()
-				r.conns[conn] = struct{}{}
-				r.mu.Unlock()
-				r.wg.Add(1)
-				go r.serveConn(conn)
-			}
-		}(ln)
-	}
-	accept.Wait()
-	r.mu.Lock()
-	for c := range r.conns {
-		c.SetReadDeadline(time.Now())
-	}
-	r.mu.Unlock()
-	r.wg.Wait()
+	r.acceptAll(r.handleMessage, nil, nil)
+	r.quiesce()
 	return nil
-}
-
-// ListenAddrs reports the bound listener addresses, in bind order (the
-// Unix socket first). Useful with "tcp:127.0.0.1:0" specs, where the
-// kernel picks the port.
-func (r *Router) ListenAddrs() []net.Addr {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	addrs := make([]net.Addr, 0, len(r.lns))
-	for _, ln := range r.lns {
-		addrs = append(addrs, ln.Addr())
-	}
-	return addrs
 }
 
 // Ready is closed once every shard has been started (or marked down) and
@@ -314,9 +266,6 @@ func (r *Router) Drain() Response {
 		h.mu.Unlock()
 		switch state {
 		case ShardRunning:
-			// In-process call, not a "drain" RPC: a drain may legitimately
-			// outlast RequestTimeout, and a timed-out forward would retry
-			// the op and report failure with live jobs left behind.
 			resp := srv.Drain()
 			if resp.Status != "drained" {
 				ok = false
@@ -349,7 +298,7 @@ func (r *Router) Drain() Response {
 	r.mu.Lock()
 	r.final = resp
 	r.mu.Unlock()
-	r.shutdown()
+	r.closeListeners()
 	return resp
 }
 
@@ -367,7 +316,7 @@ func (r *Router) Close() {
 			srv.Kill()
 		}
 	}
-	r.shutdown()
+	r.closeListeners()
 }
 
 func (r *Router) stopSupervisor() {
@@ -378,30 +327,6 @@ func (r *Router) stopSupervisor() {
 	default:
 		// Serve never got far enough to start the supervisor.
 	}
-}
-
-func (r *Router) shutdown() {
-	r.closeOnce.Do(func() {
-		r.mu.Lock()
-		for _, ln := range r.lns {
-			ln.Close()
-		}
-		r.mu.Unlock()
-	})
-}
-
-// serveConn mirrors the single server's connection loop: the codec is
-// negotiated per connection (JSON lines or the binary framing), replies
-// are typed errors for malformed or oversized input.
-func (r *Router) serveConn(conn net.Conn) {
-	defer r.wg.Done()
-	defer func() {
-		conn.Close()
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-	}()
-	connLoop(conn, r.handleMessage, nil, nil)
 }
 
 // handleLine parses and executes one request line. It is the fuzzing
@@ -460,12 +385,12 @@ func (r *Router) shardArg(m Message) (*shardHandle, Response, bool) {
 	return r.shards[m.Shard], Response{}, true
 }
 
-// forward sends one request to a shard, translating its supervision
-// state and any transport failure into typed replies. The shard client's
-// deadlines guarantee the call returns; it never hangs.
+// forward hands one request to a shard's ingress ring, translating its
+// supervision state into typed replies. A driver that exits instead of
+// replying (killed, crashed, drained) reads as a down shard.
 func (r *Router) forward(h *shardHandle, m Message) Response {
 	h.mu.Lock()
-	state, cl := h.state, h.client
+	state, srv := h.state, h.srv
 	h.mu.Unlock()
 	switch state {
 	case ShardRetired:
@@ -474,11 +399,11 @@ func (r *Router) forward(h *shardHandle, m Message) Response {
 	default:
 		return r.unavailable(h)
 	}
-	resp, err := cl.Do(m)
-	if err != nil {
+	resp := srv.dispatch(m)
+	if resp.Code == CodeDraining {
 		r.met.unavailable[h.index].Inc()
 		return Response{
-			Error:          fmt.Sprintf("serve: shard %d: %v", h.index, err),
+			Error:          fmt.Sprintf("serve: shard %d: %s", h.index, resp.Error),
 			Code:           CodeShardUnavailable,
 			Shard:          h.index,
 			RetryAfterSecs: r.cfg.RestartBackoff.Seconds(),
@@ -674,22 +599,18 @@ func (r *Router) aggregateStats() Response {
 	return resp
 }
 
-// metricsResponse merges the router's own registry with every running
-// shard's rendering, each sample tagged shard="i" so the families never
-// collide.
+// metricsResponse renders the router's own registry and every running
+// shard's in one exposition, each shard's samples labeled shard="i".
 func (r *Router) metricsResponse(m Message) Response {
-	var b strings.Builder
-	b.WriteString(r.reg.RenderText(m.Wall))
+	regs := []obs.Labeled{{Reg: r.reg}}
 	for _, h := range r.shards {
-		if h.State() != ShardRunning {
-			continue
+		h.mu.Lock()
+		if h.state == ShardRunning {
+			regs = append(regs, obs.Labeled{Reg: h.srv.reg, Key: "shard", Value: strconv.Itoa(h.index)})
 		}
-		resp := r.forward(h, Message{Op: "metrics", Wall: m.Wall})
-		if resp.OK {
-			b.WriteString(obs.InjectLabel(resp.Report, "shard", strconv.Itoa(h.index)))
-		}
+		h.mu.Unlock()
 	}
-	return Response{OK: true, Report: b.String()}
+	return Response{OK: true, Report: obs.RenderMerged(m.Wall, regs...)}
 }
 
 // healthResponse aggregates shard health. The daemon-level server epoch
@@ -862,8 +783,8 @@ func (r *Router) transferCheckpoint(src, dst *shardHandle, id string) error {
 // retire migrates every job the router has located on the shard to its
 // ring successor, drains the emptied shard, and reroutes around it
 // permanently. Retire is an online operation driven by the router's
-// location map; jobs submitted directly to the shard's private socket
-// are not tracked and drain with the shard.
+// location map; jobs submitted directly on the shard's own socket are
+// not tracked and drain with the shard.
 func (r *Router) retire(m Message) Response {
 	h, errResp, ok := r.shardArg(m)
 	if !ok {
@@ -907,7 +828,7 @@ func (r *Router) retire(m Message) Response {
 	h.state = ShardRetired
 	h.mu.Unlock()
 	r.met.shardUp[h.index].Set(0)
-	final := srv.Drain() // in-process, see Router.Drain
+	final := srv.Drain()
 	resp := Response{OK: true, Shard: h.index, Status: "retired", Jobs: moved, VirtualNow: final.VirtualNow}
 	if final.Status != "drained" {
 		resp.Error = fmt.Sprintf("serve: retire shard %d: drain: shard stopped before it drained", h.index)

@@ -324,46 +324,236 @@ func TestRouterRetire(t *testing.T) {
 	}
 }
 
-// TestRouterDrainOutlastsRequestTimeout: draining a shard with queued
-// work takes as long as fast-forwarding that work does, which has
-// nothing to do with the router→shard RequestTimeout. The drain used to
-// be a "drain" RPC through the deadline-bounded client: past the
-// timeout the forward was retried (a second drain), the router reported
-// failure, and jobs were left live in the shard's journal. Each shard's
-// drain here runs ~5× the timeout.
-func TestRouterDrainOutlastsRequestTimeout(t *testing.T) {
+// TestRouterOpsOutlastBusyShard: a router op that keeps every shard busy
+// for hundreds of milliseconds (small batches make many epochs per job)
+// gets each shard's own reply, however long the shard takes. Router→shard
+// calls used to be RPCs through a client with a request timeout: past it
+// the op was re-sent — a second drain, an advance applied twice — or
+// reported shard-unavailable although the shard had done the work, so
+// the catch-up horizon restarted shards replay to no longer matched the
+// fleet's clock.
+func TestRouterOpsOutlastBusyShard(t *testing.T) {
+	const jobs = 40
+	cases := []struct {
+		name  string
+		op    Message
+		check func(t *testing.T, r *Router, c *client, resp Response)
+	}{
+		{"drain", Message{Op: "drain"}, func(t *testing.T, r *Router, c *client, dr Response) {
+			if !dr.OK || dr.Jobs != jobs || dr.Terminal != jobs {
+				t.Fatalf("router drain over busy shards: %+v", dr)
+			}
+			for i := 0; i < 2; i++ {
+				rec, err := ReplayJournal(filepath.Join(r.cfg.Dir, fmt.Sprintf("shard-%d", i)))
+				if err != nil {
+					t.Fatalf("ReplayJournal shard %d: %v", i, err)
+				}
+				if live := rec.NonTerminal(); len(live) != 0 {
+					t.Fatalf("shard %d journal still holds %d live jobs after the drain", i, len(live))
+				}
+			}
+		}},
+		{"advance", Message{Op: "advance", Seconds: 20000}, func(t *testing.T, r *Router, c *client, adv Response) {
+			if !adv.OK || adv.Code != "" || adv.VirtualNow != 20000 {
+				t.Fatalf("router advance over busy shards: %+v", adv)
+			}
+			if got := r.virtualTargetGet(); got != 20000 {
+				t.Fatalf("catch-up horizon %v after advancing every shard to 20000", got)
+			}
+			sh := c.call(t, Message{Op: "shards"})
+			for _, info := range sh.Shards {
+				if info.VirtualNow != 20000 || info.Terminal != info.Jobs {
+					t.Fatalf("shard %d after the advance: %+v", info.Index, info)
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := t.TempDir()
+			r := startTestRouter(t, RouterConfig{
+				Socket: filepath.Join(base, "r.sock"),
+				Shards: 2,
+				Dir:    filepath.Join(base, "state"),
+				Pace:   0,
+			})
+			c := dial(t, r.cfg.Socket)
+			perShard := map[int]int{}
+			for i := 0; i < jobs; i++ {
+				resp := c.call(t, Message{Op: "submit", ID: fmt.Sprintf("d-%d", i), Statement: "q18 ACC MIN 99% WITHIN 3600 SECONDS", BatchRows: 20})
+				if !resp.OK {
+					t.Fatalf("submit %d: %+v", i, resp)
+				}
+				perShard[resp.Shard]++
+			}
+			if perShard[0] == 0 || perShard[1] == 0 {
+				t.Fatalf("premise: queued jobs on every shard, got %v", perShard)
+			}
+			start := time.Now()
+			resp := c.call(t, tc.op)
+			t.Logf("%s over %d queued jobs took %v", tc.name, jobs, time.Since(start))
+			tc.check(t, r, c, resp)
+		})
+	}
+}
+
+// TestRouterShardServeExitsEarly: a shard whose Serve returns before its
+// driver starts — here a regular file holds its socket path, so the bind
+// fails — reads as down and never blocks anyone. The router still boots,
+// a request for that shard's job gets a typed shard-unavailable reply,
+// and a forward onto such a server answers the same way.
+func TestRouterShardServeExitsEarly(t *testing.T) {
 	base := t.TempDir()
-	r := startTestRouter(t, RouterConfig{
-		Socket:         filepath.Join(base, "r.sock"),
+	socket := filepath.Join(base, "r.sock")
+	if err := os.WriteFile(socket+".shard0", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter(RouterConfig{
+		Socket:         socket,
 		Shards:         2,
 		Dir:            filepath.Join(base, "state"),
-		Pace:           0,
-		RequestTimeout: 100 * time.Millisecond,
+		Build:          testShardBuilder,
+		Obs:            obs.NewRegistry(),
+		ProbeInterval:  20 * time.Millisecond,
+		RestartBackoff: time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		r.Serve()
+	}()
+	select {
+	case <-r.Ready():
+	case <-time.After(20 * time.Second):
+		t.Fatal("router boot blocked on a shard whose Serve returned early")
+	}
+	t.Cleanup(func() {
+		r.Close()
+		<-served
+	})
+	if st, _ := r.ShardState(0); st != ShardDown {
+		t.Fatalf("shard 0 is %v after its bind failed", st)
+	}
+	c := dial(t, socket)
+	stmt := "q1 ACC MIN 60% WITHIN 900 SECONDS"
+	if resp := c.call(t, Message{Op: "submit", ID: idOwnedBy(t, r, 0), Statement: stmt}); resp.OK || resp.Code != CodeShardUnavailable || resp.RetryAfterSecs <= 0 {
+		t.Fatalf("submit to the shard that never served: %+v", resp)
+	}
+	if resp := c.call(t, Message{Op: "submit", ID: idOwnedBy(t, r, 1), Statement: stmt}); !resp.OK || resp.Shard != 1 {
+		t.Fatalf("submit to the healthy shard: %+v", resp)
+	}
+
+	exec, cat, reg, err := testShardBuilder(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Socket: socket + ".shard0", Obs: reg}, exec, cat)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := srv.Serve(); err == nil {
+		t.Fatal("premise: Serve bound a socket over a regular file")
+	}
+	got := make(chan Response, 1)
+	go func() {
+		got <- r.forward(&shardHandle{index: 0, state: ShardRunning, srv: srv}, Message{Op: "status", ID: "x"})
+	}()
+	select {
+	case resp := <-got:
+		if resp.OK || resp.Code != CodeShardUnavailable || resp.RetryAfterSecs <= 0 {
+			t.Fatalf("forward onto a server that never started its driver: %+v", resp)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("forward onto a server that never started its driver blocked")
+	}
+}
+
+// TestRouterMetricsExposition: the router's metrics op is one valid
+// Prometheus exposition over its own registry and every shard's — each
+// family has exactly one # TYPE line, its samples are contiguous, and
+// every shard sample carries shard="i" as its first label. Rendering each
+// shard separately and appending the texts repeated every shared family's
+// header once per shard and split its samples across the scrape.
+func TestRouterMetricsExposition(t *testing.T) {
+	base := t.TempDir()
+	r := startTestRouter(t, RouterConfig{
+		Socket: filepath.Join(base, "r.sock"),
+		Shards: 3,
+		Dir:    filepath.Join(base, "state"),
+		Obs:    obs.NewRegistry(),
+		Pace:   0,
 	})
 	c := dial(t, r.cfg.Socket)
-	const jobs = 40
-	perShard := map[int]int{}
-	for i := 0; i < jobs; i++ {
-		resp := c.call(t, Message{Op: "submit", ID: fmt.Sprintf("d-%d", i), Statement: "q5 ACC MIN 99% WITHIN 3600 SECONDS"})
-		if !resp.OK {
-			t.Fatalf("submit %d: %+v", i, resp)
+	for i := 0; i < 3; i++ {
+		if resp := c.call(t, Message{Op: "submit", ID: idOwnedBy(t, r, i), Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"}); !resp.OK {
+			t.Fatalf("submit: %+v", resp)
 		}
-		perShard[resp.Shard]++
 	}
-	if perShard[0] == 0 || perShard[1] == 0 {
-		t.Fatalf("premise: queued jobs on every shard, got %v", perShard)
+	if resp := c.call(t, Message{Op: "advance", Seconds: 100}); !resp.OK {
+		t.Fatalf("advance: %+v", resp)
 	}
-	dr := c.call(t, Message{Op: "drain"})
-	if !dr.OK || dr.Jobs != jobs || dr.Terminal != jobs {
-		t.Fatalf("router drain with shard drains past RequestTimeout: %+v", dr)
-	}
-	for i := 0; i < 2; i++ {
-		rec, err := ReplayJournal(filepath.Join(base, "state", fmt.Sprintf("shard-%d", i)))
-		if err != nil {
-			t.Fatalf("ReplayJournal shard %d: %v", i, err)
+	for _, wall := range []bool{false, true} {
+		met := c.call(t, Message{Op: "metrics", Wall: wall})
+		if !met.OK {
+			t.Fatalf("metrics (wall %v): %+v", wall, met)
 		}
-		if live := rec.NonTerminal(); len(live) != 0 {
-			t.Fatalf("shard %d journal still holds %d live jobs after the drain", i, len(live))
+		checkExposition(t, met.Report)
+	}
+}
+
+// checkExposition asserts the merged-scrape contract on one rendering.
+func checkExposition(t *testing.T, text string) {
+	t.Helper()
+	kinds := map[string]string{}
+	done := map[string]bool{} // families whose sample run has ended
+	current := ""
+	shards := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			f := strings.Fields(line)
+			if _, dup := kinds[f[2]]; dup {
+				t.Fatalf("family %s has a second TYPE line", f[2])
+			}
+			kinds[f[2]] = f[3]
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, labels, _ := strings.Cut(strings.Fields(line)[0], "{")
+		fam := name
+		if _, ok := kinds[fam]; !ok {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base := strings.TrimSuffix(name, suffix); kinds[base] == "histogram" {
+					fam = base
+				}
+			}
+		}
+		if _, ok := kinds[fam]; !ok {
+			t.Fatalf("sample %q precedes any TYPE line for its family", line)
+		}
+		if fam != current {
+			if done[fam] {
+				t.Fatalf("family %s's samples are split across the scrape (at %q)", fam, line)
+			}
+			done[current] = true
+			current = fam
+		}
+		if strings.HasPrefix(fam, "rotary_router_") {
+			continue // the router's own registry
+		}
+		shard, ok := strings.CutPrefix(labels, `shard="`)
+		if !ok {
+			t.Fatalf("shard sample without a leading shard label: %q", line)
+		}
+		shards[shard[:strings.IndexByte(shard, '"')]] = true
+	}
+	for _, want := range []string{"0", "1", "2"} {
+		if !shards[want] {
+			t.Fatalf("no samples from shard %s", want)
 		}
 	}
 }

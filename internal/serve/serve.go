@@ -180,7 +180,8 @@ const (
 	// CodeShardUnavailable: the shard owning the request is down and under
 	// supervised restart. The reply carries retry_after_secs; the request
 	// was not processed and is safe to retry (submits should carry a
-	// req_id). Never a hang: every router→shard call is deadline-bounded.
+	// req_id). A shard whose driver exits mid-request answers this too,
+	// instead of leaving the caller waiting.
 	CodeShardUnavailable = "shard-unavailable"
 	// CodeShardRetired: the shard was retired; its jobs were migrated off
 	// and new work is rerouted, but shard-addressed ops (trace-tail,
@@ -351,10 +352,9 @@ type Server struct {
 	// before the catch-up sweep, restoring journal/state agreement.
 	droppedStaged []Record
 
-	mu       sync.Mutex
-	lns      []net.Listener
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
+	listenerSet
+
+	mu       sync.Mutex // guards final
 	final    Response
 	killOnce sync.Once
 }
@@ -433,7 +433,6 @@ func New(cfg Config, exec *core.AQPExecutor, cat *tpch.Catalog) (*Server, error)
 		jobIndex:    make(map[string]*core.AQPJob),
 		liveJobs:    make(map[string]*liveEntry),
 	}
-	s.conns = make(map[net.Conn]struct{})
 	if s.jl != nil {
 		s.serverEpoch = s.jl.ServerEpoch()
 		if err := s.recoverFromJournal(); err != nil {
@@ -535,71 +534,19 @@ func (m *serveMetrics) count(op string) {
 // blocks until a drain completes (a client "drain" op or a Drain call,
 // typically from the SIGTERM handler).
 func (s *Server) Serve() error {
-	// The primary socket is connectable the moment it is bound, before the
-	// extra listeners are: s.mu is held across bind and publish so a client
-	// that got in early sees ListenAddrs block, never a partial set.
-	s.mu.Lock()
-	lns, err := bindListeners(s.cfg.Socket, s.cfg.Listeners)
-	s.lns = lns
-	s.mu.Unlock()
-	if err != nil {
+	if err := s.bind(s.cfg.Socket, s.cfg.Listeners); err != nil {
+		// No driver will ever run: release whoever waits on one (Kill, and
+		// in-process callers of dispatch) instead of leaving them blocked.
+		close(s.doneCh)
 		return err
 	}
 	go s.drive()
-	var accept sync.WaitGroup
-	for _, ln := range lns {
-		accept.Add(1)
-		go func(ln net.Listener) {
-			defer accept.Done()
-			s.acceptLoop(ln)
-		}(ln)
-	}
-	accept.Wait()
+	s.acceptAll(s.dispatch,
+		func(codec string) { s.met.conns[codec].Inc() },
+		func() { s.met.oversized.Inc() })
 	<-s.doneCh
-	// Unblock idle readers without cutting off in-flight replies: a
-	// handler mid-write finishes, then its next read fails and it closes
-	// its own connection.
-	s.mu.Lock()
-	for c := range s.conns {
-		c.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	s.quiesce()
 	return nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed by drain
-		}
-		s.mu.Lock()
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-// ListenAddrs reports the bound listener addresses (useful when a
-// "tcp:127.0.0.1:0" spec asked the kernel to pick the port).
-func (s *Server) ListenAddrs() []net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	addrs := make([]net.Addr, 0, len(s.lns))
-	for _, ln := range s.lns {
-		addrs = append(addrs, ln.Addr())
-	}
-	return addrs
-}
-
-func (s *Server) closeListeners() {
-	s.mu.Lock()
-	for _, ln := range s.lns {
-		ln.Close()
-	}
-	s.mu.Unlock()
 }
 
 // removeStaleSocket clears a dead Unix socket left by an unclean exit
@@ -1268,28 +1215,13 @@ func (s *Server) statsResponse() Response {
 	}
 }
 
-// serveConn negotiates the connection's codec and runs the shared
-// connection loop: requests in, replies out, typed errors for malformed
-// or oversized input.
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	connLoop(conn, s.dispatch,
-		func(codec string) { s.met.conns[codec].Inc() },
-		func() { s.met.oversized.Inc() })
-}
-
-// dispatch forwards one message to the driver goroutine, handling the
-// races around drain (the driver may exit between the send and the
-// reply) and applying ingress backpressure: a full ring answers a typed
-// "overloaded" refusal with a retry hint instead of blocking the
-// connection handler — unbounded buffering just moves the queue
-// somewhere invisible.
+// dispatch forwards one message to the driver goroutine — for the
+// server's own connections and a sharded router's in-process calls alike
+// — and returns once the driver has replied or exited (a driver that
+// exits without replying answers "draining"). It applies ingress
+// backpressure: a full ring answers a typed "overloaded" refusal with a
+// retry hint instead of blocking the caller — unbounded buffering just
+// moves the queue somewhere invisible.
 func (s *Server) dispatch(m Message) Response {
 	r := request{msg: m, reply: make(chan Response, 1)}
 	select {

@@ -1,10 +1,12 @@
 // One shard of a sharded arbiter daemon: a full durable serving stack —
 // private engine, executor, write-ahead journal, and checkpoint
-// namespace — listening on its own Unix socket, plus the handle the
-// router and supervisor share to manage it. Shards are isolation
-// domains: a shard crash abandons only that shard's in-memory state, and
-// its journal replays it back, exactly as the single-shard durable
-// server recovers from a SIGKILL.
+// namespace — running as a Server in the router's process, plus the
+// handle the router and supervisor share to manage it. The router calls
+// the shard in-process; the shard also listens on its own Unix socket
+// for direct access. Shards are isolation domains: a shard crash
+// abandons only that shard's in-memory state, and its journal replays it
+// back, exactly as the single-shard durable server recovers from a
+// SIGKILL.
 package serve
 
 import (
@@ -61,23 +63,19 @@ func (s ShardState) String() string {
 // engine and the shard's durable checkpoint store. It is called at boot
 // and again on every supervised restart, so it must build an isolated
 // stack each time (own engine, own tracer, own admission controller) and
-// register metrics on a registry it returns — the router merges per-shard
-// registries into one scrape under a shard label.
+// register metrics on a registry it returns — the router renders every
+// shard's registry into one scrape under a shard label.
 type ShardBuilder func(index int, store *core.CheckpointStore) (*core.AQPExecutor, *tpch.Catalog, *obs.Registry, error)
 
 // shardHandle is the router/supervisor view of one shard.
 type shardHandle struct {
-	index  int
-	socket string
-	dir    string
+	index int
+	dir   string
 
 	mu        sync.Mutex
 	state     ShardState
 	srv       *Server
 	store     *core.CheckpointStore
-	client    *Client // forwarding client (retries)
-	probe     *Client // single-attempt health-probe client
-	serveDone chan struct{}
 	restarts  int
 	backoff   time.Duration
 	retryAt   time.Time
@@ -101,13 +99,13 @@ func (h *shardHandle) Store() *core.CheckpointStore {
 }
 
 // startShard boots (or restarts) one shard: reopen the durable pair —
-// replaying the journal — build a fresh executor stack on it, serve the
-// shard socket, wait until it answers a health probe, and catch its
-// virtual clock up to the router's advance horizon. Any leftover server
-// from a previous incarnation is killed first so its journal file handle
-// is released before the reopen; a stale shard socket left by a SIGKILL
-// is reclaimed by the server's own dial-probe sweep, so one dead socket
-// never aborts the whole daemon's startup.
+// replaying the journal — build a fresh executor stack on it, serve it,
+// and, once it answers a health op, catch its virtual clock up to the
+// router's advance horizon. Any leftover server from a previous
+// incarnation is killed first so its journal file handle is released
+// before the reopen; a stale shard socket left by a SIGKILL is reclaimed
+// by the server's own dial-probe sweep, so one dead socket never aborts
+// the whole daemon's startup.
 func (r *Router) startShard(h *shardHandle) error {
 	h.mu.Lock()
 	if old := h.srv; old != nil {
@@ -136,7 +134,7 @@ func (r *Router) startShard(h *shardHandle) error {
 		return fmt.Errorf("shard %d: build: %w", h.index, err)
 	}
 	srv, err := New(Config{
-		Socket:          h.socket,
+		Socket:          fmt.Sprintf("%s.shard%d", r.cfg.Socket, h.index),
 		Pace:            r.cfg.Pace,
 		Tick:            r.cfg.Tick,
 		BatchRows:       r.cfg.BatchRows,
@@ -153,62 +151,36 @@ func (r *Router) startShard(h *shardHandle) error {
 		return fmt.Errorf("shard %d: %w", h.index, err)
 	}
 	done := make(chan struct{})
+	var serveErr error
 	go func() {
-		srv.Serve()
+		serveErr = srv.Serve()
 		close(done)
 	}()
-
-	// The probe client's retry loop doubles as the readiness wait: it
-	// redials until the listener is bound, then runs the health op.
-	probe, err := NewClient(ClientConfig{
-		Socket:         h.socket,
-		DialTimeout:    250 * time.Millisecond,
-		Backoff:        10 * time.Millisecond,
-		MaxBackoff:     100 * time.Millisecond,
-		Attempts:       25,
-		RequestTimeout: r.cfg.RequestTimeout,
-	})
-	if err == nil {
-		var resp Response
-		resp, err = probe.Do(Message{Op: "health"})
-		if err == nil {
-			// Clock catch-up: a restart rewinds the shard to its last
-			// journaled position; advance it back to the furthest horizon the
-			// router has broadcast so it rejoins its peers' timeline.
-			if target := r.virtualTargetGet(); target > resp.VirtualNow {
-				_, err = probe.Do(Message{Op: "advance", Seconds: target - resp.VirtualNow})
-			}
-			h.mu.Lock()
-			h.lastEpoch = resp.ServerEpoch
-			h.mu.Unlock()
+	// The health op waits on the ingress ring until the driver starts, or
+	// answers draining if Serve failed before starting it. Clock catch-up:
+	// a restart rewinds the shard to its last journaled position; advance
+	// it back to the furthest horizon the router has broadcast so it
+	// rejoins its peers' timeline.
+	resp := srv.dispatch(Message{Op: "health"})
+	epoch := resp.ServerEpoch
+	if target := r.virtualTargetGet(); resp.OK && target > resp.VirtualNow {
+		resp = srv.dispatch(Message{Op: "advance", Seconds: target - resp.VirtualNow})
+	}
+	if !resp.OK {
+		srv.Kill()
+		<-done
+		store.Close()
+		if serveErr != nil {
+			return fmt.Errorf("shard %d: %w", h.index, serveErr)
 		}
-	}
-	if err != nil {
-		srv.Kill()
-		store.Close()
-		return fmt.Errorf("shard %d: readiness: %w", h.index, err)
-	}
-	client, err := NewClient(ClientConfig{
-		Socket:         h.socket,
-		DialTimeout:    500 * time.Millisecond,
-		Backoff:        25 * time.Millisecond,
-		MaxBackoff:     250 * time.Millisecond,
-		Attempts:       3,
-		RequestTimeout: r.cfg.RequestTimeout,
-	})
-	if err != nil {
-		srv.Kill()
-		store.Close()
-		return fmt.Errorf("shard %d: %w", h.index, err)
+		return fmt.Errorf("shard %d: readiness: %s", h.index, resp.Error)
 	}
 
 	h.mu.Lock()
 	wasRestart := h.restarts > 0 || h.state == ShardRestarting || h.state == ShardDown
 	h.srv = srv
 	h.store = store
-	h.client = client
-	h.probe = probe
-	h.serveDone = done
+	h.lastEpoch = epoch
 	h.state = ShardRunning
 	h.backoff = 0
 	h.lastErr = nil

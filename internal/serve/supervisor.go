@@ -49,24 +49,16 @@ func (r *Router) supervise() {
 // performing the start.
 func (r *Router) checkShard(h *shardHandle) {
 	h.mu.Lock()
-	state, probe, done := h.state, h.probe, h.serveDone
-	retryAt := h.retryAt
+	state, srv, retryAt := h.state, h.srv, h.retryAt
 	h.mu.Unlock()
 	switch state {
 	case ShardRunning:
-		// A serve loop that exited is a crash even if a last probe would
-		// still squeak through on a buffered connection.
-		select {
-		case <-done:
+		// A driver that exited — crashed, killed, or drained behind the
+		// router's back — answers draining: the shard is down.
+		resp := srv.dispatch(Message{Op: "health"})
+		if resp.Code == CodeDraining {
 			r.met.probeFailures[h.index].Inc()
 			r.markDown(h, errors.New("serve loop exited"))
-			return
-		default:
-		}
-		resp, err := probe.Do(Message{Op: "health"})
-		if err != nil {
-			r.met.probeFailures[h.index].Inc()
-			r.markDown(h, err)
 			return
 		}
 		// "journal-failed" means the shard exhausted its self-heal budget
@@ -77,18 +69,15 @@ func (r *Router) checkShard(h *shardHandle) {
 		// the cheaper first responder.
 		if resp.Status == "journal-failed" {
 			r.met.probeFailures[h.index].Inc()
-			h.mu.Lock()
-			srv := h.srv
-			h.mu.Unlock()
-			if srv != nil {
-				srv.Kill()
-			}
+			srv.Kill()
 			r.markDown(h, fmt.Errorf("journal failed beyond self-heal: %s", resp.Error))
 			return
 		}
-		h.mu.Lock()
-		h.lastEpoch = resp.ServerEpoch
-		h.mu.Unlock()
+		if resp.OK { // not an overloaded refusal
+			h.mu.Lock()
+			h.lastEpoch = resp.ServerEpoch
+			h.mu.Unlock()
+		}
 	case ShardDown:
 		if time.Now().Before(retryAt) {
 			return
