@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"rotary"
 	"rotary/internal/aqp"
 	"rotary/internal/experiments"
 	"rotary/internal/stream"
@@ -340,7 +339,7 @@ var (
 
 func benchmarkAQPEpoch(b *testing.B, width int) {
 	aqpEpochOnce.Do(func() {
-		ds := rotary.GenerateTPCH(0.05, 7)
+		ds := tpch.Generate(0.05, 7)
 		aqpEpochTopic = stream.NewShuffledTopic("lineitem", ds.Lineitems, 64, 7)
 	})
 	cutoff := tpch.MakeDate(1998, 9, 2)
@@ -384,7 +383,7 @@ func benchmarkAQPEpoch(b *testing.B, width int) {
 // maps. encode is Checkpoint(); restore is Restore() into a live query.
 // The bytes metric is the payload length.
 func BenchmarkAQPCheckpoint(b *testing.B) {
-	cat := tpch.NewCatalog(rotary.GenerateTPCH(0.02, 1), 1)
+	cat := tpch.NewCatalog(tpch.Generate(0.02, 1), 1)
 	for _, name := range []string{"q1", "q18", "q21"} {
 		q, err := cat.NewQuery(name)
 		if err != nil {

@@ -13,8 +13,16 @@ import (
 	"os"
 	"runtime"
 
-	"rotary"
+	"rotary/internal/baselines"
 	"rotary/internal/cliutil"
+	"rotary/internal/core"
+	"rotary/internal/estimate"
+	"rotary/internal/faults"
+	"rotary/internal/metrics"
+	"rotary/internal/obs"
+	"rotary/internal/sim"
+	"rotary/internal/tpch"
+	"rotary/internal/workload"
 )
 
 func main() {
@@ -40,6 +48,7 @@ func main() {
 	)
 	flag.Parse()
 	if err := cliutil.ValidateAll(
+		cliutil.OneOf("-policy", *policy, "rotary", "relaqs", "edf", "laf", "rr"),
 		cliutil.MinInt("-jobs", *jobs, 1),
 		cliutil.Positive("-sf", *sf),
 		cliutil.NonNegative("-arrival", *mean),
@@ -53,8 +62,8 @@ func main() {
 	}
 
 	fmt.Printf("generating TPC-H at SF=%g (seed %d)…\n", *sf, *seed)
-	ds := rotary.GenerateTPCH(*sf, *seed)
-	cat := rotary.NewCatalog(ds, *seed)
+	ds := tpch.Generate(*sf, *seed)
+	cat := tpch.NewCatalog(ds, *seed)
 
 	if *desc != "" {
 		out, err := cat.Describe(*desc)
@@ -65,54 +74,54 @@ func main() {
 		return
 	}
 
-	var specs []rotary.AQPSpec
+	var specs []workload.AQPSpec
 	if *load != "" {
 		var err error
-		specs, err = rotary.LoadAQPSpecs(*load)
+		specs, err = workload.LoadAQPSpecs(*load)
 		if err != nil {
 			log.Fatal(err)
 		}
 	} else {
-		wcfg := rotary.DefaultAQPWorkload(*jobs, *seed)
+		wcfg := workload.DefaultAQPWorkload(*jobs, *seed)
 		wcfg.MeanArrivalSecs = *mean
-		wcfg.BatchRows = rotary.RecommendedBatchRows(cat)
-		specs = rotary.GenerateAQPWorkload(wcfg)
+		wcfg.BatchRows = workload.RecommendedBatchRows(cat)
+		specs = workload.GenerateAQP(wcfg)
 	}
 	if *save != "" {
-		if err := rotary.SaveAQPSpecs(*save, specs); err != nil {
+		if err := workload.SaveAQPSpecs(*save, specs); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("saved workload to %s\n", *save)
 	}
 
-	repo := rotary.NewRepository()
-	var sched rotary.AQPScheduler
+	repo := estimate.NewRepository()
+	var sched core.AQPScheduler
 	switch *policy {
 	case "rotary":
-		if err := rotary.SeedAQPHistory(repo, cat, rotary.RecommendedBatchRows(cat)); err != nil {
+		if err := workload.SeedAQPHistory(repo, cat, workload.RecommendedBatchRows(cat)); err != nil {
 			log.Fatal(err)
 		}
-		sched = rotary.NewRotaryAQP(rotary.NewAccuracyProgress(repo, 3))
+		sched = core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))
 	case "relaqs":
-		sched = rotary.ReLAQS{}
+		sched = baselines.ReLAQS{}
 	case "edf":
-		sched = rotary.EDFAQP{}
+		sched = baselines.EDFAQP{}
 	case "laf":
-		sched = rotary.LAFAQP{}
+		sched = baselines.LAFAQP{}
 	case "rr":
-		sched = rotary.RoundRobinAQP{}
+		sched = baselines.RoundRobinAQP{}
 	default:
 		log.Printf("unknown policy %q", *policy)
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	execCfg := rotary.DefaultAQPExecConfig(rotary.DefaultAQPMemoryMB(cat))
+	execCfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
 	// Grants map to real goroutines in the data path; cap the physical
 	// fan-out to the local machine while the virtual 20-thread testbed
 	// accounting stays unchanged.
 	execCfg.DataParallelism = *dataPar
-	var injector *rotary.FaultInjector
+	var injector *faults.Injector
 	if *faultRate > 0 {
 		fseed := *faultSeed
 		if fseed == 0 {
@@ -123,43 +132,43 @@ func main() {
 			log.Fatal(err)
 		}
 		defer os.RemoveAll(dir)
-		store, err := rotary.NewCheckpointStore(dir, 8)
+		store, err := core.NewCheckpointStore(dir, 8)
 		if err != nil {
 			log.Fatal(err)
 		}
-		injector = rotary.NewFaultInjector(rotary.UniformFaults(fseed, *faultRate))
+		injector = faults.New(faults.Uniform(fseed, *faultRate))
 		store.SetFaults(injector)
 		execCfg.Store = store
 		execCfg.Faults = injector
 		fmt.Printf("fault injection armed: rate=%g seed=%d\n", *faultRate, fseed)
 	}
-	var tracer *rotary.Tracer
+	var tracer *core.Tracer
 	if *trace > 0 || *traceOut != "" {
-		tracer = &rotary.Tracer{}
+		tracer = &core.Tracer{}
 		execCfg.Tracer = tracer
 	}
 	if *traceOut != "" {
-		sink, err := rotary.OpenJSONLSink(*traceOut)
+		sink, err := obs.OpenJSONLSink(*traceOut)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer sink.Close()
 		tracer.SetSink(sink)
 	}
-	exec := rotary.NewAQPExecutor(execCfg, sched, repo)
+	exec := core.NewAQPExecutor(execCfg, sched, repo)
 	for _, spec := range specs {
-		j, err := rotary.BuildAQPJob(cat, spec)
+		j, err := workload.BuildAQPJob(cat, spec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		exec.Submit(j, rotary.Time(spec.ArrivalSecs))
+		exec.Submit(j, sim.Time(spec.ArrivalSecs))
 	}
 	fmt.Printf("running %d jobs under %s…\n\n", len(specs), sched.Name())
 	if err := exec.Run(); err != nil {
 		log.Fatal(err)
 	}
 
-	rep := rotary.AnalyzeAQP(sched.Name(), exec.Jobs(), nil)
+	rep := metrics.AnalyzeAQP(sched.Name(), exec.Jobs(), nil)
 	rep.SortOutcomesByID()
 	fmt.Printf("%-18s %-7s %-7s %9s %9s %9s %-10s %s\n",
 		"job", "query", "class", "threshold", "deadline", "runtime", "status", "attained")
@@ -180,20 +189,20 @@ func main() {
 	fmt.Printf("virtual makespan: %s\n", exec.Engine().Now())
 	if injector != nil {
 		fmt.Println()
-		fmt.Print(rotary.RenderRecovery(sched.Name(), exec.Recovery(), execCfg.Store.Health()))
+		fmt.Print(metrics.RenderRecovery(sched.Name(), exec.Recovery(), execCfg.Store.Health()))
 	}
 	if tracer != nil && *trace > 0 {
 		fmt.Printf("\nlast %d arbitration events:\n%s", *trace, tracer.Render(*trace))
 	}
 	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(rotary.DefaultMetrics().RenderText(true)), 0o644); err != nil {
+		if err := os.WriteFile(*metricsOut, []byte(obs.Default().RenderText(true)), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote metrics to %s\n", *metricsOut)
 	}
 }
 
-func findThreshold(specs []rotary.AQPSpec, id string) float64 {
+func findThreshold(specs []workload.AQPSpec, id string) float64 {
 	for _, s := range specs {
 		if s.ID == id {
 			return s.Accuracy
@@ -202,7 +211,7 @@ func findThreshold(specs []rotary.AQPSpec, id string) float64 {
 	return 0
 }
 
-func findDeadline(specs []rotary.AQPSpec, id string) float64 {
+func findDeadline(specs []workload.AQPSpec, id string) float64 {
 	for _, s := range specs {
 		if s.ID == id {
 			return s.DeadlineSecs

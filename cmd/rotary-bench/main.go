@@ -14,9 +14,10 @@ import (
 	"os"
 	"strings"
 
-	"rotary"
 	"rotary/internal/cliutil"
+	"rotary/internal/core"
 	"rotary/internal/experiments"
+	"rotary/internal/obs"
 )
 
 type runner struct {
@@ -83,7 +84,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		sink, err := rotary.OpenJSONLSink(*traceOut)
+		sink, err := obs.OpenJSONLSink(*traceOut)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -91,9 +92,9 @@ func main() {
 		// Experiment helpers build executors internally; the default tracer
 		// lets every one of them stream into the single JSONL sink without
 		// retaining events in memory (capacity 1 keeps the ring trivial).
-		tracer := rotary.NewTracer(1)
+		tracer := core.NewTracer(1)
 		tracer.SetSink(sink)
-		rotary.SetDefaultTracer(tracer)
+		core.SetDefaultTracer(tracer)
 	}
 
 	cfg := experiments.Config{SF: *sf, Seed: *seed, Runs: *runs, AQPJobs: *aqpJobs, DLTJobs: *dltJobs}
@@ -129,7 +130,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(rotary.DefaultMetrics().RenderText(true)), 0o644); err != nil {
+		if err := os.WriteFile(*metricsOut, []byte(obs.Default().RenderText(true)), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote metrics to %s\n", *metricsOut)

@@ -13,8 +13,15 @@ import (
 	"log"
 	"os"
 
-	"rotary"
+	"rotary/internal/baselines"
 	"rotary/internal/cliutil"
+	"rotary/internal/core"
+	"rotary/internal/estimate"
+	"rotary/internal/faults"
+	"rotary/internal/metrics"
+	"rotary/internal/obs"
+	"rotary/internal/sim"
+	"rotary/internal/workload"
 )
 
 func main() {
@@ -37,6 +44,7 @@ func main() {
 	)
 	flag.Parse()
 	if err := cliutil.ValidateAll(
+		cliutil.OneOf("-policy", *policy, "adaptive", "fairness", "efficiency", "srf", "bcf", "laf"),
 		cliutil.MinInt("-jobs", *jobs, 1),
 		cliutil.MinInt("-gpus", *gpus, 1),
 		cliutil.MinInt("-history", *history, 0),
@@ -48,56 +56,56 @@ func main() {
 		os.Exit(2)
 	}
 
-	var specs []rotary.DLTSpec
+	var specs []workload.DLTSpec
 	if *load != "" {
 		var err error
-		specs, err = rotary.LoadDLTSpecs(*load)
+		specs, err = workload.LoadDLTSpecs(*load)
 		if err != nil {
 			log.Fatal(err)
 		}
 	} else {
 		var err error
-		specs, err = rotary.GenerateDLTWorkload(rotary.DefaultDLTWorkload(*jobs, *seed))
+		specs, err = workload.GenerateDLT(workload.DefaultDLTWorkload(*jobs, *seed))
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
 	if *save != "" {
-		if err := rotary.SaveDLTSpecs(*save, specs); err != nil {
+		if err := workload.SaveDLTSpecs(*save, specs); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("saved workload to %s\n", *save)
 	}
-	repo := rotary.NewRepository()
-	if err := rotary.SeedDLTHistory(repo, *history, 30, *seed); err != nil {
+	repo := estimate.NewRepository()
+	if err := workload.SeedDLTHistory(repo, *history, 30, *seed); err != nil {
 		log.Fatal(err)
 	}
-	tee := rotary.NewTEE(repo, 3)
-	tme := rotary.NewTME(repo, 3)
+	tee := estimate.NewTEE(repo, 3)
+	tme := estimate.NewTME(repo, 3)
 
-	var sched rotary.DLTScheduler
+	var sched core.DLTScheduler
 	switch *policy {
 	case "adaptive":
-		sched = rotary.NewRotaryDLT(0.5, tee, tme)
+		sched = core.NewRotaryDLT(0.5, tee, tme)
 	case "fairness":
-		sched = rotary.NewRotaryDLT(1.0, tee, tme)
+		sched = core.NewRotaryDLT(1.0, tee, tme)
 	case "efficiency":
-		sched = rotary.NewRotaryDLT(0.0, tee, tme)
+		sched = core.NewRotaryDLT(0.0, tee, tme)
 	case "srf":
-		sched = rotary.SRF{}
+		sched = baselines.SRF{}
 	case "bcf":
-		sched = rotary.BCF{}
+		sched = baselines.BCF{}
 	case "laf":
-		sched = rotary.LAFDLT{}
+		sched = baselines.LAFDLT{}
 	default:
 		log.Printf("unknown policy %q", *policy)
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	cfg := rotary.DefaultDLTExecConfig()
+	cfg := core.DefaultDLTExecConfig()
 	cfg.GPUs = *gpus
-	var injector *rotary.FaultInjector
+	var injector *faults.Injector
 	if *faultRate > 0 {
 		fseed := *faultSeed
 		if fseed == 0 {
@@ -108,33 +116,33 @@ func main() {
 			log.Fatal(err)
 		}
 		defer os.RemoveAll(dir)
-		store, err := rotary.NewCheckpointStore(dir, 8)
+		store, err := core.NewCheckpointStore(dir, 8)
 		if err != nil {
 			log.Fatal(err)
 		}
-		injector = rotary.NewFaultInjector(rotary.UniformFaults(fseed, *faultRate))
+		injector = faults.New(faults.Uniform(fseed, *faultRate))
 		store.SetFaults(injector)
 		cfg.Store = store
 		cfg.Faults = injector
 		fmt.Printf("fault injection armed: rate=%g seed=%d\n", *faultRate, fseed)
 	}
-	var tracer *rotary.Tracer
+	var tracer *core.Tracer
 	if *trace > 0 || *traceOut != "" {
-		tracer = &rotary.Tracer{}
+		tracer = &core.Tracer{}
 		cfg.Tracer = tracer
 	}
 	if *traceOut != "" {
-		sink, err := rotary.OpenJSONLSink(*traceOut)
+		sink, err := obs.OpenJSONLSink(*traceOut)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer sink.Close()
 		tracer.SetSink(sink)
 	}
-	exec := rotary.NewDLTExecutor(cfg, sched, repo)
-	built := make([]*rotary.DLTJob, 0, len(specs))
+	exec := core.NewDLTExecutor(cfg, sched, repo)
+	built := make([]*core.DLTJob, 0, len(specs))
 	for _, spec := range specs {
-		j, err := rotary.BuildDLTJob(spec)
+		j, err := workload.BuildDLTJob(spec)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -155,14 +163,14 @@ func main() {
 	}
 
 	// Progress snapshots every 60 virtual minutes, Fig. 10-style.
-	var times []rotary.Time
-	for t := rotary.Time(3600); t <= exec.Engine().Now(); t += 3600 {
+	var times []sim.Time
+	for t := sim.Time(3600); t <= exec.Engine().Now(); t += 3600 {
 		times = append(times, t)
 	}
 	times = append(times, exec.Engine().Now())
 	fmt.Printf("\n%10s %8s %6s %6s %6s %6s %6s %6s\n",
 		"t(min)", "attained", "min", "p25", "p50", "p75", "max", "mean")
-	for _, s := range rotary.SnapshotDLT(built, times) {
+	for _, s := range metrics.SnapshotDLT(built, times) {
 		v := s.Progress
 		fmt.Printf("%10.0f %8d %6.2f %6.2f %6.2f %6.2f %6.2f %6.2f\n",
 			s.At.Minutes(), s.Attained, v.Min, v.P25, v.P50, v.P75, v.Max, v.Mean)
@@ -171,13 +179,13 @@ func main() {
 		exec.Engine().Now().Minutes(), exec.TTR().Overhead())
 	if injector != nil {
 		fmt.Println()
-		fmt.Print(rotary.RenderRecovery(sched.Name(), exec.Recovery(), cfg.Store.Health()))
+		fmt.Print(metrics.RenderRecovery(sched.Name(), exec.Recovery(), cfg.Store.Health()))
 	}
 	if tracer != nil && *trace > 0 {
 		fmt.Printf("\nlast %d arbitration events:\n%s", *trace, tracer.Render(*trace))
 	}
 	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(rotary.DefaultMetrics().RenderText(true)), 0o644); err != nil {
+		if err := os.WriteFile(*metricsOut, []byte(obs.Default().RenderText(true)), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote metrics to %s\n", *metricsOut)

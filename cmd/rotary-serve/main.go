@@ -70,8 +70,8 @@ import (
 	"syscall"
 	"time"
 
-	"rotary"
 	"rotary/internal/admission"
+	"rotary/internal/baselines"
 	"rotary/internal/cliutil"
 	"rotary/internal/core"
 	"rotary/internal/diskio"
@@ -125,6 +125,7 @@ func main() {
 		}
 	}
 	if err := cliutil.ValidateAll(
+		cliutil.OneOf("-policy", *policy, "rotary", "relaqs", "edf", "laf", "rr"),
 		cliutil.Positive("-sf", *sf),
 		cliutil.NonNegative("-pace", *pace),
 		cliutil.MinInt("-shards", *shards, 1),
@@ -192,7 +193,7 @@ func main() {
 	}
 
 	cat := tpch.NewCatalog(ds, *seed)
-	repo := rotary.NewRepository()
+	repo := estimate.NewRepository()
 	sched, err := buildScheduler(*policy, repo, cat)
 	if err != nil {
 		log.Println(err)
@@ -250,7 +251,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer os.RemoveAll(dir)
-		store, err := rotary.NewCheckpointStore(dir, 8)
+		store, err := core.NewCheckpointStore(dir, 8)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -310,15 +311,15 @@ func buildScheduler(policy string, repo *estimate.Repository, cat *tpch.Catalog)
 		if err := workload.SeedAQPHistory(repo, cat, workload.RecommendedBatchRows(cat)); err != nil {
 			return nil, err
 		}
-		return rotary.NewRotaryAQP(rotary.NewAccuracyProgress(repo, 3)), nil
+		return core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3)), nil
 	case "relaqs":
-		return rotary.ReLAQS{}, nil
+		return baselines.ReLAQS{}, nil
 	case "edf":
-		return rotary.EDFAQP{}, nil
+		return baselines.EDFAQP{}, nil
 	case "laf":
-		return rotary.LAFAQP{}, nil
+		return baselines.LAFAQP{}, nil
 	case "rr":
-		return rotary.RoundRobinAQP{}, nil
+		return baselines.RoundRobinAQP{}, nil
 	default:
 		return nil, fmt.Errorf("unknown policy %q", policy)
 	}
@@ -375,7 +376,7 @@ func runSharded(o shardedOpts) error {
 	build := func(index int, store *core.CheckpointStore) (*core.AQPExecutor, *tpch.Catalog, *obs.Registry, error) {
 		reg := obs.NewRegistry()
 		cat := tpch.NewCatalog(o.ds, o.seed+uint64(index))
-		repo := rotary.NewRepository()
+		repo := estimate.NewRepository()
 		sched, err := buildScheduler(o.policy, repo, cat)
 		if err != nil {
 			return nil, nil, nil, err

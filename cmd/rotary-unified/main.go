@@ -14,8 +14,13 @@ import (
 	"log"
 	"os"
 
-	"rotary"
 	"rotary/internal/cliutil"
+	"rotary/internal/core"
+	"rotary/internal/estimate"
+	"rotary/internal/obs"
+	"rotary/internal/sim"
+	"rotary/internal/tpch"
+	"rotary/internal/workload"
 )
 
 func main() {
@@ -43,50 +48,50 @@ func main() {
 	}
 
 	fmt.Printf("generating TPC-H at SF=%g and seeding history…\n", *sf)
-	ds := rotary.GenerateTPCH(*sf, *seed)
-	cat := rotary.NewCatalog(ds, *seed)
-	repo := rotary.NewRepository()
-	if err := rotary.SeedAQPHistory(repo, cat, rotary.RecommendedBatchRows(cat)); err != nil {
+	ds := tpch.Generate(*sf, *seed)
+	cat := tpch.NewCatalog(ds, *seed)
+	repo := estimate.NewRepository()
+	if err := workload.SeedAQPHistory(repo, cat, workload.RecommendedBatchRows(cat)); err != nil {
 		log.Fatal(err)
 	}
-	if err := rotary.SeedDLTHistory(repo, 30, 30, *seed); err != nil {
+	if err := workload.SeedDLTHistory(repo, 30, 30, *seed); err != nil {
 		log.Fatal(err)
 	}
 
 	if *traceOut != "" {
-		sink, err := rotary.OpenJSONLSink(*traceOut)
+		sink, err := obs.OpenJSONLSink(*traceOut)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer sink.Close()
 		// Both substrates adopt the default tracer, so one JSONL stream
 		// carries the unified run's full arbitration timeline.
-		tracer := rotary.NewTracer(0)
+		tracer := core.NewTracer(0)
 		tracer.SetSink(sink)
-		rotary.SetDefaultTracer(tracer)
+		core.SetDefaultTracer(tracer)
 	}
 
-	u := rotary.NewUnifiedExecutor(rotary.UnifiedExecConfig{
-		AQP:       rotary.DefaultAQPExecConfig(rotary.DefaultAQPMemoryMB(cat)),
-		DLT:       rotary.DefaultDLTExecConfig(),
+	u := core.NewUnifiedExecutor(core.UnifiedExecConfig{
+		AQP:       core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)),
+		DLT:       core.DefaultDLTExecConfig(),
 		Threshold: *threshold,
 	}, repo)
 
-	wcfg := rotary.DefaultAQPWorkload(*aqpJobs, *seed)
-	wcfg.BatchRows = rotary.RecommendedBatchRows(cat)
-	for _, spec := range rotary.GenerateAQPWorkload(wcfg) {
-		j, err := rotary.BuildAQPJob(cat, spec)
+	wcfg := workload.DefaultAQPWorkload(*aqpJobs, *seed)
+	wcfg.BatchRows = workload.RecommendedBatchRows(cat)
+	for _, spec := range workload.GenerateAQP(wcfg) {
+		j, err := workload.BuildAQPJob(cat, spec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		u.SubmitAQP(j, rotary.Time(spec.ArrivalSecs))
+		u.SubmitAQP(j, sim.Time(spec.ArrivalSecs))
 	}
-	dltSpecs, err := rotary.GenerateDLTWorkload(rotary.DefaultDLTWorkload(*dltJobs, *seed))
+	dltSpecs, err := workload.GenerateDLT(workload.DefaultDLTWorkload(*dltJobs, *seed))
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, spec := range dltSpecs {
-		j, err := rotary.BuildDLTJob(spec)
+		j, err := workload.BuildDLTJob(spec)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -96,7 +101,7 @@ func main() {
 	fmt.Printf("running %d AQP + %d DLT jobs with cluster-wide T = %.0f%%…\n\n",
 		*aqpJobs, *dltJobs, *threshold*100)
 	fmt.Printf("%10s %22s\n", "t(min)", "cluster min progress")
-	for tick := rotary.Time(600); ; tick += 600 {
+	for tick := sim.Time(600); ; tick += 600 {
 		u.Engine().RunUntil(tick)
 		fmt.Printf("%10.0f %22.2f\n", tick.Minutes(), u.MinProgress())
 		if u.Engine().Pending() == 0 {
@@ -106,19 +111,19 @@ func main() {
 
 	aqpDone, dltDone := 0, 0
 	for _, j := range u.AQPJobs() {
-		if j.Status() == rotary.StatusAttainedStop {
+		if j.Status() == core.StatusAttainedStop {
 			aqpDone++
 		}
 	}
 	for _, j := range u.DLTJobs() {
-		if j.Status() == rotary.StatusAttainedStop {
+		if j.Status() == core.StatusAttainedStop {
 			dltDone++
 		}
 	}
 	fmt.Printf("\nattained: %d/%d AQP, %d/%d DLT; makespan %.0f virtual minutes\n",
 		aqpDone, len(u.AQPJobs()), dltDone, len(u.DLTJobs()), u.Engine().Now().Minutes())
 	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(rotary.DefaultMetrics().RenderText(true)), 0o644); err != nil {
+		if err := os.WriteFile(*metricsOut, []byte(obs.Default().RenderText(true)), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote metrics to %s\n", *metricsOut)

@@ -3,12 +3,16 @@ package rotary_test
 import (
 	"fmt"
 
-	"rotary"
+	"rotary/internal/core"
+	"rotary/internal/criteria"
+	"rotary/internal/dlt"
+	"rotary/internal/estimate"
+	"rotary/internal/workload"
 )
 
 // Parsing the Fig. 4 completion-criteria clause off a user command.
 func Example_parseCriteria() {
-	cmd, crit, err := rotary.ParseCriteria(
+	cmd, crit, err := criteria.Parse(
 		"TRAIN RESNET-18 ON CIFAR10 ACC MIN 90% WITHIN 25 EPOCHS")
 	if err != nil {
 		fmt.Println(err)
@@ -25,17 +29,17 @@ func Example_parseCriteria() {
 // cluster. The convergence-oriented criterion completes the job once the
 // per-epoch accuracy delta falls below 0.01.
 func Example_dltJob() {
-	repo := rotary.NewRepository()
-	sched := rotary.NewRotaryDLT(0.5, rotary.NewTEE(repo, 3), rotary.NewTME(repo, 3))
-	exec := rotary.NewDLTExecutor(rotary.DefaultDLTExecConfig(), sched, repo)
+	repo := estimate.NewRepository()
+	sched := core.NewRotaryDLT(0.5, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
+	exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
 
-	trainer, _ := rotary.NewTrainer(rotary.DLTConfig{
+	trainer, _ := dlt.NewJob(dlt.Config{
 		Model: "mobilenet", Dataset: "cifar10", BatchSize: 32,
 		Optimizer: "sgd", LR: 0.01, Seed: 7,
 	})
-	crit, _ := rotary.NewConvergenceCriteria("ACC", 0.01,
-		rotary.Deadline{Value: 30, Unit: rotary.Epochs})
-	job, _ := rotary.NewDLTJob("demo", trainer, crit)
+	crit, _ := criteria.NewConvergence("ACC", 0.01,
+		criteria.Deadline{Value: 30, Unit: criteria.Epochs})
+	job, _ := core.NewDLTJob("demo", trainer, crit)
 	exec.Submit(job, 0)
 	if err := exec.Run(); err != nil {
 		fmt.Println(err)
@@ -48,7 +52,7 @@ func Example_dltJob() {
 // The Table I and Table II workload generators sample the paper's
 // parameter spaces deterministically.
 func Example_workloads() {
-	aqp := rotary.GenerateAQPWorkload(rotary.DefaultAQPWorkload(3, 1))
+	aqp := workload.GenerateAQP(workload.DefaultAQPWorkload(3, 1))
 	for _, s := range aqp {
 		fmt.Printf("%s class=%s acc=%.0f%% deadline=%.0fs\n",
 			s.Query, s.Class, s.Accuracy*100, s.DeadlineSecs)

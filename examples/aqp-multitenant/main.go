@@ -13,17 +13,23 @@ import (
 	"fmt"
 	"log"
 
-	"rotary"
+	"rotary/internal/baselines"
+	"rotary/internal/core"
+	"rotary/internal/estimate"
+	"rotary/internal/metrics"
+	"rotary/internal/sim"
+	"rotary/internal/tpch"
+	"rotary/internal/workload"
 )
 
-func run(cat *rotary.Catalog, specs []rotary.AQPSpec, sched rotary.AQPScheduler, repo *rotary.Repository) []*rotary.AQPJob {
-	exec := rotary.NewAQPExecutor(rotary.DefaultAQPExecConfig(rotary.DefaultAQPMemoryMB(cat)), sched, repo)
+func run(cat *tpch.Catalog, specs []workload.AQPSpec, sched core.AQPScheduler, repo *estimate.Repository) []*core.AQPJob {
+	exec := core.NewAQPExecutor(core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)), sched, repo)
 	for _, spec := range specs {
-		j, err := rotary.BuildAQPJob(cat, spec)
+		j, err := workload.BuildAQPJob(cat, spec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		exec.Submit(j, rotary.Time(spec.ArrivalSecs))
+		exec.Submit(j, sim.Time(spec.ArrivalSecs))
 	}
 	if err := exec.Run(); err != nil {
 		log.Fatal(err)
@@ -34,24 +40,24 @@ func run(cat *rotary.Catalog, specs []rotary.AQPSpec, sched rotary.AQPScheduler,
 func main() {
 	log.SetFlags(0)
 	fmt.Println("generating shared TPC-H warehouse (SF 0.01)…")
-	ds := rotary.GenerateTPCH(0.01, 7)
-	cat := rotary.NewCatalog(ds, 7)
+	ds := tpch.Generate(0.01, 7)
+	cat := tpch.NewCatalog(ds, 7)
 
-	wcfg := rotary.DefaultAQPWorkload(30, 7)
-	wcfg.BatchRows = rotary.RecommendedBatchRows(cat)
-	specs := rotary.GenerateAQPWorkload(wcfg)
+	wcfg := workload.DefaultAQPWorkload(30, 7)
+	wcfg.BatchRows = workload.RecommendedBatchRows(cat)
+	specs := workload.GenerateAQP(wcfg)
 
-	repo := rotary.NewRepository()
-	if err := rotary.SeedAQPHistory(repo, cat, wcfg.BatchRows); err != nil {
+	repo := estimate.NewRepository()
+	if err := workload.SeedAQPHistory(repo, cat, wcfg.BatchRows); err != nil {
 		log.Fatal(err)
 	}
 
-	for _, s := range []rotary.AQPScheduler{
-		rotary.NewRotaryAQP(rotary.NewAccuracyProgress(repo, 3)),
-		rotary.EDFAQP{},
+	for _, s := range []core.AQPScheduler{
+		core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3)),
+		baselines.EDFAQP{},
 	} {
 		jobs := run(cat, specs, s, repo)
-		rep := rotary.AnalyzeAQP(s.Name(), jobs, nil)
+		rep := metrics.AnalyzeAQP(s.Name(), jobs, nil)
 		att := rep.AttainedByClass()
 		tot := rep.TotalByClass()
 
@@ -59,7 +65,7 @@ func main() {
 		// summed over jobs that stopped early with a satisfying answer.
 		var returnedSecs float64
 		for _, j := range jobs {
-			if j.Status() == rotary.StatusAttainedStop {
+			if j.Status() == core.StatusAttainedStop {
 				if slack := j.DeadlineSecs() - (j.EndTime() - j.Arrival()).Seconds(); slack > 0 {
 					returnedSecs += slack
 				}

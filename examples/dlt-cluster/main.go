@@ -9,13 +9,17 @@ import (
 	"fmt"
 	"log"
 
-	"rotary"
+	"rotary/internal/core"
+	"rotary/internal/estimate"
+	"rotary/internal/metrics"
+	"rotary/internal/sim"
+	"rotary/internal/workload"
 )
 
 func main() {
 	log.SetFlags(0)
 	const jobs = 20
-	specs, err := rotary.GenerateDLTWorkload(rotary.DefaultDLTWorkload(jobs, 11))
+	specs, err := workload.GenerateDLT(workload.DefaultDLTWorkload(jobs, 11))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,15 +34,15 @@ func main() {
 		{"efficiency(T=  0%)", 0.0},
 	}
 	for _, v := range variants {
-		repo := rotary.NewRepository()
-		if err := rotary.SeedDLTHistory(repo, 40, 30, 11); err != nil {
+		repo := estimate.NewRepository()
+		if err := workload.SeedDLTHistory(repo, 40, 30, 11); err != nil {
 			log.Fatal(err)
 		}
-		sched := rotary.NewRotaryDLT(v.t, rotary.NewTEE(repo, 3), rotary.NewTME(repo, 3))
-		exec := rotary.NewDLTExecutor(rotary.DefaultDLTExecConfig(), sched, repo)
-		built := make([]*rotary.DLTJob, 0, jobs)
+		sched := core.NewRotaryDLT(v.t, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
+		exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
+		built := make([]*core.DLTJob, 0, jobs)
 		for _, spec := range specs {
-			j, err := rotary.BuildDLTJob(spec)
+			j, err := workload.BuildDLTJob(spec)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -49,14 +53,14 @@ func main() {
 			log.Fatal(err)
 		}
 
-		var times []rotary.Time
-		for t := rotary.Time(3600); t < exec.Engine().Now(); t += 3600 {
+		var times []sim.Time
+		for t := sim.Time(3600); t < exec.Engine().Now(); t += 3600 {
 			times = append(times, t)
 		}
 		times = append(times, exec.Engine().Now())
 		fmt.Printf("\n%s — makespan %.0f min\n", v.label, exec.Engine().Now().Minutes())
 		fmt.Printf("%10s %8s %10s %10s %10s\n", "t(min)", "attained", "min-prog", "median", "mean")
-		for _, s := range rotary.SnapshotDLT(built, times) {
+		for _, s := range metrics.SnapshotDLT(built, times) {
 			fmt.Printf("%10.0f %8d %10.2f %10.2f %10.2f\n",
 				s.At.Minutes(), s.Attained, s.Progress.Min, s.Progress.P50, s.Progress.Mean)
 		}

@@ -15,24 +15,31 @@ import (
 	"fmt"
 	"log"
 
-	"rotary"
+	"rotary/internal/baselines"
+	"rotary/internal/core"
+	"rotary/internal/criteria"
+	"rotary/internal/dlt"
+	"rotary/internal/estimate"
+	"rotary/internal/hpo"
+	"rotary/internal/sim"
+	"rotary/internal/workload"
 )
 
 const targetAcc = 0.88
 
-func buildTrials() []rotary.DLTSpec {
-	crit, err := rotary.NewAccuracyCriteria("ACC", targetAcc,
-		rotary.Deadline{Value: 25, Unit: rotary.Epochs})
+func buildTrials() []workload.DLTSpec {
+	crit, err := criteria.NewAccuracy("ACC", targetAcc,
+		criteria.Deadline{Value: 25, Unit: criteria.Epochs})
 	if err != nil {
 		log.Fatal(err)
 	}
-	var specs []rotary.DLTSpec
+	var specs []workload.DLTSpec
 	i := 0
 	for _, opt := range []string{"sgd", "momentum", "adam", "adagrad"} {
 		for _, lr := range []float64{0.1, 0.01, 0.001, 0.0001} {
-			specs = append(specs, rotary.DLTSpec{
+			specs = append(specs, workload.DLTSpec{
 				ID: fmt.Sprintf("trial-%02d-%s-lr%g", i, opt, lr),
-				Config: rotary.DLTConfig{
+				Config: dlt.Config{
 					Model: "resnet-18", Dataset: "cifar10", BatchSize: 32,
 					Optimizer: opt, LR: lr, Seed: uint64(100 + i),
 				},
@@ -44,10 +51,10 @@ func buildTrials() []rotary.DLTSpec {
 	return specs
 }
 
-func run(label string, sched rotary.DLTScheduler, repo *rotary.Repository, specs []rotary.DLTSpec) {
-	exec := rotary.NewDLTExecutor(rotary.DefaultDLTExecConfig(), sched, repo)
+func run(label string, sched core.DLTScheduler, repo *estimate.Repository, specs []workload.DLTSpec) {
+	exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
 	for _, spec := range specs {
-		j, err := rotary.BuildDLTJob(spec)
+		j, err := workload.BuildDLTJob(spec)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,14 +64,14 @@ func run(label string, sched rotary.DLTScheduler, repo *rotary.Repository, specs
 		log.Fatal(err)
 	}
 
-	firstWin := rotary.Time(0)
+	firstWin := sim.Time(0)
 	winners := 0
 	totalEpochs := 0
 	wastedEpochs := 0
-	var best *rotary.DLTJob
+	var best *core.DLTJob
 	for _, j := range exec.Jobs() {
 		totalEpochs += j.Epochs()
-		if j.Status() == rotary.StatusAttainedStop {
+		if j.Status() == core.StatusAttainedStop {
 			winners++
 			if firstWin == 0 || j.EndTime() < firstWin {
 				firstWin = j.EndTime()
@@ -90,16 +97,16 @@ func main() {
 	fmt.Printf("hyperparameter search: %d trials of resnet-18, target %.0f%% accuracy\n",
 		len(specs), targetAcc*100)
 
-	repo := rotary.NewRepository()
-	if err := rotary.SeedDLTHistory(repo, 40, 30, 5); err != nil {
+	repo := estimate.NewRepository()
+	if err := workload.SeedDLTHistory(repo, 40, 30, 5); err != nil {
 		log.Fatal(err)
 	}
 	run("efficiency Rotary-DLT (prunes unpromising trials)",
-		rotary.NewRotaryDLT(0, rotary.NewTEE(repo, 3), rotary.NewTME(repo, 3)), repo, specs)
+		core.NewRotaryDLT(0, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3)), repo, specs)
 
-	repo2 := rotary.NewRepository()
+	repo2 := estimate.NewRepository()
 	run("round-robin baseline (every trial gets equal turns)",
-		rotary.SRF{}, repo2, specs)
+		baselines.SRF{}, repo2, specs)
 
 	successiveHalving(specs)
 }
@@ -107,12 +114,12 @@ func main() {
 // successiveHalving runs the same grid through the hpo package's
 // Hyperband-style controller, which formalizes the pruning the arbiter
 // does organically above.
-func successiveHalving(specs []rotary.DLTSpec) {
-	configs := make([]rotary.DLTConfig, len(specs))
+func successiveHalving(specs []workload.DLTSpec) {
+	configs := make([]dlt.Config, len(specs))
 	for i, s := range specs {
 		configs[i] = s.Config
 	}
-	res, err := rotary.HPOSearch(rotary.DefaultHPOConfig(), configs)
+	res, err := hpo.Search(hpo.DefaultConfig(), configs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,7 +7,12 @@ import (
 	"fmt"
 	"log"
 
-	"rotary"
+	"rotary/internal/core"
+	"rotary/internal/criteria"
+	"rotary/internal/dlt"
+	"rotary/internal/estimate"
+	"rotary/internal/tpch"
+	"rotary/internal/workload"
 )
 
 func main() {
@@ -21,7 +26,7 @@ func main() {
 		"TRAIN MOBILENET ON CIFAR10 FOR 10 EPOCHS",
 	}
 	for _, cmd := range commands {
-		prefix, crit, err := rotary.ParseCriteria(cmd)
+		prefix, crit, err := criteria.Parse(cmd)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -30,16 +35,16 @@ func main() {
 
 	// --- An AQP job under Rotary-AQP -----------------------------------
 	fmt.Println("\n-- Rotary-AQP: one online-aggregation job --")
-	ds := rotary.GenerateTPCH(0.005, 42)
-	cat := rotary.NewCatalog(ds, 42)
-	repo := rotary.NewRepository()
-	if err := rotary.SeedAQPHistory(repo, cat, rotary.RecommendedBatchRows(cat)); err != nil {
+	ds := tpch.Generate(0.005, 42)
+	cat := tpch.NewCatalog(ds, 42)
+	repo := estimate.NewRepository()
+	if err := workload.SeedAQPHistory(repo, cat, workload.RecommendedBatchRows(cat)); err != nil {
 		log.Fatal(err)
 	}
-	sched := rotary.NewRotaryAQP(rotary.NewAccuracyProgress(repo, 3))
-	exec := rotary.NewAQPExecutor(rotary.DefaultAQPExecConfig(rotary.DefaultAQPMemoryMB(cat)), sched, repo)
+	sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))
+	exec := core.NewAQPExecutor(core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)), sched, repo)
 
-	_, crit, err := rotary.ParseCriteria(commands[0])
+	_, crit, err := criteria.Parse(commands[0])
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,9 +52,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	job, err := rotary.NewAQPJob(rotary.AQPJobConfig{
+	job, err := core.NewAQPJob(core.AQPJobConfig{
 		ID: "quickstart-q6", Query: q, Criteria: crit, Class: "light",
-		BatchRows: rotary.RecommendedBatchRows(cat),
+		BatchRows: workload.RecommendedBatchRows(cat),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -63,15 +68,15 @@ func main() {
 
 	// --- Two DLT jobs under Rotary-DLT ---------------------------------
 	fmt.Println("\n-- Rotary-DLT: convergence- and runtime-oriented training --")
-	dltRepo := rotary.NewRepository()
-	if err := rotary.SeedDLTHistory(dltRepo, 20, 30, 42); err != nil {
+	dltRepo := estimate.NewRepository()
+	if err := workload.SeedDLTHistory(dltRepo, 20, 30, 42); err != nil {
 		log.Fatal(err)
 	}
-	dltSched := rotary.NewRotaryDLT(0.5, rotary.NewTEE(dltRepo, 3), rotary.NewTME(dltRepo, 3))
-	dltExec := rotary.NewDLTExecutor(rotary.DefaultDLTExecConfig(), dltSched, dltRepo)
+	dltSched := core.NewRotaryDLT(0.5, estimate.NewTEE(dltRepo, 3), estimate.NewTME(dltRepo, 3))
+	dltExec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), dltSched, dltRepo)
 
 	for i, cmd := range commands[1:] {
-		_, crit, err := rotary.ParseCriteria(cmd)
+		_, crit, err := criteria.Parse(cmd)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -79,14 +84,14 @@ func main() {
 		if i == 1 {
 			model = "mobilenet"
 		}
-		trainer, err := rotary.NewTrainer(rotary.DLTConfig{
+		trainer, err := dlt.NewJob(dlt.Config{
 			Model: model, Dataset: "cifar10", BatchSize: 32,
 			Optimizer: "sgd", LR: 0.01, Seed: uint64(i + 1),
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		j, err := rotary.NewDLTJob(fmt.Sprintf("quickstart-%s", model), trainer, crit)
+		j, err := core.NewDLTJob(fmt.Sprintf("quickstart-%s", model), trainer, crit)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,39 +15,43 @@ import (
 	"fmt"
 	"log"
 
-	"rotary"
+	"rotary/internal/core"
+	"rotary/internal/estimate"
+	"rotary/internal/sim"
+	"rotary/internal/tpch"
+	"rotary/internal/workload"
 )
 
 func run(threshold float64) {
-	ds := rotary.GenerateTPCH(0.01, 21)
-	cat := rotary.NewCatalog(ds, 21)
-	repo := rotary.NewRepository()
-	if err := rotary.SeedAQPHistory(repo, cat, rotary.RecommendedBatchRows(cat)); err != nil {
+	ds := tpch.Generate(0.01, 21)
+	cat := tpch.NewCatalog(ds, 21)
+	repo := estimate.NewRepository()
+	if err := workload.SeedAQPHistory(repo, cat, workload.RecommendedBatchRows(cat)); err != nil {
 		log.Fatal(err)
 	}
-	if err := rotary.SeedDLTHistory(repo, 30, 30, 21); err != nil {
+	if err := workload.SeedDLTHistory(repo, 30, 30, 21); err != nil {
 		log.Fatal(err)
 	}
-	u := rotary.NewUnifiedExecutor(rotary.UnifiedExecConfig{
-		AQP:       rotary.DefaultAQPExecConfig(rotary.DefaultAQPMemoryMB(cat)),
-		DLT:       rotary.DefaultDLTExecConfig(),
+	u := core.NewUnifiedExecutor(core.UnifiedExecConfig{
+		AQP:       core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)),
+		DLT:       core.DefaultDLTExecConfig(),
 		Threshold: threshold,
 	}, repo)
 
-	for _, spec := range rotary.GenerateAQPWorkload(rotary.DefaultAQPWorkload(8, 21)) {
-		spec.BatchRows = rotary.RecommendedBatchRows(cat)
-		j, err := rotary.BuildAQPJob(cat, spec)
+	for _, spec := range workload.GenerateAQP(workload.DefaultAQPWorkload(8, 21)) {
+		spec.BatchRows = workload.RecommendedBatchRows(cat)
+		j, err := workload.BuildAQPJob(cat, spec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		u.SubmitAQP(j, rotary.Time(spec.ArrivalSecs))
+		u.SubmitAQP(j, sim.Time(spec.ArrivalSecs))
 	}
-	dltSpecs, err := rotary.GenerateDLTWorkload(rotary.DefaultDLTWorkload(8, 21))
+	dltSpecs, err := workload.GenerateDLT(workload.DefaultDLTWorkload(8, 21))
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, spec := range dltSpecs {
-		j, err := rotary.BuildDLTJob(spec)
+		j, err := workload.BuildDLTJob(spec)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +60,7 @@ func run(threshold float64) {
 
 	fmt.Printf("\ncluster-wide threshold T = %.0f%%\n", threshold*100)
 	fmt.Printf("%10s %22s\n", "t(min)", "cluster min progress")
-	for tick := rotary.Time(600); ; tick += 600 {
+	for tick := sim.Time(600); ; tick += 600 {
 		u.Engine().RunUntil(tick)
 		fmt.Printf("%10.0f %22.2f\n", tick.Minutes(), u.MinProgress())
 		if u.Engine().Pending() == 0 {
@@ -65,12 +69,12 @@ func run(threshold float64) {
 	}
 	aqpDone, dltDone := 0, 0
 	for _, j := range u.AQPJobs() {
-		if j.Status() == rotary.StatusAttainedStop {
+		if j.Status() == core.StatusAttainedStop {
 			aqpDone++
 		}
 	}
 	for _, j := range u.DLTJobs() {
-		if j.Status() == rotary.StatusAttainedStop {
+		if j.Status() == core.StatusAttainedStop {
 			dltDone++
 		}
 	}

@@ -7,6 +7,8 @@ package cliutil
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // MinInt requires v >= min.
@@ -39,6 +41,14 @@ func Fraction(name string, v float64) error {
 		return fmt.Errorf("%s must be in [0, 1] (got %g)", name, v)
 	}
 	return nil
+}
+
+// OneOf requires v to be one of allowed.
+func OneOf(name, v string, allowed ...string) error {
+	if slices.Contains(allowed, v) {
+		return nil
+	}
+	return fmt.Errorf("%s must be one of %s (got %q)", name, strings.Join(allowed, ", "), v)
 }
 
 // ValidateAll joins the non-nil errors, one per line.

@@ -28,6 +28,16 @@ func TestValidators(t *testing.T) {
 	if err := Fraction("-fault-rate", 0.5); err != nil {
 		t.Errorf("Fraction(0.5) = %v", err)
 	}
+	if err := OneOf("-policy", "edf", "rotary", "edf"); err != nil {
+		t.Errorf("OneOf(edf) = %v", err)
+	}
+	if err := OneOf("-policy", "bogus", "rotary", "edf"); err == nil ||
+		!strings.Contains(err.Error(), "-policy") || !strings.Contains(err.Error(), "rotary, edf") {
+		t.Errorf("OneOf(bogus) = %v", err)
+	}
+	if err := OneOf("-policy", ""); err == nil {
+		t.Error("OneOf with nothing allowed accepted")
+	}
 }
 
 func TestValidateAllJoins(t *testing.T) {

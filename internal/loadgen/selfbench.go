@@ -17,9 +17,10 @@ import (
 	"runtime"
 	"time"
 
-	"rotary"
 	"rotary/internal/admission"
+	"rotary/internal/baselines"
 	"rotary/internal/core"
+	"rotary/internal/estimate"
 	"rotary/internal/serve"
 	"rotary/internal/tpch"
 	"rotary/internal/workload"
@@ -204,7 +205,7 @@ func runBenchCase(dir, name string, ingressBatch int, ds *tpch.Dataset, lcfg Con
 	cat := tpch.NewCatalog(ds, 1)
 	execCfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
 	execCfg.Admission = admission.NewController(admission.Config{}) // unbounded: refusals would skew the ratio
-	exec := core.NewAQPExecutor(execCfg, rotary.RoundRobinAQP{}, rotary.NewRepository())
+	exec := core.NewAQPExecutor(execCfg, baselines.RoundRobinAQP{}, estimate.NewRepository())
 
 	socket := filepath.Join(dir, name+".sock")
 	srv, err := serve.New(serve.Config{

@@ -1,39 +1,46 @@
 package rotary_test
 
-// End-to-end exercises of the public facade — the same surface the
-// examples and a downstream adopter use.
+// End-to-end exercises of the internal packages the examples and cmd/
+// tools build on: AQP and DLT jobs from criterion to report.
 
 import (
 	"testing"
 
-	"rotary"
+	"rotary/internal/core"
+	"rotary/internal/criteria"
+	"rotary/internal/dlt"
+	"rotary/internal/estimate"
+	"rotary/internal/metrics"
+	"rotary/internal/sim"
+	"rotary/internal/tpch"
+	"rotary/internal/workload"
 )
 
 func TestPublicAPIAQPEndToEnd(t *testing.T) {
-	ds := rotary.GenerateTPCH(0.005, 1)
-	cat := rotary.NewCatalog(ds, 1)
-	repo := rotary.NewRepository()
-	if err := rotary.SeedAQPHistory(repo, cat, rotary.RecommendedBatchRows(cat)); err != nil {
+	ds := tpch.Generate(0.005, 1)
+	cat := tpch.NewCatalog(ds, 1)
+	repo := estimate.NewRepository()
+	if err := workload.SeedAQPHistory(repo, cat, workload.RecommendedBatchRows(cat)); err != nil {
 		t.Fatal(err)
 	}
-	sched := rotary.NewRotaryAQP(rotary.NewAccuracyProgress(repo, 3))
-	exec := rotary.NewAQPExecutor(rotary.DefaultAQPExecConfig(rotary.DefaultAQPMemoryMB(cat)), sched, repo)
+	sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))
+	exec := core.NewAQPExecutor(core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)), sched, repo)
 
 	cmd := "SELECT SUM(L_EXTENDEDPRICE*L_DISCOUNT) FROM LINEITEM ACC MIN 80% WITHIN 900 SECONDS"
-	rest, crit, err := rotary.ParseCriteria(cmd)
+	rest, crit, err := criteria.Parse(cmd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rest == "" || crit.Kind != rotary.AccuracyCriteria {
+	if rest == "" || crit.Kind != criteria.Accuracy {
 		t.Fatalf("parse: %q %+v", rest, crit)
 	}
 	q, err := cat.NewQuery("q6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := rotary.NewAQPJob(rotary.AQPJobConfig{
+	job, err := core.NewAQPJob(core.AQPJobConfig{
 		ID: "api-q6", Query: q, Criteria: crit, Class: "light",
-		BatchRows: rotary.RecommendedBatchRows(cat),
+		BatchRows: workload.RecommendedBatchRows(cat),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,35 +52,35 @@ func TestPublicAPIAQPEndToEnd(t *testing.T) {
 	if !job.Status().Terminal() {
 		t.Fatalf("job not terminal: %v", job.Status())
 	}
-	if job.Status() == rotary.StatusAttainedStop && job.EstimatedAccuracy() < 0.8 {
+	if job.Status() == core.StatusAttainedStop && job.EstimatedAccuracy() < 0.8 {
 		t.Errorf("attained at estimated accuracy %v < threshold", job.EstimatedAccuracy())
 	}
-	rep := rotary.AnalyzeAQP("api", exec.Jobs(), nil)
+	rep := metrics.AnalyzeAQP("api", exec.Jobs(), nil)
 	if len(rep.Outcomes) != 1 {
 		t.Fatalf("report has %d outcomes", len(rep.Outcomes))
 	}
 }
 
 func TestPublicAPIDLTEndToEnd(t *testing.T) {
-	repo := rotary.NewRepository()
-	if err := rotary.SeedDLTHistory(repo, 15, 30, 2); err != nil {
+	repo := estimate.NewRepository()
+	if err := workload.SeedDLTHistory(repo, 15, 30, 2); err != nil {
 		t.Fatal(err)
 	}
-	sched := rotary.NewRotaryDLT(0.5, rotary.NewTEE(repo, 3), rotary.NewTME(repo, 3))
-	exec := rotary.NewDLTExecutor(rotary.DefaultDLTExecConfig(), sched, repo)
+	sched := core.NewRotaryDLT(0.5, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
+	exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
 
-	_, crit, err := rotary.ParseCriteria("TRAIN RESNET ON CIFAR10 ACC DELTA 0.01 WITHIN 30 EPOCHS")
+	_, crit, err := criteria.Parse("TRAIN RESNET ON CIFAR10 ACC DELTA 0.01 WITHIN 30 EPOCHS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainer, err := rotary.NewTrainer(rotary.DLTConfig{
+	trainer, err := dlt.NewJob(dlt.Config{
 		Model: "resnet-18", Dataset: "cifar10", BatchSize: 32,
 		Optimizer: "sgd", LR: 0.01, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := rotary.NewDLTJob("api-resnet", trainer, crit)
+	job, err := core.NewDLTJob("api-resnet", trainer, crit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,37 +88,37 @@ func TestPublicAPIDLTEndToEnd(t *testing.T) {
 	if err := exec.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if job.Status() != rotary.StatusAttainedStop {
+	if job.Status() != core.StatusAttainedStop {
 		t.Fatalf("convergence job ended %v", job.Status())
 	}
 	if job.ConvergedAtEpoch() == 0 {
 		t.Error("no convergence epoch recorded")
 	}
-	snaps := rotary.SnapshotDLT(exec.Jobs(), []rotary.Time{exec.Engine().Now()})
+	snaps := metrics.SnapshotDLT(exec.Jobs(), []sim.Time{exec.Engine().Now()})
 	if len(snaps) != 1 || snaps[0].Attained != 1 {
 		t.Fatalf("snapshot %+v", snaps)
 	}
-	if g := rotary.RenderGantt(exec.Jobs(), 4, exec.Engine().Now(), 20); g == "" {
+	if g := metrics.RenderGantt(exec.Jobs(), 4, exec.Engine().Now(), 20); g == "" {
 		t.Error("empty Gantt")
 	}
 }
 
 func TestPublicAPIWorkloadGeneration(t *testing.T) {
-	specs := rotary.GenerateAQPWorkload(rotary.DefaultAQPWorkload(10, 1))
+	specs := workload.GenerateAQP(workload.DefaultAQPWorkload(10, 1))
 	if len(specs) != 10 {
 		t.Fatalf("%d AQP specs", len(specs))
 	}
-	dspecs, err := rotary.GenerateDLTWorkload(rotary.DefaultDLTWorkload(10, 1))
+	dspecs, err := workload.GenerateDLT(workload.DefaultDLTWorkload(10, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dspecs) != 10 {
 		t.Fatalf("%d DLT specs", len(dspecs))
 	}
-	if len(rotary.TPCHQueries) != 22 {
-		t.Fatalf("%d TPC-H queries", len(rotary.TPCHQueries))
+	if len(tpch.AllQueries) != 22 {
+		t.Fatalf("%d TPC-H queries", len(tpch.AllQueries))
 	}
-	if len(rotary.Models()) == 0 {
+	if len(dlt.Models()) == 0 {
 		t.Fatal("empty model zoo")
 	}
 }
