@@ -30,6 +30,25 @@ type Topic[T any] struct {
 // NewTopic builds a topic from records, split round-robin into nparts
 // partitions. nparts < 1 is treated as 1.
 func NewTopic[T any](name string, records []T, nparts int) *Topic[T] {
+	return newTopic(name, records, nil, nparts)
+}
+
+// NewShuffledTopic is NewTopic after a seeded permutation of records, so
+// that batches are uniform progressive samples. The permutation is drawn
+// over record indexes, so each record is copied once, straight into its
+// partition; the input slice is not modified.
+func NewShuffledTopic[T any](name string, records []T, nparts int, seed uint64) *Topic[T] {
+	perm := make([]int32, len(records))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sim.Shuffle(sim.NewRand(seed), perm)
+	return newTopic(name, records, perm, nparts)
+}
+
+// newTopic splits records, taken in perm's order (nil: their own),
+// round-robin into nparts partitions.
+func newTopic[T any](name string, records []T, perm []int32, nparts int) *Topic[T] {
 	if nparts < 1 {
 		nparts = 1
 	}
@@ -37,21 +56,15 @@ func NewTopic[T any](name string, records []T, nparts int) *Topic[T] {
 	for p := range parts {
 		parts[p] = make([]T, 0, (len(records)+nparts-1-p)/nparts)
 	}
-	for i, rec := range records {
+	for i := range records {
+		j := i
+		if perm != nil {
+			j = int(perm[i])
+		}
 		p := i % nparts
-		parts[p] = append(parts[p], rec)
+		parts[p] = append(parts[p], records[j])
 	}
 	return &Topic[T]{name: name, partitions: parts, total: len(records)}
-}
-
-// NewShuffledTopic is NewTopic after a seeded permutation of records, so
-// that batches are uniform progressive samples. The input slice is not
-// modified.
-func NewShuffledTopic[T any](name string, records []T, nparts int, seed uint64) *Topic[T] {
-	shuffled := make([]T, len(records))
-	copy(shuffled, records)
-	sim.Shuffle(sim.NewRand(seed), shuffled)
-	return NewTopic(name, shuffled, nparts)
 }
 
 // Name reports the topic name.

@@ -1,8 +1,11 @@
 package stream
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"rotary/internal/sim"
 )
 
 func intRecords(n int) []int {
@@ -91,6 +94,29 @@ func TestShuffledTopicIsSeededPermutation(t *testing.T) {
 	}
 	if same == 200 {
 		t.Fatal("different seeds produced identical shuffles")
+	}
+}
+
+// The index-permutation build must lay out exactly the topic the record
+// shuffle did: copy the records, shuffle the copy, split it round-robin.
+func TestShuffledTopicMatchesCopyShuffleSplit(t *testing.T) {
+	for _, size := range []int{0, 1, 5, 1000, 12345} {
+		for _, nparts := range []int{1, 3, 4, 64} {
+			for _, seed := range []uint64{0, 7, 0x11} {
+				records := intRecords(size)
+				shuffled := make([]int, size)
+				copy(shuffled, records)
+				sim.Shuffle(sim.NewRand(seed), shuffled)
+				want := NewTopic("t", shuffled, nparts)
+				got := NewShuffledTopic("t", records, nparts, seed)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("size %d, %d partitions, seed %d: topic differs from copy-shuffle-split", size, nparts, seed)
+				}
+				if !reflect.DeepEqual(records, intRecords(size)) {
+					t.Fatalf("size %d: input records modified", size)
+				}
+			}
+		}
 	}
 }
 

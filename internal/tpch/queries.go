@@ -283,8 +283,9 @@ func (c *Catalog) MemoryProfile(name string) (aqp.MemoryProfile, error) {
 }
 
 // NewQuery builds a fresh runnable instance of the named query with its
-// own stream consumer and the ground-truth final answer attached (computed
-// once per catalog and cached). Every call returns an independent job.
+// own stream consumer and the ground-truth final answer attached (from the
+// catalog's cache, which workload.SeedAQPHistory fills; a cold name costs
+// one full pass). Every call returns an independent job.
 func (c *Catalog) NewQuery(name string) (aqp.OnlineQuery, error) {
 	q, err := c.build(name)
 	if err != nil {
@@ -299,24 +300,41 @@ func (c *Catalog) NewQuery(name string) (aqp.OnlineQuery, error) {
 }
 
 // GroundTruth returns the final aggregates of the named query over the
-// full dataset, computing and caching them on first use.
+// full dataset: from the cache, or by one Drain on first use.
 func (c *Catalog) GroundTruth(name string) (aqp.Snapshot, error) {
 	c.mu.Lock()
-	if t, ok := c.truth[name]; ok {
-		c.mu.Unlock()
+	t, ok := c.truth[name]
+	c.mu.Unlock()
+	if ok {
 		return t, nil
 	}
-	c.mu.Unlock()
+	return c.Drain(name, 65536, 1, nil)
+}
 
+// Drain runs a fresh instance of the named query, with no ground truth
+// attached, to the end of its stream on one thread, in epochs of up to
+// batches ProcessBatch calls of batchRows rows. After each epoch, epoch
+// (if non-nil) receives the epoch's virtual cost and the running snapshot.
+// The final snapshot is the ground truth at any epoch sizing (DESIGN §6),
+// so Drain caches it for GroundTruth and NewQuery, and returns it.
+func (c *Catalog) Drain(name string, batchRows, batches int, epoch func(cost float64, snap aqp.Snapshot)) (aqp.Snapshot, error) {
 	q, err := c.build(name)
 	if err != nil {
 		return aqp.Snapshot{}, err
 	}
 	oq := q.online()
-	for {
-		rows, _ := oq.ProcessBatch(65536, 1)
-		if rows == 0 {
-			break
+	batchRows, batches = max(batchRows, 1), max(batches, 1)
+	for !oq.Exhausted() {
+		var cost float64
+		for b := 0; b < batches; b++ {
+			rows, bc := oq.ProcessBatch(batchRows, 1)
+			cost += bc
+			if rows == 0 {
+				break
+			}
+		}
+		if epoch != nil {
+			epoch(cost, oq.Snapshot())
 		}
 	}
 	t := oq.Snapshot()

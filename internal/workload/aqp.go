@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sync"
 
+	"rotary/internal/aqp"
 	"rotary/internal/core"
 	"rotary/internal/criteria"
 	"rotary/internal/estimate"
@@ -167,7 +168,9 @@ func DefaultAQPMemoryMB(cat *tpch.Catalog) float64 {
 // thread, and stores its (runtime, estimated-accuracy) progress curve in
 // the repository — the historical data Rotary-AQP's progress estimator
 // fits against ("the historical data are from the selected historical
-// jobs that are similar to job j", §IV-A).
+// jobs that are similar to job j", §IV-A). Each run's final snapshot is
+// the query's ground truth (tpch.Catalog.Drain), so the one pass both
+// scores the curve and fills the catalog's truth cache for NewQuery.
 //
 // The 22 runs are independent (each query owns its consumer; the catalog's
 // shared caches are locked), so they are spread over GOMAXPROCS goroutines.
@@ -208,10 +211,6 @@ func SeedAQPHistory(repo *estimate.Repository, cat *tpch.Catalog, batchRows int)
 
 // aqpHistoryRecord is one query's standalone run for SeedAQPHistory.
 func aqpHistoryRecord(cat *tpch.Catalog, name string, batchRows int) (estimate.AQPRecord, error) {
-	q, err := cat.NewQuery(name)
-	if err != nil {
-		return estimate.AQPRecord{}, err
-	}
 	cls, err := tpch.ClassOf(name)
 	if err != nil {
 		return estimate.AQPRecord{}, err
@@ -230,20 +229,20 @@ func aqpHistoryRecord(cat *tpch.Catalog, name string, batchRows int) (estimate.A
 	}
 	var secs float64
 	var curve []estimate.Point
-	for !q.Exhausted() {
-		var epochCost float64
-		for b := 0; b < 4; b++ {
-			rows, cost := q.ProcessBatch(qBatch, 1)
-			epochCost += cost
-			if rows == 0 {
-				break
-			}
-		}
-		secs += epochCost
-		// Historical curves store the retrospective true accuracy:
-		// once a job has run to completion its final answer is known,
-		// so its whole αc/αf trajectory is reconstructible.
-		curve = append(curve, estimate.Point{X: secs, Y: q.Accuracy()})
+	var snaps []aqp.Snapshot
+	final, err := cat.Drain(name, qBatch, 4, func(cost float64, snap aqp.Snapshot) {
+		secs += cost
+		curve = append(curve, estimate.Point{X: secs})
+		snaps = append(snaps, snap)
+	})
+	if err != nil {
+		return estimate.AQPRecord{}, err
+	}
+	// Historical curves store the retrospective true accuracy: once a job
+	// has run to completion its final answer is known, so its whole αc/αf
+	// trajectory is reconstructible.
+	for i, snap := range snaps {
+		curve[i].Y = aqp.Accuracy(snap, final)
 	}
 	return estimate.AQPRecord{
 		ID:        "hist-" + name,

@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"rotary/internal/aqp"
 	"rotary/internal/criteria"
 	"rotary/internal/dlt"
 	"rotary/internal/estimate"
@@ -200,6 +202,113 @@ func TestSeedAQPHistoryMatchesSequential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("concurrently seeded repository differs from the sequential one")
+	}
+}
+
+// twoPassHistoryRecord is the seed's former algorithm, kept as its
+// oracle: the query's ground truth from a pass of its own, then a second
+// run with that truth attached, scored after every 4 batches.
+func twoPassHistoryRecord(t *testing.T, cat *tpch.Catalog, name string, batchRows int) estimate.AQPRecord {
+	t.Helper()
+	q, err := cat.NewQuery(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, err := tpch.ClassOf(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qBatch := batchRows
+	if factRows, ferr := cat.FactRows(name); ferr == nil && factRows/64 < qBatch {
+		qBatch = factRows / 64
+	}
+	qBatch = max(qBatch, 10)
+	var secs float64
+	var curve []estimate.Point
+	for !q.Exhausted() {
+		var epochCost float64
+		for b := 0; b < 4; b++ {
+			rows, cost := q.ProcessBatch(qBatch, 1)
+			epochCost += cost
+			if rows == 0 {
+				break
+			}
+		}
+		secs += epochCost
+		curve = append(curve, estimate.Point{X: secs, Y: q.Accuracy()})
+	}
+	return estimate.AQPRecord{ID: "hist-" + name, Query: name, Class: cls.String(),
+		BatchRows: batchRows, Curve: curve}
+}
+
+// sameBits reports whether two snapshots agree bit for bit.
+func sameBits(a, b aqp.Snapshot) bool {
+	if !reflect.DeepEqual(a.Specs, b.Specs) || len(a.Groups) != len(b.Groups) {
+		return false
+	}
+	for g, av := range a.Groups {
+		bv, ok := b.Groups[g]
+		if !ok || len(av) != len(bv) {
+			return false
+		}
+		for i := range av {
+			if math.Float64bits(av[i]) != math.Float64bits(bv[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// firstCallAllocs counts the allocations of f's first run, the way
+// testing.AllocsPerRun counts them, but without AllocsPerRun's warm-up
+// call — which would fill a cold cache before the count began.
+func firstCallAllocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// Seeding scans each query once and takes its ground truth from that
+// pass's final snapshot. It must produce the repository the two-pass
+// algorithm did, leave every truth cached, and cache exactly the truth a
+// cold GroundTruth pass computes — at the test and the daemon's scale
+// factor, at every batch sizing, with the 22 runs racing on the cache.
+func TestSeedAQPHistoryMatchesTwoPass(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, sf := range []float64{0.005, 0.02} {
+		ds := tpch.Generate(sf, 1)
+		for _, batchRows := range []int{200, 500, 2000, 0} {
+			oracle := tpch.NewCatalog(ds, 1)
+			if batchRows == 0 {
+				batchRows = RecommendedBatchRows(oracle)
+			}
+			want := estimate.NewRepository()
+			for _, name := range tpch.AllQueries {
+				want.AddAQP(twoPassHistoryRecord(t, oracle, name, batchRows))
+			}
+			seeded := tpch.NewCatalog(ds, 1)
+			got := estimate.NewRepository()
+			if err := SeedAQPHistory(got, seeded, batchRows); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("SF %v, batch %d: one-pass repository differs from the two-pass one", sf, batchRows)
+			}
+			for _, name := range tpch.AllQueries {
+				if allocs := firstCallAllocs(func() { seeded.GroundTruth(name) }); allocs != 0 {
+					t.Errorf("SF %v, batch %d, %s: GroundTruth after seeding allocates %v times, want a cache hit", sf, batchRows, name, allocs)
+				}
+				a, _ := seeded.GroundTruth(name)
+				b, _ := oracle.GroundTruth(name)
+				if !sameBits(a, b) {
+					t.Errorf("SF %v, batch %d, %s: seeded truth differs from the cold GroundTruth pass", sf, batchRows, name)
+				}
+			}
+		}
 	}
 }
 
