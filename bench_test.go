@@ -380,7 +380,7 @@ func benchmarkAQPEpoch(b *testing.B, width int) {
 // store's disk write, at the state a job carries ~16 % into its stream on
 // the end-to-end benchmark's dataset (SF 0.02): q1 is a handful of groups
 // in per-partition partials, q18 and q21 carry the large per-order aux
-// maps. encode is Checkpoint(); restore is Restore() into a live query.
+// state. encode is Checkpoint(); restore is Restore() into a live query.
 // The bytes metric is the payload length.
 func BenchmarkAQPCheckpoint(b *testing.B) {
 	cat := tpch.NewCatalog(tpch.Generate(0.02, 1), 1)

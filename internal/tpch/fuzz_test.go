@@ -3,6 +3,8 @@ package tpch
 import (
 	"bytes"
 	"testing"
+
+	"rotary/internal/aqp"
 )
 
 // FuzzCheckpointDecode is internal/aqp's fuzz target of the same name
@@ -25,6 +27,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 			f.Add(cp[:len(cp)-len(cp)/8-1])
 			f.Add(append(cp[:len(cp):len(cp)], 0xFF, 0xFF, 0xFF, 0xFF, 0x0F))
 		}
+	}
+	// Q18 entries for order keys that cannot exist, which the decoder
+	// once accepted.
+	q18, _ := cat.NewQuery("q18")
+	pristine, _ := q18.Checkpoint()
+	for _, key := range []int64{-5, 1 << 30} {
+		f.Add(withAuxEntry(pristine, key, append(aqp.AppendFloat(nil, 5), 0)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, name := range auxQueries {

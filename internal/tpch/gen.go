@@ -198,6 +198,9 @@ func genPartSupps(parts []Part, suppliers []Supplier, seed uint64) []PartSupp {
 	return out
 }
 
+// maxLinesPerOrder bounds an order's lines, as in dbgen.
+const maxLinesPerOrder = 7
+
 func genOrdersAndLines(sf float64, d *Dataset, seed uint64) ([]Order, []Lineitem) {
 	r := sim.NewRand(seed ^ 0x1f)
 	nOrders := scaled(1500000, sf, 1500)
@@ -211,7 +214,7 @@ func genOrdersAndLines(sf float64, d *Dataset, seed uint64) ([]Order, []Lineitem
 
 	for i := 0; i < nOrders; i++ {
 		orderDate := Date(r.IntN(dateSpan - 121))
-		nLines := 1 + r.IntN(7)
+		nLines := 1 + r.IntN(maxLinesPerOrder)
 		// TPC-H rule: customers whose key is divisible by 3 never place
 		// orders, which is what gives Q22 its "customers without orders"
 		// population.

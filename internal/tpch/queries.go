@@ -521,30 +521,31 @@ func (c *Catalog) buildQ3() (built, error) {
 func (c *Catalog) buildQ4() (built, error) {
 	lo, hi := MakeDate(1993, 7, 1), MakeDate(1993, 10, 1)
 	specs := []aqp.AggSpec{{Name: "order_count", Kind: aqp.Count}}
-	seen := newAuxMap[bool]()
+	nOrders := len(c.ds.Orders)
+	seen := newAuxStore[struct{}](nOrders)
 	return c.lineQuery("q4", specs, aqp.Processor[Lineitem]{
 		Process: func(rows []Lineitem, gt *aqp.GroupTable) {
 			for i := range rows {
 				l := &rows[i]
-				if l.CommitDate >= l.ReceiptDate || seen.m[l.OrderKey] {
+				if l.CommitDate >= l.ReceiptDate || seen.at(l.OrderKey) != nil {
 					continue
 				}
 				o := c.order(l.OrderKey)
 				if o.OrderDate < lo || o.OrderDate >= hi {
 					continue
 				}
-				seen.add(l.OrderKey, true)
+				seen.add(l.OrderKey)
 				gt.Update(o.OrderPriority, 1)
 			}
 		},
 		SaveAux: func(b []byte) []byte {
-			return seen.append(b, func(b []byte, _ bool) []byte { return b })
+			return seen.append(b, func(b []byte, _ *struct{}) []byte { return b })
 		},
 		LoadAux: func(d *aqp.Dec) func() {
-			m := decodeAux(d, 0, func(*aqp.Dec) bool { return true })
+			m := decodeAux(d, nOrders, 0, func(*aqp.Dec, int32, *struct{}) {})
 			return func() { seen = m }
 		},
-		AuxBytes: func() int64 { return int64(len(seen.m)) * 16 },
+		AuxBytes: func() int64 { return int64(seen.len()) * 16 },
 	})
 }
 
@@ -823,7 +824,8 @@ func (c *Catalog) buildQ17() (built, error) {
 		Sum   float64
 		Count int64
 	}
-	avgs := newAuxMap[*pavg]()
+	nParts := len(c.ds.Parts)
+	avgs := newAuxStore[pavg](nParts)
 	specs := []aqp.AggSpec{{Name: "sum_extendedprice", Kind: aqp.Sum}, {Name: "count", Kind: aqp.Count}}
 	return c.lineQuery("q17", specs, aqp.Processor[Lineitem]{
 		Process: func(rows []Lineitem, gt *aqp.GroupTable) {
@@ -836,10 +838,9 @@ func (c *Catalog) buildQ17() (built, error) {
 				if p.Brand != "Brand#23" || !strings.HasPrefix(p.Container, "MED") {
 					continue
 				}
-				a, ok := avgs.m[l.PartKey]
-				if !ok {
-					a = &pavg{}
-					avgs.add(l.PartKey, a)
+				a := avgs.at(l.PartKey)
+				if a == nil {
+					a = avgs.add(l.PartKey)
 				}
 				a.Sum += l.Quantity
 				a.Count++
@@ -854,10 +855,12 @@ func (c *Catalog) buildQ17() (built, error) {
 			})
 		},
 		LoadAux: func(d *aqp.Dec) func() {
-			m := decodeAux(d, 9, func(d *aqp.Dec) *pavg { return &pavg{Sum: d.Float(), Count: int64(d.Uvarint())} })
+			m := decodeAux(d, nParts, 9, func(d *aqp.Dec, _ int32, a *pavg) {
+				a.Sum, a.Count = d.Float(), int64(d.Uvarint())
+			})
 			return func() { avgs = m }
 		},
-		AuxBytes: func() int64 { return int64(len(avgs.m)) * 48 },
+		AuxBytes: func() int64 { return int64(avgs.len()) * 48 },
 	})
 }
 
@@ -868,16 +871,16 @@ func (c *Catalog) buildQ18() (built, error) {
 		Qty   float64
 		Added bool
 	}
-	acc := newAuxMap[*ostate]()
+	nOrders := len(c.ds.Orders)
+	acc := newAuxStore[ostate](nOrders)
 	specs := []aqp.AggSpec{{Name: "count_orders", Kind: aqp.Count}, {Name: "sum_totalprice", Kind: aqp.Sum}}
 	return c.lineQuery("q18", specs, aqp.Processor[Lineitem]{
 		Process: func(rows []Lineitem, gt *aqp.GroupTable) {
 			for i := range rows {
 				l := &rows[i]
-				st, ok := acc.m[l.OrderKey]
-				if !ok {
-					st = &ostate{}
-					acc.add(l.OrderKey, st)
+				st := acc.at(l.OrderKey)
+				if st == nil {
+					st = acc.add(l.OrderKey)
 				}
 				st.Qty += l.Quantity
 				if !st.Added && st.Qty > 300 {
@@ -895,10 +898,12 @@ func (c *Catalog) buildQ18() (built, error) {
 			})
 		},
 		LoadAux: func(d *aqp.Dec) func() {
-			m := decodeAux(d, 9, func(d *aqp.Dec) *ostate { return &ostate{Qty: d.Float(), Added: d.Uvarint() != 0} })
+			m := decodeAux(d, nOrders, 9, func(d *aqp.Dec, _ int32, st *ostate) {
+				st.Qty, st.Added = d.Float(), d.Uvarint() != 0
+			})
 			return func() { acc = m }
 		},
-		AuxBytes: func() int64 { return int64(len(acc.m)) * 48 },
+		AuxBytes: func() int64 { return int64(acc.len()) * 48 },
 	})
 }
 
@@ -964,12 +969,15 @@ func (c *Catalog) buildQ20() (built, error) {
 // Q21: suppliers who kept orders waiting. Per-order supplier/lateness
 // state is evaluated once the order's lines have all streamed past.
 func (c *Catalog) buildQ21() (built, error) {
+	// An order has at most maxLinesPerOrder lines, so at most that many
+	// distinct suppliers; NSupps and NLate count the filled prefixes.
 	type o21 struct {
-		Seen  int32
-		Supps []int32
-		Late  []int32
+		Seen          int32
+		NSupps, NLate uint8
+		Supps, Late   [maxLinesPerOrder]int32
 	}
-	states := newAuxMap[*o21]()
+	nOrders := len(c.ds.Orders)
+	states := newAuxStore[o21](nOrders)
 	specs := []aqp.AggSpec{{Name: "numwait", Kind: aqp.Count}}
 	contains := func(s []int32, v int32) bool {
 		for _, x := range s {
@@ -987,41 +995,52 @@ func (c *Catalog) buildQ21() (built, error) {
 				if o.OrderStatus != 'F' {
 					continue
 				}
-				st, ok := states.m[l.OrderKey]
-				if !ok {
-					st = &o21{}
-					states.add(l.OrderKey, st)
+				st := states.at(l.OrderKey)
+				if st == nil {
+					st = states.add(l.OrderKey)
 				}
 				st.Seen++
-				if !contains(st.Supps, l.SuppKey) {
-					st.Supps = append(st.Supps, l.SuppKey)
+				if !contains(st.Supps[:st.NSupps], l.SuppKey) {
+					st.Supps[st.NSupps] = l.SuppKey
+					st.NSupps++
 				}
-				if l.ReceiptDate > l.CommitDate && !contains(st.Late, l.SuppKey) {
-					st.Late = append(st.Late, l.SuppKey)
+				if l.ReceiptDate > l.CommitDate && !contains(st.Late[:st.NLate], l.SuppKey) {
+					st.Late[st.NLate] = l.SuppKey
+					st.NLate++
 				}
 				if st.Seen == o.LineCount {
-					if len(st.Supps) > 1 && len(st.Late) == 1 {
+					if st.NSupps > 1 && st.NLate == 1 {
 						if c.nationName(c.supplier(st.Late[0]).NationKey) == "SAUDI ARABIA" {
 							gt.Update("saudi-arabia", 1)
 						}
 					}
-					delete(states.m, l.OrderKey)
+					states.del(l.OrderKey)
 				}
 			}
 		},
 		SaveAux: func(b []byte) []byte {
 			return states.append(b, func(b []byte, st *o21) []byte {
-				return appendKeys(appendKeys(binary.AppendUvarint(b, uint64(st.Seen)), st.Supps), st.Late)
+				b = binary.AppendUvarint(b, uint64(st.Seen))
+				return appendKeys(appendKeys(b, st.Supps[:st.NSupps]), st.Late[:st.NLate])
 			})
 		},
+		// A live entry has seen fewer lines than its order has (the last
+		// one deletes it) and lists at most one supplier per line seen.
 		LoadAux: func(d *aqp.Dec) func() {
-			m := decodeAux(d, 3, func(d *aqp.Dec) *o21 {
-				n := len(c.ds.Suppliers)
-				return &o21{Seen: int32(d.Uvarint()), Supps: decodeKeys(d, n), Late: decodeKeys(d, n)}
+			nSupps := len(c.ds.Suppliers)
+			m := decodeAux(d, nOrders, 3, func(d *aqp.Dec, k int32, st *o21) {
+				seen, lines := d.Uvarint(), c.order(k).LineCount
+				if seen >= uint64(lines) {
+					d.Failf("order %d: %d of its %d lines seen", k, seen, lines)
+					return
+				}
+				st.Seen = int32(seen)
+				st.NSupps = decodeKeys(d, st.Supps[:seen], nSupps)
+				st.NLate = decodeKeys(d, st.Late[:seen], nSupps)
 			})
 			return func() { states = m }
 		},
-		AuxBytes: func() int64 { return int64(len(states.m)) * 96 },
+		AuxBytes: func() int64 { return int64(states.len()) * 96 },
 	})
 }
 

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -128,22 +129,67 @@ func TestQueryCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// A checkpoint whose aux section is damaged must not half-install: the
-// aux-state queries keep their live maps and go on to the exact answer.
+// A checkpoint whose aux section is damaged, or names a key or a Q21
+// entry that cannot exist, must not half-install: the aux-state queries
+// keep their live state and go on to the exact answer.
 func TestFailedAuxRestoreLeavesQueryUntouched(t *testing.T) {
 	cat := testCatalog(t, 0.01)
+	nOrders, nParts := int64(len(cat.ds.Orders)), int64(len(cat.ds.Parts))
+	var multi int64 // an order with more than one line
+	for i := range cat.ds.Orders {
+		if cat.ds.Orders[i].LineCount > 1 {
+			multi = int64(cat.ds.Orders[i].OrderKey)
+			break
+		}
+	}
+	lines := uint64(cat.order(int32(multi)).LineCount)
+	q21 := func(seen uint64, supps, late []int32) []byte {
+		return appendKeys(appendKeys(binary.AppendUvarint(nil, seen), supps), late)
+	}
+	type entry struct {
+		key   int64
+		value []byte
+	}
+	aux := map[string]struct {
+		keys  int64
+		valid entry            // restores on a fresh query
+		bad   map[string]entry // each rejected
+	}{
+		"q4":  {keys: nOrders, valid: entry{1, nil}},
+		"q17": {keys: nParts, valid: entry{1, binary.AppendUvarint(aqp.AppendFloat(nil, 5), 1)}},
+		"q18": {keys: nOrders, valid: entry{1, append(aqp.AppendFloat(nil, 5), 0)}},
+		"q21": {keys: nOrders, valid: entry{multi, q21(1, []int32{1}, []int32{1})}, bad: map[string]entry{
+			"all lines seen":           {multi, q21(lines, []int32{1}, nil)},
+			"more suppliers than seen": {multi, q21(1, []int32{1, 2}, nil)},
+			"more late than seen":      {multi, q21(1, []int32{1}, []int32{1, 2})},
+		}},
+	}
 	for _, name := range []string{"q4", "q17", "q18", "q21"} {
 		donor, _ := cat.NewQuery(name)
 		donor.ProcessBatch(20000, 1)
 		good, _ := donor.Checkpoint()
+		a := aux[name]
+		fresh, _ := cat.NewQuery(name)
+		pristine, _ := fresh.Checkpoint()
+		if err := fresh.Restore(withAuxEntry(pristine, a.valid.key, a.valid.value)); err != nil {
+			t.Fatalf("%s: a valid entry was rejected: %v", name, err)
+		}
+		cases := map[string][]byte{
+			"aux cut short": good[:len(good)-3], "aux byte appended": append(good[:len(good):len(good)], 1),
+			"key 0":         withAuxEntry(pristine, 0, a.valid.value),
+			"key -5":        withAuxEntry(pristine, -5, a.valid.value),
+			"key past last": withAuxEntry(pristine, a.keys+1, a.valid.value),
+			"key 2^30":      withAuxEntry(pristine, 1<<30, a.valid.value),
+		}
+		for what, e := range a.bad {
+			cases[what] = withAuxEntry(pristine, e.key, e.value)
+		}
 		q, _ := cat.NewQuery(name)
 		control, _ := cat.NewQuery(name)
 		q.ProcessBatch(9000, 1)
 		control.ProcessBatch(9000, 1)
 		before, _ := q.Checkpoint()
-		for what, data := range map[string][]byte{
-			"aux cut short": good[:len(good)-3], "aux byte appended": append(good[:len(good):len(good)], 1),
-		} {
+		for what, data := range cases {
 			if err := q.Restore(data); err == nil {
 				t.Errorf("%s: %s: restore accepted it", name, what)
 			}
