@@ -103,6 +103,7 @@ func TestOverloadOpenLoopSurvives(t *testing.T) {
 			}
 		}
 		ov := run.exec.Overload()
+		checkOutcomeGolden(t, fmt.Sprintf("aqp/%d", seed), renderOutcomes(run.jobs, ov, run.exec.Recovery()))
 		if ov.MaxPendingDepth > overloadQueueBound {
 			t.Errorf("seed %d: queue high-water %d exceeds admission bound %d",
 				seed, ov.MaxPendingDepth, overloadQueueBound)
@@ -185,55 +186,66 @@ func TestOverloadSameSeedBitIdentical(t *testing.T) {
 }
 
 // A second overload shape: the DLT side under the same defences (bounded
-// admission, watchdog, aging) must also terminate with a bounded queue.
+// admission, watchdog, aging) must also terminate with a bounded queue —
+// under plain rejection and under shedding, which evicts the queued job
+// dltLessValuable ranks lowest.
 func TestOverloadDLTSurvives(t *testing.T) {
 	specs := mustGenDLT(t, 16, 7)
-	for _, seed := range chaosSeeds {
-		store, err := core.NewCheckpointStore(t.TempDir(), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrl := admission.NewController(admission.Config{
-			MaxQueueDepth: 6,
-			SlackFactor:   1,
-			Policy:        admission.Reject,
-		})
-		cfg := core.DefaultDLTExecConfig()
-		cfg.Store = store
-		cfg.Admission = ctrl
-		cfg.WatchdogSlack = 3
-		cfg.AgingRounds = 4
-		in := faults.New(faults.Recoverable(seed, 0.05))
-		store.SetFaults(in)
-		cfg.Faults = in
-		repo := estimate.NewRepository()
-		if err := workload.SeedDLTHistory(repo, 40, 30, 3); err != nil {
-			t.Fatal(err)
-		}
-		tee := estimate.NewTEE(repo, 3)
-		tme := estimate.NewTME(repo, 3)
-		exec := core.NewDLTExecutor(cfg, core.NewRotaryDLT(0.5, tee, tme), repo)
-		r := sim.NewRand(seed)
-		at := 0.0
-		for _, spec := range specs {
-			j, err := workload.BuildDLTJob(spec)
+	totalShed := 0
+	for _, policy := range []admission.Policy{admission.Reject, admission.ShedLowestValue} {
+		for _, seed := range chaosSeeds {
+			store, err := core.NewCheckpointStore(t.TempDir(), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			exec.Submit(j, sim.Time(at))
-			at += r.Exp(20)
-		}
-		if err := exec.Run(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, j := range exec.Jobs() {
-			if !j.Status().Terminal() {
-				t.Errorf("seed %d: DLT job %s not terminal (%v)", seed, j.ID(), j.Status())
+			ctrl := admission.NewController(admission.Config{
+				MaxQueueDepth: 6,
+				SlackFactor:   1,
+				Policy:        policy,
+			})
+			cfg := core.DefaultDLTExecConfig()
+			cfg.Store = store
+			cfg.Admission = ctrl
+			cfg.WatchdogSlack = 3
+			cfg.AgingRounds = 4
+			in := faults.New(faults.Recoverable(seed, 0.05))
+			store.SetFaults(in)
+			cfg.Faults = in
+			repo := estimate.NewRepository()
+			if err := workload.SeedDLTHistory(repo, 40, 30, 3); err != nil {
+				t.Fatal(err)
 			}
+			tee := estimate.NewTEE(repo, 3)
+			tme := estimate.NewTME(repo, 3)
+			exec := core.NewDLTExecutor(cfg, core.NewRotaryDLT(0.5, tee, tme), repo)
+			r := sim.NewRand(seed)
+			at := 0.0
+			for _, spec := range specs {
+				j, err := workload.BuildDLTJob(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exec.Submit(j, sim.Time(at))
+				at += r.Exp(20)
+			}
+			if err := exec.Run(); err != nil {
+				t.Fatalf("%v seed %d: %v", policy, seed, err)
+			}
+			for _, j := range exec.Jobs() {
+				if !j.Status().Terminal() {
+					t.Errorf("%v seed %d: DLT job %s not terminal (%v)", policy, seed, j.ID(), j.Status())
+				}
+			}
+			ov := exec.Overload()
+			checkOutcomeGolden(t, fmt.Sprintf("dlt/%v/%d", policy, seed), renderOutcomes(exec.Jobs(), ov, exec.Recovery()))
+			if ov.MaxPendingDepth > 6 {
+				t.Errorf("%v seed %d: DLT queue high-water %d exceeds bound 6", policy, seed, ov.MaxPendingDepth)
+			}
+			totalShed += ov.Shed
 		}
-		if ov := exec.Overload(); ov.MaxPendingDepth > 6 {
-			t.Errorf("seed %d: DLT queue high-water %d exceeds bound 6", seed, ov.MaxPendingDepth)
-		}
+	}
+	if totalShed == 0 {
+		t.Error("no DLT job was ever shed under ShedLowestValue")
 	}
 }
 
