@@ -61,6 +61,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -124,6 +125,14 @@ func main() {
 			listeners = append(listeners, spec)
 		}
 	}
+	// conflict refuses a flag combination that would otherwise fail late
+	// or be silently ignored.
+	conflict := func(bad bool, msg string) error {
+		if bad {
+			return errors.New(msg)
+		}
+		return nil
+	}
 	if err := cliutil.ValidateAll(
 		cliutil.OneOf("-policy", *policy, "rotary", "relaqs", "edf", "laf", "rr"),
 		cliutil.Positive("-sf", *sf),
@@ -139,6 +148,9 @@ func main() {
 		cliutil.NonNegative("-heal-probe", *healProbe),
 		cliutil.MinInt("-heal-budget", *healBudget, 0),
 		cliutil.NonNegative("-fault-rate", *faultRate),
+		conflict(*shards > 1 && *journalDir == "", "-shards > 1 requires -journal: shards are durable workers restarted from their journals"),
+		conflict(*shards > 1 && *traceOut != "", "-trace-out is not supported with -shards > 1: each shard keeps its own trace ring"),
+		conflict(*faultRate > 0 && *journalDir == "", "-fault-rate requires -journal: faults are injected under the journal"),
 	); err != nil {
 		log.Println(err)
 		flag.Usage()
@@ -161,9 +173,6 @@ func main() {
 	ds := tpch.Generate(*sf, *seed)
 
 	if *shards > 1 {
-		if *journalDir == "" {
-			log.Fatal("-shards > 1 requires -journal: shards are durable workers restarted from their journals")
-		}
 		if err := runSharded(shardedOpts{
 			socket:     *socket,
 			listeners:  listeners,

@@ -10,7 +10,7 @@ import (
 func synthAQPQueue(n int) []*AQPJob {
 	jobs := make([]*AQPJob, n)
 	for i := range jobs {
-		jobs[i] = &AQPJob{id: fmt.Sprintf("aqp-%05d", i)}
+		jobs[i] = &AQPJob{jobCore: jobCore{id: fmt.Sprintf("aqp-%05d", i)}}
 	}
 	return jobs
 }
@@ -19,7 +19,7 @@ func synthAQPQueue(n int) []*AQPJob {
 func synthDLTQueue(n int) []*DLTJob {
 	jobs := make([]*DLTJob, n)
 	for i := range jobs {
-		jobs[i] = &DLTJob{id: fmt.Sprintf("dlt-%05d", i)}
+		jobs[i] = &DLTJob{jobCore: jobCore{id: fmt.Sprintf("dlt-%05d", i)}}
 	}
 	return jobs
 }

@@ -257,31 +257,9 @@ func (u *UnifiedExecutor) Overload() OverloadStats {
 
 // Run drives the mixed workload to completion.
 func (u *UnifiedExecutor) Run() error {
-	if u.aqp.cfg.Faults.Enabled() && u.aqp.cfg.Store == nil {
-		return errors.New("core: AQP fault injection requires a CheckpointStore")
-	}
-	if u.dlt.cfg.Faults.Enabled() && u.dlt.cfg.Store == nil {
-		return errors.New("core: DLT fault injection requires a CheckpointStore")
-	}
-	if u.aqp.cfg.WatchdogSlack > 0 && u.aqp.cfg.Store == nil {
-		return errors.New("core: AQP epoch watchdog requires a CheckpointStore")
-	}
-	if u.dlt.cfg.WatchdogSlack > 0 && u.dlt.cfg.Store == nil {
-		return errors.New("core: DLT epoch watchdog requires a CheckpointStore")
+	if err := errors.Join(u.aqp.Validate(), u.dlt.Validate()); err != nil {
+		return err
 	}
 	u.eng.Run()
-	var errs []error
-	if u.aqp.storeErr != nil {
-		errs = append(errs, u.aqp.storeErr)
-	}
-	if u.dlt.storeErr != nil {
-		errs = append(errs, u.dlt.storeErr)
-	}
-	if n := len(u.aqp.jobs) - u.aqp.terminalCount; n > 0 {
-		errs = append(errs, errors.New("core: unified run left AQP jobs unterminated"))
-	}
-	if n := len(u.dlt.jobs) - u.dlt.terminalCount; n > 0 {
-		errs = append(errs, errors.New("core: unified run left DLT jobs unterminated"))
-	}
-	return errors.Join(errs...)
+	return errors.Join(u.aqp.drainErr(), u.dlt.drainErr())
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"rotary/internal/admission"
 	"rotary/internal/cluster"
 )
 
@@ -42,19 +43,10 @@ func newFairLedger(weights map[string]float64) fairLedger {
 	w := make(map[string]float64, len(weights))
 	for name, v := range weights {
 		if v > 0 {
-			w[CanonicalTenantName(name)] = v
+			w[admission.CanonicalTenant(name)] = v
 		}
 	}
 	return fairLedger{weights: w, usage: make(map[string]float64), wasBack: make(map[string]bool)}
-}
-
-// CanonicalTenantName maps an attribution string to its ledger key
-// (core-side mirror of admission.CanonicalTenant, kept dependency-free).
-func CanonicalTenantName(t string) string {
-	if t == "" {
-		return "default"
-	}
-	return t
 }
 
 func (l *fairLedger) weight(tenant string) float64 {
@@ -148,7 +140,7 @@ func tenantSets[J interface{ Tenant() string }](pending, running []J) (live, bac
 	backlogged = make(map[string]bool)
 	groups = make(map[string][]J)
 	for _, j := range pending {
-		t := CanonicalTenantName(j.Tenant())
+		t := admission.CanonicalTenant(j.Tenant())
 		live[t] = true
 		if !backlogged[t] {
 			backlogged[t] = true
@@ -157,9 +149,76 @@ func tenantSets[J interface{ Tenant() string }](pending, running []J) (live, bac
 		groups[t] = append(groups[t], j)
 	}
 	for _, j := range running {
-		live[CanonicalTenantName(j.Tenant())] = true
+		live[admission.CanonicalTenant(j.Tenant())] = true
 	}
 	return live, backlogged, groups, names
+}
+
+// fairPool is one round's free capacity as a resource model partitions
+// it across tenants: threads and memory for AQP, the device list for DLT.
+type fairPool[J comparable, G any] interface {
+	// exhausted reports that nothing is left to offer.
+	exhausted() bool
+	// entitled runs the inner policy over pending within a tenant's
+	// weight-proportional slice w/totalW of the round's free capacity
+	// (never less than one unit — the recoverable guaranteed share).
+	entitled(pending []J, w, totalW float64) []G
+	// leftover runs the inner policy over pending within all that is
+	// still free.
+	leftover(pending []J) []G
+	// job names the decision's job.
+	job(g G) J
+	// take books a decision against the remaining capacity, reporting
+	// whether it fit.
+	take(g G) bool
+}
+
+// shareFairly partitions one multi-tenant round. Entitlement pass: each
+// backlogged tenant, in deficit order, is offered its weight-proportional
+// slice of the free capacity. Reclaim pass: leftover capacity (tenants
+// without enough backlog to fill their slice) is re-offered in the same
+// order — unused share is reclaimable, so the layer stays
+// work-conserving.
+func shareFairly[J comparable, G any](l *fairLedger, groups map[string][]J, names []string, pool fairPool[J, G]) []G {
+	order := l.order(names)
+	totalW := 0.0
+	for _, name := range order {
+		totalW += l.weight(name)
+	}
+	var out []G
+	granted := make(map[J]bool)
+	accept := func(decisions []G) {
+		for _, g := range decisions {
+			j := pool.job(g)
+			if granted[j] || !pool.take(g) {
+				continue
+			}
+			granted[j] = true
+			out = append(out, g)
+		}
+	}
+	for _, name := range order {
+		if pool.exhausted() {
+			break
+		}
+		accept(pool.entitled(groups[name], l.weight(name), totalW))
+	}
+	for _, name := range order {
+		if pool.exhausted() {
+			break
+		}
+		var rest []J
+		for _, j := range groups[name] {
+			if !granted[j] {
+				rest = append(rest, j)
+			}
+		}
+		if len(rest) == 0 {
+			continue
+		}
+		accept(pool.leftover(rest))
+	}
+	return out
 }
 
 // FairShareAQP wraps an AQP policy with weighted fair share over
@@ -185,7 +244,15 @@ func (f *FairShareAQP) Name() string { return f.inner.Name() + "+fair" }
 func (f *FairShareAQP) Assign(ctx *AQPContext) []AQPGrant {
 	live, backlogged, groups, names := tenantSets(ctx.Pending, ctx.Running)
 	f.clamp(live, backlogged)
-	grants := f.assignFair(ctx, groups, names)
+	var grants []AQPGrant
+	if len(names) <= 1 {
+		// Single-tenant rounds need no partitioning: the inner policy sees
+		// the whole pool, and only the ledger charge differs from a bare run.
+		grants = f.inner.Assign(ctx)
+	} else {
+		grants = shareFairly(&f.fairLedger, groups, names,
+			&aqpPool{inner: f.inner, ctx: ctx, threads: ctx.FreeThreads, mem: ctx.FreeMemMB})
+	}
 	for _, g := range grants {
 		dom := 0.0
 		if ctx.TotalThreads > 0 {
@@ -196,99 +263,65 @@ func (f *FairShareAQP) Assign(ctx *AQPContext) []AQPGrant {
 				dom = m
 			}
 		}
-		f.charge(CanonicalTenantName(g.Job.tenant), dom)
+		f.charge(admission.CanonicalTenant(g.Job.tenant), dom)
 	}
 	return grants
 }
 
-func (f *FairShareAQP) assignFair(ctx *AQPContext, groups map[string][]*AQPJob, names []string) []AQPGrant {
-	// Single-tenant rounds need no partitioning: the inner policy sees
-	// the whole pool, and only the ledger charge differs from a bare run.
-	if len(names) <= 1 {
-		return f.inner.Assign(ctx)
+// aqpPool is a round's remaining threads and memory.
+type aqpPool struct {
+	inner   AQPScheduler
+	ctx     *AQPContext
+	threads int
+	mem     float64
+}
+
+func (p *aqpPool) exhausted() bool        { return p.threads <= 0 }
+func (p *aqpPool) job(g AQPGrant) *AQPJob { return g.Job }
+
+func (p *aqpPool) take(g AQPGrant) bool {
+	if g.Threads <= 0 || g.Threads > p.threads {
+		return false
 	}
-	order := f.order(names)
-	totalW := 0.0
-	for _, name := range order {
-		totalW += f.weight(name)
+	p.threads -= g.Threads
+	p.mem -= g.ReserveMemMB
+	return true
+}
+
+func (p *aqpPool) entitled(pending []*AQPJob, w, totalW float64) []AQPGrant {
+	ent := int(float64(p.ctx.FreeThreads) * w / totalW)
+	if ent < 1 {
+		ent = 1
 	}
-	remThreads := ctx.FreeThreads
-	remMem := ctx.FreeMemMB
-	var out []AQPGrant
-	granted := make(map[*AQPJob]bool)
-	accept := func(grants []AQPGrant) {
-		for _, g := range grants {
-			if g.Threads <= 0 || g.Threads > remThreads || granted[g.Job] {
-				continue
-			}
-			granted[g.Job] = true
-			out = append(out, g)
-			remThreads -= g.Threads
-			remMem -= g.ReserveMemMB
-		}
+	if ent > p.threads {
+		ent = p.threads
 	}
-	// Entitlement pass: each backlogged tenant, in deficit order, is
-	// offered its weight-proportional slice of this round's free pool
-	// (never less than one thread — the recoverable guaranteed share).
-	for _, name := range order {
-		if remThreads <= 0 {
-			break
-		}
-		w := f.weight(name)
-		ent := int(float64(ctx.FreeThreads) * w / totalW)
-		if ent < 1 {
-			ent = 1
-		}
-		if ent > remThreads {
-			ent = remThreads
-		}
-		entMem := ctx.FreeMemMB * w / totalW
-		if entMem > remMem {
-			entMem = remMem
-		}
-		sub := AQPContext{
-			Now:          ctx.Now,
-			Pending:      groups[name],
-			Running:      ctx.Running,
-			FreeThreads:  ent,
-			TotalThreads: ctx.TotalThreads,
-			FreeMemMB:    entMem,
-			TotalMemMB:   ctx.TotalMemMB,
-		}
-		accept(f.inner.Assign(&sub))
+	entMem := p.ctx.FreeMemMB * w / totalW
+	if entMem > p.mem {
+		entMem = p.mem
 	}
-	// Reclaim pass: leftover capacity (tenants without enough backlog to
-	// fill their slice) is re-offered in the same order — unused share is
-	// reclaimable, so the layer stays work-conserving.
-	for _, name := range order {
-		if remThreads <= 0 {
-			break
-		}
-		var rest []*AQPJob
-		for _, j := range groups[name] {
-			if !granted[j] {
-				rest = append(rest, j)
-			}
-		}
-		if len(rest) == 0 {
-			continue
-		}
-		mem := remMem
-		if mem < 0 {
-			mem = 0
-		}
-		sub := AQPContext{
-			Now:          ctx.Now,
-			Pending:      rest,
-			Running:      ctx.Running,
-			FreeThreads:  remThreads,
-			TotalThreads: ctx.TotalThreads,
-			FreeMemMB:    mem,
-			TotalMemMB:   ctx.TotalMemMB,
-		}
-		accept(f.inner.Assign(&sub))
+	return p.offer(pending, ent, entMem)
+}
+
+func (p *aqpPool) leftover(pending []*AQPJob) []AQPGrant {
+	mem := p.mem
+	if mem < 0 {
+		mem = 0
 	}
-	return out
+	return p.offer(pending, p.threads, mem)
+}
+
+func (p *aqpPool) offer(pending []*AQPJob, threads int, mem float64) []AQPGrant {
+	sub := AQPContext{
+		Now:          p.ctx.Now,
+		Pending:      pending,
+		Running:      p.ctx.Running,
+		FreeThreads:  threads,
+		TotalThreads: p.ctx.TotalThreads,
+		FreeMemMB:    mem,
+		TotalMemMB:   p.ctx.TotalMemMB,
+	}
+	return p.inner.Assign(&sub)
 }
 
 // FairShareDLT wraps a DLT policy with weighted fair share over GPU
@@ -311,81 +344,59 @@ func (f *FairShareDLT) Name() string { return f.inner.Name() + "+fair" }
 func (f *FairShareDLT) Place(ctx *DLTContext) []DLTPlacement {
 	live, backlogged, groups, names := tenantSets(ctx.Pending, ctx.Running)
 	f.clamp(live, backlogged)
-	placements := f.placeFair(ctx, groups, names)
+	var placements []DLTPlacement
+	if len(names) <= 1 {
+		placements = f.inner.Place(ctx)
+	} else {
+		remaining := make([]cluster.GPU, len(ctx.FreeGPUs))
+		copy(remaining, ctx.FreeGPUs)
+		placements = shareFairly(&f.fairLedger, groups, names, &dltPool{inner: f.inner, ctx: ctx, remaining: remaining})
+	}
 	for _, p := range placements {
-		f.charge(CanonicalTenantName(p.Job.tenant), 1)
+		f.charge(admission.CanonicalTenant(p.Job.tenant), 1)
 	}
 	return placements
 }
 
-func (f *FairShareDLT) placeFair(ctx *DLTContext, groups map[string][]*DLTJob, names []string) []DLTPlacement {
-	if len(names) <= 1 {
-		return f.inner.Place(ctx)
-	}
-	order := f.order(names)
-	totalW := 0.0
-	for _, name := range order {
-		totalW += f.weight(name)
-	}
-	remaining := make([]cluster.GPU, len(ctx.FreeGPUs))
-	copy(remaining, ctx.FreeGPUs)
-	var out []DLTPlacement
-	placed := make(map[*DLTJob]bool)
-	takeDevice := func(id int) bool {
-		for i, g := range remaining {
-			if g.ID == id {
-				remaining = append(remaining[:i], remaining[i+1:]...)
-				return true
-			}
-		}
-		return false
-	}
-	accept := func(ps []DLTPlacement) {
-		for _, p := range ps {
-			if placed[p.Job] || !takeDevice(p.Device) {
-				continue
-			}
-			placed[p.Job] = true
-			out = append(out, p)
+// dltPool is a round's remaining free devices. The policy is offered a
+// copy of each slice — take mutates remaining.
+type dltPool struct {
+	inner     DLTScheduler
+	ctx       *DLTContext
+	remaining []cluster.GPU
+}
+
+func (p *dltPool) exhausted() bool             { return len(p.remaining) == 0 }
+func (p *dltPool) job(pl DLTPlacement) *DLTJob { return pl.Job }
+
+func (p *dltPool) take(pl DLTPlacement) bool {
+	for i, g := range p.remaining {
+		if g.ID == pl.Device {
+			p.remaining = append(p.remaining[:i], p.remaining[i+1:]...)
+			return true
 		}
 	}
-	// Entitlement pass: each backlogged tenant, in deficit order, sees a
-	// weight-proportional slice of the free device list (at least one
-	// device). The slice is copied — accept mutates remaining.
-	for _, name := range order {
-		if len(remaining) == 0 {
-			break
-		}
-		ent := int(float64(len(ctx.FreeGPUs)) * f.weight(name) / totalW)
-		if ent < 1 {
-			ent = 1
-		}
-		if ent > len(remaining) {
-			ent = len(remaining)
-		}
-		slice := make([]cluster.GPU, ent)
-		copy(slice, remaining[:ent])
-		sub := DLTContext{Now: ctx.Now, Pending: groups[name], Running: ctx.Running, FreeGPUs: slice}
-		accept(f.inner.Place(&sub))
+	return false
+}
+
+func (p *dltPool) entitled(pending []*DLTJob, w, totalW float64) []DLTPlacement {
+	ent := int(float64(len(p.ctx.FreeGPUs)) * w / totalW)
+	if ent < 1 {
+		ent = 1
 	}
-	// Reclaim pass: leftover devices re-offered in the same order.
-	for _, name := range order {
-		if len(remaining) == 0 {
-			break
-		}
-		var rest []*DLTJob
-		for _, j := range groups[name] {
-			if !placed[j] {
-				rest = append(rest, j)
-			}
-		}
-		if len(rest) == 0 {
-			continue
-		}
-		slice := make([]cluster.GPU, len(remaining))
-		copy(slice, remaining)
-		sub := DLTContext{Now: ctx.Now, Pending: rest, Running: ctx.Running, FreeGPUs: slice}
-		accept(f.inner.Place(&sub))
+	if ent > len(p.remaining) {
+		ent = len(p.remaining)
 	}
-	return out
+	return p.offer(pending, p.remaining[:ent])
+}
+
+func (p *dltPool) leftover(pending []*DLTJob) []DLTPlacement {
+	return p.offer(pending, p.remaining)
+}
+
+func (p *dltPool) offer(pending []*DLTJob, devices []cluster.GPU) []DLTPlacement {
+	slice := make([]cluster.GPU, len(devices))
+	copy(slice, devices)
+	sub := DLTContext{Now: p.ctx.Now, Pending: pending, Running: p.ctx.Running, FreeGPUs: slice}
+	return p.inner.Place(&sub)
 }

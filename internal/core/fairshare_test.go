@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"rotary/internal/admission"
 	"rotary/internal/cluster"
 	"rotary/internal/sim"
 )
@@ -61,7 +62,7 @@ func tagTenants(jobs []*AQPJob, names []string, counts map[string]int) {
 func grantsPerTenant(grants []AQPGrant) map[string]int {
 	out := make(map[string]int)
 	for _, g := range grants {
-		out[CanonicalTenantName(g.Job.tenant)] += g.Threads
+		out[admission.CanonicalTenant(g.Job.tenant)] += g.Threads
 	}
 	return out
 }
@@ -197,7 +198,7 @@ func TestFairShareDLTWeightedSplit(t *testing.T) {
 	got := make(map[string]int)
 	seen := make(map[int]bool)
 	for _, p := range placements {
-		got[CanonicalTenantName(p.Job.tenant)]++
+		got[admission.CanonicalTenant(p.Job.tenant)]++
 		if seen[p.Device] {
 			t.Fatalf("device %d double-booked", p.Device)
 		}

@@ -20,14 +20,9 @@ import (
 // running online query plus its completion criterion, envelope state, and
 // the bookkeeping the arbiter and the metrics need.
 type AQPJob struct {
-	id    string
+	jobCore
 	query aqp.OnlineQuery
-	crit  criteria.Criteria
 	class string
-	// tenant attributes the job for quota accounting, fair-share
-	// arbitration, and per-tenant telemetry. Immutable after
-	// construction; empty means the default tenant.
-	tenant string
 
 	// Memory facts: the CBO-style pre-run estimate and the row batch used
 	// per processing step.
@@ -40,53 +35,12 @@ type AQPJob struct {
 
 	envelope *envelopeState
 
-	// Runtime bookkeeping.
-	arrival        sim.Time
-	arrived        bool
-	epochs         int
-	processingSecs float64
 	// normSecs is cumulative processing work in single-thread-equivalent
 	// seconds, the unit the progress-runtime curves are fitted in (the
 	// historical curves are recorded single-threaded, so real-time points
 	// must normalize out the varying thread grants).
-	normSecs    float64
-	lastRelease sim.Time
-	everRan     bool
-	status      JobStatus
-	endTime     sim.Time
-	stopAcc     float64 // true accuracy at stop (metrics only)
-
-	// Fault-recovery state. pristine is the query's state as captured at
-	// submission, the fallback when no usable checkpoint survives a
-	// failure. needsRestore forces the next grant to replay persisted
-	// state even at the release instant — a crash leaves the in-memory
-	// query dirty (batches of the interrupted epoch were consumed), so
-	// the hot-state shortcut would resume from a state no completed epoch
-	// ever observed. crashPending/crashedSince track the open recovery
-	// window for the latency counter; deferredPenaltySecs carries
-	// checkpoint-I/O backoff accrued at save time into the next epoch's
-	// virtual cost.
-	pristine            []byte
-	needsRestore        bool
-	crashPending        bool
-	crashedSince        sim.Time
-	deferredPenaltySecs float64
-
-	// Overload state. bestEffort marks a job the admission controller
-	// admitted under the Degrade policy (deadline infeasible at arrival);
-	// it runs normally but is first in line for shedding.
-	// watchdogStrikes counts consecutive watchdog preemptions; each strike
-	// doubles the next epoch's budget so a genuinely long epoch eventually
-	// completes instead of livelocking against the watchdog. Strikes reset
-	// when an epoch completes within budget.
-	bestEffort      bool
-	watchdogStrikes int
-
-	// Admission refusal detail, set when the gate terminates the job with
-	// StatusRejected: the typed cause (errors.Is-matchable against the
-	// admission package's sentinels) and the quota layer's retry hint.
-	rejectErr      error
-	retryAfterSecs float64
+	normSecs float64
+	stopAcc  float64 // true accuracy at stop (metrics only)
 
 	// detached marks a job removed from its executor by Detach for
 	// checkpoint-carried migration to another arbiter shard: events already
@@ -97,8 +51,6 @@ type AQPJob struct {
 	// realtimeCurve is the recorded (processing-seconds, estimated
 	// accuracy) series fed to the progress estimator.
 	realtimeCurve []estimate.Point
-
-	epochLog []EpochObs
 }
 
 // envelopeState bundles the per-cell envelopes with the spec metadata
@@ -255,11 +207,9 @@ func NewAQPJob(cfg AQPJobConfig) (*AQPJob, error) {
 		cfg.ConvergeThreshold = 0.999
 	}
 	return &AQPJob{
-		id:           cfg.ID,
+		jobCore:      jobCore{id: cfg.ID, crit: cfg.Criteria, tenant: cfg.Tenant},
 		query:        cfg.Query,
-		crit:         cfg.Criteria,
 		class:        cfg.Class,
-		tenant:       cfg.Tenant,
 		estMemMB:     cfg.EstMemMB,
 		batchRows:    cfg.BatchRows,
 		epochBatches: cfg.EpochBatches,
@@ -270,12 +220,6 @@ func NewAQPJob(cfg AQPJobConfig) (*AQPJob, error) {
 	}, nil
 }
 
-// ID returns the job identifier.
-func (j *AQPJob) ID() string { return j.id }
-
-// Tenant reports the job's tenant attribution (empty = default tenant).
-func (j *AQPJob) Tenant() string { return j.tenant }
-
 // RejectErr returns the typed admission refusal cause for a
 // StatusRejected job (nil otherwise). Match with errors.Is against the
 // admission package's sentinel errors.
@@ -284,9 +228,6 @@ func (j *AQPJob) RejectErr() error { return j.rejectErr }
 // RetryAfterSecs returns the quota layer's retry hint for a refused
 // job; 0 when the refusal was not time-based.
 func (j *AQPJob) RetryAfterSecs() float64 { return j.retryAfterSecs }
-
-// Criteria returns the job's completion criterion.
-func (j *AQPJob) Criteria() criteria.Criteria { return j.crit }
 
 // Class returns the Table I class label ("light", "medium", "heavy").
 func (j *AQPJob) Class() string { return j.class }
@@ -312,25 +253,6 @@ func (j *AQPJob) SetEpochBatches(n int) {
 	j.epochBatches = n
 }
 
-// Status returns the job's current status.
-func (j *AQPJob) Status() JobStatus { return j.status }
-
-// BestEffort reports whether the admission controller degraded the job to
-// best-effort service (deadline infeasible at arrival).
-func (j *AQPJob) BestEffort() bool { return j.bestEffort }
-
-// Arrival returns the job's arrival time; valid once arrived.
-func (j *AQPJob) Arrival() sim.Time { return j.arrival }
-
-// EndTime returns the terminal time; valid once Terminal.
-func (j *AQPJob) EndTime() sim.Time { return j.endTime }
-
-// Epochs reports completed running epochs.
-func (j *AQPJob) Epochs() int { return j.epochs }
-
-// ProcessingSecs reports cumulative virtual processing time.
-func (j *AQPJob) ProcessingSecs() float64 { return j.processingSecs }
-
 // NormProcessingSecs reports cumulative work in single-thread-equivalent
 // seconds — the x-axis of the progress-runtime curves.
 func (j *AQPJob) NormProcessingSecs() float64 { return j.normSecs }
@@ -344,9 +266,6 @@ func (j *AQPJob) LastRunAt() sim.Time {
 	}
 	return j.arrival
 }
-
-// EpochLog returns the per-epoch observation log.
-func (j *AQPJob) EpochLog() []EpochObs { return j.epochLog }
 
 // RealtimeCurve returns the recorded (processing seconds, estimated
 // accuracy) points — the real-time input to the §IV-A joint fit.
@@ -448,22 +367,6 @@ func (j *AQPJob) observeEpoch(now sim.Time) {
 		TrueAcc:  j.query.Accuracy(),
 		Progress: j.AttainmentProgress(),
 	})
-}
-
-// resetForScratchRestart clears every observation the job accumulated so
-// a from-scratch replay reproduces the fault-free observation sequence
-// bit-for-bit: fresh envelope and growth trackers, empty real-time curve,
-// zeroed epoch and work counters. The caller restores the query itself
-// from the pristine checkpoint. processingSecs is deliberately kept — the
-// wasted time was really spent and the metrics must see it.
-func (j *AQPJob) resetForScratchRestart() {
-	j.envelope = &envelopeState{window: j.envelope.window, converge: j.envelope.converge}
-	j.realtimeCurve = nil
-	j.epochs = 0
-	j.normSecs = 0
-	j.everRan = false
-	j.needsRestore = false
-	j.lastRelease = 0
 }
 
 // envelopeConverged reports whether every tracked cell's envelope has

@@ -12,48 +12,16 @@ import (
 // DLTJob is one deep learning training job under arbitration: the
 // simulated trainer plus its completion criterion and bookkeeping.
 type DLTJob struct {
-	id    string
+	jobCore
 	job   *dlt.Job
-	crit  criteria.Criteria
 	query estimate.DLTQuery // similarity-search identity
-	// tenant attributes the job for quota accounting and fair-share
-	// arbitration; empty means the default tenant. Set before submission.
-	tenant string
 
-	arrival        sim.Time
-	arrived        bool
-	epochs         int
-	processingSecs float64
-	status         JobStatus
-	endTime        sim.Time
-
-	lastDevice  int
-	lastRelease sim.Time
-	everRan     bool
-
-	// Fault-recovery state, mirroring AQPJob: pristine is the trainer's
-	// state at submission (the restart-from-scratch fallback), needsRestore
-	// forces a checkpoint replay after a device crash left the in-memory
-	// trainer dirty, crashPending/crashedSince track the open recovery
-	// window, deferredPenaltySecs carries save-time I/O backoff into the
-	// next epoch's cost.
-	pristine            []byte
-	needsRestore        bool
-	crashPending        bool
-	crashedSince        sim.Time
-	deferredPenaltySecs float64
-
-	// Overload state, mirroring AQPJob: bestEffort marks a Degrade-policy
-	// admission, watchdogStrikes doubles the watchdog budget per
-	// consecutive preemption (reset on a completed epoch).
-	bestEffort      bool
-	watchdogStrikes int
+	lastDevice int
 
 	// convergedAtEpoch records the first epoch at which the delta check
 	// fired (0 = never) — the metrics' convergence-line.
 	convergedAtEpoch int
 
-	epochLog   []EpochObs
 	placements []Placement
 }
 
@@ -73,9 +41,8 @@ func NewDLTJob(id string, job *dlt.Job, crit criteria.Criteria) (*DLTJob, error)
 	cfg := job.Config()
 	spec := job.Spec()
 	return &DLTJob{
-		id:   id,
-		job:  job,
-		crit: crit,
+		jobCore: jobCore{id: id, crit: crit},
+		job:     job,
 		query: estimate.DLTQuery{
 			Model:     cfg.Model,
 			Family:    spec.Family,
@@ -89,32 +56,16 @@ func NewDLTJob(id string, job *dlt.Job, crit criteria.Criteria) (*DLTJob, error)
 	}, nil
 }
 
-// ID returns the job identifier.
-func (j *DLTJob) ID() string { return j.id }
-
-// Tenant reports the job's tenant attribution (empty = default tenant).
-func (j *DLTJob) Tenant() string { return j.tenant }
-
 // SetTenant attributes the job to a tenant. Call before submission —
 // the attribution is folded into admission and fair-share state at
 // registration.
 func (j *DLTJob) SetTenant(t string) { j.tenant = t }
-
-// Criteria returns the completion criterion.
-func (j *DLTJob) Criteria() criteria.Criteria { return j.crit }
 
 // Trainer exposes the underlying simulated training job.
 func (j *DLTJob) Trainer() *dlt.Job { return j.job }
 
 // SimilarityQuery returns the job identity used by TEE/TME retrieval.
 func (j *DLTJob) SimilarityQuery() estimate.DLTQuery { return j.query }
-
-// Status returns the job's current status.
-func (j *DLTJob) Status() JobStatus { return j.status }
-
-// BestEffort reports whether the admission controller degraded the job to
-// best-effort service.
-func (j *DLTJob) BestEffort() bool { return j.bestEffort }
 
 // nextEpochSecsGuess projects the next epoch's training time from the
 // job's own history, falling back to the trainer's nominal per-epoch cost
@@ -130,23 +81,8 @@ func (j *DLTJob) nextEpochSecsGuess() float64 {
 	return per
 }
 
-// Arrival returns the arrival time (valid once arrived).
-func (j *DLTJob) Arrival() sim.Time { return j.arrival }
-
-// EndTime returns the terminal time (valid once Terminal).
-func (j *DLTJob) EndTime() sim.Time { return j.endTime }
-
-// Epochs reports completed training epochs.
-func (j *DLTJob) Epochs() int { return j.epochs }
-
-// ProcessingSecs reports cumulative virtual training time.
-func (j *DLTJob) ProcessingSecs() float64 { return j.processingSecs }
-
 // Accuracy reports the latest evaluation accuracy.
 func (j *DLTJob) Accuracy() float64 { return j.job.Accuracy() }
-
-// EpochLog returns the per-epoch observation log.
-func (j *DLTJob) EpochLog() []EpochObs { return j.epochLog }
 
 // Placements returns the device-placement history.
 func (j *DLTJob) Placements() []Placement { return j.placements }

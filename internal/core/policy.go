@@ -73,6 +73,91 @@ type DLTScheduler interface {
 	Place(ctx *DLTContext) []DLTPlacement
 }
 
+// agingLedger is the aging state both starvation guards share: how many
+// consecutive arbitration rounds each pending job has been passed over,
+// and how many decisions the guard has forced.
+type agingLedger struct {
+	// maxSkipped is the consecutive-rounds-passed-over threshold.
+	maxSkipped int
+	skipped    map[string]int
+	forced     int
+}
+
+func newAgingLedger(maxSkipped int) agingLedger {
+	if maxSkipped < 1 {
+		maxSkipped = 8
+	}
+	return agingLedger{maxSkipped: maxSkipped, skipped: make(map[string]int)}
+}
+
+// ForcedGrants reports how many grants the guard forced.
+func (a *agingLedger) ForcedGrants() int { return a.forced }
+
+// outranks reports whether a job starved for count rounds is strictly
+// more starved than holder, whose decision it would displace. An
+// unconditional displacement robs the top-ranked (often equally starved)
+// job every round, and the guard becomes the starvation it exists to
+// prevent.
+func (a *agingLedger) outranks(count int, holder string) bool {
+	return count > a.skipped[holder]+1
+}
+
+// age runs one round of the aging rule over the inner policy's decisions
+// out. It picks the most-starved passed-over pending job (ties break by
+// ID for determinism) and lets force fund a decision for it, reporting
+// whether it could. Counters are read as "what this round would bring
+// them to" but committed only against the FINAL decision list — a job
+// whose decision the forced one displaces must keep aging, or the guard
+// robs the same near-granted job every round while resetting its counter
+// and starves it indefinitely.
+func age[J interface{ ID() string }, G any](a *agingLedger, pending []J, out []G, idOf func(G) string,
+	force func(out []G, starving J, count int) ([]G, bool)) []G {
+	granted := make(map[string]bool, len(out))
+	for _, g := range out {
+		granted[idOf(g)] = true
+	}
+	var starving J
+	starvingCount := 0
+	for _, j := range pending {
+		if granted[j.ID()] {
+			continue
+		}
+		c := a.skipped[j.ID()] + 1
+		if c <= a.maxSkipped {
+			continue
+		}
+		if starvingCount == 0 || c > starvingCount ||
+			(c == starvingCount && j.ID() < starving.ID()) {
+			starving, starvingCount = j, c
+		}
+	}
+	if starvingCount > 0 {
+		var applied bool
+		if out, applied = force(out, starving, starvingCount); applied {
+			a.forced++
+		}
+	}
+	final := make(map[string]bool, len(out))
+	for _, g := range out {
+		final[idOf(g)] = true
+	}
+	seen := make(map[string]bool, len(pending))
+	for _, j := range pending {
+		seen[j.ID()] = true
+		if final[j.ID()] {
+			delete(a.skipped, j.ID())
+		} else {
+			a.skipped[j.ID()]++
+		}
+	}
+	for id := range a.skipped {
+		if !seen[id] {
+			delete(a.skipped, id) // granted, terminal, or shed: no longer pending
+		}
+	}
+	return out
+}
+
 // StarvationGuardAQP wraps any AQP policy with aging: a pending job the
 // inner policy passes over for more than MaxSkippedRounds consecutive
 // arbitration rounds is forced a minimal one-thread grant, so every
@@ -87,107 +172,45 @@ type DLTScheduler interface {
 // or by displacing the inner policy's last (lowest-priority) grant.
 type StarvationGuardAQP struct {
 	inner AQPScheduler
-	// maxSkipped is the consecutive-rounds-passed-over threshold.
-	maxSkipped int
-	skipped    map[string]int
-	forced     int
+	agingLedger
 }
 
 // NewStarvationGuardAQP wraps inner; maxSkipped < 1 defaults to 8.
 func NewStarvationGuardAQP(inner AQPScheduler, maxSkipped int) *StarvationGuardAQP {
-	if maxSkipped < 1 {
-		maxSkipped = 8
-	}
-	return &StarvationGuardAQP{inner: inner, maxSkipped: maxSkipped, skipped: make(map[string]int)}
+	return &StarvationGuardAQP{inner: inner, agingLedger: newAgingLedger(maxSkipped)}
 }
 
 // Name implements AQPScheduler.
 func (g *StarvationGuardAQP) Name() string { return g.inner.Name() + "+aging" }
 
-// ForcedGrants reports how many grants the guard forced.
-func (g *StarvationGuardAQP) ForcedGrants() int { return g.forced }
-
 // Assign implements AQPScheduler.
 func (g *StarvationGuardAQP) Assign(ctx *AQPContext) []AQPGrant {
-	grants := g.inner.Assign(ctx)
-	granted := make(map[string]bool, len(grants))
-	for _, gr := range grants {
-		granted[gr.Job.ID()] = true
-	}
-	// Pick the most-starved passed-over job; ties break by ID for
-	// determinism. Counters are read as "what this round would bring
-	// them to" but committed only against the FINAL grant list below —
-	// a job whose grant the forced one displaces must keep aging, or
-	// the guard robs the same near-granted job every round while
-	// resetting its counter and starves it indefinitely.
-	var starving *AQPJob
-	starvingCount := 0
-	for _, j := range ctx.Pending {
-		if granted[j.ID()] {
-			continue
-		}
-		c := g.skipped[j.ID()] + 1
-		if c <= g.maxSkipped {
-			continue
-		}
-		if starving == nil || c > starvingCount ||
-			(c == starvingCount && j.ID() < starving.ID()) {
-			starving, starvingCount = j, c
-		}
-	}
-	if starving != nil {
-		forced := AQPGrant{Job: starving, Threads: 1}
-		used := 0
-		for _, gr := range grants {
-			used += gr.Threads
-		}
-		wi := -1
-		for i, gr := range grants {
-			if gr.Threads > 1 && (wi < 0 || gr.Threads >= grants[wi].Threads) {
-				wi = i
+	grantID := func(gr AQPGrant) string { return gr.Job.ID() }
+	return age(&g.agingLedger, ctx.Pending, g.inner.Assign(ctx), grantID,
+		func(grants []AQPGrant, starving *AQPJob, count int) ([]AQPGrant, bool) {
+			forced := AQPGrant{Job: starving, Threads: 1}
+			used := 0
+			for _, gr := range grants {
+				used += gr.Threads
 			}
-		}
-		applied := true
-		switch {
-		case used < ctx.FreeThreads:
-			grants = append(grants, forced)
-		case wi >= 0:
-			grants[wi].Threads--
-			grants = append(grants, forced)
-		case len(grants) > 0 && starvingCount > g.skipped[grants[len(grants)-1].Job.ID()]+1:
-			// Displace the inner policy's last grant — but only when the
-			// forced job is strictly more starved than the job it robs.
-			// An unconditional displacement robs the top-ranked (often
-			// equally starved) job every single-thread round, and the
-			// guard becomes the starvation it exists to prevent.
-			grants[len(grants)-1] = forced
-		default:
-			applied = false
-		}
-		if applied {
-			g.forced++
-		}
-	}
-	// Commit aging against what is actually granted this round.
-	final := make(map[string]bool, len(grants))
-	for _, gr := range grants {
-		final[gr.Job.ID()] = true
-	}
-	seen := make(map[string]bool, len(ctx.Pending))
-	for _, j := range ctx.Pending {
-		seen[j.ID()] = true
-		if final[j.ID()] {
-			delete(g.skipped, j.ID())
-		} else {
-			g.skipped[j.ID()]++
-		}
-	}
-	for id := range g.skipped {
-		if !seen[id] {
-			delete(g.skipped, id) // granted, terminal, or shed: no longer pending
-		}
-	}
-	return grants
+			wi := -1
+			for i, gr := range grants {
+				if gr.Threads > 1 && (wi < 0 || gr.Threads >= grants[wi].Threads) {
+					wi = i
+				}
+			}
+			switch {
+			case used < ctx.FreeThreads:
+				return append(grants, forced), true
+			case wi >= 0:
+				grants[wi].Threads--
+				return append(grants, forced), true
+			case len(grants) > 0 && g.outranks(count, grants[len(grants)-1].Job.ID()):
+				grants[len(grants)-1] = forced
+				return grants, true
+			}
+			return grants, false
+		})
 }
 
 // StarvationGuardDLT wraps any DLT policy with the same aging rule: a
@@ -195,90 +218,36 @@ func (g *StarvationGuardAQP) Assign(ctx *AQPContext) []AQPGrant {
 // rounds is forced onto a device — a free one the inner policy left
 // idle, else the device of the inner policy's last placement.
 type StarvationGuardDLT struct {
-	inner      DLTScheduler
-	maxSkipped int
-	skipped    map[string]int
-	forced     int
+	inner DLTScheduler
+	agingLedger
 }
 
 // NewStarvationGuardDLT wraps inner; maxSkipped < 1 defaults to 8.
 func NewStarvationGuardDLT(inner DLTScheduler, maxSkipped int) *StarvationGuardDLT {
-	if maxSkipped < 1 {
-		maxSkipped = 8
-	}
-	return &StarvationGuardDLT{inner: inner, maxSkipped: maxSkipped, skipped: make(map[string]int)}
+	return &StarvationGuardDLT{inner: inner, agingLedger: newAgingLedger(maxSkipped)}
 }
 
 // Name implements DLTScheduler.
 func (g *StarvationGuardDLT) Name() string { return g.inner.Name() + "+aging" }
 
-// ForcedGrants reports how many placements the guard forced.
-func (g *StarvationGuardDLT) ForcedGrants() int { return g.forced }
-
 // Place implements DLTScheduler.
 func (g *StarvationGuardDLT) Place(ctx *DLTContext) []DLTPlacement {
-	placements := g.inner.Place(ctx)
-	placed := make(map[string]bool, len(placements))
-	for _, p := range placements {
-		placed[p.Job.ID()] = true
-	}
-	// Same commit-against-final-placements rule as the AQP guard: a job
-	// whose placement the forced one displaces keeps aging.
-	var starving *DLTJob
-	starvingCount := 0
-	for _, j := range ctx.Pending {
-		if placed[j.ID()] {
-			continue
-		}
-		c := g.skipped[j.ID()] + 1
-		if c <= g.maxSkipped {
-			continue
-		}
-		if starving == nil || c > starvingCount ||
-			(c == starvingCount && j.ID() < starving.ID()) {
-			starving, starvingCount = j, c
-		}
-	}
-	if starving != nil {
-		usedDev := make(map[int]bool, len(placements))
-		for _, p := range placements {
-			usedDev[p.Device] = true
-		}
-		forcedOn := -1
-		for _, d := range ctx.FreeGPUs {
-			if !usedDev[d.ID] {
-				forcedOn = d.ID
-				break
+	placementID := func(p DLTPlacement) string { return p.Job.ID() }
+	return age(&g.agingLedger, ctx.Pending, g.inner.Place(ctx), placementID,
+		func(placements []DLTPlacement, starving *DLTJob, count int) ([]DLTPlacement, bool) {
+			usedDev := make(map[int]bool, len(placements))
+			for _, p := range placements {
+				usedDev[p.Device] = true
 			}
-		}
-		switch {
-		case forcedOn >= 0:
-			placements = append(placements, DLTPlacement{Job: starving, Device: forcedOn})
-			g.forced++
-		case len(placements) > 0 && starvingCount > g.skipped[placements[len(placements)-1].Job.ID()]+1:
-			// Same strictly-more-starved rule as the AQP guard: never rob
-			// a placement from a job as starved as the forced one.
-			placements[len(placements)-1] = DLTPlacement{Job: starving, Device: placements[len(placements)-1].Device}
-			g.forced++
-		}
-	}
-	final := make(map[string]bool, len(placements))
-	for _, p := range placements {
-		final[p.Job.ID()] = true
-	}
-	seen := make(map[string]bool, len(ctx.Pending))
-	for _, j := range ctx.Pending {
-		seen[j.ID()] = true
-		if final[j.ID()] {
-			delete(g.skipped, j.ID())
-		} else {
-			g.skipped[j.ID()]++
-		}
-	}
-	for id := range g.skipped {
-		if !seen[id] {
-			delete(g.skipped, id)
-		}
-	}
-	return placements
+			for _, d := range ctx.FreeGPUs {
+				if !usedDev[d.ID] {
+					return append(placements, DLTPlacement{Job: starving, Device: d.ID}), true
+				}
+			}
+			if n := len(placements); n > 0 && g.outranks(count, placements[n-1].Job.ID()) {
+				placements[n-1] = DLTPlacement{Job: starving, Device: placements[n-1].Device}
+				return placements, true
+			}
+			return placements, false
+		})
 }
