@@ -13,7 +13,6 @@ import (
 	"os"
 	"runtime"
 
-	"rotary/internal/baselines"
 	"rotary/internal/cliutil"
 	"rotary/internal/core"
 	"rotary/internal/estimate"
@@ -95,25 +94,9 @@ func main() {
 	}
 
 	repo := estimate.NewRepository()
-	var sched core.AQPScheduler
-	switch *policy {
-	case "rotary":
-		if err := workload.SeedAQPHistory(repo, cat, workload.RecommendedBatchRows(cat)); err != nil {
-			log.Fatal(err)
-		}
-		sched = core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))
-	case "relaqs":
-		sched = baselines.ReLAQS{}
-	case "edf":
-		sched = baselines.EDFAQP{}
-	case "laf":
-		sched = baselines.LAFAQP{}
-	case "rr":
-		sched = baselines.RoundRobinAQP{}
-	default:
-		log.Printf("unknown policy %q", *policy)
-		flag.Usage()
-		os.Exit(2)
+	sched, err := cliutil.NewAQPPolicy(*policy, repo, cat)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	execCfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
@@ -147,12 +130,12 @@ func main() {
 		tracer = &core.Tracer{}
 		execCfg.Tracer = tracer
 	}
+	var sink *obs.JSONLSink
 	if *traceOut != "" {
-		sink, err := obs.OpenJSONLSink(*traceOut)
-		if err != nil {
+		var err error
+		if sink, err = obs.OpenJSONLSink(*traceOut); err != nil {
 			log.Fatal(err)
 		}
-		defer sink.Close()
 		tracer.SetSink(sink)
 	}
 	exec := core.NewAQPExecutor(execCfg, sched, repo)
@@ -199,6 +182,9 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote metrics to %s\n", *metricsOut)
+	}
+	if err := sink.Close(); err != nil {
+		log.Fatalf("-trace-out: %v", err)
 	}
 }
 

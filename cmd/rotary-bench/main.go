@@ -83,12 +83,12 @@ func main() {
 		os.Exit(2)
 	}
 
+	var sink *obs.JSONLSink
 	if *traceOut != "" {
-		sink, err := obs.OpenJSONLSink(*traceOut)
-		if err != nil {
+		var err error
+		if sink, err = obs.OpenJSONLSink(*traceOut); err != nil {
 			log.Fatal(err)
 		}
-		defer sink.Close()
 		// Experiment helpers build executors internally; the default tracer
 		// lets every one of them stream into the single JSONL sink without
 		// retaining events in memory (capacity 1 keeps the ring trivial).
@@ -134,5 +134,8 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote metrics to %s\n", *metricsOut)
+	}
+	if err := sink.Close(); err != nil {
+		log.Fatalf("-trace-out: %v", err)
 	}
 }

@@ -131,12 +131,12 @@ func main() {
 		tracer = &core.Tracer{}
 		cfg.Tracer = tracer
 	}
+	var sink *obs.JSONLSink
 	if *traceOut != "" {
-		sink, err := obs.OpenJSONLSink(*traceOut)
-		if err != nil {
+		var err error
+		if sink, err = obs.OpenJSONLSink(*traceOut); err != nil {
 			log.Fatal(err)
 		}
-		defer sink.Close()
 		tracer.SetSink(sink)
 	}
 	exec := core.NewDLTExecutor(cfg, sched, repo)
@@ -189,5 +189,8 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote metrics to %s\n", *metricsOut)
+	}
+	if err := sink.Close(); err != nil {
+		log.Fatalf("-trace-out: %v", err)
 	}
 }

@@ -72,7 +72,6 @@ import (
 	"time"
 
 	"rotary/internal/admission"
-	"rotary/internal/baselines"
 	"rotary/internal/cliutil"
 	"rotary/internal/core"
 	"rotary/internal/diskio"
@@ -170,28 +169,30 @@ func main() {
 	}
 
 	fmt.Printf("generating TPC-H at SF=%g (seed %d)…\n", *sf, *seed)
-	ds := tpch.Generate(*sf, *seed)
+	stack := stackOpts{
+		ds:         tpch.Generate(*sf, *seed),
+		policy:     *policy,
+		admit:      admitPolicy,
+		queueBound: *queueBound,
+		slack:      *slack,
+		wdSlack:    *wdSlack,
+		aging:      *aging,
+		tenants:    tenantTable,
+	}
 
 	if *shards > 1 {
 		if err := runSharded(shardedOpts{
+			stackOpts:  stack,
 			socket:     *socket,
 			listeners:  listeners,
 			ingDepth:   *ingDepth,
 			ingBatch:   *ingBatch,
 			journalDir: *journalDir,
 			shards:     *shards,
-			ds:         ds,
 			seed:       *seed,
-			policy:     *policy,
-			admit:      admitPolicy,
-			queueBound: *queueBound,
-			slack:      *slack,
-			wdSlack:    *wdSlack,
-			aging:      *aging,
 			traceRing:  *traceRing,
 			pace:       *pace,
 			httpAddr:   *httpAddr,
-			tenants:    tenantTable,
 			healProbe:  *healProbe,
 			healBudget: *healBudget,
 			faultRate:  *faultRate,
@@ -201,55 +202,28 @@ func main() {
 		return
 	}
 
-	cat := tpch.NewCatalog(ds, *seed)
-	repo := estimate.NewRepository()
-	sched, err := buildScheduler(*policy, repo, cat)
-	if err != nil {
-		log.Println(err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if tenantTable.Enabled() {
-		// Weighted fair share wraps the policy: quotas gate arrivals at
-		// admission, the DRF layer divides threads among active tenants.
-		sched = core.NewFairShareAQP(sched, tenantTable.Weights())
-	}
-
 	tracer := core.NewTracer(*traceRing)
+	var sink *obs.JSONLSink
 	if *traceOut != "" {
-		sink, err := obs.OpenJSONLSink(*traceOut)
-		if err != nil {
+		if sink, err = obs.OpenJSONLSink(*traceOut); err != nil {
 			log.Fatal(err)
 		}
-		defer sink.Close()
 		tracer.SetSink(sink)
 	}
 
-	execCfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	execCfg.Tracer = tracer
-	execCfg.Admission = admission.NewController(admission.Config{
-		MaxQueueDepth: *queueBound,
-		SlackFactor:   *slack,
-		Policy:        admitPolicy,
-		Tenants:       tenantTable,
-	})
-	execCfg.AgingRounds = *aging
-	var jl *serve.Journal
+	var (
+		jl    *serve.Journal
+		store *core.CheckpointStore
+	)
 	if *journalDir != "" {
 		// Durable mode: journal plus a persistent checkpoint store whose
 		// sweep retains journal-referenced checkpoints, so recovered jobs
 		// reattach across restarts instead of restarting from scratch.
-		j, store, err := serve.OpenDurableIO(*journalDir, faultIO(*faultRate, *seed, 0))
-		if err != nil {
+		if jl, store, err = serve.OpenDurableIO(*journalDir, faultIO(*faultRate, *seed, 0)); err != nil {
 			log.Fatal(err)
 		}
-		defer j.Close()
-		jl = j
-		execCfg.Store = store
-		if *wdSlack > 0 {
-			execCfg.WatchdogSlack = *wdSlack
-		}
-		rec := j.Recovered()
+		defer jl.Close()
+		rec := jl.Recovered()
 		if n := len(rec.NonTerminal()); n > 0 || rec.DroppedBytes > 0 {
 			fmt.Printf("journal: server epoch %d, recovering %d live jobs at virtual %.0fs (%d corrupt tail bytes dropped)\n",
 				rec.ServerEpoch, n, rec.VirtualNow, rec.DroppedBytes)
@@ -260,14 +234,14 @@ func main() {
 			log.Fatal(err)
 		}
 		defer os.RemoveAll(dir)
-		store, err := core.NewCheckpointStore(dir, 8)
-		if err != nil {
+		if store, err = core.NewCheckpointStore(dir, 8); err != nil {
 			log.Fatal(err)
 		}
-		execCfg.Store = store
-		execCfg.WatchdogSlack = *wdSlack
 	}
-	exec := core.NewAQPExecutor(execCfg, sched, repo)
+	exec, cat, sched, err := buildStack(stack, *seed, nil, tracer, store)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	srv, err := serve.New(serve.Config{
 		Socket:          *socket,
@@ -307,54 +281,78 @@ func main() {
 	r := srv.Final()
 	fmt.Printf("drained %d/%d jobs after %s (virtual now %.0fs)\n%s",
 		r.Terminal, r.Jobs, time.Since(start).Round(time.Millisecond), r.VirtualNow, r.Report)
+	if err := sink.Close(); err != nil {
+		log.Fatalf("-trace-out: %v", err)
+	}
 	if !r.OK {
 		log.Fatal(r.Error)
 	}
 }
 
-// buildScheduler constructs the scheduling policy, seeding the Rotary
-// progress estimator's history when the paper's policy is selected.
-func buildScheduler(policy string, repo *estimate.Repository, cat *tpch.Catalog) (core.AQPScheduler, error) {
-	switch policy {
-	case "rotary":
-		if err := workload.SeedAQPHistory(repo, cat, workload.RecommendedBatchRows(cat)); err != nil {
-			return nil, err
-		}
-		return core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3)), nil
-	case "relaqs":
-		return baselines.ReLAQS{}, nil
-	case "edf":
-		return baselines.EDFAQP{}, nil
-	case "laf":
-		return baselines.LAFAQP{}, nil
-	case "rr":
-		return baselines.RoundRobinAQP{}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", policy)
-	}
-}
-
-// shardedOpts carries the sharded daemon's configuration from the flag
-// set into runSharded.
-type shardedOpts struct {
-	socket     string
-	listeners  []string
-	ingDepth   int
-	ingBatch   int
-	journalDir string
-	shards     int
+// stackOpts is the part of the configuration every arbiter stack shares,
+// single or sharded.
+type stackOpts struct {
 	ds         *tpch.Dataset
-	seed       uint64
 	policy     string
 	admit      admission.Policy
 	queueBound int
 	slack      float64
 	wdSlack    float64
 	aging      int
+	tenants    admission.TenantTable
+}
+
+// buildStack assembles one arbiter stack over the shared dataset: the
+// catalog (seeded by catSeed), a history repository, the policy (wrapped
+// in weighted fair share when tenants are configured), the admission
+// controller and the executor. reg (nil = the process default), tracer
+// and store are the caller's; the epoch watchdog is armed only over a
+// store, since a preempted epoch rolls back to its checkpoint.
+func buildStack(o stackOpts, catSeed uint64, reg *obs.Registry, tracer *core.Tracer,
+	store *core.CheckpointStore) (*core.AQPExecutor, *tpch.Catalog, core.AQPScheduler, error) {
+	cat := tpch.NewCatalog(o.ds, catSeed)
+	repo := estimate.NewRepository()
+	sched, err := cliutil.NewAQPPolicy(o.policy, repo, cat)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if o.tenants.Enabled() {
+		// Weighted fair share wraps the policy: quotas gate arrivals at
+		// admission, the DRF layer divides threads among active tenants.
+		sched = core.NewFairShareAQP(sched, o.tenants.Weights())
+	}
+	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
+	cfg.Obs = reg
+	cfg.Tracer = tracer
+	cfg.Admission = admission.NewController(admission.Config{
+		MaxQueueDepth: o.queueBound,
+		SlackFactor:   o.slack,
+		Policy:        o.admit,
+		Obs:           reg,
+		Tenants:       o.tenants,
+	})
+	cfg.AgingRounds = o.aging
+	cfg.Store = store
+	if store != nil {
+		cfg.WatchdogSlack = o.wdSlack
+	}
+	return core.NewAQPExecutor(cfg, sched, repo), cat, sched, nil
+}
+
+// shardedOpts carries the sharded daemon's configuration from the flag
+// set into runSharded.
+type shardedOpts struct {
+	stackOpts
+	socket     string
+	listeners  []string
+	ingDepth   int
+	ingBatch   int
+	journalDir string
+	shards     int
+	seed       uint64
 	traceRing  int
 	pace       float64
 	httpAddr   string
-	tenants    admission.TenantTable
 	healProbe  float64
 	healBudget int
 	faultRate  float64
@@ -384,32 +382,8 @@ func faultIO(rate float64, seed uint64, index int) diskio.IO {
 func runSharded(o shardedOpts) error {
 	build := func(index int, store *core.CheckpointStore) (*core.AQPExecutor, *tpch.Catalog, *obs.Registry, error) {
 		reg := obs.NewRegistry()
-		cat := tpch.NewCatalog(o.ds, o.seed+uint64(index))
-		repo := estimate.NewRepository()
-		sched, err := buildScheduler(o.policy, repo, cat)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if o.tenants.Enabled() {
-			sched = core.NewFairShareAQP(sched, o.tenants.Weights())
-		}
-		execCfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-		execCfg.Obs = reg
-		execCfg.Tracer = core.NewTracer(o.traceRing)
-		execCfg.Admission = admission.NewController(admission.Config{
-			MaxQueueDepth: o.queueBound,
-			SlackFactor:   o.slack,
-			Policy:        o.admit,
-			Obs:           reg,
-			Tenants:       o.tenants,
-		})
-		execCfg.AgingRounds = o.aging
-		execCfg.Store = store
-		if o.wdSlack > 0 {
-			execCfg.WatchdogSlack = o.wdSlack
-		}
-		exec := core.NewAQPExecutor(execCfg, sched, repo)
-		return exec, cat, reg, nil
+		exec, cat, _, err := buildStack(o.stackOpts, o.seed+uint64(index), reg, core.NewTracer(o.traceRing), store)
+		return exec, cat, reg, err
 	}
 	router, err := serve.NewRouter(serve.RouterConfig{
 		Socket:          o.socket,

@@ -58,12 +58,12 @@ func main() {
 		log.Fatal(err)
 	}
 
+	var sink *obs.JSONLSink
 	if *traceOut != "" {
-		sink, err := obs.OpenJSONLSink(*traceOut)
-		if err != nil {
+		var err error
+		if sink, err = obs.OpenJSONLSink(*traceOut); err != nil {
 			log.Fatal(err)
 		}
-		defer sink.Close()
 		// Both substrates adopt the default tracer, so one JSONL stream
 		// carries the unified run's full arbitration timeline.
 		tracer := core.NewTracer(0)
@@ -127,5 +127,8 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote metrics to %s\n", *metricsOut)
+	}
+	if err := sink.Close(); err != nil {
+		log.Fatalf("-trace-out: %v", err)
 	}
 }

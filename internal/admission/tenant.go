@@ -24,7 +24,6 @@ package admission
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -464,16 +463,4 @@ func (c *Controller) TenantStats() map[string]TenantStats {
 		out[name] = s
 	}
 	return out
-}
-
-// TenantNames lists the tenants seen so far, sorted.
-func (c *Controller) TenantNames() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.tenants))
-	for name := range c.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

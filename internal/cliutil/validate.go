@@ -1,7 +1,8 @@
-// Package cliutil holds shared command-line validation for the rotary
-// binaries: flag values are range-checked before any work starts, so a
-// typo'd -jobs -5 fails with a usage error instead of a confusing panic
-// (or a silent empty run) minutes into dataset generation.
+// Package cliutil holds what the rotary binaries share on the command
+// line: flag validation — values are range-checked before any work
+// starts, so a typo'd -jobs -5 fails with a usage error instead of a
+// confusing panic (or a silent empty run) minutes into dataset
+// generation — and the constructor behind the AQP -policy flag.
 package cliutil
 
 import (

@@ -187,6 +187,9 @@ func TestChaosRotaryAQPFullMixTerminates(t *testing.T) {
 		}
 		corruptionsDealt += in.Stats().Corruptions
 		corruptionsDetected += store.Health().CorruptDetected
+		if got, want := store.Health().SlowIOs, in.Stats().SlowIOs; got != want {
+			t.Errorf("seed %d: store counted %d slow I/Os, injector dealt %d", seed, got, want)
+		}
 	}
 	// A corrupted write that is overwritten before any read goes unseen
 	// (harmless); but across three seeds some corrupt frame must have been

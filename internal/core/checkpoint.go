@@ -92,20 +92,15 @@ func decodeCheckpointFrame(frame []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// AtomicWriteFile publishes data at path crash-safely: the bytes are
-// written to a same-directory temp file, fsynced, renamed over the final
-// path, and the directory is synced best-effort so the rename itself is
-// durable. A crash at any point leaves either the old file or the new one
-// — never a torn mix. The checkpoint store and the serve journal's
-// compaction both publish through it.
-func AtomicWriteFile(path string, data []byte) error {
-	return AtomicWriteFileIO(diskio.OS{}, path, data)
-}
-
-// AtomicWriteFileIO is AtomicWriteFile over a pluggable disk layer, so
-// chaos runs can fail any step of the protocol: a failed rename or a
-// failed cleanup remove leaves the temp file orphaned on the real
-// disk, which is exactly what the open-time sweeps exist to reclaim.
+// AtomicWriteFileIO publishes data at path crash-safely through dio: the
+// bytes are written to a same-directory temp file, fsynced, renamed over
+// the final path, and the directory is synced best-effort so the rename
+// itself is durable. A crash at any point leaves either the old file or
+// the new one — never a torn mix. The checkpoint store and the serve
+// journal's compaction both publish through it. The pluggable disk layer
+// lets chaos runs fail any step of the protocol: a failed rename or a
+// failed cleanup remove leaves the temp file orphaned on the real disk,
+// which is exactly what the open-time sweeps exist to reclaim.
 func AtomicWriteFileIO(dio diskio.IO, path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := dio.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -189,14 +184,12 @@ type CheckpointStore struct {
 	lru         *list.List               // front = most recent
 	lruIdx      map[string]*list.Element // id -> element (value: id)
 
-	// injector, when set, deals deterministic I/O faults; maxRetries and
-	// retryBackoffSecs bound the recovery from transient ones. The
-	// backoff is charged in virtual time: it accrues to penaltySecs,
-	// which the executor drains into the affected job's epoch cost.
-	injector         *faults.Injector
-	maxRetries       int
-	retryBackoffSecs float64
-	penaltySecs      float64
+	// injector, when set, deals deterministic I/O faults. Retry backoff
+	// and slow I/O are charged in virtual time: they accrue to
+	// penaltySecs, which the executor drains into the affected job's
+	// epoch cost.
+	injector    *faults.Injector
+	penaltySecs float64
 
 	// deferred marks a write-behind store: staged holds the frames saved
 	// since the last Flush, stageOrder their ids in first-staged order (an
@@ -217,26 +210,20 @@ type CheckpointStore struct {
 // and stale checkpoint files left behind by a previous (possibly crashed)
 // run are swept away so completed workloads never leak disk across runs.
 func NewCheckpointStore(dir string, memorySlots int) (*CheckpointStore, error) {
-	return NewCheckpointStoreRetaining(dir, memorySlots, nil)
+	return NewCheckpointStoreIO(dir, memorySlots, nil, nil)
 }
 
-// NewCheckpointStoreRetaining creates a store whose startup sweep (and
+// NewCheckpointStoreIO creates a store whose startup sweep (and
 // Close-time cleanup) spares checkpoints the retain predicate claims: the
 // durable serving mode passes the set of checkpoint ids its journal still
 // references for non-terminal jobs, so a daemon restart can reattach each
 // recovered job to its latest persisted state instead of replaying from
 // scratch. A nil predicate retains nothing (the one-run scratch semantics
-// of NewCheckpointStore).
-func NewCheckpointStoreRetaining(dir string, memorySlots int, retain func(id string) bool) (*CheckpointStore, error) {
-	return NewCheckpointStoreIO(dir, memorySlots, retain, nil)
-}
-
-// NewCheckpointStoreIO is NewCheckpointStoreRetaining over a pluggable
-// disk layer (nil means the real disk): every write, rename, remove,
-// and directory sync the store issues goes through dio, so a seeded
-// fault injector sees each one. The startup sweep also runs through
-// dio — a faulty disk may refuse to release an orphan, in which case
-// the next open tries again.
+// of NewCheckpointStore). Every write, rename, remove, and directory sync
+// the store issues goes through dio (nil means the real disk), so a
+// seeded fault injector sees each one. The startup sweep also runs
+// through dio — a faulty disk may refuse to release an orphan, in which
+// case the next open tries again.
 func NewCheckpointStoreIO(dir string, memorySlots int, retain func(id string) bool, dio diskio.IO) (*CheckpointStore, error) {
 	if dio == nil {
 		dio = diskio.OS{}
@@ -248,17 +235,15 @@ func NewCheckpointStoreIO(dir string, memorySlots int, retain func(id string) bo
 		memorySlots = 0
 	}
 	s := &CheckpointStore{
-		dir:              dir,
-		dio:              dio,
-		retain:           retain,
-		memorySlots:      memorySlots,
-		memory:           make(map[string][]byte),
-		lru:              list.New(),
-		lruIdx:           make(map[string]*list.Element),
-		staged:           make(map[string]*stagedFrame),
-		maxRetries:       3,
-		retryBackoffSecs: 1.0,
-		met:              newStoreMetrics(nil),
+		dir:         dir,
+		dio:         dio,
+		retain:      retain,
+		memorySlots: memorySlots,
+		memory:      make(map[string][]byte),
+		lru:         list.New(),
+		lruIdx:      make(map[string]*list.Element),
+		staged:      make(map[string]*stagedFrame),
+		met:         newStoreMetrics(nil),
 	}
 	s.health.Swept, _ = s.sweep() // best effort: the next open sweeps again
 	s.met.swept.Add(int64(s.health.Swept))
@@ -313,20 +298,6 @@ func (s *CheckpointStore) SetFaults(in *faults.Injector) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.injector = in
-}
-
-// SetRetryPolicy overrides the bounded-retry parameters for transient
-// I/O errors: up to maxRetries retries, with exponential virtual-time
-// backoff starting at backoffSecs.
-func (s *CheckpointStore) SetRetryPolicy(maxRetries int, backoffSecs float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if maxRetries >= 0 {
-		s.maxRetries = maxRetries
-	}
-	if backoffSecs >= 0 {
-		s.retryBackoffSecs = backoffSecs
-	}
 }
 
 func (s *CheckpointStore) path(id string) string {
@@ -482,6 +453,39 @@ func (s *CheckpointStore) Flush() error {
 	return firstErr
 }
 
+// A failed checkpoint I/O attempt is retried up to maxRetries times;
+// retry n, counting from 0, waits 2ⁿ × retryBackoffSecs of virtual time.
+const (
+	maxRetries       = 3
+	retryBackoffSecs = 1.0
+)
+
+// retry runs attempt until it returns nil or has failed maxRetries+1
+// times, counting each retry and the final failure in health and metrics
+// and charging the backoff to penaltySecs. It returns the last failure.
+func (s *CheckpointStore) retry(attempt func() error) error {
+	for n := 0; ; n++ {
+		err := attempt()
+		if err == nil {
+			return nil
+		}
+		if n == maxRetries {
+			s.health.TransientFailures++
+			s.met.transient.Inc()
+			return err
+		}
+		s.health.Retries++
+		s.met.retries.Inc()
+		s.penaltySecs += retryBackoffSecs * float64(int(1)<<n)
+	}
+}
+
+// slowIO charges one injected slow-storage event.
+func (s *CheckpointStore) slowIO() {
+	s.health.SlowIOs++
+	s.penaltySecs += s.injector.SlowDelaySecs()
+}
+
 // writeFile frames the payload and writes it atomically: temp file in the
 // same directory, fsync, rename. Injected transient faults are retried
 // with exponential backoff charged in virtual time; injected corruption
@@ -490,27 +494,21 @@ func (s *CheckpointStore) Flush() error {
 // failure mode a real bit-rot or torn DMA produces.
 func (s *CheckpointStore) writeFile(id string, data []byte) error {
 	frame := encodeCheckpointFrame(data)
-	for attempt := 0; ; attempt++ {
+	if err := s.retry(func() error {
 		switch s.injector.WriteFault() {
 		case faults.Transient:
-			if attempt < s.maxRetries {
-				s.health.Retries++
-				s.met.retries.Inc()
-				s.penaltySecs += s.retryBackoffSecs * float64(int(1)<<attempt)
-				continue
-			}
-			s.health.TransientFailures++
-			s.met.transient.Inc()
-			return fmt.Errorf("core: write checkpoint %s: %w", id, ErrTransient)
+			return ErrTransient
 		case faults.Corrupt:
 			// Flip one payload byte in a copy; the header CRC was computed
 			// over the clean payload, so Load will reject this frame.
 			frame = append([]byte(nil), frame...)
 			frame[ckptHeaderLen+len(data)/2] ^= 0xFF
 		case faults.Slow:
-			s.penaltySecs += s.injector.SlowDelaySecs()
+			s.slowIO()
 		}
-		break
+		return nil
+	}); err != nil {
+		return fmt.Errorf("core: write checkpoint %s: %w", id, err)
 	}
 	return s.writeFrame(id, frame)
 }
@@ -524,19 +522,7 @@ func (s *CheckpointStore) writeFile(id string, data []byte) error {
 // still intact under the final path.
 func (s *CheckpointStore) writeFrame(id string, frame []byte) error {
 	ioStart := time.Now()
-	for attempt := 0; ; attempt++ {
-		err := AtomicWriteFileIO(s.dio, s.path(id), frame)
-		if err == nil {
-			break
-		}
-		if attempt < s.maxRetries {
-			s.health.Retries++
-			s.met.retries.Inc()
-			s.penaltySecs += s.retryBackoffSecs * float64(int(1)<<attempt)
-			continue
-		}
-		s.health.TransientFailures++
-		s.met.transient.Inc()
+	if err := s.retry(func() error { return AtomicWriteFileIO(s.dio, s.path(id), frame) }); err != nil {
 		return fmt.Errorf("core: write checkpoint %s: %w (%v)", id, ErrTransient, err)
 	}
 	s.diskBytes += int64(len(frame))
@@ -573,22 +559,16 @@ func (s *CheckpointStore) Load(id string) (data []byte, fromMemory bool, err err
 		s.met.diskHits.Inc()
 		return d, false, nil
 	}
-	for attempt := 0; ; attempt++ {
+	if err := s.retry(func() error {
 		switch s.injector.ReadFault() {
 		case faults.Transient:
-			if attempt < s.maxRetries {
-				s.health.Retries++
-				s.met.retries.Inc()
-				s.penaltySecs += s.retryBackoffSecs * float64(int(1)<<attempt)
-				continue
-			}
-			s.health.TransientFailures++
-			s.met.transient.Inc()
-			return nil, false, fmt.Errorf("core: load checkpoint %s: %w", id, ErrTransient)
+			return ErrTransient
 		case faults.Slow:
-			s.penaltySecs += s.injector.SlowDelaySecs()
+			s.slowIO()
 		}
-		break
+		return nil
+	}); err != nil {
+		return nil, false, fmt.Errorf("core: load checkpoint %s: %w", id, err)
 	}
 	ioStart := time.Now()
 	frame, err := s.dio.ReadFile(s.path(id))

@@ -114,7 +114,7 @@ func metric(t *testing.T, reg *obs.Registry, name string) float64 {
 // directory: what a restarted daemon would find.
 func onDisk(t *testing.T, dir, id string) (string, error) {
 	t.Helper()
-	reader, err := core.NewCheckpointStoreRetaining(dir, 0, func(string) bool { return true })
+	reader, err := core.NewCheckpointStoreIO(dir, 0, func(string) bool { return true }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

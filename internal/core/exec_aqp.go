@@ -6,12 +6,9 @@ import (
 	"math"
 	"time"
 
-	"rotary/internal/admission"
 	"rotary/internal/aqp"
 	"rotary/internal/cluster"
 	"rotary/internal/estimate"
-	"rotary/internal/faults"
-	"rotary/internal/obs"
 	"rotary/internal/sim"
 )
 
@@ -26,30 +23,6 @@ type AQPExecConfig struct {
 	CheckpointSecsPerMB float64
 	// CheckpointBaseSecs is the fixed checkpoint/restore latency.
 	CheckpointBaseSecs float64
-	// RecordHistory appends completed jobs to the repository so later
-	// workloads estimate from them.
-	RecordHistory bool
-	// Store, when set, actually persists deferred jobs' state (stream
-	// offsets + aggregate tables) and restores it on resume — §VI's disk
-	// checkpointing with an optional memory materialization tier. Resumes
-	// served from the memory tier skip the virtual disk-replay cost.
-	Store *CheckpointStore
-	// Tracer, when set, records the arbitration timeline. Nil adopts the
-	// process default tracer if one was installed (SetDefaultTracer).
-	Tracer *Tracer
-	// Obs selects the metrics registry the executor's counters live in.
-	// Nil uses the process-wide obs.Default() — instrumentation is always
-	// on; a private registry isolates a run (replay tests do this).
-	Obs *obs.Registry
-	// Faults, when set, deals deterministic worker crashes into running
-	// epochs (checkpoint I/O faults are dealt by arming the Store with the
-	// same injector). Fault injection requires a Store: recovery replays
-	// persisted state.
-	Faults *faults.Injector
-	// CrashRecoverySecs is the virtual time between a worker crash and the
-	// job rejoining the pending queue (failure detection + worker
-	// restart). Defaults to 2s.
-	CrashRecoverySecs float64
 	// DataParallelism caps the real data-path worker width an epoch may
 	// use. A grant's thread count maps to actual goroutines inside
 	// OnlineQuery.ProcessBatch (partitioned accumulation with a
@@ -58,27 +31,7 @@ type AQPExecConfig struct {
 	// physical fan-out bounded without changing the virtual-time
 	// accounting. Zero means grants pass through unclamped.
 	DataParallelism int
-	// Admission, when set, gates arrivals: jobs whose estimated completion
-	// cannot meet their deadline under current load, or that arrive while
-	// the active set is at the controller's bound, are refused or shed per
-	// the controller's backpressure policy. Nil admits everything (the
-	// closed-workload behaviour).
-	Admission *admission.Controller
-	// WatchdogSlack, when > 0, arms the epoch watchdog: a running epoch is
-	// preempted after slack × the job's predicted epoch cost, re-queueing
-	// the job with a penalty and a rollback to its last checkpoint. Each
-	// consecutive preemption doubles the job's next budget so genuinely
-	// long epochs eventually complete. Requires a Store (the rollback
-	// replays persisted state). Zero disables the watchdog.
-	WatchdogSlack float64
-	// WatchdogPenaltySecs is the virtual delay before a preempted job
-	// rejoins the queue. Defaults to 5s.
-	WatchdogPenaltySecs float64
-	// AgingRounds, when > 0, wraps the scheduler in a starvation guard: a
-	// pending job passed over for more than AgingRounds consecutive
-	// arbitration rounds is forced a minimal grant. Zero leaves the policy
-	// unwrapped.
-	AgingRounds int
+	ExecConfig
 }
 
 // DefaultAQPExecConfig mirrors the paper's 20-thread server, scaled to a
@@ -89,7 +42,7 @@ func DefaultAQPExecConfig(memMB float64) AQPExecConfig {
 		MemMB:               memMB,
 		CheckpointSecsPerMB: 0.02,
 		CheckpointBaseSecs:  1.0,
-		RecordHistory:       true,
+		ExecConfig:          ExecConfig{RecordHistory: true},
 	}
 }
 
@@ -105,7 +58,9 @@ type AQPExecutor struct {
 	execCore[*AQPJob]
 	pool  *cluster.CPUPool
 	sched AQPScheduler
-	cfg   AQPExecConfig
+	// cfg supplies the model's own knobs; the shared ones are read through
+	// execCore.lc, whose Tracer carries the process default.
+	cfg AQPExecConfig
 
 	runningEstMem float64
 	// arbCtx is arbitration scratch (see execCore.arbPend).
@@ -134,15 +89,7 @@ func NewAQPExecutorOn(eng *sim.Engine, cfg AQPExecConfig, sched AQPScheduler, re
 		sched: sched,
 		cfg:   cfg,
 	}
-	e.execCore = newExecCore[*AQPJob](e, eng, repo, cfg.Obs, "aqp", cfg.Threads, lifecycleConfig{
-		store:             cfg.Store,
-		tracer:            cfg.Tracer,
-		gate:              cfg.Admission,
-		faults:            cfg.Faults,
-		watchdogSlack:     cfg.WatchdogSlack,
-		penaltySecs:       cfg.WatchdogPenaltySecs,
-		crashRecoverySecs: cfg.CrashRecoverySecs,
-	})
+	e.execCore = newExecCore[*AQPJob](e, eng, repo, "aqp", cfg.Threads, cfg.ExecConfig)
 	if cfg.AgingRounds > 0 {
 		g := NewStarvationGuardAQP(sched, cfg.AgingRounds)
 		e.sched, e.aging = g, &g.agingLedger
@@ -152,7 +99,7 @@ func NewAQPExecutorOn(eng *sim.Engine, cfg AQPExecConfig, sched AQPScheduler, re
 
 // Store exposes the configured checkpoint store (nil when there is none);
 // the serving mode flushes it at each journal step.
-func (e *AQPExecutor) Store() *CheckpointStore { return e.store }
+func (e *AQPExecutor) Store() *CheckpointStore { return e.lc.Store }
 
 // Submit schedules a job's arrival at the given virtual time.
 func (e *AQPExecutor) Submit(j *AQPJob, at sim.Time) {
@@ -226,11 +173,11 @@ func (e *AQPExecutor) Detach(id string) error {
 	// migrated.
 	// The job's tenant slot moves with it: the receiving shard adopts it
 	// on Recover, so the source releases it here.
-	if e.gate != nil {
-		e.gate.JobDone(j.tenant)
+	if e.lc.Admission != nil {
+		e.lc.Admission.JobDone(j.tenant)
 	}
 	e.met.detached.Inc()
-	e.tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceDetach, Job: j.ID()})
+	e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceDetach, Job: j.ID()})
 	return nil
 }
 
@@ -315,7 +262,7 @@ func (e *AQPExecutor) startEpoch(g AQPGrant) {
 	}
 	e.start(j)
 	e.runningEstMem += j.EstMemMB()
-	e.tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceGrant, Job: j.ID(), Threads: g.Threads})
+	e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceGrant, Job: j.ID(), Threads: g.Threads})
 
 	// Memory-oversubscription pressure: if the running jobs' true
 	// footprints exceed the pool, everything pays a thrashing factor.
@@ -375,8 +322,8 @@ func (e *AQPExecutor) release(j *AQPJob) {
 
 // crashed traces a worker crash; the worker pool itself stays healthy.
 func (e *AQPExecutor) crashed(j *AQPJob, _ int, wastedSecs float64) {
-	if e.tracer.Enabled() {
-		e.tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceCrash, Job: j.ID(),
+	if e.lc.Tracer.Enabled() {
+		e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceCrash, Job: j.ID(),
 			Detail: fmt.Sprintf("wasted=%.1fs", wastedSecs)})
 	}
 }
@@ -393,7 +340,7 @@ func (e *AQPExecutor) encode(j *AQPJob) ([]byte, error) {
 // persist saves the deferred job's state lazily: if a later save
 // overtakes it on a write-behind store, it is never even encoded.
 func (e *AQPExecutor) persist(j *AQPJob) error {
-	return e.store.SaveLazy(j.ID(), func() ([]byte, error) { return e.encode(j) })
+	return e.lc.Store.SaveLazy(j.ID(), func() ([]byte, error) { return e.encode(j) })
 }
 
 // resumeJob replays the job's persisted state and returns the virtual
@@ -402,17 +349,17 @@ func (e *AQPExecutor) persist(j *AQPJob) error {
 func (e *AQPExecutor) resumeJob(j *AQPJob) float64 {
 	state := j.query.StateMemMB()
 	cost := 2 * (e.cfg.CheckpointBaseSecs + state*e.cfg.CheckpointSecsPerMB)
-	if e.store == nil {
+	if e.lc.Store == nil {
 		e.met.resumes.Inc()
-		e.tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceResume, Job: j.ID()})
+		e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceResume, Job: j.ID()})
 		return cost
 	}
 	penalty, fromMemory, ok := e.restore(j, j.query.Restore)
 	if !ok {
 		return cost + penalty
 	}
-	if e.tracer.Enabled() {
-		e.tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceResume, Job: j.ID(),
+	if e.lc.Tracer.Enabled() {
+		e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceResume, Job: j.ID(),
 			Detail: fmt.Sprintf("fromMemory=%v", fromMemory)})
 	}
 	if fromMemory {
@@ -429,7 +376,7 @@ func (e *AQPExecutor) rewind(j *AQPJob) error {
 	if err := j.query.Restore(j.pristine); err != nil {
 		return err
 	}
-	j.envelope = &envelopeState{window: j.envelope.window, converge: j.envelope.converge}
+	j.envelope = &envelopeState{window: j.envelope.window}
 	j.realtimeCurve = nil
 	j.normSecs = 0
 	return nil
@@ -442,8 +389,8 @@ func (e *AQPExecutor) finishEpoch(j *AQPJob, epochSecs, normWork float64) {
 	j.normSecs += normWork
 	now := e.eng.Now()
 	j.observeEpoch(now)
-	if e.tracer.Enabled() {
-		e.tracer.Emit(TraceEvent{At: now, Kind: TraceEpochDone, Job: j.ID(),
+	if e.lc.Tracer.Enabled() {
+		e.lc.Tracer.Emit(TraceEvent{At: now, Kind: TraceEpochDone, Job: j.ID(),
 			Detail: fmt.Sprintf("epoch=%d est-acc=%.3f", j.epochs, j.EstimatedAccuracy())})
 	}
 
@@ -478,7 +425,7 @@ func (e *AQPExecutor) finishEpoch(j *AQPJob, epochSecs, normWork float64) {
 // retire records the stop accuracy and the job's curve in the history.
 func (e *AQPExecutor) retire(j *AQPJob) {
 	j.stopAcc = j.query.Accuracy()
-	if e.cfg.RecordHistory {
+	if e.lc.RecordHistory {
 		e.repo.AddAQP(estimate.AQPRecord{
 			ID:        j.ID(),
 			Query:     j.query.Name(),

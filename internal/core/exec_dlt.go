@@ -3,13 +3,10 @@ package core
 import (
 	"fmt"
 
-	"rotary/internal/admission"
 	"rotary/internal/cluster"
 	"rotary/internal/criteria"
 	"rotary/internal/dlt"
 	"rotary/internal/estimate"
-	"rotary/internal/faults"
-	"rotary/internal/obs"
 	"rotary/internal/sim"
 )
 
@@ -22,38 +19,7 @@ type DLTExecConfig struct {
 	// reloading it onto a device (checkpoint + restore + context setup).
 	SwapBaseSecs     float64
 	SwapSecsPerParam float64
-	// RecordHistory appends completed jobs to the repository.
-	RecordHistory bool
-	// Store, when set, actually persists deferred jobs' trainer state and
-	// restores it when the job swaps back onto a device — required for
-	// fault injection, where recovery replays persisted state.
-	Store *CheckpointStore
-	// Faults, when set, deals deterministic device crashes into running
-	// epochs (checkpoint I/O faults are dealt by arming the Store with the
-	// same injector).
-	Faults *faults.Injector
-	// CrashRecoverySecs is the virtual time between a device crash and the
-	// job rejoining the pending queue. Defaults to 2s. The device itself
-	// stays down for the injector's repair delay.
-	CrashRecoverySecs float64
-	// Tracer, when set, records the arbitration timeline. Nil adopts the
-	// process default tracer if one was installed (SetDefaultTracer).
-	Tracer *Tracer
-	// Obs selects the metrics registry (see AQPExecConfig.Obs). Nil uses
-	// the process-wide obs.Default().
-	Obs *obs.Registry
-	// Admission, when set, gates arrivals exactly as on the AQP side: see
-	// AQPExecConfig.Admission.
-	Admission *admission.Controller
-	// WatchdogSlack arms the epoch watchdog (see
-	// AQPExecConfig.WatchdogSlack); requires a Store. Zero disables it.
-	WatchdogSlack float64
-	// WatchdogPenaltySecs is the re-queue delay after a watchdog
-	// preemption. Defaults to 5s.
-	WatchdogPenaltySecs float64
-	// AgingRounds, when > 0, wraps the scheduler in a starvation guard
-	// (see AQPExecConfig.AgingRounds).
-	AgingRounds int
+	ExecConfig
 }
 
 // DefaultDLTExecConfig mirrors the paper's 4 × 8 GB testbed.
@@ -63,7 +29,7 @@ func DefaultDLTExecConfig() DLTExecConfig {
 		GPUMemMB:         8192,
 		SwapBaseSecs:     3.0,
 		SwapSecsPerParam: 0.05,
-		RecordHistory:    true,
+		ExecConfig:       ExecConfig{RecordHistory: true},
 	}
 }
 
@@ -78,7 +44,9 @@ type DLTExecutor struct {
 	gpus  *cluster.GPUCluster
 	sched DLTScheduler
 	ttr   *dlt.TTR
-	cfg   DLTExecConfig
+	// cfg supplies the model's own knobs; the shared ones are read through
+	// execCore.lc, whose Tracer carries the process default.
+	cfg DLTExecConfig
 
 	// roundRunning counts the jobs still mid-epoch in the current
 	// scheduling round. Algorithm 3 is round-based: every round rebuilds
@@ -119,15 +87,7 @@ func NewDLTExecutorOn(eng *sim.Engine, cfg DLTExecConfig, sched DLTScheduler, re
 		cfg:           cfg,
 		deviceLastJob: make(map[int]string),
 	}
-	e.execCore = newExecCore[*DLTJob](e, eng, repo, cfg.Obs, "dlt", cfg.GPUs, lifecycleConfig{
-		store:             cfg.Store,
-		tracer:            cfg.Tracer,
-		gate:              cfg.Admission,
-		faults:            cfg.Faults,
-		watchdogSlack:     cfg.WatchdogSlack,
-		penaltySecs:       cfg.WatchdogPenaltySecs,
-		crashRecoverySecs: cfg.CrashRecoverySecs,
-	})
+	e.execCore = newExecCore[*DLTJob](e, eng, repo, "dlt", cfg.GPUs, cfg.ExecConfig)
 	if cfg.AgingRounds > 0 {
 		g := NewStarvationGuardDLT(sched, cfg.AgingRounds)
 		e.sched, e.aging = g, &g.agingLedger
@@ -201,7 +161,7 @@ func (e *DLTExecutor) startEpoch(p DLTPlacement) {
 	}
 	e.start(j)
 	e.roundRunning++
-	e.tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TracePlace, Job: j.ID(), Device: p.Device})
+	e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TracePlace, Job: j.ID(), Device: p.Device})
 
 	actualMB := j.job.PeakMemoryMB()
 	if dev, ok := e.deviceByID(p.Device); ok && actualMB > dev.MemMB {
@@ -209,8 +169,8 @@ func (e *DLTExecutor) startEpoch(p DLTPlacement) {
 		// the job pays a fraction of an epoch and returns to the queue.
 		e.oomEvents++
 		e.met.ooms.Inc()
-		if e.tracer.Enabled() {
-			e.tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceOOM, Job: j.ID(), Device: p.Device,
+		if e.lc.Tracer.Enabled() {
+			e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceOOM, Job: j.ID(), Device: p.Device,
 				Detail: fmt.Sprintf("need=%.0fMB", actualMB)})
 		}
 		e.deviceLastJob[p.Device] = j.ID()
@@ -236,13 +196,13 @@ func (e *DLTExecutor) startEpoch(p DLTPlacement) {
 	resumed := j.needsRestore || (j.everRan && e.deviceLastJob[p.Device] != j.ID())
 	if resumed {
 		epochSecs += e.cfg.SwapBaseSecs + e.cfg.SwapSecsPerParam*j.job.Spec().ParamsM
-		if e.store != nil {
+		if e.lc.Store != nil {
 			// Real replay: the trainer is rebuilt from persisted bytes. Its
 			// Restore drops the warmed flag, so TrainEpoch below re-pays the
 			// warm-up internally — no explicit charge here.
 			penalty, _, ok := e.restore(j, j.job.Restore)
 			if ok {
-				e.tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceResume, Job: j.ID()})
+				e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceResume, Job: j.ID()})
 			}
 			epochSecs += penalty
 		} else {
@@ -267,9 +227,9 @@ func (e *DLTExecutor) release(j *DLTJob) {
 func (e *DLTExecutor) crashed(j *DLTJob, device int, wastedSecs float64) {
 	delete(e.deviceLastJob, device)
 	e.gpus.SetDown(device, true)
-	repair := e.faults.RepairSecs()
-	if e.tracer.Enabled() {
-		e.tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceCrash, Job: j.ID(), Device: device,
+	repair := e.lc.Faults.RepairSecs()
+	if e.lc.Tracer.Enabled() {
+		e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceCrash, Job: j.ID(), Device: device,
 			Detail: fmt.Sprintf("wasted=%.1fs repair=%.0fs", wastedSecs, repair)})
 	}
 	e.eng.Schedule(repair, func() {
@@ -287,7 +247,7 @@ func (e *DLTExecutor) persist(j *DLTJob) error {
 	if err != nil {
 		return fmt.Errorf("core: checkpoint %s: %w", j.ID(), err)
 	}
-	return e.store.Save(j.ID(), data)
+	return e.lc.Store.Save(j.ID(), data)
 }
 
 // rewind restores the pristine trainer: with a deterministic accuracy
@@ -328,8 +288,8 @@ func (e *DLTExecutor) finishEpoch(j *DLTJob, device int, start sim.Time, epochSe
 		TrueAcc: j.job.Accuracy(),
 		EstAcc:  j.job.Accuracy(), // DLT evaluates directly; no proxy needed (§IV-B)
 	})
-	if e.tracer.Enabled() {
-		e.tracer.Emit(TraceEvent{At: now, Kind: TraceEpochDone, Job: j.ID(),
+	if e.lc.Tracer.Enabled() {
+		e.lc.Tracer.Emit(TraceEvent{At: now, Kind: TraceEpochDone, Job: j.ID(),
 			Detail: fmt.Sprintf("epoch=%d acc=%.3f", j.epochs, j.job.Accuracy())})
 	}
 
@@ -357,7 +317,7 @@ func (e *DLTExecutor) recordPlacement(j *DLTJob, device int, start, end sim.Time
 
 // retire records the finished job's training curve in the history.
 func (e *DLTExecutor) retire(j *DLTJob) {
-	if !e.cfg.RecordHistory {
+	if !e.lc.RecordHistory {
 		return
 	}
 	cfg := j.job.Config()

@@ -248,13 +248,6 @@ func (u *UnifiedExecutor) Recovery() RecoveryStats {
 	return u.aqp.Recovery().Add(u.dlt.Recovery())
 }
 
-// Overload reports the cluster-wide overload-protection counters
-// (AQP + DLT): watchdog preemptions, admission effects, forced grants,
-// and the deeper of the two wait-queue high-water marks.
-func (u *UnifiedExecutor) Overload() OverloadStats {
-	return u.aqp.Overload().Add(u.dlt.Overload())
-}
-
 // Run drives the mixed workload to completion.
 func (u *UnifiedExecutor) Run() error {
 	if err := errors.Join(u.aqp.Validate(), u.dlt.Validate()); err != nil {

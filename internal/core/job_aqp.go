@@ -56,10 +56,17 @@ type AQPJob struct {
 // envelopeState bundles the per-cell envelopes with the spec metadata
 // needed to compose the system-side accuracy estimate.
 type envelopeState struct {
-	perCol   map[int]*colEnvelope
-	window   int
-	converge float64
+	perCol map[int]*colEnvelope
+	window int
 }
+
+// convergeThreshold is the §IV-A envelope's stop threshold: a cell has
+// converged once its window's estimates agree to this ratio.
+const convergeThreshold = 0.999
+
+// defaultEpochBatches is a job's running-epoch length in batches until a
+// policy adapts it (SetEpochBatches).
+const defaultEpochBatches = 4
 
 type colEnvelope struct {
 	cells map[string]*cellTrack
@@ -182,11 +189,8 @@ type AQPJobConfig struct {
 	EstMemMB float64
 	// BatchRows is the per-step row batch (Table I's batch size feature).
 	BatchRows int
-	// EpochBatches is the default running-epoch length in batches.
-	EpochBatches int
-	// EnvelopeWindow and ConvergeThreshold configure the §IV-A envelope.
-	EnvelopeWindow    int
-	ConvergeThreshold float64
+	// EnvelopeWindow is the §IV-A envelope's window in epochs.
+	EnvelopeWindow int
 }
 
 // NewAQPJob wraps a running online query as an arbitrated job.
@@ -197,14 +201,8 @@ func NewAQPJob(cfg AQPJobConfig) (*AQPJob, error) {
 	if cfg.BatchRows <= 0 {
 		cfg.BatchRows = 2000
 	}
-	if cfg.EpochBatches <= 0 {
-		cfg.EpochBatches = 4
-	}
 	if cfg.EnvelopeWindow <= 0 {
 		cfg.EnvelopeWindow = 4
-	}
-	if cfg.ConvergeThreshold <= 0 {
-		cfg.ConvergeThreshold = 0.999
 	}
 	return &AQPJob{
 		jobCore:      jobCore{id: cfg.ID, crit: cfg.Criteria, tenant: cfg.Tenant},
@@ -212,11 +210,8 @@ func NewAQPJob(cfg AQPJobConfig) (*AQPJob, error) {
 		class:        cfg.Class,
 		estMemMB:     cfg.EstMemMB,
 		batchRows:    cfg.BatchRows,
-		epochBatches: cfg.EpochBatches,
-		envelope: &envelopeState{
-			window:   cfg.EnvelopeWindow,
-			converge: cfg.ConvergeThreshold,
-		},
+		epochBatches: defaultEpochBatches,
+		envelope:     &envelopeState{window: cfg.EnvelopeWindow},
 	}, nil
 }
 
@@ -377,7 +372,7 @@ func (j *AQPJob) envelopeConverged() bool {
 	}
 	for _, col := range j.envelope.perCol {
 		for _, c := range col.cells {
-			if !c.env.Converged(j.envelope.converge) {
+			if !c.env.Converged(convergeThreshold) {
 				return false
 			}
 		}

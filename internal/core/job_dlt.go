@@ -56,11 +56,6 @@ func NewDLTJob(id string, job *dlt.Job, crit criteria.Criteria) (*DLTJob, error)
 	}, nil
 }
 
-// SetTenant attributes the job to a tenant. Call before submission —
-// the attribution is folded into admission and fair-share state at
-// registration.
-func (j *DLTJob) SetTenant(t string) { j.tenant = t }
-
 // Trainer exposes the underlying simulated training job.
 func (j *DLTJob) Trainer() *dlt.Job { return j.job }
 

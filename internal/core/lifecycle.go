@@ -146,21 +146,64 @@ type resourceModel[J any] interface {
 	retire(j J)
 }
 
-// lifecycleConfig is the part of AQPExecConfig and DLTExecConfig the
-// shared lifecycle reads (see AQPExecConfig for each knob).
-type lifecycleConfig struct {
-	store             *CheckpointStore
-	tracer            *Tracer
-	gate              *admission.Controller
-	faults            *faults.Injector
-	watchdogSlack     float64
-	penaltySecs       float64
-	crashRecoverySecs float64
+// ExecConfig holds the lifecycle knobs AQPExecConfig and DLTExecConfig
+// share; both embed it.
+type ExecConfig struct {
+	// Store, when set, actually persists deferred jobs' state (an AQP
+	// job's stream offsets + aggregate tables, a DLT job's trainer) and
+	// restores it on resume — §VI's disk checkpointing with an optional
+	// memory materialization tier. Resumes served from the memory tier
+	// skip the virtual disk-replay cost.
+	Store *CheckpointStore
+	// Tracer, when set, records the arbitration timeline. Nil adopts the
+	// process default tracer if one was installed (SetDefaultTracer).
+	Tracer *Tracer
+	// Obs selects the metrics registry the executor's counters live in.
+	// Nil uses the process-wide obs.Default() — instrumentation is always
+	// on; a private registry isolates a run (replay tests do this).
+	Obs *obs.Registry
+	// Faults, when set, deals deterministic worker or device crashes into
+	// running epochs (checkpoint I/O faults are dealt by arming the Store
+	// with the same injector). Fault injection requires a Store: recovery
+	// replays persisted state.
+	Faults *faults.Injector
+	// Admission, when set, gates arrivals: jobs whose estimated completion
+	// cannot meet their deadline under current load, or that arrive while
+	// the active set is at the controller's bound, are refused or shed per
+	// the controller's backpressure policy. Nil admits everything (the
+	// closed-workload behaviour).
+	Admission *admission.Controller
+	// WatchdogSlack, when > 0, arms the epoch watchdog: a running epoch is
+	// preempted after slack × the job's predicted epoch cost, re-queueing
+	// the job with a penalty and a rollback to its last checkpoint. Each
+	// consecutive preemption doubles the job's next budget so genuinely
+	// long epochs eventually complete. Requires a Store (the rollback
+	// replays persisted state). Zero disables the watchdog.
+	WatchdogSlack float64
+	// AgingRounds, when > 0, wraps the scheduler in a starvation guard: a
+	// pending job passed over for more than AgingRounds consecutive
+	// arbitration rounds is forced a minimal grant. Zero leaves the policy
+	// unwrapped.
+	AgingRounds int
+	// RecordHistory appends terminal jobs to the repository so later
+	// workloads estimate from them.
+	RecordHistory bool
 }
+
+// crashRecoverySecs is the virtual time between a worker or device crash
+// and the job rejoining the pending queue (failure detection + restart).
+// The crashed device itself stays down for the injector's repair delay.
+const crashRecoverySecs = 2
+
+// watchdogPenaltySecs is the virtual delay before a job the epoch
+// watchdog preempted rejoins the queue.
+const watchdogPenaltySecs = 5
 
 // execCore is the shared job lifecycle of one executor.
 type execCore[J lifecycleJob[J]] struct {
-	lifecycleConfig
+	// lc is the executor's ExecConfig with the process default tracer
+	// filled in; the lifecycle and both models read the shared knobs here.
+	lc    ExecConfig
 	model resourceModel[J]
 	eng   *sim.Engine
 	repo  *estimate.Repository
@@ -199,31 +242,25 @@ type execCore[J lifecycleJob[J]] struct {
 	onDone     func()
 }
 
-// newExecCore applies the shared defaults: a fresh repository, a 2 s
-// crash-recovery and 5 s watchdog-penalty delay, and the process default
-// tracer. sub names the substrate in metrics ("aqp", "dlt").
+// newExecCore applies the shared defaults: a fresh repository and the
+// process default tracer. sub names the substrate in metrics ("aqp",
+// "dlt").
 func newExecCore[J lifecycleJob[J]](model resourceModel[J], eng *sim.Engine, repo *estimate.Repository,
-	reg *obs.Registry, sub string, slots int, lc lifecycleConfig) execCore[J] {
+	sub string, slots int, lc ExecConfig) execCore[J] {
 	if repo == nil {
 		repo = estimate.NewRepository()
 	}
-	if lc.crashRecoverySecs <= 0 {
-		lc.crashRecoverySecs = 2
-	}
-	if lc.penaltySecs <= 0 {
-		lc.penaltySecs = 5
-	}
-	if lc.tracer == nil {
-		lc.tracer = defaultTracer
+	if lc.Tracer == nil {
+		lc.Tracer = defaultTracer
 	}
 	return execCore[J]{
-		lifecycleConfig: lc,
-		model:           model,
-		eng:             eng,
-		repo:            repo,
-		met:             newExecMetrics(reg, sub),
-		slots:           slots,
-		running:         make(map[string]J),
+		lc:      lc,
+		model:   model,
+		eng:     eng,
+		repo:    repo,
+		met:     newExecMetrics(lc.Obs, sub),
+		slots:   slots,
+		running: make(map[string]J),
 	}
 }
 
@@ -232,7 +269,7 @@ func (c *execCore[J]) Engine() *sim.Engine { return c.eng }
 
 // Tracer exposes the configured tracer (nil when tracing is disabled);
 // the serving mode's trace-tail op reads it.
-func (c *execCore[J]) Tracer() *Tracer { return c.tracer }
+func (c *execCore[J]) Tracer() *Tracer { return c.lc.Tracer }
 
 // Jobs returns every submitted job.
 func (c *execCore[J]) Jobs() []J { return c.jobs }
@@ -251,17 +288,17 @@ func (c *execCore[J]) Overload() OverloadStats {
 
 // Admission exposes the configured admission controller (nil when
 // admission is disabled).
-func (c *execCore[J]) Admission() *admission.Controller { return c.gate }
+func (c *execCore[J]) Admission() *admission.Controller { return c.lc.Admission }
 
 // Validate checks the configuration invariants Run enforces, for drivers
 // (the serving mode, the unified executor) that advance the engine
 // themselves instead of calling Run.
 func (c *execCore[J]) Validate() error {
 	kind := strings.ToUpper(c.met.sub)
-	if c.faults.Enabled() && c.store == nil {
+	if c.lc.Faults.Enabled() && c.lc.Store == nil {
 		return fmt.Errorf("core: %s fault injection requires a CheckpointStore (recovery replays persisted state)", kind)
 	}
-	if c.watchdogSlack > 0 && c.store == nil {
+	if c.lc.WatchdogSlack > 0 && c.lc.Store == nil {
 		return fmt.Errorf("core: %s epoch watchdog requires a CheckpointStore (preemption rolls back to persisted state)", kind)
 	}
 	return nil
@@ -298,7 +335,7 @@ func (c *execCore[J]) register(j J, at sim.Time, recovered bool) {
 	b := j.base()
 	// Capture the pristine state before any processing: the restart-from-
 	// scratch fallback when no usable checkpoint survives a failure.
-	if c.store != nil && b.pristine == nil {
+	if c.lc.Store != nil && b.pristine == nil {
 		if data, err := c.model.encode(j); err != nil {
 			c.storeErr = fmt.Errorf("core: pristine checkpoint %s: %w", b.id, err)
 		} else {
@@ -315,17 +352,17 @@ func (c *execCore[J]) register(j J, at sim.Time, recovered bool) {
 			// Reattach to the persisted checkpoint at the first grant. With
 			// no store the fresh in-memory state is all there is, and the
 			// job simply replays from the beginning.
-			if c.store != nil {
+			if c.lc.Store != nil {
 				b.needsRestore = true
 			}
 			// Restore the tenant's concurrent-job slot so the cap stays
 			// closed.
-			if c.gate != nil {
-				c.gate.AdoptRecovered(b.tenant)
+			if c.lc.Admission != nil {
+				c.lc.Admission.AdoptRecovered(b.tenant)
 			}
 			c.rec.Reattached++
 			c.met.reattached.Inc()
-		} else if c.gate != nil && !c.admit(j) {
+		} else if c.lc.Admission != nil && !c.admit(j) {
 			return
 		}
 		detail := ""
@@ -333,7 +370,7 @@ func (c *execCore[J]) register(j J, at sim.Time, recovered bool) {
 			detail = "recovered"
 		}
 		c.enqueue(j)
-		c.tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceArrive, Job: b.id, Tenant: b.tenant, Detail: detail})
+		c.lc.Tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceArrive, Job: b.id, Tenant: b.tenant, Detail: detail})
 		c.model.arrived(j)
 		c.scheduleArbitrate()
 	})
@@ -364,7 +401,7 @@ func (c *execCore[J]) admit(j J) bool {
 		Now:               c.eng.Now().Seconds(),
 		TenantPending:     tenantPending,
 	}
-	dec := c.gate.Decide(req)
+	dec := c.lc.Admission.Decide(req)
 	switch dec.Verdict {
 	case admission.DegradeBestEffort:
 		b.bestEffort = true
@@ -379,12 +416,12 @@ func (c *execCore[J]) admit(j J) bool {
 	case admission.ShedVictim:
 		v, ok := c.shedVictim(j)
 		if !ok {
-			c.gate.ResolveShed(req, false)
-			b.rejectErr = admission.ShedRefusalErr(b.id, depth, c.gate.Config().MaxQueueDepth)
+			c.lc.Admission.ResolveShed(req, false)
+			b.rejectErr = admission.ShedRefusalErr(b.id, depth, c.lc.Admission.Config().MaxQueueDepth)
 			c.rejectJob(j, StatusRejected, "queue-full no-victim")
 			return false
 		}
-		c.gate.ResolveShed(req, true)
+		c.lc.Admission.ResolveShed(req, true)
 		c.removePending(v)
 		c.rejectJob(v, StatusShed, fmt.Sprintf("for %s", b.id))
 		return true
@@ -434,17 +471,17 @@ func (c *execCore[J]) rejectJob(j J, status JobStatus, detail string) {
 		c.overload.Shed++
 		c.met.shed.Inc()
 		// A shed victim was admitted earlier and held a tenant slot.
-		if c.gate != nil {
-			c.gate.JobDone(b.tenant)
+		if c.lc.Admission != nil {
+			c.lc.Admission.JobDone(b.tenant)
 		}
 	} else {
 		c.overload.Rejected++
 		c.met.rejected.Inc()
 	}
-	if c.store != nil {
-		c.store.Remove(b.id)
+	if c.lc.Store != nil {
+		c.lc.Store.Remove(b.id)
 	}
-	c.tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: kind, Job: b.id, Tenant: b.tenant, Detail: detail})
+	c.lc.Tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: kind, Job: b.id, Tenant: b.tenant, Detail: detail})
 	c.terminate(b, status)
 }
 
@@ -452,12 +489,12 @@ func (c *execCore[J]) rejectJob(j J, status JobStatus, detail string) {
 // queue) and hands it to the model's terminal step.
 func (c *execCore[J]) finishJob(j J, status JobStatus) {
 	b := j.base()
-	if c.store != nil {
-		c.store.Remove(b.id)
+	if c.lc.Store != nil {
+		c.lc.Store.Remove(b.id)
 	}
 	// The job's tenant's concurrent-job slot opens here.
-	if c.gate != nil {
-		c.gate.JobDone(b.tenant)
+	if c.lc.Admission != nil {
+		c.lc.Admission.JobDone(b.tenant)
 	}
 	if b.crashPending {
 		// Expired while still recovering: close the latency window without
@@ -465,7 +502,7 @@ func (c *execCore[J]) finishJob(j J, status JobStatus) {
 		b.crashPending = false
 		c.rec.RecoveryLatencySecs += (c.eng.Now() - b.crashedSince).Seconds()
 	}
-	c.tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceStop, Job: b.id, Tenant: b.tenant, Detail: status.String()})
+	c.lc.Tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceStop, Job: b.id, Tenant: b.tenant, Detail: status.String()})
 	c.terminate(b, status)
 	c.model.retire(j)
 }
@@ -571,13 +608,13 @@ func (c *execCore[J]) free(j J) {
 // over a later watchdog preemption.
 func (c *execCore[J]) runEpoch(j J, device int, epochSecs float64, done func()) {
 	watchAt := math.Inf(1)
-	if c.watchdogSlack > 0 {
-		budget := c.watchdogSlack * j.nextEpochSecsGuess() * math.Pow(2, float64(j.base().watchdogStrikes))
+	if c.lc.WatchdogSlack > 0 {
+		budget := c.lc.WatchdogSlack * j.nextEpochSecsGuess() * math.Pow(2, float64(j.base().watchdogStrikes))
 		if epochSecs > budget {
 			watchAt = budget
 		}
 	}
-	if after, crashed := c.faults.EpochCrash(epochSecs); crashed && after <= watchAt {
+	if after, crashed := c.lc.Faults.EpochCrash(epochSecs); crashed && after <= watchAt {
 		c.eng.Schedule(after, func() { c.crashEpoch(j, device, after) })
 		return
 	}
@@ -605,11 +642,11 @@ func (c *execCore[J]) preemptEpoch(j J, device int, wastedSecs float64) {
 	c.overload.WatchdogPreemptions++
 	c.met.watchdogPreempts.Inc()
 	c.overload.WatchdogWastedSecs += wastedSecs
-	if c.tracer.Enabled() {
-		c.tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceWatchdog, Job: b.id, Device: device,
+	if c.lc.Tracer.Enabled() {
+		c.lc.Tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceWatchdog, Job: b.id, Device: device,
 			Detail: fmt.Sprintf("wasted=%.1fs strikes=%d", wastedSecs, b.watchdogStrikes)})
 	}
-	c.requeueAfter(j, c.penaltySecs)
+	c.requeueAfter(j, watchdogPenaltySecs)
 }
 
 // crashEpoch handles a crash wastedSecs into a running epoch: the epoch's
@@ -630,7 +667,7 @@ func (c *execCore[J]) crashEpoch(j J, device int, wastedSecs float64) {
 	c.met.crashes.Inc()
 	c.rec.WastedWorkSecs += wastedSecs
 	c.model.crashed(j, device, wastedSecs)
-	c.requeueAfter(j, c.crashRecoverySecs)
+	c.requeueAfter(j, crashRecoverySecs)
 }
 
 // requeueAfter parks a job in limbo for delay virtual seconds, then
@@ -674,11 +711,11 @@ func (c *execCore[J]) deferJob(j J) {
 	b := j.base()
 	b.status = StatusPending
 	c.enqueue(j)
-	if c.store == nil {
+	if c.lc.Store == nil {
 		return
 	}
 	err := c.model.persist(j)
-	b.deferredPenaltySecs += c.store.TakePenaltySecs()
+	b.deferredPenaltySecs += c.lc.Store.TakePenaltySecs()
 	if errors.Is(err, ErrTransient) {
 		// The save failed for good, but any previously persisted
 		// checkpoint is now behind the in-memory bookkeeping, so rolling
@@ -691,7 +728,7 @@ func (c *execCore[J]) deferJob(j J) {
 		c.storeErr = err
 	} else {
 		c.met.checkpoints.Inc()
-		c.tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceCheckpoint, Job: b.id})
+		c.lc.Tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceCheckpoint, Job: b.id})
 	}
 }
 
@@ -704,8 +741,8 @@ func (c *execCore[J]) deferJob(j J) {
 func (c *execCore[J]) restore(j J, apply func([]byte) error) (penaltySecs float64, fromMemory, ok bool) {
 	b := j.base()
 	rollingBack := b.needsRestore
-	data, fromMemory, err := c.store.Load(b.id)
-	penaltySecs = c.store.TakePenaltySecs()
+	data, fromMemory, err := c.lc.Store.Load(b.id)
+	penaltySecs = c.lc.Store.TakePenaltySecs()
 	if err == nil {
 		if err = apply(data); err == nil {
 			b.needsRestore = false
@@ -739,7 +776,7 @@ func (c *execCore[J]) scratchRestart(j J, cause error) error {
 	}
 	// Remove first: a frame staged as an encoder reads the state the
 	// rewind replaces.
-	c.store.Remove(b.id)
+	c.lc.Store.Remove(b.id)
 	if err := c.model.rewind(j); err != nil {
 		return fmt.Errorf("core: restart %s: %w", b.id, err)
 	}
@@ -749,7 +786,7 @@ func (c *execCore[J]) scratchRestart(j J, cause error) error {
 	b.lastRelease = 0
 	c.rec.ScratchRestarts++
 	c.met.scratchRestarts.Inc()
-	c.tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceRestart, Job: b.id, Detail: restartCause(cause)})
+	c.lc.Tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceRestart, Job: b.id, Detail: restartCause(cause)})
 	return nil
 }
 

@@ -25,21 +25,3 @@ type OverloadStats struct {
 	// MaxPendingDepth is the deepest wait queue observed.
 	MaxPendingDepth int
 }
-
-// Add accumulates another executor's counters (the unified system sums
-// its AQP and DLT sides; MaxPendingDepth takes the larger side).
-func (o OverloadStats) Add(p OverloadStats) OverloadStats {
-	maxDepth := o.MaxPendingDepth
-	if p.MaxPendingDepth > maxDepth {
-		maxDepth = p.MaxPendingDepth
-	}
-	return OverloadStats{
-		WatchdogPreemptions: o.WatchdogPreemptions + p.WatchdogPreemptions,
-		WatchdogWastedSecs:  o.WatchdogWastedSecs + p.WatchdogWastedSecs,
-		Rejected:            o.Rejected + p.Rejected,
-		Shed:                o.Shed + p.Shed,
-		Degraded:            o.Degraded + p.Degraded,
-		ForcedGrants:        o.ForcedGrants + p.ForcedGrants,
-		MaxPendingDepth:     maxDepth,
-	}
-}

@@ -90,9 +90,6 @@ func newAgingLedger(maxSkipped int) agingLedger {
 	return agingLedger{maxSkipped: maxSkipped, skipped: make(map[string]int)}
 }
 
-// ForcedGrants reports how many grants the guard forced.
-func (a *agingLedger) ForcedGrants() int { return a.forced }
-
 // outranks reports whether a job starved for count rounds is strictly
 // more starved than holder, whose decision it would displace. An
 // unconditional displacement robs the top-ranked (often equally starved)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"rotary/internal/aqp"
 	"rotary/internal/estimate"
 	"rotary/internal/sim"
 )
@@ -199,7 +200,7 @@ func (r *RotaryAQP) priority(now sim.Time, j *AQPJob) float64 {
 			rate = (q.Y - p.Y) / (q.X - p.X)
 		}
 	}
-	maxSpeed := aqpSpeedup(r.MaxThreadsPerJob)
+	maxSpeed := aqp.Speedup(r.MaxThreadsPerJob)
 	required := math.Inf(1)
 	if rate > 1e-9 {
 		required = (target - a0) / rate / remaining // speedup to attain in time per the fit
@@ -231,14 +232,4 @@ func (j *AQPJob) nextEpochSecsGuess() float64 {
 		return j.processingSecs / float64(j.epochs)
 	}
 	return 60
-}
-
-// aqpSpeedup mirrors the engine's sublinear thread-scaling model
-// (aqp.Speedup) without importing the package into the scheduler's hot
-// path signature.
-func aqpSpeedup(threads int) float64 {
-	if threads <= 1 {
-		return 1
-	}
-	return math.Pow(float64(threads), 0.85)
 }

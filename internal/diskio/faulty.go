@@ -6,7 +6,6 @@ import (
 	"os"
 	"sync"
 	"syscall"
-	"time"
 
 	"rotary/internal/sim"
 )
@@ -36,8 +35,8 @@ func IsInjected(err error) bool {
 }
 
 // FaultConfig sets the disk-fault mix. All rates are per-opportunity
-// probabilities in [0, 1): each write, sync, rename, remove, and open
-// draws once. A drawn fault can extend into a burst (BurstOps), which
+// probabilities in [0, 1): each write, sync, rename, and remove draws
+// once. A drawn fault can extend into a burst (BurstOps), which
 // models an ENOSPC episode — a full disk stays full for a while — and
 // is what makes degraded-mode healing meaningful: the journal must
 // ride the burst out, not just retry once.
@@ -57,15 +56,6 @@ type FaultConfig struct {
 	// RemoveFailRate is the probability a remove fails with EIO —
 	// the orphaned-temp-file producer.
 	RemoveFailRate float64
-	// OpenFailRate is the probability opening a file for writing fails
-	// with ENOSPC.
-	OpenFailRate float64
-	// SlowSyncRate is the probability an fsync stalls (wall clock) but
-	// succeeds.
-	SlowSyncRate float64
-	// SlowSyncMs bounds the stall: a slow sync sleeps uniform
-	// [1, SlowSyncMs] milliseconds. Defaults to 20.
-	SlowSyncMs int
 	// BurstOps extends a drawn fault over the following BurstOps
 	// faultable operations (0 = every fault is a one-shot blip).
 	BurstOps int
@@ -77,15 +67,9 @@ type Stats struct {
 	WriteFails  int64
 	ShortWrites int64
 	SyncFails   int64
-	SlowSyncs   int64
 	RenameFails int64
 	RemoveFails int64
 	OpenFails   int64
-}
-
-// Total sums the failure counts (slow syncs excluded: they succeed).
-func (s Stats) Total() int64 {
-	return s.WriteFails + s.SyncFails + s.RenameFails + s.RemoveFails + s.OpenFails
 }
 
 // Faulty wraps an inner IO with seeded fault injection. Reads
@@ -112,9 +96,6 @@ type Faulty struct {
 func NewFaulty(inner IO, cfg FaultConfig) *Faulty {
 	if inner == nil {
 		inner = OS{}
-	}
-	if cfg.SlowSyncMs <= 0 {
-		cfg.SlowSyncMs = 20
 	}
 	return &Faulty{
 		inner: inner,
@@ -201,12 +182,14 @@ func (f *Faulty) draw(rate float64, errno error) error {
 	return errno
 }
 
-// OpenFile implements IO. Only write-capable opens can fault: read
-// opens pass through so replay always sees the real bytes.
+// OpenFile implements IO. Only write-capable opens can fault, and only
+// inside a scripted window or a burst (opens draw no seeded fault of
+// their own, but do spend burst ops): read opens pass through so replay
+// always sees the real bytes.
 func (f *Faulty) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	if flag&(os.O_WRONLY|os.O_RDWR) != 0 {
 		f.mu.Lock()
-		errno := f.draw(f.cfg.OpenFailRate, syscall.ENOSPC)
+		errno := f.draw(0, syscall.ENOSPC)
 		if errno != nil {
 			f.stats.OpenFails++
 		}
@@ -317,24 +300,16 @@ func (ff *faultyFile) Write(p []byte) (int, error) {
 	return ff.inner.Write(p)
 }
 
-// Sync deals EIO failures and wall-clock stalls.
+// Sync deals EIO failures.
 func (ff *faultyFile) Sync() error {
 	ff.f.mu.Lock()
 	errno := ff.f.draw(ff.f.cfg.SyncFailRate, syscall.EIO)
-	var stall time.Duration
 	if errno != nil {
 		ff.f.stats.SyncFails++
-	} else if !ff.f.disabled && ff.f.forced == nil && ff.f.cfg.SlowSyncRate > 0 &&
-		ff.f.rng.Float64() < ff.f.cfg.SlowSyncRate {
-		ff.f.stats.SlowSyncs++
-		stall = time.Duration(1+ff.f.rng.IntN(ff.f.cfg.SlowSyncMs)) * time.Millisecond
 	}
 	ff.f.mu.Unlock()
 	if errno != nil {
 		return &InjectedError{Op: "sync", Path: ff.name, Errno: errno}
-	}
-	if stall > 0 {
-		time.Sleep(stall)
 	}
 	return ff.inner.Sync()
 }

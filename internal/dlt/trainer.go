@@ -172,10 +172,6 @@ func (j *Job) Config() Config { return j.cfg }
 // Spec returns the model spec.
 func (j *Job) Spec() ModelSpec { return j.spec }
 
-// Curve returns the underlying learning curve (tests and the Fig. 1b
-// bench read it; the arbiter must not — it only sees observed epochs).
-func (j *Job) Curve() *Curve { return j.curve }
-
 // EpochsTrained reports the number of completed training epochs.
 func (j *Job) EpochsTrained() int { return j.epochs }
 

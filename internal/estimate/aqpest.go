@@ -1,9 +1,6 @@
 package estimate
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // AccuracyProgress is the Rotary-AQP accuracy-progress estimator of
 // §IV-A: it predicts the accuracy a job would reach at a future runtime
@@ -17,10 +14,6 @@ import (
 type AccuracyProgress struct {
 	repo *Repository
 	topK int
-
-	mu       sync.Mutex
-	overhead time.Duration
-	calls    int
 }
 
 // ProgressEstimator predicts a job's accuracy progress at a future
@@ -41,14 +34,6 @@ func NewAccuracyProgress(repo *Repository, topK int) *AccuracyProgress {
 
 // EstimateAt implements ProgressEstimator.
 func (a *AccuracyProgress) EstimateAt(query, class string, batchRows int, realtime []Point, atSecs float64) (float64, bool) {
-	start := time.Now()
-	defer func() {
-		a.mu.Lock()
-		a.overhead += time.Since(start)
-		a.calls++
-		a.mu.Unlock()
-	}()
-
 	var hist []Point
 	for _, rec := range a.repo.TopKSimilarAQP(query, class, batchRows, a.topK) {
 		hist = append(hist, rec.Curve...)
@@ -76,20 +61,6 @@ func (a *AccuracyProgress) EstimateAt(query, class string, batchRows int, realti
 		est = 1
 	}
 	return est, true
-}
-
-// Overhead reports the cumulative real wall-clock estimation time.
-func (a *AccuracyProgress) Overhead() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.overhead
-}
-
-// Calls reports how many estimates were made.
-func (a *AccuracyProgress) Calls() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.calls
 }
 
 // RandomProgress is the Fig. 9 artificial estimator: "their accuracy

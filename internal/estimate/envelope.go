@@ -27,9 +27,6 @@ func NewEnvelope(window int) *Envelope {
 	return &Envelope{window: window}
 }
 
-// Window reports the configured window length.
-func (e *Envelope) Window() int { return e.window }
-
 // Observe appends one per-epoch aggregation result. Non-finite values
 // (a divide-by-zero aggregate over an empty partial group) are dropped
 // without counting: one NaN in the window would otherwise pin Ratio at 0

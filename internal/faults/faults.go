@@ -90,18 +90,19 @@ type Config struct {
 	// SlowRate is the probability a checkpoint I/O attempt hits a
 	// slow-storage event.
 	SlowRate float64
-	// SlowMeanSecs is the mean extra virtual latency of a slow I/O op
-	// (exponentially distributed). Defaults to 5s.
-	SlowMeanSecs float64
-	// MeanRepairSecs is the mean virtual downtime of a crashed device
-	// before it rejoins the cluster (exponentially distributed, clamped
-	// to ≥ 1s). Defaults to 60s.
-	MeanRepairSecs float64
 }
 
+// slowMeanSecs is the mean extra virtual latency of a slow I/O op
+// (exponentially distributed).
+const slowMeanSecs = 5
+
+// meanRepairSecs is the mean virtual downtime of a crashed device before
+// it rejoins the cluster (exponentially distributed, clamped to ≥ 1s).
+const meanRepairSecs = 60
+
 // Uniform is a convenience mix: crash, transient and slow faults all at
-// rate, corruption at rate/2, with default latencies. It is what the
-// -fault-rate command-line flag constructs.
+// rate, corruption at rate/2. It is what the -fault-rate command-line
+// flag constructs.
 func Uniform(seed uint64, rate float64) Config {
 	if rate < 0 {
 		rate = 0
@@ -143,15 +144,8 @@ type Injector struct {
 	stats Stats
 }
 
-// New returns an injector for the given mix. Zero-valued latencies take
-// their documented defaults.
+// New returns an injector for the given mix.
 func New(cfg Config) *Injector {
-	if cfg.SlowMeanSecs <= 0 {
-		cfg.SlowMeanSecs = 5
-	}
-	if cfg.MeanRepairSecs <= 0 {
-		cfg.MeanRepairSecs = 60
-	}
 	return &Injector{cfg: cfg, rng: sim.NewRand(cfg.Seed ^ 0xfa017)}
 }
 
@@ -219,7 +213,7 @@ func (in *Injector) SlowDelaySecs() float64 {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.rng.Exp(in.cfg.SlowMeanSecs)
+	return in.rng.Exp(slowMeanSecs)
 }
 
 // RepairSecs draws the virtual downtime of a crashed device.
@@ -229,7 +223,7 @@ func (in *Injector) RepairSecs() float64 {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	d := in.rng.Exp(in.cfg.MeanRepairSecs)
+	d := in.rng.Exp(meanRepairSecs)
 	if d < 1 {
 		d = 1
 	}

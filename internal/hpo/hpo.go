@@ -60,20 +60,14 @@ type Config struct {
 	Eta int
 	// MaxEpochs caps any single trial's cumulative training.
 	MaxEpochs int
-	// Cluster sizes the simulated GPU substrate.
-	Cluster core.DLTExecConfig
-	// Repo supplies the estimators' history; nil uses an empty repository.
-	Repo *estimate.Repository
 }
 
-// DefaultConfig returns a 1-epoch-rung, eta-3 search on the paper's
-// 4-GPU cluster.
+// DefaultConfig returns a 1-epoch-rung, eta-3 search.
 func DefaultConfig() Config {
 	return Config{
 		InitialEpochs: 1,
 		Eta:           3,
 		MaxEpochs:     30,
-		Cluster:       core.DefaultDLTExecConfig(),
 	}
 }
 
@@ -113,10 +107,9 @@ func Search(cfg Config, configs []dlt.Config) (*Result, error) {
 	if cfg.MaxEpochs < cfg.InitialEpochs {
 		cfg.MaxEpochs = cfg.InitialEpochs
 	}
-	repo := cfg.Repo
-	if repo == nil {
-		repo = estimate.NewRepository()
-	}
+	// The estimators learn from the search's own history: each rung's
+	// trials join the repository the next rung estimates from.
+	repo := estimate.NewRepository()
 
 	trials := make([]*Trial, len(configs))
 	for i, c := range configs {
@@ -137,7 +130,7 @@ func Search(cfg Config, configs []dlt.Config) (*Result, error) {
 	budget := cfg.InitialEpochs
 	var elapsed float64
 	for rung := 0; len(survivors) > 0; rung++ {
-		if err := runRung(cfg, repo, survivors, budget, &elapsed); err != nil {
+		if err := runRung(repo, survivors, budget, &elapsed); err != nil {
 			return nil, err
 		}
 		best := 0.0
@@ -184,11 +177,11 @@ func Search(cfg Config, configs []dlt.Config) (*Result, error) {
 }
 
 // runRung trains every surviving trial for budget more epochs on a fresh
-// executor under efficiency Rotary-DLT, carrying the trials' trained
-// state (via checkpoints) across rungs.
-func runRung(cfg Config, repo *estimate.Repository, survivors []*Trial, budget int, elapsed *float64) error {
+// executor over the paper's 4-GPU cluster under efficiency Rotary-DLT,
+// carrying the trials' trained state (via checkpoints) across rungs.
+func runRung(repo *estimate.Repository, survivors []*Trial, budget int, elapsed *float64) error {
 	sched := core.NewRotaryDLT(0, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
-	exec := core.NewDLTExecutor(cfg.Cluster, sched, repo)
+	exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
 	pairs := make([]pair, 0, len(survivors))
 	for _, t := range survivors {
 		// Resume the trial's trained state in a fresh trainer.

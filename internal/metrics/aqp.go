@@ -153,17 +153,6 @@ func RenderAQPComparison(reports []AQPReport) string {
 	return b.String()
 }
 
-// RenderAQPOverheads renders a Fig. 7-style table: false attainment and
-// average waiting time per policy.
-func RenderAQPOverheads(reports []AQPReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %16s %18s\n", "policy", "false-attainment", "avg-wait-seconds")
-	for _, r := range reports {
-		fmt.Fprintf(&b, "%-14s %16d %18.1f\n", r.Policy, r.FalseAttained(), r.AvgWaitSecs())
-	}
-	return b.String()
-}
-
 // Bar renders a crude horizontal bar for terminal output. Non-finite
 // inputs render empty: NaN slips past ordered comparisons and int(NaN)
 // is implementation-defined, so it must be refused before the division —

@@ -100,7 +100,7 @@ func TestKillRestartReattachesToFlushedCheckpoints(t *testing.T) {
 // processed.
 func rowsOnDisk(t *testing.T, dir string, cat *tpch.Catalog, queries map[string]string) map[string]int64 {
 	t.Helper()
-	reader, err := core.NewCheckpointStoreRetaining(filepath.Join(dir, "ckpt"), 0, func(string) bool { return true })
+	reader, err := core.NewCheckpointStoreIO(filepath.Join(dir, "ckpt"), 0, func(string) bool { return true }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

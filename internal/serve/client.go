@@ -17,10 +17,17 @@ import (
 )
 
 // ErrTimeout is wrapped into every error caused by a request exceeding
-// RequestTimeout (or DialTimeout), so callers can branch on
+// RequestTimeout (or the dial timeout), so callers can branch on
 // errors.Is(err, ErrTimeout) instead of string-matching — a stalled or
 // wedged server surfaces as a typed timeout, never an indefinite hang.
 var ErrTimeout = errors.New("serve: request timed out")
+
+// dialTimeout bounds each connection attempt.
+const dialTimeout = time.Second
+
+// maxRetryAfter caps a server-supplied retry hint so a pathological reply
+// cannot stall the client.
+const maxRetryAfter = 5 * time.Second
 
 // ClientConfig parameterizes a resilient client.
 type ClientConfig struct {
@@ -33,8 +40,6 @@ type ClientConfig struct {
 	// length-prefixed framing, negotiated by preamble). The server
 	// accepts either on every listener.
 	Codec string
-	// DialTimeout bounds each connection attempt. Defaults to 1s.
-	DialTimeout time.Duration
 	// Backoff is the initial reconnect delay, doubling per failed attempt
 	// up to MaxBackoff. Defaults to 50ms.
 	Backoff time.Duration
@@ -68,9 +73,6 @@ type ClientConfig struct {
 	// hint and retries. Off by default — quota pushback is a correctness
 	// signal most callers should surface, not absorb.
 	RetryOverQuota bool
-	// MaxRetryAfter caps a server-supplied retry hint so a pathological
-	// reply cannot stall the client. Defaults to 5s.
-	MaxRetryAfter time.Duration
 }
 
 // Client is a reconnecting serve-protocol client. It is safe for
@@ -102,9 +104,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	default:
 		return nil, fmt.Errorf("serve: unknown codec %q (want %q or %q)", cfg.Codec, CodecJSON, CodecBinary)
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = time.Second
-	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 50 * time.Millisecond
 	}
@@ -116,9 +115,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.MaxRetryAfter <= 0 {
-		cfg.MaxRetryAfter = 5 * time.Second
 	}
 	return &Client{cfg: cfg}, nil
 }
@@ -212,8 +208,8 @@ func (c *Client) hintedRetry(resp Response) (time.Duration, bool) {
 	if wait <= 0 {
 		wait = c.cfg.Backoff
 	}
-	if wait > c.cfg.MaxRetryAfter {
-		wait = c.cfg.MaxRetryAfter
+	if wait > maxRetryAfter {
+		wait = maxRetryAfter
 	}
 	return wait, true
 }
@@ -244,7 +240,7 @@ func (c *Client) connectLocked() error {
 	if err != nil {
 		return err
 	}
-	conn, err := net.DialTimeout(network, addr, c.cfg.DialTimeout)
+	conn, err := net.DialTimeout(network, addr, dialTimeout)
 	if err != nil {
 		return wrapTimeout(err)
 	}

@@ -147,13 +147,13 @@ func TestBinaryCodecDeadlineClearsAfterFrame(t *testing.T) {
 // what decodeMessage accepted reproduces the same message.
 func FuzzBinaryFrame(f *testing.F) {
 	valid := encodeMessage(Message{Op: "submit", ID: "q1", ReqID: "r1", Statement: "q5 ACC MIN 80% WITHIN 900 SECONDS"})
-	f.Add(binFrame(valid))                          // one healthy frame
-	f.Add(binFrame(valid)[:2])                      // truncated header
-	f.Add(binFrame(valid)[:4+len(valid)/2])         // torn payload
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})           // hostile length: 4 GiB claim
-	f.Add(binFrame([]byte{0xEE}))                   // unknown tag
-	f.Add(binFrame([]byte{mtOp, 0x85}))             // truncated uvarint length
-	f.Add(binFrame(nil))                            // empty frame
+	f.Add(binFrame(valid))                             // one healthy frame
+	f.Add(binFrame(valid)[:2])                         // truncated header
+	f.Add(binFrame(valid)[:4+len(valid)/2])            // torn payload
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})              // hostile length: 4 GiB claim
+	f.Add(binFrame([]byte{0xEE}))                      // unknown tag
+	f.Add(binFrame([]byte{mtOp, 0x85}))                // truncated uvarint length
+	f.Add(binFrame(nil))                               // empty frame
 	f.Add(append(binFrame(valid), binFrame(valid)...)) // two frames back to back
 	corrupt := binFrame(valid)
 	corrupt[len(corrupt)/2] ^= 0x40

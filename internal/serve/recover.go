@@ -156,7 +156,7 @@ func (s *Server) rebuildJob(jr JobRecord) (*core.AQPJob, error) {
 	}
 	batch := jr.BatchRows
 	if batch <= 0 {
-		batch = s.cfg.BatchRows
+		batch = s.batchRows
 	}
 	return workload.BuildAQPJob(s.cat, workload.AQPSpec{
 		ID:           jr.ID,
@@ -300,7 +300,7 @@ func (s *Server) syncState() {
 	}
 	s.liveList = keep
 	s.liveSize.Store(int64(len(s.liveJobs)))
-	if s.jl != nil && now-s.lastClockAt >= s.cfg.ClockJournalSecs {
+	if s.jl != nil && now-s.lastClockAt >= clockJournalSecs {
 		recs = append(recs, Record{Kind: recClock, At: now})
 		s.lastClockAt = now
 	}

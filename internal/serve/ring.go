@@ -16,8 +16,8 @@ import (
 	"sort"
 )
 
-// defaultVnodes is the virtual-node count per shard.
-const defaultVnodes = 64
+// vnodes is the virtual-node count per shard.
+const vnodes = 64
 
 type ringPoint struct {
 	hash  uint64
@@ -29,10 +29,7 @@ type hashRing struct {
 	shards int
 }
 
-func newHashRing(shards, vnodes int) *hashRing {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
+func newHashRing(shards int) *hashRing {
 	r := &hashRing{shards: shards}
 	r.points = make([]ringPoint, 0, shards*vnodes)
 	for s := 0; s < shards; s++ {

@@ -10,7 +10,7 @@ import (
 // sequential ids (the router's own srv-NNNNN sequence) spread across
 // shards instead of piling onto one.
 func TestRingDeterministicAndBalanced(t *testing.T) {
-	a, b := newHashRing(3, 0), newHashRing(3, 0)
+	a, b := newHashRing(3), newHashRing(3)
 	counts := make([]int, 3)
 	for i := 0; i < 1000; i++ {
 		id := fmt.Sprintf("srv-%05d", i)
@@ -33,7 +33,7 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 // TestRingFilteredWalk: the clockwise walk skips filtered shards and
 // reports -1 only when every shard is filtered.
 func TestRingFilteredWalk(t *testing.T) {
-	r := newHashRing(3, 0)
+	r := newHashRing(3)
 	home := r.Owner("job-x", nil)
 	alt := r.Owner("job-x", func(s int) bool { return s != home })
 	if alt == home || alt < 0 {

@@ -45,6 +45,9 @@ import (
 	"rotary/internal/obs"
 )
 
+// maxRestartBackoff caps the supervisor's doubling restart delay.
+const maxRestartBackoff = 5 * time.Second
+
 // RouterConfig parameterizes a sharded daemon.
 type RouterConfig struct {
 	// Socket is the router's public Unix socket. Shard i also listens on
@@ -61,13 +64,8 @@ type RouterConfig struct {
 	Dir string
 	// Build constructs each shard's executor stack (boot and restart).
 	Build ShardBuilder
-	// Vnodes is the consistent-hash virtual-node count per shard.
-	// Defaults to 64.
-	Vnodes int
-	// Pace, Tick, BatchRows apply to every shard (see Config).
-	Pace      float64
-	Tick      time.Duration
-	BatchRows int
+	// Pace applies to every shard (see Config).
+	Pace float64
 	// IngressDepth and IngressBatch apply to every shard's driver loop
 	// (see Config): the bounded request ring and the group-commit window.
 	IngressDepth int
@@ -79,10 +77,9 @@ type RouterConfig struct {
 	// 200ms.
 	ProbeInterval time.Duration
 	// RestartBackoff is the initial delay before a down shard's restart
-	// attempt, doubling per failed attempt up to MaxRestartBackoff.
-	// Defaults to 100ms / 5s.
-	RestartBackoff    time.Duration
-	MaxRestartBackoff time.Duration
+	// attempt, doubling per failed attempt up to maxRestartBackoff.
+	// Defaults to 100ms.
+	RestartBackoff time.Duration
 	// DiskIO, when set, supplies the disk-I/O layer each shard's durable
 	// pair (journal + checkpoint store) routes through — the torture
 	// harness's hook for dealing per-shard disk faults. Called at boot
@@ -188,16 +185,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.RestartBackoff <= 0 {
 		cfg.RestartBackoff = 100 * time.Millisecond
 	}
-	if cfg.MaxRestartBackoff <= 0 {
-		cfg.MaxRestartBackoff = 5 * time.Second
-	}
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.Default()
 	}
 	r := &Router{
 		cfg:      cfg,
-		ring:     newHashRing(cfg.Shards, cfg.Vnodes),
+		ring:     newHashRing(cfg.Shards),
 		reg:      reg,
 		met:      newRouterMetrics(reg, cfg.Shards),
 		location: make(map[string]int),

@@ -40,6 +40,16 @@ import (
 	"rotary/internal/workload"
 )
 
+// overloadRetrySecs is the base retry hint on "overloaded" refusals; the
+// hint scales with how saturated the admission queue is relative to its
+// configured bound.
+const overloadRetrySecs = 0.25
+
+// clockJournalSecs bounds how far the virtual clock may advance without a
+// journaled position: an idle paced server persists a clock record at
+// least this often (in virtual seconds).
+const clockJournalSecs = 60
+
 // Config parameterizes the server.
 type Config struct {
 	// Socket is the Unix socket path to listen on.
@@ -60,10 +70,6 @@ type Config struct {
 	// batch staged. 1 restores the request-at-a-time, fsync-per-submit
 	// behaviour (the load generator's baseline mode). Defaults to 64.
 	IngressBatch int
-	// OverloadRetrySecs is the base retry hint on "overloaded" refusals;
-	// the hint scales with how saturated the admission queue is relative
-	// to its configured bound. Defaults to 0.25.
-	OverloadRetrySecs float64
 	// Pace is how many virtual seconds elapse per wall-clock second.
 	// Zero freezes the clock between requests — virtual time then only
 	// advances on submit, advance, and drain (the deterministic-test
@@ -71,9 +77,6 @@ type Config struct {
 	Pace float64
 	// Tick is the wall-clock pacing granularity. Defaults to 50 ms.
 	Tick time.Duration
-	// BatchRows is the default per-step batch size for submissions that
-	// do not specify one.
-	BatchRows int
 	// Obs selects the metrics registry served by the "metrics" op (and
 	// holding the server's own request counters). Nil uses the
 	// process-wide obs.Default(), which the executor's and admission
@@ -86,10 +89,6 @@ type Config struct {
 	// the virtual clock, and rebuilding the admission queue in original
 	// arrival order. Nil keeps the process-scoped (PR 3) behaviour.
 	Journal *Journal
-	// ClockJournalSecs bounds how far the virtual clock may advance
-	// without a journaled position: an idle paced server persists a clock
-	// record at least this often (in virtual seconds). Defaults to 60.
-	ClockJournalSecs float64
 	// HealProbeSecs is how often (wall seconds) a degraded journal is
 	// probed for healing: the driver attempts Journal.Heal at most this
 	// often, and degraded refusals carry it as retry_after_secs so
@@ -290,8 +289,11 @@ type Server struct {
 	cfg  Config
 	exec *core.AQPExecutor
 	cat  *tpch.Catalog
-	reg  *obs.Registry
-	met  *serveMetrics
+	// batchRows is the per-step batch size for submissions that do not
+	// specify one: the catalog's recommended size.
+	batchRows int
+	reg       *obs.Registry
+	met       *serveMetrics
 
 	// reqCh is the bounded ingress ring: connection handlers enqueue
 	// without blocking (a full ring is an overload refusal) and the
@@ -388,9 +390,6 @@ func New(cfg Config, exec *core.AQPExecutor, cat *tpch.Catalog) (*Server, error)
 	if cfg.Pace < 0 {
 		cfg.Pace = 0
 	}
-	if cfg.BatchRows <= 0 {
-		cfg.BatchRows = workload.RecommendedBatchRows(cat)
-	}
 	if err := exec.Validate(); err != nil {
 		return nil, err
 	}
@@ -398,17 +397,11 @@ func New(cfg Config, exec *core.AQPExecutor, cat *tpch.Catalog) (*Server, error)
 	if reg == nil {
 		reg = obs.Default()
 	}
-	if cfg.ClockJournalSecs <= 0 {
-		cfg.ClockJournalSecs = 60
-	}
 	if cfg.IngressDepth <= 0 {
 		cfg.IngressDepth = 1024
 	}
 	if cfg.IngressBatch <= 0 {
 		cfg.IngressBatch = 64
-	}
-	if cfg.OverloadRetrySecs <= 0 {
-		cfg.OverloadRetrySecs = 0.25
 	}
 	if cfg.HealProbeSecs <= 0 {
 		cfg.HealProbeSecs = 0.5
@@ -420,6 +413,7 @@ func New(cfg Config, exec *core.AQPExecutor, cat *tpch.Catalog) (*Server, error)
 		cfg:         cfg,
 		exec:        exec,
 		cat:         cat,
+		batchRows:   workload.RecommendedBatchRows(cat),
 		reg:         reg,
 		met:         newServeMetrics(reg),
 		reqCh:       make(chan request, cfg.IngressDepth),
@@ -1087,7 +1081,7 @@ func (s *Server) submit(m Message) Response {
 	}
 	batch := m.BatchRows
 	if batch <= 0 {
-		batch = s.cfg.BatchRows
+		batch = s.batchRows
 	}
 	j, err := workload.BuildAQPJob(s.cat, workload.AQPSpec{
 		ID:           id,
@@ -1262,7 +1256,7 @@ func (s *Server) dispatch(m Message) Response {
 // needs more than one ring-drain of breathing room before a retry can
 // possibly be admitted.
 func (s *Server) overloadRetryHint() float64 {
-	hint := s.cfg.OverloadRetrySecs
+	hint := overloadRetrySecs
 	if ctrl := s.exec.Admission(); ctrl != nil {
 		if bound := ctrl.Config().MaxQueueDepth; bound > 0 {
 			if live := s.liveSize.Load(); live > int64(bound) {

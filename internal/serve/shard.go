@@ -136,8 +136,6 @@ func (r *Router) startShard(h *shardHandle) error {
 	srv, err := New(Config{
 		Socket:          fmt.Sprintf("%s.shard%d", r.cfg.Socket, h.index),
 		Pace:            r.cfg.Pace,
-		Tick:            r.cfg.Tick,
-		BatchRows:       r.cfg.BatchRows,
 		IngressDepth:    r.cfg.IngressDepth,
 		IngressBatch:    r.cfg.IngressBatch,
 		Obs:             reg,

@@ -114,8 +114,8 @@ func (r *Router) restartShard(h *shardHandle) {
 	if err := r.startShard(h); err != nil {
 		h.mu.Lock()
 		h.backoff *= 2
-		if h.backoff > r.cfg.MaxRestartBackoff {
-			h.backoff = r.cfg.MaxRestartBackoff
+		if h.backoff > maxRestartBackoff {
+			h.backoff = maxRestartBackoff
 		}
 		h.state = ShardDown
 		h.lastErr = err

@@ -24,6 +24,13 @@ var (
 	MaxEpochChoices = []int{1, 5, 10, 15, 20, 25, 30}
 )
 
+// criteriaMix is the convergence/accuracy/runtime proportion (Table II:
+// 60/20/20).
+var criteriaMix = []float64{0.60, 0.20, 0.20}
+
+// pretrainedFraction is the share of fine-tuning jobs.
+const pretrainedFraction = 0.2
+
 // DLTSpec is one synthesized DLT job.
 type DLTSpec struct {
 	ID       string
@@ -35,11 +42,6 @@ type DLTSpec struct {
 type DLTWorkloadConfig struct {
 	// Jobs is the workload size.
 	Jobs int
-	// CriteriaMix is the convergence/accuracy/runtime proportion
-	// (Table II: 60/20/20).
-	CriteriaMix [3]float64
-	// PretrainedFraction is the share of fine-tuning jobs.
-	PretrainedFraction float64
 	// Seed drives every random choice.
 	Seed uint64
 }
@@ -49,12 +51,7 @@ func DefaultDLTWorkload(jobs int, seed uint64) DLTWorkloadConfig {
 	if jobs <= 0 {
 		jobs = 30
 	}
-	return DLTWorkloadConfig{
-		Jobs:               jobs,
-		CriteriaMix:        [3]float64{0.60, 0.20, 0.20},
-		PretrainedFraction: 0.2,
-		Seed:               seed,
-	}
+	return DLTWorkloadConfig{Jobs: jobs, Seed: seed}
 }
 
 // GenerateDLT samples a Table II workload: model architecture and the
@@ -69,8 +66,8 @@ func GenerateDLT(cfg DLTWorkloadConfig) ([]DLTSpec, error) {
 	}
 	specs := make([]DLTSpec, 0, cfg.Jobs)
 	for i := 0; i < cfg.Jobs; i++ {
-		kind := r.PickWeighted(cfg.CriteriaMix[:])
-		pretrained := r.Float64() < cfg.PretrainedFraction
+		kind := r.PickWeighted(criteriaMix)
+		pretrained := r.Float64() < pretrainedFraction
 
 		var model string
 		if pretrained {
