@@ -7,6 +7,7 @@ import (
 	"rotary/internal/core"
 	"rotary/internal/estimate"
 	"rotary/internal/faults"
+	"rotary/internal/invariants"
 	"rotary/internal/obs"
 	"rotary/internal/sim"
 	"rotary/internal/tpch"
@@ -326,15 +327,15 @@ func TestChaosUnifiedFullMixTerminates(t *testing.T) {
 		if rec.Recovered > rec.Crashes {
 			t.Errorf("seed %d: recovered %d of %d crashes — counter inconsistency", seed, rec.Recovered, rec.Crashes)
 		}
+		statuses := map[string]string{}
 		for _, j := range exec.AQPJobs() {
-			if !j.Status().Terminal() {
-				t.Errorf("seed %d: AQP job %s not terminal", seed, j.ID())
-			}
+			statuses["aqp/"+j.ID()] = j.Status().String()
 		}
 		for _, j := range exec.DLTJobs() {
-			if !j.Status().Terminal() {
-				t.Errorf("seed %d: DLT job %s not terminal", seed, j.ID())
-			}
+			statuses["dlt/"+j.ID()] = j.Status().String()
+		}
+		if err := invariants.AllTerminal(statuses); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
 }
@@ -366,32 +367,18 @@ func TestChaosObsCountersAgree(t *testing.T) {
 		t.Fatalf("chaos AQP run: %v", err)
 	}
 
-	get := func(name string) float64 {
-		t.Helper()
-		v, ok := reg.Value(name)
-		if !ok {
-			t.Fatalf("metric %s never registered", name)
-		}
-		return v
-	}
 	rec := exec.Recovery()
 	if rec.Crashes == 0 {
 		t.Fatalf("fault plan injected no crashes; agreement test is vacuous")
 	}
-	for name, want := range map[string]int{
-		"rotary_aqp_crashes_total":          rec.Crashes,
-		"rotary_aqp_rollbacks_total":        rec.Rollbacks,
-		"rotary_aqp_scratch_restarts_total": rec.ScratchRestarts,
-		"rotary_aqp_recovered_total":        rec.Recovered,
-		"rotary_aqp_arrivals_total":         len(exec.Jobs()),
-	} {
-		if got := get(name); got != float64(want) {
-			t.Errorf("%s = %v, executor says %d", name, got, want)
-		}
-	}
 	writes, memHits, diskHits, _ := store.Stats()
 	health := store.Health()
-	for name, want := range map[string]int{
+	if err := invariants.RegistryAgrees(reg, map[string]int{
+		"rotary_aqp_crashes_total":             rec.Crashes,
+		"rotary_aqp_rollbacks_total":           rec.Rollbacks,
+		"rotary_aqp_scratch_restarts_total":    rec.ScratchRestarts,
+		"rotary_aqp_recovered_total":           rec.Recovered,
+		"rotary_aqp_arrivals_total":            len(exec.Jobs()),
 		"rotary_ckpt_writes_total":             writes,
 		"rotary_ckpt_mem_hits_total":           memHits,
 		"rotary_ckpt_disk_hits_total":          diskHits,
@@ -399,10 +386,8 @@ func TestChaosObsCountersAgree(t *testing.T) {
 		"rotary_ckpt_transient_failures_total": health.TransientFailures,
 		"rotary_ckpt_corrupt_detected_total":   health.CorruptDetected,
 		"rotary_ckpt_swept_total":              health.Swept,
-	} {
-		if got := get(name); got != float64(want) {
-			t.Errorf("%s = %v, store says %d", name, got, want)
-		}
+	}); err != nil {
+		t.Error(err)
 	}
 	// Epoch-duration and frame-size histograms must have seen real traffic.
 	if v, ok := reg.Value("rotary_aqp_epochs_total"); !ok || v == 0 {

@@ -9,6 +9,7 @@ import (
 	"rotary/internal/core"
 	"rotary/internal/estimate"
 	"rotary/internal/faults"
+	"rotary/internal/invariants"
 	"rotary/internal/obs"
 	"rotary/internal/sim"
 	"rotary/internal/tpch"
@@ -271,7 +272,7 @@ func TestOverloadObsCountersAgree(t *testing.T) {
 		t.Fatalf("overload run triggered no defences (preempts=%d rejected=%d); agreement test is vacuous",
 			ov.WatchdogPreemptions, ast.Rejected)
 	}
-	for name, want := range map[string]int{
+	if err := invariants.RegistryAgrees(run.reg, map[string]int{
 		"rotary_aqp_watchdog_preemptions_total":        ov.WatchdogPreemptions,
 		"rotary_aqp_rejected_total":                    ov.Rejected,
 		"rotary_aqp_shed_total":                        ov.Shed,
@@ -283,10 +284,8 @@ func TestOverloadObsCountersAgree(t *testing.T) {
 		"rotary_admission_shed_total":                  ast.Shed,
 		"rotary_admission_degraded_total":              ast.Degraded,
 		"rotary_admission_queue_full_rejections_total": ast.QueueFullRejections,
-	} {
-		if got := get(name); got != float64(want) {
-			t.Errorf("%s = %v, ledger says %d", name, got, want)
-		}
+	}); err != nil {
+		t.Error(err)
 	}
 	// Terminal accounting: every job ends exactly once, and the per-status
 	// outcome counters partition the stop total.

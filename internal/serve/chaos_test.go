@@ -6,17 +6,9 @@ import (
 	"testing"
 
 	"rotary/internal/faults"
+	"rotary/internal/invariants"
 	"rotary/internal/sim"
 )
-
-// chaosEvent is one step of a kill-restart chaos plan: at virtual time
-// `at`, either submit a job or SIGKILL the daemon and restart it.
-type chaosEvent struct {
-	at   float64
-	kind string // "submit" or "kill"
-	id   string
-	stmt string
-}
 
 // chaosPlan draws a seeded workload (feasible jobs plus one infeasible
 // job that must expire in every run) and merges it with the seed's
@@ -48,89 +40,44 @@ func chaosPlan(seed uint64, withKills bool) []chaosEvent {
 	return evs
 }
 
-// runChaosPlan drives one plan against a durable server, killing and
-// restarting the daemon at each kill point, and returns every submitted
-// job's terminal status. It fails the test if any admitted job is
-// dropped, any OK submit disappears, or the run does not terminate.
-func runChaosPlan(t *testing.T, plan []chaosEvent) map[string]string {
-	t.Helper()
-	h := newDurableHarness(t)
-	h.start(t)
-	c := dial(t, h.socket)
-	now := 0.0
-	var submitted []string
-	for _, ev := range plan {
-		if ev.at > now {
-			r := c.call(t, Message{Op: "advance", Seconds: ev.at - now})
-			if !r.OK {
-				t.Fatalf("advance to %.1f: %+v", ev.at, r)
-			}
-			now = r.VirtualNow
-		}
-		switch ev.kind {
-		case "submit":
-			r := c.call(t, Message{Op: "submit", ID: ev.id, ReqID: "req-" + ev.id, Statement: ev.stmt})
-			if !r.OK {
-				t.Fatalf("submit %s: %+v", ev.id, r)
-			}
-			submitted = append(submitted, ev.id)
-		case "kill":
-			h.kill(t)
-			h.start(t)
-			c = dial(t, h.socket)
+// TestKillRestartChaos is the kill-restart chaos suite: for each seed,
+// a control run (no kills) and a chaos run (the seed's deterministic
+// daemon-kill schedule) execute the same workload; the chaos run must
+// terminate, keep every admitted job, never rewind the clock or the
+// server epoch, and reach the same terminal statuses the uninterrupted
+// run reached.
+func TestKillRestartChaos(t *testing.T) {
+	run := func(t *testing.T, plan []chaosEvent) map[string]string {
+		d := newDaemon(t, daemon{durable: true})
+		d.start(t)
+		c := dial(t, d.socket)
+		epochs := []int{c.call(t, Message{Op: "resume"}).ServerEpoch}
+		c, ids := drive(t, c, plan, func(now float64) *client {
+			c := d.restart(t)
 			res := c.call(t, Message{Op: "resume"})
 			if !res.OK {
-				t.Fatalf("resume after %s: %+v", ev.id, res)
+				t.Fatalf("resume after kill: %+v", res)
 			}
 			if res.VirtualNow < now-1e-9 {
 				t.Fatalf("restart rewound the clock: %.3f < %.3f", res.VirtualNow, now)
 			}
-			now = res.VirtualNow
+			epochs = append(epochs, res.ServerEpoch)
+			return c
+		})
+		if err := invariants.EpochsIncrease(epochs); err != nil {
+			t.Fatal(err)
 		}
+		// Run far past every deadline: restart-at-any-virtual-time must
+		// still terminate every job.
+		got, _ := sweep(t, c, ids, 3000, 1)
+		c.drain(t)
+		return got
 	}
-	// Run far past every deadline: restart-at-any-virtual-time must still
-	// terminate every job.
-	if r := c.call(t, Message{Op: "advance", Seconds: 3000}); !r.OK {
-		t.Fatalf("final advance: %+v", r)
-	}
-	got := map[string]string{}
-	for _, id := range submitted {
-		r := c.call(t, Message{Op: "status", ID: id})
-		if !r.OK {
-			t.Fatalf("job %s silently dropped: %+v", id, r)
-		}
-		if r.Status == "pending" || r.Status == "running" || r.Status == "" {
-			t.Fatalf("job %s never terminated: %+v", id, r)
-		}
-		got[id] = r.Status
-	}
-	dr := c.call(t, Message{Op: "drain"})
-	if !dr.OK {
-		t.Fatalf("drain: %+v", dr)
-	}
-	if dr.Terminal != dr.Jobs {
-		t.Fatalf("drain left %d/%d jobs unterminated", dr.Jobs-dr.Terminal, dr.Jobs)
-	}
-	return got
-}
-
-// TestKillRestartChaos is the kill-restart chaos suite: for each seed,
-// a control run (no kills) and a chaos run (the seed's deterministic
-// daemon-kill schedule) execute the same workload; the chaos run must
-// terminate, keep every admitted job, and reach the same terminal
-// statuses the uninterrupted run reached.
-func TestKillRestartChaos(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			control := runChaosPlan(t, chaosPlan(seed, false))
-			chaos := runChaosPlan(t, chaosPlan(seed, true))
-			if len(chaos) != len(control) {
-				t.Fatalf("chaos run tracked %d jobs, control %d", len(chaos), len(control))
-			}
-			for id, want := range control {
-				if chaos[id] != want {
-					t.Errorf("job %s: chaos run ended %q, control %q", id, chaos[id], want)
-				}
+			control := run(t, chaosPlan(seed, false))
+			if err := invariants.SameOutcomes(control, run(t, chaosPlan(seed, true))); err != nil {
+				t.Error(err)
 			}
 			if want := control[fmt.Sprintf("tight-%d", seed)]; want != "expired" {
 				t.Errorf("infeasible job ended %q in control, want expired", want)

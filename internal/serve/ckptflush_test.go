@@ -10,12 +10,9 @@ import (
 	"sync"
 	"testing"
 
-	"rotary/internal/baselines"
 	"rotary/internal/core"
 	"rotary/internal/diskio"
-	"rotary/internal/obs"
 	"rotary/internal/tpch"
-	"rotary/internal/workload"
 )
 
 // expectReattach checks one incarnation's recovery counters against what
@@ -51,46 +48,33 @@ func expectReattach(t *testing.T, label string, recovered []JobRecord, rec core.
 func TestKillRestartReattachesToFlushedCheckpoints(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			h := newDurableHarness(t)
-			h.start(t)
-			c := dial(t, h.socket)
-			now, kills, withEpochs := 0.0, 0, 0
+			d := newDaemon(t, daemon{durable: true})
+			d.start(t)
+			kills, withEpochs := 0, 0
 			var recovered []JobRecord
 			var total core.RecoveryStats
-			for _, ev := range chaosPlan(seed, true) {
-				if ev.at > now {
-					now = c.call(t, Message{Op: "advance", Seconds: ev.at - now}).VirtualNow
-				}
-				if ev.kind == "submit" {
-					if r := c.call(t, Message{Op: "submit", ID: ev.id, Statement: ev.stmt}); !r.OK {
-						t.Fatalf("submit %s: %+v", ev.id, r)
-					}
-					continue
-				}
-				expectReattach(t, fmt.Sprintf("incarnation %d", kills), recovered, h.exec.Recovery(), false)
-				total = total.Add(h.exec.Recovery())
-				h.kill(t)
-				h.start(t)
+			c, _ := drive(t, dial(t, d.socket), chaosPlan(seed, true), func(float64) *client {
+				expectReattach(t, fmt.Sprintf("incarnation %d", kills), recovered, d.exec.Recovery(), false)
+				total = total.Add(d.exec.Recovery())
+				c := d.restart(t)
 				kills++
-				c = dial(t, h.socket)
-				recovered = h.srv.jl.Recovered().NonTerminal()
+				recovered = d.jl.Recovered().NonTerminal()
 				for _, jr := range recovered {
 					if jr.Epochs > 0 {
 						withEpochs++
 					}
 				}
-			}
+				return c
+			})
 			c.call(t, Message{Op: "advance", Seconds: 3000})
-			expectReattach(t, "last incarnation", recovered, h.exec.Recovery(), true)
-			total = total.Add(h.exec.Recovery())
+			expectReattach(t, "last incarnation", recovered, d.exec.Recovery(), true)
+			total = total.Add(d.exec.Recovery())
 			t.Logf("%d kills: reattached %d, resumed from a checkpoint %d, scratch restarts %d, wasted work %.1f virtual s",
 				kills, total.Reattached, total.Rollbacks, total.ScratchRestarts, total.WastedWorkSecs)
 			if withEpochs == 0 {
 				t.Fatal("no kill caught a job with a completed epoch: the schedule proves nothing")
 			}
-			if r := c.call(t, Message{Op: "drain"}); !r.OK || r.Terminal != r.Jobs {
-				t.Fatalf("drain: %+v", r)
-			}
+			c.drain(t)
 		})
 	}
 }
@@ -130,24 +114,9 @@ func rowsOnDisk(t *testing.T, dir string, cat *tpch.Catalog, queries map[string]
 // recovery restores each job to the rows it had at the last step the
 // journal's clock covers.
 func TestKillMidAdvanceRecoversLastJournaledStep(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "state")
-	cat := tpch.NewCatalog(tpch.Generate(0.005, 1), 1)
-	boot := func() (*Server, *core.AQPExecutor, *Journal) {
-		jl, store, err := OpenDurable(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-		cfg.Obs = obs.NewRegistry()
-		cfg.Store = store
-		exec := core.NewAQPExecutor(cfg, baselines.RoundRobinAQP{}, nil)
-		srv, err := New(Config{Socket: filepath.Join(dir, "unused.sock"), Obs: cfg.Obs, Journal: jl}, exec, cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return srv, exec, jl
-	}
-	srv, exec, jl := boot()
+	d := newDaemon(t, daemon{durable: true})
+	d.boot(t)
+	srv, exec := d.srv, d.exec
 	queries := map[string]string{"m-a": "q1", "m-b": "q1", "m-c": "q18"}
 	for _, id := range []string{"m-a", "m-b", "m-c"} {
 		stmt := queries[id] + " ACC MIN 95% WITHIN 2000 SECONDS"
@@ -159,7 +128,7 @@ func TestKillMidAdvanceRecoversLastJournaledStep(t *testing.T) {
 	if !step.OK {
 		t.Fatalf("advance: %+v", step)
 	}
-	before := rowsOnDisk(t, dir, cat, queries)
+	before := rowsOnDisk(t, d.dir, d.cat, queries)
 	if len(before) < 2 {
 		t.Fatalf("only %d jobs had a checkpoint after the completed step: %v", len(before), before)
 	}
@@ -185,13 +154,13 @@ func TestKillMidAdvanceRecoversLastJournaledStep(t *testing.T) {
 		t.Fatal("no job completed an epoch inside the killed step: the kill proves nothing")
 	}
 	t.Logf("the killed step completed %d epochs that recovery will run again", lost)
-	jl.Close() // kill -9: journal handle gone, store abandoned with its stage
+	d.jl.Close() // kill -9: journal handle gone, store abandoned with its stage
 
-	if after := rowsOnDisk(t, dir, cat, queries); !reflect.DeepEqual(after, before) {
+	if after := rowsOnDisk(t, d.dir, d.cat, queries); !reflect.DeepEqual(after, before) {
 		t.Fatalf("checkpoints ran ahead of the journal:\n at the last step %v\n after the kill   %v", before, after)
 	}
-	srv2, exec2, jl2 := boot()
-	defer jl2.Close()
+	d.boot(t)
+	srv2, exec2 := d.srv, d.exec
 	if now := exec2.Engine().Now().Seconds(); now != step.VirtualNow {
 		t.Fatalf("recovered clock %.3f, want the last journaled step %.3f", now, step.VirtualNow)
 	}
@@ -298,10 +267,9 @@ func TestFlushUnderSeededCheckpointFaults(t *testing.T) {
 	run := func(t *testing.T, seed uint64) (ops []string, series string) {
 		faulty := diskio.NewFaulty(nil, diskio.FaultConfig{Seed: seed, SyncFailRate: 0.2, RenameFailRate: 0.1, BurstOps: 6})
 		log := &opLog{IO: ckptOnly{IO: diskio.OS{}, ckpt: faulty}}
-		h := newDurableHarness(t)
-		h.dio = log
-		h.start(t)
-		c := dial(t, h.socket)
+		d := newDaemon(t, daemon{durable: true, dio: log})
+		d.start(t)
+		c := dial(t, d.socket)
 		now, sawDegraded := 0.0, false
 		for _, ev := range chaosPlan(seed, false) {
 			for ev.at > now { // short steps: many flushes, some of them failing
@@ -331,12 +299,10 @@ func TestFlushUnderSeededCheckpointFaults(t *testing.T) {
 			m["rotary_ckpt_writes_total"] != m["rotary_ckpt_disk_writes_total"]+m["rotary_ckpt_coalesced_total"] {
 			t.Fatalf("saves do not reconcile as written + coalesced with the stage drained:\n%s", series)
 		}
-		if rec := h.exec.Recovery(); rec.ScratchRestarts != 0 {
+		if rec := d.exec.Recovery(); rec.ScratchRestarts != 0 {
 			t.Fatalf("failed flushes cost live jobs %d scratch restarts", rec.ScratchRestarts)
 		}
-		if r := c.call(t, Message{Op: "drain"}); !r.OK || r.Terminal != r.Jobs {
-			t.Fatalf("drain: %+v", r)
-		}
+		c.drain(t)
 		return log.ops, series
 	}
 	for _, seed := range []uint64{1, 7, 42} {
@@ -357,21 +323,9 @@ func TestFlushUnderSeededCheckpointFaults(t *testing.T) {
 // when it completes, so a status read mid-epoch reports exactly what the
 // job's last completed epoch observed, not a mix with in-flight rows.
 func TestStatusOfRunningJobIsItsLastCompletedEpoch(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "state")
-	cat := tpch.NewCatalog(tpch.Generate(0.005, 1), 1)
-	jl, store, err := OpenDurable(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jl.Close()
-	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	cfg.Obs = obs.NewRegistry()
-	cfg.Store = store
-	exec := core.NewAQPExecutor(cfg, baselines.RoundRobinAQP{}, nil)
-	srv, err := New(Config{Socket: filepath.Join(dir, "unused.sock"), Obs: cfg.Obs, Journal: jl}, exec, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newDaemon(t, daemon{durable: true})
+	d.boot(t)
+	srv := d.srv
 	if r := srv.handle(Message{Op: "submit", ID: "solo", Statement: "q3 ACC MIN 95% WITHIN 2000 SECONDS"}); !r.OK {
 		t.Fatalf("submit: %+v", r)
 	}
@@ -413,9 +367,9 @@ func TestEncodesBoundedByFramesNeeded(t *testing.T) {
 		return false
 	}
 	run := func(t *testing.T, seed uint64) string {
-		h := newDurableHarness(t)
-		h.start(t)
-		c := dial(t, h.socket)
+		d := newDaemon(t, daemon{durable: true})
+		d.start(t)
+		c := dial(t, d.socket)
 		now, admitted := 0.0, 0
 		for _, ev := range chaosPlan(seed, false) {
 			for ev.at > now {
@@ -438,9 +392,7 @@ func TestEncodesBoundedByFramesNeeded(t *testing.T) {
 			t.Fatalf("store forced %v encoders, executor ran %v beyond the %d pristine copies:\n%s",
 				m["rotary_ckpt_encodes_total"], encodes-float64(admitted), admitted, lines)
 		}
-		if r := c.call(t, Message{Op: "drain"}); !r.OK || r.Terminal != r.Jobs {
-			t.Fatalf("drain: %+v", r)
-		}
+		c.drain(t)
 		return lines
 	}
 	for _, seed := range []uint64{1, 7, 42} {

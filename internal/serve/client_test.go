@@ -166,11 +166,10 @@ func TestClientJournalDegradedSurfacedWithoutOptIn(t *testing.T) {
 // TestClientRequestTimeoutDisabled: a negative RequestTimeout disables
 // the deadline — the round trip against a healthy server succeeds.
 func TestClientRequestTimeoutDisabled(t *testing.T) {
-	srv, socket := newTestServer(t, nil)
-	wg := serveAsync(t, srv)
-	defer func() { srv.Drain(); wg.Wait() }()
+	d := newDaemon(t, daemon{})
+	d.start(t)
 
-	cl, err := NewClient(ClientConfig{Socket: socket, RequestTimeout: -1})
+	cl, err := NewClient(ClientConfig{Socket: d.socket, RequestTimeout: -1})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}

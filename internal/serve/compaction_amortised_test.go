@@ -303,10 +303,9 @@ func TestJournalHealTracksSnapshotBytes(t *testing.T) {
 // in the journal), and the records counter skipped them.
 func TestCompactionFailureKeepsDurableGroupAcked(t *testing.T) {
 	dio := newCompactIO()
-	h := newHealHarness(t)
-	h.dio = dio
-	h.start(t, Config{Pace: 0, HealProbeSecs: 0.01})
-	c := dial(t, h.socket)
+	d := newDaemon(t, daemon{durable: true, dio: dio, cfg: Config{HealProbeSecs: 0.01}})
+	d.start(t)
+	c := dial(t, d.socket)
 	const stmt = "q1 ACC MIN 60% WITHIN 900 SECONDS"
 
 	if r := c.call(t, Message{Op: "submit", ID: "pre", ReqID: "req-pre", Statement: stmt}); !r.OK {
@@ -315,12 +314,12 @@ func TestCompactionFailureKeepsDurableGroupAcked(t *testing.T) {
 	// Arm: the next append crosses the floor and its compaction's rename
 	// fails; the append's own write and fsync go through untouched.
 	dio.failDirOps.Store(true)
-	h.jl.SetCompactBytes(1)
+	d.jl.SetCompactBytes(1)
 	r := c.call(t, Message{Op: "submit", ID: "trigger", ReqID: "req-trigger", Statement: stmt})
 	if !r.OK {
 		t.Fatalf("submit whose group is durable was refused because the compaction behind it failed: %+v", r)
 	}
-	if h.jl.Degraded() == nil {
+	if d.jl.Degraded() == nil {
 		t.Fatal("failed compaction did not latch the journal degraded")
 	}
 	if r := c.call(t, Message{Op: "submit", ID: "refused", Statement: stmt}); r.Code != CodeJournalDegraded {
@@ -329,7 +328,7 @@ func TestCompactionFailureKeepsDurableGroupAcked(t *testing.T) {
 
 	// The fault clears; the next probed request heals and acks resume.
 	dio.failDirOps.Store(false)
-	h.jl.SetCompactBytes(0)
+	d.jl.SetCompactBytes(0)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		time.Sleep(20 * time.Millisecond)
@@ -341,23 +340,22 @@ func TestCompactionFailureKeepsDurableGroupAcked(t *testing.T) {
 			t.Fatalf("submit after the fault cleared: %+v", r)
 		}
 	}
-	if heals, _ := h.jl.HealStats(); heals != 1 || h.jl.Degraded() != nil {
-		t.Fatalf("heals=%d degraded=%v after recovery", heals, h.jl.Degraded())
+	if heals, _ := d.jl.HealStats(); heals != 1 || d.jl.Degraded() != nil {
+		t.Fatalf("heals=%d degraded=%v after recovery", heals, d.jl.Degraded())
 	}
 
 	// Counter == journal: every record the journal holds was counted once
 	// (the boot's server-epoch record is appended by OpenJournal, before
 	// the server and its counter exist).
-	appends, _, _, _ := h.jl.Stats()
-	if got := h.srv.met.journalRecords.Value(); got != appends-1 {
+	appends, _, _, _ := d.jl.Stats()
+	if got := d.srv.met.journalRecords.Value(); got != appends-1 {
 		t.Fatalf("rotary_serve_journal_records_total = %d, journal appended %d (+1 boot record)", got, appends-1)
 	}
-	h.srv.Kill()
-	h.wg.Wait()
+	d.kill()
 
 	// Replay holds each record once: no shelf re-append duplicated the
 	// trigger's submit, in the registry or on disk.
-	rec, err := ReplayJournal(h.dir)
+	rec, err := ReplayJournal(d.dir)
 	if err != nil {
 		t.Fatalf("ReplayJournal: %v", err)
 	}
@@ -368,13 +366,13 @@ func TestCompactionFailureKeepsDurableGroupAcked(t *testing.T) {
 	if want := []string{"pre", "trigger", "post"}; !reflect.DeepEqual(ids, want) {
 		t.Fatalf("replayed jobs %v, want %v", ids, want)
 	}
-	segs, err := listSegments(diskio.OS{}, h.dir)
+	segs, err := listSegments(diskio.OS{}, d.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	held := map[string]int{} // id -> snapshot rows + submit records across the chain
 	for _, seq := range segs {
-		raw, err := os.ReadFile(filepath.Join(h.dir, segmentName(seq)))
+		raw, err := os.ReadFile(filepath.Join(d.dir, segmentName(seq)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,12 +8,8 @@ import (
 	"sync"
 	"testing"
 
-	"rotary/internal/baselines"
-	"rotary/internal/core"
-	"rotary/internal/obs"
+	"rotary/internal/invariants"
 	"rotary/internal/sim"
-	"rotary/internal/tpch"
-	"rotary/internal/workload"
 )
 
 // TestJournalCompactionRacingSubmits hammers a durable server with
@@ -23,31 +19,13 @@ import (
 // live appends loses nothing — every submit is journaled, and a
 // post-kill replay recovers the full registry.
 func TestJournalCompactionRacingSubmits(t *testing.T) {
-	base := t.TempDir()
-	dir := base + "/state"
-	socket := base + "/rotary.sock"
-
-	jl, store, err := OpenDurable(dir)
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
 	// The trigger is growth-relative (the tail must double the snapshot),
 	// so compactions are logarithmic in the storm's bytes: a 256-byte
 	// floor makes the doublings start early enough that ~7 folds race
 	// the 48 submits.
-	jl.SetCompactBytes(256)
-	reg := obs.NewRegistry()
-	ds := tpch.Generate(0.005, 1)
-	cat := tpch.NewCatalog(ds, 1)
-	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	cfg.Obs = reg
-	cfg.Store = store
-	exec := core.NewAQPExecutor(cfg, baselines.RoundRobinAQP{}, nil)
-	srv, err := New(Config{Socket: socket, Pace: 0, Obs: reg, Journal: jl}, exec, cat)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	wg := serveAsync(t, srv)
+	d := newDaemon(t, daemon{durable: true, compactBytes: 256})
+	d.start(t)
+	socket := d.socket
 
 	const workers, per = 3, 16
 	queries := []string{"q1", "q3", "q5", "q6"}
@@ -55,10 +33,12 @@ func TestJournalCompactionRacingSubmits(t *testing.T) {
 	// is reproducible even though goroutine interleaving is not.
 	rng := sim.NewRand(97)
 	stmts := make([][]string, workers)
+	var ids []string
 	for w := range stmts {
 		for i := 0; i < per; i++ {
 			stmts[w] = append(stmts[w], fmt.Sprintf("%s ACC MIN %.0f%% WITHIN 900 SECONDS",
 				queries[rng.IntN(len(queries))], rng.Range(50, 70)))
+			ids = append(ids, fmt.Sprintf("cr-%d-%d", w, i))
 		}
 	}
 
@@ -140,41 +120,27 @@ func TestJournalCompactionRacingSubmits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, compactions, _, _ := jl.Stats(); compactions < 4 {
+	if _, compactions, _, _ := d.jl.Stats(); compactions < 4 {
 		t.Fatalf("%d compactions ran during the storm, want >= 4 — threshold premise broken", compactions)
 	}
 	c := dial(t, socket)
-	for w := 0; w < workers; w++ {
-		for i := 0; i < per; i++ {
-			id := fmt.Sprintf("cr-%d-%d", w, i)
-			if resp := c.call(t, Message{Op: "status", ID: id}); !resp.OK {
-				t.Fatalf("job %s lost under compaction: %+v", id, resp)
-			}
+	for _, id := range ids {
+		if resp := c.call(t, Message{Op: "status", ID: id}); !resp.OK {
+			t.Fatalf("job %s lost under compaction: %+v", id, resp)
 		}
 	}
 	// Kill without flushing, replay: the folded journal still carries all
-	// 48 submits.
-	srv.Kill()
-	wg.Wait()
-	jl2, store2, err := OpenDurable(dir)
-	if err != nil {
-		t.Fatalf("replay after kill: %v", err)
+	// 48 submits, each once.
+	d.kill()
+	d.boot(t)
+	replayed := d.journalIDs()
+	if len(replayed) != len(ids) {
+		t.Fatalf("replay recovered %d jobs, want %d", len(replayed), len(ids))
 	}
-	defer jl2.Close()
-	defer store2.Close()
-	rec := jl2.Recovered()
-	if len(rec.Jobs) != workers*per {
-		t.Fatalf("replay recovered %d jobs, want %d", len(rec.Jobs), workers*per)
+	if lost := invariants.Lost(ids, replayed); len(lost) > 0 {
+		t.Fatalf("jobs %v missing from the replayed registry", lost)
 	}
-	seen := map[string]bool{}
-	for _, j := range rec.Jobs {
-		seen[j.ID] = true
-	}
-	for w := 0; w < workers; w++ {
-		for i := 0; i < per; i++ {
-			if id := fmt.Sprintf("cr-%d-%d", w, i); !seen[id] {
-				t.Fatalf("job %s missing from the replayed registry", id)
-			}
-		}
+	if dups := invariants.Duplicates(replayed); len(dups) > 0 {
+		t.Fatalf("replayed registry holds duplicate ids %v", dups)
 	}
 }

@@ -12,10 +12,13 @@ package serve
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"rotary/internal/invariants"
 	"rotary/internal/sim"
 )
 
@@ -25,19 +28,22 @@ func TestGroupCommitKillRestartChaos(t *testing.T) {
 			rng := sim.NewRand(seed ^ 0x6c0de)
 			killAfter := time.Duration(2+rng.IntN(30)) * time.Millisecond
 
-			h := newDurableHarness(t)
-			h.start(t)
+			d := newDaemon(t, daemon{durable: true})
+			d.start(t)
+			epoch := dial(t, d.socket).call(t, Message{Op: "resume"}).ServerEpoch
 
 			const workers = 8
 			var mu sync.Mutex
 			acked := make(map[string]string) // job id -> req_id
+			firstAck := make(chan struct{})
+			var once sync.Once
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					cl, err := NewClient(ClientConfig{
-						Socket:   h.socket,
+						Socket:   d.socket,
 						Attempts: 1, // fail fast once the daemon dies
 						Backoff:  time.Millisecond,
 					})
@@ -56,26 +62,40 @@ func TestGroupCommitKillRestartChaos(t *testing.T) {
 						mu.Lock()
 						acked[resp.ID] = reqID
 						mu.Unlock()
+						once.Do(func() { close(firstAck) })
 					}
 				}(w)
 			}
 
+			// The seeded delay runs from the first ack, so every seed kills
+			// with acked submits behind it and traffic still in flight.
+			select {
+			case <-firstAck:
+			case <-time.After(10 * time.Second):
+				t.Fatal("no submit acked within 10s")
+			}
 			time.Sleep(killAfter)
-			h.kill(t)
+			d.kill()
 			wg.Wait()
 
-			if len(acked) == 0 {
-				t.Skipf("kill landed before any submit was acked (killAfter=%v)", killAfter)
-			}
-
 			// Restart over the same state dir: every acked reply's job must
-			// have survived in the journal — the fsync its reply waited on.
-			h.start(t)
-			c := dial(t, h.socket)
+			// have survived in the journal — the fsync its reply waited on —
+			// exactly once, under a newer server epoch.
+			c := d.restart(t)
+			kept := d.journalIDs()
+			if lost := invariants.Lost(slices.Collect(maps.Keys(acked)), kept); len(lost) > 0 {
+				t.Fatalf("seed %d: %d acked jobs missing from the restarted journal: %v", seed, len(lost), lost)
+			}
+			if dups := invariants.Duplicates(kept); len(dups) > 0 {
+				t.Fatalf("seed %d: restarted journal holds duplicate job ids %v", seed, dups)
+			}
+			if err := invariants.EpochsIncrease([]int{epoch, c.call(t, Message{Op: "resume"}).ServerEpoch}); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
 			for id, reqID := range acked {
 				st := c.call(t, Message{Op: "status", ID: id})
 				if !st.OK {
-					t.Fatalf("seed %d: job %s was acked before the kill but the restarted journal does not know it: %+v",
+					t.Fatalf("seed %d: job %s was acked before the kill but the restarted daemon does not know it: %+v",
 						seed, id, st)
 				}
 				// The req_id dedupe index must have recovered too: a client
@@ -87,10 +107,8 @@ func TestGroupCommitKillRestartChaos(t *testing.T) {
 					t.Fatalf("seed %d: resubmit of acked req %s: %+v, want dedupe to job %s", seed, reqID, re, id)
 				}
 			}
-			if r := c.call(t, Message{Op: "drain"}); !r.OK {
-				t.Fatalf("seed %d: drain after recovery: %+v", seed, r)
-			}
-			h.wg.Wait()
+			c.drain(t)
+			d.wg.Wait()
 			t.Logf("seed %d: %d acked submits all recovered (killAfter=%v)", seed, len(acked), killAfter)
 		})
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -18,24 +17,20 @@ import (
 // remove it, and bind — instead of failing with "address already in
 // use".
 func TestStaleSocketStartup(t *testing.T) {
-	dir := t.TempDir()
-	socket := filepath.Join(dir, "rotary.sock")
+	d := newDaemon(t, daemon{})
 	// Leave a dead socket file behind, exactly as kill -9 would.
-	ln, err := net.Listen("unix", socket)
+	ln, err := net.Listen("unix", d.socket)
 	if err != nil {
 		t.Fatalf("plant socket: %v", err)
 	}
 	ln.(*net.UnixListener).SetUnlinkOnClose(false)
 	ln.Close()
-	if _, err := os.Stat(socket); err != nil {
+	if _, err := os.Stat(d.socket); err != nil {
 		t.Fatalf("stale socket not on disk: %v", err)
 	}
 
-	srv, _ := newTestServer(t, nil)
-	srv.cfg.Socket = socket
-	wg := serveAsync(t, srv)
-	defer func() { srv.Drain(); wg.Wait() }()
-	c := dial(t, socket)
+	d.start(t)
+	c := dial(t, d.socket)
 	if r := c.call(t, Message{Op: "health"}); !r.OK {
 		t.Fatalf("health on reclaimed socket: %+v", r)
 	}
@@ -45,19 +40,19 @@ func TestStaleSocketStartup(t *testing.T) {
 // server's socket alone — the second daemon fails to bind instead of
 // hijacking the address.
 func TestLiveSocketNotStolen(t *testing.T) {
-	srv, socket := newTestServer(t, nil)
-	wg := serveAsync(t, srv)
-	defer func() { srv.Drain(); wg.Wait() }()
+	d := newDaemon(t, daemon{})
+	d.start(t)
 
-	if err := removeStaleSocket(socket); err != nil {
+	if err := removeStaleSocket(d.socket); err != nil {
 		t.Fatalf("probe errored on a live socket: %v", err)
 	}
-	if _, err := os.Stat(socket); err != nil {
+	if _, err := os.Stat(d.socket); err != nil {
 		t.Fatalf("probe removed a live socket: %v", err)
 	}
-	srv2, _ := newTestServer(t, nil)
-	srv2.cfg.Socket = socket
-	if err := srv2.Serve(); err == nil || !strings.Contains(err.Error(), "in use") {
+	d2 := newDaemon(t, daemon{})
+	d2.socket = d.socket
+	d2.boot(t)
+	if err := d2.srv.Serve(); err == nil || !strings.Contains(err.Error(), "in use") {
 		t.Fatalf("second daemon bound a live socket: %v", err)
 	}
 }
@@ -65,11 +60,8 @@ func TestLiveSocketNotStolen(t *testing.T) {
 // TestOversizedRequestLine: a request beyond the line limit gets a typed
 // "too-large" reply (and a metric), not a silent hangup.
 func TestOversizedRequestLine(t *testing.T) {
-	srv, socket, reg := newObsTestServer(t, 64)
-	wg := serveAsync(t, srv)
-	defer func() { srv.Drain(); wg.Wait() }()
-
-	conn, err := net.Dial("unix", socket)
+	d := newObsDaemon(t, 64)
+	conn, err := net.Dial("unix", d.socket)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -90,7 +82,7 @@ func TestOversizedRequestLine(t *testing.T) {
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Fatalf("connection still open after oversized request")
 	}
-	if v, ok := reg.Value("rotary_serve_oversized_requests_total"); !ok || v != 1 {
+	if v, ok := d.reg.Value("rotary_serve_oversized_requests_total"); !ok || v != 1 {
 		t.Fatalf("oversized counter = %v, %v", v, ok)
 	}
 }
@@ -98,10 +90,9 @@ func TestOversizedRequestLine(t *testing.T) {
 // TestResponseCodes pins the machine-readable Code on each error class,
 // so retrying clients can branch without string-matching Error.
 func TestResponseCodes(t *testing.T) {
-	ctrl := admission.NewController(admission.Config{MaxQueueDepth: 1, Policy: admission.Reject})
-	srv, socket := newTestServer(t, ctrl)
-	wg := serveAsync(t, srv)
-	c := dial(t, socket)
+	d := newDaemon(t, daemon{admit: &admission.Config{MaxQueueDepth: 1, Policy: admission.Reject}})
+	d.start(t)
+	c := dial(t, d.socket)
 
 	cases := []struct {
 		name string
@@ -143,15 +134,15 @@ func TestResponseCodes(t *testing.T) {
 	// Draining refusals carry the draining code: park a raw connection,
 	// drain, then ask again on a fresh dial (the listener is closed, so
 	// use the parked one).
-	parked, err := net.Dial("unix", socket)
+	parked, err := net.Dial("unix", d.socket)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer parked.Close()
-	if r := srv.Drain(); !r.OK {
+	if r := d.srv.Drain(); !r.OK {
 		t.Fatalf("drain: %+v", r)
 	}
-	wg.Wait()
+	d.wg.Wait()
 	enc := json.NewEncoder(parked)
 	sc := bufio.NewScanner(parked)
 	if err := enc.Encode(Message{Op: "stats"}); err == nil && sc.Scan() {

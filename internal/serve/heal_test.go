@@ -2,16 +2,10 @@ package serve
 
 import (
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
-	"rotary/internal/baselines"
-	"rotary/internal/core"
 	"rotary/internal/diskio"
-	"rotary/internal/obs"
-	"rotary/internal/tpch"
-	"rotary/internal/workload"
 )
 
 // TestJournalHealRollsToFreshSegment is the journal-level heal
@@ -108,59 +102,6 @@ func TestJournalHealIdempotentWhenHealthy(t *testing.T) {
 	}
 }
 
-// healHarness is the durable harness with a fault-injecting disk under
-// the whole durability stack.
-type healHarness struct {
-	dir    string
-	socket string
-	faulty *diskio.Faulty
-	dio    diskio.IO // overrides faulty as the durability stack's disk when set
-
-	jl   *Journal
-	srv  *Server
-	exec *core.AQPExecutor
-	wg   *sync.WaitGroup
-}
-
-func newHealHarness(t *testing.T) *healHarness {
-	t.Helper()
-	base := t.TempDir()
-	return &healHarness{
-		dir:    filepath.Join(base, "state"),
-		socket: filepath.Join(base, "rotary.sock"),
-		faulty: diskio.NewFaulty(nil, diskio.FaultConfig{Seed: 7}),
-	}
-}
-
-func (h *healHarness) start(t *testing.T, cfg Config) {
-	t.Helper()
-	var dio diskio.IO = h.faulty
-	if h.dio != nil {
-		dio = h.dio
-	}
-	jl, store, err := OpenDurableIO(h.dir, dio)
-	if err != nil {
-		t.Fatalf("OpenDurableIO: %v", err)
-	}
-	h.jl = jl
-	reg := obs.NewRegistry()
-	ds := tpch.Generate(0.005, 1)
-	cat := tpch.NewCatalog(ds, 1)
-	ecfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	ecfg.Obs = reg
-	ecfg.Store = store
-	h.exec = core.NewAQPExecutor(ecfg, baselines.RoundRobinAQP{}, nil)
-	cfg.Socket = h.socket
-	cfg.Obs = reg
-	cfg.Journal = jl
-	h.srv, err = New(cfg, h.exec, cat)
-	if err != nil {
-		jl.Close()
-		t.Fatalf("New (faulty durable): %v", err)
-	}
-	h.wg = serveAsync(t, h.srv)
-}
-
 // TestServerHealsDegradedJournalWithoutRestart is the tentpole
 // acceptance property: a server whose journal faults clear must lift
 // the degraded latch and resume durable acks WITHOUT a restart — same
@@ -168,9 +109,10 @@ func (h *healHarness) start(t *testing.T, cfg Config) {
 // and the jobs from the failed fault-window group commit must be
 // durable after the heal, not ghosts only the executor remembers.
 func TestServerHealsDegradedJournalWithoutRestart(t *testing.T) {
-	h := newHealHarness(t)
-	h.start(t, Config{Pace: 0, HealProbeSecs: 0.01})
-	c := dial(t, h.socket)
+	faulty := diskio.NewFaulty(nil, diskio.FaultConfig{Seed: 7})
+	d := newDaemon(t, daemon{durable: true, dio: faulty, cfg: Config{HealProbeSecs: 0.01}})
+	d.start(t)
+	c := dial(t, d.socket)
 
 	if r := c.call(t, Message{Op: "submit", ID: "pre", ReqID: "req-pre",
 		Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"}); !r.OK {
@@ -180,7 +122,7 @@ func TestServerHealsDegradedJournalWithoutRestart(t *testing.T) {
 
 	// Open the fault window: the next group commit fails, so the reply is
 	// withheld and replaced with the typed degraded refusal.
-	h.faulty.ForceFail(nil)
+	faulty.ForceFail(nil)
 	r := c.call(t, Message{Op: "submit", ID: "window", ReqID: "req-window",
 		Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"})
 	if r.Code != CodeJournalDegraded {
@@ -200,7 +142,7 @@ func TestServerHealsDegradedJournalWithoutRestart(t *testing.T) {
 
 	// The disk recovers. The next probed request heals the journal and
 	// durable acks resume — no restart.
-	h.faulty.Clear()
+	faulty.Clear()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		time.Sleep(20 * time.Millisecond)
@@ -222,26 +164,21 @@ func TestServerHealsDegradedJournalWithoutRestart(t *testing.T) {
 	if got := c.call(t, Message{Op: "resume"}).ServerEpoch; got != epoch0 {
 		t.Fatalf("server epoch moved %d -> %d: heal must not restart", epoch0, got)
 	}
-	if h.jl.Segment() == 0 {
+	if d.jl.Segment() == 0 {
 		t.Fatal("journal did not roll to a fresh segment")
 	}
-	if heals, _ := h.jl.HealStats(); heals == 0 {
+	if heals, _ := d.jl.HealStats(); heals == 0 {
 		t.Fatal("no heal recorded")
 	}
 
 	// The fault-window job's records were shelved and replayed onto the
 	// fresh segment: a restart must recover it alongside the others.
-	h.srv.Kill()
-	h.wg.Wait()
-	h.start(t, Config{Pace: 0, HealProbeSecs: 0.01})
-	c2 := dial(t, h.socket)
+	c2 := d.restart(t)
 	for _, id := range []string{"pre", "window", "post"} {
 		if r := c2.call(t, Message{Op: "status", ID: id}); !r.OK {
 			t.Fatalf("status %s after heal+restart: %+v", id, r)
 		}
 	}
-	h.srv.Kill()
-	h.wg.Wait()
 }
 
 // TestServerJournalFailedAfterHealBudget: when the fault never clears,
@@ -250,11 +187,12 @@ func TestServerHealsDegradedJournalWithoutRestart(t *testing.T) {
 // signal the shard supervisor keys restarts on. Probing stops: the
 // failure count is capped, not unbounded.
 func TestServerJournalFailedAfterHealBudget(t *testing.T) {
-	h := newHealHarness(t)
-	h.start(t, Config{Pace: 0, HealProbeSecs: 0.001, MaxHealFailures: 2})
-	c := dial(t, h.socket)
+	faulty := diskio.NewFaulty(nil, diskio.FaultConfig{Seed: 7})
+	d := newDaemon(t, daemon{durable: true, dio: faulty, cfg: Config{HealProbeSecs: 0.001, MaxHealFailures: 2}})
+	d.start(t)
+	c := dial(t, d.socket)
 
-	h.faulty.ForceFail(nil)
+	faulty.ForceFail(nil)
 	if r := c.call(t, Message{Op: "submit", ID: "w",
 		Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"}); r.Code != CodeJournalDegraded {
 		t.Fatalf("submit during fault window: %+v", r)
@@ -273,12 +211,10 @@ func TestServerJournalFailedAfterHealBudget(t *testing.T) {
 			t.Fatalf("health never escalated to journal-failed: %+v", hr)
 		}
 	}
-	if _, failures := h.jl.HealStats(); failures != 2 {
+	if _, failures := d.jl.HealStats(); failures != 2 {
 		t.Fatalf("heal failures = %d, want exactly MaxHealFailures=2 (probing must stop)", failures)
 	}
-	h.faulty.Clear()
-	h.srv.Kill()
-	h.wg.Wait()
+	faulty.Clear()
 }
 
 // TestShardJournalFailureEscalatesToRestart is the supervised-restart

@@ -5,16 +5,9 @@ package serve
 
 import (
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-
-	"rotary/internal/baselines"
-	"rotary/internal/core"
-	"rotary/internal/obs"
-	"rotary/internal/tpch"
-	"rotary/internal/workload"
 )
 
 func TestParseListenAddr(t *testing.T) {
@@ -126,25 +119,6 @@ func TestCodecDecodeGarbage(t *testing.T) {
 	}
 }
 
-// newTestServerCfg is newTestServer with a config hook applied before
-// New.
-func newTestServerCfg(t *testing.T, mut func(*Config)) (*Server, string) {
-	t.Helper()
-	ds := tpch.Generate(0.005, 1)
-	cat := tpch.NewCatalog(ds, 1)
-	ecfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	ecfg.Obs = obs.NewRegistry()
-	exec := core.NewAQPExecutor(ecfg, baselines.RoundRobinAQP{}, nil)
-	socket := filepath.Join(t.TempDir(), "rotary.sock")
-	cfg := Config{Socket: socket, Pace: 0, Obs: ecfg.Obs}
-	mut(&cfg)
-	srv, err := New(cfg, exec, cat)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return srv, cfg.Socket
-}
-
 // TestListenAddrsCompleteOnceConnectable is the regression loop for the
 // bind/publish race: the Unix socket accepts connections the moment it
 // is bound, which used to be before the TCP listener was bound and
@@ -152,24 +126,12 @@ func newTestServerCfg(t *testing.T, mut func(*Config)) (*Server, string) {
 // could read ListenAddrs() == []. Fifty boots: connect (serveAsync
 // returns on the first successful dial), then the set must be complete.
 func TestListenAddrsCompleteOnceConnectable(t *testing.T) {
-	ds := tpch.Generate(0.005, 1)
-	cat := tpch.NewCatalog(ds, 1)
 	for i := 0; i < 50; i++ {
-		ecfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-		ecfg.Obs = obs.NewRegistry()
-		exec := core.NewAQPExecutor(ecfg, baselines.RoundRobinAQP{}, nil)
-		srv, err := New(Config{
-			Socket:    filepath.Join(t.TempDir(), "rotary.sock"),
-			Listeners: []string{"tcp:127.0.0.1:0"},
-			Obs:       ecfg.Obs,
-		}, exec, cat)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		wg := serveAsync(t, srv)
-		addrs := srv.ListenAddrs()
-		srv.Drain()
-		wg.Wait()
+		d := newDaemon(t, daemon{cfg: Config{Listeners: []string{"tcp:127.0.0.1:0"}}})
+		d.start(t)
+		addrs := d.srv.ListenAddrs()
+		d.srv.Drain()
+		d.wg.Wait()
 		if len(addrs) != 2 || addrs[0].Network() != "unix" || addrs[1].Network() != "tcp" {
 			t.Fatalf("boot %d: connected client saw ListenAddrs() = %v, want [unix tcp]", i, addrs)
 		}
@@ -180,20 +142,17 @@ func TestListenAddrsCompleteOnceConnectable(t *testing.T) {
 // with the binary codec on one connection and JSON lines on another:
 // both negotiate against the same listener and observe the same jobs.
 func TestTCPBinaryEndToEnd(t *testing.T) {
-	srv, socket := newTestServerCfg(t, func(cfg *Config) {
-		cfg.Listeners = []string{"tcp:127.0.0.1:0"}
-	})
-	wg := serveAsync(t, srv)
-	defer func() { srv.Drain(); wg.Wait() }()
+	d := newDaemon(t, daemon{cfg: Config{Listeners: []string{"tcp:127.0.0.1:0"}}})
+	d.start(t)
 
 	var tcpAddr string
-	for _, a := range srv.ListenAddrs() {
+	for _, a := range d.srv.ListenAddrs() {
 		if a.Network() == "tcp" {
 			tcpAddr = a.String()
 		}
 	}
 	if tcpAddr == "" {
-		t.Fatalf("no TCP listener bound: %v", srv.ListenAddrs())
+		t.Fatalf("no TCP listener bound: %v", d.srv.ListenAddrs())
 	}
 
 	bin, err := NewClient(ClientConfig{Socket: "tcp:" + tcpAddr, Codec: CodecBinary})
@@ -219,7 +178,7 @@ func TestTCPBinaryEndToEnd(t *testing.T) {
 	}
 
 	// And the original Unix socket still works alongside.
-	c := dial(t, socket)
+	c := dial(t, d.socket)
 	if r := c.call(t, Message{Op: "status", ID: "tcp-a"}); !r.OK {
 		t.Fatalf("unix status: %+v", r)
 	}
@@ -239,32 +198,6 @@ func TestTCPBinaryEndToEnd(t *testing.T) {
 	}
 }
 
-// newDurableIngressServer builds one durable incarnation over the
-// harness's state dir without starting Serve — for tests that feed the
-// ingress ring directly and run the driver by hand.
-func newDurableIngressServer(t *testing.T, h *durableHarness, mut func(*Config)) *Server {
-	t.Helper()
-	jl, store, err := OpenDurable(h.dir)
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	reg := obs.NewRegistry()
-	ds := tpch.Generate(0.005, 1)
-	cat := tpch.NewCatalog(ds, 1)
-	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	cfg.Obs = reg
-	cfg.Store = store
-	exec := core.NewAQPExecutor(cfg, baselines.RoundRobinAQP{}, nil)
-	scfg := Config{Socket: h.socket, Pace: 0, Obs: reg, Journal: jl}
-	mut(&scfg)
-	srv, err := New(scfg, exec, cat)
-	if err != nil {
-		jl.Close()
-		t.Fatalf("New (durable): %v", err)
-	}
-	return srv
-}
-
 // TestGroupCommitAmortizesFsync is the tentpole's fsync-amortization
 // proof: a burst of submits arriving together must commit under far
 // fewer fsyncs than one per request, while IngressBatch=1 (the
@@ -274,7 +207,9 @@ func TestGroupCommitAmortizesFsync(t *testing.T) {
 	const n = 16
 	run := func(batch int) (syncs, records, groups int64) {
 		t.Helper()
-		srv := newDurableIngressServer(t, newDurableHarness(t), func(cfg *Config) { cfg.IngressBatch = batch })
+		d := newDaemon(t, daemon{durable: true, cfg: Config{IngressBatch: batch}})
+		d.boot(t)
+		srv := d.srv
 		reqs := make([]request, n)
 		for i := range reqs {
 			reqs[i] = request{
@@ -318,7 +253,9 @@ func TestGroupCommitAmortizesFsync(t *testing.T) {
 // it: the next dispatch must refuse with code "overloaded" and a
 // positive retry hint instead of blocking the connection handler.
 func TestOverloadedRefusal(t *testing.T) {
-	srv, _ := newTestServerCfg(t, func(cfg *Config) { cfg.IngressDepth = 2 })
+	d := newDaemon(t, daemon{cfg: Config{IngressDepth: 2}})
+	d.boot(t)
+	srv := d.srv
 	// No drive() goroutine: the ring only fills.
 	for i := 0; i < 2; i++ {
 		srv.reqCh <- request{msg: Message{Op: "health"}, reply: make(chan Response, 1)}
@@ -342,9 +279,9 @@ func TestOverloadedRefusal(t *testing.T) {
 // client with "duplicate job id". The counter must be monotonic within
 // an incarnation and recovered from the journal across restarts.
 func TestAutoIDAfterMigrateOut(t *testing.T) {
-	h := newDurableHarness(t)
-	h.start(t)
-	c := dial(t, h.socket)
+	d := newDaemon(t, daemon{durable: true})
+	d.start(t)
+	c := dial(t, d.socket)
 
 	first := c.call(t, Message{Op: "submit", Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"})
 	if !first.OK || first.ID == "" {
@@ -364,9 +301,7 @@ func TestAutoIDAfterMigrateOut(t *testing.T) {
 
 	// Across a restart the counter recovers past every journaled id —
 	// including the migrated-away one.
-	h.kill(t)
-	h.start(t)
-	c2 := dial(t, h.socket)
+	c2 := d.restart(t)
 	third := c2.call(t, Message{Op: "submit", Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"})
 	if !third.OK {
 		t.Fatalf("auto submit after restart bounced: %+v", third)
@@ -374,7 +309,5 @@ func TestAutoIDAfterMigrateOut(t *testing.T) {
 	if third.ID == first.ID || third.ID == second.ID {
 		t.Fatalf("auto id %q re-minted after restart (existing: %q, %q)", third.ID, first.ID, second.ID)
 	}
-	if r := c2.call(t, Message{Op: "drain"}); !r.OK {
-		t.Fatalf("drain: %+v", r)
-	}
+	c2.drain(t)
 }

@@ -6,73 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
-	"rotary/internal/baselines"
 	"rotary/internal/core"
-	"rotary/internal/diskio"
-	"rotary/internal/obs"
-	"rotary/internal/tpch"
-	"rotary/internal/workload"
+	"rotary/internal/invariants"
 )
-
-// durableHarness rebuilds the full durable stack — journal, retained
-// checkpoint store, executor, server — against one on-disk state
-// directory, so tests can kill and restart incarnations at will. The
-// catalog is regenerated from the same seed each start, matching a real
-// daemon restart over the same dataset.
-type durableHarness struct {
-	dir    string
-	socket string
-	dio    diskio.IO // optional; nil is the real disk
-
-	srv    *Server
-	exec   *core.AQPExecutor
-	tracer *core.Tracer // optional; attached to the next incarnation
-	wg     *sync.WaitGroup
-}
-
-func newDurableHarness(t *testing.T) *durableHarness {
-	t.Helper()
-	base := t.TempDir()
-	return &durableHarness{
-		dir:    filepath.Join(base, "state"),
-		socket: filepath.Join(base, "rotary.sock"),
-	}
-}
-
-// start boots one incarnation and waits for the socket.
-func (h *durableHarness) start(t *testing.T) {
-	t.Helper()
-	jl, store, err := OpenDurableIO(h.dir, h.dio)
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	reg := obs.NewRegistry()
-	store.SetObs(reg)
-	ds := tpch.Generate(0.005, 1)
-	cat := tpch.NewCatalog(ds, 1)
-	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	cfg.Obs = reg
-	cfg.Store = store
-	cfg.Tracer = h.tracer
-	h.exec = core.NewAQPExecutor(cfg, baselines.RoundRobinAQP{}, nil)
-	h.srv, err = New(Config{Socket: h.socket, Pace: 0, Obs: reg, Journal: jl}, h.exec, cat)
-	if err != nil {
-		jl.Close()
-		t.Fatalf("New (durable): %v", err)
-	}
-	h.wg = serveAsync(t, h.srv)
-}
-
-// kill SIGKILLs the incarnation: no drain, no flush.
-func (h *durableHarness) kill(t *testing.T) {
-	t.Helper()
-	h.srv.Kill()
-	h.wg.Wait()
-}
 
 // TestRestartRecoversNonTerminalJobs is the core durability property:
 // kill the daemon with admitted work in flight, restart over the same
@@ -80,9 +19,9 @@ func (h *durableHarness) kill(t *testing.T) {
 // its identity, and still terminates. Terminal jobs stay terminal and
 // are not resubmitted.
 func TestRestartRecoversNonTerminalJobs(t *testing.T) {
-	h := newDurableHarness(t)
-	h.start(t)
-	c := dial(t, h.socket)
+	d := newDaemon(t, daemon{durable: true})
+	d.start(t)
+	c := dial(t, d.socket)
 
 	for _, id := range []string{"live-a", "live-b"} {
 		if r := c.call(t, Message{Op: "submit", ID: id, ReqID: "req-" + id,
@@ -95,10 +34,8 @@ func TestRestartRecoversNonTerminalJobs(t *testing.T) {
 		t.Fatalf("advance: %+v", r)
 	}
 	epoch1 := c.call(t, Message{Op: "resume"}).ServerEpoch
-	h.kill(t)
 
-	h.start(t)
-	c2 := dial(t, h.socket)
+	c2 := d.restart(t)
 	res := c2.call(t, Message{Op: "resume", ServerEpoch: epoch1})
 	if !res.OK || res.Code != CodeServerRestarted {
 		t.Fatalf("resume after restart: %+v", res)
@@ -119,36 +56,24 @@ func TestRestartRecoversNonTerminalJobs(t *testing.T) {
 		}
 	}
 	// The recovered run still terminates.
-	if r := c2.call(t, Message{Op: "advance", Seconds: 2000}); !r.OK {
-		t.Fatalf("advance: %+v", r)
-	}
-	for _, id := range []string{"live-a", "live-b"} {
-		r := c2.call(t, Message{Op: "status", ID: id})
-		if !r.OK || r.Status == "pending" || r.Status == "running" {
-			t.Fatalf("job %s not terminal after deadline: %+v", id, r)
-		}
-	}
-	if rec := h.exec.Recovery(); rec.Reattached != 2 {
+	sweep(t, c2, []string{"live-a", "live-b"}, 2000, 1)
+	if rec := d.exec.Recovery(); rec.Reattached != 2 {
 		t.Fatalf("executor reattach count %+v, want 2", rec)
 	}
 
 	// A third incarnation after a clean kill: the terminal jobs must NOT
 	// be re-registered.
-	h.kill(t)
-	h.start(t)
-	c3 := dial(t, h.socket)
+	c3 := d.restart(t)
 	res3 := c3.call(t, Message{Op: "resume"})
 	if res3.Recovered != 0 || res3.Jobs != 0 {
 		t.Fatalf("terminal jobs re-registered: %+v", res3)
 	}
 	// An idle restart already reports the journal it inherited, before
 	// any append of its own.
-	if _, _, size, _ := h.srv.jl.Stats(); size == 0 || h.srv.met.journalSize.Value() != float64(size) {
-		t.Fatalf("rotary_serve_journal_size_bytes = %v at boot, journal is %d bytes", h.srv.met.journalSize.Value(), size)
+	if _, _, size, _ := d.jl.Stats(); size == 0 || d.srv.met.journalSize.Value() != float64(size) {
+		t.Fatalf("rotary_serve_journal_size_bytes = %v at boot, journal is %d bytes", d.srv.met.journalSize.Value(), size)
 	}
-	if r := c3.call(t, Message{Op: "drain"}); !r.OK {
-		t.Fatalf("final drain: %+v", r)
-	}
+	c3.drain(t)
 }
 
 // TestRestartMatchesUninterruptedRun compares terminal statuses between
@@ -162,44 +87,29 @@ func TestRestartMatchesUninterruptedRun(t *testing.T) {
 		{"tight", "q1 ACC MIN 99% WITHIN 3 SECONDS"},
 	}
 	run := func(t *testing.T, killAt bool) map[string]string {
-		h := newDurableHarness(t)
-		h.start(t)
-		c := dial(t, h.socket)
+		d := newDaemon(t, daemon{durable: true})
+		d.start(t)
+		c := dial(t, d.socket)
+		var ids []string
 		for _, s := range subs {
 			if r := c.call(t, Message{Op: "submit", ID: s.id, Statement: s.stmt}); !r.OK {
 				t.Fatalf("submit %s: %+v", s.id, r)
 			}
+			ids = append(ids, s.id)
 		}
 		if r := c.call(t, Message{Op: "advance", Seconds: 10}); !r.OK {
 			t.Fatalf("advance: %+v", r)
 		}
 		if killAt {
-			h.kill(t)
-			h.start(t)
-			c = dial(t, h.socket)
+			c = d.restart(t)
 		}
-		if r := c.call(t, Message{Op: "advance", Seconds: 2000}); !r.OK {
-			t.Fatalf("advance: %+v", r)
-		}
-		got := map[string]string{}
-		for _, s := range subs {
-			r := c.call(t, Message{Op: "status", ID: s.id})
-			if !r.OK {
-				t.Fatalf("status %s: %+v", s.id, r)
-			}
-			got[s.id] = r.Status
-		}
-		if r := c.call(t, Message{Op: "drain"}); !r.OK {
-			t.Fatalf("drain: %+v", r)
-		}
+		got, _ := sweep(t, c, ids, 2000, 1)
+		c.drain(t)
 		return got
 	}
 	control := run(t, false)
-	recovered := run(t, true)
-	for id, want := range control {
-		if recovered[id] != want {
-			t.Errorf("job %s: recovered run ended %q, control %q", id, recovered[id], want)
-		}
+	if err := invariants.SameOutcomes(control, run(t, true)); err != nil {
+		t.Error(err)
 	}
 	if control["tight"] != "expired" {
 		t.Errorf("infeasible job ended %q in control, want expired", control["tight"])
@@ -211,9 +121,9 @@ func TestRestartMatchesUninterruptedRun(t *testing.T) {
 // checkpoints of journal-referenced live jobs (their reattach targets),
 // while genuinely stale files are still removed.
 func TestSweepRetainsJournalReferencedCheckpoints(t *testing.T) {
-	h := newDurableHarness(t)
-	h.start(t)
-	c := dial(t, h.socket)
+	d := newDaemon(t, daemon{durable: true})
+	d.start(t)
+	c := dial(t, d.socket)
 	// Two competing q1 jobs on one pool: round-robin defers one per
 	// round, so both accumulate disk checkpoints.
 	for _, id := range []string{"cp-a", "cp-b"} {
@@ -224,9 +134,9 @@ func TestSweepRetainsJournalReferencedCheckpoints(t *testing.T) {
 	if r := c.call(t, Message{Op: "advance", Seconds: 120}); !r.OK {
 		t.Fatalf("advance: %+v", r)
 	}
-	h.kill(t)
+	d.kill()
 
-	ckptDir := filepath.Join(h.dir, "ckpt")
+	ckptDir := filepath.Join(d.dir, "ckpt")
 	before, _ := filepath.Glob(filepath.Join(ckptDir, "*.ckpt"))
 	if len(before) == 0 {
 		t.Fatalf("no checkpoints on disk at kill time — test premise broken")
@@ -238,7 +148,7 @@ func TestSweepRetainsJournalReferencedCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h.start(t) // OpenDurable runs the sweep with the journal's retain set
+	d.start(t) // OpenDurable runs the sweep with the journal's retain set
 	after, _ := filepath.Glob(filepath.Join(ckptDir, "*.ckpt"))
 	kept := map[string]bool{}
 	for _, p := range after {
@@ -255,29 +165,27 @@ func TestSweepRetainsJournalReferencedCheckpoints(t *testing.T) {
 
 	// And the retained checkpoints are actually usable: the recovered
 	// jobs reattach (rollback to persisted state), not scratch-restart.
-	c2 := dial(t, h.socket)
+	c2 := dial(t, d.socket)
 	if r := c2.call(t, Message{Op: "advance", Seconds: 2000}); !r.OK {
 		t.Fatalf("advance: %+v", r)
 	}
-	rec := h.exec.Recovery()
+	rec := d.exec.Recovery()
 	if rec.Reattached != 2 {
 		t.Fatalf("reattached %d jobs, want 2 (%+v)", rec.Reattached, rec)
 	}
 	if rec.ScratchRestarts != 0 {
 		t.Fatalf("recovery fell back to %d scratch restarts despite retained checkpoints (%+v)", rec.ScratchRestarts, rec)
 	}
-	if r := c2.call(t, Message{Op: "drain"}); !r.OK {
-		t.Fatalf("drain: %+v", r)
-	}
+	c2.drain(t)
 }
 
 // TestScratchFallbackWithoutCheckpoints removes every checkpoint before
 // the restart: recovery must degrade to pristine scratch restarts —
 // counted, not fatal — and the jobs still terminate.
 func TestScratchFallbackWithoutCheckpoints(t *testing.T) {
-	h := newDurableHarness(t)
-	h.start(t)
-	c := dial(t, h.socket)
+	d := newDaemon(t, daemon{durable: true})
+	d.start(t)
+	c := dial(t, d.socket)
 	for _, id := range []string{"sc-a", "sc-b"} {
 		if r := c.call(t, Message{Op: "submit", ID: id, Statement: "q1 ACC MIN 95% WITHIN 900 SECONDS"}); !r.OK {
 			t.Fatalf("submit %s: %+v", id, r)
@@ -286,36 +194,25 @@ func TestScratchFallbackWithoutCheckpoints(t *testing.T) {
 	if r := c.call(t, Message{Op: "advance", Seconds: 120}); !r.OK {
 		t.Fatalf("advance: %+v", r)
 	}
-	h.kill(t)
+	d.kill()
 	// Simulate losing the checkpoint volume (journal survives).
-	ckpts, _ := filepath.Glob(filepath.Join(h.dir, "ckpt", "*.ckpt"))
+	ckpts, _ := filepath.Glob(filepath.Join(d.dir, "ckpt", "*.ckpt"))
 	for _, p := range ckpts {
 		if err := os.Remove(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	h.start(t)
-	c2 := dial(t, h.socket)
+	d.start(t)
+	c2 := dial(t, d.socket)
 	if r := c2.call(t, Message{Op: "resume"}); r.Recovered != 2 {
 		t.Fatalf("resume: %+v", r)
 	}
-	if r := c2.call(t, Message{Op: "advance", Seconds: 2000}); !r.OK {
-		t.Fatalf("advance: %+v", r)
-	}
-	rec := h.exec.Recovery()
-	if rec.ScratchRestarts != 2 {
+	sweep(t, c2, []string{"sc-a", "sc-b"}, 2000, 1)
+	if rec := d.exec.Recovery(); rec.ScratchRestarts != 2 {
 		t.Fatalf("scratch restarts %d, want 2 (%+v)", rec.ScratchRestarts, rec)
 	}
-	for _, id := range []string{"sc-a", "sc-b"} {
-		r := c2.call(t, Message{Op: "status", ID: id})
-		if !r.OK || r.Status == "pending" || r.Status == "running" {
-			t.Fatalf("job %s not terminal after scratch recovery: %+v", id, r)
-		}
-	}
-	if r := c2.call(t, Message{Op: "drain"}); !r.OK {
-		t.Fatalf("drain: %+v", r)
-	}
+	c2.drain(t)
 }
 
 // TestOldFormatCheckpointsRestartFromScratch plants version-1 frames —
@@ -328,10 +225,10 @@ func TestScratchFallbackWithoutCheckpoints(t *testing.T) {
 // inside the deadline — a restart costs time, not the outcome.)
 func TestOldFormatCheckpointsRestartFromScratch(t *testing.T) {
 	ids := []string{"v1-a", "v1-b"}
-	run := func(plant bool) (map[string]string, *durableHarness) {
-		h := newDurableHarness(t)
-		h.start(t)
-		c := dial(t, h.socket)
+	run := func(plant bool) (map[string]string, *daemon) {
+		d := newDaemon(t, daemon{durable: true})
+		d.start(t)
+		c := dial(t, d.socket)
 		for _, id := range ids {
 			if r := c.call(t, Message{Op: "submit", ID: id, Statement: "q1 ACC MIN 70% WITHIN 900 SECONDS"}); !r.OK {
 				t.Fatalf("submit %s: %+v", id, r)
@@ -340,8 +237,8 @@ func TestOldFormatCheckpointsRestartFromScratch(t *testing.T) {
 		if r := c.call(t, Message{Op: "advance", Seconds: 60}); !r.OK {
 			t.Fatalf("advance: %+v", r)
 		}
-		h.kill(t)
-		ckpts, _ := filepath.Glob(filepath.Join(h.dir, "ckpt", "*.ckpt"))
+		d.kill()
+		ckpts, _ := filepath.Glob(filepath.Join(d.dir, "ckpt", "*.ckpt"))
 		if len(ckpts) != len(ids) {
 			t.Fatalf("%d checkpoints on disk at kill time, want %d", len(ckpts), len(ids))
 		}
@@ -356,39 +253,27 @@ func TestOldFormatCheckpointsRestartFromScratch(t *testing.T) {
 				}
 			}
 		}
-		h.tracer = core.NewTracer(0)
-		h.start(t)
-		c2 := dial(t, h.socket)
-		if r := c2.call(t, Message{Op: "advance", Seconds: 2000}); !r.OK {
-			t.Fatalf("advance after restart (plant=%v): %+v", plant, r)
-		}
-		statuses := map[string]string{}
-		for _, id := range ids {
-			r := c2.call(t, Message{Op: "status", ID: id})
-			if !r.OK || r.Status == "pending" || r.Status == "running" {
-				t.Fatalf("job %s not terminal (plant=%v): %+v", id, plant, r)
-			}
-			statuses[id] = r.Status
-		}
-		if r := c2.call(t, Message{Op: "drain"}); !r.OK {
-			t.Fatalf("drain: %+v", r)
-		}
-		return statuses, h
+		d.tracer = core.NewTracer(0)
+		d.start(t)
+		c2 := dial(t, d.socket)
+		statuses, _ := sweep(t, c2, ids, 2000, 1)
+		c2.drain(t)
+		return statuses, d
 	}
-	control, ch := run(false)
-	if rec := ch.exec.Recovery(); rec.ScratchRestarts != 0 {
+	control, cd := run(false)
+	if rec := cd.exec.Recovery(); rec.ScratchRestarts != 0 {
 		t.Fatalf("control run scratch-restarted: %+v", rec)
 	}
-	planted, h := run(true)
-	if !reflect.DeepEqual(planted, control) {
-		t.Errorf("terminal statuses %v, control %v", planted, control)
+	planted, d := run(true)
+	if err := invariants.SameOutcomes(control, planted); err != nil {
+		t.Error(err)
 	}
-	if rec := h.exec.Recovery(); rec.ScratchRestarts != len(ids) {
+	if rec := d.exec.Recovery(); rec.ScratchRestarts != len(ids) {
 		t.Errorf("scratch restarts %d, want %d (%+v)", rec.ScratchRestarts, len(ids), rec)
 	}
 	for _, id := range ids {
 		var causes []string
-		for _, ev := range h.tracer.JobEvents(id) {
+		for _, ev := range d.tracer.JobEvents(id) {
 			if ev.Kind == core.TraceRestart {
 				causes = append(causes, ev.Detail)
 			}
@@ -403,9 +288,9 @@ func TestOldFormatCheckpointsRestartFromScratch(t *testing.T) {
 // crash retries with the same req_id against the restarted daemon and
 // gets the journaled job back instead of a duplicate.
 func TestReqIDDedupeAcrossRestart(t *testing.T) {
-	h := newDurableHarness(t)
-	h.start(t)
-	c := dial(t, h.socket)
+	d := newDaemon(t, daemon{durable: true})
+	d.start(t)
+	c := dial(t, d.socket)
 	if r := c.call(t, Message{Op: "submit", ID: "dd", ReqID: "retry-1",
 		Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"}); !r.OK {
 		t.Fatalf("submit: %+v", r)
@@ -416,22 +301,18 @@ func TestReqIDDedupeAcrossRestart(t *testing.T) {
 	if !dup.OK || dup.Code != CodeDuplicateRequest || dup.ID != "dd" {
 		t.Fatalf("same-incarnation dedupe: %+v", dup)
 	}
-	h.kill(t)
 
-	h.start(t)
-	c2 := dial(t, h.socket)
+	c2 := d.restart(t)
 	// Across the restart: the journal rebuilt the index.
 	dup2 := c2.call(t, Message{Op: "submit", ReqID: "retry-1",
 		Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"})
 	if !dup2.OK || dup2.Code != CodeDuplicateRequest || dup2.ID != "dd" {
 		t.Fatalf("cross-restart dedupe: %+v", dup2)
 	}
-	if n := len(h.exec.Jobs()); n != 1 {
+	if n := len(d.exec.Jobs()); n != 1 {
 		t.Fatalf("%d jobs registered after deduped resubmit, want 1", n)
 	}
-	if r := c2.call(t, Message{Op: "drain"}); !r.OK {
-		t.Fatalf("drain: %+v", r)
-	}
+	c2.drain(t)
 }
 
 // TestClientReconnectAcrossRestart exercises the resilient client: a
@@ -439,9 +320,9 @@ func TestReqIDDedupeAcrossRestart(t *testing.T) {
 // reconnects with backoff, and the resume handshake reports exactly one
 // restart.
 func TestClientReconnectAcrossRestart(t *testing.T) {
-	h := newDurableHarness(t)
-	h.start(t)
-	cl, err := NewClient(ClientConfig{Socket: h.socket, Backoff: 10 * time.Millisecond})
+	d := newDaemon(t, daemon{durable: true})
+	d.start(t)
+	cl, err := NewClient(ClientConfig{Socket: d.socket, Backoff: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
@@ -455,8 +336,8 @@ func TestClientReconnectAcrossRestart(t *testing.T) {
 		t.Fatalf("client never learned the server epoch")
 	}
 
-	h.kill(t)
-	h.start(t)
+	d.kill()
+	d.start(t)
 
 	// The old connection is dead; Do must reconnect and succeed.
 	r, err := cl.Do(Message{Op: "status", ID: "rc"})

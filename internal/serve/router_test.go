@@ -99,17 +99,8 @@ func TestRouterSubmitRoutingAndStatus(t *testing.T) {
 		}
 	}
 
-	if resp := c.call(t, Message{Op: "advance", Seconds: 2000}); !resp.OK {
-		t.Fatalf("advance: %+v", resp)
-	}
-	for _, id := range ids {
-		resp := c.call(t, Message{Op: "status", ID: id})
-		if !resp.OK || !terminalStatus(resp.Status) {
-			t.Fatalf("job %s not terminal: %+v", id, resp)
-		}
-	}
-	dr := c.call(t, Message{Op: "drain"})
-	if !dr.OK || dr.Jobs != len(ids) || dr.Terminal != len(ids) {
+	sweep(t, c, ids, 2000, 1)
+	if dr := c.drain(t); dr.Jobs != len(ids) {
 		t.Fatalf("drain: %+v", dr)
 	}
 }
@@ -310,18 +301,8 @@ func TestRouterRetire(t *testing.T) {
 	if !again.OK || again.Code != CodeShardRetired {
 		t.Fatalf("second retire: %+v", again)
 	}
-	if resp := c.call(t, Message{Op: "advance", Seconds: 3000}); !resp.OK {
-		t.Fatalf("advance: %+v", resp)
-	}
-	for _, id := range []string{onZero, onOne, reroute.ID} {
-		resp := c.call(t, Message{Op: "status", ID: id})
-		if !resp.OK || !terminalStatus(resp.Status) {
-			t.Fatalf("job %s not terminal after retire: %+v", id, resp)
-		}
-	}
-	if dr := c.call(t, Message{Op: "drain"}); !dr.OK {
-		t.Fatalf("drain: %+v", dr)
-	}
+	sweep(t, c, []string{onZero, onOne, reroute.ID}, 3000, 1)
+	c.drain(t)
 }
 
 // TestRouterOpsOutlastBusyShard: a router op that keeps every shard busy

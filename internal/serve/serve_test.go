@@ -4,18 +4,13 @@ import (
 	"bufio"
 	"encoding/json"
 	"net"
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"rotary/internal/admission"
-	"rotary/internal/baselines"
 	"rotary/internal/core"
-	"rotary/internal/obs"
-	"rotary/internal/tpch"
-	"rotary/internal/workload"
+	"rotary/internal/invariants"
 )
 
 // client is a line-oriented test client over the Unix socket.
@@ -25,7 +20,7 @@ type client struct {
 	enc  *json.Encoder
 }
 
-func dial(t *testing.T, socket string) *client {
+func dial(t testing.TB, socket string) *client {
 	t.Helper()
 	conn, err := net.Dial("unix", socket)
 	if err != nil {
@@ -35,7 +30,7 @@ func dial(t *testing.T, socket string) *client {
 	return &client{conn: conn, sc: bufio.NewScanner(conn), enc: json.NewEncoder(conn)}
 }
 
-func (c *client) call(t *testing.T, m Message) Response {
+func (c *client) call(t testing.TB, m Message) Response {
 	t.Helper()
 	if err := c.enc.Encode(m); err != nil {
 		t.Fatalf("send: %v", err)
@@ -50,47 +45,10 @@ func (c *client) call(t *testing.T, m Message) Response {
 	return r
 }
 
-func newTestServer(t *testing.T, admit *admission.Controller) (*Server, string) {
-	t.Helper()
-	ds := tpch.Generate(0.005, 1)
-	cat := tpch.NewCatalog(ds, 1)
-	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	cfg.Admission = admit
-	exec := core.NewAQPExecutor(cfg, baselines.RoundRobinAQP{}, nil)
-	socket := filepath.Join(t.TempDir(), "rotary.sock")
-	// Pace 0: virtual time advances only on submit/advance/drain, so the
-	// test is deterministic regardless of wall-clock scheduling.
-	srv, err := New(Config{Socket: socket, Pace: 0}, exec, cat)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return srv, socket
-}
-
-func serveAsync(t *testing.T, srv *Server) *sync.WaitGroup {
-	t.Helper()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := srv.Serve(); err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	// Wait for the socket to appear.
-	for {
-		conn, err := net.Dial("unix", srv.cfg.Socket)
-		if err == nil {
-			conn.Close()
-			return &wg
-		}
-	}
-}
-
 func TestSubmitStatusDrain(t *testing.T) {
-	srv, socket := newTestServer(t, nil)
-	wg := serveAsync(t, srv)
-	c := dial(t, socket)
+	d := newDaemon(t, daemon{})
+	d.start(t)
+	c := dial(t, d.socket)
 
 	sub := c.call(t, Message{Op: "submit", ID: "job-a", Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"})
 	if !sub.OK {
@@ -119,23 +77,21 @@ func TestSubmitStatusDrain(t *testing.T) {
 		t.Fatalf("stats report missing overload section:\n%s", stats.Report)
 	}
 
-	dr := c.call(t, Message{Op: "drain"})
-	if !dr.OK || dr.Status != "drained" {
+	if dr := c.drain(t); dr.Status != "drained" {
 		t.Fatalf("drain: %+v", dr)
 	}
-	wg.Wait()
+	d.wg.Wait()
 	// A second drain (the SIGTERM handler losing the race with a client
 	// drain) must not hang.
-	if r := srv.Drain(); !r.OK {
+	if r := d.srv.Drain(); !r.OK {
 		t.Fatalf("second drain: %+v", r)
 	}
 }
 
 func TestSubmitValidation(t *testing.T) {
-	srv, socket := newTestServer(t, nil)
-	wg := serveAsync(t, srv)
-	defer func() { srv.Drain(); wg.Wait() }()
-	c := dial(t, socket)
+	d := newDaemon(t, daemon{})
+	d.start(t)
+	c := dial(t, d.socket)
 
 	cases := []struct {
 		name string
@@ -169,14 +125,9 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestAdmissionRefusalOverSocket(t *testing.T) {
-	ctrl := admission.NewController(admission.Config{
-		MaxQueueDepth: 1,
-		Policy:        admission.Reject,
-	})
-	srv, socket := newTestServer(t, ctrl)
-	wg := serveAsync(t, srv)
-	defer func() { srv.Drain(); wg.Wait() }()
-	c := dial(t, socket)
+	d := newDaemon(t, daemon{admit: &admission.Config{MaxQueueDepth: 1, Policy: admission.Reject}})
+	d.start(t)
+	c := dial(t, d.socket)
 
 	// With a 20-thread pool only one q1 runs at a time; the first fills
 	// the active set, the second arrival finds it at the bound.
@@ -191,29 +142,29 @@ func TestAdmissionRefusalOverSocket(t *testing.T) {
 	if second.Status != "rejected" {
 		t.Fatalf("refused submit status %q, want rejected", second.Status)
 	}
-	st := ctrl.Stats()
+	st := d.ctrl.Stats()
 	if st.Submitted != 2 || st.Rejected != 1 {
 		t.Fatalf("controller stats %+v", st)
 	}
 }
 
 func TestDrainBySignalPath(t *testing.T) {
-	srv, socket := newTestServer(t, nil)
-	wg := serveAsync(t, srv)
-	c := dial(t, socket)
+	d := newDaemon(t, daemon{})
+	d.start(t)
+	c := dial(t, d.socket)
 	if r := c.call(t, Message{Op: "submit", Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"}); !r.OK {
 		t.Fatalf("submit: %+v", r)
 	}
 	// The out-of-band Drain (what the SIGTERM handler calls) must finish
 	// the in-flight job and report it terminal.
-	r := srv.Drain()
-	if !r.OK || r.Status != "drained" {
+	r := d.srv.Drain()
+	if !r.OK || r.Status != "drained" || r.Jobs != 1 {
 		t.Fatalf("drain: %+v", r)
 	}
-	if r.Terminal != r.Jobs || r.Jobs != 1 {
-		t.Fatalf("drain left work: %+v", r)
+	if err := invariants.Drained(r.Jobs, r.Terminal); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
+	d.wg.Wait()
 	// Post-drain requests get a clean refusal or a closed connection —
 	// never a hang.
 	if err := c.enc.Encode(Message{Op: "stats"}); err == nil && c.sc.Scan() {
@@ -224,36 +175,21 @@ func TestDrainBySignalPath(t *testing.T) {
 	}
 }
 
-// newObsTestServer builds a pace-0 server whose executor, admission
-// controller, and request counters all land on a private registry, with a
-// bounded trace ring — the full observability surface, isolated from
-// other tests sharing obs.Default().
-func newObsTestServer(t *testing.T, ringCap int) (*Server, string, *obs.Registry) {
+// newObsDaemon starts a pace-0 daemon whose executor, admission
+// controller, and request counters all land on its private registry,
+// with a bounded trace ring: the full observability surface.
+func newObsDaemon(t *testing.T, ringCap int) *daemon {
 	t.Helper()
-	reg := obs.NewRegistry()
-	ds := tpch.Generate(0.005, 1)
-	cat := tpch.NewCatalog(ds, 1)
-	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	cfg.Obs = reg
-	cfg.Tracer = core.NewTracer(ringCap)
-	cfg.Admission = admission.NewController(admission.Config{Obs: reg})
-	exec := core.NewAQPExecutor(cfg, baselines.RoundRobinAQP{}, nil)
-	socket := filepath.Join(t.TempDir(), "rotary.sock")
-	srv, err := New(Config{Socket: socket, Pace: 0, Obs: reg}, exec, cat)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return srv, socket, reg
+	d := newDaemon(t, daemon{tracer: core.NewTracer(ringCap), admit: &admission.Config{}})
+	d.start(t)
+	return d
 }
 
 // runSeededSession drives one fixed request sequence and returns the
 // metrics op's Report.
 func runSeededSession(t *testing.T, ringCap int) string {
 	t.Helper()
-	srv, socket, _ := newObsTestServer(t, ringCap)
-	wg := serveAsync(t, srv)
-	defer func() { srv.Drain(); wg.Wait() }()
-	c := dial(t, socket)
+	c := dial(t, newObsDaemon(t, ringCap).socket)
 	if r := c.call(t, Message{Op: "submit", ID: "g1", Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"}); !r.OK {
 		t.Fatalf("submit: %+v", r)
 	}
@@ -300,10 +236,7 @@ func TestMetricsOpGoldenAndDeterministic(t *testing.T) {
 
 func runSeededSessionWall(t *testing.T) string {
 	t.Helper()
-	srv, socket, _ := newObsTestServer(t, 64)
-	wg := serveAsync(t, srv)
-	defer func() { srv.Drain(); wg.Wait() }()
-	c := dial(t, socket)
+	c := dial(t, newObsDaemon(t, 64).socket)
 	m := c.call(t, Message{Op: "metrics", Wall: true})
 	if !m.OK {
 		t.Fatalf("metrics wall: %+v", m)
@@ -315,10 +248,8 @@ func runSeededSessionWall(t *testing.T) string {
 // trace tail must serve the bounded ring's recent events plus the
 // overwrite count, and health must report job totals and the clock.
 func TestTraceTailAndHealthOps(t *testing.T) {
-	srv, socket, reg := newObsTestServer(t, 4)
-	wg := serveAsync(t, srv)
-	defer func() { srv.Drain(); wg.Wait() }()
-	c := dial(t, socket)
+	d := newObsDaemon(t, 4)
+	c := dial(t, d.socket)
 
 	if r := c.call(t, Message{Op: "submit", ID: "t1", Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"}); !r.OK {
 		t.Fatalf("submit: %+v", r)
@@ -345,7 +276,7 @@ func TestTraceTailAndHealthOps(t *testing.T) {
 	if h.Dropped != tail.Dropped {
 		t.Fatalf("health dropped %d != trace-tail dropped %d", h.Dropped, tail.Dropped)
 	}
-	if v, ok := reg.Value(`rotary_serve_requests_total{op="health"}`); !ok || v != 1 {
+	if v, ok := d.reg.Value(`rotary_serve_requests_total{op="health"}`); !ok || v != 1 {
 		t.Fatalf("health request counter = %v, %v", v, ok)
 	}
 }
@@ -353,10 +284,9 @@ func TestTraceTailAndHealthOps(t *testing.T) {
 // TestTraceTailWithoutTracer keeps the op a clean refusal, not a panic,
 // when the executor was built without tracing.
 func TestTraceTailWithoutTracer(t *testing.T) {
-	srv, socket := newTestServer(t, nil)
-	wg := serveAsync(t, srv)
-	defer func() { srv.Drain(); wg.Wait() }()
-	c := dial(t, socket)
+	d := newDaemon(t, daemon{})
+	d.start(t)
+	c := dial(t, d.socket)
 	r := c.call(t, Message{Op: "trace-tail"})
 	if r.OK || !strings.Contains(r.Error, "tracing disabled") {
 		t.Fatalf("trace-tail without tracer: %+v", r)
@@ -370,22 +300,12 @@ func TestTraceTailWithoutTracer(t *testing.T) {
 // deliberately loose — this guards the anchoring logic, not timer
 // precision.
 func TestPacedDriveAnchoredClock(t *testing.T) {
-	reg := obs.NewRegistry()
-	ds := tpch.Generate(0.005, 1)
-	cat := tpch.NewCatalog(ds, 1)
-	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	cfg.Obs = reg
-	exec := core.NewAQPExecutor(cfg, baselines.RoundRobinAQP{}, nil)
-	socket := filepath.Join(t.TempDir(), "rotary.sock")
 	const pace = 100.0
-	srv, err := New(Config{Socket: socket, Pace: pace, Tick: 5 * time.Millisecond, Obs: reg}, exec, cat)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	d := newDaemon(t, daemon{cfg: Config{Pace: pace, Tick: 5 * time.Millisecond}})
+	d.boot(t)
 	start := time.Now()
-	wg := serveAsync(t, srv)
-	defer func() { srv.Drain(); wg.Wait() }()
-	c := dial(t, socket)
+	d.wg = serveAsync(t, d.srv)
+	c := dial(t, d.socket)
 
 	time.Sleep(150 * time.Millisecond)
 	h := c.call(t, Message{Op: "health"})
@@ -399,7 +319,7 @@ func TestPacedDriveAnchoredClock(t *testing.T) {
 	if h.VirtualNow < pace*0.150*0.1 {
 		t.Fatalf("virtual clock %.3fs made almost no progress over %.0fms wall", h.VirtualNow, elapsed*1000)
 	}
-	if _, ok := reg.Value("rotary_serve_pace_drift_secs"); !ok {
+	if _, ok := d.reg.Value("rotary_serve_pace_drift_secs"); !ok {
 		t.Fatalf("paced run never set the drift gauge")
 	}
 }

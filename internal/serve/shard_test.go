@@ -8,29 +8,10 @@ import (
 	"testing"
 	"time"
 
-	"rotary/internal/baselines"
-	"rotary/internal/core"
 	"rotary/internal/faults"
-	"rotary/internal/obs"
+	"rotary/internal/invariants"
 	"rotary/internal/sim"
-	"rotary/internal/tpch"
-	"rotary/internal/workload"
 )
-
-// testShardBuilder is the chaos suite's shard stack: a fresh engine,
-// round-robin scheduler, private registry, and a trace ring big enough
-// to compare byte-for-byte across runs. Each call regenerates the same
-// seeded dataset, matching a real daemon restart over the same data.
-func testShardBuilder(index int, store *core.CheckpointStore) (*core.AQPExecutor, *tpch.Catalog, *obs.Registry, error) {
-	reg := obs.NewRegistry()
-	ds := tpch.Generate(0.005, 1)
-	cat := tpch.NewCatalog(ds, 1)
-	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	cfg.Obs = reg
-	cfg.Store = store
-	cfg.Tracer = core.NewTracer(2048)
-	return core.NewAQPExecutor(cfg, baselines.RoundRobinAQP{}, nil), cat, reg, nil
-}
 
 // startTestRouter boots a sharded daemon with test-speed supervision
 // defaults and tears it down with the test.
@@ -135,40 +116,26 @@ func shardChaosPlan(seed uint64, withKill bool) []chaosEvent {
 	return evs
 }
 
-// runShardChaosPlan drives one plan against a 3-shard router, killing
-// the seed's victim shard at the kill point and waiting for its
-// supervised restart. It returns every job's terminal status and each
-// shard's full rendered trace.
-func runShardChaosPlan(t *testing.T, seed uint64, withKill bool) (map[string]string, []string) {
-	t.Helper()
+// TestShardChaosKillOne is the multi-shard chaos suite: for each seed, a
+// control run (no kills) and a chaos run (the seed's victim shard is
+// SIGKILLed at the seed's crash point and supervised back to life)
+// execute the same workload on 3 shards. Fault isolation demands the
+// surviving shards never notice: their traces must be bit-identical to
+// the control run's. The killed shard's jobs must reach the control
+// run's terminal statuses after the journal-replaying restart.
+func TestShardChaosKillOne(t *testing.T) {
 	const shards = 3
-	base := t.TempDir()
-	r := startTestRouter(t, RouterConfig{
-		Socket: filepath.Join(base, "r.sock"),
-		Shards: shards,
-		Dir:    filepath.Join(base, "state"),
-		Pace:   0,
-	})
-	c := dial(t, r.cfg.Socket)
-	victim := faults.VictimShards(seed, 1, shards)[0]
-	now := 0.0
-	var submitted []string
-	for _, ev := range shardChaosPlan(seed, withKill) {
-		if ev.at > now {
-			resp := c.call(t, Message{Op: "advance", Seconds: ev.at - now})
-			if !resp.OK {
-				t.Fatalf("advance to %.1f: %+v", ev.at, resp)
-			}
-			now = resp.VirtualNow
-		}
-		switch ev.kind {
-		case "submit":
-			resp := c.call(t, Message{Op: "submit", ID: ev.id, ReqID: "req-" + ev.id, Statement: ev.stmt})
-			if !resp.OK {
-				t.Fatalf("submit %s: %+v", ev.id, resp)
-			}
-			submitted = append(submitted, ev.id)
-		case "kill":
+	run := func(t *testing.T, seed uint64, withKill bool) (map[string]string, []string) {
+		base := t.TempDir()
+		r := startTestRouter(t, RouterConfig{
+			Socket: filepath.Join(base, "r.sock"),
+			Shards: shards,
+			Dir:    filepath.Join(base, "state"),
+			Pace:   0,
+		})
+		victim := faults.VictimShards(seed, 1, shards)[0]
+		c := dial(t, r.cfg.Socket)
+		c, ids := drive(t, c, shardChaosPlan(seed, withKill), func(float64) *client {
 			if err := r.KillShard(victim); err != nil {
 				t.Fatalf("KillShard(%d): %v", victim, err)
 			}
@@ -177,93 +144,60 @@ func runShardChaosPlan(t *testing.T, seed uint64, withKill bool) (map[string]str
 			// not the state: the state still reads Running until the next
 			// probe finds the corpse.
 			waitShardRestarted(t, r, victim, 20*time.Second)
+			return c
+		})
+		statuses, _ := sweep(t, c, ids, 3000, 1)
+		traces := make([]string, shards)
+		for i := range traces {
+			tr := c.call(t, Message{Op: "trace-tail", Shard: i, N: 1 << 20})
+			if !tr.OK {
+				t.Fatalf("trace-tail shard %d: %+v", i, tr)
+			}
+			traces[i] = tr.Report
 		}
-	}
-	if resp := c.call(t, Message{Op: "advance", Seconds: 3000}); !resp.OK {
-		t.Fatalf("final advance: %+v", resp)
-	}
-	statuses := map[string]string{}
-	for _, id := range submitted {
-		resp := c.call(t, Message{Op: "status", ID: id})
-		if !resp.OK {
-			t.Fatalf("job %s silently dropped: %+v", id, resp)
+		// ROTARY_CHAOS_ARTIFACTS names a directory to dump each run's
+		// per-shard traces into; CI uploads it when a seed fails so the
+		// control/chaos divergence can be diffed offline.
+		if dir := os.Getenv("ROTARY_CHAOS_ARTIFACTS"); dir != "" {
+			label := "control"
+			if withKill {
+				label = "chaos"
+			}
+			for i, trace := range traces {
+				name := fmt.Sprintf("seed%d-%s-shard%d.trace", seed, label, i)
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(trace), 0o644); err != nil {
+					t.Logf("trace artifact %s: %v", name, err)
+				}
+			}
 		}
-		if resp.Status == "" || resp.Status == "pending" || resp.Status == "running" {
-			t.Fatalf("job %s never terminated: %+v", id, resp)
-		}
-		statuses[id] = resp.Status
-	}
-	traces := make([]string, shards)
-	for i := 0; i < shards; i++ {
-		tr := c.call(t, Message{Op: "trace-tail", Shard: i, N: 1 << 20})
-		if !tr.OK {
-			t.Fatalf("trace-tail shard %d: %+v", i, tr)
-		}
-		traces[i] = tr.Report
-	}
-	// ROTARY_CHAOS_ARTIFACTS names a directory to dump each run's
-	// per-shard traces into; CI uploads it when a seed fails so the
-	// control/chaos divergence can be diffed offline.
-	if dir := os.Getenv("ROTARY_CHAOS_ARTIFACTS"); dir != "" {
-		label := "control"
 		if withKill {
-			label = "chaos"
-		}
-		for i, trace := range traces {
-			name := fmt.Sprintf("seed%d-%s-shard%d.trace", seed, label, i)
-			if err := os.WriteFile(filepath.Join(dir, name), []byte(trace), 0o644); err != nil {
-				t.Logf("trace artifact %s: %v", name, err)
+			sh := c.call(t, Message{Op: "shards"})
+			if !sh.OK || len(sh.Shards) != shards {
+				t.Fatalf("shards report: %+v", sh)
+			}
+			for _, info := range sh.Shards {
+				if info.State != "running" {
+					t.Fatalf("shard %d ended the chaos run %s", info.Index, info.State)
+				}
+				if info.Index == victim && info.Restarts == 0 {
+					t.Fatalf("victim shard %d reports zero supervised restarts", victim)
+				}
 			}
 		}
+		c.drain(t)
+		return statuses, traces
 	}
-	if withKill {
-		sh := c.call(t, Message{Op: "shards"})
-		if !sh.OK || len(sh.Shards) != shards {
-			t.Fatalf("shards report: %+v", sh)
-		}
-		for _, info := range sh.Shards {
-			if info.State != "running" {
-				t.Fatalf("shard %d ended the chaos run %s", info.Index, info.State)
-			}
-			if info.Index == victim && info.Restarts == 0 {
-				t.Fatalf("victim shard %d reports zero supervised restarts", victim)
-			}
-		}
-	}
-	dr := c.call(t, Message{Op: "drain"})
-	if !dr.OK {
-		t.Fatalf("drain: %+v", dr)
-	}
-	if dr.Terminal != dr.Jobs {
-		t.Fatalf("drain left %d/%d jobs unterminated", dr.Jobs-dr.Terminal, dr.Jobs)
-	}
-	return statuses, traces
-}
-
-// TestShardChaosKillOne is the multi-shard chaos suite: for each seed, a
-// control run (no kills) and a chaos run (the seed's victim shard is
-// SIGKILLed at the seed's crash point and supervised back to life)
-// execute the same workload. Fault isolation demands the surviving
-// shards never notice: their traces must be bit-identical to the
-// control run's. The killed shard's jobs must reach the control run's
-// terminal statuses after the journal-replaying restart.
-func TestShardChaosKillOne(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			control, controlTraces := runShardChaosPlan(t, seed, false)
-			chaos, chaosTraces := runShardChaosPlan(t, seed, true)
-			if len(chaos) != len(control) {
-				t.Fatalf("chaos run tracked %d jobs, control %d", len(chaos), len(control))
-			}
-			for id, want := range control {
-				if chaos[id] != want {
-					t.Errorf("job %s: chaos run ended %q, control %q", id, chaos[id], want)
-				}
+			control, controlTraces := run(t, seed, false)
+			chaos, chaosTraces := run(t, seed, true)
+			if err := invariants.SameOutcomes(control, chaos); err != nil {
+				t.Error(err)
 			}
 			if want := control[fmt.Sprintf("stight-%d", seed)]; want != "expired" {
 				t.Errorf("infeasible job ended %q in control, want expired", want)
 			}
-			victim := faults.VictimShards(seed, 1, 3)[0]
+			victim := faults.VictimShards(seed, 1, shards)[0]
 			for i := range controlTraces {
 				if i == victim {
 					continue // the victim replays; only survivors must be undisturbed
@@ -328,27 +262,11 @@ func TestShardChaosMigration(t *testing.T) {
 				t.Fatalf("source shard %d still holds %s's checkpoint after migration", src, mover)
 			}
 		}
-		if resp := c.call(t, Message{Op: "advance", Seconds: 8000}); !resp.OK {
-			t.Fatalf("final advance: %+v", resp)
-		}
-		got := map[string]string{}
-		for _, id := range ids {
-			resp := c.call(t, Message{Op: "status", ID: id})
-			if !resp.OK || !terminalStatus(resp.Status) {
-				t.Fatalf("job %s not terminal: %+v", id, resp)
-			}
-			got[id] = resp.Status
-		}
-		if dr := c.call(t, Message{Op: "drain"}); !dr.OK {
-			t.Fatalf("drain: %+v", dr)
-		}
+		got, _ := sweep(t, c, ids, 8000, 1)
+		c.drain(t)
 		return got
 	}
-	control := run(t, false)
-	migrated := run(t, true)
-	for id, want := range control {
-		if migrated[id] != want {
-			t.Errorf("job %s: migrated run ended %q, stay-put control %q", id, migrated[id], want)
-		}
+	if err := invariants.SameOutcomes(run(t, false), run(t, true)); err != nil {
+		t.Errorf("migrated run against the stay-put control: %v", err)
 	}
 }

@@ -7,11 +7,6 @@ import (
 	"unicode/utf8"
 
 	"rotary/internal/admission"
-	"rotary/internal/baselines"
-	"rotary/internal/core"
-	"rotary/internal/obs"
-	"rotary/internal/tpch"
-	"rotary/internal/workload"
 )
 
 // FuzzTenantRequest throws adversarial tenant ids at the serve
@@ -45,21 +40,12 @@ func FuzzTenantRequest(f *testing.F) {
 	// quota table and fair-share arbitration behind it, driven through
 	// the same handle() the serve loop uses. State accumulates across
 	// iterations — exactly the long-lived-daemon surface we care about.
-	reg := obs.NewRegistry()
-	ds := tpch.Generate(0.005, 1)
-	cat := tpch.NewCatalog(ds, 1)
-	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	cfg.Obs = reg
-	table := admission.TenantTable{
+	d := newDaemon(f, daemon{admit: &admission.Config{Tenants: admission.TenantTable{
 		Default: admission.TenantQuota{RatePerSec: 2, Burst: 4, MaxActive: 8, MaxPending: 8},
 		Tenants: map[string]admission.TenantQuota{"alpha": {Weight: 3}},
-	}
-	cfg.Admission = admission.NewController(admission.Config{Tenants: table, Obs: reg})
-	exec := core.NewAQPExecutor(cfg, core.NewFairShareAQP(baselines.RoundRobinAQP{}, table.Weights()), nil)
-	srv, err := New(Config{Socket: "ignored-never-served.sock", Pace: 0, Obs: reg}, exec, cat)
-	if err != nil {
-		f.Fatalf("New: %v", err)
-	}
+	}}})
+	d.boot(f)
+	srv := d.srv
 
 	f.Fuzz(func(t *testing.T, line, rawTenant []byte) {
 		// ValidateTenant itself must be total over arbitrary bytes — this

@@ -15,87 +15,25 @@ import (
 	"time"
 
 	"rotary/internal/admission"
-	"rotary/internal/baselines"
-	"rotary/internal/core"
+	"rotary/internal/invariants"
 	"rotary/internal/obs"
 	"rotary/internal/sim"
-	"rotary/internal/tpch"
-	"rotary/internal/workload"
 )
 
-// tenantHarness is the multi-tenant variant of durableHarness: a
-// durable daemon whose executor carries a tenant-quota admission
-// controller and a weighted fair-share arbitration layer, restartable
-// over one on-disk state directory. ctrl and reg always point at the
-// CURRENT incarnation's ledger and registry (both are incarnation-local
-// by design — the journal, not the counters, is the durable record).
-type tenantHarness struct {
-	dir    string
-	socket string
-	table  admission.TenantTable
-
-	srv  *Server
-	jl   *Journal
-	exec *core.AQPExecutor
-	ctrl *admission.Controller
-	reg  *obs.Registry
-	wg   *sync.WaitGroup
-}
-
-func newTenantHarness(t *testing.T, table admission.TenantTable) *tenantHarness {
-	t.Helper()
-	base := t.TempDir()
-	return &tenantHarness{
-		dir:    filepath.Join(base, "state"),
-		socket: filepath.Join(base, "rotary.sock"),
-		table:  table,
-	}
-}
-
-func (h *tenantHarness) start(t *testing.T) {
-	t.Helper()
-	jl, store, err := OpenDurable(h.dir)
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	h.jl = jl
-	h.reg = obs.NewRegistry()
-	ds := tpch.Generate(0.005, 1)
-	cat := tpch.NewCatalog(ds, 1)
-	cfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	cfg.Obs = h.reg
-	cfg.Store = store
-	h.ctrl = admission.NewController(admission.Config{Tenants: h.table, Obs: h.reg})
-	cfg.Admission = h.ctrl
-	sched := core.NewFairShareAQP(baselines.RoundRobinAQP{}, h.table.Weights())
-	h.exec = core.NewAQPExecutor(cfg, sched, nil)
-	h.srv, err = New(Config{Socket: h.socket, Pace: 0, Obs: h.reg, Journal: jl}, h.exec, cat)
-	if err != nil {
-		jl.Close()
-		t.Fatalf("New (tenant durable): %v", err)
-	}
-	h.wg = serveAsync(t, h.srv)
-}
-
-func (h *tenantHarness) kill(t *testing.T) {
-	t.Helper()
-	h.srv.Kill()
-	h.wg.Wait()
-}
-
-func liveStatus(s string) bool {
-	return s == "submitted" || s == "pending" || s == "running"
+// newTenantDaemon is a durable daemon whose executor carries a
+// tenant-quota admission controller and weighted fair share.
+func newTenantDaemon(t *testing.T, table admission.TenantTable) *daemon {
+	return newDaemon(t, daemon{durable: true, admit: &admission.Config{Tenants: table}})
 }
 
 func TestTenantQuotaRefusalOverSocket(t *testing.T) {
-	h := newTenantHarness(t, admission.TenantTable{
+	d := newTenantDaemon(t, admission.TenantTable{
 		Tenants: map[string]admission.TenantQuota{
 			"b": {RatePerSec: 0.5, Burst: 1},
 		},
 	})
-	h.start(t)
-	defer h.kill(t)
-	c := dial(t, h.socket)
+	d.start(t)
+	c := dial(t, d.socket)
 
 	stmt := "q1 ACC MIN 60% WITHIN 900 SECONDS"
 	r1 := c.call(t, Message{Op: "submit", ID: "quota-1", Tenant: "b", Statement: stmt})
@@ -188,20 +126,15 @@ func TestTenantBucketReplayDeterminism(t *testing.T) {
 	}
 	gaps := []float64{0, 1, 3, 0, 8, 0, 2, 4, 0, 1, 6, 0}
 
-	control := newTenantHarness(t, table)
+	control := newTenantDaemon(t, table)
 	control.start(t)
-	cc := dial(t, control.socket)
-	want := runQuotaScript(t, cc, "b", "det", gaps, 0, len(gaps))
-	control.kill(t)
+	want := runQuotaScript(t, dial(t, control.socket), "b", "det", gaps, 0, len(gaps))
+	control.kill()
 
-	crash := newTenantHarness(t, table)
+	crash := newTenantDaemon(t, table)
 	crash.start(t)
-	kc := dial(t, crash.socket)
-	got := runQuotaScript(t, kc, "b", "det", gaps, 0, 6)
-	crash.kill(t)
-	crash.start(t)
-	defer crash.kill(t)
-	kc = dial(t, crash.socket)
+	got := runQuotaScript(t, dial(t, crash.socket), "b", "det", gaps, 0, 6)
+	kc := crash.restart(t)
 	if r := kc.call(t, Message{Op: "resume"}); r.Code != CodeServerRestarted && !r.OK {
 		t.Fatalf("resume after restart: %+v", r)
 	}
@@ -256,11 +189,11 @@ func reframeJournal(t *testing.T, dir string, mutate func(map[string]any)) {
 // this build has never heard of — must still replay cleanly, ignoring
 // the unknown fields and recovering every job with its tenant intact.
 func TestJournalForwardCompat(t *testing.T) {
-	h := newTenantHarness(t, admission.TenantTable{
+	d := newTenantDaemon(t, admission.TenantTable{
 		Tenants: map[string]admission.TenantQuota{"alpha": {Weight: 2}},
 	})
-	h.start(t)
-	c := dial(t, h.socket)
+	d.start(t)
+	c := dial(t, d.socket)
 	if r := c.call(t, Message{Op: "submit", ID: "fc-alpha", Tenant: "alpha",
 		Statement: "q1 ACC MIN 60% WITHIN 2000 SECONDS"}); !r.OK {
 		t.Fatalf("submit: %+v", r)
@@ -272,9 +205,9 @@ func TestJournalForwardCompat(t *testing.T) {
 	if r := c.call(t, Message{Op: "advance", Seconds: 5}); !r.OK {
 		t.Fatalf("advance: %+v", r)
 	}
-	h.kill(t)
+	d.kill()
 
-	reframeJournal(t, h.dir, func(rec map[string]any) {
+	reframeJournal(t, d.dir, func(rec map[string]any) {
 		rec["future_schema"] = 7
 		rec["future_hints"] = map[string]any{"placement": []any{"rack-1", "rack-2"}, "qos": 0.99}
 		if jobs, ok := rec["jobs"].([]any); ok {
@@ -286,21 +219,20 @@ func TestJournalForwardCompat(t *testing.T) {
 		}
 	})
 
-	h.start(t)
-	defer h.kill(t)
-	c = dial(t, h.socket)
+	d.start(t)
+	c = dial(t, d.socket)
 	r := c.call(t, Message{Op: "resume"})
 	if r.Recovered < 2 {
 		t.Fatalf("recovered %d jobs from future-versioned journal, want >= 2 (%+v)", r.Recovered, r)
 	}
 	st := c.call(t, Message{Op: "status", ID: "fc-alpha"})
-	if !st.OK || !liveStatus(st.Status) {
+	if !st.OK || terminalStatus(st.Status) {
 		t.Fatalf("fc-alpha after future-journal replay: %+v", st)
 	}
 	if st.Tenant != "alpha" {
 		t.Fatalf("tenant lost through future-journal replay: %+v", st)
 	}
-	if st = c.call(t, Message{Op: "status", ID: "fc-default"}); !st.OK || !liveStatus(st.Status) {
+	if st = c.call(t, Message{Op: "status", ID: "fc-default"}); !st.OK || terminalStatus(st.Status) {
 		t.Fatalf("fc-default after future-journal replay: %+v", st)
 	}
 }
@@ -462,31 +394,23 @@ func TestClientHonorsRetryHints(t *testing.T) {
 	})
 }
 
-// tenantEvent is one arrival in a noisy-neighbor plan.
-type tenantEvent struct {
-	at     float64
-	id     string
-	tenant string
-	stmt   string
-}
-
 // noisyPlan builds the seeded two-tenant workload: a handful of
 // well-behaved tenant-a queries (plus one infeasibly tight one) against
-// a 20x Poisson flood from tenant b.
-func noisyPlan(seed int64) (aJobs, bJobs []tenantEvent) {
+// a 20x Poisson flood from tenant b, whose submits may be refused.
+func noisyPlan(seed int64) (aJobs, bJobs []chaosEvent) {
 	queries := []string{"q1", "q3", "q5", "q6"}
 	r := sim.NewRand(uint64(seed) ^ 0x70a11)
 	for i := 0; i < 6; i++ {
 		at := 10 + float64(i)*40 + r.Float64()*10
 		acc := 50 + 5*(i%3)
-		aJobs = append(aJobs, tenantEvent{
+		aJobs = append(aJobs, chaosEvent{
 			at: at, id: fmt.Sprintf("a-%d-%d", seed, i), tenant: "a",
 			stmt: fmt.Sprintf("%s ACC MIN %d%% WITHIN 2000 SECONDS", queries[i%len(queries)], acc),
 		})
 	}
 	// One deliberately hopeless deadline: it must terminate the same way
 	// with or without the noisy neighbor.
-	aJobs = append(aJobs, tenantEvent{
+	aJobs = append(aJobs, chaosEvent{
 		at: 95, id: fmt.Sprintf("a-%d-tight", seed), tenant: "a",
 		stmt: "q1 ACC MIN 99% WITHIN 3 SECONDS",
 	})
@@ -499,79 +423,12 @@ func noisyPlan(seed int64) (aJobs, bJobs []tenantEvent) {
 		if at >= 260 {
 			break
 		}
-		bJobs = append(bJobs, tenantEvent{
+		bJobs = append(bJobs, chaosEvent{
 			at: at, id: fmt.Sprintf("b-%d-%03d", seed, i), tenant: "b",
-			stmt: "q6 ACC MIN 50% WITHIN 2000 SECONDS",
+			stmt: "q6 ACC MIN 50% WITHIN 2000 SECONDS", untracked: true,
 		})
 	}
 	return aJobs, bJobs
-}
-
-// runNoisy drives one plan to completion. killAt >= 0 SIGKILLs the
-// daemon at the first event past that virtual time and restarts it.
-// Returns each tenant-a job's terminal status and the advance step
-// (50-virtual-second granularity) at which it was first observed
-// terminal — the per-job completion latency in deterministic units.
-func runNoisy(t *testing.T, h *tenantHarness, events []tenantEvent, aIDs []string, killAt float64) (map[string]string, map[string]int) {
-	t.Helper()
-	h.start(t)
-	c := dial(t, h.socket)
-	now, killed := 0.0, killAt < 0
-	for _, ev := range events {
-		if !killed && ev.at >= killAt {
-			killed = true
-			h.kill(t)
-			h.start(t)
-			c = dial(t, h.socket)
-			if r := c.call(t, Message{Op: "resume"}); !r.OK && r.Code != CodeServerRestarted {
-				t.Fatalf("resume after chaos kill: %+v", r)
-			}
-		}
-		if ev.at > now {
-			if r := c.call(t, Message{Op: "advance", Seconds: ev.at - now}); !r.OK {
-				t.Fatalf("advance to %.1f: %+v", ev.at, r)
-			}
-			now = ev.at
-		}
-		r := c.call(t, Message{Op: "submit", ID: ev.id, Tenant: ev.tenant, Statement: ev.stmt})
-		if ev.tenant == "a" && !r.OK {
-			t.Fatalf("tenant-a submit %s refused: %+v", ev.id, r)
-		}
-	}
-
-	status := make(map[string]string, len(aIDs))
-	doneStep := make(map[string]int, len(aIDs))
-	for step := 0; step < 80; step++ {
-		if r := c.call(t, Message{Op: "advance", Seconds: 50}); !r.OK {
-			t.Fatalf("advance step %d: %+v", step, r)
-		}
-		done := 0
-		for _, id := range aIDs {
-			if _, ok := doneStep[id]; ok {
-				done++
-				continue
-			}
-			st := c.call(t, Message{Op: "status", ID: id})
-			if !st.OK {
-				t.Fatalf("status %s: %+v", id, st)
-			}
-			if !liveStatus(st.Status) {
-				status[id] = st.Status
-				doneStep[id] = step
-				done++
-			}
-		}
-		if done == len(aIDs) {
-			break
-		}
-	}
-	for _, id := range aIDs {
-		if _, ok := doneStep[id]; !ok {
-			t.Fatalf("tenant-a job %s never terminated under the plan horizon", id)
-		}
-	}
-	h.kill(t)
-	return status, doneStep
 }
 
 // dumpTenantArtifact writes a per-tenant metrics snapshot for CI
@@ -610,12 +467,13 @@ func dumpTenantArtifact(t *testing.T, name string, stats map[string]admission.Te
 // tenant a's workload runs twice over identical virtual timelines: a
 // control run alone on a quiet daemon, and a chaos run sharing it with
 // tenant b flooding submissions at ~20x a's rate while the daemon is
-// SIGKILLed and recovered mid-flood. Isolation holds when (1) every
-// tenant-a job reaches the SAME terminal status as in the control, (2)
-// per-job completion latency degrades by no more than the fair-share
-// bound plus restart slack, (3) tenant b is demonstrably overloaded and
-// mostly refused, and (4) the admission ledger, the obs counters, and
-// the refusal arithmetic reconcile exactly.
+// SIGKILLed and recovered mid-flood at virtual second 130. Isolation
+// holds when (1) every tenant-a job reaches the SAME terminal status as
+// in the control, (2) per-job completion latency degrades by no more
+// than the fair-share bound plus restart slack, (3) tenant b is
+// demonstrably overloaded and mostly refused, and (4) the admission
+// ledger, the obs counters, and the refusal arithmetic reconcile
+// exactly.
 func TestNoisyNeighborChaos(t *testing.T) {
 	table := admission.TenantTable{
 		Tenants: map[string]admission.TenantQuota{
@@ -623,30 +481,39 @@ func TestNoisyNeighborChaos(t *testing.T) {
 			"b": {Weight: 1, RatePerSec: 0.1, Burst: 3, MaxActive: 2, MaxPending: 2},
 		},
 	}
+	// run drives one plan, then sweeps tenant a's jobs in 50-virtual-second
+	// steps: the step at which each is first seen terminal is its
+	// completion latency in deterministic units.
+	run := func(t *testing.T, plan []chaosEvent) (*daemon, map[string]string, map[string]int) {
+		d := newTenantDaemon(t, table)
+		d.start(t)
+		c, ids := drive(t, dial(t, d.socket), plan, func(float64) *client {
+			c := d.restart(t)
+			if r := c.call(t, Message{Op: "resume"}); !r.OK && r.Code != CodeServerRestarted {
+				t.Fatalf("resume after chaos kill: %+v", r)
+			}
+			return c
+		})
+		status, doneStep := sweep(t, c, ids, 50, 80)
+		d.kill()
+		return d, status, doneStep
+	}
 	for _, seed := range []int64{1, 7, 42} {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			aJobs, bJobs := noisyPlan(seed)
 			if len(bJobs) < 20*len(aJobs) {
 				t.Fatalf("plan too quiet: %d b-jobs for %d a-jobs, want 20x", len(bJobs), len(aJobs))
 			}
-			aIDs := make([]string, len(aJobs))
-			for i, ev := range aJobs {
-				aIDs[i] = ev.id
-			}
+			_, ctrlStatus, ctrlStep := run(t, aJobs)
 
-			control := newTenantHarness(t, table)
-			ctrlStatus, ctrlStep := runNoisy(t, control, aJobs, aIDs, -1)
-
-			mixed := append(append([]tenantEvent(nil), aJobs...), bJobs...)
+			mixed := append(append(append([]chaosEvent(nil), aJobs...), bJobs...), chaosEvent{at: 130, kind: "kill"})
 			sort.SliceStable(mixed, func(i, j int) bool {
 				if mixed[i].at != mixed[j].at {
 					return mixed[i].at < mixed[j].at
 				}
 				return mixed[i].id < mixed[j].id
 			})
-			chaos := newTenantHarness(t, table)
-			chaosStatus, chaosStep := runNoisy(t, chaos, mixed, aIDs, 130)
+			chaos, chaosStatus, chaosStep := run(t, mixed)
 			stats := chaos.ctrl.TenantStats()
 			defer func() {
 				if t.Failed() {
@@ -655,20 +522,17 @@ func TestNoisyNeighborChaos(t *testing.T) {
 			}()
 
 			// (1) Terminal outcomes are untouched by the neighbor + crash.
-			for _, id := range aIDs {
-				if chaosStatus[id] != ctrlStatus[id] {
-					t.Errorf("job %s: terminal status %q under chaos, %q in control",
-						id, chaosStatus[id], ctrlStatus[id])
-				}
+			if err := invariants.SameOutcomes(ctrlStatus, chaosStatus); err != nil {
+				t.Error(err)
 			}
 			// (2) Completion latency stays within the fair-share epsilon:
 			// weight 4-of-5 entitles tenant a to >= 80%% of the machine, so
 			// a 2x step bound plus 3 steps of restart slack is generous and
 			// still catches starvation outright.
-			for _, id := range aIDs {
-				if limit := 2*ctrlStep[id] + 3; chaosStep[id] > limit {
+			for id, step := range ctrlStep {
+				if limit := 2*step + 3; chaosStep[id] > limit {
 					t.Errorf("job %s: finished at step %d under chaos, control %d (limit %d)",
-						id, chaosStep[id], ctrlStep[id], limit)
+						id, chaosStep[id], step, limit)
 				}
 			}
 			// (3) The neighbor really was noisy — and mostly turned away.
@@ -690,28 +554,25 @@ func TestNoisyNeighborChaos(t *testing.T) {
 				if gateRej > st.Rejected {
 					t.Errorf("tenant %s gate refusals exceed total: %+v", name, st)
 				}
-				for metric, want := range map[string]int{
-					"submitted_total": st.Submitted,
-					"admitted_total":  st.Admitted,
-					"rejected_total":  st.Rejected,
-				} {
-					full := fmt.Sprintf("rotary_admission_tenant_%s{tenant=%q}", metric, name)
-					got, ok := chaos.reg.Value(full)
-					if !ok || int(got) != want {
-						t.Errorf("obs %s = %v (present %v), ledger says %d", full, got, ok, want)
-					}
+				series := func(metric string) string {
+					return fmt.Sprintf("rotary_admission_tenant_%s{tenant=%q}", metric, name)
+				}
+				if err := invariants.RegistryAgrees(chaos.reg, map[string]int{
+					series("submitted_total"): st.Submitted,
+					series("admitted_total"):  st.Admitted,
+					series("rejected_total"):  st.Rejected,
+				}); err != nil {
+					t.Errorf("tenant %s: %v", name, err)
 				}
 			}
 			// The journal-state gauges agree with the journal's own ledger.
 			_, compactions, size, snapshot := chaos.jl.Stats()
-			for name, want := range map[string]int64{
+			if err := invariants.RegistryAgrees(chaos.reg, map[string]int64{
 				"rotary_serve_journal_compactions_total": compactions,
 				"rotary_serve_journal_size_bytes":        size,
 				"rotary_serve_journal_snapshot_bytes":    snapshot,
-			} {
-				if got, ok := chaos.reg.Value(name); !ok || int64(got) != want {
-					t.Errorf("obs %s = %v (present %v), journal says %d", name, got, ok, want)
-				}
+			}); err != nil {
+				t.Error(err)
 			}
 		})
 	}

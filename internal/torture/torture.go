@@ -6,19 +6,12 @@
 // EIO bursts that must heal without a restart), process kills (journal
 // replay must resurrect every acked job), and connection faults
 // (mid-frame drops, stalled peers, hostile bytes — the server must
-// shrug). After the storm it audits the wreckage against the
-// durability invariants:
-//
-//	acked ⊆ journal   every submit the server acked is replayed from
-//	                  the journal chain — an ack is a durability
-//	                  promise, and losing one is the cardinal failure
-//	unique ids        the journal registry holds no duplicate job ids
-//	                  (req_id dedupe held through every fault window)
-//	monotonic epochs  each observed incarnation's server epoch strictly
-//	                  increases — no restart ever rewound identity
-//	ledger agreement  the resume handshake, the obs counter, and an
-//	                  independent read-only journal replay agree on the
-//	                  recovered-job count
+// shrug). After the storm it audits the wreckage with internal/invariants:
+// every acked submit replays from the journal chain (losing an ack is the
+// cardinal failure), the journal holds no duplicate id (req_id dedupe held
+// through every fault window), server epochs strictly increase (no restart
+// rewound identity), and the resume handshake, the obs counter and a
+// read-only journal replay agree on the recovered-job count.
 //
 // Everything is deterministic per seed except wall-clock interleaving:
 // the fault schedule, the fault windows, and the traffic identity all
@@ -30,7 +23,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -38,6 +31,7 @@ import (
 	"rotary/internal/baselines"
 	"rotary/internal/core"
 	"rotary/internal/diskio"
+	"rotary/internal/invariants"
 	"rotary/internal/loadgen"
 	"rotary/internal/obs"
 	"rotary/internal/serve"
@@ -127,6 +121,7 @@ type harness struct {
 	faulty *diskio.Faulty
 	jl     *serve.Journal
 	srv    *serve.Server
+	reg    *obs.Registry
 	done   chan struct{}
 }
 
@@ -163,7 +158,7 @@ func (h *harness) start() error {
 		srv.Serve()
 		close(done)
 	}()
-	h.jl, h.srv, h.done = jl, srv, done
+	h.jl, h.srv, h.reg, h.done = jl, srv, reg, done
 	return nil
 }
 
@@ -234,9 +229,9 @@ func Run(cfg Config) (*Report, error) {
 	}
 	rep.Epochs = append(rep.Epochs, resume.ServerEpoch)
 
-	// ackedIDs is the promise ledger: every id the server acked, from
+	// acked is the promise ledger: every id the server acked, from
 	// loadgen traffic and the harness's own heal probes alike.
-	ackedIDs := make(map[string]bool)
+	var acked []string
 
 	// The fault family per round cycles a seeded permutation of all
 	// three, so any run of >= 3 rounds provably composes disk faults,
@@ -304,7 +299,7 @@ func Run(cfg Config) (*Report, error) {
 				rep.fail("round %d: post-heal durable submit not acked: err=%v resp=%+v", round, err, pr)
 				break
 			}
-			ackedIDs[probeID] = true
+			acked = append(acked, probeID)
 			if got := mustEpoch(ctl, rep); got != epochBefore {
 				rep.fail("round %d: epoch moved %d -> %d across a heal — that was a restart, not a heal",
 					round, epochBefore, got)
@@ -343,10 +338,7 @@ func Run(cfg Config) (*Report, error) {
 		rr.Acked, rr.Degraded, rr.Refused, rr.Errors = res.Acked, res.Degraded, res.Refused, res.Errors
 		rep.Degraded += res.Degraded
 		for _, j := range res.AckedJobs {
-			if ackedIDs[j.ID] {
-				rep.fail("round %d: job %s acked twice", round, j.ID)
-			}
-			ackedIDs[j.ID] = true
+			acked = append(acked, j.ID)
 		}
 		rr.Epoch = mustEpoch(ctl, rep)
 		rep.Rounds = append(rep.Rounds, rr)
@@ -356,7 +348,11 @@ func Run(cfg Config) (*Report, error) {
 		logf("round %d done: %s — acked %d, degraded %d, refused %d, errors %d, epoch %d",
 			round, rr.Fault, rr.Acked, rr.Degraded, rr.Refused, rr.Errors, rr.Epoch)
 	}
-	rep.Acked = len(ackedIDs)
+	if dups := invariants.Duplicates(acked); len(dups) > 0 {
+		rep.fail("%d jobs acked twice: %v", len(dups), dups)
+	}
+	acked = slices.Compact(slices.Sorted(slices.Values(acked)))
+	rep.Acked = len(acked)
 
 	// Quiesce: faults cleared, latch lifted, then one final unclean kill
 	// so the audit reads the journal exactly as a crash left it.
@@ -373,25 +369,15 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		rep.fail("read-only journal replay: %v", err)
 	} else {
-		journalIDs := make(map[string]int, len(replay.Jobs))
-		for _, j := range replay.Jobs {
-			journalIDs[j.ID]++
+		journalIDs := make([]string, len(replay.Jobs))
+		for i, j := range replay.Jobs {
+			journalIDs[i] = j.ID
 		}
-		for id, n := range journalIDs {
-			if n > 1 {
-				rep.DuplicateIDs = append(rep.DuplicateIDs, id)
-			}
-		}
-		if len(rep.DuplicateIDs) > 0 {
+		if rep.DuplicateIDs = invariants.Duplicates(journalIDs); len(rep.DuplicateIDs) > 0 {
 			rep.fail("journal registry holds %d duplicate job ids", len(rep.DuplicateIDs))
 		}
-		for id := range ackedIDs {
-			if journalIDs[id] == 0 {
-				rep.AckedLost = append(rep.AckedLost, id)
-			}
-		}
-		if n := len(rep.AckedLost); n > 0 {
-			rep.fail("%d acked jobs missing from the journal (acked-lost)", n)
+		if rep.AckedLost = invariants.Lost(acked, journalIDs); len(rep.AckedLost) > 0 {
+			rep.fail("%d acked jobs missing from the journal (acked-lost)", len(rep.AckedLost))
 		}
 		rep.JournalJobs = len(replay.Jobs)
 		rep.JournalLive = len(replay.NonTerminal())
@@ -410,35 +396,22 @@ func Run(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("torture: final resume: %w", err)
 	}
 	rep.ResumeRecovered = fin.Recovered
-	if last := rep.Epochs[len(rep.Epochs)-1]; fin.ServerEpoch <= last {
-		rep.fail("final epoch %d did not advance past %d", fin.ServerEpoch, last)
-	}
 	rep.Epochs = append(rep.Epochs, fin.ServerEpoch)
-	for i := 1; i < len(rep.Epochs); i++ {
-		if rep.Epochs[i] <= rep.Epochs[i-1] {
-			rep.fail("server epochs not monotonic: %v", rep.Epochs)
-		}
+	if err := invariants.EpochsIncrease(rep.Epochs); err != nil {
+		rep.fail("%v", err)
 	}
-	if mr, err := ctl.Do(serve.Message{Op: "metrics"}); err != nil {
-		rep.fail("metrics scrape: %v", err)
-	} else {
-		rep.ObsRecovered = scrapeCounter(mr.Report, "rotary_serve_recovered_jobs_total")
+	const recovered = "rotary_serve_recovered_jobs_total"
+	obsRecovered, _ := h.reg.Value(recovered)
+	rep.ObsRecovered = int(obsRecovered)
+	if rep.ResumeRecovered != rep.JournalLive {
+		rep.fail("resume recovered %d jobs, read-only replay says %d live", rep.ResumeRecovered, rep.JournalLive)
 	}
-	if rep.OK {
-		if rep.ResumeRecovered != rep.JournalLive {
-			rep.fail("resume recovered %d jobs, read-only replay says %d live", rep.ResumeRecovered, rep.JournalLive)
-		}
-		if rep.ObsRecovered != rep.ResumeRecovered {
-			rep.fail("obs counter recovered %d, resume handshake says %d", rep.ObsRecovered, rep.ResumeRecovered)
-		}
+	if err := invariants.RegistryAgrees(h.reg, map[string]int{recovered: rep.ResumeRecovered}); err != nil {
+		rep.fail("obs counter against the resume handshake: %v", err)
 	}
-	// Spot-check survivors: every acked job answers status by id.
-	checked := 0
-	for id := range ackedIDs {
-		if checked >= 16 {
-			break
-		}
-		checked++
+	// Spot-check survivors: the first 16 acked ids, in sorted order,
+	// answer status by id.
+	for _, id := range acked[:min(16, len(acked))] {
 		if st, err := ctl.Do(serve.Message{Op: "status", ID: id}); err != nil || !st.OK {
 			rep.fail("acked job %s unanswerable after final restart: err=%v resp=%+v", id, err, st)
 		}
@@ -480,22 +453,6 @@ func waitHealthy(ctl *serve.Client, within time.Duration) bool {
 		time.Sleep(25 * time.Millisecond)
 	}
 	return false
-}
-
-// scrapeCounter pulls one un-labelled counter's integer value out of a
-// Prometheus text exposition (-1 when absent).
-func scrapeCounter(exposition, name string) int {
-	for _, line := range strings.Split(exposition, "\n") {
-		if !strings.HasPrefix(line, name+" ") {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimPrefix(line, name+" ")), 64)
-		if err != nil {
-			return -1
-		}
-		return int(v)
-	}
-	return -1
 }
 
 // dumpArtifacts writes the invariant report and copies the journal
