@@ -185,8 +185,9 @@ type ExecConfig struct {
 	// arbitration rounds is forced a minimal grant. Zero leaves the policy
 	// unwrapped.
 	AgingRounds int
-	// RecordHistory appends terminal jobs to the repository so later
-	// workloads estimate from them.
+	// RecordHistory offers every terminal job to the repository, expired
+	// ones included, so later workloads estimate from them; the
+	// repository keeps only the records a similarity search can reach.
 	RecordHistory bool
 }
 

@@ -80,14 +80,17 @@ type agingLedger struct {
 	// maxSkipped is the consecutive-rounds-passed-over threshold.
 	maxSkipped int
 	skipped    map[string]int
-	forced     int
+	// next is the map the next round's counters are rebuilt into; the two
+	// swap every round so aging allocates nothing once they have grown.
+	next   map[string]int
+	forced int
 }
 
 func newAgingLedger(maxSkipped int) agingLedger {
 	if maxSkipped < 1 {
 		maxSkipped = 8
 	}
-	return agingLedger{maxSkipped: maxSkipped, skipped: make(map[string]int)}
+	return agingLedger{maxSkipped: maxSkipped, skipped: make(map[string]int), next: make(map[string]int)}
 }
 
 // outranks reports whether a job starved for count rounds is strictly
@@ -97,6 +100,17 @@ func newAgingLedger(maxSkipped int) agingLedger {
 // prevent.
 func (a *agingLedger) outranks(count int, holder string) bool {
 	return count > a.skipped[holder]+1
+}
+
+// decided reports whether out holds a decision for id. Rounds decide for
+// a handful of jobs, so a scan beats building a set.
+func decided[G any](out []G, idOf func(G) string, id string) bool {
+	for _, g := range out {
+		if idOf(g) == id {
+			return true
+		}
+	}
+	return false
 }
 
 // age runs one round of the aging rule over the inner policy's decisions
@@ -109,18 +123,11 @@ func (a *agingLedger) outranks(count int, holder string) bool {
 // and starves it indefinitely.
 func age[J interface{ ID() string }, G any](a *agingLedger, pending []J, out []G, idOf func(G) string,
 	force func(out []G, starving J, count int) ([]G, bool)) []G {
-	granted := make(map[string]bool, len(out))
-	for _, g := range out {
-		granted[idOf(g)] = true
-	}
 	var starving J
 	starvingCount := 0
 	for _, j := range pending {
-		if granted[j.ID()] {
-			continue
-		}
 		c := a.skipped[j.ID()] + 1
-		if c <= a.maxSkipped {
+		if c <= a.maxSkipped || decided(out, idOf, j.ID()) {
 			continue
 		}
 		if starvingCount == 0 || c > starvingCount ||
@@ -134,24 +141,15 @@ func age[J interface{ ID() string }, G any](a *agingLedger, pending []J, out []G
 			a.forced++
 		}
 	}
-	final := make(map[string]bool, len(out))
-	for _, g := range out {
-		final[idOf(g)] = true
-	}
-	seen := make(map[string]bool, len(pending))
+	// Only jobs still pending and passed over keep a counter: granted,
+	// terminal and shed jobs drop out of the rebuilt ledger.
+	clear(a.next)
 	for _, j := range pending {
-		seen[j.ID()] = true
-		if final[j.ID()] {
-			delete(a.skipped, j.ID())
-		} else {
-			a.skipped[j.ID()]++
+		if !decided(out, idOf, j.ID()) {
+			a.next[j.ID()] = a.skipped[j.ID()] + 1
 		}
 	}
-	for id := range a.skipped {
-		if !seen[id] {
-			delete(a.skipped, id) // granted, terminal, or shed: no longer pending
-		}
-	}
+	a.skipped, a.next = a.next, a.skipped
 	return out
 }
 

@@ -60,9 +60,11 @@ func (r *RotaryAQP) Assign(ctx *AQPContext) []AQPGrant {
 	// results (§IV-A).
 	if r.AdaptiveEpochs {
 		ref := math.Inf(1)
-		for _, j := range append(append([]*AQPJob(nil), ctx.Pending...), ctx.Running...) {
-			if m := j.EstMemMB(); m > 0 && m < ref {
-				ref = m
+		for _, jobs := range [2][]*AQPJob{ctx.Pending, ctx.Running} {
+			for _, j := range jobs {
+				if m := j.EstMemMB(); m > 0 && m < ref {
+					ref = m
+				}
 			}
 		}
 		if !math.IsInf(ref, 1) {
@@ -83,8 +85,9 @@ func (r *RotaryAQP) Assign(ctx *AQPContext) []AQPGrant {
 	// Priority: estimated accuracy progress after the next running epoch,
 	// gated by deadline feasibility.
 	type scored struct {
-		job *AQPJob
-		phi float64
+		job   *AQPJob
+		phi   float64
+		grant int // index+1 of the job's grant; 0 while ungranted
 	}
 	pq := make([]scored, 0, len(ctx.Pending))
 	for _, j := range ctx.Pending {
@@ -96,8 +99,7 @@ func (r *RotaryAQP) Assign(ctx *AQPContext) []AQPGrant {
 	freeThreads := ctx.FreeThreads
 	freeMem := ctx.FreeMemMB
 	grants := make([]AQPGrant, 0, len(pq))
-	granted := make(map[string]int) // job ID -> grant index+1
-	for _, s := range pq {
+	for i, s := range pq {
 		if freeThreads == 0 {
 			break
 		}
@@ -109,7 +111,7 @@ func (r *RotaryAQP) Assign(ctx *AQPContext) []AQPGrant {
 			continue // does not fit in memory; deferred
 		}
 		grants = append(grants, AQPGrant{Job: s.job, Threads: 1, ReserveMemMB: reserve})
-		granted[s.job.ID()] = len(grants)
+		pq[i].grant = len(grants)
 		freeThreads--
 		freeMem -= reserve
 	}
@@ -122,8 +124,8 @@ func (r *RotaryAQP) Assign(ctx *AQPContext) []AQPGrant {
 		if freeThreads == 0 {
 			break
 		}
-		gi, ok := granted[s.job.ID()]
-		if !ok {
+		gi := s.grant
+		if gi == 0 {
 			continue
 		}
 		for grants[gi-1].Threads < r.MaxThreadsPerJob && freeThreads > 0 {
@@ -155,12 +157,6 @@ func (r *RotaryAQP) priority(now sim.Time, j *AQPJob) float64 {
 		return 2.5
 	}
 	thr := j.Criteria().Threshold
-	estimate := func(atSecs float64) (float64, bool) {
-		if r.Estimator == nil {
-			return 0, false
-		}
-		return r.Estimator.EstimateAt(j.Query().Name(), j.Class(), j.BatchRows(), j.RealtimeCurve(), atSecs)
-	}
 	hopeless := func(base float64) float64 {
 		aging := (now - j.LastRunAt()).Seconds() / j.DeadlineSecs()
 		if aging > 1 {
@@ -189,12 +185,19 @@ func (r *RotaryAQP) priority(now sim.Time, j *AQPJob) float64 {
 	// the fitted curve; the job's own last stretch is the fallback.
 	t := j.NormProcessingSecs()
 	const horizon = 600.0
+	rt := j.RealtimeCurve()
+	estimate := func(atSecs float64) (float64, bool) {
+		if r.Estimator == nil {
+			return 0, false
+		}
+		return r.Estimator.EstimateAt(j.Query().Name(), j.Class(), j.BatchRows(), rt, atSecs)
+	}
 	var rate float64
 	e1, ok1 := estimate(t)
 	e2, ok2 := estimate(t + horizon)
 	if ok1 && ok2 {
 		rate = (e2 - e1) / horizon
-	} else if rt := j.RealtimeCurve(); len(rt) >= 2 {
+	} else if len(rt) >= 2 {
 		p, q := rt[len(rt)-2], rt[len(rt)-1]
 		if q.X > p.X {
 			rate = (q.Y - p.Y) / (q.X - p.X)

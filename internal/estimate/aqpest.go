@@ -14,6 +14,14 @@ import "sync"
 type AccuracyProgress struct {
 	repo *Repository
 	topK int
+
+	// mu guards the per-key cache of concatenated top-k curves, valid
+	// while the repository's AQP version equals version. Once every key
+	// in use holds aqpKeepPerKey records the version stops moving, and a
+	// warm estimate does no work that grows with the history.
+	mu      sync.Mutex
+	version uint64
+	hist    map[aqpKey][]Point
 }
 
 // ProgressEstimator predicts a job's accuracy progress at a future
@@ -24,20 +32,43 @@ type ProgressEstimator interface {
 	EstimateAt(query, class string, batchRows int, realtime []Point, atSecs float64) (float64, bool)
 }
 
-// NewAccuracyProgress returns the historical+real-time estimator.
+// NewAccuracyProgress returns the historical+real-time estimator. topK
+// outside [1, 3] means 3, the most the repository answers exactly.
 func NewAccuracyProgress(repo *Repository, topK int) *AccuracyProgress {
-	if topK < 1 {
-		topK = 3
+	if topK < 1 || topK > aqpKeepPerKey {
+		topK = aqpKeepPerKey
 	}
-	return &AccuracyProgress{repo: repo, topK: topK}
+	return &AccuracyProgress{repo: repo, topK: topK, hist: make(map[aqpKey][]Point)}
+}
+
+// history returns the concatenated curves of the top-k records similar to
+// the key, from the cache when the repository has not changed since.
+func (a *AccuracyProgress) history(query, class string, batchRows int) []Point {
+	v := a.repo.aqpVersionNow()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if v != a.version {
+		clear(a.hist)
+		a.version = v
+	}
+	k := aqpKey{query, class, batchRows}
+	if h, ok := a.hist[k]; ok {
+		return h
+	}
+	recs, read := a.repo.topKSimilarAQP(query, class, batchRows, a.topK)
+	var h []Point
+	for _, rec := range recs {
+		h = append(h, rec.Curve...)
+	}
+	if read == v {
+		a.hist[k] = h // a record kept since v would make h newer than the cache
+	}
+	return h
 }
 
 // EstimateAt implements ProgressEstimator.
 func (a *AccuracyProgress) EstimateAt(query, class string, batchRows int, realtime []Point, atSecs float64) (float64, bool) {
-	var hist []Point
-	for _, rec := range a.repo.TopKSimilarAQP(query, class, batchRows, a.topK) {
-		hist = append(hist, rec.Curve...)
-	}
+	hist := a.history(query, class, batchRows)
 	if len(hist) == 0 && len(realtime) < 2 {
 		return 0, false
 	}

@@ -28,7 +28,7 @@ type DLTRecord struct {
 	EpochSecs float64   `json:"epoch_secs"`
 }
 
-// AQPRecord is one completed AQP job: its progress-runtime curve plus the
+// AQPRecord is one terminal AQP job: its progress-runtime curve plus the
 // query features §IV-A's similarity search keys on (predicates, tables and
 // columns are summarized by the query name; the batch size is explicit).
 type AQPRecord struct {
@@ -39,23 +39,42 @@ type AQPRecord struct {
 	Curve     []Point `json:"curve"` // (runtime seconds, accuracy progress)
 }
 
+// aqpKeepPerKey is how many AQP records the repository keeps per
+// (query, class, batch rows) key. A record's similarity score depends only
+// on its key, and ties keep insertion order, so no TopKSimilarAQP request
+// with k ≤ aqpKeepPerKey can ever return a record past the first
+// aqpKeepPerKey of its key: the repository drops those on arrival.
+const aqpKeepPerKey = 3
+
+// aqpKey is the part of an AQPRecord its similarity score reads.
+type aqpKey struct {
+	query, class string
+	batchRows    int
+}
+
 // Repository stores historical job information. It persists to a single
 // JSON file so estimation survives process restarts, and it is safe for
 // concurrent use.
 type Repository struct {
-	mu   sync.RWMutex
-	dlt  []DLTRecord
-	aqp  []AQPRecord
-	path string
+	mu  sync.RWMutex
+	dlt []DLTRecord
+	// aqp holds the kept AQP records in insertion order; perKey counts
+	// them by key. aqpVersion changes whenever a record is kept, so
+	// readers can cache what they derived from the records.
+	aqp        []AQPRecord
+	perKey     map[aqpKey]int
+	aqpVersion uint64
+	path       string
 }
 
 // NewRepository returns an empty in-memory repository.
-func NewRepository() *Repository { return &Repository{} }
+func NewRepository() *Repository { return &Repository{perKey: make(map[aqpKey]int)} }
 
 // OpenRepository loads (or creates) a repository backed by the JSON file
 // at path. Saves write back to the same file.
 func OpenRepository(path string) (*Repository, error) {
-	r := &Repository{path: path}
+	r := NewRepository()
+	r.path = path
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return r, nil
@@ -68,7 +87,9 @@ func OpenRepository(path string) (*Repository, error) {
 		return nil, fmt.Errorf("estimate: parse repository %s: %w", path, err)
 	}
 	r.dlt = disk.DLT
-	r.aqp = disk.AQP
+	for _, rec := range disk.AQP {
+		r.keepAQP(rec)
+	}
 	return r, nil
 }
 
@@ -104,7 +125,9 @@ func (r *Repository) Clone() *Repository {
 	defer r.mu.RUnlock()
 	c := NewRepository()
 	c.dlt = append([]DLTRecord(nil), r.dlt...)
-	c.aqp = append([]AQPRecord(nil), r.aqp...)
+	for _, rec := range r.aqp {
+		c.keepAQP(rec)
+	}
 	return c
 }
 
@@ -115,17 +138,30 @@ func (r *Repository) AddDLT(rec DLTRecord) {
 	r.dlt = append(r.dlt, rec)
 }
 
-// AddAQP stores a completed AQP job.
+// AddAQP stores a terminal AQP job's curve, whether the job attained or
+// expired, unless its (query, class, batch rows) key already holds 3
+// records: a later record of the same key could never be retrieved.
 func (r *Repository) AddAQP(rec AQPRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.keepAQP(rec)
+}
+
+// keepAQP appends rec if its key has room. The caller holds r.mu.
+func (r *Repository) keepAQP(rec AQPRecord) {
+	k := aqpKey{rec.Query, rec.Class, rec.BatchRows}
+	if r.perKey[k] >= aqpKeepPerKey {
+		return
+	}
+	r.perKey[k]++
 	r.aqp = append(r.aqp, rec)
+	r.aqpVersion++
 }
 
 // DLTCount and AQPCount report stored record counts.
 func (r *Repository) DLTCount() int { r.mu.RLock(); defer r.mu.RUnlock(); return len(r.dlt) }
 
-// AQPCount reports the number of stored AQP records.
+// AQPCount reports the number of kept AQP records.
 func (r *Repository) AQPCount() int { r.mu.RLock(); defer r.mu.RUnlock(); return len(r.aqp) }
 
 // RemoveDLT deletes records matching keep==false, returning how many were
@@ -272,15 +308,23 @@ func (r *Repository) TopKSimilarBySize(dataset string, paramsM float64, k int) (
 // TopKSimilarAQP returns the k most similar historical AQP jobs: exact
 // query-name matches first (same predicates, tables, columns), then
 // same-class queries, ranked by batch-size similarity within each tier.
+// For k ≤ 3 the answer is the one an unbounded history would give.
 func (r *Repository) TopKSimilarAQP(query, class string, batchRows, k int) []AQPRecord {
+	recs, _ := r.topKSimilarAQP(query, class, batchRows, k)
+	return recs
+}
+
+// topKSimilarAQP is TopKSimilarAQP plus the version of the records it
+// read, taken under the same lock.
+func (r *Repository) topKSimilarAQP(query, class string, batchRows, k int) ([]AQPRecord, uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	type scoredAQP struct {
-		rec   AQPRecord
+		i     int // index into r.aqp
 		score float64
 	}
 	scored := make([]scoredAQP, 0, len(r.aqp))
-	for _, rec := range r.aqp {
+	for i, rec := range r.aqp {
 		var s float64
 		switch {
 		case rec.Query == query:
@@ -291,7 +335,7 @@ func (r *Repository) TopKSimilarAQP(query, class string, batchRows, k int) []AQP
 			continue
 		}
 		s += Similarity(float64(rec.BatchRows), float64(batchRows))
-		scored = append(scored, scoredAQP{rec, s})
+		scored = append(scored, scoredAQP{i, s})
 	}
 	sort.SliceStable(scored, func(i, j int) bool { return scored[i].score > scored[j].score })
 	if len(scored) > k {
@@ -299,7 +343,14 @@ func (r *Repository) TopKSimilarAQP(query, class string, batchRows, k int) []AQP
 	}
 	out := make([]AQPRecord, len(scored))
 	for i, s := range scored {
-		out[i] = s.rec
+		out[i] = r.aqp[s.i]
 	}
-	return out
+	return out, r.aqpVersion
+}
+
+// aqpVersionNow reports the current AQP record version.
+func (r *Repository) aqpVersionNow() uint64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.aqpVersion
 }
