@@ -11,15 +11,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 
 	"rotary/internal/cliutil"
 	"rotary/internal/core"
 	"rotary/internal/estimate"
-	"rotary/internal/faults"
 	"rotary/internal/metrics"
-	"rotary/internal/obs"
-	"rotary/internal/sim"
 	"rotary/internal/tpch"
 	"rotary/internal/workload"
 )
@@ -28,32 +24,30 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rotary-aqp: ")
 	var (
-		policy  = flag.String("policy", "rotary", "scheduling policy: rotary, relaqs, edf, laf, rr")
-		jobs    = flag.Int("jobs", 30, "workload size")
-		sf      = flag.Float64("sf", 0.02, "TPC-H scale factor")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		mean    = flag.Float64("arrival", 160, "mean Poisson inter-arrival time (seconds)")
-		trace   = flag.Int("trace", 0, "print the last N arbitration trace events")
-		save    = flag.String("save-workload", "", "write the generated workload to this JSON file")
-		load    = flag.String("load-workload", "", "run the workload from this JSON file instead of generating")
-		desc    = flag.String("describe", "", "describe a query's plan shape (e.g. q5) and exit")
-		dataPar = flag.Int("data-parallel", runtime.NumCPU(),
-			"cap on real goroutines per epoch's data path (minimum 1)")
+		policy    = flag.String("policy", "rotary", "scheduling policy: rotary, relaqs, edf, laf, rr")
+		jobs      = flag.Int("jobs", 30, "workload size")
+		sf        = flag.Float64("sf", 0.02, "TPC-H scale factor")
+		seed      = flag.Uint64("seed", 1, "random seed")
+		mean      = flag.Float64("arrival", 160, "mean Poisson inter-arrival time (seconds)")
+		trace     = flag.Int("trace", 0, "print the last N arbitration trace events")
+		save      = flag.String("save-workload", "", "write the generated workload to this JSON file")
+		load      = flag.String("load-workload", "", "run the workload from this JSON file instead of generating")
+		desc      = flag.String("describe", "", "describe a query's plan shape (e.g. q5) and exit")
 		faultSeed = flag.Uint64("fault-seed", 0, "fault-injection seed (0 = reuse -seed)")
 		faultRate = flag.Float64("fault-rate", 0,
-			"total per-opportunity fault probability (crashes + checkpoint I/O faults); 0 disables injection")
+			"total per-opportunity fault probability (crashes + checkpoint I/O faults), at most 0.3; 0 disables injection")
 		traceOut   = flag.String("trace-out", "", "stream every trace event as JSON lines to this file")
 		metricsOut = flag.String("metrics-out", "", "write the final metrics registry (Prometheus text format) to this file")
 	)
 	flag.Parse()
+	rf := cliutil.RunFlags{Seed: *seed, FaultSeed: *faultSeed, FaultRate: *faultRate,
+		Trace: *trace, TraceOut: *traceOut, MetricsOut: *metricsOut}
 	if err := cliutil.ValidateAll(
 		cliutil.OneOf("-policy", *policy, "rotary", "relaqs", "edf", "laf", "rr"),
 		cliutil.MinInt("-jobs", *jobs, 1),
 		cliutil.Positive("-sf", *sf),
 		cliutil.NonNegative("-arrival", *mean),
-		cliutil.MinInt("-trace", *trace, 0),
-		cliutil.MinInt("-data-parallel", *dataPar, 1),
-		cliutil.Fraction("-fault-rate", *faultRate),
+		rf.Validate(),
 	); err != nil {
 		log.Println(err)
 		flag.Usage()
@@ -100,51 +94,13 @@ func main() {
 	}
 
 	execCfg := core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat))
-	// Grants map to real goroutines in the data path; cap the physical
-	// fan-out to the local machine while the virtual 20-thread testbed
-	// accounting stays unchanged.
-	execCfg.DataParallelism = *dataPar
-	var injector *faults.Injector
-	if *faultRate > 0 {
-		fseed := *faultSeed
-		if fseed == 0 {
-			fseed = *seed
-		}
-		dir, err := os.MkdirTemp("", "rotary-ckpt-*")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		store, err := core.NewCheckpointStore(dir, 8)
-		if err != nil {
-			log.Fatal(err)
-		}
-		injector = faults.New(faults.Uniform(fseed, *faultRate))
-		store.SetFaults(injector)
-		execCfg.Store = store
-		execCfg.Faults = injector
-		fmt.Printf("fault injection armed: rate=%g seed=%d\n", *faultRate, fseed)
-	}
-	var tracer *core.Tracer
-	if *trace > 0 || *traceOut != "" {
-		tracer = &core.Tracer{}
-		execCfg.Tracer = tracer
-	}
-	var sink *obs.JSONLSink
-	if *traceOut != "" {
-		var err error
-		if sink, err = obs.OpenJSONLSink(*traceOut); err != nil {
-			log.Fatal(err)
-		}
-		tracer.SetSink(sink)
+	run, err := cliutil.Start(rf, &execCfg.ExecConfig)
+	if err != nil {
+		log.Fatal(err)
 	}
 	exec := core.NewAQPExecutor(execCfg, sched, repo)
-	for _, spec := range specs {
-		j, err := workload.BuildAQPJob(cat, spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		exec.Submit(j, sim.Time(spec.ArrivalSecs))
+	if _, err := workload.SubmitAQP(cat, specs, exec.Submit); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("running %d jobs under %s…\n\n", len(specs), sched.Name())
 	if err := exec.Run(); err != nil {
@@ -170,21 +126,9 @@ func main() {
 		att["light"], tot["light"], att["medium"], tot["medium"],
 		att["heavy"], tot["heavy"], att["total"], tot["total"], rep.FalseAttained())
 	fmt.Printf("virtual makespan: %s\n", exec.Engine().Now())
-	if injector != nil {
-		fmt.Println()
-		fmt.Print(metrics.RenderRecovery(sched.Name(), exec.Recovery(), execCfg.Store.Health()))
-	}
-	if tracer != nil && *trace > 0 {
-		fmt.Printf("\nlast %d arbitration events:\n%s", *trace, tracer.Render(*trace))
-	}
-	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(obs.Default().RenderText(true)), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote metrics to %s\n", *metricsOut)
-	}
-	if err := sink.Close(); err != nil {
-		log.Fatalf("-trace-out: %v", err)
+	run.Report(sched.Name(), exec.Recovery())
+	if err := run.Close(); err != nil {
+		log.Fatal(err)
 	}
 }
 

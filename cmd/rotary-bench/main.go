@@ -15,9 +15,7 @@ import (
 	"strings"
 
 	"rotary/internal/cliutil"
-	"rotary/internal/core"
 	"rotary/internal/experiments"
-	"rotary/internal/obs"
 )
 
 type runner struct {
@@ -83,18 +81,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var sink *obs.JSONLSink
-	if *traceOut != "" {
-		var err error
-		if sink, err = obs.OpenJSONLSink(*traceOut); err != nil {
-			log.Fatal(err)
-		}
-		// Experiment helpers build executors internally; the default tracer
-		// lets every one of them stream into the single JSONL sink without
-		// retaining events in memory (capacity 1 keeps the ring trivial).
-		tracer := core.NewTracer(1)
-		tracer.SetSink(sink)
-		core.SetDefaultTracer(tracer)
+	// Experiment helpers build executors internally; they all adopt the
+	// default tracer Start installs, so every one of them streams into
+	// the single JSONL sink.
+	run, err := cliutil.Start(cliutil.RunFlags{TraceOut: *traceOut, MetricsOut: *metricsOut})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	cfg := experiments.Config{SF: *sf, Seed: *seed, Runs: *runs, AQPJobs: *aqpJobs, DLTJobs: *dltJobs}
@@ -129,13 +121,7 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 		os.Exit(2)
 	}
-	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(obs.Default().RenderText(true)), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote metrics to %s\n", *metricsOut)
-	}
-	if err := sink.Close(); err != nil {
-		log.Fatalf("-trace-out: %v", err)
+	if err := run.Close(); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -17,9 +17,7 @@ import (
 	"rotary/internal/cliutil"
 	"rotary/internal/core"
 	"rotary/internal/estimate"
-	"rotary/internal/faults"
 	"rotary/internal/metrics"
-	"rotary/internal/obs"
 	"rotary/internal/sim"
 	"rotary/internal/workload"
 )
@@ -38,18 +36,19 @@ func main() {
 		load      = flag.String("load-workload", "", "run the workload from this JSON file instead of generating")
 		faultSeed = flag.Uint64("fault-seed", 0, "fault-injection seed (0 = reuse -seed)")
 		faultRate = flag.Float64("fault-rate", 0,
-			"total per-opportunity fault probability (GPU crashes + checkpoint I/O faults); 0 disables injection")
+			"total per-opportunity fault probability (GPU crashes + checkpoint I/O faults), at most 0.3; 0 disables injection")
 		traceOut   = flag.String("trace-out", "", "stream every trace event as JSON lines to this file")
 		metricsOut = flag.String("metrics-out", "", "write the final metrics registry (Prometheus text format) to this file")
 	)
 	flag.Parse()
+	rf := cliutil.RunFlags{Seed: *seed, FaultSeed: *faultSeed, FaultRate: *faultRate,
+		Trace: *trace, TraceOut: *traceOut, MetricsOut: *metricsOut}
 	if err := cliutil.ValidateAll(
 		cliutil.OneOf("-policy", *policy, "adaptive", "fairness", "efficiency", "srf", "bcf", "laf"),
 		cliutil.MinInt("-jobs", *jobs, 1),
 		cliutil.MinInt("-gpus", *gpus, 1),
 		cliutil.MinInt("-history", *history, 0),
-		cliutil.MinInt("-trace", *trace, 0),
-		cliutil.Fraction("-fault-rate", *faultRate),
+		rf.Validate(),
 	); err != nil {
 		log.Println(err)
 		flag.Usage()
@@ -105,49 +104,14 @@ func main() {
 
 	cfg := core.DefaultDLTExecConfig()
 	cfg.GPUs = *gpus
-	var injector *faults.Injector
-	if *faultRate > 0 {
-		fseed := *faultSeed
-		if fseed == 0 {
-			fseed = *seed
-		}
-		dir, err := os.MkdirTemp("", "rotary-ckpt-*")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		store, err := core.NewCheckpointStore(dir, 8)
-		if err != nil {
-			log.Fatal(err)
-		}
-		injector = faults.New(faults.Uniform(fseed, *faultRate))
-		store.SetFaults(injector)
-		cfg.Store = store
-		cfg.Faults = injector
-		fmt.Printf("fault injection armed: rate=%g seed=%d\n", *faultRate, fseed)
-	}
-	var tracer *core.Tracer
-	if *trace > 0 || *traceOut != "" {
-		tracer = &core.Tracer{}
-		cfg.Tracer = tracer
-	}
-	var sink *obs.JSONLSink
-	if *traceOut != "" {
-		var err error
-		if sink, err = obs.OpenJSONLSink(*traceOut); err != nil {
-			log.Fatal(err)
-		}
-		tracer.SetSink(sink)
+	run, err := cliutil.Start(rf, &cfg.ExecConfig)
+	if err != nil {
+		log.Fatal(err)
 	}
 	exec := core.NewDLTExecutor(cfg, sched, repo)
-	built := make([]*core.DLTJob, 0, len(specs))
-	for _, spec := range specs {
-		j, err := workload.BuildDLTJob(spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		built = append(built, j)
-		exec.Submit(j, 0)
+	built, err := workload.SubmitDLT(specs, exec.Submit)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("running %d DLT jobs on %d GPUs under %s…\n\n", len(specs), *gpus, sched.Name())
 	if err := exec.Run(); err != nil {
@@ -177,20 +141,8 @@ func main() {
 	}
 	fmt.Printf("\nvirtual makespan: %.0f minutes; TTR overhead: %v\n",
 		exec.Engine().Now().Minutes(), exec.TTR().Overhead())
-	if injector != nil {
-		fmt.Println()
-		fmt.Print(metrics.RenderRecovery(sched.Name(), exec.Recovery(), cfg.Store.Health()))
-	}
-	if tracer != nil && *trace > 0 {
-		fmt.Printf("\nlast %d arbitration events:\n%s", *trace, tracer.Render(*trace))
-	}
-	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(obs.Default().RenderText(true)), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote metrics to %s\n", *metricsOut)
-	}
-	if err := sink.Close(); err != nil {
-		log.Fatalf("-trace-out: %v", err)
+	run.Report(sched.Name(), exec.Recovery())
+	if err := run.Close(); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -17,19 +17,14 @@ import (
 	"rotary/internal/core"
 	"rotary/internal/estimate"
 	"rotary/internal/metrics"
-	"rotary/internal/sim"
 	"rotary/internal/tpch"
 	"rotary/internal/workload"
 )
 
 func run(cat *tpch.Catalog, specs []workload.AQPSpec, sched core.AQPScheduler, repo *estimate.Repository) []*core.AQPJob {
 	exec := core.NewAQPExecutor(core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)), sched, repo)
-	for _, spec := range specs {
-		j, err := workload.BuildAQPJob(cat, spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		exec.Submit(j, sim.Time(spec.ArrivalSecs))
+	if _, err := workload.SubmitAQP(cat, specs, exec.Submit); err != nil {
+		log.Fatal(err)
 	}
 	if err := exec.Run(); err != nil {
 		log.Fatal(err)

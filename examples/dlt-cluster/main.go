@@ -40,14 +40,9 @@ func main() {
 		}
 		sched := core.NewRotaryDLT(v.t, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
 		exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
-		built := make([]*core.DLTJob, 0, jobs)
-		for _, spec := range specs {
-			j, err := workload.BuildDLTJob(spec)
-			if err != nil {
-				log.Fatal(err)
-			}
-			built = append(built, j)
-			exec.Submit(j, 0)
+		built, err := workload.SubmitDLT(specs, exec.Submit)
+		if err != nil {
+			log.Fatal(err)
 		}
 		if err := exec.Run(); err != nil {
 			log.Fatal(err)

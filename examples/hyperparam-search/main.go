@@ -53,12 +53,8 @@ func buildTrials() []workload.DLTSpec {
 
 func run(label string, sched core.DLTScheduler, repo *estimate.Repository, specs []workload.DLTSpec) {
 	exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
-	for _, spec := range specs {
-		j, err := workload.BuildDLTJob(spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		exec.Submit(j, 0)
+	if _, err := workload.SubmitDLT(specs, exec.Submit); err != nil {
+		log.Fatal(err)
 	}
 	if err := exec.Run(); err != nil {
 		log.Fatal(err)

@@ -15,69 +15,28 @@ import (
 	"fmt"
 	"log"
 
-	"rotary/internal/core"
-	"rotary/internal/estimate"
 	"rotary/internal/sim"
 	"rotary/internal/tpch"
 	"rotary/internal/workload"
 )
 
 func run(threshold float64) {
-	ds := tpch.Generate(0.01, 21)
-	cat := tpch.NewCatalog(ds, 21)
-	repo := estimate.NewRepository()
-	if err := workload.SeedAQPHistory(repo, cat, workload.RecommendedBatchRows(cat)); err != nil {
-		log.Fatal(err)
-	}
-	if err := workload.SeedDLTHistory(repo, 30, 30, 21); err != nil {
-		log.Fatal(err)
-	}
-	u := core.NewUnifiedExecutor(core.UnifiedExecConfig{
-		AQP:       core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)),
-		DLT:       core.DefaultDLTExecConfig(),
-		Threshold: threshold,
-	}, repo)
-
-	for _, spec := range workload.GenerateAQP(workload.DefaultAQPWorkload(8, 21)) {
-		spec.BatchRows = workload.RecommendedBatchRows(cat)
-		j, err := workload.BuildAQPJob(cat, spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		u.SubmitAQP(j, sim.Time(spec.ArrivalSecs))
-	}
-	dltSpecs, err := workload.GenerateDLT(workload.DefaultDLTWorkload(8, 21))
+	cat := tpch.NewCatalog(tpch.Generate(0.01, 21), 21)
+	u, err := workload.SubmitUnified(cat, threshold, 8, 8, 21)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, spec := range dltSpecs {
-		j, err := workload.BuildDLTJob(spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		u.SubmitDLT(j, 0)
+	const every = sim.Time(600)
+	series, err := u.RunSampled(every)
+	if err != nil {
+		log.Fatal(err)
 	}
-
 	fmt.Printf("\ncluster-wide threshold T = %.0f%%\n", threshold*100)
 	fmt.Printf("%10s %22s\n", "t(min)", "cluster min progress")
-	for tick := sim.Time(600); ; tick += 600 {
-		u.Engine().RunUntil(tick)
-		fmt.Printf("%10.0f %22.2f\n", tick.Minutes(), u.MinProgress())
-		if u.Engine().Pending() == 0 {
-			break
-		}
+	for i, p := range series {
+		fmt.Printf("%10.0f %22.2f\n", (every * sim.Time(i+1)).Minutes(), p)
 	}
-	aqpDone, dltDone := 0, 0
-	for _, j := range u.AQPJobs() {
-		if j.Status() == core.StatusAttainedStop {
-			aqpDone++
-		}
-	}
-	for _, j := range u.DLTJobs() {
-		if j.Status() == core.StatusAttainedStop {
-			dltDone++
-		}
-	}
+	aqpDone, dltDone := u.Attained()
 	fmt.Printf("attained: %d/%d AQP jobs, %d/%d DLT jobs; makespan %.0f min\n",
 		aqpDone, len(u.AQPJobs()), dltDone, len(u.DLTJobs()), u.Engine().Now().Minutes())
 }

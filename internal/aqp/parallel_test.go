@@ -224,9 +224,7 @@ func TestParallelCheckpointRoundTrip(t *testing.T) {
 
 	// A sequential-path checkpoint must not restore into a parallel query,
 	// nor the other way round.
-	optOut := synthProcessor()
-	optOut.Sequential = true
-	seq := NewRunning("cpq", stream.NewConsumer(topic), allKindSpecs(), optOut, CostModel{SecsPerRow: 0.001})
+	seq := NewRunning("cpq", stream.NewConsumer(topic), allKindSpecs(), withNoAux(synthProcessor()), CostModel{SecsPerRow: 0.001})
 	seq.ProcessBatch(1100, 1)
 	seqCP, err := seq.Checkpoint()
 	if err != nil {
@@ -240,9 +238,17 @@ func TestParallelCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// withNoAux gives p empty auxiliary-state hooks, which put it on the
+// sequential path.
+func withNoAux(p Processor[synthRow]) Processor[synthRow] {
+	p.SaveAux = func(b []byte) []byte { return b }
+	p.LoadAux = func(*Dec) func() { return func() {} }
+	return p
+}
+
 // Processors with auxiliary state are order-sensitive and must stay on
 // the single-goroutine interleaved path; re-entrant ones without aux
-// state get the partitioned path. Sequential opts out explicitly.
+// state get the partitioned path.
 func TestPathSelection(t *testing.T) {
 	topic := stream.NewTopic("t", synthRows(1, 100, 3), 4)
 	stateless := NewRunning("a", stream.NewConsumer(topic), allKindSpecs(),
@@ -250,38 +256,10 @@ func TestPathSelection(t *testing.T) {
 	if stateless.partials == nil || stateless.gt != nil {
 		t.Error("stateless processor not on the parallel path")
 	}
-	withAux := synthProcessor()
-	withAux.SaveAux = func(b []byte) []byte { return b }
-	withAux.LoadAux = func(*Dec) func() { return func() {} }
-	aux := NewRunning("b", stream.NewConsumer(topic), allKindSpecs(), withAux, CostModel{})
+	aux := NewRunning("b", stream.NewConsumer(topic), allKindSpecs(), withNoAux(synthProcessor()), CostModel{})
 	if aux.partials != nil || aux.gt == nil {
 		t.Error("aux-state processor not on the sequential path")
 	}
-	optOut := synthProcessor()
-	optOut.Sequential = true
-	seq := NewRunning("c", stream.NewConsumer(topic), allKindSpecs(), optOut, CostModel{})
-	if seq.partials != nil || seq.gt == nil {
-		t.Error("Sequential processor not on the sequential path")
-	}
-}
-
-// SetMaxDataWidth bounds physical fan-out without changing results or
-// the virtual cost accounting.
-func TestMaxDataWidthCapsWithoutChangingResults(t *testing.T) {
-	rows := synthRows(3, 2000, 5)
-	topic := stream.NewTopic("t", rows, 8)
-	mk := func() *Running[synthRow] {
-		return NewRunning("cap", stream.NewConsumer(topic), allKindSpecs(),
-			synthProcessor(), CostModel{SecsPerRow: 0.001, FixedPerBatch: 0.01})
-	}
-	capped, uncapped := mk(), mk()
-	capped.SetMaxDataWidth(2)
-	n1, c1 := capped.ProcessBatch(1000, 8)
-	n2, c2 := uncapped.ProcessBatch(1000, 8)
-	if n1 != n2 || c1 != c2 {
-		t.Fatalf("cap changed accounting: rows %d/%d cost %v/%v", n1, n2, c1, c2)
-	}
-	snapshotsIdentical(t, "capped vs uncapped", capped.Snapshot(), uncapped.Snapshot())
 }
 
 // Cells hold non-finite values legitimately — the ±Inf extrema sentinels

@@ -41,14 +41,14 @@ func (c CostModel) BatchCost(rows, threads int) float64 {
 // batches into a GroupTable, plus optional hooks to persist auxiliary
 // per-key state (the Q17/Q18/Q21-style maps) across checkpoints.
 //
-// A stateless processor (no SaveAux/LoadAux, Sequential unset) runs on
-// the parallel data path: Process is then invoked concurrently from
-// multiple goroutines, each call with a private GroupTable over a
-// disjoint run of rows. Such a Process must be re-entrant — it may read
-// shared immutable structures (dimension indexes) but must write nothing
-// outside the GroupTable it was handed. Processors with auxiliary state
-// are inherently order-sensitive and stay on the single-goroutine
-// interleaved path automatically.
+// A stateless processor (no SaveAux/LoadAux) runs on the parallel data
+// path: Process is then invoked concurrently from multiple goroutines,
+// each call with a private GroupTable over a disjoint run of rows. Such
+// a Process must be re-entrant — it may read shared immutable structures
+// (dimension indexes) but must write nothing outside the GroupTable it
+// was handed. Processors with auxiliary state are inherently
+// order-sensitive and stay on the single-goroutine interleaved path
+// automatically.
 type Processor[T any] struct {
 	// Process folds a batch into the running aggregates.
 	Process func(rows []T, gt *GroupTable)
@@ -64,16 +64,12 @@ type Processor[T any] struct {
 	// AuxBytes reports the auxiliary state's current footprint. Nil means
 	// zero.
 	AuxBytes func() int64
-	// Sequential forces the single-goroutine interleaved path even for a
-	// processor without auxiliary state (e.g. a Process closure that is
-	// not re-entrant).
-	Sequential bool
 }
 
 // parallelizable reports whether the processor may run on the
 // partitioned data path.
 func (p Processor[T]) parallelizable() bool {
-	return p.SaveAux == nil && p.LoadAux == nil && !p.Sequential
+	return p.SaveAux == nil && p.LoadAux == nil
 }
 
 // OnlineQuery is the engine's view of one progressive query, independent
@@ -133,7 +129,6 @@ type Running[T any] struct {
 	cost     CostModel
 	final    *Snapshot
 	rows     int64
-	maxWidth int // physical fan-out cap; 0 = granted threads pass through
 	ckptLen  int // length of the previous checkpoint, sizes the next buffer
 }
 
@@ -181,18 +176,6 @@ func (r *Running[T]) table() *GroupTable {
 // SetFinal attaches the ground-truth final answer used by Accuracy.
 func (r *Running[T]) SetFinal(final Snapshot) { r.final = &final }
 
-// SetMaxDataWidth caps the number of goroutines an epoch's parallel data
-// path may fan out to, independent of the granted (virtual) thread count;
-// the executor applies its DataParallelism config through this. Zero
-// removes the cap. The cap changes scheduling only, never results: the
-// partitioned accumulation is bit-deterministic at every width.
-func (r *Running[T]) SetMaxDataWidth(n int) {
-	if n < 0 {
-		n = 0
-	}
-	r.maxWidth = n
-}
-
 // Name implements OnlineQuery.
 func (r *Running[T]) Name() string { return r.name }
 
@@ -217,11 +200,7 @@ func (r *Running[T]) ProcessBatch(batchRows, threads int) (int, float64) {
 	for _, b := range batches {
 		n += len(b)
 	}
-	width := threads
-	if r.maxWidth > 0 && width > r.maxWidth {
-		width = r.maxWidth
-	}
-	runPartitions(width, batches, r.partials, r.proc.Process)
+	runPartitions(threads, batches, r.partials, r.proc.Process)
 	r.merged = nil
 	r.rows += int64(n)
 	return n, r.cost.BatchCost(n, threads)

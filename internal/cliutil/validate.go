@@ -2,7 +2,8 @@
 // line: flag validation — values are range-checked before any work
 // starts, so a typo'd -jobs -5 fails with a usage error instead of a
 // confusing panic (or a silent empty run) minutes into dataset
-// generation — and the constructor behind the AQP -policy flag.
+// generation — the constructor behind the AQP -policy flag, and the
+// batch commands' fault, trace and metrics wiring (Start).
 package cliutil
 
 import (

@@ -23,14 +23,6 @@ type AQPExecConfig struct {
 	CheckpointSecsPerMB float64
 	// CheckpointBaseSecs is the fixed checkpoint/restore latency.
 	CheckpointBaseSecs float64
-	// DataParallelism caps the real data-path worker width an epoch may
-	// use. A grant's thread count maps to actual goroutines inside
-	// OnlineQuery.ProcessBatch (partitioned accumulation with a
-	// deterministic merge, see internal/aqp); on machines with fewer
-	// cores than the simulated 20-thread testbed this cap keeps the
-	// physical fan-out bounded without changing the virtual-time
-	// accounting. Zero means grants pass through unclamped.
-	DataParallelism int
 	ExecConfig
 }
 
@@ -103,7 +95,7 @@ func (e *AQPExecutor) Store() *CheckpointStore { return e.lc.Store }
 
 // Submit schedules a job's arrival at the given virtual time.
 func (e *AQPExecutor) Submit(j *AQPJob, at sim.Time) {
-	e.submit(j, at, false)
+	e.register(j, at, false)
 }
 
 // Recover re-registers a journal-recovered job at the given virtual time:
@@ -115,17 +107,7 @@ func (e *AQPExecutor) Submit(j *AQPJob, at sim.Time) {
 // before the crash.
 func (e *AQPExecutor) Recover(j *AQPJob, at sim.Time, bestEffort bool) {
 	j.bestEffort = bestEffort
-	e.submit(j, at, true)
-}
-
-// submit caps the query's data-path width, then registers the arrival.
-func (e *AQPExecutor) submit(j *AQPJob, at sim.Time, recovered bool) {
-	if e.cfg.DataParallelism > 0 {
-		if q, ok := j.query.(interface{ SetMaxDataWidth(int) }); ok {
-			q.SetMaxDataWidth(e.cfg.DataParallelism)
-		}
-	}
-	e.register(j, at, recovered)
+	e.register(j, at, true)
 }
 
 // Detach removes a queued pending job from the executor for

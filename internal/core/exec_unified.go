@@ -248,6 +248,21 @@ func (u *UnifiedExecutor) Recovery() RecoveryStats {
 	return u.aqp.Recovery().Add(u.dlt.Recovery())
 }
 
+// Attained counts the AQP and DLT jobs that stopped on their criteria.
+func (u *UnifiedExecutor) Attained() (aqp, dlt int) {
+	for _, j := range u.aqp.jobs {
+		if j.Status() == StatusAttainedStop {
+			aqp++
+		}
+	}
+	for _, j := range u.dlt.jobs {
+		if j.Status() == StatusAttainedStop {
+			dlt++
+		}
+	}
+	return aqp, dlt
+}
+
 // Run drives the mixed workload to completion.
 func (u *UnifiedExecutor) Run() error {
 	if err := errors.Join(u.aqp.Validate(), u.dlt.Validate()); err != nil {
@@ -255,4 +270,21 @@ func (u *UnifiedExecutor) Run() error {
 	}
 	u.eng.Run()
 	return errors.Join(u.aqp.drainErr(), u.dlt.drainErr())
+}
+
+// RunSampled drives the mixed workload to completion in steps of every
+// (> 0) virtual seconds and returns the cluster-wide minimum progress at
+// the end of each step: the §VI comparison's time series.
+func (u *UnifiedExecutor) RunSampled(every sim.Time) ([]float64, error) {
+	if err := errors.Join(u.aqp.Validate(), u.dlt.Validate()); err != nil {
+		return nil, err
+	}
+	var series []float64
+	for tick := every; ; tick += every {
+		u.eng.RunUntil(tick)
+		series = append(series, u.MinProgress())
+		if u.eng.Pending() == 0 {
+			return series, errors.Join(u.aqp.drainErr(), u.dlt.drainErr())
+		}
+	}
 }

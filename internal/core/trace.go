@@ -142,7 +142,7 @@ func NewTracer(capacity int) *Tracer {
 }
 
 // SetSink tees every subsequent event into sink (nil detaches). The
-// first sink error is retained in SinkErr and stops further writes.
+// first sink error stops further writes; the sink reports it on Close.
 func (t *Tracer) SetSink(sink obs.TraceSink) {
 	if t == nil {
 		return
@@ -151,16 +151,6 @@ func (t *Tracer) SetSink(sink obs.TraceSink) {
 	t.sink = sink
 	t.sinkErr = nil
 	t.mu.Unlock()
-}
-
-// SinkErr reports the first error returned by the attached sink, if any.
-func (t *Tracer) SinkErr() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sinkErr
 }
 
 // Enabled reports whether events emitted to this tracer are observable

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"rotary/internal/core"
-	"rotary/internal/criteria"
 	"rotary/internal/estimate"
 	"rotary/internal/metrics"
 	"rotary/internal/sim"
@@ -31,24 +30,12 @@ func runRotaryVariant(cfg Config, mutate func(*core.RotaryAQP), envelopeWindow i
 	}
 	exec := core.NewAQPExecutor(core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)), sched, repo)
 	for _, spec := range specs {
-		q, err := cat.NewQuery(spec.Query)
+		jc, err := workload.AQPJobConfig(cat, spec)
 		if err != nil {
 			return metrics.AQPReport{}, err
 		}
-		prof, err := cat.MemoryProfile(spec.Query)
-		if err != nil {
-			return metrics.AQPReport{}, err
-		}
-		crit, err := criteria.NewAccuracy("ACC", spec.Accuracy,
-			criteria.Deadline{Value: spec.DeadlineSecs, Unit: criteria.Seconds})
-		if err != nil {
-			return metrics.AQPReport{}, err
-		}
-		j, err := core.NewAQPJob(core.AQPJobConfig{
-			ID: spec.ID, Query: q, Criteria: crit, Class: spec.Class.String(),
-			EstMemMB: prof.EstimateMB(), BatchRows: spec.BatchRows,
-			EnvelopeWindow: envelopeWindow,
-		})
+		jc.EnvelopeWindow = envelopeWindow
+		j, err := core.NewAQPJob(jc)
 		if err != nil {
 			return metrics.AQPReport{}, err
 		}
@@ -245,12 +232,8 @@ func AblationThresholdSweep(cfg Config) (*AblationResult, error) {
 		}
 		sched := core.NewRotaryDLT(T, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
 		exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
-		for _, spec := range specs {
-			j, err := workload.BuildDLTJob(spec)
-			if err != nil {
-				return nil, err
-			}
-			exec.Submit(j, 0)
+		if _, err := workload.SubmitDLT(specs, exec.Submit); err != nil {
+			return nil, err
 		}
 		if err := exec.Run(); err != nil {
 			return nil, err

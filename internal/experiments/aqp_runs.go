@@ -96,12 +96,8 @@ func runAQPPolicy(cat *tpch.Catalog, specs []workload.AQPSpec, name aqpPolicyNam
 	}
 	sched := newAQPScheduler(name, repo, seed)
 	exec := core.NewAQPExecutor(core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)), sched, repo)
-	for _, spec := range specs {
-		j, err := workload.BuildAQPJob(cat, spec)
-		if err != nil {
-			return nil, err
-		}
-		exec.Submit(j, sim.Time(spec.ArrivalSecs))
+	if _, err := workload.SubmitAQP(cat, specs, exec.Submit); err != nil {
+		return nil, err
 	}
 	if err := exec.Run(); err != nil {
 		return nil, err
@@ -121,15 +117,15 @@ func isolatedRuntimes(cat *tpch.Catalog, specs []workload.AQPSpec) (map[string]f
 	for _, spec := range specs {
 		sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))
 		exec := core.NewAQPExecutor(core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)), sched, repo)
-		j, err := workload.BuildAQPJob(cat, spec)
+		spec.ArrivalSecs = 0
+		jobs, err := workload.SubmitAQP(cat, []workload.AQPSpec{spec}, exec.Submit)
 		if err != nil {
 			return nil, err
 		}
-		exec.Submit(j, 0)
 		if err := exec.Run(); err != nil {
 			return nil, err
 		}
-		out[spec.ID] = (j.EndTime() - j.Arrival()).Seconds()
+		out[spec.ID] = (jobs[0].EndTime() - jobs[0].Arrival()).Seconds()
 	}
 	return out, nil
 }

@@ -8,7 +8,6 @@ import (
 	"rotary/internal/baselines"
 	"rotary/internal/core"
 	"rotary/internal/estimate"
-	"rotary/internal/sim"
 	"rotary/internal/workload"
 )
 
@@ -51,12 +50,8 @@ func AblationMaterialization(cfg Config) (*AblationResult, error) {
 		execCfg.CheckpointBaseSecs = 5
 		sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))
 		exec := core.NewAQPExecutor(execCfg, sched, repo)
-		for _, spec := range specs {
-			j, err := workload.BuildAQPJob(cat, spec)
-			if err != nil {
-				return nil, err
-			}
-			exec.Submit(j, sim.Time(spec.ArrivalSecs))
+		if _, err := workload.SubmitAQP(cat, specs, exec.Submit); err != nil {
+			return nil, err
 		}
 		if err := exec.Run(); err != nil {
 			return nil, err
@@ -102,58 +97,16 @@ func Unified(cfg Config) (*UnifiedResult, error) {
 		label     string
 		threshold float64
 	}{{"T=100%", 1.0}, {"T=0%", 0.0}} {
-		cat := catalogFor(cfg.SF, cfg.Seed)
-		repo := estimate.NewRepository()
-		if err := workload.SeedAQPHistory(repo, cat, workload.RecommendedBatchRows(cat)); err != nil {
-			return nil, err
-		}
-		if err := workload.SeedDLTHistory(repo, 30, 30, cfg.Seed); err != nil {
-			return nil, err
-		}
-		u := core.NewUnifiedExecutor(core.UnifiedExecConfig{
-			AQP:       core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)),
-			DLT:       core.DefaultDLTExecConfig(),
-			Threshold: v.threshold,
-		}, repo)
-		wcfg := workload.DefaultAQPWorkload(cfg.AQPJobs/2, cfg.Seed)
-		wcfg.BatchRows = workload.RecommendedBatchRows(cat)
-		for _, spec := range workload.GenerateAQP(wcfg) {
-			j, err := workload.BuildAQPJob(cat, spec)
-			if err != nil {
-				return nil, err
-			}
-			u.SubmitAQP(j, sim.Time(spec.ArrivalSecs))
-		}
-		dltSpecs, err := workload.GenerateDLT(workload.DefaultDLTWorkload(cfg.DLTJobs/2, cfg.Seed))
+		u, err := workload.SubmitUnified(catalogFor(cfg.SF, cfg.Seed), v.threshold, cfg.AQPJobs/2, cfg.DLTJobs/2, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		for _, spec := range dltSpecs {
-			j, err := workload.BuildDLTJob(spec)
-			if err != nil {
-				return nil, err
-			}
-			u.SubmitDLT(j, 0)
+		series, err := u.RunSampled(600)
+		if err != nil {
+			return nil, err
 		}
-		var series []float64
-		for tick := sim.Time(600); ; tick += 600 {
-			u.Engine().RunUntil(tick)
-			series = append(series, u.MinProgress())
-			if u.Engine().Pending() == 0 {
-				break
-			}
-		}
-		attained := 0
-		for _, j := range u.AQPJobs() {
-			if j.Status() == core.StatusAttainedStop {
-				attained++
-			}
-		}
-		for _, j := range u.DLTJobs() {
-			if j.Status() == core.StatusAttainedStop {
-				attained++
-			}
-		}
+		aqpDone, dltDone := u.Attained()
+		attained := aqpDone + dltDone
 		res.MinProgressAt[v.label] = series
 		res.Attained[v.label] = attained
 		fmt.Fprintf(&b, "%-8s attained=%d min-progress:", v.label, attained)
@@ -212,12 +165,8 @@ func AblationSwapOverhead(cfg Config) (*AblationResult, error) {
 			sched = baselines.SRF{}
 		}
 		exec := core.NewDLTExecutor(execCfg, sched, repo)
-		for _, spec := range specs {
-			j, err := workload.BuildDLTJob(spec)
-			if err != nil {
-				return nil, err
-			}
-			exec.Submit(j, 0)
+		if _, err := workload.SubmitDLT(specs, exec.Submit); err != nil {
+			return nil, err
 		}
 		if err := exec.Run(); err != nil {
 			return nil, err

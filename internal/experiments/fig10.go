@@ -62,12 +62,8 @@ func runDLTPolicy(specs []workload.DLTSpec, name dltPolicyName, seed uint64) (*c
 	}
 	sched := newDLTScheduler(name, repo)
 	exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
-	for _, spec := range specs {
-		j, err := workload.BuildDLTJob(spec)
-		if err != nil {
-			return nil, err
-		}
-		exec.Submit(j, 0)
+	if _, err := workload.SubmitDLT(specs, exec.Submit); err != nil {
+		return nil, err
 	}
 	if err := exec.Run(); err != nil {
 		return nil, err

@@ -114,12 +114,8 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 		}
 		sched := core.NewRotaryDLT(0.0, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
 		exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
-		for _, spec := range specs {
-			j, err := workload.BuildDLTJob(spec)
-			if err != nil {
-				return Fig11Case{}, err
-			}
-			exec.Submit(j, 0)
+		if _, err := workload.SubmitDLT(specs, exec.Submit); err != nil {
+			return Fig11Case{}, err
 		}
 		if err := exec.Run(); err != nil {
 			return Fig11Case{}, err

@@ -46,12 +46,8 @@ func Table3(cfg Config) (*Table3Result, error) {
 		tme := estimate.NewTME(repo, 3)
 		sched := core.NewRotaryDLT(0.5, tee, tme)
 		exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
-		for _, spec := range specs {
-			j, err := workload.BuildDLTJob(spec)
-			if err != nil {
-				return nil, err
-			}
-			exec.Submit(j, 0)
+		if _, err := workload.SubmitDLT(specs, exec.Submit); err != nil {
+			return nil, err
 		}
 		if err := exec.Run(); err != nil {
 			return nil, err

@@ -100,16 +100,15 @@ const slowMeanSecs = 5
 // it rejoins the cluster (exponentially distributed, clamped to ≥ 1s).
 const meanRepairSecs = 60
 
+// MaxUniformRate is the highest rate Uniform deals: above it the
+// classification draw is no longer well-formed and runs stop converging.
+const MaxUniformRate = 0.3
+
 // Uniform is a convenience mix: crash, transient and slow faults all at
-// rate, corruption at rate/2. It is what the -fault-rate command-line
-// flag constructs.
+// rate, corruption at rate/2, with rate clamped to [0, MaxUniformRate].
+// It is what the -fault-rate command-line flag constructs.
 func Uniform(seed uint64, rate float64) Config {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 0.3 {
-		rate = 0.3 // keep the classification draw well-formed and runs convergent
-	}
+	rate = min(max(rate, 0), MaxUniformRate)
 	return Config{
 		Seed:          seed,
 		CrashRate:     rate,

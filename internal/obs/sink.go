@@ -128,8 +128,8 @@ func (s *JSONLSink) Written() int64 {
 
 // Close flushes and, if the underlying writer is an io.Closer (as with
 // OpenJSONLSink), closes it. Errors being sticky, it also reports the
-// first write that failed earlier — what a Tracer's SinkErr holds — so a
-// caller checking Close knows whether the whole stream landed.
+// first write that failed earlier — the one a Tracer stops writing on —
+// so a caller checking Close knows whether the whole stream landed.
 func (s *JSONLSink) Close() error {
 	if s == nil {
 		return nil

@@ -4,7 +4,9 @@
 // Table II survey-based DLT workload (60/20/20 convergence/accuracy/
 // runtime criteria over the model zoo's hyperparameter spaces). It also
 // seeds historical-job repositories so the estimators have the history
-// the paper assumes.
+// the paper assumes, and builds and submits workloads to an executor
+// (SubmitAQP, SubmitDLT, SubmitUnified): the one way every command,
+// example and experiment runs them.
 package workload
 
 import (
@@ -106,23 +108,25 @@ func GenerateAQP(cfg AQPWorkloadConfig) []AQPSpec {
 	return specs
 }
 
-// BuildAQPJob binds a spec to a catalog, producing a runnable arbitrated
-// job.
-func BuildAQPJob(cat *tpch.Catalog, spec AQPSpec) (*core.AQPJob, error) {
+// AQPJobConfig binds a spec to a catalog: the spec's query and memory
+// estimate, and its accuracy threshold within a wall-time deadline.
+// BuildAQPJob constructs from it; a caller that varies a knob the spec
+// does not carry (the ablations' envelope window) edits it first.
+func AQPJobConfig(cat *tpch.Catalog, spec AQPSpec) (core.AQPJobConfig, error) {
 	q, err := cat.NewQuery(spec.Query)
 	if err != nil {
-		return nil, err
+		return core.AQPJobConfig{}, err
 	}
 	prof, err := cat.MemoryProfile(spec.Query)
 	if err != nil {
-		return nil, err
+		return core.AQPJobConfig{}, err
 	}
 	crit, err := criteria.NewAccuracy("ACC", spec.Accuracy,
 		criteria.Deadline{Value: spec.DeadlineSecs, Unit: criteria.Seconds})
 	if err != nil {
-		return nil, err
+		return core.AQPJobConfig{}, err
 	}
-	return core.NewAQPJob(core.AQPJobConfig{
+	return core.AQPJobConfig{
 		ID:        spec.ID,
 		Query:     q,
 		Criteria:  crit,
@@ -130,7 +134,34 @@ func BuildAQPJob(cat *tpch.Catalog, spec AQPSpec) (*core.AQPJob, error) {
 		Tenant:    spec.Tenant,
 		EstMemMB:  prof.EstimateMB(),
 		BatchRows: spec.BatchRows,
-	})
+	}, nil
+}
+
+// BuildAQPJob binds a spec to a catalog, producing a runnable arbitrated
+// job.
+func BuildAQPJob(cat *tpch.Catalog, spec AQPSpec) (*core.AQPJob, error) {
+	cfg, err := AQPJobConfig(cat, spec)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewAQPJob(cfg)
+}
+
+// SubmitAQP builds every spec and submits it at its arrival time through
+// submit (an executor's Submit or a unified executor's SubmitAQP). It
+// returns the jobs in spec order and stops at the first spec that does
+// not build, naming it.
+func SubmitAQP(cat *tpch.Catalog, specs []AQPSpec, submit func(*core.AQPJob, sim.Time)) ([]*core.AQPJob, error) {
+	jobs := make([]*core.AQPJob, 0, len(specs))
+	for _, spec := range specs {
+		j, err := BuildAQPJob(cat, spec)
+		if err != nil {
+			return nil, fmt.Errorf("workload: job %s: %w", spec.ID, err)
+		}
+		submit(j, sim.Time(spec.ArrivalSecs))
+		jobs = append(jobs, j)
+	}
+	return jobs, nil
 }
 
 // RecommendedBatchRows returns a per-step batch size giving roughly 256

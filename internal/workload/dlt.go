@@ -140,6 +140,23 @@ func BuildDLTJob(spec DLTSpec) (*core.DLTJob, error) {
 	return core.NewDLTJob(spec.ID, trainer, spec.Criteria)
 }
 
+// SubmitDLT builds every spec and submits it at time 0 — a Table II
+// workload arrives all at once — through submit (an executor's Submit or
+// a unified executor's SubmitDLT). It returns the jobs in spec order and
+// stops at the first spec that does not build, naming it.
+func SubmitDLT(specs []DLTSpec, submit func(*core.DLTJob, sim.Time)) ([]*core.DLTJob, error) {
+	jobs := make([]*core.DLTJob, 0, len(specs))
+	for _, spec := range specs {
+		j, err := BuildDLTJob(spec)
+		if err != nil {
+			return nil, fmt.Errorf("workload: job %s: %w", spec.ID, err)
+		}
+		submit(j, 0)
+		jobs = append(jobs, j)
+	}
+	return jobs, nil
+}
+
 // SeedDLTHistory populates a repository with nJobs completed training
 // runs sampled from the Table II spaces — the historical jobs Rotary-DLT
 // "stores … in a repository so that the system can provide more accurate

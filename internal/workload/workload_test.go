@@ -4,12 +4,15 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rotary/internal/aqp"
+	"rotary/internal/core"
 	"rotary/internal/criteria"
 	"rotary/internal/dlt"
 	"rotary/internal/estimate"
+	"rotary/internal/sim"
 	"rotary/internal/tpch"
 )
 
@@ -89,6 +92,71 @@ func TestBuildAQPJobAllQueries(t *testing.T) {
 		if j.Criteria().Kind != criteria.Accuracy {
 			t.Errorf("%s: wrong criteria kind", q)
 		}
+	}
+}
+
+// SubmitAQP hands every built job to submit at its spec's arrival time,
+// in spec order, and a spec that does not build stops it with an error
+// that names the spec.
+func TestSubmitAQP(t *testing.T) {
+	cat := testCatalog(t)
+	specs := GenerateAQP(DefaultAQPWorkload(5, 2))
+	var ids []string
+	var ats []sim.Time
+	submit := func(j *core.AQPJob, at sim.Time) {
+		ids = append(ids, j.ID())
+		ats = append(ats, at)
+	}
+	jobs, err := SubmitAQP(cat, specs, submit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != len(specs) || len(ids) != len(specs) {
+		t.Fatalf("%d jobs, %d submitted, want %d", len(jobs), len(ids), len(specs))
+	}
+	for i, s := range specs {
+		if jobs[i].ID() != s.ID || ids[i] != s.ID || ats[i] != sim.Time(s.ArrivalSecs) {
+			t.Errorf("job %d: built %s, submitted %s at %v; want %s at %v",
+				i, jobs[i].ID(), ids[i], ats[i], s.ID, s.ArrivalSecs)
+		}
+	}
+
+	ids = nil
+	specs[2].Query = "q99"
+	jobs, err = SubmitAQP(cat, specs, submit)
+	if err == nil || !strings.Contains(err.Error(), specs[2].ID) {
+		t.Fatalf("unknown query: err %v, want one naming %s", err, specs[2].ID)
+	}
+	if jobs != nil || len(ids) != 2 {
+		t.Errorf("unknown query: %d jobs returned, %d submitted; want none returned and the 2 before it submitted",
+			len(jobs), len(ids))
+	}
+}
+
+// SubmitDLT submits every job at time 0 and names a spec that does not
+// build.
+func TestSubmitDLT(t *testing.T) {
+	specs, err := GenerateDLT(DefaultDLTWorkload(4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ats []sim.Time
+	submit := func(j *core.DLTJob, at sim.Time) { ats = append(ats, at) }
+	jobs, err := SubmitDLT(specs, submit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != len(specs) || !reflect.DeepEqual(ats, make([]sim.Time, len(specs))) {
+		t.Fatalf("%d jobs submitted at %v, want %d at 0", len(jobs), ats, len(specs))
+	}
+	for i, s := range specs {
+		if jobs[i].ID() != s.ID {
+			t.Errorf("job %d is %s, want %s", i, jobs[i].ID(), s.ID)
+		}
+	}
+	specs[1].Config.Model = "no-such-model"
+	if _, err := SubmitDLT(specs, submit); err == nil || !strings.Contains(err.Error(), specs[1].ID) {
+		t.Fatalf("unknown model: err %v, want one naming %s", err, specs[1].ID)
 	}
 }
 
