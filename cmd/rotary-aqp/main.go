@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"rotary/internal/cliutil"
 	"rotary/internal/core"
@@ -24,7 +25,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rotary-aqp: ")
 	var (
-		policy    = flag.String("policy", "rotary", "scheduling policy: rotary, relaqs, edf, laf, rr")
+		policy    = flag.String("policy", "rotary", "scheduling policy: "+strings.Join(cliutil.AQPPolicies.Names(), ", "))
 		jobs      = flag.Int("jobs", 30, "workload size")
 		sf        = flag.Float64("sf", 0.02, "TPC-H scale factor")
 		seed      = flag.Uint64("seed", 1, "random seed")
@@ -43,7 +44,7 @@ func main() {
 	rf := cliutil.RunFlags{Seed: *seed, FaultSeed: *faultSeed, FaultRate: *faultRate,
 		Trace: *trace, TraceOut: *traceOut, MetricsOut: *metricsOut}
 	if err := cliutil.ValidateAll(
-		cliutil.OneOf("-policy", *policy, "rotary", "relaqs", "edf", "laf", "rr"),
+		cliutil.OneOf("-policy", *policy, cliutil.AQPPolicies.Names()...),
 		cliutil.MinInt("-jobs", *jobs, 1),
 		cliutil.Positive("-sf", *sf),
 		cliutil.NonNegative("-arrival", *mean),

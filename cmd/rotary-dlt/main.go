@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
-	"rotary/internal/baselines"
 	"rotary/internal/cliutil"
 	"rotary/internal/core"
 	"rotary/internal/estimate"
@@ -26,7 +26,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rotary-dlt: ")
 	var (
-		policy    = flag.String("policy", "adaptive", "policy: adaptive, fairness, efficiency, srf, bcf, laf")
+		policy    = flag.String("policy", "adaptive", "policy: "+strings.Join(cliutil.DLTPolicies.Names(), ", "))
 		jobs      = flag.Int("jobs", 30, "workload size")
 		gpus      = flag.Int("gpus", 4, "GPU count")
 		seed      = flag.Uint64("seed", 1, "random seed")
@@ -44,7 +44,7 @@ func main() {
 	rf := cliutil.RunFlags{Seed: *seed, FaultSeed: *faultSeed, FaultRate: *faultRate,
 		Trace: *trace, TraceOut: *traceOut, MetricsOut: *metricsOut}
 	if err := cliutil.ValidateAll(
-		cliutil.OneOf("-policy", *policy, "adaptive", "fairness", "efficiency", "srf", "bcf", "laf"),
+		cliutil.OneOf("-policy", *policy, cliutil.DLTPolicies.Names()...),
 		cliutil.MinInt("-jobs", *jobs, 1),
 		cliutil.MinInt("-gpus", *gpus, 1),
 		cliutil.MinInt("-history", *history, 0),
@@ -79,27 +79,9 @@ func main() {
 	if err := workload.SeedDLTHistory(repo, *history, 30, *seed); err != nil {
 		log.Fatal(err)
 	}
-	tee := estimate.NewTEE(repo, 3)
-	tme := estimate.NewTME(repo, 3)
-
-	var sched core.DLTScheduler
-	switch *policy {
-	case "adaptive":
-		sched = core.NewRotaryDLT(0.5, tee, tme)
-	case "fairness":
-		sched = core.NewRotaryDLT(1.0, tee, tme)
-	case "efficiency":
-		sched = core.NewRotaryDLT(0.0, tee, tme)
-	case "srf":
-		sched = baselines.SRF{}
-	case "bcf":
-		sched = baselines.BCF{}
-	case "laf":
-		sched = baselines.LAFDLT{}
-	default:
-		log.Printf("unknown policy %q", *policy)
-		flag.Usage()
-		os.Exit(2)
+	sched, err := cliutil.DLTPolicies.New(*policy, repo)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	cfg := core.DefaultDLTExecConfig()

@@ -96,7 +96,7 @@ func main() {
 		codec      = flag.String("codec", "", "client mode wire codec: json or binary (empty = json)")
 		sf         = flag.Float64("sf", 0.02, "TPC-H scale factor")
 		seed       = flag.Uint64("seed", 1, "random seed")
-		policy     = flag.String("policy", "rotary", "scheduling policy: rotary, relaqs, edf, laf, rr")
+		policy     = flag.String("policy", "rotary", "scheduling policy: "+strings.Join(cliutil.AQPPolicies.Names(), ", "))
 		pace       = flag.Float64("pace", 60, "virtual seconds per wall-clock second (0 freezes the clock between requests)")
 		queueBound = flag.Int("queue-bound", 8, "admission bound on waiting+running jobs (0 = unbounded)")
 		backpress  = flag.String("admission", "reject", "backpressure policy at the bound: reject, shed, degrade")
@@ -133,7 +133,7 @@ func main() {
 		return nil
 	}
 	if err := cliutil.ValidateAll(
-		cliutil.OneOf("-policy", *policy, "rotary", "relaqs", "edf", "laf", "rr"),
+		cliutil.OneOf("-policy", *policy, cliutil.AQPPolicies.Names()...),
 		cliutil.Positive("-sf", *sf),
 		cliutil.NonNegative("-pace", *pace),
 		cliutil.MinInt("-shards", *shards, 1),

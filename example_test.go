@@ -30,7 +30,7 @@ func Example_parseCriteria() {
 // per-epoch accuracy delta falls below 0.01.
 func Example_dltJob() {
 	repo := estimate.NewRepository()
-	sched := core.NewRotaryDLT(0.5, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
+	sched := core.NewRotaryDLT(0.5, estimate.NewTEE(repo), estimate.NewTME(repo))
 	exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
 
 	trainer, _ := dlt.NewJob(dlt.Config{

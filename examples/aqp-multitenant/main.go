@@ -48,7 +48,7 @@ func main() {
 	}
 
 	for _, s := range []core.AQPScheduler{
-		core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3)),
+		core.NewRotaryAQP(estimate.NewAccuracyProgress(repo)),
 		baselines.EDFAQP{},
 	} {
 		jobs := run(cat, specs, s, repo)

@@ -38,7 +38,7 @@ func main() {
 		if err := workload.SeedDLTHistory(repo, 40, 30, 11); err != nil {
 			log.Fatal(err)
 		}
-		sched := core.NewRotaryDLT(v.t, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
+		sched := core.NewRotaryDLT(v.t, estimate.NewTEE(repo), estimate.NewTME(repo))
 		exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
 		built, err := workload.SubmitDLT(specs, exec.Submit)
 		if err != nil {

@@ -98,7 +98,7 @@ func main() {
 		log.Fatal(err)
 	}
 	run("efficiency Rotary-DLT (prunes unpromising trials)",
-		core.NewRotaryDLT(0, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3)), repo, specs)
+		core.NewRotaryDLT(0, estimate.NewTEE(repo), estimate.NewTME(repo)), repo, specs)
 
 	repo2 := estimate.NewRepository()
 	run("round-robin baseline (every trial gets equal turns)",

@@ -41,7 +41,7 @@ func main() {
 	if err := workload.SeedAQPHistory(repo, cat, workload.RecommendedBatchRows(cat)); err != nil {
 		log.Fatal(err)
 	}
-	sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))
+	sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo))
 	exec := core.NewAQPExecutor(core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)), sched, repo)
 
 	_, crit, err := criteria.Parse(commands[0])
@@ -72,7 +72,7 @@ func main() {
 	if err := workload.SeedDLTHistory(dltRepo, 20, 30, 42); err != nil {
 		log.Fatal(err)
 	}
-	dltSched := core.NewRotaryDLT(0.5, estimate.NewTEE(dltRepo, 3), estimate.NewTME(dltRepo, 3))
+	dltSched := core.NewRotaryDLT(0.5, estimate.NewTEE(dltRepo), estimate.NewTME(dltRepo))
 	dltExec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), dltSched, dltRepo)
 
 	for i, cmd := range commands[1:] {

@@ -174,7 +174,7 @@ func TestChaosRotaryAQPFullMixTerminates(t *testing.T) {
 		cfg.Threads = 4
 		cfg.Store = store
 		cfg.Faults = in
-		exec := core.NewAQPExecutor(cfg, core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3)), repo)
+		exec := core.NewAQPExecutor(cfg, core.NewRotaryAQP(estimate.NewAccuracyProgress(repo)), repo)
 		for i, j := range chaosAQPJobs(t, cat) {
 			exec.Submit(j, sim.Time(float64(i)*5))
 		}
@@ -229,8 +229,8 @@ func runChaosDLT(t *testing.T, specs []workload.DLTSpec, cfg faults.Config, arm 
 	if err := workload.SeedDLTHistory(repo, 40, 30, 3); err != nil {
 		t.Fatal(err)
 	}
-	tee := estimate.NewTEE(repo, 3)
-	tme := estimate.NewTME(repo, 3)
+	tee := estimate.NewTEE(repo)
+	tme := estimate.NewTME(repo)
 	store, err := core.NewCheckpointStore(t.TempDir(), 2)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ func TestAQPRunDeterminism(t *testing.T) {
 		if err := workload.SeedAQPHistory(repo, cat, workload.RecommendedBatchRows(cat)); err != nil {
 			t.Fatal(err)
 		}
-		sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))
+		sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo))
 		exec := core.NewAQPExecutor(core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)), sched, repo)
 		wcfg := workload.DefaultAQPWorkload(10, 3)
 		wcfg.BatchRows = workload.RecommendedBatchRows(cat)
@@ -56,7 +56,7 @@ func TestDLTRunDeterminism(t *testing.T) {
 		if err := workload.SeedDLTHistory(repo, 20, 30, 5); err != nil {
 			t.Fatal(err)
 		}
-		sched := core.NewRotaryDLT(0.5, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
+		sched := core.NewRotaryDLT(0.5, estimate.NewTEE(repo), estimate.NewTME(repo))
 		exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
 		for _, spec := range mustGenDLT(t, 8, 5) {
 			j, err := workload.BuildDLTJob(spec)

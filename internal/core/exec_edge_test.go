@@ -196,7 +196,7 @@ func TestDLTRoundBarrierNoMidRoundPlacement(t *testing.T) {
 	// previous round's job is still mid-epoch, so the device is never
 	// double-booked and placements never overlap in time.
 	repo := estimate.NewRepository()
-	sched := core.NewRotaryDLT(0.5, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
+	sched := core.NewRotaryDLT(0.5, estimate.NewTEE(repo), estimate.NewTME(repo))
 	cfg := core.DefaultDLTExecConfig()
 	cfg.GPUs = 1
 	exec := core.NewDLTExecutor(cfg, sched, repo)
@@ -249,7 +249,7 @@ func TestGPUClusterNeverOverCommitted(t *testing.T) {
 	if err := workload.SeedDLTHistory(repo, 20, 30, 1); err != nil {
 		t.Fatal(err)
 	}
-	sched := core.NewRotaryDLT(0.0, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
+	sched := core.NewRotaryDLT(0.0, estimate.NewTEE(repo), estimate.NewTME(repo))
 	exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
 	for _, spec := range mustGenDLT(t, 8, 2) {
 		j, err := workload.BuildDLTJob(spec)

@@ -43,7 +43,7 @@ func TestAQPExecutorRunsWorkloadToCompletion(t *testing.T) {
 		t.Fatalf("seed history: %v", err)
 	}
 	scheds := []core.AQPScheduler{
-		core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3)),
+		core.NewRotaryAQP(estimate.NewAccuracyProgress(repo)),
 		baselines.RoundRobinAQP{},
 		baselines.EDFAQP{},
 		baselines.LAFAQP{},
@@ -71,8 +71,8 @@ func TestDLTExecutorRunsWorkloadToCompletion(t *testing.T) {
 		t.Fatalf("seed history: %v", err)
 	}
 	specs := mustGenDLT(t, 10, 7)
-	tee := estimate.NewTEE(repo, 3)
-	tme := estimate.NewTME(repo, 3)
+	tee := estimate.NewTEE(repo)
+	tme := estimate.NewTME(repo)
 	scheds := []core.DLTScheduler{
 		core.NewRotaryDLT(0.0, tee, tme),
 		core.NewRotaryDLT(0.5, tee, tme),

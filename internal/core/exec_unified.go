@@ -188,12 +188,12 @@ func NewUnifiedExecutor(cfg UnifiedExecConfig, repo *estimate.Repository) *Unifi
 		repo = estimate.NewRepository()
 	}
 	eng := sim.New()
-	tee := estimate.NewTEE(repo, 3)
-	tme := estimate.NewTME(repo, 3)
+	tee := estimate.NewTEE(repo)
+	tme := estimate.NewTME(repo)
 	state := &unifiedState{threshold: cfg.Threshold, tee: tee}
 
 	aqpSched := &unifiedAQPSched{
-		inner: NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3)),
+		inner: NewRotaryAQP(estimate.NewAccuracyProgress(repo)),
 		state: state,
 	}
 	dltSched := &unifiedDLTSched{

@@ -68,7 +68,7 @@ func TestDLTJobAccuracyProgressUsesTEE(t *testing.T) {
 		ParamsM: 11.7, BatchSize: 32, Optimizer: "sgd", LR: 0.01,
 		Epochs: 8, AccCurve: []float64{0.3, 0.45, 0.57, 0.67, 0.74, 0.79, 0.83, 0.86},
 	})
-	tee := estimate.NewTEE(repo, 3)
+	tee := estimate.NewTEE(repo)
 	for i := 0; i < 2; i++ {
 		j.Trainer().TrainEpoch()
 		j.epochs++

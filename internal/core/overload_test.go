@@ -216,8 +216,8 @@ func TestOverloadDLTSurvives(t *testing.T) {
 			if err := workload.SeedDLTHistory(repo, 40, 30, 3); err != nil {
 				t.Fatal(err)
 			}
-			tee := estimate.NewTEE(repo, 3)
-			tme := estimate.NewTME(repo, 3)
+			tee := estimate.NewTEE(repo)
+			tme := estimate.NewTME(repo)
 			exec := core.NewDLTExecutor(cfg, core.NewRotaryDLT(0.5, tee, tme), repo)
 			r := sim.NewRand(seed)
 			at := 0.0

@@ -126,7 +126,7 @@ func (o onceAQP) Assign(ctx *core.AQPContext) []core.AQPGrant {
 
 func TestRotaryAQPGreedyExtrasRespectCap(t *testing.T) {
 	ctx, _ := mkAQPCtx(t, []string{"q6", "q12", "q14"}, 20, 1e6)
-	sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(estimate.NewRepository(), 3))
+	sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(estimate.NewRepository()))
 	grants := sched.Assign(ctx)
 	if len(grants) != 3 {
 		t.Fatalf("granted %d jobs, want 3", len(grants))

@@ -30,7 +30,7 @@ func TestStarvationFreedomAcrossPolicies(t *testing.T) {
 		name  string
 		sched core.AQPScheduler
 	}{
-		{"rotary", core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))},
+		{"rotary", core.NewRotaryAQP(estimate.NewAccuracyProgress(repo))},
 		{"relaqs", baselines.ReLAQS{}},
 		{"edf", baselines.EDFAQP{}},
 		{"laf", baselines.LAFAQP{}},

@@ -77,7 +77,7 @@ func TestDLTTraceRecordsPlacementsAndStops(t *testing.T) {
 	cfg.GPUs = 1
 	cfg.Tracer = tracer
 	repo := estimate.NewRepository()
-	sched := core.NewRotaryDLT(0.5, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
+	sched := core.NewRotaryDLT(0.5, estimate.NewTEE(repo), estimate.NewTME(repo))
 	exec := core.NewDLTExecutor(cfg, sched, repo)
 	trainer, err := dlt.NewJob(dlt.Config{
 		Model: "lenet", Dataset: "cifar10", BatchSize: 32,

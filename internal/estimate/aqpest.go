@@ -13,7 +13,6 @@ import "sync"
 // consumes, and RandomProgress is the misleading uniform-random stand-in.
 type AccuracyProgress struct {
 	repo *Repository
-	topK int
 
 	// mu guards the per-key cache of concatenated top-k curves, valid
 	// while the repository's AQP version equals version. Once every key
@@ -32,13 +31,10 @@ type ProgressEstimator interface {
 	EstimateAt(query, class string, batchRows int, realtime []Point, atSecs float64) (float64, bool)
 }
 
-// NewAccuracyProgress returns the historical+real-time estimator. topK
-// outside [1, 3] means 3, the most the repository answers exactly.
-func NewAccuracyProgress(repo *Repository, topK int) *AccuracyProgress {
-	if topK < 1 || topK > aqpKeepPerKey {
-		topK = aqpKeepPerKey
-	}
-	return &AccuracyProgress{repo: repo, topK: topK, hist: make(map[aqpKey][]Point)}
+// NewAccuracyProgress returns the historical+real-time estimator over
+// the top 3 similar records, the most the repository keeps per key.
+func NewAccuracyProgress(repo *Repository) *AccuracyProgress {
+	return &AccuracyProgress{repo: repo, hist: make(map[aqpKey][]Point)}
 }
 
 // history returns the concatenated curves of the top-k records similar to
@@ -55,7 +51,7 @@ func (a *AccuracyProgress) history(query, class string, batchRows int) []Point {
 	if h, ok := a.hist[k]; ok {
 		return h
 	}
-	recs, read := a.repo.topKSimilarAQP(query, class, batchRows, a.topK)
+	recs, read := a.repo.topKSimilarAQP(query, class, batchRows, aqpKeepPerKey)
 	var h []Point
 	for _, rec := range recs {
 		h = append(h, rec.Curve...)

@@ -70,7 +70,7 @@ func TestXForRejectsDegenerateLines(t *testing.T) {
 }
 
 func TestAccuracyProgressConstantSeries(t *testing.T) {
-	est := NewAccuracyProgress(NewRepository(), 3)
+	est := NewAccuracyProgress(NewRepository())
 	// A constant series fits a flat line; the estimate must stay finite
 	// and clamped.
 	rt := []Point{{X: 10, Y: 0.4}, {X: 20, Y: 0.4}, {X: 30, Y: 0.4}}
@@ -84,7 +84,7 @@ func TestAccuracyProgressConstantSeries(t *testing.T) {
 }
 
 func TestAccuracyProgressNaNSeries(t *testing.T) {
-	est := NewAccuracyProgress(NewRepository(), 3)
+	est := NewAccuracyProgress(NewRepository())
 	rt := []Point{{X: 10, Y: math.NaN()}, {X: 20, Y: math.NaN()}}
 	p, ok := est.EstimateAt("q1", "small", 1000, rt, 300)
 	if ok {
@@ -93,7 +93,7 @@ func TestAccuracyProgressNaNSeries(t *testing.T) {
 }
 
 func TestAccuracyProgressNonMonotoneSeries(t *testing.T) {
-	est := NewAccuracyProgress(NewRepository(), 3)
+	est := NewAccuracyProgress(NewRepository())
 	rt := []Point{{X: 10, Y: 0.8}, {X: 20, Y: 0.2}, {X: 30, Y: 0.9}, {X: 40, Y: 0.1}}
 	p, ok := est.EstimateAt("q1", "small", 1000, rt, 1e6)
 	if ok && (!finite(p) || p < 0 || p > 1) {
@@ -108,7 +108,7 @@ func TestTEENonMonotoneAndConstantSeries(t *testing.T) {
 		ParamsM: 11, BatchSize: 32,
 		AccCurve: []float64{0.3, 0.5, 0.6, 0.65, 0.68},
 	})
-	tee := NewTEE(repo, 3)
+	tee := NewTEE(repo)
 	q := DLTQuery{Model: "resnet", Family: "cnn", Dataset: "cifar10", ParamsM: 11, BatchSize: 32}
 
 	// Constant real-time accuracy: the joint fit may go flat; either the
@@ -134,7 +134,7 @@ func TestTEENearFlatSlopeSaturates(t *testing.T) {
 		ID: "flat", Model: "m", Family: "f", Dataset: "d",
 		ParamsM: 1, BatchSize: 8, AccCurve: curve,
 	})
-	tee := NewTEE(repo, 3)
+	tee := NewTEE(repo)
 	q := DLTQuery{Model: "m", Family: "f", Dataset: "d", ParamsM: 1, BatchSize: 8}
 	e, ok := tee.EstimateEpochs(q, nil, 0.99)
 	if ok && (e < 1 || e > 1e9+1) {
@@ -148,7 +148,7 @@ func TestTMENaNHistoryReportsUnknown(t *testing.T) {
 		ID: "bad", Model: "m", Family: "f", Dataset: "d",
 		ParamsM: 1, BatchSize: 32, PeakMemMB: math.NaN(),
 	})
-	tme := NewTME(repo, 3)
+	tme := NewTME(repo)
 	if mb, ok := tme.EstimateMB("d", 1, 32); ok {
 		t.Fatalf("all-NaN history produced %v MB, want unknown", mb)
 	}
@@ -160,7 +160,7 @@ func TestTMESinglePointHistory(t *testing.T) {
 		ID: "one", Model: "m", Family: "f", Dataset: "d",
 		ParamsM: 1, BatchSize: 32, PeakMemMB: 4000,
 	})
-	tme := NewTME(repo, 3)
+	tme := NewTME(repo)
 	mb, ok := tme.EstimateMB("d", 1, 64)
 	if !ok {
 		t.Fatal("single-point history should yield a flat-line estimate")

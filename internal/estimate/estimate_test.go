@@ -2,7 +2,6 @@ package estimate
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -210,7 +209,7 @@ func TestTopKSimilarDLTCrossDatasetFallback(t *testing.T) {
 
 func TestTEEKnownCurve(t *testing.T) {
 	repo := seededRepo()
-	tee := NewTEE(repo, 3)
+	tee := NewTEE(repo)
 	q := DLTQuery{Model: "resnet-18", Family: "resnet", Dataset: "cifar10",
 		ParamsM: 11.7, BatchSize: 32, Optimizer: "sgd", LR: 0.01}
 	// Cold start from history only: target 0.85 is reached around epoch 8
@@ -236,7 +235,7 @@ func TestTEEKnownCurve(t *testing.T) {
 func TestTEEUnknownWithoutRelevantData(t *testing.T) {
 	repo := seededRepo()
 	repo.RemoveDLT(func(rec DLTRecord) bool { return rec.Dataset == "cifar10" })
-	tee := NewTEE(repo, 3)
+	tee := NewTEE(repo)
 	q := DLTQuery{Model: "bert-mini", Family: "bert", Dataset: "imdb",
 		ParamsM: 11.3, BatchSize: 128, Optimizer: "adam", LR: 0.001}
 	if _, ok := tee.EstimateEpochs(q, []float64{0.6}, 0.8); ok {
@@ -250,7 +249,7 @@ func TestTEEUnknownWithoutRelevantData(t *testing.T) {
 
 func TestTMEPredictsWithPadding(t *testing.T) {
 	repo := seededRepo()
-	tme := NewTME(repo, 3)
+	tme := NewTME(repo)
 	mb, ok := tme.EstimateMB("cifar10", 11.7, 32)
 	if !ok {
 		t.Fatal("no estimate")
@@ -264,30 +263,6 @@ func TestTMEPredictsWithPadding(t *testing.T) {
 	}
 	if tme.Calls() != 2 {
 		t.Errorf("calls = %d", tme.Calls())
-	}
-}
-
-func TestRepositoryPersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "repo.json")
-	r, err := OpenRepository(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.AddDLT(DLTRecord{ID: "x", Model: "lenet", Family: "lenet", Dataset: "cifar10", AccCurve: []float64{0.5}})
-	r.AddAQP(AQPRecord{ID: "y", Query: "q1", Class: "light", Curve: []Point{{1, 0.5}}})
-	if err := r.Save(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := OpenRepository(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.DLTCount() != 1 || back.AQPCount() != 1 {
-		t.Fatalf("reloaded counts %d/%d", back.DLTCount(), back.AQPCount())
-	}
-	// In-memory repositories ignore Save.
-	if err := NewRepository().Save(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -316,7 +291,7 @@ func TestAccuracyProgressJointEstimate(t *testing.T) {
 	r := NewRepository()
 	r.AddAQP(AQPRecord{ID: "h", Query: "q6", Class: "light", BatchRows: 500,
 		Curve: []Point{{100, 0.2}, {200, 0.4}, {300, 0.6}, {400, 0.8}, {500, 1.0}}})
-	ap := NewAccuracyProgress(r, 3)
+	ap := NewAccuracyProgress(r)
 	// Cold start: history only.
 	est, ok := ap.EstimateAt("q6", "light", 500, nil, 250)
 	if !ok || est < 0.3 || est > 0.7 {
@@ -327,7 +302,7 @@ func TestAccuracyProgressJointEstimate(t *testing.T) {
 	if est > 1 {
 		t.Errorf("estimate %v above 1", est)
 	}
-	if _, ok := NewAccuracyProgress(NewRepository(), 3).EstimateAt("q6", "light", 500, []Point{{1, 0.1}}, 50); ok {
+	if _, ok := NewAccuracyProgress(NewRepository()).EstimateAt("q6", "light", 500, []Point{{1, 0.1}}, 50); ok {
 		t.Error("estimated with neither history nor two realtime points")
 	}
 }

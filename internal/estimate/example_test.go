@@ -58,7 +58,7 @@ func ExampleTEE() {
 		Epochs:   8,
 		AccCurve: []float64{0.30, 0.45, 0.57, 0.67, 0.74, 0.79, 0.83, 0.86},
 	})
-	tee := estimate.NewTEE(repo, 3)
+	tee := estimate.NewTEE(repo)
 	q := estimate.DLTQuery{Model: "resnet-18", Family: "resnet", Dataset: "cifar10",
 		ParamsM: 11.7, BatchSize: 32, Optimizer: "sgd", LR: 0.01}
 	epochs, ok := tee.EstimateEpochs(q, nil, 0.85)

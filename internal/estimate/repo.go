@@ -1,10 +1,7 @@
 package estimate
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
-	"os"
 	"sort"
 	"sync"
 )
@@ -52,9 +49,8 @@ type aqpKey struct {
 	batchRows    int
 }
 
-// Repository stores historical job information. It persists to a single
-// JSON file so estimation survives process restarts, and it is safe for
-// concurrent use.
+// Repository stores historical job information in memory. It is safe
+// for concurrent use.
 type Repository struct {
 	mu  sync.RWMutex
 	dlt []DLTRecord
@@ -64,58 +60,10 @@ type Repository struct {
 	aqp        []AQPRecord
 	perKey     map[aqpKey]int
 	aqpVersion uint64
-	path       string
 }
 
 // NewRepository returns an empty in-memory repository.
 func NewRepository() *Repository { return &Repository{perKey: make(map[aqpKey]int)} }
-
-// OpenRepository loads (or creates) a repository backed by the JSON file
-// at path. Saves write back to the same file.
-func OpenRepository(path string) (*Repository, error) {
-	r := NewRepository()
-	r.path = path
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return r, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("estimate: open repository: %w", err)
-	}
-	var disk repoFile
-	if err := json.Unmarshal(data, &disk); err != nil {
-		return nil, fmt.Errorf("estimate: parse repository %s: %w", path, err)
-	}
-	r.dlt = disk.DLT
-	for _, rec := range disk.AQP {
-		r.keepAQP(rec)
-	}
-	return r, nil
-}
-
-type repoFile struct {
-	DLT []DLTRecord `json:"dlt"`
-	AQP []AQPRecord `json:"aqp"`
-}
-
-// Save writes the repository to its backing file; it is a no-op for
-// in-memory repositories.
-func (r *Repository) Save() error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.path == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(repoFile{DLT: r.dlt, AQP: r.aqp}, "", " ")
-	if err != nil {
-		return fmt.Errorf("estimate: encode repository: %w", err)
-	}
-	tmp := r.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("estimate: write repository: %w", err)
-	}
-	return os.Rename(tmp, r.path)
-}
 
 // Clone returns an in-memory copy of the repository's records. Runs that
 // record their own history into the repository use clones so a shared

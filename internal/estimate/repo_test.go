@@ -1,10 +1,7 @@
 package estimate
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -89,7 +86,6 @@ func sameAnswers(t *testing.T, label string, got *Repository, want unboundedAQP)
 }
 
 func TestBoundedHistoryMatchesUnbounded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "repo.json")
 	for seed := uint64(1); seed <= 100; seed++ {
 		r := sim.NewRand(seed)
 		repo := NewRepository()
@@ -110,25 +106,12 @@ func TestBoundedHistoryMatchesUnbounded(t *testing.T) {
 		}
 		sameAnswers(t, fmt.Sprintf("seed %d", seed), repo, ref)
 
-		// An over-full record set, loaded from disk or cloned, keeps the
-		// same reachable records.
-		data, err := json.Marshal(repoFile{AQP: ref})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := OpenRepository(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAnswers(t, fmt.Sprintf("seed %d, loaded", seed), loaded, ref)
+		// An over-full record set, cloned, keeps the same reachable records.
 		overFull := &Repository{aqp: append([]AQPRecord(nil), ref...)}
 		cloned := overFull.Clone()
 		sameAnswers(t, fmt.Sprintf("seed %d, cloned", seed), cloned, ref)
-		if loaded.AQPCount() != repo.AQPCount() || cloned.AQPCount() != repo.AQPCount() {
-			t.Fatalf("seed %d: loaded %d records and cloned %d, added %d", seed, loaded.AQPCount(), cloned.AQPCount(), repo.AQPCount())
+		if cloned.AQPCount() != repo.AQPCount() {
+			t.Fatalf("seed %d: cloned %d records, added %d", seed, cloned.AQPCount(), repo.AQPCount())
 		}
 	}
 }
@@ -158,7 +141,7 @@ func TestHistoryKeepsAtMostKPerKey(t *testing.T) {
 // fresh estimator computes from the final history.
 func TestEstimateCacheUnderConcurrentAdds(t *testing.T) {
 	repo := NewRepository()
-	est := NewAccuracyProgress(repo, aqpKeepPerKey)
+	est := NewAccuracyProgress(repo)
 	var wg sync.WaitGroup
 	wg.Add(3)
 	go func() {
@@ -180,7 +163,7 @@ func TestEstimateCacheUnderConcurrentAdds(t *testing.T) {
 		}(uint64(g + 2))
 	}
 	wg.Wait()
-	fresh := NewAccuracyProgress(repo, aqpKeepPerKey)
+	fresh := NewAccuracyProgress(repo)
 	for _, q := range propQueries {
 		for _, c := range propClasses {
 			for _, b := range propBatches {
@@ -217,7 +200,7 @@ func BenchmarkEstimateAt(b *testing.B) {
 				q := i % len(tpch.AllQueries)
 				repo.AddAQP(AQPRecord{ID: fmt.Sprint(i), Query: tpch.AllQueries[q], Class: classes[q], BatchRows: 500, Curve: curve})
 			}
-			est := NewAccuracyProgress(repo, aqpKeepPerKey)
+			est := NewAccuracyProgress(repo)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := i % len(tpch.AllQueries)

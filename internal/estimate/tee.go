@@ -14,27 +14,27 @@ import (
 // weight). TEE tracks its real wall-clock overhead for Table III.
 type TEE struct {
 	repo *Repository
-	topK int
-	// MinRealtime is the minimum number of real-time observations needed
-	// before a fit with no same-dataset history is trusted. Below it the
-	// estimator reports unknown and Algorithm 4 falls back to the
-	// conservative e*/e_max — the erroneous-estimation regime of §V-B3
-	// (the paper's example: a 2-epoch job estimated at 125 epochs once
-	// the matching history is removed).
-	MinRealtime int
 
 	mu       sync.Mutex
 	overhead time.Duration
 	calls    int
 }
 
-// NewTEE returns an estimator over the repository, selecting the top-k
+// dltTopK is how many similar historical jobs TEE and TME fit over.
+const dltTopK = 3
+
+// teeMinRealtime is the minimum number of real-time observations needed
+// before a fit with no same-dataset history is trusted. Below it the
+// estimator reports unknown and Algorithm 4 falls back to the
+// conservative e*/e_max — the erroneous-estimation regime of §V-B3 (the
+// paper's example: a 2-epoch job estimated at 125 epochs once the
+// matching history is removed).
+const teeMinRealtime = 4
+
+// NewTEE returns an estimator over the repository, selecting the top 3
 // similar historical jobs per estimate.
-func NewTEE(repo *Repository, topK int) *TEE {
-	if topK < 1 {
-		topK = 3
-	}
-	return &TEE{repo: repo, topK: topK, MinRealtime: 4}
+func NewTEE(repo *Repository) *TEE {
+	return &TEE{repo: repo}
 }
 
 // EstimateEpochs predicts the total number of epochs for the described
@@ -52,7 +52,7 @@ func (t *TEE) EstimateEpochs(q DLTQuery, realtime []float64, targetAcc float64) 
 		t.mu.Unlock()
 	}()
 
-	recs, scores := t.repo.TopKSimilarDLTScored(q, t.topK)
+	recs, scores := t.repo.TopKSimilarDLTScored(q, dltTopK)
 	sameDataset := false
 	for _, rec := range recs {
 		if rec.Dataset == q.Dataset {
@@ -63,7 +63,7 @@ func (t *TEE) EstimateEpochs(q DLTQuery, realtime []float64, targetAcc float64) 
 	for i, acc := range realtime {
 		rt[i] = Point{X: float64(i + 1), Y: acc}
 	}
-	if !sameDataset && len(rt) < t.MinRealtime {
+	if !sameDataset && len(rt) < teeMinRealtime {
 		// Only dissimilar (or no) history and too little real-time data:
 		// any fit would be unreliable or erroneous.
 		return 0, false

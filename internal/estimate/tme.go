@@ -14,23 +14,23 @@ import (
 // regression, and pads the estimate by an offset to minimize OOM risk.
 type TME struct {
 	repo *Repository
-	topK int
-	// PadFraction and PadMB define the OOM-avoidance padding.
-	PadFraction float64
-	PadMB       float64
 
 	mu       sync.Mutex
 	overhead time.Duration
 	calls    int
 }
 
-// NewTME returns an estimator over the repository with the paper-style
-// padding defaults.
-func NewTME(repo *Repository, topK int) *TME {
-	if topK < 1 {
-		topK = 3
-	}
-	return &TME{repo: repo, topK: topK, PadFraction: 0.10, PadMB: 256}
+// The OOM-avoidance padding: an estimate grows by tmePadFraction of
+// itself plus tmePadMB.
+const (
+	tmePadFraction = 0.10
+	tmePadMB       = 256
+)
+
+// NewTME returns an estimator over the repository, fitting the top 3
+// same-dataset historical jobs per estimate.
+func NewTME(repo *Repository) *TME {
+	return &TME{repo: repo}
 }
 
 // EstimateMB predicts the padded peak memory of a job with the given
@@ -46,7 +46,7 @@ func (t *TME) EstimateMB(dataset string, paramsM float64, batchSize int) (float6
 		t.mu.Unlock()
 	}()
 
-	recs, ws := t.repo.TopKSimilarBySize(dataset, paramsM, t.topK)
+	recs, ws := t.repo.TopKSimilarBySize(dataset, paramsM, dltTopK)
 	if len(recs) == 0 {
 		return 0, false
 	}
@@ -70,7 +70,7 @@ func (t *TME) EstimateMB(dataset string, paramsM float64, batchSize int) (float6
 	if est < 0 {
 		est = 0
 	}
-	return est*(1+t.PadFraction) + t.PadMB, true
+	return est*(1+tmePadFraction) + tmePadMB, true
 }
 
 // Overhead reports the cumulative real wall-clock time spent estimating.

@@ -24,7 +24,7 @@ func runRotaryVariant(cfg Config, mutate func(*core.RotaryAQP), envelopeWindow i
 	if err := workload.SeedAQPHistory(repo, cat, specs[0].BatchRows); err != nil {
 		return metrics.AQPReport{}, err
 	}
-	sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))
+	sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo))
 	if mutate != nil {
 		mutate(sched)
 	}
@@ -226,16 +226,13 @@ func AblationThresholdSweep(cfg Config) (*AblationResult, error) {
 	b.WriteString("Ablation: Algorithm 3 threshold T sweep\n")
 	fmt.Fprintf(&b, "%8s %22s %22s %14s\n", "T", "min-progress@half", "attained@half", "makespan(s)")
 	for _, T := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
-		repo := estimate.NewRepository()
-		if err := workload.SeedDLTHistory(repo, 40, 30, cfg.Seed); err != nil {
+		repo, err := seededDLTHistory(cfg.Seed)
+		if err != nil {
 			return nil, err
 		}
-		sched := core.NewRotaryDLT(T, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
-		exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
-		if _, err := workload.SubmitDLT(specs, exec.Submit); err != nil {
-			return nil, err
-		}
-		if err := exec.Run(); err != nil {
+		sched := core.NewRotaryDLT(T, estimate.NewTEE(repo), estimate.NewTME(repo))
+		exec, err := runDLT(core.DefaultDLTExecConfig(), sched, repo, specs)
+		if err != nil {
 			return nil, err
 		}
 		half := exec.Engine().Now() / 2

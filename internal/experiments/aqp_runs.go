@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"rotary/internal/baselines"
+	"rotary/internal/cliutil"
 	"rotary/internal/core"
 	"rotary/internal/estimate"
 	"rotary/internal/metrics"
@@ -14,8 +15,8 @@ import (
 	"rotary/internal/workload"
 )
 
-// aqpPolicyName identifies the five Fig. 6 policies plus the Fig. 9
-// random-estimator variant.
+// aqpPolicyName is an experiment's printed label for one of the five
+// Fig. 6 policies or the Fig. 9 random-estimator variant.
 type aqpPolicyName string
 
 // The evaluated AQP policies.
@@ -31,26 +32,10 @@ const (
 // fig6Policies is the Fig. 6 lineup.
 var fig6Policies = []aqpPolicyName{PolicyRotaryAQP, PolicyReLAQS, PolicyEDF, PolicyLAF, PolicyRoundRobin}
 
-// newAQPScheduler instantiates a policy. Rotary variants get a repository
-// pre-seeded with one standalone run of every query (§IV-A's historical
-// data); baselines do not consult history.
-func newAQPScheduler(name aqpPolicyName, repo *estimate.Repository, seed uint64) core.AQPScheduler {
-	switch name {
-	case PolicyRotaryAQP:
-		return core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))
-	case PolicyRoundRobin:
-		return baselines.RoundRobinAQP{}
-	case PolicyEDF:
-		return baselines.EDFAQP{}
-	case PolicyLAF:
-		return baselines.LAFAQP{}
-	case PolicyReLAQS:
-		return baselines.ReLAQS{}
-	case PolicyRandomEst:
-		return baselines.RandomRotaryAQP(sim.NewRand(seed ^ 0xf19))
-	default:
-		panic(fmt.Sprintf("experiments: unknown AQP policy %q", name))
-	}
+// aqpTableName maps a label to its cliutil.AQPPolicies name. The Fig. 9
+// random-estimator variant is the one policy the table does not hold.
+var aqpTableName = map[aqpPolicyName]string{
+	PolicyRotaryAQP: "rotary", PolicyRoundRobin: "rr", PolicyEDF: "edf", PolicyLAF: "laf", PolicyReLAQS: "relaqs",
 }
 
 // historyMu guards the seeded-history cache: seeding replays every query
@@ -83,23 +68,32 @@ func seededHistory(cat *tpch.Catalog, batchRows int) (*estimate.Repository, erro
 	return base.Clone(), nil
 }
 
-// runAQPPolicy executes one workload under one policy and returns the
-// terminal jobs.
-func runAQPPolicy(cat *tpch.Catalog, specs []workload.AQPSpec, name aqpPolicyName, seed uint64) ([]*core.AQPJob, error) {
-	repo := estimate.NewRepository()
-	if name == PolicyRotaryAQP || name == PolicyRandomEst {
-		var err error
-		repo, err = seededHistory(cat, specs[0].BatchRows)
-		if err != nil {
-			return nil, err
-		}
-	}
-	sched := newAQPScheduler(name, repo, seed)
-	exec := core.NewAQPExecutor(core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)), sched, repo)
+// runAQP builds an executor over repo, submits specs to it under sched
+// and runs it to completion.
+func runAQP(cat *tpch.Catalog, cfg core.AQPExecConfig, sched core.AQPScheduler, repo *estimate.Repository,
+	specs []workload.AQPSpec) (*core.AQPExecutor, error) {
+	exec := core.NewAQPExecutor(cfg, sched, repo)
 	if _, err := workload.SubmitAQP(cat, specs, exec.Submit); err != nil {
 		return nil, err
 	}
-	if err := exec.Run(); err != nil {
+	return exec, exec.Run()
+}
+
+// runAQPPolicy executes one workload under one policy, over a copy of the
+// seeded history, and returns the terminal jobs.
+func runAQPPolicy(cat *tpch.Catalog, specs []workload.AQPSpec, name aqpPolicyName, seed uint64) ([]*core.AQPJob, error) {
+	repo, err := seededHistory(cat, specs[0].BatchRows)
+	if err != nil {
+		return nil, err
+	}
+	var sched core.AQPScheduler
+	if name == PolicyRandomEst {
+		sched = baselines.RandomRotaryAQP(sim.NewRand(seed ^ 0xf19))
+	} else if sched, err = cliutil.AQPPolicies.New(aqpTableName[name], repo); err != nil {
+		return nil, err
+	}
+	exec, err := runAQP(cat, core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)), sched, repo, specs)
+	if err != nil {
 		return nil, err
 	}
 	return exec.Jobs(), nil
@@ -107,7 +101,8 @@ func runAQPPolicy(cat *tpch.Catalog, specs []workload.AQPSpec, name aqpPolicyNam
 
 // isolatedRuntimes measures each spec standalone: a fresh executor with
 // the whole pool to itself and the Rotary scheduler, the "running it
-// independently and isolated" baseline of Fig. 7b.
+// independently and isolated" baseline of Fig. 7b. The runs share one
+// history, so each later run also learns from the earlier ones.
 func isolatedRuntimes(cat *tpch.Catalog, specs []workload.AQPSpec) (map[string]float64, error) {
 	repo, err := seededHistory(cat, specs[0].BatchRows)
 	if err != nil {
@@ -115,17 +110,14 @@ func isolatedRuntimes(cat *tpch.Catalog, specs []workload.AQPSpec) (map[string]f
 	}
 	out := make(map[string]float64, len(specs))
 	for _, spec := range specs {
-		sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))
-		exec := core.NewAQPExecutor(core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)), sched, repo)
 		spec.ArrivalSecs = 0
-		jobs, err := workload.SubmitAQP(cat, []workload.AQPSpec{spec}, exec.Submit)
+		exec, err := runAQP(cat, core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)),
+			core.NewRotaryAQP(estimate.NewAccuracyProgress(repo)), repo, []workload.AQPSpec{spec})
 		if err != nil {
 			return nil, err
 		}
-		if err := exec.Run(); err != nil {
-			return nil, err
-		}
-		out[spec.ID] = (jobs[0].EndTime() - jobs[0].Arrival()).Seconds()
+		j := exec.Jobs()[0]
+		out[spec.ID] = (j.EndTime() - j.Arrival()).Seconds()
 	}
 	return out, nil
 }

@@ -5,9 +5,9 @@ import (
 	"os"
 	"strings"
 
-	"rotary/internal/baselines"
 	"rotary/internal/core"
 	"rotary/internal/estimate"
+	"rotary/internal/metrics"
 	"rotary/internal/workload"
 )
 
@@ -48,22 +48,12 @@ func AblationMaterialization(cfg Config) (*AblationResult, error) {
 		// actually resumed rather than hot-continued.
 		execCfg.Threads = 6
 		execCfg.CheckpointBaseSecs = 5
-		sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))
-		exec := core.NewAQPExecutor(execCfg, sched, repo)
-		if _, err := workload.SubmitAQP(cat, specs, exec.Submit); err != nil {
+		sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo))
+		exec, err := runAQP(cat, execCfg, sched, repo, specs)
+		if err != nil {
 			return nil, err
 		}
-		if err := exec.Run(); err != nil {
-			return nil, err
-		}
-		attained := 0
-		for _, j := range exec.Jobs() {
-			runtime := (j.EndTime() - j.Arrival()).Seconds()
-			if j.StopAccuracy() >= j.Criteria().Threshold && runtime <= j.DeadlineSecs() &&
-				j.Status() != core.StatusExpired {
-				attained++
-			}
-		}
+		attained := metrics.AnalyzeAQP(sched.Name(), exec.Jobs(), nil).AttainedByClass()["total"]
 		writes, memHits, diskHits, diskBytes := store.Stats()
 		res.Values[v.label+"/makespan"] = exec.Engine().Now().Seconds()
 		res.Values[v.label+"/attained"] = float64(attained)
@@ -139,36 +129,23 @@ func AblationSwapOverhead(cfg Config) (*AblationResult, error) {
 	var b strings.Builder
 	b.WriteString("Ablation: placement-swap overhead (§III-C continuous prioritization)\n")
 	variants := []struct {
-		label string
-		sched string // "rotary" or "rr"
-		swap  bool
+		label  string
+		policy string // a cliutil.DLTPolicies name
+		swap   bool
 	}{
-		{"rotary/free-swaps", "rotary", false},
-		{"rotary/priced-swaps", "rotary", true},
-		{"round-robin/free-swaps", "rr", false},
-		{"round-robin/priced-swaps", "rr", true},
+		{"rotary/free-swaps", "efficiency", false},
+		{"rotary/priced-swaps", "efficiency", true},
+		{"round-robin/free-swaps", "srf", false},
+		{"round-robin/priced-swaps", "srf", true},
 	}
 	for _, v := range variants {
-		repo := estimate.NewRepository()
-		if err := workload.SeedDLTHistory(repo, 40, 30, cfg.Seed); err != nil {
-			return nil, err
-		}
 		execCfg := core.DefaultDLTExecConfig()
 		if !v.swap {
 			execCfg.SwapBaseSecs = 0
 			execCfg.SwapSecsPerParam = 0
 		}
-		var sched core.DLTScheduler
-		if v.sched == "rotary" {
-			sched = core.NewRotaryDLT(0, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
-		} else {
-			sched = baselines.SRF{}
-		}
-		exec := core.NewDLTExecutor(execCfg, sched, repo)
-		if _, err := workload.SubmitDLT(specs, exec.Submit); err != nil {
-			return nil, err
-		}
-		if err := exec.Run(); err != nil {
+		exec, _, err := runDLTPolicy(execCfg, specs, v.policy, cfg.Seed)
+		if err != nil {
 			return nil, err
 		}
 		// Total GPU-seconds consumed: swap costs land here directly (the
@@ -218,13 +195,7 @@ func AblationArrivalRate(cfg Config) (*AblationResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				for _, j := range jobs {
-					runtime := (j.EndTime() - j.Arrival()).Seconds()
-					if j.StopAccuracy() >= j.Criteria().Threshold && runtime <= j.DeadlineSecs() &&
-						j.Status() != core.StatusExpired {
-						attained[i]++
-					}
-				}
+				attained[i] += float64(metrics.AnalyzeAQP(string(name), jobs, nil).AttainedByClass()["total"])
 			}
 		}
 		attained[0] /= float64(runs)

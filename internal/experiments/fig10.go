@@ -5,7 +5,7 @@ import (
 	"strings"
 	"sync"
 
-	"rotary/internal/baselines"
+	"rotary/internal/cliutil"
 	"rotary/internal/core"
 	"rotary/internal/estimate"
 	"rotary/internal/metrics"
@@ -13,7 +13,7 @@ import (
 	"rotary/internal/workload"
 )
 
-// dltPolicyName identifies the Fig. 10 lineup.
+// dltPolicyName is Fig. 10's printed label for a policy.
 type dltPolicyName string
 
 // The evaluated DLT policies.
@@ -31,44 +31,44 @@ var fig10Policies = []dltPolicyName{
 	PolicySRF, PolicyBCF, PolicyLAFDLT,
 }
 
-// newDLTScheduler instantiates a policy over a (seeded) repository.
-func newDLTScheduler(name dltPolicyName, repo *estimate.Repository) core.DLTScheduler {
-	tee := estimate.NewTEE(repo, 3)
-	tme := estimate.NewTME(repo, 3)
-	switch name {
-	case PolicyRotaryAdaptive:
-		return core.NewRotaryDLT(0.5, tee, tme)
-	case PolicyRotaryFairness:
-		return core.NewRotaryDLT(1.0, tee, tme)
-	case PolicyRotaryEfficiency:
-		return core.NewRotaryDLT(0.0, tee, tme)
-	case PolicySRF:
-		return baselines.SRF{}
-	case PolicyBCF:
-		return baselines.BCF{}
-	case PolicyLAFDLT:
-		return baselines.LAFDLT{}
-	default:
-		panic(fmt.Sprintf("experiments: unknown DLT policy %q", name))
-	}
+// dltTableName maps a label to its cliutil.DLTPolicies name.
+var dltTableName = map[dltPolicyName]string{
+	PolicyRotaryAdaptive: "adaptive", PolicyRotaryFairness: "fairness", PolicyRotaryEfficiency: "efficiency",
+	PolicySRF: "srf", PolicyBCF: "bcf", PolicyLAFDLT: "laf",
 }
 
-// runDLTPolicy executes specs under one policy with a freshly seeded
-// repository, returning the executor for inspection.
-func runDLTPolicy(specs []workload.DLTSpec, name dltPolicyName, seed uint64) (*core.DLTExecutor, error) {
-	repo := estimate.NewRepository()
-	if err := workload.SeedDLTHistory(repo, 40, 30, seed); err != nil {
-		return nil, err
-	}
-	sched := newDLTScheduler(name, repo)
-	exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
+// runDLT builds an executor over repo, submits specs to it under sched
+// and runs it to completion.
+func runDLT(cfg core.DLTExecConfig, sched core.DLTScheduler, repo *estimate.Repository,
+	specs []workload.DLTSpec) (*core.DLTExecutor, error) {
+	exec := core.NewDLTExecutor(cfg, sched, repo)
 	if _, err := workload.SubmitDLT(specs, exec.Submit); err != nil {
 		return nil, err
 	}
-	if err := exec.Run(); err != nil {
-		return nil, err
+	return exec, exec.Run()
+}
+
+// seededDLTHistory returns a repository holding the 40 historical jobs
+// the DLT experiments start from.
+func seededDLTHistory(seed uint64) (*estimate.Repository, error) {
+	repo := estimate.NewRepository()
+	return repo, workload.SeedDLTHistory(repo, 40, 30, seed)
+}
+
+// runDLTPolicy executes specs under the named cliutil.DLTPolicies entry
+// over a freshly seeded history, returning the executor and scheduler
+// for inspection.
+func runDLTPolicy(cfg core.DLTExecConfig, specs []workload.DLTSpec, name string, seed uint64) (*core.DLTExecutor, core.DLTScheduler, error) {
+	repo, err := seededDLTHistory(seed)
+	if err != nil {
+		return nil, nil, err
 	}
-	return exec, nil
+	sched, err := cliutil.DLTPolicies.New(name, repo)
+	if err != nil {
+		return nil, nil, err
+	}
+	exec, err := runDLT(cfg, sched, repo, specs)
+	return exec, sched, err
 }
 
 // Fig10Result holds the Fig. 10 attainment-progress distributions over
@@ -100,7 +100,7 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 			wg.Add(1)
 			go func(i int, p dltPolicyName) {
 				defer wg.Done()
-				execs[i], errs[i] = runDLTPolicy(specs, p, seed)
+				execs[i], _, errs[i] = runDLTPolicy(core.DefaultDLTExecConfig(), specs, dltTableName[p], seed)
 			}(i, p)
 		}
 		wg.Wait()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"rotary/internal/cliutil"
 	"rotary/internal/core"
 	"rotary/internal/criteria"
 	"rotary/internal/dlt"
@@ -112,12 +113,12 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 		if stripNLP {
 			repo.RemoveDLT(func(rec estimate.DLTRecord) bool { return rec.Dataset == "cifar10" })
 		}
-		sched := core.NewRotaryDLT(0.0, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
-		exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
-		if _, err := workload.SubmitDLT(specs, exec.Submit); err != nil {
+		sched, err := cliutil.DLTPolicies.New("efficiency", repo)
+		if err != nil {
 			return Fig11Case{}, err
 		}
-		if err := exec.Run(); err != nil {
+		exec, err := runDLT(core.DefaultDLTExecConfig(), sched, repo, specs)
+		if err != nil {
 			return Fig11Case{}, err
 		}
 		jobs := exec.Jobs()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rotary/internal/core"
-	"rotary/internal/estimate"
 	"rotary/internal/workload"
 )
 
@@ -38,26 +37,17 @@ func Table3(cfg Config) (*Table3Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		repo := estimate.NewRepository()
-		if err := workload.SeedDLTHistory(repo, 40, 30, cfg.Seed); err != nil {
+		exec, sched, err := runDLTPolicy(core.DefaultDLTExecConfig(), specs, "adaptive", cfg.Seed)
+		if err != nil {
 			return nil, err
 		}
-		tee := estimate.NewTEE(repo, 3)
-		tme := estimate.NewTME(repo, 3)
-		sched := core.NewRotaryDLT(0.5, tee, tme)
-		exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
-		if _, err := workload.SubmitDLT(specs, exec.Submit); err != nil {
-			return nil, err
-		}
-		if err := exec.Run(); err != nil {
-			return nil, err
-		}
+		rotary := sched.(*core.RotaryDLT)
 		row := Table3Row{
 			WorkloadSize:   size,
 			OverallRunSecs: exec.Engine().Now().Seconds(),
 			TTROverhead:    exec.TTR().Overhead(),
-			TEEOverhead:    tee.Overhead(),
-			TMEOverhead:    tme.Overhead(),
+			TEEOverhead:    rotary.TEE.Overhead(),
+			TMEOverhead:    rotary.TME.Overhead(),
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -180,7 +180,7 @@ func Search(cfg Config, configs []dlt.Config) (*Result, error) {
 // executor over the paper's 4-GPU cluster under efficiency Rotary-DLT,
 // carrying the trials' trained state (via checkpoints) across rungs.
 func runRung(repo *estimate.Repository, survivors []*Trial, budget int, elapsed *float64) error {
-	sched := core.NewRotaryDLT(0, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
+	sched := core.NewRotaryDLT(0, estimate.NewTEE(repo), estimate.NewTME(repo))
 	exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
 	pairs := make([]pair, 0, len(survivors))
 	for _, t := range survivors {

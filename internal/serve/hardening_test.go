@@ -152,3 +152,43 @@ func TestResponseCodes(t *testing.T) {
 		}
 	}
 }
+
+// migrate-in is an op on every server and shard socket, so the record it
+// is handed gets the checks a submit of the same statement and tenant
+// gets.
+func TestMigrateInRefusesNonAccuracyCriterion(t *testing.T) {
+	migrateInRefusedLikeSubmit(t, JobRecord{ID: "c", Statement: "q6 LOSS DELTA 0.01 WITHIN 900 SECONDS"})
+}
+
+func TestMigrateInRefusesControlCharacterTenant(t *testing.T) {
+	migrateInRefusedLikeSubmit(t, JobRecord{ID: "c", Statement: "q6 ACC MIN 60% WITHIN 900 SECONDS", Tenant: "a\x01b"})
+}
+
+func migrateInRefusedLikeSubmit(t *testing.T, jr JobRecord) {
+	t.Helper()
+	d := newDaemon(t, daemon{durable: true})
+	d.start(t)
+	c := dial(t, d.socket)
+	sub := c.call(t, Message{Op: "submit", ID: jr.ID, Statement: jr.Statement, Tenant: jr.Tenant})
+	mig := c.call(t, Message{Op: "migrate-in", Job: &jr})
+	if sub.Code != CodeBadRequest || mig.Code != CodeBadRequest {
+		t.Fatalf("statement %q, tenant %q: submit %+v, migrate-in %+v; both must be %s",
+			jr.Statement, jr.Tenant, sub, mig, CodeBadRequest)
+	}
+}
+
+// A job migrated in keeps its tenant across a restart of the receiving
+// server: the journal's submit record carries it, as submit's does.
+func TestMigrateInJournalsTenant(t *testing.T) {
+	d := newDaemon(t, daemon{durable: true})
+	d.start(t)
+	c := dial(t, d.socket)
+	jr := JobRecord{ID: "m", Statement: "q6 ACC MIN 60% WITHIN 900 SECONDS", Tenant: "alpha", Status: "pending"}
+	if r := c.call(t, Message{Op: "migrate-in", Job: &jr}); !r.OK {
+		t.Fatalf("migrate-in: %+v", r)
+	}
+	c = d.restart(t)
+	if r := c.call(t, Message{Op: "status", ID: "m"}); r.Tenant != "alpha" {
+		t.Fatalf("after restart: %+v, want tenant alpha", r)
+	}
+}

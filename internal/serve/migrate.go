@@ -162,7 +162,7 @@ func (s *Server) migrateIn(m Message) Response {
 	eng := s.exec.Engine()
 	now := eng.Now().Seconds()
 	recs := []Record{{Kind: recSubmit, ID: jr.ID, ReqID: jr.ReqID, Statement: jr.Statement,
-		BatchRows: jr.BatchRows, At: jr.ArrivalAt}}
+		Tenant: jr.Tenant, BatchRows: jr.BatchRows, At: jr.ArrivalAt}}
 	verdict := "admitted"
 	if jr.BestEffort {
 		verdict = "degraded"

@@ -18,13 +18,10 @@ package serve
 import (
 	"fmt"
 	"path/filepath"
-	"strings"
 
 	"rotary/internal/core"
-	"rotary/internal/criteria"
 	"rotary/internal/diskio"
 	"rotary/internal/sim"
-	"rotary/internal/tpch"
 	"rotary/internal/workload"
 )
 
@@ -130,43 +127,24 @@ func (s *Server) recoverFromJournal() error {
 	return nil
 }
 
-// rebuildJob reconstructs one journaled job from its submitted statement,
-// with its deadline clipped to what remains of the original budget.
+// rebuildJob reconstructs one journaled or handed-over job from its
+// submitted statement, with its deadline clipped to what remains of the
+// original budget.
 func (s *Server) rebuildJob(jr JobRecord) (*core.AQPJob, error) {
-	cmd, crit, err := criteria.Parse(jr.Statement)
+	spec, err := s.jobSpec(jr.Statement, jr.Tenant, jr.BatchRows)
 	if err != nil {
 		return nil, err
 	}
-	deadline, ok := crit.Deadline.DeadlineSeconds()
-	if !ok {
-		return nil, fmt.Errorf("serve: journaled job has a non-wall-time deadline")
-	}
-	query := strings.ToLower(strings.TrimSpace(cmd))
-	cls, err := tpch.ClassOf(query)
-	if err != nil {
-		return nil, err
-	}
+	spec.ID = jr.ID
 	// Absolute-deadline arithmetic: (arrival + D) − recovered now. A job
 	// whose deadline already passed gets an epsilon budget — it
 	// re-registers, its watchdog fires immediately, and it terminates with
 	// the same "expired" status the uninterrupted run would have reached.
-	remaining := jr.ArrivalAt + deadline - s.exec.Engine().Now().Seconds()
-	if remaining < 1e-3 {
-		remaining = 1e-3
+	spec.DeadlineSecs = jr.ArrivalAt + spec.DeadlineSecs - s.exec.Engine().Now().Seconds()
+	if spec.DeadlineSecs < 1e-3 {
+		spec.DeadlineSecs = 1e-3
 	}
-	batch := jr.BatchRows
-	if batch <= 0 {
-		batch = s.batchRows
-	}
-	return workload.BuildAQPJob(s.cat, workload.AQPSpec{
-		ID:           jr.ID,
-		Query:        query,
-		Class:        cls,
-		Tenant:       jr.Tenant,
-		Accuracy:     crit.Threshold,
-		DeadlineSecs: remaining,
-		BatchRows:    batch,
-	})
+	return workload.BuildAQPJob(s.cat, spec)
 }
 
 // journal logs records with write-ahead ordering. Outside a batch the

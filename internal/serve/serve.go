@@ -1028,7 +1028,8 @@ func (s *Server) submit(m Message) Response {
 			return resp
 		}
 	}
-	if err := ValidateTenant(m.Tenant); err != nil {
+	spec, err := s.jobSpec(m.Statement, m.Tenant, m.BatchRows)
+	if err != nil {
 		return Response{Error: err.Error(), Code: CodeBadRequest}
 	}
 	// A degraded journal cannot back the write-ahead contract an OK
@@ -1045,22 +1046,6 @@ func (s *Server) submit(m Message) Response {
 				RetryAfterSecs: s.cfg.HealProbeSecs,
 			}
 		}
-	}
-	cmd, crit, err := criteria.Parse(m.Statement)
-	if err != nil {
-		return Response{Error: err.Error(), Code: CodeBadRequest}
-	}
-	if crit.Kind != criteria.Accuracy {
-		return Response{Error: `serve: serving mode requires an accuracy criterion (e.g. "q5 ACC MIN 80% WITHIN 900 SECONDS")`, Code: CodeBadRequest}
-	}
-	deadline, ok := crit.Deadline.DeadlineSeconds()
-	if !ok {
-		return Response{Error: "serve: AQP deadlines must be wall-time, not epochs", Code: CodeBadRequest}
-	}
-	query := strings.ToLower(strings.TrimSpace(cmd))
-	cls, err := tpch.ClassOf(query)
-	if err != nil {
-		return Response{Error: err.Error(), Code: CodeBadRequest}
 	}
 	id := m.ID
 	if id == "" {
@@ -1079,25 +1064,14 @@ func (s *Server) submit(m Message) Response {
 	} else if s.knownJobID(id) {
 		return Response{Error: fmt.Sprintf("serve: duplicate job id %q", id), Code: CodeDuplicateRequest}
 	}
-	batch := m.BatchRows
-	if batch <= 0 {
-		batch = s.batchRows
-	}
-	j, err := workload.BuildAQPJob(s.cat, workload.AQPSpec{
-		ID:           id,
-		Query:        query,
-		Class:        cls,
-		Tenant:       m.Tenant,
-		Accuracy:     crit.Threshold,
-		DeadlineSecs: deadline,
-		BatchRows:    batch,
-	})
+	spec.ID = id
+	j, err := workload.BuildAQPJob(s.cat, spec)
 	if err != nil {
 		return Response{Error: err.Error(), Code: CodeBadRequest}
 	}
 	eng := s.exec.Engine()
 	s.journal(Record{Kind: recSubmit, ID: id, ReqID: m.ReqID, Statement: m.Statement,
-		Tenant: m.Tenant, BatchRows: batch, At: eng.Now().Seconds()})
+		Tenant: m.Tenant, BatchRows: spec.BatchRows, At: eng.Now().Seconds()})
 	s.exec.Submit(j, eng.Now())
 	s.registerJob(j)
 	// Fire the arrival and its same-instant arbitration so the reply
@@ -1141,6 +1115,38 @@ func (s *Server) submit(m Message) Response {
 		resp.OK = true
 	}
 	return resp
+}
+
+// jobSpec turns a submitted statement into the spec of the job it asks
+// for, with every check submit makes: a valid tenant id, an accuracy
+// criterion, a wall-time deadline and a known query. Submit, migrate-in
+// and recovery all build their jobs through it, so none of them accepts
+// what submit refuses. batchRows <= 0 means the server's default.
+func (s *Server) jobSpec(stmt, tenant string, batchRows int) (workload.AQPSpec, error) {
+	if err := ValidateTenant(tenant); err != nil {
+		return workload.AQPSpec{}, err
+	}
+	cmd, crit, err := criteria.Parse(stmt)
+	if err != nil {
+		return workload.AQPSpec{}, err
+	}
+	if crit.Kind != criteria.Accuracy {
+		return workload.AQPSpec{}, errors.New(`serve: serving mode requires an accuracy criterion (e.g. "q5 ACC MIN 80% WITHIN 900 SECONDS")`)
+	}
+	deadline, ok := crit.Deadline.DeadlineSeconds()
+	if !ok {
+		return workload.AQPSpec{}, errors.New("serve: AQP deadlines must be wall-time, not epochs")
+	}
+	query := strings.ToLower(strings.TrimSpace(cmd))
+	cls, err := tpch.ClassOf(query)
+	if err != nil {
+		return workload.AQPSpec{}, err
+	}
+	if batchRows <= 0 {
+		batchRows = s.batchRows
+	}
+	return workload.AQPSpec{Query: query, Class: cls, Tenant: tenant, Accuracy: crit.Threshold,
+		DeadlineSecs: deadline, BatchRows: batchRows}, nil
 }
 
 // maxTenantBytes bounds a tenant id on the wire.

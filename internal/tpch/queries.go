@@ -110,7 +110,6 @@ type Catalog struct {
 
 	mu    sync.Mutex
 	truth map[string]aqp.Snapshot
-	stats []TableStats
 }
 
 // NewCatalog indexes ds and prepares the fact topics with delivery order

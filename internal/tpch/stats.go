@@ -5,11 +5,11 @@ import (
 	"sort"
 )
 
-// This file implements the table and column statistics the §IV-A memory
-// estimator consumes ("It predicts the memory consumption of the AQP jobs
-// based on each batch's table and column statistics and query plans") —
-// the same inputs Spark's cost-based optimizer exposes: row counts, rough
-// row widths, and per-column cardinality/min/max.
+// This file implements the table and column statistics cmd/tpchgen -stats
+// prints — the inputs Spark's cost-based optimizer exposes: row counts,
+// rough row widths, and per-column cardinality/min/max. The §IV-A memory
+// estimator does not call them: Catalog.MemoryProfile reads the tables'
+// row counts directly.
 
 // ColumnStats summarizes one column of one table.
 type ColumnStats struct {
@@ -154,27 +154,6 @@ func strCol(name string, n int, get func(int) string) ColumnStats {
 	}
 	c.Distinct = len(distinct)
 	return c
-}
-
-// Stats returns the catalog's dataset statistics, computed once and
-// cached.
-func (c *Catalog) Stats() []TableStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stats == nil {
-		c.stats = c.ds.Stats()
-	}
-	return c.stats
-}
-
-// TableStatsByName returns one table's statistics from the catalog.
-func (c *Catalog) TableStatsByName(name string) (TableStats, error) {
-	for _, t := range c.Stats() {
-		if t.Name == name {
-			return t, nil
-		}
-	}
-	return TableStats{}, fmt.Errorf("tpch: unknown table %q", name)
 }
 
 // RenderStats formats the statistics as a plain-text report (used by

@@ -16,8 +16,12 @@ import (
 var (
 	// NewRepository returns an in-memory historical-job store.
 	NewRepository = estimate.NewRepository
-	// NewAccuracyProgress returns the §IV-A progress estimator.
-	NewAccuracyProgress = estimate.NewAccuracyProgress
 	// NewRotaryAQP returns the Algorithm 2 scheduler.
 	NewRotaryAQP = core.NewRotaryAQP
 )
+
+// NewAccuracyProgress returns the §IV-A progress estimator. The count is
+// ignored: the estimator always fits the top 3 similar records.
+func NewAccuracyProgress(repo *estimate.Repository, _ int) *estimate.AccuracyProgress {
+	return estimate.NewAccuracyProgress(repo)
+}

@@ -23,7 +23,7 @@ func TestPublicAPIAQPEndToEnd(t *testing.T) {
 	if err := workload.SeedAQPHistory(repo, cat, workload.RecommendedBatchRows(cat)); err != nil {
 		t.Fatal(err)
 	}
-	sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo, 3))
+	sched := core.NewRotaryAQP(estimate.NewAccuracyProgress(repo))
 	exec := core.NewAQPExecutor(core.DefaultAQPExecConfig(workload.DefaultAQPMemoryMB(cat)), sched, repo)
 
 	cmd := "SELECT SUM(L_EXTENDEDPRICE*L_DISCOUNT) FROM LINEITEM ACC MIN 80% WITHIN 900 SECONDS"
@@ -66,7 +66,7 @@ func TestPublicAPIDLTEndToEnd(t *testing.T) {
 	if err := workload.SeedDLTHistory(repo, 15, 30, 2); err != nil {
 		t.Fatal(err)
 	}
-	sched := core.NewRotaryDLT(0.5, estimate.NewTEE(repo, 3), estimate.NewTME(repo, 3))
+	sched := core.NewRotaryDLT(0.5, estimate.NewTEE(repo), estimate.NewTME(repo))
 	exec := core.NewDLTExecutor(core.DefaultDLTExecConfig(), sched, repo)
 
 	_, crit, err := criteria.Parse("TRAIN RESNET ON CIFAR10 ACC DELTA 0.01 WITHIN 30 EPOCHS")
