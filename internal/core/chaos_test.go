@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -341,62 +342,66 @@ func TestChaosUnifiedFullMixTerminates(t *testing.T) {
 }
 
 // TestChaosObsCountersAgree re-runs the recoverable-fault chaos mix with
-// a private metrics registry and demands the always-on obs counters agree
-// exactly with the executor's RecoveryStats and the store's own ledger —
-// the two accounting paths must never drift.
+// a private metrics registry at every chaos seed and demands the always-on
+// obs counters agree exactly with the trace, the executor's RecoveryStats
+// and the store's own ledger — the accounting paths must never drift.
 func TestChaosObsCountersAgree(t *testing.T) {
 	cat := tpch.NewCatalog(tpch.Generate(0.005, 1), 1)
-	reg := obs.NewRegistry()
-	store, err := core.NewCheckpointStore(t.TempDir(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.SetObs(reg)
-	ecfg := core.DefaultAQPExecConfig(1e6)
-	ecfg.Threads = 2
-	ecfg.Store = store
-	ecfg.Obs = reg
-	in := faults.New(faults.Recoverable(chaosSeeds[0], 0.08))
-	store.SetFaults(in)
-	ecfg.Faults = in
-	exec := core.NewAQPExecutor(ecfg, core.NewRotaryAQP(nil), nil)
-	for i, j := range chaosAQPJobs(t, cat) {
-		exec.Submit(j, sim.Time(float64(i)*5))
-	}
-	if err := exec.Run(); err != nil {
-		t.Fatalf("chaos AQP run: %v", err)
-	}
+	for _, seed := range chaosSeeds {
+		reg := obs.NewRegistry()
+		store, err := core.NewCheckpointStore(t.TempDir(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.SetObs(reg)
+		ecfg := core.DefaultAQPExecConfig(1e6)
+		ecfg.Threads = 2
+		ecfg.Store = store
+		ecfg.Obs = reg
+		ecfg.Tracer = &core.Tracer{}
+		in := faults.New(faults.Recoverable(seed, 0.08))
+		store.SetFaults(in)
+		ecfg.Faults = in
+		exec := core.NewAQPExecutor(ecfg, core.NewRotaryAQP(nil), nil)
+		for i, j := range chaosAQPJobs(t, cat) {
+			exec.Submit(j, sim.Time(float64(i)*5))
+		}
+		if err := exec.Run(); err != nil {
+			t.Fatalf("seed %d: chaos AQP run: %v", seed, err)
+		}
 
-	rec := exec.Recovery()
-	if rec.Crashes == 0 {
-		t.Fatalf("fault plan injected no crashes; agreement test is vacuous")
-	}
-	writes, memHits, diskHits, _ := store.Stats()
-	health := store.Health()
-	if err := invariants.RegistryAgrees(reg, map[string]int{
-		"rotary_aqp_crashes_total":             rec.Crashes,
-		"rotary_aqp_rollbacks_total":           rec.Rollbacks,
-		"rotary_aqp_scratch_restarts_total":    rec.ScratchRestarts,
-		"rotary_aqp_recovered_total":           rec.Recovered,
-		"rotary_aqp_arrivals_total":            len(exec.Jobs()),
-		"rotary_ckpt_writes_total":             writes,
-		"rotary_ckpt_mem_hits_total":           memHits,
-		"rotary_ckpt_disk_hits_total":          diskHits,
-		"rotary_ckpt_retries_total":            health.Retries,
-		"rotary_ckpt_transient_failures_total": health.TransientFailures,
-		"rotary_ckpt_corrupt_detected_total":   health.CorruptDetected,
-		"rotary_ckpt_swept_total":              health.Swept,
-	}); err != nil {
-		t.Error(err)
-	}
-	// Epoch-duration and frame-size histograms must have seen real traffic.
-	if v, ok := reg.Value("rotary_aqp_epochs_total"); !ok || v == 0 {
-		t.Errorf("no epochs counted: %v %v", v, ok)
-	}
-	if writes > 0 {
-		text := reg.RenderText(false)
-		if !strings.Contains(text, "rotary_ckpt_frame_bytes_count") {
-			t.Errorf("frame-size histogram missing despite %d writes:\n%s", writes, text)
+		rec := exec.Recovery()
+		if rec.Crashes == 0 {
+			t.Fatalf("seed %d: fault plan injected no crashes; agreement test is vacuous", seed)
+		}
+		checkLedgersAgree(t, fmt.Sprintf("chaos/%d", seed), exec, reg, len(exec.Jobs()))
+		writes, memHits, diskHits, _ := store.Stats()
+		health := store.Health()
+		if err := invariants.RegistryAgrees(reg, map[string]int{
+			"rotary_aqp_crashes_total":             rec.Crashes,
+			"rotary_aqp_rollbacks_total":           rec.Rollbacks,
+			"rotary_aqp_scratch_restarts_total":    rec.ScratchRestarts,
+			"rotary_aqp_recovered_total":           rec.Recovered,
+			"rotary_aqp_arrivals_total":            len(exec.Jobs()),
+			"rotary_ckpt_writes_total":             writes,
+			"rotary_ckpt_mem_hits_total":           memHits,
+			"rotary_ckpt_disk_hits_total":          diskHits,
+			"rotary_ckpt_retries_total":            health.Retries,
+			"rotary_ckpt_transient_failures_total": health.TransientFailures,
+			"rotary_ckpt_corrupt_detected_total":   health.CorruptDetected,
+			"rotary_ckpt_swept_total":              health.Swept,
+		}); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		// Epoch-duration and frame-size histograms must have seen real traffic.
+		if v, ok := reg.Value("rotary_aqp_epochs_total"); !ok || v == 0 {
+			t.Errorf("seed %d: no epochs counted: %v %v", seed, v, ok)
+		}
+		if writes > 0 {
+			text := reg.RenderText(false)
+			if !strings.Contains(text, "rotary_ckpt_frame_bytes_count") {
+				t.Errorf("seed %d: frame-size histogram missing despite %d writes:\n%s", seed, writes, text)
+			}
 		}
 	}
 }

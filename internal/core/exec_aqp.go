@@ -158,8 +158,7 @@ func (e *AQPExecutor) Detach(id string) error {
 	if e.lc.Admission != nil {
 		e.lc.Admission.JobDone(j.tenant)
 	}
-	e.met.detached.Inc()
-	e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceDetach, Job: j.ID()})
+	e.note(j, TraceEvent{Kind: TraceDetach}, 0)
 	return nil
 }
 
@@ -242,9 +241,8 @@ func (e *AQPExecutor) startEpoch(g AQPGrant) {
 	if err := e.pool.Allocate(j.ID(), g.Threads, g.ReserveMemMB); err != nil {
 		return // raced against another grant this round; stay pending
 	}
-	e.start(j)
+	e.start(j, TraceEvent{Kind: TraceGrant, Threads: g.Threads})
 	e.runningEstMem += j.EstMemMB()
-	e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceGrant, Job: j.ID(), Threads: g.Threads})
 
 	// Memory-oversubscription pressure: if the running jobs' true
 	// footprints exceed the pool, everything pays a thrashing factor.
@@ -302,12 +300,22 @@ func (e *AQPExecutor) release(j *AQPJob) {
 	e.runningEstMem -= j.EstMemMB()
 }
 
-// crashed traces a worker crash; the worker pool itself stays healthy.
-func (e *AQPExecutor) crashed(j *AQPJob, _ int, wastedSecs float64) {
-	if e.lc.Tracer.Enabled() {
-		e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceCrash, Job: j.ID(),
-			Detail: fmt.Sprintf("wasted=%.1fs", wastedSecs)})
+// crashed does nothing: the worker pool itself stays healthy.
+func (e *AQPExecutor) crashed(*AQPJob, int) {}
+
+// detail formats the AQP side's trace details: an epoch's estimated
+// accuracy, a crash's wasted seconds, and whether a resume from the store
+// was served by its memory tier.
+func (e *AQPExecutor) detail(j *AQPJob, kind TraceKind, x float64) string {
+	switch {
+	case kind == TraceEpochDone:
+		return fmt.Sprintf("epoch=%d est-acc=%.3f", j.epochs, j.EstimatedAccuracy())
+	case kind == TraceCrash:
+		return fmt.Sprintf("wasted=%.1fs", x)
+	case kind == TraceResume && e.lc.Store != nil:
+		return fmt.Sprintf("fromMemory=%v", x == 1)
 	}
+	return ""
 }
 
 // encode serializes the job's state, timing the encode apart from the
@@ -332,17 +340,12 @@ func (e *AQPExecutor) resumeJob(j *AQPJob) float64 {
 	state := j.query.StateMemMB()
 	cost := 2 * (e.cfg.CheckpointBaseSecs + state*e.cfg.CheckpointSecsPerMB)
 	if e.lc.Store == nil {
-		e.met.resumes.Inc()
-		e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceResume, Job: j.ID()})
+		e.note(j, TraceEvent{Kind: TraceResume}, 0)
 		return cost
 	}
 	penalty, fromMemory, ok := e.restore(j, j.query.Restore)
 	if !ok {
 		return cost + penalty
-	}
-	if e.lc.Tracer.Enabled() {
-		e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceResume, Job: j.ID(),
-			Detail: fmt.Sprintf("fromMemory=%v", fromMemory)})
 	}
 	if fromMemory {
 		return 0.1 * e.cfg.CheckpointBaseSecs
@@ -371,10 +374,7 @@ func (e *AQPExecutor) finishEpoch(j *AQPJob, epochSecs, normWork float64) {
 	j.normSecs += normWork
 	now := e.eng.Now()
 	j.observeEpoch(now)
-	if e.lc.Tracer.Enabled() {
-		e.lc.Tracer.Emit(TraceEvent{At: now, Kind: TraceEpochDone, Job: j.ID(),
-			Detail: fmt.Sprintf("epoch=%d est-acc=%.3f", j.epochs, j.EstimatedAccuracy())})
-	}
+	e.note(j, TraceEvent{Kind: TraceEpochDone}, epochSecs)
 
 	elapsed := (now - j.arrival).Seconds()
 	// Stop margin: the estimate is noisy around the threshold, so the

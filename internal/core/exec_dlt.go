@@ -57,8 +57,8 @@ type DLTExecutor struct {
 	// is continuously prioritized onto the same device avoids the
 	// checkpoint/restore/warm-up swap cost (§III-C's third advantage).
 	deviceLastJob map[int]string
-
-	oomEvents int
+	// repairSecs is the repair delay of the crash being noted, for its trace.
+	repairSecs float64
 	// arbCtx is arbitration scratch (see execCore.arbPend).
 	arbCtx DLTContext
 }
@@ -99,7 +99,7 @@ func NewDLTExecutorOn(eng *sim.Engine, cfg DLTExecConfig, sched DLTScheduler, re
 func (e *DLTExecutor) TTR() *dlt.TTR { return e.ttr }
 
 // OOMEvents reports placements that exceeded device memory.
-func (e *DLTExecutor) OOMEvents() int { return e.oomEvents }
+func (e *DLTExecutor) OOMEvents() int { return e.ooms }
 
 // Submit schedules a job's arrival.
 func (e *DLTExecutor) Submit(j *DLTJob, at sim.Time) {
@@ -159,20 +159,14 @@ func (e *DLTExecutor) startEpoch(p DLTPlacement) {
 	if err := e.gpus.Assign(j.ID(), p.Device, p.EstMemMB); err != nil {
 		return
 	}
-	e.start(j)
+	e.start(j, TraceEvent{Kind: TracePlace, Device: p.Device})
 	e.roundRunning++
-	e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TracePlace, Job: j.ID(), Device: p.Device})
 
 	actualMB := j.job.PeakMemoryMB()
 	if dev, ok := e.deviceByID(p.Device); ok && actualMB > dev.MemMB {
 		// Out of memory: the epoch aborts after the allocation failure;
 		// the job pays a fraction of an epoch and returns to the queue.
-		e.oomEvents++
-		e.met.ooms.Inc()
-		if e.lc.Tracer.Enabled() {
-			e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceOOM, Job: j.ID(), Device: p.Device,
-				Detail: fmt.Sprintf("need=%.0fMB", actualMB)})
-		}
+		e.note(j, TraceEvent{Kind: TraceOOM, Device: p.Device}, actualMB)
 		e.deviceLastJob[p.Device] = j.ID()
 		waste := 0.1*float64(j.job.StepsPerEpoch())*j.job.StepSeconds() + dlt.WarmupSeconds
 		e.eng.Schedule(waste, func() {
@@ -200,10 +194,7 @@ func (e *DLTExecutor) startEpoch(p DLTPlacement) {
 			// Real replay: the trainer is rebuilt from persisted bytes. Its
 			// Restore drops the warmed flag, so TrainEpoch below re-pays the
 			// warm-up internally — no explicit charge here.
-			penalty, _, ok := e.restore(j, j.job.Restore)
-			if ok {
-				e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceResume, Job: j.ID()})
-			}
+			penalty, _, _ := e.restore(j, j.job.Restore)
 			epochSecs += penalty
 		} else {
 			epochSecs += dlt.WarmupSeconds
@@ -224,18 +215,29 @@ func (e *DLTExecutor) release(j *DLTJob) {
 
 // crashed takes the device down: its hot state is gone and the device
 // itself leaves the rotation until repaired.
-func (e *DLTExecutor) crashed(j *DLTJob, device int, wastedSecs float64) {
+func (e *DLTExecutor) crashed(_ *DLTJob, device int) {
 	delete(e.deviceLastJob, device)
 	e.gpus.SetDown(device, true)
-	repair := e.lc.Faults.RepairSecs()
-	if e.lc.Tracer.Enabled() {
-		e.lc.Tracer.Emit(TraceEvent{At: e.eng.Now(), Kind: TraceCrash, Job: j.ID(), Device: device,
-			Detail: fmt.Sprintf("wasted=%.1fs repair=%.0fs", wastedSecs, repair)})
-	}
-	e.eng.Schedule(repair, func() {
+	e.repairSecs = e.lc.Faults.RepairSecs()
+	e.eng.Schedule(e.repairSecs, func() {
 		e.gpus.SetDown(device, false)
 		e.scheduleArbitrate()
 	})
+}
+
+// detail formats the DLT side's trace details: an epoch's accuracy, a
+// crash's wasted seconds and device repair delay, and the memory an OOM
+// placement needed.
+func (e *DLTExecutor) detail(j *DLTJob, kind TraceKind, x float64) string {
+	switch kind {
+	case TraceEpochDone:
+		return fmt.Sprintf("epoch=%d acc=%.3f", j.epochs, j.job.Accuracy())
+	case TraceCrash:
+		return fmt.Sprintf("wasted=%.1fs repair=%.0fs", x, e.repairSecs)
+	case TraceOOM:
+		return fmt.Sprintf("need=%.0fMB", x)
+	}
+	return ""
 }
 
 // encode serializes the trainer's state.
@@ -288,10 +290,7 @@ func (e *DLTExecutor) finishEpoch(j *DLTJob, device int, start sim.Time, epochSe
 		TrueAcc: j.job.Accuracy(),
 		EstAcc:  j.job.Accuracy(), // DLT evaluates directly; no proxy needed (§IV-B)
 	})
-	if e.lc.Tracer.Enabled() {
-		e.lc.Tracer.Emit(TraceEvent{At: now, Kind: TraceEpochDone, Job: j.ID(),
-			Detail: fmt.Sprintf("epoch=%d acc=%.3f", j.epochs, j.job.Accuracy())})
-	}
+	e.note(j, TraceEvent{Kind: TraceEpochDone}, epochSecs)
 
 	switch {
 	case j.CriteriaMet():

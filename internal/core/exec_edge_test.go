@@ -7,6 +7,8 @@ import (
 	"rotary/internal/criteria"
 	"rotary/internal/dlt"
 	"rotary/internal/estimate"
+	"rotary/internal/invariants"
+	"rotary/internal/obs"
 	"rotary/internal/sim"
 	"rotary/internal/tpch"
 	"rotary/internal/workload"
@@ -164,6 +166,9 @@ func TestDLTOOMPathRequeuesJob(t *testing.T) {
 	cfg := core.DefaultDLTExecConfig()
 	cfg.GPUs = 1
 	cfg.GPUMemMB = 512 // far below any real model's footprint
+	cfg.Tracer = &core.Tracer{}
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
 	exec := core.NewDLTExecutor(cfg, underestimatingDLT{}, nil)
 	trainer, err := dlt.NewJob(dlt.Config{
 		Model: "resnet-18", Dataset: "cifar10", BatchSize: 32,
@@ -181,6 +186,16 @@ func TestDLTOOMPathRequeuesJob(t *testing.T) {
 	exec.Engine().RunUntil(sim.Time(3600))
 	if exec.OOMEvents() == 0 {
 		t.Fatal("no OOM events on a 512 MB device")
+	}
+	// The OOM count, its counter and the trace agree.
+	traced := 0
+	for _, ev := range exec.Tracer().Events() {
+		if ev.Kind == core.TraceOOM {
+			traced++
+		}
+	}
+	if err := invariants.RegistryAgrees(reg, map[string]int{"rotary_dlt_oom_total": exec.OOMEvents()}); err != nil || traced != exec.OOMEvents() {
+		t.Errorf("OOMEvents %d, traced %d, counter: %v", exec.OOMEvents(), traced, err)
 	}
 	if j.Epochs() != 0 {
 		t.Errorf("job trained %d epochs despite OOM", j.Epochs())

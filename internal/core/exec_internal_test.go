@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"rotary/internal/obs"
 )
 
 // synthAQPQueue builds n AQP jobs with ascending IDs. The tests
@@ -72,6 +74,25 @@ func TestRunningJobsSortedByID(t *testing.T) {
 			if got[i-1].id >= got[i].id {
 				t.Fatalf("round %d: DLT running set not sorted: %q before %q", round, got[i-1].id, got[i].id)
 			}
+		}
+	}
+}
+
+// TestNoteUntracedAllocatesNothing pins note's lazy Detail: with no tracer
+// every transition books its ledgers without a single allocation (the
+// per-status outcome counter registers at its first use, which
+// AllocsPerRun's warm-up call absorbs).
+func TestNoteUntracedAllocatesNothing(t *testing.T) {
+	cfg := DefaultAQPExecConfig(1e6)
+	cfg.Obs = obs.NewRegistry()
+	e := NewAQPExecutor(cfg, NewRotaryAQP(nil), nil)
+	e.lc.Tracer = nil // no process default either
+	j := synthAQPQueue(1)[0]
+	j.status = StatusExpired
+	for k := TraceArrive; k <= TraceDetach; k++ {
+		ev := TraceEvent{Kind: k, Detail: "q-1"}
+		if n := testing.AllocsPerRun(100, func() { e.note(j, ev, 1.5) }); n != 0 {
+			t.Errorf("note(%v) with no tracer: %v allocations, want 0", k, n)
 		}
 	}
 }

@@ -139,9 +139,11 @@ type resourceModel[J any] interface {
 	rewind(j J) error
 	// arrived runs once an arrival has joined the wait queue.
 	arrived(j J)
-	// crashed runs the model's side of a crash wastedSecs into an epoch
-	// on device, before the job waits out its recovery delay.
-	crashed(j J, device int, wastedSecs float64)
+	// crashed runs the model's side of a crash on device, before the job
+	// waits out its recovery delay.
+	crashed(j J, device int)
+	// detail formats a traced epoch done, crash, resume or OOM's Detail.
+	detail(j J, kind TraceKind, x float64) string
 	// retire is the model's terminal step once the job's status is final.
 	retire(j J)
 }
@@ -224,8 +226,10 @@ type execCore[J lifecycleJob[J]] struct {
 	arbPending    bool
 	terminalCount int
 	storeErr      error
-	rec           RecoveryStats
-	overload      OverloadStats
+	// The ledgers note keeps (see note.go).
+	rec      RecoveryStats
+	overload OverloadStats
+	ooms     int
 	// aging is the starvation guard's ledger when AgingRounds wraps the
 	// policy in one (nil otherwise).
 	aging *agingLedger
@@ -348,7 +352,7 @@ func (c *execCore[J]) register(j J, at sim.Time, recovered bool) {
 		b.arrival = c.eng.Now()
 		b.arrived = true
 		b.status = StatusPending
-		c.met.arrivals.Inc()
+		ev := TraceEvent{Kind: TraceArrive}
 		if recovered {
 			// Reattach to the persisted checkpoint at the first grant. With
 			// no store the fresh in-memory state is all there is, and the
@@ -361,17 +365,12 @@ func (c *execCore[J]) register(j J, at sim.Time, recovered bool) {
 			if c.lc.Admission != nil {
 				c.lc.Admission.AdoptRecovered(b.tenant)
 			}
-			c.rec.Reattached++
-			c.met.reattached.Inc()
+			ev.Detail = reattachedDetail
 		} else if c.lc.Admission != nil && !c.admit(j) {
 			return
 		}
-		detail := ""
-		if recovered {
-			detail = "recovered"
-		}
 		c.enqueue(j)
-		c.lc.Tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceArrive, Job: b.id, Tenant: b.tenant, Detail: detail})
+		c.note(j, ev, 0)
 		c.model.arrived(j)
 		c.scheduleArbitrate()
 	})
@@ -379,7 +378,8 @@ func (c *execCore[J]) register(j J, at sim.Time, recovered bool) {
 
 // admit runs the admission decision for an arriving job, reporting
 // whether the job entered the wait queue. Refused jobs (and shed victims)
-// terminate immediately with StatusRejected/StatusShed.
+// terminate immediately with StatusRejected/StatusShed, recording no
+// history: they never produced a curve worth learning from.
 func (c *execCore[J]) admit(j J) bool {
 	b := j.base()
 	depth := len(c.pending) + len(c.running) + c.limbo
@@ -406,25 +406,23 @@ func (c *execCore[J]) admit(j J) bool {
 	switch dec.Verdict {
 	case admission.DegradeBestEffort:
 		b.bestEffort = true
-		c.overload.Degraded++
-		c.met.degraded.Inc()
 		return true
 	case admission.RejectJob:
 		b.rejectErr = dec.Err
 		b.retryAfterSecs = dec.RetryAfterSecs
-		c.rejectJob(j, StatusRejected, dec.Reason)
+		c.terminate(j, StatusRejected, TraceEvent{Kind: TraceReject, Detail: dec.Reason})
 		return false
 	case admission.ShedVictim:
 		v, ok := c.shedVictim(j)
 		if !ok {
 			c.lc.Admission.ResolveShed(req, false)
 			b.rejectErr = admission.ShedRefusalErr(b.id, depth, c.lc.Admission.Config().MaxQueueDepth)
-			c.rejectJob(j, StatusRejected, "queue-full no-victim")
+			c.terminate(j, StatusRejected, TraceEvent{Kind: TraceReject, Detail: "queue-full no-victim"})
 			return false
 		}
 		c.lc.Admission.ResolveShed(req, true)
 		c.removePending(v)
-		c.rejectJob(v, StatusShed, fmt.Sprintf("for %s", b.id))
+		c.terminate(v, StatusShed, TraceEvent{Kind: TraceShed, Detail: b.id})
 		return true
 	default:
 		return true
@@ -434,12 +432,14 @@ func (c *execCore[J]) admit(j J) bool {
 // estCompletionSecs estimates an arrival's queueing delay plus first
 // service under the current load: the queued and running jobs' next-epoch
 // costs spread over the whole pool, plus the arrival's own first epoch.
+// Running jobs sum in id order: float addition is not associative, and
+// map order would let a verdict at the deadline's edge vary between runs.
 func (c *execCore[J]) estCompletionSecs(j J) float64 {
 	var backlog float64
 	for _, p := range c.pending {
 		backlog += p.nextEpochSecsGuess()
 	}
-	for _, r := range c.running {
+	for _, r := range c.runningJobs() {
 		backlog += r.nextEpochSecsGuess()
 	}
 	return backlog/float64(c.slots) + j.nextEpochSecsGuess()
@@ -460,61 +460,30 @@ func (c *execCore[J]) shedVictim(arrival J) (J, bool) {
 	return victim, found && victim.lessValuable(arrival)
 }
 
-// rejectJob terminates a job outside the normal stop path: refused at the
-// admission gate (StatusRejected) or evicted from the queue
-// (StatusShed). No history is recorded — the job never produced a curve
-// worth learning from.
-func (c *execCore[J]) rejectJob(j J, status JobStatus, detail string) {
-	b := j.base()
-	kind := TraceReject
-	if status == StatusShed {
-		kind = TraceShed
-		c.overload.Shed++
-		c.met.shed.Inc()
-		// A shed victim was admitted earlier and held a tenant slot.
-		if c.lc.Admission != nil {
-			c.lc.Admission.JobDone(b.tenant)
-		}
-	} else {
-		c.overload.Rejected++
-		c.met.rejected.Inc()
-	}
-	if c.lc.Store != nil {
-		c.lc.Store.Remove(b.id)
-	}
-	c.lc.Tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: kind, Job: b.id, Tenant: b.tenant, Detail: detail})
-	c.terminate(b, status)
-}
-
 // finishJob stops an admitted job (every finishJob target reached the
 // queue) and hands it to the model's terminal step.
 func (c *execCore[J]) finishJob(j J, status JobStatus) {
+	c.terminate(j, status, TraceEvent{Kind: TraceStop})
+	c.model.retire(j)
+}
+
+// terminate records a terminal status: the job's checkpoint goes, the
+// tenant slot of an admitted job opens, and ev — the Stop, Reject or Shed
+// that ended it — is noted. When the workload is complete it drops
+// leftover watchdog timers so the clock reflects the real makespan (or
+// tells the composing driver).
+func (c *execCore[J]) terminate(j J, status JobStatus, ev TraceEvent) {
 	b := j.base()
 	if c.lc.Store != nil {
 		c.lc.Store.Remove(b.id)
 	}
-	// The job's tenant's concurrent-job slot opens here.
-	if c.lc.Admission != nil {
+	// A refused arrival never held a tenant slot.
+	if c.lc.Admission != nil && ev.Kind != TraceReject {
 		c.lc.Admission.JobDone(b.tenant)
 	}
-	if b.crashPending {
-		// Expired while still recovering: close the latency window without
-		// counting a successful recovery.
-		b.crashPending = false
-		c.rec.RecoveryLatencySecs += (c.eng.Now() - b.crashedSince).Seconds()
-	}
-	c.lc.Tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceStop, Job: b.id, Tenant: b.tenant, Detail: status.String()})
-	c.terminate(b, status)
-	c.model.retire(j)
-}
-
-// terminate records a terminal status. When the workload is complete it
-// drops leftover watchdog timers so the clock reflects the real makespan
-// (or tells the composing driver).
-func (c *execCore[J]) terminate(b *jobCore, status JobStatus) {
 	b.status = status
 	b.endTime = c.eng.Now()
-	c.met.outcome(status)
+	c.note(j, ev, 0)
 	c.terminalCount++
 	if c.terminalCount == len(c.jobs) {
 		if c.ownsEngine {
@@ -581,14 +550,14 @@ func (c *execCore[J]) startable(j J) bool {
 }
 
 // start moves a job whose grant the pool accepted from the wait queue
-// into the running set.
-func (c *execCore[J]) start(j J) {
+// into the running set and notes the grant (ev: Grant or Place).
+func (c *execCore[J]) start(j J, ev TraceEvent) {
 	b := j.base()
 	c.removePending(j)
 	b.status = StatusRunning
 	c.running[b.id] = j
-	c.met.grants.Inc()
 	c.met.runningJobs.Set(float64(len(c.running)))
+	c.note(j, ev, 0)
 }
 
 // free returns a job's grant and takes it out of the running set.
@@ -616,59 +585,38 @@ func (c *execCore[J]) runEpoch(j J, device int, epochSecs float64, done func()) 
 		}
 	}
 	if after, crashed := c.lc.Faults.EpochCrash(epochSecs); crashed && after <= watchAt {
-		c.eng.Schedule(after, func() { c.crashEpoch(j, device, after) })
+		c.eng.Schedule(after, func() { c.interrupt(j, TraceEvent{Kind: TraceCrash, Device: device}, after) })
 		return
 	}
 	if !math.IsInf(watchAt, 1) {
-		c.eng.Schedule(watchAt, func() { c.preemptEpoch(j, device, watchAt) })
+		c.eng.Schedule(watchAt, func() { c.interrupt(j, TraceEvent{Kind: TraceWatchdog, Device: device}, watchAt) })
 		return
 	}
 	c.eng.Schedule(epochSecs, done)
 }
 
-// preemptEpoch handles the watchdog firing wastedSecs into a running
-// epoch: the epoch's in-flight results are lost, resources free
-// immediately (the device stays healthy — this is not a fault), and the
-// job rejoins the queue after the penalty delay with a forced rollback to
-// its last valid checkpoint (like a crash, minus the failure-detection
-// machinery). The rollback goes through Store.Load even though no work
-// survived: read faults and corrupt frames must still fire.
-func (c *execCore[J]) preemptEpoch(j J, device int, wastedSecs float64) {
+// interrupt ends a running epoch wastedSecs in, as ev says: a Crash, or
+// a Watchdog preemption (the device stays healthy — this is not a fault).
+// The epoch's in-flight results are lost, resources free immediately, and
+// the job rejoins the queue after the crash-recovery or penalty delay
+// with a forced rollback to its last valid checkpoint. The rollback goes
+// through Store.Load even when no work survived: read faults and corrupt
+// frames must still fire.
+func (c *execCore[J]) interrupt(j J, ev TraceEvent, wastedSecs float64) {
 	c.free(j)
 	b := j.base()
 	b.status = StatusPending
 	b.needsRestore = true
 	b.processingSecs += wastedSecs
-	b.watchdogStrikes++
-	c.overload.WatchdogPreemptions++
-	c.met.watchdogPreempts.Inc()
-	c.overload.WatchdogWastedSecs += wastedSecs
-	if c.lc.Tracer.Enabled() {
-		c.lc.Tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceWatchdog, Job: b.id, Device: device,
-			Detail: fmt.Sprintf("wasted=%.1fs strikes=%d", wastedSecs, b.watchdogStrikes)})
+	delay := float64(watchdogPenaltySecs)
+	if ev.Kind == TraceCrash {
+		c.model.crashed(j, ev.Device)
+		delay = crashRecoverySecs
+	} else {
+		b.watchdogStrikes++
 	}
-	c.requeueAfter(j, watchdogPenaltySecs)
-}
-
-// crashEpoch handles a crash wastedSecs into a running epoch: the epoch's
-// results are lost, resources free immediately, and the job rejoins the
-// queue after the crash-recovery delay with a forced rollback to its last
-// valid checkpoint.
-func (c *execCore[J]) crashEpoch(j J, device int, wastedSecs float64) {
-	c.free(j)
-	b := j.base()
-	b.status = StatusPending
-	b.needsRestore = true
-	b.processingSecs += wastedSecs
-	if !b.crashPending {
-		b.crashPending = true
-		b.crashedSince = c.eng.Now()
-	}
-	c.rec.Crashes++
-	c.met.crashes.Inc()
-	c.rec.WastedWorkSecs += wastedSecs
-	c.model.crashed(j, device, wastedSecs)
-	c.requeueAfter(j, crashRecoverySecs)
+	c.note(j, ev, wastedSecs)
+	c.requeueAfter(j, delay)
 }
 
 // requeueAfter parks a job in limbo for delay virtual seconds, then
@@ -686,23 +634,17 @@ func (c *execCore[J]) requeueAfter(j J, delay float64) {
 	c.scheduleArbitrate()
 }
 
-// epochDone frees a job whose epoch of epochSecs completed and books it.
+// epochDone frees a job whose epoch of epochSecs completed and books it
+// on the job; the executor notes the transition once it has observed the
+// epoch.
 func (c *execCore[J]) epochDone(j J, epochSecs float64) {
 	c.free(j)
-	c.met.epochs.Inc()
-	c.met.epochSecs.Observe(epochSecs)
 	b := j.base()
 	b.everRan = true
 	b.lastRelease = c.eng.Now()
 	b.epochs++
 	b.processingSecs += epochSecs
 	b.watchdogStrikes = 0 // completed within budget
-	if b.crashPending {
-		b.crashPending = false
-		c.rec.Recovered++
-		c.met.recovered.Inc()
-		c.rec.RecoveryLatencySecs += (c.eng.Now() - b.crashedSince).Seconds()
-	}
 }
 
 // deferJob returns a job that met no stop rule to the wait queue and
@@ -728,30 +670,29 @@ func (c *execCore[J]) deferJob(j J) {
 	} else if err != nil {
 		c.storeErr = err
 	} else {
-		c.met.checkpoints.Inc()
-		c.lc.Tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceCheckpoint, Job: b.id})
+		c.note(j, TraceEvent{Kind: TraceCheckpoint}, 0)
 	}
 }
 
 // restore replays the job's persisted checkpoint through apply, returning
 // the store's injected I/O delay, whether the memory tier served the
-// bytes, and whether the replay succeeded. An unusable checkpoint
+// bytes, and whether the replay succeeded (noted as a resume, and a
+// rollback when a crash or preemption forced it). An unusable checkpoint
 // (missing, corrupt, or persistently failing I/O) falls back to a
 // from-scratch restart off the pristine state; any other failure is fatal
 // to the run.
 func (c *execCore[J]) restore(j J, apply func([]byte) error) (penaltySecs float64, fromMemory, ok bool) {
 	b := j.base()
-	rollingBack := b.needsRestore
 	data, fromMemory, err := c.lc.Store.Load(b.id)
 	penaltySecs = c.lc.Store.TakePenaltySecs()
 	if err == nil {
 		if err = apply(data); err == nil {
-			b.needsRestore = false
-			if rollingBack {
-				c.rec.Rollbacks++
-				c.met.rollbacks.Inc()
+			served := 0.0
+			if fromMemory {
+				served = 1
 			}
-			c.met.resumes.Inc()
+			c.note(j, TraceEvent{Kind: TraceResume}, served)
+			b.needsRestore = false
 			return penaltySecs, fromMemory, true
 		}
 	}
@@ -785,9 +726,7 @@ func (c *execCore[J]) scratchRestart(j J, cause error) error {
 	b.everRan = false
 	b.needsRestore = false
 	b.lastRelease = 0
-	c.rec.ScratchRestarts++
-	c.met.scratchRestarts.Inc()
-	c.lc.Tracer.Emit(TraceEvent{At: c.eng.Now(), Kind: TraceRestart, Job: b.id, Detail: restartCause(cause)})
+	c.note(j, TraceEvent{Kind: TraceRestart, Detail: restartCause(cause)}, 0)
 	return nil
 }
 

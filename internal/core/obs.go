@@ -33,27 +33,19 @@ type execMetrics struct {
 	reg *obs.Registry
 	sub string
 
-	arrivals         *obs.Counter
-	grants           *obs.Counter // thread grants (aqp) / device placements (dlt)
-	epochs           *obs.Counter
-	epochSecs        *obs.Histogram
-	checkpoints      *obs.Counter
-	resumes          *obs.Counter
-	rollbacks        *obs.Counter
-	crashes          *obs.Counter
-	recovered        *obs.Counter
-	reattached       *obs.Counter
-	detached         *obs.Counter
-	scratchRestarts  *obs.Counter
-	watchdogPreempts *obs.Counter
-	rejected         *obs.Counter
-	shed             *obs.Counter
-	degraded         *obs.Counter
-	stops            *obs.Counter
-	ooms             *obs.Counter // dlt only
-	pendingJobs      *obs.Gauge
-	runningJobs      *obs.Gauge
-	ckptEncode       *obs.Histogram // wall, aqp only: Checkpoint() before the store sees a byte
+	// count counts noted transitions by kind (nil counts nothing: stop,
+	// and the kinds the substrate never notes).
+	count       [TraceDetach + 1]*obs.Counter
+	epochSecs   *obs.Histogram
+	rollbacks   *obs.Counter
+	recovered   *obs.Counter
+	reattached  *obs.Counter
+	degraded    *obs.Counter
+	stops       *obs.Counter
+	pendingJobs *obs.Gauge
+	runningJobs *obs.Gauge
+	ckptEncode  *obs.Histogram // wall, aqp only: Checkpoint() before the store sees a byte
+	outcomes    [StatusShed + 1]*obs.Counter
 }
 
 func newExecMetrics(reg *obs.Registry, sub string) *execMetrics {
@@ -62,47 +54,47 @@ func newExecMetrics(reg *obs.Registry, sub string) *execMetrics {
 	}
 	p := "rotary_" + sub + "_"
 	m := &execMetrics{
-		reg:              reg,
-		sub:              sub,
-		arrivals:         reg.Counter(p+"arrivals_total", "job arrivals fired (counted before the admission gate)"),
-		epochs:           reg.Counter(p+"epochs_total", "epochs completed"),
-		epochSecs:        reg.Histogram(p+"epoch_secs", "completed-epoch duration in virtual seconds", epochSecsBuckets),
-		checkpoints:      reg.Counter(p+"checkpoints_total", "deferred-job checkpoints persisted"),
-		resumes:          reg.Counter(p+"resumes_total", "checkpoint resumes replayed"),
-		rollbacks:        reg.Counter(p+"rollbacks_total", "forced rollbacks to a checkpoint after a crash or preemption"),
-		crashes:          reg.Counter(p+"crashes_total", "injected worker/device crashes"),
-		recovered:        reg.Counter(p+"recovered_total", "jobs that completed an epoch after a crash"),
-		reattached:       reg.Counter(p+"reattached_total", "journal-recovered jobs re-registered after a daemon restart"),
-		detached:         reg.Counter(p+"detached_total", "jobs detached for checkpoint-carried migration to another shard"),
-		scratchRestarts:  reg.Counter(p+"scratch_restarts_total", "from-scratch restarts after an unusable checkpoint"),
-		watchdogPreempts: reg.Counter(p+"watchdog_preemptions_total", "epochs preempted by the watchdog"),
-		rejected:         reg.Counter(p+"rejected_total", "arrivals refused at the admission gate"),
-		shed:             reg.Counter(p+"shed_total", "queued jobs evicted for a higher-value arrival"),
-		degraded:         reg.Counter(p+"degraded_total", "arrivals admitted as best-effort"),
-		stops:            reg.Counter(p+"stops_total", "jobs reaching a terminal status (any outcome)"),
-		pendingJobs:      reg.Gauge(p+"pending_jobs", "wait-queue depth"),
-		runningJobs:      reg.Gauge(p+"running_jobs", "jobs mid-epoch"),
+		reg:         reg,
+		sub:         sub,
+		epochSecs:   reg.Histogram(p+"epoch_secs", "completed-epoch duration in virtual seconds", epochSecsBuckets),
+		rollbacks:   reg.Counter(p+"rollbacks_total", "forced rollbacks to a checkpoint after a crash or preemption"),
+		recovered:   reg.Counter(p+"recovered_total", "jobs that completed an epoch after a crash"),
+		reattached:  reg.Counter(p+"reattached_total", "journal-recovered jobs re-registered after a daemon restart"),
+		degraded:    reg.Counter(p+"degraded_total", "arrivals admitted as best-effort"),
+		stops:       reg.Counter(p+"stops_total", "jobs reaching a terminal status (any outcome)"),
+		pendingJobs: reg.Gauge(p+"pending_jobs", "wait-queue depth"),
+		runningJobs: reg.Gauge(p+"running_jobs", "jobs mid-epoch"),
 	}
+	m.count[TraceArrive] = reg.Counter(p+"arrivals_total", "job arrivals fired (counted before the admission gate)")
+	m.count[TraceEpochDone] = reg.Counter(p+"epochs_total", "epochs completed")
+	m.count[TraceCheckpoint] = reg.Counter(p+"checkpoints_total", "deferred-job checkpoints persisted")
+	m.count[TraceResume] = reg.Counter(p+"resumes_total", "checkpoint resumes replayed")
+	m.count[TraceCrash] = reg.Counter(p+"crashes_total", "injected worker/device crashes")
+	m.count[TraceDetach] = reg.Counter(p+"detached_total", "jobs detached for checkpoint-carried migration to another shard")
+	m.count[TraceRestart] = reg.Counter(p+"scratch_restarts_total", "from-scratch restarts after an unusable checkpoint")
+	m.count[TraceWatchdog] = reg.Counter(p+"watchdog_preemptions_total", "epochs preempted by the watchdog")
+	m.count[TraceReject] = reg.Counter(p+"rejected_total", "arrivals refused at the admission gate")
+	m.count[TraceShed] = reg.Counter(p+"shed_total", "queued jobs evicted for a higher-value arrival")
 	if sub == "dlt" {
-		m.grants = reg.Counter(p+"placements_total", "device placements applied")
-		m.ooms = reg.Counter(p+"oom_total", "placements aborted by device OOM")
+		m.count[TracePlace] = reg.Counter(p+"placements_total", "device placements applied")
+		m.count[TraceOOM] = reg.Counter(p+"oom_total", "placements aborted by device OOM")
 	} else {
-		m.grants = reg.Counter(p+"grants_total", "thread grants applied")
+		m.count[TraceGrant] = reg.Counter(p+"grants_total", "thread grants applied")
 		m.ckptEncode = reg.WallHistogram("rotary_checkpoint_encode_seconds",
 			"wall-clock time encoding a job's state for a checkpoint (disk time is rotary_ckpt_write_seconds)", ckptLatencyBuckets)
 	}
 	return m
 }
 
-// outcome counts a terminal status in the per-status breakdown family.
-// The registry lookup is amortized over a job's whole lifetime (one call
-// at termination), not per-epoch.
-func (m *execMetrics) outcome(status JobStatus) {
-	m.stops.Inc()
-	if m.reg != nil {
-		m.reg.Counter(fmt.Sprintf("rotary_%s_job_outcomes_total{status=%q}", m.sub, status),
-			"terminal job outcomes by status").Inc()
+// outcome returns a terminal status's counter in the per-status breakdown
+// family, registered at the status's first occurrence (a status no job
+// reached never renders).
+func (m *execMetrics) outcome(status JobStatus) *obs.Counter {
+	if m.outcomes[status] == nil {
+		m.outcomes[status] = m.reg.Counter(fmt.Sprintf("rotary_%s_job_outcomes_total{status=%q}", m.sub, status),
+			"terminal job outcomes by status")
 	}
+	return m.outcomes[status]
 }
 
 // storeMetrics holds a CheckpointStore's obs handles. Counters and the

@@ -189,7 +189,8 @@ func TestOverloadSameSeedBitIdentical(t *testing.T) {
 // A second overload shape: the DLT side under the same defences (bounded
 // admission, watchdog, aging) must also terminate with a bounded queue —
 // under plain rejection and under shedding, which evicts the queued job
-// dltLessValuable ranks lowest.
+// dltLessValuable ranks lowest — with its trace, counters and stats in
+// agreement.
 func TestOverloadDLTSurvives(t *testing.T) {
 	specs := mustGenDLT(t, 16, 7)
 	totalShed := 0
@@ -209,6 +210,9 @@ func TestOverloadDLTSurvives(t *testing.T) {
 			cfg.Admission = ctrl
 			cfg.WatchdogSlack = 3
 			cfg.AgingRounds = 4
+			cfg.Tracer = &core.Tracer{}
+			reg := obs.NewRegistry()
+			cfg.Obs = reg
 			in := faults.New(faults.Recoverable(seed, 0.05))
 			store.SetFaults(in)
 			cfg.Faults = in
@@ -239,6 +243,7 @@ func TestOverloadDLTSurvives(t *testing.T) {
 			}
 			ov := exec.Overload()
 			checkOutcomeGolden(t, fmt.Sprintf("dlt/%v/%d", policy, seed), renderOutcomes(exec.Jobs(), ov, exec.Recovery()))
+			checkLedgersAgree(t, fmt.Sprintf("dlt/%v/%d", policy, seed), exec, reg, len(specs))
 			if ov.MaxPendingDepth > 6 {
 				t.Errorf("%v seed %d: DLT queue high-water %d exceeds bound 6", policy, seed, ov.MaxPendingDepth)
 			}
@@ -251,62 +256,65 @@ func TestOverloadDLTSurvives(t *testing.T) {
 }
 
 // TestOverloadObsCountersAgree checks the always-on metrics against the
-// run's authoritative ledgers: executor OverloadStats, admission Stats,
-// and the job outcomes themselves. Any drift means an instrumentation
-// site was missed or double-counted.
+// run's authoritative ledgers at every overload seed: the trace, executor
+// OverloadStats, admission Stats, and the job outcomes themselves. Any
+// drift means a transition was missed or double-counted.
 func TestOverloadObsCountersAgree(t *testing.T) {
 	cat := tpch.NewCatalog(tpch.Generate(0.005, 1), 1)
-	run := runOverloadAQP(t, cat, chaosSeeds[0])
-	get := func(name string) float64 {
-		t.Helper()
-		v, ok := run.reg.Value(name)
-		if !ok {
-			t.Fatalf("metric %s never registered", name)
+	for _, seed := range chaosSeeds {
+		run := runOverloadAQP(t, cat, seed)
+		get := func(name string) float64 {
+			t.Helper()
+			v, ok := run.reg.Value(name)
+			if !ok {
+				t.Fatalf("metric %s never registered", name)
+			}
+			return v
 		}
-		return v
-	}
 
-	ov := run.exec.Overload()
-	ast := run.ctrl.Stats()
-	if ov.WatchdogPreemptions == 0 || ast.Rejected == 0 {
-		t.Fatalf("overload run triggered no defences (preempts=%d rejected=%d); agreement test is vacuous",
-			ov.WatchdogPreemptions, ast.Rejected)
-	}
-	if err := invariants.RegistryAgrees(run.reg, map[string]int{
-		"rotary_aqp_watchdog_preemptions_total":        ov.WatchdogPreemptions,
-		"rotary_aqp_rejected_total":                    ov.Rejected,
-		"rotary_aqp_shed_total":                        ov.Shed,
-		"rotary_aqp_degraded_total":                    ov.Degraded,
-		"rotary_aqp_arrivals_total":                    len(run.jobs),
-		"rotary_admission_submitted_total":             ast.Submitted,
-		"rotary_admission_admitted_total":              ast.Admitted,
-		"rotary_admission_rejected_total":              ast.Rejected,
-		"rotary_admission_shed_total":                  ast.Shed,
-		"rotary_admission_degraded_total":              ast.Degraded,
-		"rotary_admission_queue_full_rejections_total": ast.QueueFullRejections,
-	}); err != nil {
-		t.Error(err)
-	}
-	// Terminal accounting: every job ends exactly once, and the per-status
-	// outcome counters partition the stop total.
-	stops := get("rotary_aqp_stops_total")
-	if int(stops) != len(run.jobs) {
-		t.Errorf("stops_total = %v, want %d (every job terminal exactly once)", stops, len(run.jobs))
-	}
-	var byStatus float64
-	for _, status := range []string{"attained", "converged", "expired", "rejected", "shed"} {
-		if v, ok := run.reg.Value(fmt.Sprintf("rotary_aqp_job_outcomes_total{status=%q}", status)); ok {
-			byStatus += v
+		ov := run.exec.Overload()
+		ast := run.ctrl.Stats()
+		if ov.WatchdogPreemptions == 0 || ast.Rejected == 0 {
+			t.Fatalf("seed %d: overload run triggered no defences (preempts=%d rejected=%d); agreement test is vacuous",
+				seed, ov.WatchdogPreemptions, ast.Rejected)
 		}
-	}
-	if byStatus != stops {
-		t.Errorf("per-status outcomes sum to %v, stops_total is %v", byStatus, stops)
-	}
-	// Gauges settle at zero once the run drains.
-	if v := get("rotary_aqp_pending_jobs"); v != 0 {
-		t.Errorf("pending_jobs gauge = %v after drain", v)
-	}
-	if v := get("rotary_aqp_running_jobs"); v != 0 {
-		t.Errorf("running_jobs gauge = %v after drain", v)
+		checkLedgersAgree(t, fmt.Sprintf("aqp/%d", seed), run.exec, run.reg, len(run.jobs))
+		if err := invariants.RegistryAgrees(run.reg, map[string]int{
+			"rotary_aqp_watchdog_preemptions_total":        ov.WatchdogPreemptions,
+			"rotary_aqp_rejected_total":                    ov.Rejected,
+			"rotary_aqp_shed_total":                        ov.Shed,
+			"rotary_aqp_degraded_total":                    ov.Degraded,
+			"rotary_aqp_arrivals_total":                    len(run.jobs),
+			"rotary_admission_submitted_total":             ast.Submitted,
+			"rotary_admission_admitted_total":              ast.Admitted,
+			"rotary_admission_rejected_total":              ast.Rejected,
+			"rotary_admission_shed_total":                  ast.Shed,
+			"rotary_admission_degraded_total":              ast.Degraded,
+			"rotary_admission_queue_full_rejections_total": ast.QueueFullRejections,
+		}); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		// Terminal accounting: every job ends exactly once, and the per-status
+		// outcome counters partition the stop total.
+		stops := get("rotary_aqp_stops_total")
+		if int(stops) != len(run.jobs) {
+			t.Errorf("seed %d: stops_total = %v, want %d (every job terminal exactly once)", seed, stops, len(run.jobs))
+		}
+		var byStatus float64
+		for _, status := range []string{"attained", "converged", "expired", "rejected", "shed"} {
+			if v, ok := run.reg.Value(fmt.Sprintf("rotary_aqp_job_outcomes_total{status=%q}", status)); ok {
+				byStatus += v
+			}
+		}
+		if byStatus != stops {
+			t.Errorf("seed %d: per-status outcomes sum to %v, stops_total is %v", seed, byStatus, stops)
+		}
+		// Gauges settle at zero once the run drains.
+		if v := get("rotary_aqp_pending_jobs"); v != 0 {
+			t.Errorf("seed %d: pending_jobs gauge = %v after drain", seed, v)
+		}
+		if v := get("rotary_aqp_running_jobs"); v != 0 {
+			t.Errorf("seed %d: running_jobs gauge = %v after drain", seed, v)
+		}
 	}
 }

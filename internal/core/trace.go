@@ -12,9 +12,21 @@ import (
 // TraceKind classifies an arbitration event.
 type TraceKind int
 
-// Arbitration trace events. The sequence for one job is:
-// Arrive → (Grant → EpochDone → [Checkpoint])* → Stop, with Resume before
-// any Grant that replays persisted state, Place/OOM on the DLT side.
+// Arbitration trace events. One job's events follow
+//
+//	Reject
+//	Arrive (Grant|Place [OOM | [Resume|Restart] (EpochDone [Checkpoint|Restart] | Crash | Watchdog)])* Stop|Shed|Detach
+//
+// Reject refuses an arrival at the admission gate. Grant (AQP threads) or
+// Place (a DLT device) starts an epoch; OOM aborts a placement whose true
+// footprint overflowed the device. Resume replays the job's checkpoint at
+// its grant (after a Crash or a Watchdog preemption, on reattaching, or
+// when its state went cold); Restart marks a from-scratch restart when no
+// usable checkpoint survives, at that replay or in place of a Checkpoint
+// whose save failed for good. Stop ends the job at an epoch boundary (or,
+// AQP, at a deadline passed in the queue); Shed evicts a queued job for a
+// higher-value arrival; Detach migrates a queued job to another arbiter
+// shard.
 const (
 	TraceArrive TraceKind = iota
 	TraceGrant
@@ -24,60 +36,23 @@ const (
 	TraceResume
 	TraceOOM
 	TraceStop
-	// TraceCrash and TraceRestart extend the lifecycle under fault
-	// injection: Crash interrupts a running epoch (the job rolls back to
-	// its last valid checkpoint at the next grant), Restart marks a
-	// from-scratch restart after an unrecoverable checkpoint.
 	TraceCrash
 	TraceRestart
-	// TraceReject, TraceShed, and TraceWatchdog extend the lifecycle under
-	// overload: Reject refuses an arrival at the admission gate, Shed
-	// evicts a queued job to admit a higher-value arrival, Watchdog
-	// preempts a running epoch that exceeded its virtual-time budget (the
-	// job re-queues with a penalty and rolls back at its next grant).
 	TraceReject
 	TraceShed
 	TraceWatchdog
-	// TraceDetach marks a checkpoint-carried migration: the job left this
-	// executor for another arbiter shard, which reattaches it to its
-	// durable checkpoint and traces the rest of its lifecycle.
 	TraceDetach
 )
 
+var traceKindNames = [...]string{"arrive", "grant", "place", "epoch-done", "checkpoint", "resume", "oom",
+	"stop", "crash", "restart", "reject", "shed", "watchdog", "detach"}
+
 // String names the event kind.
 func (k TraceKind) String() string {
-	switch k {
-	case TraceArrive:
-		return "arrive"
-	case TraceGrant:
-		return "grant"
-	case TracePlace:
-		return "place"
-	case TraceEpochDone:
-		return "epoch-done"
-	case TraceCheckpoint:
-		return "checkpoint"
-	case TraceResume:
-		return "resume"
-	case TraceOOM:
-		return "oom"
-	case TraceStop:
-		return "stop"
-	case TraceCrash:
-		return "crash"
-	case TraceRestart:
-		return "restart"
-	case TraceReject:
-		return "reject"
-	case TraceShed:
-		return "shed"
-	case TraceWatchdog:
-		return "watchdog"
-	case TraceDetach:
-		return "detach"
-	default:
-		return fmt.Sprintf("TraceKind(%d)", int(k))
+	if k >= 0 && int(k) < len(traceKindNames) {
+		return traceKindNames[k]
 	}
+	return fmt.Sprintf("TraceKind(%d)", int(k))
 }
 
 // TraceEvent is one timestamped arbitration decision or observation.
