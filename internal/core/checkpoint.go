@@ -680,12 +680,6 @@ func (s *CheckpointStore) Delete(id string) error {
 	return nil
 }
 
-// Remove deletes a terminal job's checkpoint from both tiers, ignoring
-// I/O errors (kept for callers that cannot propagate them).
-func (s *CheckpointStore) Remove(id string) {
-	_ = s.Delete(id)
-}
-
 // Close releases the store: the memory tier and the stage are dropped and
 // every remaining on-disk checkpoint is deleted (checkpoints are scratch
 // state scoped to one run — terminal jobs already removed theirs; whatever

@@ -33,7 +33,9 @@ func TestCheckpointStoreTiers(t *testing.T) {
 	if writes != 3 || memHits != 1 || diskHits != 1 || diskBytes == 0 {
 		t.Fatalf("stats = %d %d %d %d", writes, memHits, diskHits, diskBytes)
 	}
-	store.Remove("a")
+	if err := store.Delete("a"); err != nil {
+		t.Fatalf("delete a: %v", err)
+	}
 	if _, _, err := store.Load("a"); err == nil {
 		t.Error("loaded a removed checkpoint")
 	}

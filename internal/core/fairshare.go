@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"rotary/internal/admission"
-	"rotary/internal/cluster"
 )
 
 // This file implements the weighted fair-share arbitration layer: a
@@ -29,7 +28,7 @@ import (
 // immediately but cannot starve the field to "repay" arbitrarily old
 // idleness.
 
-// fairLedger is the tenant usage account shared by both wrappers.
+// fairLedger is the wrapper's tenant usage account.
 type fairLedger struct {
 	weights map[string]float64
 	usage   map[string]float64
@@ -132,95 +131,6 @@ func (l *fairLedger) Usage() map[string]float64 {
 	return out
 }
 
-// tenantSets derives one round's live/backlogged tenant sets and groups
-// the pending jobs by tenant; names lists the backlogged tenants in
-// first-seen order.
-func tenantSets[J interface{ Tenant() string }](pending, running []J) (live, backlogged map[string]bool, groups map[string][]J, names []string) {
-	live = make(map[string]bool)
-	backlogged = make(map[string]bool)
-	groups = make(map[string][]J)
-	for _, j := range pending {
-		t := admission.CanonicalTenant(j.Tenant())
-		live[t] = true
-		if !backlogged[t] {
-			backlogged[t] = true
-			names = append(names, t)
-		}
-		groups[t] = append(groups[t], j)
-	}
-	for _, j := range running {
-		live[admission.CanonicalTenant(j.Tenant())] = true
-	}
-	return live, backlogged, groups, names
-}
-
-// fairPool is one round's free capacity as a resource model partitions
-// it across tenants: threads and memory for AQP, the device list for DLT.
-type fairPool[J comparable, G any] interface {
-	// exhausted reports that nothing is left to offer.
-	exhausted() bool
-	// entitled runs the inner policy over pending within a tenant's
-	// weight-proportional slice w/totalW of the round's free capacity
-	// (never less than one unit — the recoverable guaranteed share).
-	entitled(pending []J, w, totalW float64) []G
-	// leftover runs the inner policy over pending within all that is
-	// still free.
-	leftover(pending []J) []G
-	// job names the decision's job.
-	job(g G) J
-	// take books a decision against the remaining capacity, reporting
-	// whether it fit.
-	take(g G) bool
-}
-
-// shareFairly partitions one multi-tenant round. Entitlement pass: each
-// backlogged tenant, in deficit order, is offered its weight-proportional
-// slice of the free capacity. Reclaim pass: leftover capacity (tenants
-// without enough backlog to fill their slice) is re-offered in the same
-// order — unused share is reclaimable, so the layer stays
-// work-conserving.
-func shareFairly[J comparable, G any](l *fairLedger, groups map[string][]J, names []string, pool fairPool[J, G]) []G {
-	order := l.order(names)
-	totalW := 0.0
-	for _, name := range order {
-		totalW += l.weight(name)
-	}
-	var out []G
-	granted := make(map[J]bool)
-	accept := func(decisions []G) {
-		for _, g := range decisions {
-			j := pool.job(g)
-			if granted[j] || !pool.take(g) {
-				continue
-			}
-			granted[j] = true
-			out = append(out, g)
-		}
-	}
-	for _, name := range order {
-		if pool.exhausted() {
-			break
-		}
-		accept(pool.entitled(groups[name], l.weight(name), totalW))
-	}
-	for _, name := range order {
-		if pool.exhausted() {
-			break
-		}
-		var rest []J
-		for _, j := range groups[name] {
-			if !granted[j] {
-				rest = append(rest, j)
-			}
-		}
-		if len(rest) == 0 {
-			continue
-		}
-		accept(pool.leftover(rest))
-	}
-	return out
-}
-
 // FairShareAQP wraps an AQP policy with weighted fair share over
 // threads and memory. Compose it under the starvation guard: executor
 // wiring puts the guard (when configured) outside.
@@ -242,7 +152,22 @@ func (f *FairShareAQP) Name() string { return f.inner.Name() + "+fair" }
 // pool by weight in deficit order, reclaim leftovers work-conservingly,
 // then charge the final grants.
 func (f *FairShareAQP) Assign(ctx *AQPContext) []AQPGrant {
-	live, backlogged, groups, names := tenantSets(ctx.Pending, ctx.Running)
+	live := make(map[string]bool)
+	backlogged := make(map[string]bool)
+	groups := make(map[string][]*AQPJob)
+	var names []string // backlogged tenants, first-seen order
+	for _, j := range ctx.Pending {
+		t := admission.CanonicalTenant(j.tenant)
+		live[t] = true
+		if !backlogged[t] {
+			backlogged[t] = true
+			names = append(names, t)
+		}
+		groups[t] = append(groups[t], j)
+	}
+	for _, j := range ctx.Running {
+		live[admission.CanonicalTenant(j.tenant)] = true
+	}
 	f.clamp(live, backlogged)
 	var grants []AQPGrant
 	if len(names) <= 1 {
@@ -250,8 +175,7 @@ func (f *FairShareAQP) Assign(ctx *AQPContext) []AQPGrant {
 		// the whole pool, and only the ledger charge differs from a bare run.
 		grants = f.inner.Assign(ctx)
 	} else {
-		grants = shareFairly(&f.fairLedger, groups, names,
-			&aqpPool{inner: f.inner, ctx: ctx, threads: ctx.FreeThreads, mem: ctx.FreeMemMB})
+		grants = f.share(ctx, groups, names)
 	}
 	for _, g := range grants {
 		dom := 0.0
@@ -268,135 +192,62 @@ func (f *FairShareAQP) Assign(ctx *AQPContext) []AQPGrant {
 	return grants
 }
 
-// aqpPool is a round's remaining threads and memory.
-type aqpPool struct {
-	inner   AQPScheduler
-	ctx     *AQPContext
-	threads int
-	mem     float64
-}
-
-func (p *aqpPool) exhausted() bool        { return p.threads <= 0 }
-func (p *aqpPool) job(g AQPGrant) *AQPJob { return g.Job }
-
-func (p *aqpPool) take(g AQPGrant) bool {
-	if g.Threads <= 0 || g.Threads > p.threads {
-		return false
+// share partitions one multi-tenant round. Entitlement pass: each
+// backlogged tenant, in deficit order, is offered its weight-proportional
+// slice w/totalW of the free threads and memory (never less than one
+// thread — the recoverable guaranteed share). Reclaim pass: leftover
+// capacity (tenants without enough backlog to fill their slice) is
+// re-offered in the same order — unused share is reclaimable, so the
+// layer stays work-conserving. A grant that does not fit the threads
+// still free, or names a job already granted, is dropped.
+func (f *FairShareAQP) share(ctx *AQPContext, groups map[string][]*AQPJob, names []string) []AQPGrant {
+	order := f.order(names)
+	totalW := 0.0
+	for _, name := range order {
+		totalW += f.weight(name)
 	}
-	p.threads -= g.Threads
-	p.mem -= g.ReserveMemMB
-	return true
-}
-
-func (p *aqpPool) entitled(pending []*AQPJob, w, totalW float64) []AQPGrant {
-	ent := int(float64(p.ctx.FreeThreads) * w / totalW)
-	if ent < 1 {
-		ent = 1
-	}
-	if ent > p.threads {
-		ent = p.threads
-	}
-	entMem := p.ctx.FreeMemMB * w / totalW
-	if entMem > p.mem {
-		entMem = p.mem
-	}
-	return p.offer(pending, ent, entMem)
-}
-
-func (p *aqpPool) leftover(pending []*AQPJob) []AQPGrant {
-	mem := p.mem
-	if mem < 0 {
-		mem = 0
-	}
-	return p.offer(pending, p.threads, mem)
-}
-
-func (p *aqpPool) offer(pending []*AQPJob, threads int, mem float64) []AQPGrant {
-	sub := AQPContext{
-		Now:          p.ctx.Now,
-		Pending:      pending,
-		Running:      p.ctx.Running,
-		FreeThreads:  threads,
-		TotalThreads: p.ctx.TotalThreads,
-		FreeMemMB:    mem,
-		TotalMemMB:   p.ctx.TotalMemMB,
-	}
-	return p.inner.Assign(&sub)
-}
-
-// FairShareDLT wraps a DLT policy with weighted fair share over GPU
-// slots: the dominant resource is the device count, entitlements are
-// weight-proportional slices of this round's free device list.
-type FairShareDLT struct {
-	inner DLTScheduler
-	fairLedger
-}
-
-// NewFairShareDLT wraps inner with the given tenant weight map.
-func NewFairShareDLT(inner DLTScheduler, weights map[string]float64) *FairShareDLT {
-	return &FairShareDLT{inner: inner, fairLedger: newFairLedger(weights)}
-}
-
-// Name implements DLTScheduler.
-func (f *FairShareDLT) Name() string { return f.inner.Name() + "+fair" }
-
-// Place implements DLTScheduler.
-func (f *FairShareDLT) Place(ctx *DLTContext) []DLTPlacement {
-	live, backlogged, groups, names := tenantSets(ctx.Pending, ctx.Running)
-	f.clamp(live, backlogged)
-	var placements []DLTPlacement
-	if len(names) <= 1 {
-		placements = f.inner.Place(ctx)
-	} else {
-		remaining := make([]cluster.GPU, len(ctx.FreeGPUs))
-		copy(remaining, ctx.FreeGPUs)
-		placements = shareFairly(&f.fairLedger, groups, names, &dltPool{inner: f.inner, ctx: ctx, remaining: remaining})
-	}
-	for _, p := range placements {
-		f.charge(admission.CanonicalTenant(p.Job.tenant), 1)
-	}
-	return placements
-}
-
-// dltPool is a round's remaining free devices. The policy is offered a
-// copy of each slice — take mutates remaining.
-type dltPool struct {
-	inner     DLTScheduler
-	ctx       *DLTContext
-	remaining []cluster.GPU
-}
-
-func (p *dltPool) exhausted() bool             { return len(p.remaining) == 0 }
-func (p *dltPool) job(pl DLTPlacement) *DLTJob { return pl.Job }
-
-func (p *dltPool) take(pl DLTPlacement) bool {
-	for i, g := range p.remaining {
-		if g.ID == pl.Device {
-			p.remaining = append(p.remaining[:i], p.remaining[i+1:]...)
-			return true
+	threads, mem := ctx.FreeThreads, ctx.FreeMemMB
+	var out []AQPGrant
+	granted := make(map[*AQPJob]bool)
+	offer := func(pending []*AQPJob, offerThreads int, offerMem float64) {
+		sub := *ctx
+		sub.Pending, sub.FreeThreads, sub.FreeMemMB = pending, offerThreads, offerMem
+		for _, g := range f.inner.Assign(&sub) {
+			if granted[g.Job] || g.Threads <= 0 || g.Threads > threads {
+				continue
+			}
+			threads -= g.Threads
+			mem -= g.ReserveMemMB
+			granted[g.Job] = true
+			out = append(out, g)
 		}
 	}
-	return false
-}
-
-func (p *dltPool) entitled(pending []*DLTJob, w, totalW float64) []DLTPlacement {
-	ent := int(float64(len(p.ctx.FreeGPUs)) * w / totalW)
-	if ent < 1 {
-		ent = 1
+	for _, name := range order {
+		if threads <= 0 {
+			break
+		}
+		w := f.weight(name)
+		ent := min(max(int(float64(ctx.FreeThreads)*w/totalW), 1), threads)
+		entMem := ctx.FreeMemMB * w / totalW
+		if entMem > mem {
+			entMem = mem
+		}
+		offer(groups[name], ent, entMem)
 	}
-	if ent > len(p.remaining) {
-		ent = len(p.remaining)
+	for _, name := range order {
+		if threads <= 0 {
+			break
+		}
+		var rest []*AQPJob
+		for _, j := range groups[name] {
+			if !granted[j] {
+				rest = append(rest, j)
+			}
+		}
+		if len(rest) == 0 {
+			continue
+		}
+		offer(rest, threads, max(mem, 0))
 	}
-	return p.offer(pending, p.remaining[:ent])
-}
-
-func (p *dltPool) leftover(pending []*DLTJob) []DLTPlacement {
-	return p.offer(pending, p.remaining)
-}
-
-func (p *dltPool) offer(pending []*DLTJob, devices []cluster.GPU) []DLTPlacement {
-	slice := make([]cluster.GPU, len(devices))
-	copy(slice, devices)
-	sub := DLTContext{Now: p.ctx.Now, Pending: pending, Running: p.ctx.Running, FreeGPUs: slice}
-	return p.inner.Place(&sub)
+	return out
 }

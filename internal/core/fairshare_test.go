@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"rotary/internal/admission"
-	"rotary/internal/cluster"
-	"rotary/internal/sim"
 )
 
 // unitAQP is a transparent inner policy for fair-share tests: one thread
@@ -31,18 +29,21 @@ func (unitAQP) Assign(ctx *AQPContext) []AQPGrant {
 	return out
 }
 
-// unitDLT is the device-side twin: one device per pending job in order.
-type unitDLT struct{}
+// rogueAQP is an inner policy the wrapper must police: it grants every
+// job in oversized more threads than the whole pool holds, and every
+// other pending job one thread twice.
+type rogueAQP struct{ oversized map[*AQPJob]bool }
 
-func (unitDLT) Name() string { return "unit" }
+func (rogueAQP) Name() string { return "rogue" }
 
-func (unitDLT) Place(ctx *DLTContext) []DLTPlacement {
-	var out []DLTPlacement
-	for i, j := range ctx.Pending {
-		if i >= len(ctx.FreeGPUs) {
-			break
+func (r rogueAQP) Assign(ctx *AQPContext) []AQPGrant {
+	var out []AQPGrant
+	for _, j := range ctx.Pending {
+		if r.oversized[j] {
+			out = append(out, AQPGrant{Job: j, Threads: ctx.TotalThreads + 1})
+		} else {
+			out = append(out, AQPGrant{Job: j, Threads: 1}, AQPGrant{Job: j, Threads: 1})
 		}
-		out = append(out, DLTPlacement{Job: j, Device: ctx.FreeGPUs[i].ID})
 	}
 	return out
 }
@@ -180,31 +181,21 @@ func TestFairShareAQPSingleTenantPassthrough(t *testing.T) {
 	}
 }
 
-func TestFairShareDLTWeightedSplit(t *testing.T) {
-	jobs := synthDLTQueue(16)
-	for i, j := range jobs {
-		if i < 8 {
-			j.tenant = "a"
-		} else {
-			j.tenant = "b"
-		}
+// TestFairShareAQPDropsUnfitAndDuplicateGrants: in a multi-tenant round
+// the wrapper keeps only grants that fit the threads still free and at
+// most one grant per job, whatever the inner policy returns — in the
+// entitlement pass and in the reclaim pass alike.
+func TestFairShareAQPDropsUnfitAndDuplicateGrants(t *testing.T) {
+	jobs := synthAQPQueue(4)
+	tagTenants(jobs, []string{"a", "b"}, map[string]int{"a": 2, "b": 2})
+	f := NewFairShareAQP(rogueAQP{oversized: map[*AQPJob]bool{jobs[1]: true, jobs[3]: true}}, nil)
+	grants := f.Assign(synthCtx(jobs))
+	want := []AQPGrant{{Job: jobs[0], Threads: 1}, {Job: jobs[2], Threads: 1}}
+	if !slices.Equal(grants, want) {
+		t.Fatalf("grants = %v, want one thread each for %s and %s", grants, jobs[0].id, jobs[2].id)
 	}
-	free := make([]cluster.GPU, 8)
-	for i := range free {
-		free[i] = cluster.GPU{ID: i, MemMB: 8192}
-	}
-	f := NewFairShareDLT(unitDLT{}, map[string]float64{"a": 3, "b": 1})
-	placements := f.Place(&DLTContext{Now: sim.Time(1000), Pending: jobs, FreeGPUs: free})
-	got := make(map[string]int)
-	seen := make(map[int]bool)
-	for _, p := range placements {
-		got[admission.CanonicalTenant(p.Job.tenant)]++
-		if seen[p.Device] {
-			t.Fatalf("device %d double-booked", p.Device)
-		}
-		seen[p.Device] = true
-	}
-	if got["a"] != 6 || got["b"] != 2 {
-		t.Fatalf("weighted device split = %v, want a:6 b:2", got)
+	u := f.Usage()
+	if u["a"] != 1.0/8 || u["b"] != 1.0/8 {
+		t.Fatalf("ledger charged dropped grants: %v", u)
 	}
 }

@@ -475,7 +475,7 @@ func (c *execCore[J]) finishJob(j J, status JobStatus) {
 func (c *execCore[J]) terminate(j J, status JobStatus, ev TraceEvent) {
 	b := j.base()
 	if c.lc.Store != nil {
-		c.lc.Store.Remove(b.id)
+		_ = c.lc.Store.Delete(b.id)
 	}
 	// A refused arrival never held a tenant slot.
 	if c.lc.Admission != nil && ev.Kind != TraceReject {
@@ -718,7 +718,7 @@ func (c *execCore[J]) scratchRestart(j J, cause error) error {
 	}
 	// Remove first: a frame staged as an encoder reads the state the
 	// rewind replaces.
-	c.lc.Store.Remove(b.id)
+	_ = c.lc.Store.Delete(b.id)
 	if err := c.model.rewind(j); err != nil {
 		return fmt.Errorf("core: restart %s: %w", b.id, err)
 	}

@@ -190,7 +190,7 @@ func runBenchCase(dir, name string, ingressBatch int, ds *tpch.Dataset, lcfg Con
 	if err := os.RemoveAll(caseDir); err != nil {
 		return nil, err
 	}
-	jl, _, err := serve.OpenDurable(caseDir)
+	jl, _, err := serve.OpenDurableIO(caseDir, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,15 +1,13 @@
 // Package metrics computes the paper's evaluation measures — attainment
 // (Fig. 6, 8, 9), false attainment and waiting time (Fig. 7), the §V-B
 // attainment-progress distributions behind the Fig. 10 violin plots, and
-// the Fig. 11 placement Gantt — plus plain-text renderers for all of
-// them.
+// the Fig. 11 placement Gantt — plus plain-text renderers for the
+// charts, snapshots, Gantt and recovery/overload reports the commands
+// print.
 package metrics
 
 import (
-	"fmt"
-	"math"
 	"sort"
-	"strings"
 
 	"rotary/internal/core"
 )
@@ -129,47 +127,6 @@ func (r AQPReport) AvgWaitSecs() float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// RenderAQPComparison renders a Fig. 6-style table: attained jobs per
-// class for each policy.
-func RenderAQPComparison(reports []AQPReport) string {
-	var b strings.Builder
-	classes := []string{"light", "medium", "heavy", "total"}
-	fmt.Fprintf(&b, "%-14s", "policy")
-	for _, c := range classes {
-		fmt.Fprintf(&b, "%10s", c)
-	}
-	b.WriteByte('\n')
-	for _, r := range reports {
-		att := r.AttainedByClass()
-		tot := r.TotalByClass()
-		fmt.Fprintf(&b, "%-14s", r.Policy)
-		for _, c := range classes {
-			fmt.Fprintf(&b, "%7d/%-2d", att[c], tot[c])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Bar renders a crude horizontal bar for terminal output. Non-finite
-// inputs render empty: NaN slips past ordered comparisons and int(NaN)
-// is implementation-defined, so it must be refused before the division —
-// a NaN ratio would otherwise feed strings.Repeat a garbage count.
-func Bar(value, max float64, width int) string {
-	if math.IsNaN(max) || math.IsInf(max, 0) || max <= 0 ||
-		math.IsNaN(value) || math.IsInf(value, 0) || value < 0 {
-		return ""
-	}
-	n := int(value / max * float64(width))
-	if n > width {
-		n = width
-	}
-	if n < 0 {
-		n = 0
-	}
-	return strings.Repeat("█", n)
 }
 
 // SortOutcomesByID orders a report deterministically for golden output.

@@ -345,7 +345,7 @@ func TestCompactionFailureKeepsDurableGroupAcked(t *testing.T) {
 	}
 
 	// Counter == journal: every record the journal holds was counted once
-	// (the boot's server-epoch record is appended by OpenJournal, before
+	// (the boot's server-epoch record is appended by OpenJournalIO, before
 	// the server and its counter exist).
 	appends, _, _, _ := d.jl.Stats()
 	if got := d.srv.met.journalRecords.Value(); got != appends-1 {

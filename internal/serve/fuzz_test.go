@@ -85,7 +85,7 @@ func FuzzJournalReplay(f *testing.F) {
 			wantValid += int64(len(line))
 		}
 
-		jl, err := OpenJournal(dir)
+		jl, err := OpenJournalIO(dir, nil)
 		if err != nil {
 			t.Fatalf("recovery must tolerate any tail, got error: %v", err)
 		}
@@ -116,7 +116,7 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 
 		// Idempotence: the recovered journal is clean.
-		jl2, err := OpenJournal(dir)
+		jl2, err := OpenJournalIO(dir, nil)
 		if err != nil {
 			t.Fatalf("second recovery failed: %v", err)
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -178,6 +179,37 @@ func TestServerHealsDegradedJournalWithoutRestart(t *testing.T) {
 		if r := c2.call(t, Message{Op: "status", ID: id}); !r.OK {
 			t.Fatalf("status %s after heal+restart: %+v", id, r)
 		}
+	}
+}
+
+// TestGroupCommitsCountOnlyDurableGroups: rotary_serve_group_commits_total
+// counts the multi-record groups the journal made durable, so it agrees
+// with the journal's own SyncStats — a group the disk refused inside a
+// fault window is not a commit.
+func TestGroupCommitsCountOnlyDurableGroups(t *testing.T) {
+	faulty := diskio.NewFaulty(nil, diskio.FaultConfig{Seed: 7})
+	d := newDaemon(t, daemon{durable: true, dio: faulty})
+	d.start(t)
+	c := dial(t, d.socket)
+
+	if r := c.call(t, Message{Op: "submit", ID: "good", ReqID: "req-good",
+		Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"}); !r.OK {
+		t.Fatalf("submit good: %+v", r)
+	}
+	faulty.ForceFail(nil)
+	for i := 0; i < 3; i++ {
+		id := fmt.Sprintf("window-%d", i)
+		if r := c.call(t, Message{Op: "submit", ID: id, ReqID: "req-" + id,
+			Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS"}); r.OK {
+			t.Fatalf("submit %s acked inside the fault window: %+v", id, r)
+		}
+	}
+	_, _, groups := d.jl.SyncStats()
+	if groups != 1 {
+		t.Fatalf("journal synced %d groups, want the one good submit's", groups)
+	}
+	if got, _ := d.reg.Value("rotary_serve_group_commits_total"); got != float64(groups) {
+		t.Fatalf("rotary_serve_group_commits_total = %v, journal synced %d groups", got, groups)
 	}
 }
 

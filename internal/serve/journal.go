@@ -266,16 +266,12 @@ type Journal struct {
 	writeHook func([]byte) (int, error)
 }
 
-// OpenJournal opens (creating if absent) the write-ahead journal under
+// OpenJournalIO opens (creating if absent) the write-ahead journal under
 // dir, replays its valid prefix, truncates any corrupt tail, and stamps
 // the new daemon incarnation with an incremented server-epoch record.
-func OpenJournal(dir string) (*Journal, error) {
-	return OpenJournalIO(dir, nil)
-}
-
-// OpenJournalIO is OpenJournal over a pluggable disk layer (nil means
-// the real disk). Orphaned atomic-write temp files from a crashed or
-// fault-interrupted compaction are swept before replay.
+// Every disk operation goes through dio (nil means the real disk).
+// Orphaned atomic-write temp files from a crashed or fault-interrupted
+// compaction are swept before replay.
 func OpenJournalIO(dir string, dio diskio.IO) (*Journal, error) {
 	if dio == nil {
 		dio = diskio.OS{}

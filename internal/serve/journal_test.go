@@ -11,9 +11,9 @@ import (
 
 func openTestJournal(t *testing.T, dir string) *Journal {
 	t.Helper()
-	jl, err := OpenJournal(dir)
+	jl, err := OpenJournalIO(dir, nil)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("OpenJournalIO: %v", err)
 	}
 	t.Cleanup(func() { jl.Close() })
 	return jl

@@ -25,7 +25,7 @@ import (
 	"rotary/internal/workload"
 )
 
-// OpenDurable opens the durability pair rooted at dir: the write-ahead
+// OpenDurableIO opens the durability pair rooted at dir: the write-ahead
 // journal (dir/serve.journal) and a disk-only checkpoint store
 // (dir/ckpt) whose startup sweep retains every checkpoint the journal
 // still references as live — a recovered job's reattach target must
@@ -37,13 +37,9 @@ import (
 // a consistent cut with the journaled clock. The executor saves encoders,
 // not bytes: the flush, between engine events on the driver goroutine,
 // encodes only the frames still staged.
-func OpenDurable(dir string) (*Journal, *core.CheckpointStore, error) {
-	return OpenDurableIO(dir, nil)
-}
-
-// OpenDurableIO is OpenDurable with the disk-I/O layer pluggable: both
-// the journal and the checkpoint store route every durable operation
-// through dio (nil means the real filesystem), so one seeded
+//
+// Both the journal and the checkpoint store route every durable
+// operation through dio (nil means the real filesystem), so one seeded
 // diskio.Faulty can deal ENOSPC, EIO, and torn writes to the entire
 // durability stack at once — the torture harness's disk-fault hook.
 func OpenDurableIO(dir string, dio diskio.IO) (*Journal, *core.CheckpointStore, error) {

@@ -148,7 +148,7 @@ func TestSweepRetainsJournalReferencedCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d.start(t) // OpenDurable runs the sweep with the journal's retain set
+	d.start(t) // OpenDurableIO runs the sweep with the journal's retain set
 	after, _ := filepath.Glob(filepath.Join(ckptDir, "*.ckpt"))
 	kept := map[string]bool{}
 	for _, p := range after {

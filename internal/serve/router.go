@@ -741,7 +741,7 @@ func (r *Router) migrate(m Message) Response {
 	// propagated to the caller.
 	r.forward(src, Message{Op: "migrate-commit", ID: m.ID})
 	if st := src.Store(); st != nil {
-		st.Remove(m.ID)
+		_ = st.Delete(m.ID)
 	}
 	r.locMu.Lock()
 	r.location[m.ID] = dst.index

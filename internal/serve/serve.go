@@ -792,16 +792,16 @@ func (s *Server) flushStaged() error {
 	}
 	recs := s.staged
 	s.staged = s.staged[:0]
-	if len(recs) > 1 {
-		s.met.groupCommits.Inc()
-	}
-	err := s.appendNow(recs)
-	if err != nil {
+	if err := s.appendNow(recs); err != nil {
 		// Shelve the group (copied — staged's backing array is reused) for
 		// the post-heal replay.
 		s.droppedStaged = append(s.droppedStaged, recs...)
+		return err
 	}
-	return err
+	if len(recs) > 1 {
+		s.met.groupCommits.Inc()
+	}
+	return nil
 }
 
 // drainNow stops the listeners and fast-forwards virtual time until
