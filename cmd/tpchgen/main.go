@@ -123,7 +123,7 @@ func main() {
 				return err
 			}
 			for _, o := range ds.Orders {
-				if err := w.Write([]string{itoa(o.OrderKey), itoa(o.CustKey), string(o.OrderStatus), ftoa(o.TotalPrice), o.OrderDate.String(), o.OrderPriority}); err != nil {
+				if err := w.Write([]string{itoa(o.OrderKey), itoa(o.CustKey), string(o.OrderStatus), ftoa(o.TotalPrice), o.OrderDate.String(), o.OrderPriority.String()}); err != nil {
 					return err
 				}
 			}
@@ -141,7 +141,7 @@ func main() {
 					ftoa(l.Quantity), ftoa(l.ExtendedPrice), ftoa(l.Discount), ftoa(l.Tax),
 					string(l.ReturnFlag), string(l.LineStatus),
 					l.ShipDate.String(), l.CommitDate.String(), l.ReceiptDate.String(),
-					l.ShipInstruct, l.ShipMode}
+					l.ShipInstruct.String(), l.ShipMode.String()}
 				if err := w.Write(rec); err != nil {
 					return err
 				}

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"fmt"
+	"sync"
 
 	"rotary/internal/sim"
 )
@@ -70,22 +71,43 @@ func scaled(base int, sf float64, minimum int) int {
 	return n
 }
 
+// Table sizes at scale factor sf.
+func nSuppliers(sf float64) int { return scaled(10000, sf, 40) }
+func nCustomers(sf float64) int { return scaled(150000, sf, 150) }
+func nParts(sf float64) int     { return scaled(200000, sf, 200) }
+
+// retailPrice is p_retailprice of the part with the given key.
+func retailPrice(key int32) float64 {
+	k := int(key)
+	return 900 + float64(k%200)/10 + float64(k%1000)*0.01
+}
+
 // Generate builds a complete deterministic dataset at scale factor sf.
 // Generation is seeded: the same (sf, seed) pair yields the same database
 // byte-for-byte, which the experiments rely on to precompute ground-truth
 // aggregates once per dataset.
+//
+// Every table draws from its own seeded stream, and orders and lineitems
+// need only the other tables' sizes and retailPrice, so they are built
+// beside suppliers, customers, parts and partsupps.
 func Generate(sf float64, seed uint64) *Dataset {
 	if sf <= 0 {
 		panic("tpch: scale factor must be positive")
 	}
 	d := &Dataset{SF: sf}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		d.Orders, d.Lineitems = genOrdersAndLines(sf, seed)
+	}()
 	d.Regions = genRegions()
 	d.Nations = genNations()
 	d.Suppliers = genSuppliers(sf, seed)
 	d.Customers = genCustomers(sf, seed)
 	d.Parts = genParts(sf, seed)
 	d.PartSupps = genPartSupps(d.Parts, d.Suppliers, seed)
-	d.Orders, d.Lineitems = genOrdersAndLines(sf, d, seed)
+	wg.Wait()
 	return d
 }
 
@@ -105,10 +127,8 @@ func genNations() []Nation {
 	return out
 }
 
-func genComment(r *sim.Rand) string {
-	a := sim.Pick(r, commentWords)
-	b := sim.Pick(r, commentWords)
-	return a + " " + b
+func genComment(r *sim.Rand) OrderComment {
+	return OrderComment{uint8(r.IntN(len(commentWords))), uint8(r.IntN(len(commentWords)))}
 }
 
 func genPhone(r *sim.Rand, nation int32) string {
@@ -117,10 +137,9 @@ func genPhone(r *sim.Rand, nation int32) string {
 
 func genSuppliers(sf float64, seed uint64) []Supplier {
 	r := sim.NewRand(seed ^ 0x5)
-	n := scaled(10000, sf, 40)
-	out := make([]Supplier, n)
+	out := make([]Supplier, nSuppliers(sf))
 	for i := range out {
-		comment := genComment(r)
+		comment := genComment(r).String()
 		// ~0.05% of suppliers carry the "Customer Complaints" marker Q16
 		// filters out; force a deterministic sprinkle.
 		if i%2000 == 13 {
@@ -139,8 +158,7 @@ func genSuppliers(sf float64, seed uint64) []Supplier {
 
 func genCustomers(sf float64, seed uint64) []Customer {
 	r := sim.NewRand(seed ^ 0xc)
-	n := scaled(150000, sf, 150)
-	out := make([]Customer, n)
+	out := make([]Customer, nCustomers(sf))
 	for i := range out {
 		nation := int32(r.IntN(len(nationNames)))
 		out[i] = Customer{
@@ -157,8 +175,7 @@ func genCustomers(sf float64, seed uint64) []Customer {
 
 func genParts(sf float64, seed uint64) []Part {
 	r := sim.NewRand(seed ^ 0x9)
-	n := scaled(200000, sf, 200)
-	out := make([]Part, n)
+	out := make([]Part, nParts(sf))
 	for i := range out {
 		mfgr := 1 + r.IntN(5)
 		brand := mfgr*10 + 1 + r.IntN(5)
@@ -172,7 +189,7 @@ func genParts(sf float64, seed uint64) []Part {
 			Type:        sim.Pick(r, typeSyllable1) + " " + sim.Pick(r, typeSyllable2) + " " + sim.Pick(r, typeSyllable3),
 			Size:        int32(1 + r.IntN(50)),
 			Container:   sim.Pick(r, containers),
-			RetailPrice: 900 + float64((i+1)%200)/10 + float64((i+1)%1000)*0.01,
+			RetailPrice: retailPrice(int32(i + 1)),
 		}
 	}
 	return out
@@ -201,14 +218,16 @@ func genPartSupps(parts []Part, suppliers []Supplier, seed uint64) []PartSupp {
 // maxLinesPerOrder bounds an order's lines, as in dbgen.
 const maxLinesPerOrder = 7
 
-func genOrdersAndLines(sf float64, d *Dataset, seed uint64) ([]Order, []Lineitem) {
+func genOrdersAndLines(sf float64, seed uint64) ([]Order, []Lineitem) {
 	r := sim.NewRand(seed ^ 0x1f)
 	nOrders := scaled(1500000, sf, 1500)
-	nCust := int32(len(d.Customers))
-	nPart := int32(len(d.Parts))
-	nSupp := int32(len(d.Suppliers))
+	nCust := int32(nCustomers(sf))
+	nPart := int32(nParts(sf))
+	nSupp := int32(nSuppliers(sf))
 	orders := make([]Order, 0, nOrders)
-	lines := make([]Lineitem, 0, nOrders*4)
+	// Room for every order's maximum, so the table is never copied into a
+	// larger slice; the pages past the lines drawn are never touched.
+	lines := make([]Lineitem, 0, nOrders*maxLinesPerOrder)
 	currentDate := MakeDate(1995, 6, 17) // dbgen's CURRENTDATE
 	dateSpan := int(orderDateMax) - 1    // leave room for ship/receipt offsets
 
@@ -226,7 +245,7 @@ func genOrdersAndLines(sf float64, d *Dataset, seed uint64) ([]Order, []Lineitem
 			OrderKey:      int32(i + 1),
 			CustKey:       custKey,
 			OrderDate:     orderDate,
-			OrderPriority: sim.Pick(r, orderPriorities),
+			OrderPriority: OrderPriority(r.IntN(len(orderPriorities))),
 			Comment:       genComment(r),
 			LineCount:     int32(nLines),
 		}
@@ -236,8 +255,7 @@ func genOrdersAndLines(sf float64, d *Dataset, seed uint64) ([]Order, []Lineitem
 		for l := 0; l < nLines; l++ {
 			qty := float64(1 + r.IntN(50))
 			partKey := 1 + int32(r.Int64N(int64(nPart)))
-			retail := d.Parts[partKey-1].RetailPrice
-			ext := qty * retail
+			ext := qty * retailPrice(partKey)
 			ship := orderDate + Date(1+r.IntN(121))
 			commit := orderDate + Date(30+r.IntN(61))
 			receipt := ship + Date(1+r.IntN(30))
@@ -273,8 +291,8 @@ func genOrdersAndLines(sf float64, d *Dataset, seed uint64) ([]Order, []Lineitem
 				ShipDate:      ship,
 				CommitDate:    commit,
 				ReceiptDate:   receipt,
-				ShipInstruct:  sim.Pick(r, shipInstructs),
-				ShipMode:      sim.Pick(r, shipModes),
+				ShipInstruct:  ShipInstruct(r.IntN(len(shipInstructs))),
+				ShipMode:      ShipMode(r.IntN(len(shipModes))),
 			}
 			total += ext * (1 + li.Tax) * (1 - li.Discount)
 			lines = append(lines, li)

@@ -107,6 +107,7 @@ type Catalog struct {
 	supplyCost    map[int64]float64 // (partKey<<32|suppKey) -> cost, built on demand
 	custHasOrders []bool
 	avgPosBal     float64
+	keys          rowKeys
 
 	mu    sync.Mutex
 	truth map[string]aqp.Snapshot
@@ -114,15 +115,21 @@ type Catalog struct {
 
 // NewCatalog indexes ds and prepares the fact topics with delivery order
 // shuffled under seed (each batch is then a uniform progressive sample).
+//
+// The lineitem topic is most of the work and depends on nothing else the
+// catalog builds, so it is shuffled beside the rest.
 func NewCatalog(ds *Dataset, seed uint64) *Catalog {
-	c := &Catalog{
-		ds:        ds,
-		lineitems: stream.NewShuffledTopic("lineitem", ds.Lineitems, 4, seed^0x11),
-		orders:    stream.NewShuffledTopic("orders", ds.Orders, 4, seed^0x22),
-		partsupps: stream.NewShuffledTopic("partsupp", ds.PartSupps, 4, seed^0x33),
-		customers: stream.NewShuffledTopic("customer", ds.Customers, 4, seed^0x44),
-		truth:     make(map[string]aqp.Snapshot),
-	}
+	c := &Catalog{ds: ds, truth: make(map[string]aqp.Snapshot)}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c.lineitems = stream.NewShuffledTopic("lineitem", ds.Lineitems, 4, seed^0x11)
+	}()
+	c.orders = stream.NewShuffledTopic("orders", ds.Orders, 4, seed^0x22)
+	c.partsupps = stream.NewShuffledTopic("partsupp", ds.PartSupps, 4, seed^0x33)
+	c.customers = stream.NewShuffledTopic("customer", ds.Customers, 4, seed^0x44)
+	c.keys = newRowKeys(ds)
 	c.custHasOrders = make([]bool, len(ds.Customers)+1)
 	for i := range ds.Orders {
 		c.custHasOrders[ds.Orders[i].CustKey] = true
@@ -138,6 +145,7 @@ func NewCatalog(ds *Dataset, seed uint64) *Catalog {
 	if n > 0 {
 		c.avgPosBal = sum / float64(n)
 	}
+	wg.Wait()
 	return c
 }
 
@@ -456,7 +464,7 @@ func (c *Catalog) buildQ1() (built, error) {
 					continue
 				}
 				disc := l.ExtendedPrice * (1 - l.Discount)
-				gt.Update(string([]byte{l.ReturnFlag, '|', l.LineStatus}),
+				gt.Update(c.keys.flags(l.ReturnFlag, l.LineStatus),
 					l.Quantity, l.ExtendedPrice, disc, disc*(1+l.Tax),
 					l.Quantity, l.ExtendedPrice, l.Discount, 1)
 			}
@@ -509,7 +517,7 @@ func (c *Catalog) buildQ3() (built, error) {
 				if c.customer(o.CustKey).MktSegment != "BUILDING" {
 					continue
 				}
-				gt.Update(o.OrderPriority, l.ExtendedPrice*(1-l.Discount), 1)
+				gt.Update(o.OrderPriority.String(), l.ExtendedPrice*(1-l.Discount), 1)
 			}
 		},
 	})
@@ -534,7 +542,7 @@ func (c *Catalog) buildQ4() (built, error) {
 					continue
 				}
 				seen.add(l.OrderKey)
-				gt.Update(o.OrderPriority, 1)
+				gt.Update(o.OrderPriority.String(), 1)
 			}
 		},
 		SaveAux: func(b []byte) []byte {
@@ -596,6 +604,7 @@ func (c *Catalog) buildQ6() (built, error) {
 // and year.
 func (c *Catalog) buildQ7() (built, error) {
 	lo, hi := MakeDate(1995, 1, 1), MakeDate(1997, 1, 1)
+	france, germany := c.keys.france, c.keys.germany
 	specs := []aqp.AggSpec{{Name: "sum_volume", Kind: aqp.Sum}, {Name: "count", Kind: aqp.Count}}
 	return c.lineQuery("q7", specs, aqp.Processor[Lineitem]{
 		Process: func(rows []Lineitem, gt *aqp.GroupTable) {
@@ -604,17 +613,21 @@ func (c *Catalog) buildQ7() (built, error) {
 				if l.ShipDate < lo || l.ShipDate >= hi {
 					continue
 				}
-				sn := c.nationName(c.supplier(l.SuppKey).NationKey)
-				if sn != "FRANCE" && sn != "GERMANY" {
+				sn := c.supplier(l.SuppKey).NationKey
+				if sn != france && sn != germany {
 					continue
 				}
-				o := c.order(l.OrderKey)
-				cn := c.nationName(c.customer(o.CustKey).NationKey)
-				if !(sn == "FRANCE" && cn == "GERMANY") && !(sn == "GERMANY" && cn == "FRANCE") {
+				cn := c.customer(c.order(l.OrderKey).CustKey).NationKey
+				var keys []string
+				switch {
+				case sn == france && cn == germany:
+					keys = c.keys.franceGermany
+				case sn == germany && cn == france:
+					keys = c.keys.germanyFrance
+				default:
 					continue
 				}
-				gt.Update(fmt.Sprintf("%s|%s|%d", sn, cn, l.ShipDate.Year()),
-					l.ExtendedPrice*(1-l.Discount), 1)
+				gt.Update(keys[l.ShipDate.Year()-firstYear], l.ExtendedPrice*(1-l.Discount), 1)
 			}
 		},
 	})
@@ -644,7 +657,7 @@ func (c *Catalog) buildQ8() (built, error) {
 				if c.nationName(c.supplier(l.SuppKey).NationKey) == "BRAZIL" {
 					brazil = vol
 				}
-				gt.Update(fmt.Sprintf("%d", o.OrderDate.Year()), brazil, vol)
+				gt.Update(c.keys.years[o.OrderDate.Year()-firstYear], brazil, vol)
 			}
 		},
 	})
@@ -659,13 +672,13 @@ func (c *Catalog) buildQ9() (built, error) {
 		Process: func(rows []Lineitem, gt *aqp.GroupTable) {
 			for i := range rows {
 				l := &rows[i]
-				if !strings.Contains(c.part(l.PartKey).Name, "green") {
+				if !c.keys.greenPart[l.PartKey] {
 					continue
 				}
 				cost := idx[int64(l.PartKey)<<32|int64(l.SuppKey)]
 				amount := l.ExtendedPrice*(1-l.Discount) - cost*l.Quantity
-				nation := c.nationName(c.supplier(l.SuppKey).NationKey)
-				gt.Update(fmt.Sprintf("%s|%d", nation, c.order(l.OrderKey).OrderDate.Year()), amount)
+				nation := c.supplier(l.SuppKey).NationKey
+				gt.Update(c.keys.nationYears[nation][c.order(l.OrderKey).OrderDate.Year()-firstYear], amount)
 			}
 		},
 	})
@@ -712,12 +725,14 @@ func (c *Catalog) buildQ11() (built, error) {
 // Q12: shipping-mode priority counts for 1994.
 func (c *Catalog) buildQ12() (built, error) {
 	lo, hi := MakeDate(1994, 1, 1), MakeDate(1995, 1, 1)
+	mail, ship := codeOf[ShipMode](shipModes, "MAIL"), codeOf[ShipMode](shipModes, "SHIP")
+	urgent, highPriority := codeOf[OrderPriority](orderPriorities, "1-URGENT"), codeOf[OrderPriority](orderPriorities, "2-HIGH")
 	specs := []aqp.AggSpec{{Name: "high_line_count", Kind: aqp.Sum}, {Name: "low_line_count", Kind: aqp.Sum}}
 	return c.lineQuery("q12", specs, aqp.Processor[Lineitem]{
 		Process: func(rows []Lineitem, gt *aqp.GroupTable) {
 			for i := range rows {
 				l := &rows[i]
-				if l.ShipMode != "MAIL" && l.ShipMode != "SHIP" {
+				if l.ShipMode != mail && l.ShipMode != ship {
 					continue
 				}
 				if l.CommitDate >= l.ReceiptDate || l.ShipDate >= l.CommitDate ||
@@ -726,10 +741,10 @@ func (c *Catalog) buildQ12() (built, error) {
 				}
 				high, low := 0.0, 1.0
 				switch c.order(l.OrderKey).OrderPriority {
-				case "1-URGENT", "2-HIGH":
+				case urgent, highPriority:
 					high, low = 1, 0
 				}
-				gt.Update(l.ShipMode, high, low)
+				gt.Update(l.ShipMode.String(), high, low)
 			}
 		},
 	})
@@ -744,7 +759,7 @@ func (c *Catalog) buildQ13() (built, error) {
 		Process: func(rows []Order, gt *aqp.GroupTable) {
 			for i := range rows {
 				o := &rows[i]
-				if strings.Contains(o.Comment, "special") {
+				if c.keys.specialWord[o.Comment[0]] || c.keys.specialWord[o.Comment[1]] {
 					continue
 				}
 				gt.Update(c.nationName(c.customer(o.CustKey).NationKey), 1, o.TotalPrice)
@@ -924,14 +939,16 @@ func (c *Catalog) buildQ19() (built, error) {
 		}
 		return false
 	}
+	air, regAir := codeOf[ShipMode](shipModes, "AIR"), codeOf[ShipMode](shipModes, "REG AIR")
+	inPerson := codeOf[ShipInstruct](shipInstructs, "DELIVER IN PERSON")
 	return c.lineQuery("q19", specs, aqp.Processor[Lineitem]{
 		Process: func(rows []Lineitem, gt *aqp.GroupTable) {
 			for i := range rows {
 				l := &rows[i]
-				if l.ShipMode != "AIR" && l.ShipMode != "REG AIR" {
+				if l.ShipMode != air && l.ShipMode != regAir {
 					continue
 				}
-				if l.ShipInstruct != "DELIVER IN PERSON" {
+				if l.ShipInstruct != inPerson {
 					continue
 				}
 				if !match(c.part(l.PartKey), l) {

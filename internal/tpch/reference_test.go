@@ -143,19 +143,20 @@ func TestQ12AgainstBruteForce(t *testing.T) {
 	ref := map[string]*hl{}
 	for i := range ds.Lineitems {
 		l := &ds.Lineitems[i]
-		if l.ShipMode != "MAIL" && l.ShipMode != "SHIP" {
+		mode := l.ShipMode.String()
+		if mode != "MAIL" && mode != "SHIP" {
 			continue
 		}
 		if l.CommitDate >= l.ReceiptDate || l.ShipDate >= l.CommitDate ||
 			l.ReceiptDate < lo || l.ReceiptDate >= hi {
 			continue
 		}
-		a, ok := ref[l.ShipMode]
+		a, ok := ref[mode]
 		if !ok {
 			a = &hl{}
-			ref[l.ShipMode] = a
+			ref[mode] = a
 		}
-		p := ds.Orders[l.OrderKey-1].OrderPriority
+		p := ds.Orders[l.OrderKey-1].OrderPriority.String()
 		if p == "1-URGENT" || p == "2-HIGH" {
 			a.high++
 		} else {
@@ -312,7 +313,7 @@ func TestQ4AgainstBruteForce(t *testing.T) {
 	}
 	ref := map[string]float64{}
 	for ok := range qualifying {
-		ref[ds.Orders[ok-1].OrderPriority]++
+		ref[ds.Orders[ok-1].OrderPriority.String()]++
 	}
 	if len(truth.Groups) != len(ref) {
 		t.Fatalf("group count %d vs reference %d", len(truth.Groups), len(ref))
@@ -488,8 +489,8 @@ func TestQ3AgainstBruteForce(t *testing.T) {
 		if ds.Customers[o.CustKey-1].MktSegment != "BUILDING" {
 			continue
 		}
-		refRev[o.OrderPriority] += l.ExtendedPrice * (1 - l.Discount)
-		refN[o.OrderPriority]++
+		refRev[o.OrderPriority.String()] += l.ExtendedPrice * (1 - l.Discount)
+		refN[o.OrderPriority.String()]++
 	}
 	if len(truth.Groups) != len(refRev) {
 		t.Fatalf("group count %d vs reference %d", len(truth.Groups), len(refRev))
@@ -595,7 +596,7 @@ func TestQ13AgainstBruteForce(t *testing.T) {
 	refPrice := map[string]float64{}
 	for i := range ds.Orders {
 		o := &ds.Orders[i]
-		if strings.Contains(o.Comment, "special") {
+		if strings.Contains(o.Comment.String(), "special") {
 			continue
 		}
 		nation := ds.Nations[ds.Customers[o.CustKey-1].NationKey].Name
@@ -650,10 +651,10 @@ func TestQ19AgainstBruteForce(t *testing.T) {
 	var rev, n float64
 	for i := range ds.Lineitems {
 		l := &ds.Lineitems[i]
-		if l.ShipMode != "AIR" && l.ShipMode != "REG AIR" {
+		if mode := l.ShipMode.String(); mode != "AIR" && mode != "REG AIR" {
 			continue
 		}
-		if l.ShipInstruct != "DELIVER IN PERSON" {
+		if l.ShipInstruct.String() != "DELIVER IN PERSON" {
 			continue
 		}
 		p := ds.Parts[l.PartKey-1]

@@ -103,7 +103,7 @@ func (d *Dataset) Stats() []TableStats {
 			intCol("o_orderkey", len(d.Orders), func(i int) float64 { return float64(d.Orders[i].OrderKey) }),
 			intCol("o_custkey", len(d.Orders), func(i int) float64 { return float64(d.Orders[i].CustKey) }),
 			intCol("o_orderdate", len(d.Orders), func(i int) float64 { return float64(d.Orders[i].OrderDate) }),
-			strCol("o_orderpriority", len(d.Orders), func(i int) string { return d.Orders[i].OrderPriority }),
+			strCol("o_orderpriority", len(d.Orders), func(i int) string { return d.Orders[i].OrderPriority.String() }),
 			intCol("o_totalprice", len(d.Orders), func(i int) float64 { return d.Orders[i].TotalPrice }),
 		},
 	})
@@ -116,7 +116,7 @@ func (d *Dataset) Stats() []TableStats {
 			intCol("l_quantity", len(d.Lineitems), func(i int) float64 { return d.Lineitems[i].Quantity }),
 			intCol("l_discount", len(d.Lineitems), func(i int) float64 { return d.Lineitems[i].Discount }),
 			intCol("l_shipdate", len(d.Lineitems), func(i int) float64 { return float64(d.Lineitems[i].ShipDate) }),
-			strCol("l_shipmode", len(d.Lineitems), func(i int) string { return d.Lineitems[i].ShipMode }),
+			strCol("l_shipmode", len(d.Lineitems), func(i int) string { return d.Lineitems[i].ShipMode.String() }),
 			strCol("l_returnflag", len(d.Lineitems), func(i int) string { return string(d.Lineitems[i].ReturnFlag) }),
 		},
 	})

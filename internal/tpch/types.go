@@ -131,36 +131,73 @@ type PartSupp struct {
 	SupplyCost float64
 }
 
-// Order mirrors the TPC-H ORDERS table (1,500,000 × SF rows).
+// Order mirrors the TPC-H ORDERS table (1,500,000 × SF rows). Like
+// Lineitem it holds no pointers: its text columns are codes into the
+// generator's name tables, and its fields are ordered widest first so the
+// row packs into 32 bytes.
 type Order struct {
+	TotalPrice    float64
 	OrderKey      int32
 	CustKey       int32
-	OrderStatus   byte
-	TotalPrice    float64
 	OrderDate     Date
-	OrderPriority string
-	Comment       string
 	LineCount     int32 // lines generated for this order (dbgen internal)
+	OrderStatus   byte
+	OrderPriority OrderPriority
+	Comment       OrderComment
 }
 
 // Lineitem mirrors the TPC-H LINEITEM table (~6,000,000 × SF rows; 1-7
-// lines per order).
+// lines per order). It holds no pointers, so the garbage collector never
+// scans the fact table, and its fields are ordered widest first so the
+// row packs into 64 bytes.
 type Lineitem struct {
-	OrderKey      int32
-	PartKey       int32
-	SuppKey       int32
-	LineNumber    int32
 	Quantity      float64
 	ExtendedPrice float64
 	Discount      float64
 	Tax           float64
-	ReturnFlag    byte
-	LineStatus    byte
+	OrderKey      int32
+	PartKey       int32
+	SuppKey       int32
+	LineNumber    int32
 	ShipDate      Date
 	CommitDate    Date
 	ReceiptDate   Date
-	ShipInstruct  string
-	ShipMode      string
+	ReturnFlag    byte
+	LineStatus    byte
+	ShipInstruct  ShipInstruct
+	ShipMode      ShipMode
+}
+
+// OrderPriority is o_orderpriority, an index into orderPriorities.
+type OrderPriority uint8
+
+func (p OrderPriority) String() string { return orderPriorities[p] }
+
+// OrderComment is o_comment: two indexes into commentWords, printed with
+// a space between them.
+type OrderComment [2]uint8
+
+func (c OrderComment) String() string { return commentWords[c[0]] + " " + commentWords[c[1]] }
+
+// ShipInstruct is l_shipinstruct, an index into shipInstructs.
+type ShipInstruct uint8
+
+func (s ShipInstruct) String() string { return shipInstructs[s] }
+
+// ShipMode is l_shipmode, an index into shipModes.
+type ShipMode uint8
+
+func (m ShipMode) String() string { return shipModes[m] }
+
+// codeOf returns the code of name in a code type's name table; it panics
+// on a name outside the table, which is a typo in a query's predicate.
+func codeOf[T ~uint8](names []string, name string) T {
+	for i, n := range names {
+		if n == name {
+			return T(i)
+		}
+	}
+	panic(fmt.Sprintf("tpch: %q is not one of %q", name, names))
 }
 
 // Dataset is a fully generated TPC-H database at some scale factor,
