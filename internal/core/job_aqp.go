@@ -8,7 +8,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"rotary/internal/aqp"
 	"rotary/internal/criteria"
@@ -69,7 +71,22 @@ const convergeThreshold = 0.999
 const defaultEpochBatches = 4
 
 type colEnvelope struct {
-	cells map[string]*cellTrack
+	cells  map[string]*cellTrack
+	byName []*cellTrack // cells in group-name order; see inOrder
+}
+
+// inOrder returns the column's cells in group-name order, so that sums
+// over them are one bit pattern however the map iterates. Cells are only
+// ever added, so the order is rebuilt only after observeEpoch adds a
+// group, not on every estimate the arbiter asks for.
+func (c *colEnvelope) inOrder() []*cellTrack {
+	if len(c.byName) != len(c.cells) {
+		c.byName = c.byName[:0]
+		for _, g := range slices.Sorted(maps.Keys(c.cells)) {
+			c.byName = append(c.byName, c.cells[g])
+		}
+	}
+	return c.byName
 }
 
 // cellTrack couples a cell's envelope with its growth history. For SUM
@@ -307,7 +324,7 @@ func (e *envelopeState) colRatio(i int) float64 {
 		return 0
 	}
 	var sum float64
-	for _, c := range col.cells {
+	for _, c := range col.inOrder() {
 		sum += c.env.Ratio()
 	}
 	return sum / float64(len(col.cells))
@@ -324,7 +341,7 @@ func (e *envelopeState) colScaled(i int, frac float64) float64 {
 		return 0
 	}
 	var sum float64
-	for _, c := range col.cells {
+	for _, c := range col.inOrder() {
 		sum += math.Pow(frac, c.growthExponent())
 	}
 	return sum / float64(len(col.cells))

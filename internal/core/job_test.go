@@ -1,14 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"rotary/internal/aqp"
 	"rotary/internal/cluster"
 	"rotary/internal/criteria"
 	"rotary/internal/dlt"
 	"rotary/internal/estimate"
+	"rotary/internal/sim"
 )
 
 func mkTrainer(t *testing.T, model string, lr float64) *dlt.Job {
@@ -170,6 +173,48 @@ func TestGrowthExponentDetectsSuperlinearAccrual(t *testing.T) {
 	fresh := &cellTrack{env: estimate.NewEnvelope(4)}
 	if got := fresh.growthExponent(); got != 1 {
 		t.Errorf("no-data exponent %v, want the uniform default 1", got)
+	}
+}
+
+// scriptedQuery serves a fixed snapshot at a fixed data fraction; the
+// rest of aqp.OnlineQuery is never called by observeEpoch.
+type scriptedQuery struct {
+	aqp.OnlineQuery
+	snap aqp.Snapshot
+	frac float64
+}
+
+func (q *scriptedQuery) Snapshot() aqp.Snapshot { return q.snap }
+func (q *scriptedQuery) DataProgress() float64  { return q.frac }
+func (q *scriptedQuery) Accuracy() float64      { return 0 }
+
+// EstimatedAccuracy averages per-cell estimates over hundreds of groups.
+// The sum must not follow map iteration order, which Go randomizes per
+// loop: one job state, evaluated again and again, gives one bit pattern.
+func TestEstimatedAccuracyIsOneBitPattern(t *testing.T) {
+	q := &scriptedQuery{snap: aqp.Snapshot{
+		Specs:  []aqp.AggSpec{{Name: "s", Kind: aqp.Sum}, {Name: "a", Kind: aqp.Avg}},
+		Groups: map[string][]float64{},
+	}}
+	j, err := NewAQPJob(AQPJobConfig{ID: "many", Query: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sim.NewRand(3)
+	for epoch := 1; epoch <= 6; epoch++ {
+		q.frac = float64(epoch) / 10
+		for g := 0; g < 400; g++ {
+			name := fmt.Sprintf("g%03d", g)
+			grow := 1 + 3*r.Float64()
+			q.snap.Groups[name] = []float64{1e3 * math.Pow(q.frac, grow), 50 + r.Float64()}
+		}
+		j.observeEpoch(sim.Time(epoch))
+	}
+	want := math.Float64bits(j.EstimatedAccuracy())
+	for i := 0; i < 50; i++ {
+		if got := math.Float64bits(j.EstimatedAccuracy()); got != want {
+			t.Fatalf("evaluation %d: %#x, first evaluation %#x", i, got, want)
+		}
 	}
 }
 
