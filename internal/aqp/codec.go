@@ -15,14 +15,19 @@ import (
 // it. It is the payload core.CheckpointStore frames (frame version 2).
 //
 //	uvarint len | query name
-//	uvarint partitions | one uvarint offset per partition
-//	uvarint round-robin pointer, reduced modulo partitions
-//	uvarint rows processed
+//	uvarint partitions | per partition, uvarint records read from it
+//	uvarint round-robin pointer: records read mod partitions
+//	uvarint records read
 //	uvarint aggregate specs (cells per group)
 //	uvarint tables: 1 interleaved, or one partial per partition
 //	table   uvarint groups | per group, ascending by name:
 //	          uvarint len | name | per spec a 40-byte cell
 //	aux     the processor's SaveAux bytes, to the end of the payload
+//
+// The consumer's position is one number, the records read; the offsets
+// and the pointer are derived from it (stream.Offset), and Restore
+// rejects a section whose offsets or pointer disagree with its count, or
+// whose count passes the topic's end, since no run reaches such a state.
 //
 // A cell is Sum, SumSq, Count, Min, Max as five little-endian 64-bit
 // words, floats by math.Float64bits — the ±Inf extrema sentinels, NaN and
@@ -98,15 +103,13 @@ func (r *Running[T]) Checkpoint() ([]byte, error) {
 	b := make([]byte, 0, r.ckptLen+r.ckptLen/4+256)
 	b = binary.AppendUvarint(b, uint64(len(r.name)))
 	b = append(b, r.name...)
-	cs := r.consumer.Offsets()
-	b = binary.AppendUvarint(b, uint64(len(cs.Offsets)))
-	for _, off := range cs.Offsets {
-		b = binary.AppendUvarint(b, uint64(off))
+	read, parts := r.consumer.Read(), r.consumer.Partitions()
+	b = binary.AppendUvarint(b, uint64(parts))
+	for p := range parts {
+		b = binary.AppendUvarint(b, uint64(stream.Offset(read, p, parts)))
 	}
-	// Only the pointer's residue selects the next partition; writing the
-	// residue keeps a decoded pointer far from integer overflow.
-	b = binary.AppendUvarint(b, uint64(cs.Next%len(cs.Offsets)))
-	b = binary.AppendUvarint(b, uint64(r.rows))
+	b = binary.AppendUvarint(b, uint64(read%parts))
+	b = binary.AppendUvarint(b, uint64(read))
 	b = binary.AppendUvarint(b, uint64(len(r.specs)))
 	tables := r.tables()
 	b = binary.AppendUvarint(b, uint64(len(tables)))
@@ -122,9 +125,9 @@ func (r *Running[T]) Checkpoint() ([]byte, error) {
 
 // Restore implements OnlineQuery. It is all-or-nothing: everything is
 // decoded into temporaries and checked against this query (name,
-// partition, spec and table counts, offsets in range, no trailing bytes)
-// before the first field of r changes, so a rejected checkpoint leaves the
-// query exactly as it was.
+// partition, spec and table counts, a position some run can reach, no
+// trailing bytes) before the first field of r changes, so a rejected
+// checkpoint leaves the query exactly as it was.
 func (r *Running[T]) Restore(data []byte) error {
 	d := &Dec{b: data}
 	if name := string(d.bytes(d.Count(1))); d.err == nil && name != r.name {
@@ -134,15 +137,20 @@ func (r *Running[T]) Restore(data []byte) error {
 	if n := d.Count(1); d.err == nil && n != parts {
 		d.Failf("%d partition offsets for %d partitions", n, parts)
 	}
-	cs := stream.ConsumerState{Offsets: make([]int, parts)}
-	for p := range cs.Offsets {
-		cs.Offsets[p] = int(d.Uvarint()) // Seek range-checks it
-		cs.Read += cs.Offsets[p]
+	offsets := make([]uint64, parts)
+	for p := range offsets {
+		offsets[p] = d.Uvarint()
 	}
-	if cs.Next = int(d.Uvarint()); cs.Next < 0 || cs.Next >= parts {
-		d.Failf("round-robin pointer %d outside %d partitions", cs.Next, parts)
+	pointer := d.Uvarint()
+	read := int(d.Uvarint()) // Seek range-checks it
+	for p, off := range offsets {
+		if want := stream.Offset(read, p, parts); off != uint64(want) {
+			d.Failf("partition %d offset %d, but %d records read leave it at %d", p, off, read, want)
+		}
 	}
-	rows := int64(d.Uvarint())
+	if want := read % parts; pointer != uint64(want) {
+		d.Failf("round-robin pointer %d, but %d records read leave it at %d", pointer, read, want)
+	}
 	if n := d.Uvarint(); d.err == nil && n != uint64(len(r.specs)) {
 		d.Failf("%d cells per group for %d specs", n, len(r.specs))
 	}
@@ -161,7 +169,7 @@ func (r *Running[T]) Restore(data []byte) error {
 		d.Failf("%d trailing bytes", len(d.b))
 	}
 	if d.err == nil {
-		d.err = r.consumer.Seek(cs)
+		d.err = r.consumer.Seek(read)
 	}
 	if d.err != nil {
 		return fmt.Errorf("aqp: restore %s: %w", r.name, d.err)
@@ -172,7 +180,6 @@ func (r *Running[T]) Restore(data []byte) error {
 	} else {
 		r.partials, r.merged = tables, nil
 	}
-	r.rows = rows
 	return nil
 }
 

@@ -34,6 +34,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 				f.Fatal(err)
 			}
 			f.Add(cp)
+			for _, data := range unreachablePositions(cp, q.consumer.Read(), topic.Len(), topic.Partitions()) {
+				f.Add(data)
+			}
 			f.Add(cp[:len(cp)/2])                  // truncated mid-table
 			f.Add(cp[:len(cp)-1])                  // truncated in the last field
 			f.Add(append(cp[:len(cp):len(cp)], 0)) // trailing byte

@@ -128,7 +128,6 @@ type Running[T any] struct {
 	proc     Processor[T]
 	cost     CostModel
 	final    *Snapshot
-	rows     int64
 	ckptLen  int // length of the previous checkpoint, sizes the next buffer
 }
 
@@ -189,7 +188,6 @@ func (r *Running[T]) ProcessBatch(batchRows, threads int) (int, float64) {
 			return 0, 0
 		}
 		r.proc.Process(batch, r.gt)
-		r.rows += int64(len(batch))
 		return len(batch), r.cost.BatchCost(len(batch), threads)
 	}
 	batches, ok := r.consumer.NextBatchPartitioned(batchRows)
@@ -202,7 +200,6 @@ func (r *Running[T]) ProcessBatch(batchRows, threads int) (int, float64) {
 	}
 	runPartitions(threads, batches, r.partials, r.proc.Process)
 	r.merged = nil
-	r.rows += int64(n)
 	return n, r.cost.BatchCost(n, threads)
 }
 
@@ -236,7 +233,7 @@ func (r *Running[T]) Accuracy() float64 {
 func (r *Running[T]) DataProgress() float64 { return r.consumer.Progress() }
 
 // RowsProcessed implements OnlineQuery.
-func (r *Running[T]) RowsProcessed() int64 { return r.rows }
+func (r *Running[T]) RowsProcessed() int64 { return int64(r.consumer.Read()) }
 
 // ConfidenceInterval implements OnlineQuery.
 func (r *Running[T]) ConfidenceInterval(group string, col int, z float64) (lo, hi float64, ok bool) {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -124,10 +125,9 @@ func TestOffsetsSeekRoundTrip(t *testing.T) {
 	topic := NewTopic("t", intRecords(300), 4)
 	c1 := NewConsumer(topic)
 	c1.NextBatch(113)
-	state := c1.Offsets()
 
 	c2 := NewConsumer(topic)
-	if err := c2.Seek(state); err != nil {
+	if err := c2.Seek(c1.Read()); err != nil {
 		t.Fatal(err)
 	}
 	if c2.Read() != c1.Read() {
@@ -145,17 +145,30 @@ func TestOffsetsSeekRoundTrip(t *testing.T) {
 	}
 }
 
+// A position is a record count in [0, Len]. (A checkpoint with the wrong
+// partition count is the codec's to reject: aqp's "5 partitions" case.)
 func TestSeekRejectsBadState(t *testing.T) {
 	topic := NewTopic("t", intRecords(10), 2)
 	c := NewConsumer(topic)
-	if err := c.Seek(ConsumerState{Offsets: []int{0}}); err == nil {
-		t.Error("seek accepted wrong partition count")
+	c.NextBatch(3)
+	longer := NewConsumer(NewTopic("t", intRecords(30), 2))
+	longer.NextBatch(20)
+	for what, read := range map[string]int{
+		"a longer topic's position": longer.Read(),
+		"out-of-range count":        99,
+		"negative count":            -1,
+	} {
+		if err := c.Seek(read); err == nil {
+			t.Errorf("seek accepted %s (%d)", what, read)
+		}
+		if c.Read() != 3 {
+			t.Fatalf("rejected seek to %d moved the consumer to %d", read, c.Read())
+		}
 	}
-	if err := c.Seek(ConsumerState{Offsets: []int{0, 99}}); err == nil {
-		t.Error("seek accepted out-of-range offset")
-	}
-	if err := c.Seek(ConsumerState{Offsets: []int{0, -1}}); err == nil {
-		t.Error("seek accepted negative offset")
+	for _, read := range []int{0, 10} {
+		if err := c.Seek(read); err != nil || c.Read() != read {
+			t.Errorf("seek to %d: %v, read %d", read, err, c.Read())
+		}
 	}
 }
 
@@ -201,8 +214,8 @@ func TestEmptyAndZeroBatch(t *testing.T) {
 
 // The partitioned draw must consume exactly the record set the
 // interleaved draw would, call by call, and land on the identical
-// serialized consumer state — checkpoints are interchangeable between
-// the two data paths.
+// position, which is all a checkpoint records — checkpoints are
+// interchangeable between the two data paths.
 func TestNextBatchPartitionedMatchesInterleaved(t *testing.T) {
 	check := func(seed uint64, nparts uint8) bool {
 		parts := int(nparts)%7 + 1
@@ -233,17 +246,8 @@ func TestNextBatchPartitionedMatchesInterleaved(t *testing.T) {
 					got++
 				}
 			}
-			if got != len(batch) {
+			if got != len(batch) || seq.Read() != par.Read() {
 				return false
-			}
-			a, b := seq.Offsets(), par.Offsets()
-			if a.Next != b.Next || a.Read != b.Read {
-				return false
-			}
-			for p := range a.Offsets {
-				if a.Offsets[p] != b.Offsets[p] {
-					return false
-				}
 			}
 		}
 		return seq.Read() == par.Read() && par.Remaining() == 0
@@ -294,10 +298,9 @@ func TestNextBatchPartitionedSeekRoundTrip(t *testing.T) {
 	topic := NewTopic("t", intRecords(300), 4)
 	c1 := NewConsumer(topic)
 	c1.NextBatchPartitioned(113)
-	state := c1.Offsets()
 
 	c2 := NewConsumer(topic)
-	if err := c2.Seek(state); err != nil {
+	if err := c2.Seek(c1.Read()); err != nil {
 		t.Fatal(err)
 	}
 	r1, _ := c1.NextBatch(300)
@@ -329,5 +332,99 @@ func TestNextBatchPartitionedDegenerate(t *testing.T) {
 	empty := NewConsumer(NewTopic("e", intRecords(0), 2))
 	if _, ok := empty.NextBatchPartitioned(5); ok {
 		t.Error("empty topic returned records")
+	}
+}
+
+// refConsumer is a reference model of the consumer's draw order: a
+// pointer walks the partitions one record at a time, skipping exhausted
+// ones, and each partition keeps its own offset.
+type refConsumer struct {
+	parts   [][]int
+	offsets []int
+	next    int // round-robin partition pointer
+	read    int
+}
+
+func newRefConsumer(t *Topic[int]) *refConsumer {
+	return &refConsumer{parts: t.partitions, offsets: make([]int, len(t.partitions))}
+}
+
+// draw takes up to n records and returns them in draw order and grouped
+// by the partition each came from.
+func (c *refConsumer) draw(n int) (records []int, runs [][]int) {
+	runs = make([][]int, len(c.parts))
+	for empty := 0; len(records) < n && empty < len(c.parts); {
+		p := c.next % len(c.parts)
+		c.next++
+		if c.offsets[p] >= len(c.parts[p]) {
+			empty++
+			continue
+		}
+		empty = 0
+		v := c.parts[p][c.offsets[p]]
+		c.offsets[p]++
+		records = append(records, v)
+		runs[p] = append(runs[p], v)
+	}
+	c.read += len(records)
+	return records, runs
+}
+
+// The closed-form consumer against the per-row reference, over random
+// topics and a random mix of both draws and re-seeks: every call returns
+// the reference's records (each partition's run in partition order), and
+// the reference's offsets and pointer stay the functions of the read
+// count that the checkpoint codec writes.
+func TestConsumerMatchesRoundRobinReference(t *testing.T) {
+	r := sim.NewRand(46)
+	for trial := 0; trial < 400; trial++ {
+		size, parts := r.IntN(601), 1+r.IntN(8)
+		topic := NewShuffledTopic("t", intRecords(size), parts, uint64(trial))
+		c, ref := NewConsumer(topic), newRefConsumer(topic)
+		sizes := []int{-3, -1, 0, 1, parts, 1 + r.IntN(size/3+1), size, size + 7}
+		for call, tail := 0, 0; tail < 3; call++ {
+			if ref.read == size {
+				tail++
+			}
+			n := sizes[r.IntN(len(sizes))]
+			switch op := r.IntN(5); {
+			case op < 2:
+				want, _ := ref.draw(n)
+				got, ok := c.NextBatch(n)
+				if ok != (len(want) > 0) || !slices.Equal(got, want) {
+					t.Fatalf("trial %d (%d records, %d partitions) call %d: NextBatch(%d) = %v %v, reference %v",
+						trial, size, parts, call, n, got, ok, want)
+				}
+			case op < 4:
+				want, wantRuns := ref.draw(n)
+				runs, ok := c.NextBatchPartitioned(n)
+				if ok != (len(want) > 0) {
+					t.Fatalf("trial %d call %d: NextBatchPartitioned(%d) ok=%v, reference drew %d", trial, call, n, ok, len(want))
+				}
+				for p := range wantRuns {
+					if ok && !slices.Equal(runs[p], wantRuns[p]) {
+						t.Fatalf("trial %d (%d records, %d partitions) call %d: NextBatchPartitioned(%d) partition %d = %v, reference %v",
+							trial, size, parts, call, n, p, runs[p], wantRuns[p])
+					}
+				}
+			default:
+				resumed := NewConsumer(topic)
+				if err := resumed.Seek(c.Read()); err != nil {
+					t.Fatalf("trial %d call %d: Seek(%d): %v", trial, call, c.Read(), err)
+				}
+				c = resumed
+			}
+			if c.Read() != ref.read {
+				t.Fatalf("trial %d call %d: read %d, reference %d", trial, call, c.Read(), ref.read)
+			}
+			if ref.next%parts != ref.read%parts {
+				t.Fatalf("trial %d call %d: reference pointer %d, read %d over %d partitions", trial, call, ref.next, ref.read, parts)
+			}
+			for p, off := range ref.offsets {
+				if want := Offset(ref.read, p, parts); off != want {
+					t.Fatalf("trial %d call %d: reference partition %d offset %d, closed form %d", trial, call, p, off, want)
+				}
+			}
+		}
 	}
 }
