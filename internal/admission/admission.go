@@ -198,39 +198,13 @@ type Stats struct {
 // arbitration loop is single-threaded, but live serving submits from
 // one goroutine per connection, so the decision ledger is mutex-guarded.
 type Controller struct {
-	mu      sync.Mutex
-	cfg     Config
-	stats   Stats
-	met     ctrlMetrics
-	tenants map[string]*tenantState
-}
-
-// ctrlMetrics mirrors Stats into the obs registry: verdict counters plus
-// the queue-depth gauge sampled at decision time. Handles are nil-safe.
-type ctrlMetrics struct {
-	submitted  *obs.Counter
-	admitted   *obs.Counter
-	rejected   *obs.Counter
-	shed       *obs.Counter
-	degraded   *obs.Counter
-	queueFull  *obs.Counter
-	queueDepth *obs.Gauge
-}
-
-func newCtrlMetrics(reg *obs.Registry) ctrlMetrics {
-	if reg == nil {
-		reg = obs.Default()
-	}
-	const p = "rotary_admission_"
-	return ctrlMetrics{
-		submitted:  reg.Counter(p+"submitted_total", "arrivals presented to the admission gate"),
-		admitted:   reg.Counter(p+"admitted_total", "arrivals admitted (including degraded and shed-admitted)"),
-		rejected:   reg.Counter(p+"rejected_total", "arrivals refused"),
-		shed:       reg.Counter(p+"shed_total", "queued jobs evicted to admit an arrival"),
-		degraded:   reg.Counter(p+"degraded_total", "deadline-infeasible arrivals admitted best-effort"),
-		queueFull:  reg.Counter(p+"queue_full_rejections_total", "refusals at the queue bound"),
-		queueDepth: reg.Gauge(p+"queue_depth", "active-set size observed at the last decision"),
-	}
+	mu       sync.Mutex
+	cfg      Config
+	stats    [nTallies]int          // the decision ledger, by tally
+	met      [nTallies]*obs.Counter // its rotary_admission_* counters (nil-safe)
+	depth    *obs.Gauge             // active-set size at the last decision
+	maxDepth int                    // the deepest active set decided on
+	tenants  map[string]*tenantState
 }
 
 // NewController validates and applies the config.
@@ -241,7 +215,20 @@ func NewController(cfg Config) *Controller {
 	if cfg.MaxQueueDepth < 0 {
 		cfg.MaxQueueDepth = 0
 	}
-	return &Controller{cfg: cfg, met: newCtrlMetrics(cfg.Obs), tenants: make(map[string]*tenantState)}
+	reg := cfg.Obs
+	if reg == nil {
+		reg = obs.Default()
+	}
+	const p = "rotary_admission_"
+	c := &Controller{cfg: cfg, tenants: make(map[string]*tenantState),
+		depth: reg.Gauge(p+"queue_depth", "active-set size observed at the last decision")}
+	c.met[tSubmitted] = reg.Counter(p+"submitted_total", "arrivals presented to the admission gate")
+	c.met[tAdmitted] = reg.Counter(p+"admitted_total", "arrivals admitted (including degraded and shed-admitted)")
+	c.met[tRejected] = reg.Counter(p+"rejected_total", "arrivals refused")
+	c.met[tShed] = reg.Counter(p+"shed_total", "queued jobs evicted to admit an arrival")
+	c.met[tDegraded] = reg.Counter(p+"degraded_total", "deadline-infeasible arrivals admitted best-effort")
+	c.met[tQueueFull] = reg.Counter(p+"queue_full_rejections_total", "refusals at the queue bound")
+	return c
 }
 
 // Config returns the applied configuration.
@@ -251,7 +238,9 @@ func (c *Controller) Config() Config { return c.cfg }
 func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	n := c.stats
+	return Stats{Submitted: n[tSubmitted], Admitted: n[tAdmitted], Rejected: n[tRejected], Shed: n[tShed],
+		Degraded: n[tDegraded], QueueFullRejections: n[tQueueFull], MaxQueueDepth: c.maxDepth}
 }
 
 // Decide evaluates one arrival. The tenant gate runs first: its
@@ -267,65 +256,51 @@ func (c *Controller) Stats() Stats {
 func (c *Controller) Decide(r Request) Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stats.Submitted++
-	c.met.submitted.Inc()
-	c.met.queueDepth.Set(float64(r.QueueDepth))
-	if r.QueueDepth > c.stats.MaxQueueDepth {
-		c.stats.MaxQueueDepth = r.QueueDepth
-	}
+	c.depth.Set(float64(r.QueueDepth))
+	c.maxDepth = max(c.maxDepth, r.QueueDepth)
+	d, o := c.decide(r)
+	c.book(r, o)
+	return d
+}
 
+// decide is Decide's verdict and the outcome to book; it books nothing.
+func (c *Controller) decide(r Request) (Decision, outcome) {
 	if c.cfg.Tenants.Enabled() {
-		if d := c.decideTenant(r); d != nil {
-			return *d
+		if d, o := c.decideTenant(r); o != admitted {
+			return d, o
 		}
 	}
 
-	degraded := false
+	o := admitted
 	if c.cfg.SlackFactor > 0 && r.RemainingSecs > 0 && !math.IsInf(r.RemainingSecs, 1) &&
 		c.cfg.SlackFactor*r.EstCompletionSecs > r.RemainingSecs {
 		if c.cfg.Policy != Degrade {
-			c.stats.Rejected++
-			c.met.rejected.Inc()
-			c.tenantRejected(r)
 			return Decision{
 				Verdict: RejectJob,
 				Err: fmt.Errorf("admission: %s: estimated completion %.0fs × slack %.2g exceeds remaining %.0fs: %w",
 					r.ID, r.EstCompletionSecs, c.cfg.SlackFactor, r.RemainingSecs, ErrAdmissionRejected),
 				Reason: "deadline-infeasible",
-			}
+			}, rejectedDeadline
 		}
-		degraded = true
+		o = degraded
 	}
 
 	if c.cfg.MaxQueueDepth > 0 && r.QueueDepth >= c.cfg.MaxQueueDepth {
 		if c.cfg.Policy == ShedLowestValue {
-			return Decision{Verdict: ShedVictim, Reason: "queue-full"}
+			return Decision{Verdict: ShedVictim, Reason: "queue-full"}, shedPending
 		}
-		c.stats.Rejected++
-		c.stats.QueueFullRejections++
-		c.met.rejected.Inc()
-		c.met.queueFull.Inc()
-		c.tenantRejected(r)
 		return Decision{
 			Verdict: RejectJob,
 			Err: fmt.Errorf("admission: %s: active set %d at bound %d: %w",
 				r.ID, r.QueueDepth, c.cfg.MaxQueueDepth, ErrQueueFull),
 			Reason: "queue-full",
-		}
+		}, rejectedQueueFull
 	}
 
-	if degraded {
-		c.stats.Degraded++
-		c.stats.Admitted++
-		c.met.degraded.Inc()
-		c.met.admitted.Inc()
-		c.chargeTenant(r)
-		return Decision{Verdict: DegradeBestEffort, Reason: "deadline-infeasible"}
+	if o == degraded {
+		return Decision{Verdict: DegradeBestEffort, Reason: "deadline-infeasible"}, degraded
 	}
-	c.stats.Admitted++
-	c.met.admitted.Inc()
-	c.chargeTenant(r)
-	return Decision{Verdict: Admit}
+	return Decision{Verdict: Admit}, admitted
 }
 
 // ResolveShed finalizes a ShedVictim verdict for the arrival described
@@ -338,17 +313,87 @@ func (c *Controller) ResolveShed(r Request, shed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if shed {
-		c.stats.Shed++
-		c.stats.Admitted++
-		c.met.shed.Inc()
-		c.met.admitted.Inc()
-		c.chargeTenant(r)
+		c.book(r, shedAdmitted)
 	} else {
-		c.stats.Rejected++
-		c.stats.QueueFullRejections++
-		c.met.rejected.Inc()
-		c.met.queueFull.Inc()
-		c.tenantRejected(r)
+		c.book(r, shedRefused)
+	}
+}
+
+// outcome is how one arrival's decision ends, as book counts it.
+type outcome int
+
+const (
+	admitted outcome = iota
+	degraded
+	shedPending  // a ShedVictim verdict: submitted, and resolved by ResolveShed
+	shedAdmitted // ResolveShed found a victim
+	shedRefused  // ResolveShed found none
+	rejectedDeadline
+	rejectedQueueFull
+	rejectedTenantRate
+	rejectedTenantActive
+	rejectedTenantQueue
+)
+
+// tally is one count in a decision ledger.
+type tally int
+
+const (
+	tSubmitted tally = iota
+	tAdmitted
+	tRejected
+	tShed
+	tDegraded
+	tQueueFull
+	tRate
+	tActiveCap
+	tQueueCap
+	nTallies
+)
+
+// tallies lists what each outcome counts. book adds them to the
+// controller's ledger and, under tenant gating, the arrival tenant's;
+// each ledger shows its own subset (Stats has no tenant-gate causes,
+// TenantStats no shed, degraded or queue-bound split).
+var tallies = [...][]tally{
+	admitted:             {tSubmitted, tAdmitted},
+	degraded:             {tSubmitted, tAdmitted, tDegraded},
+	shedPending:          {tSubmitted},
+	shedAdmitted:         {tAdmitted, tShed},
+	shedRefused:          {tRejected, tQueueFull},
+	rejectedDeadline:     {tSubmitted, tRejected},
+	rejectedQueueFull:    {tSubmitted, tRejected, tQueueFull},
+	rejectedTenantRate:   {tSubmitted, tRejected, tRate},
+	rejectedTenantActive: {tSubmitted, tRejected, tActiveCap},
+	rejectedTenantQueue:  {tSubmitted, tRejected, tQueueCap},
+}
+
+// book counts one decision's outcome in every ledger that counts it —
+// the controller's, the arrival tenant's, both sets of counters — and
+// charges the tenant on admission: one token, one active slot. As their
+// only writer (the queue-depth gauge, the high-water mark and the tenant
+// active gauge outside an admission are levels, not decisions), no
+// decision can be counted in one ledger and forgotten in another.
+// Caller holds c.mu.
+func (c *Controller) book(r Request, o outcome) {
+	var st *tenantState
+	if c.cfg.Tenants.Enabled() {
+		st = c.tenant(r.Tenant)
+	}
+	for _, t := range tallies[o] {
+		c.stats[t]++
+		c.met[t].Inc()
+		if st != nil {
+			st.stats[t]++
+			st.met[t].Inc()
+		}
+	}
+	if st != nil && (o == admitted || o == degraded || o == shedAdmitted) {
+		if q := c.cfg.Tenants.Quota(r.Tenant); q.RatePerSec > 0 {
+			st.consume(r.Now, q)
+		}
+		st.active++
+		st.activeJobs.Set(float64(st.active))
 	}
 }
 

@@ -1,10 +1,12 @@
-package admission
+package admission_test
 
 import (
 	"math"
 	"sync"
 	"testing"
 
+	"rotary/internal/admission"
+	"rotary/internal/invariants"
 	"rotary/internal/obs"
 )
 
@@ -15,7 +17,7 @@ import (
 //	Degraded            <= Admitted
 //	Shed                <= Admitted (each eviction admitted one arrival)
 //	QueueFullRejections <= Rejected
-func checkLedger(t *testing.T, s Stats, unresolved int) {
+func checkLedger(t *testing.T, s admission.Stats, unresolved int) {
 	t.Helper()
 	if s.Admitted+s.Rejected != s.Submitted-unresolved {
 		t.Errorf("ledger leak: admitted %d + rejected %d != submitted %d - unresolved %d",
@@ -32,13 +34,31 @@ func checkLedger(t *testing.T, s Stats, unresolved int) {
 	}
 }
 
+// checkRegistry asserts that every counted Stats field equals its
+// counter in the controller's registry.
+func checkRegistry(t *testing.T, reg *obs.Registry, s admission.Stats) {
+	t.Helper()
+	const p = "rotary_admission_"
+	if err := invariants.RegistryAgrees(reg, map[string]int{
+		p + "submitted_total":             s.Submitted,
+		p + "admitted_total":              s.Admitted,
+		p + "rejected_total":              s.Rejected,
+		p + "shed_total":                  s.Shed,
+		p + "degraded_total":              s.Degraded,
+		p + "queue_full_rejections_total": s.QueueFullRejections,
+	}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestStatsLedgerInvariants drives each policy through a mixed arrival
 // table and checks that every decision lands in exactly one ledger
-// bucket, at every intermediate step and at the end.
+// bucket, and that the registry counts what Stats does, at every
+// intermediate step and at the end.
 func TestStatsLedgerInvariants(t *testing.T) {
 	// Arrival mix: feasible under-bound, infeasible, at-bound feasible,
 	// at-bound infeasible, and no-deadline arrivals.
-	arrivals := []Request{
+	arrivals := []admission.Request{
 		{ID: "a", QueueDepth: 0, EstCompletionSecs: 10, RemainingSecs: 100},
 		{ID: "b", QueueDepth: 1, EstCompletionSecs: 500, RemainingSecs: 100},
 		{ID: "c", QueueDepth: 2, EstCompletionSecs: 10, RemainingSecs: math.Inf(1)},
@@ -48,50 +68,53 @@ func TestStatsLedgerInvariants(t *testing.T) {
 	}
 	cases := []struct {
 		name       string
-		cfg        Config
+		cfg        admission.Config
 		shedFound  bool // outcome reported for every ShedVictim verdict
-		wantFields func(s Stats) bool
+		wantFields func(s admission.Stats) bool
 	}{
 		{
 			name:       "reject",
-			cfg:        Config{MaxQueueDepth: 2, SlackFactor: 1, Policy: Reject},
-			wantFields: func(s Stats) bool { return s.Shed == 0 && s.Degraded == 0 && s.Rejected > 0 },
+			cfg:        admission.Config{MaxQueueDepth: 2, SlackFactor: 1, Policy: admission.Reject},
+			wantFields: func(s admission.Stats) bool { return s.Shed == 0 && s.Degraded == 0 && s.Rejected > 0 },
 		},
 		{
 			name:       "shed victim found",
-			cfg:        Config{MaxQueueDepth: 2, SlackFactor: 1, Policy: ShedLowestValue},
+			cfg:        admission.Config{MaxQueueDepth: 2, SlackFactor: 1, Policy: admission.ShedLowestValue},
 			shedFound:  true,
-			wantFields: func(s Stats) bool { return s.Shed > 0 },
+			wantFields: func(s admission.Stats) bool { return s.Shed > 0 },
 		},
 		{
 			name:       "shed no victim",
-			cfg:        Config{MaxQueueDepth: 2, SlackFactor: 1, Policy: ShedLowestValue},
+			cfg:        admission.Config{MaxQueueDepth: 2, SlackFactor: 1, Policy: admission.ShedLowestValue},
 			shedFound:  false,
-			wantFields: func(s Stats) bool { return s.Shed == 0 && s.QueueFullRejections > 0 },
+			wantFields: func(s admission.Stats) bool { return s.Shed == 0 && s.QueueFullRejections > 0 },
 		},
 		{
 			name:       "degrade",
-			cfg:        Config{MaxQueueDepth: 2, SlackFactor: 1, Policy: Degrade},
-			wantFields: func(s Stats) bool { return s.Degraded > 0 },
+			cfg:        admission.Config{MaxQueueDepth: 2, SlackFactor: 1, Policy: admission.Degrade},
+			wantFields: func(s admission.Stats) bool { return s.Degraded > 0 },
 		},
 		{
 			name:       "unbounded no slack",
-			cfg:        Config{Policy: Reject},
-			wantFields: func(s Stats) bool { return s.Admitted == s.Submitted && s.Rejected == 0 },
+			cfg:        admission.Config{Policy: admission.Reject},
+			wantFields: func(s admission.Stats) bool { return s.Admitted == s.Submitted && s.Rejected == 0 },
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Obs = obs.NewRegistry()
-			c := NewController(tc.cfg)
+			reg := obs.NewRegistry()
+			tc.cfg.Obs = reg
+			c := admission.NewController(tc.cfg)
 			for _, r := range arrivals {
 				d := c.Decide(r)
-				if d.Verdict == ShedVictim {
+				if d.Verdict == admission.ShedVictim {
 					// Ledger holds even mid-flight, before the verdict resolves.
 					checkLedger(t, c.Stats(), 1)
+					checkRegistry(t, reg, c.Stats())
 					c.ResolveShed(r, tc.shedFound)
 				}
 				checkLedger(t, c.Stats(), 0)
+				checkRegistry(t, reg, c.Stats())
 			}
 			s := c.Stats()
 			if s.Submitted != len(arrivals) {
@@ -110,20 +133,20 @@ func TestStatsLedgerInvariants(t *testing.T) {
 // data-race free.
 func TestStatsLedgerConcurrent(t *testing.T) {
 	const workers, perWorker = 8, 250
-	c := NewController(Config{MaxQueueDepth: 3, SlackFactor: 1, Policy: ShedLowestValue, Obs: obs.NewRegistry()})
+	c := admission.NewController(admission.Config{MaxQueueDepth: 3, SlackFactor: 1, Policy: admission.ShedLowestValue, Obs: obs.NewRegistry()})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				r := Request{
+				r := admission.Request{
 					ID:                "j",
 					QueueDepth:        (w + i) % 5,
 					EstCompletionSecs: float64(10 * (i%3 + 1)),
 					RemainingSecs:     float64(25 * (i%4 + 1)),
 				}
-				if d := c.Decide(r); d.Verdict == ShedVictim {
+				if d := c.Decide(r); d.Verdict == admission.ShedVictim {
 					c.ResolveShed(r, i%2 == 0)
 				}
 				// Interleave snapshots with decisions from other goroutines.

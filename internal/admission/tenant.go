@@ -200,21 +200,8 @@ type TenantStats struct {
 	RateRejections      int
 	ActiveCapRejections int
 	QueueCapRejections  int
-	// Released counts admitted jobs that have since gone terminal.
-	Released int
 	// Active is the current admitted, non-terminal job count.
 	Active int
-}
-
-// tenantMetrics mirrors one tenant's ledger into labeled obs counters.
-type tenantMetrics struct {
-	submitted *obs.Counter
-	admitted  *obs.Counter
-	rejected  *obs.Counter
-	rateRej   *obs.Counter
-	activeRej *obs.Counter
-	queueRej  *obs.Counter
-	active    *obs.Gauge
 }
 
 // tenantLabel sanitizes a tenant id into a legal Prometheus label value
@@ -236,25 +223,8 @@ func tenantLabel(t string) string {
 	return b.String()
 }
 
-func newTenantMetrics(reg *obs.Registry, tenant string) tenantMetrics {
-	if reg == nil {
-		reg = obs.Default()
-	}
-	l := fmt.Sprintf("{tenant=%q}", tenantLabel(tenant))
-	const p = "rotary_admission_tenant_"
-	return tenantMetrics{
-		submitted: reg.Counter(p+"submitted_total"+l, "arrivals attributed to the tenant"),
-		admitted:  reg.Counter(p+"admitted_total"+l, "tenant arrivals admitted"),
-		rejected:  reg.Counter(p+"rejected_total"+l, "tenant arrivals refused (any cause)"),
-		rateRej:   reg.Counter(p+"rate_rejections_total"+l, "tenant arrivals refused by the submit-rate bucket"),
-		activeRej: reg.Counter(p+"active_cap_rejections_total"+l, "tenant arrivals refused by the concurrent-job cap"),
-		queueRej:  reg.Counter(p+"queue_cap_rejections_total"+l, "tenant arrivals refused by the queued-job cap"),
-		active:    reg.Gauge(p+"active_jobs"+l, "tenant's admitted non-terminal jobs"),
-	}
-}
-
 // tenantState is the controller's per-tenant ledger entry: the token
-// bucket, the concurrent-job count, and the decision stats.
+// bucket, the concurrent-job count, and the decision ledger.
 type tenantState struct {
 	// Token bucket. primed distinguishes "never consumed" (level == Burst
 	// regardless of time) from a live bucket; tokens/last only change on
@@ -263,9 +233,26 @@ type tenantState struct {
 	tokens float64
 	last   float64
 
-	active int
-	stats  TenantStats
-	met    tenantMetrics
+	active     int
+	activeJobs *obs.Gauge             // active, as a labeled gauge
+	stats      [nTallies]int          // the decision ledger, by tally
+	met        [nTallies]*obs.Counter // its labeled counters (nil-safe)
+}
+
+func newTenantState(reg *obs.Registry, tenant string) *tenantState {
+	if reg == nil {
+		reg = obs.Default()
+	}
+	l := fmt.Sprintf("{tenant=%q}", tenantLabel(tenant))
+	const p = "rotary_admission_tenant_"
+	st := &tenantState{activeJobs: reg.Gauge(p+"active_jobs"+l, "tenant's admitted non-terminal jobs")}
+	st.met[tSubmitted] = reg.Counter(p+"submitted_total"+l, "arrivals attributed to the tenant")
+	st.met[tAdmitted] = reg.Counter(p+"admitted_total"+l, "tenant arrivals admitted")
+	st.met[tRejected] = reg.Counter(p+"rejected_total"+l, "tenant arrivals refused (any cause)")
+	st.met[tRate] = reg.Counter(p+"rate_rejections_total"+l, "tenant arrivals refused by the submit-rate bucket")
+	st.met[tActiveCap] = reg.Counter(p+"active_cap_rejections_total"+l, "tenant arrivals refused by the concurrent-job cap")
+	st.met[tQueueCap] = reg.Counter(p+"queue_cap_rejections_total"+l, "tenant arrivals refused by the queued-job cap")
+	return st
 }
 
 // peek computes the bucket level at virtual time now without mutating
@@ -295,7 +282,7 @@ func (c *Controller) tenant(name string) *tenantState {
 	name = CanonicalTenant(name)
 	st, ok := c.tenants[name]
 	if !ok {
-		st = &tenantState{met: newTenantMetrics(c.cfg.Obs, name)}
+		st = newTenantState(c.cfg.Obs, name)
 		c.tenants[name] = st
 	}
 	return st
@@ -313,92 +300,43 @@ func retryHint(q TenantQuota, deficit float64) float64 {
 	return 1
 }
 
-// decideTenant runs the tenant gate for one arrival. Caller holds c.mu.
-// A nil return means the arrival cleared its quota; the caller charges
-// the bucket only on final admission via chargeTenant.
-func (c *Controller) decideTenant(r Request) *Decision {
+// decideTenant runs the tenant gate for one arrival: admitted means it
+// cleared its quota, and the verdict is left to the global checks.
+// Caller holds c.mu; it books nothing.
+func (c *Controller) decideTenant(r Request) (Decision, outcome) {
 	st := c.tenant(r.Tenant)
-	st.stats.Submitted++
-	st.met.submitted.Inc()
 	q := c.cfg.Tenants.Quota(r.Tenant)
 
 	if q.RatePerSec > 0 {
 		if level := st.peek(r.Now, q); level < 1 {
-			st.stats.Rejected++
-			st.stats.RateRejections++
-			st.met.rejected.Inc()
-			st.met.rateRej.Inc()
-			c.stats.Rejected++
-			c.met.rejected.Inc()
-			return &Decision{
+			return Decision{
 				Verdict: RejectJob,
 				Err: fmt.Errorf("admission: %s: tenant %s over submit rate (%.2f tokens, rate %.3g/s): %w",
 					r.ID, CanonicalTenant(r.Tenant), level, q.RatePerSec, ErrTenantQuotaExceeded),
 				Reason:         "tenant-rate",
 				RetryAfterSecs: retryHint(q, 1-level),
-			}
+			}, rejectedTenantRate
 		}
 	}
 	if q.MaxActive > 0 && st.active >= q.MaxActive {
-		st.stats.Rejected++
-		st.stats.ActiveCapRejections++
-		st.met.rejected.Inc()
-		st.met.activeRej.Inc()
-		c.stats.Rejected++
-		c.met.rejected.Inc()
-		return &Decision{
+		return Decision{
 			Verdict: RejectJob,
 			Err: fmt.Errorf("admission: %s: tenant %s at concurrent-job cap %d: %w",
 				r.ID, CanonicalTenant(r.Tenant), q.MaxActive, ErrTenantQuotaExceeded),
 			Reason:         "tenant-concurrent",
 			RetryAfterSecs: retryHint(q, 1),
-		}
+		}, rejectedTenantActive
 	}
 	if q.MaxPending > 0 && r.TenantPending >= q.MaxPending {
-		st.stats.Rejected++
-		st.stats.QueueCapRejections++
-		st.met.rejected.Inc()
-		st.met.queueRej.Inc()
-		c.stats.Rejected++
-		c.met.rejected.Inc()
-		return &Decision{
+		return Decision{
 			Verdict: RejectJob,
 			Err: fmt.Errorf("admission: %s: tenant %s queue depth %d at cap %d: %w",
 				r.ID, CanonicalTenant(r.Tenant), r.TenantPending, q.MaxPending, ErrTenantQueueFull),
 			Reason:         "tenant-queue-full",
 			RetryAfterSecs: retryHint(q, 1),
-		}
+		}, rejectedTenantQueue
 	}
-	return nil
-}
-
-// chargeTenant books a final admission against the tenant: one token,
-// one active slot. Caller holds c.mu.
-func (c *Controller) chargeTenant(r Request) {
-	if !c.cfg.Tenants.Enabled() {
-		return
-	}
-	st := c.tenant(r.Tenant)
-	q := c.cfg.Tenants.Quota(r.Tenant)
-	if q.RatePerSec > 0 {
-		st.consume(r.Now, q)
-	}
-	st.active++
-	st.stats.Admitted++
-	st.met.admitted.Inc()
-	st.met.active.Set(float64(st.active))
-}
-
-// tenantRejected books a global-check refusal (deadline or shared
-// queue) against the tenant's ledger so Submitted keeps reconciling.
-// Caller holds c.mu.
-func (c *Controller) tenantRejected(r Request) {
-	if !c.cfg.Tenants.Enabled() {
-		return
-	}
-	st := c.tenant(r.Tenant)
-	st.stats.Rejected++
-	st.met.rejected.Inc()
+	return Decision{}, admitted
 }
 
 // JobDone releases an admitted job's tenant slot when it reaches a
@@ -415,8 +353,7 @@ func (c *Controller) JobDone(tenant string) {
 	if st.active > 0 {
 		st.active--
 	}
-	st.stats.Released++
-	st.met.active.Set(float64(st.active))
+	st.activeJobs.Set(float64(st.active))
 }
 
 // AdoptRecovered restores one live job's active slot after a restart.
@@ -431,7 +368,7 @@ func (c *Controller) AdoptRecovered(tenant string) {
 	defer c.mu.Unlock()
 	st := c.tenant(tenant)
 	st.active++
-	st.met.active.Set(float64(st.active))
+	st.activeJobs.Set(float64(st.active))
 }
 
 // ReplayAdmitted rebuilds the token bucket from the journal: one call
@@ -458,9 +395,9 @@ func (c *Controller) TenantStats() map[string]TenantStats {
 	defer c.mu.Unlock()
 	out := make(map[string]TenantStats, len(c.tenants))
 	for name, st := range c.tenants {
-		s := st.stats
-		s.Active = st.active
-		out[name] = s
+		n := st.stats
+		out[name] = TenantStats{Submitted: n[tSubmitted], Admitted: n[tAdmitted], Rejected: n[tRejected],
+			RateRejections: n[tRate], ActiveCapRejections: n[tActiveCap], QueueCapRejections: n[tQueueCap], Active: st.active}
 	}
 	return out
 }

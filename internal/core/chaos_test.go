@@ -169,6 +169,8 @@ func TestChaosRotaryAQPFullMixTerminates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		reg := obs.NewRegistry()
+		store.SetObs(reg)
 		in := faults.New(faults.Uniform(seed, 0.15))
 		store.SetFaults(in)
 		cfg := core.DefaultAQPExecConfig(1e6)
@@ -191,6 +193,11 @@ func TestChaosRotaryAQPFullMixTerminates(t *testing.T) {
 		corruptionsDetected += store.Health().CorruptDetected
 		if got, want := store.Health().SlowIOs, in.Stats().SlowIOs; got != want {
 			t.Errorf("seed %d: store counted %d slow I/Os, injector dealt %d", seed, got, want)
+		}
+		if err := invariants.RegistryAgrees(reg, map[string]int{
+			"rotary_ckpt_slow_ios_total": store.Health().SlowIOs,
+		}); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
 	// A corrupted write that is overwritten before any read goes unseen
@@ -375,8 +382,8 @@ func TestChaosObsCountersAgree(t *testing.T) {
 			t.Fatalf("seed %d: fault plan injected no crashes; agreement test is vacuous", seed)
 		}
 		checkLedgersAgree(t, fmt.Sprintf("chaos/%d", seed), exec, reg, len(exec.Jobs()))
-		writes, memHits, diskHits, _ := store.Stats()
 		health := store.Health()
+		writes, memHits, diskHits := health.Writes, health.MemHits, health.DiskHits
 		if err := invariants.RegistryAgrees(reg, map[string]int{
 			"rotary_aqp_crashes_total":             rec.Crashes,
 			"rotary_aqp_rollbacks_total":           rec.Rollbacks,

@@ -129,9 +129,14 @@ func AtomicWriteFileIO(dio diskio.IO, path string, data []byte) error {
 	return nil
 }
 
-// StoreHealth counts the failure-path activity of a CheckpointStore: the
+// StoreHealth snapshots a CheckpointStore's ledger: the ablation, the
 // chaos suite and the recovery report read it.
 type StoreHealth struct {
+	// Writes counts saves and imports that returned nil; MemHits and
+	// DiskHits, loads served from memory and from disk or the stage;
+	// DiskBytes, the frame bytes that reached disk.
+	Writes, MemHits, DiskHits int
+	DiskBytes                 int64
 	// Retries counts transient I/O attempts that were retried.
 	Retries int
 	// TransientFailures counts operations that exhausted their retries
@@ -198,11 +203,10 @@ type CheckpointStore struct {
 	staged     map[string]*stagedFrame
 	stageOrder []string
 
-	memHits, diskHits, writes int
-	diskBytes                 int64
-	health                    StoreHealth
-	closed                    bool
-	met                       *storeMetrics
+	counts    [ckptSwept + 1]int // the ledger: events booked (frames, for ckptDiskWrite)
+	diskBytes int64              // and the frame bytes that reached disk
+	closed    bool
+	met       *storeMetrics
 }
 
 // NewCheckpointStore creates a store spilling to dir, keeping up to
@@ -245,8 +249,8 @@ func NewCheckpointStoreIO(dir string, memorySlots int, retain func(id string) bo
 		staged:      make(map[string]*stagedFrame),
 		met:         newStoreMetrics(nil),
 	}
-	s.health.Swept, _ = s.sweep() // best effort: the next open sweeps again
-	s.met.swept.Add(int64(s.health.Swept))
+	swept, _ := s.sweep() // best effort: the next open sweeps again
+	s.book(ckptSwept, swept)
 	return s, nil
 }
 
@@ -258,7 +262,7 @@ func (s *CheckpointStore) SetObs(reg *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.met = newStoreMetrics(reg)
-	s.met.swept.Add(int64(s.health.Swept))
+	s.book(ckptObsMoved, 0)
 }
 
 // sweep removes leftover *.ckpt and *.ckpt.tmp files, reporting how many
@@ -335,7 +339,7 @@ func (s *CheckpointStore) payload(id string, f *stagedFrame, staged bool) ([]byt
 			return nil, fmt.Errorf("core: encode checkpoint %s: %w", id, err)
 		}
 		f.data, f.encode = data, nil
-		s.met.encodes.Inc()
+		s.book(ckptEncoded, 1)
 		if staged {
 			s.met.stagedBytes.Add(float64(len(data)))
 		}
@@ -346,7 +350,7 @@ func (s *CheckpointStore) payload(id string, f *stagedFrame, staged bool) ([]byt
 // Save persists a job's checkpoint. The newest checkpoints stay in the
 // memory tier; the eviction spills to disk. A write-behind store stages
 // the frame, replacing any frame of the same id staged since the last
-// Flush.
+// Flush. Only a save that returns nil counts as accepted.
 func (s *CheckpointStore) Save(id string, data []byte) error {
 	return s.save(id, stagedFrame{data: data})
 }
@@ -370,38 +374,35 @@ func (s *CheckpointStore) save(id string, f stagedFrame) error {
 			return err
 		}
 	}
-	data := f.data
-	s.writes++
-	s.met.writes.Inc()
-	if s.memorySlots > 0 {
+	var err error
+	switch {
+	case s.memorySlots > 0:
 		if el, ok := s.lruIdx[id]; ok {
 			s.lru.MoveToFront(el)
-			s.memory[id] = data
-			return nil
+		} else {
+			s.lruIdx[id] = s.lru.PushFront(id)
 		}
-		s.lruIdx[id] = s.lru.PushFront(id)
-		s.memory[id] = data
+		s.memory[id] = f.data
 		if s.lru.Len() > s.memorySlots {
-			oldest := s.lru.Back()
-			s.lru.Remove(oldest)
-			evicted := oldest.Value.(string)
-			delete(s.lruIdx, evicted)
+			evicted := s.lru.Remove(s.lru.Back()).(string)
 			spill := s.memory[evicted]
+			delete(s.lruIdx, evicted)
 			delete(s.memory, evicted)
-			if err := s.writeFile(evicted, spill); err != nil {
-				return err
-			}
+			err = s.writeFile(evicted, spill)
 		}
-		return nil
+	case !s.deferred:
+		err = s.writeFile(id, f.data)
+	default:
+		if !s.dropStaged(id) {
+			s.stageOrder = append(s.stageOrder, id)
+		}
+		s.staged[id] = &f
+		s.met.stagedBytes.Add(float64(len(f.data)))
 	}
-	if !s.deferred {
-		return s.writeFile(id, data)
+	if err != nil {
+		return err
 	}
-	if !s.dropStaged(id) {
-		s.stageOrder = append(s.stageOrder, id)
-	}
-	s.staged[id] = &f
-	s.met.stagedBytes.Add(float64(len(data)))
+	s.book(ckptAccepted, 1)
 	return nil
 }
 
@@ -412,7 +413,7 @@ func (s *CheckpointStore) dropStaged(id string) bool {
 	if ok {
 		delete(s.staged, id)
 		s.met.stagedBytes.Add(-float64(len(old.data)))
-		s.met.coalesced.Inc()
+		s.book(ckptCoalesced, 1)
 	}
 	return ok
 }
@@ -439,7 +440,7 @@ func (s *CheckpointStore) Flush() error {
 			err = s.writeFile(id, data)
 		}
 		if err != nil {
-			s.met.flushErrors.Inc()
+			s.book(ckptFlushError, 1)
 			failed = append(failed, id)
 			if firstErr == nil {
 				firstErr = err
@@ -461,8 +462,8 @@ const (
 )
 
 // retry runs attempt until it returns nil or has failed maxRetries+1
-// times, counting each retry and the final failure in health and metrics
-// and charging the backoff to penaltySecs. It returns the last failure.
+// times, booking each retry and the final failure and charging the
+// backoff to penaltySecs. It returns the last failure.
 func (s *CheckpointStore) retry(attempt func() error) error {
 	for n := 0; ; n++ {
 		err := attempt()
@@ -470,19 +471,17 @@ func (s *CheckpointStore) retry(attempt func() error) error {
 			return nil
 		}
 		if n == maxRetries {
-			s.health.TransientFailures++
-			s.met.transient.Inc()
+			s.book(ckptTransient, 1)
 			return err
 		}
-		s.health.Retries++
-		s.met.retries.Inc()
+		s.book(ckptRetry, 1)
 		s.penaltySecs += retryBackoffSecs * float64(int(1)<<n)
 	}
 }
 
 // slowIO charges one injected slow-storage event.
 func (s *CheckpointStore) slowIO() {
-	s.health.SlowIOs++
+	s.book(ckptSlowIO, 1)
 	s.penaltySecs += s.injector.SlowDelaySecs()
 }
 
@@ -525,9 +524,7 @@ func (s *CheckpointStore) writeFrame(id string, frame []byte) error {
 	if err := s.retry(func() error { return AtomicWriteFileIO(s.dio, s.path(id), frame) }); err != nil {
 		return fmt.Errorf("core: write checkpoint %s: %w (%v)", id, ErrTransient, err)
 	}
-	s.diskBytes += int64(len(frame))
-	s.met.diskWrites.Inc()
-	s.met.frameBytes.Observe(float64(len(frame)))
+	s.book(ckptDiskWrite, len(frame))
 	s.met.writeLatency.Observe(time.Since(ioStart).Seconds())
 	return nil
 }
@@ -545,8 +542,7 @@ func (s *CheckpointStore) Load(id string) (data []byte, fromMemory bool, err err
 		return nil, false, fmt.Errorf("core: load checkpoint %s: store closed", id)
 	}
 	if d, ok := s.memory[id]; ok {
-		s.memHits++
-		s.met.memHits.Inc()
+		s.book(ckptMemHit, 1)
 		s.lru.MoveToFront(s.lruIdx[id])
 		return d, true, nil
 	}
@@ -555,8 +551,7 @@ func (s *CheckpointStore) Load(id string) (data []byte, fromMemory bool, err err
 		if err != nil {
 			return nil, false, err
 		}
-		s.diskHits++
-		s.met.diskHits.Inc()
+		s.book(ckptDiskHit, 1)
 		return d, false, nil
 	}
 	if err := s.retry(func() error {
@@ -581,12 +576,10 @@ func (s *CheckpointStore) Load(id string) (data []byte, fromMemory bool, err err
 	s.met.readLatency.Observe(time.Since(ioStart).Seconds())
 	payload, err := decodeCheckpointFrame(frame)
 	if err != nil {
-		s.health.CorruptDetected++
-		s.met.corrupt.Inc()
+		s.book(ckptCorrupt, 1)
 		return nil, false, fmt.Errorf("core: load checkpoint %s: %w", id, err)
 	}
-	s.diskHits++
-	s.met.diskHits.Inc()
+	s.book(ckptDiskHit, 1)
 	return payload, false, nil
 }
 
@@ -621,8 +614,7 @@ func (s *CheckpointStore) Export(id string) ([]byte, error) {
 		return nil, fmt.Errorf("core: export checkpoint %s: %w", id, err)
 	}
 	if _, err := decodeCheckpointFrame(frame); err != nil {
-		s.health.CorruptDetected++
-		s.met.corrupt.Inc()
+		s.book(ckptCorrupt, 1)
 		return nil, fmt.Errorf("core: export checkpoint %s: %w", id, err)
 	}
 	return frame, nil
@@ -644,11 +636,10 @@ func (s *CheckpointStore) Import(id string, frame []byte) error {
 		return fmt.Errorf("core: import checkpoint %s: %w", id, err)
 	}
 	defer func(p float64) { s.penaltySecs = p }(s.penaltySecs)
-	s.writes++
-	s.met.writes.Inc()
 	if err := s.writeFrame(id, frame); err != nil {
 		return fmt.Errorf("core: import checkpoint %s: %w", id, err)
 	}
+	s.book(ckptAccepted, 1)
 	return nil
 }
 
@@ -709,17 +700,31 @@ func (s *CheckpointStore) Close() error {
 	return nil
 }
 
-// Stats reports the store's activity: checkpoint writes, memory-tier and
-// disk-tier resumes, and total bytes spilled to disk.
-func (s *CheckpointStore) Stats() (writes, memHits, diskHits int, diskBytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writes, s.memHits, s.diskHits, s.diskBytes
-}
-
-// Health reports the store's failure-path counters.
+// Health snapshots the store's ledger.
 func (s *CheckpointStore) Health() StoreHealth {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.health
+	n := s.counts
+	return StoreHealth{Writes: n[ckptAccepted], MemHits: n[ckptMemHit], DiskHits: n[ckptDiskHit],
+		DiskBytes: s.diskBytes, Retries: n[ckptRetry], TransientFailures: n[ckptTransient],
+		CorruptDetected: n[ckptCorrupt], SlowIOs: n[ckptSlowIO], Swept: n[ckptSwept]}
+}
+
+// book counts one store event in the ledger and in its rotary_ckpt_*
+// counter: n of them (1, or the files a sweep removed), or for
+// ckptDiskWrite one frame of n bytes. As their only writer (the
+// staged-bytes gauge and the wall-clock latency histograms are levels
+// and timings), no event can be counted in one and not the other.
+func (s *CheckpointStore) book(e ckptEvent, n int) {
+	switch e {
+	case ckptObsMoved: // the new registry starts at the ledger's sweep count
+		s.met.count[ckptSwept].Add(int64(s.counts[ckptSwept]))
+		return
+	case ckptDiskWrite:
+		s.diskBytes += int64(n)
+		s.met.frameBytes.Observe(float64(n))
+		n = 1
+	}
+	s.counts[e] += n
+	s.met.count[e].Add(int64(n))
 }

@@ -170,9 +170,8 @@ func TestStageCoalescesSavesIntoOneWrite(t *testing.T) {
 	if err := store.Flush(); err != nil || len(dio.take()) != 0 {
 		t.Fatalf("second flush with nothing staged touched the disk (err %v)", err)
 	}
-	writes, memHits, diskHits, _ := store.Stats()
-	if writes != 3 || memHits != 0 || diskHits != 1 {
-		t.Errorf("stats writes=%d mem=%d disk=%d, want 3 0 1", writes, memHits, diskHits)
+	if h := store.Health(); h.Writes != 3 || h.MemHits != 0 || h.DiskHits != 1 {
+		t.Errorf("stats writes=%d mem=%d disk=%d, want 3 0 1", h.Writes, h.MemHits, h.DiskHits)
 	}
 	for name, want := range map[string]float64{"writes_total": 3, "disk_writes_total": 1, "coalesced_total": 2,
 		"flush_errors_total": 0, "staged_bytes": 0, "disk_hits_total": 1, "mem_hits_total": 0} {
@@ -574,5 +573,48 @@ func TestStageConcurrentUseReconciles(t *testing.T) {
 	// Each lazy save is read back before the next save, so each is forced once.
 	if encodes := metric(t, reg, "encodes_total"); encodes != 6*100 {
 		t.Fatalf("encodes_total %v for %d lazy saves", encodes, 6*100)
+	}
+}
+
+// A write the disk refuses is not an accepted write: a write-through Save
+// and an Import that fail count in neither the ledger nor
+// rotary_ckpt_writes_total, and the first save that lands counts once.
+func TestRefusedWritesAreNotAccepted(t *testing.T) {
+	src, err := core.NewCheckpointStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.SetObs(obs.NewRegistry())
+	if err := src.Save("m", []byte("migrating")); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := src.Export("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faulty := diskio.NewFaulty(nil, diskio.FaultConfig{Seed: 3})
+	store, err := core.NewCheckpointStoreIO(t.TempDir(), 0, nil, faulty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	store.SetObs(reg)
+	faulty.ForceFail(nil)
+	if err := store.Save("j", []byte("state")); !errors.Is(err, core.ErrTransient) {
+		t.Fatalf("write-through save on a full disk: %v, want ErrTransient", err)
+	}
+	if err := store.Import("m", frame); !errors.Is(err, core.ErrTransient) {
+		t.Fatalf("import on a full disk: %v, want ErrTransient", err)
+	}
+	if h, got := store.Health(), metric(t, reg, "writes_total"); h.Writes != 0 || got != 0 {
+		t.Fatalf("refused save and import counted: ledger %d, writes_total %v, want 0 and 0", h.Writes, got)
+	}
+	faulty.Clear()
+	if err := store.Save("j", []byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	if h, got := store.Health(), metric(t, reg, "writes_total"); h.Writes != 1 || got != 1 {
+		t.Fatalf("landed save: ledger %d, writes_total %v, want 1 and 1", h.Writes, got)
 	}
 }

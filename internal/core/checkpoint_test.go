@@ -29,9 +29,8 @@ func TestCheckpointStoreTiers(t *testing.T) {
 	if data, fromMem, err := store.Load("a"); err != nil || fromMem || string(data) != "state-a" {
 		t.Fatalf("load a: %q mem=%v err=%v (want disk tier)", data, fromMem, err)
 	}
-	writes, memHits, diskHits, diskBytes := store.Stats()
-	if writes != 3 || memHits != 1 || diskHits != 1 || diskBytes == 0 {
-		t.Fatalf("stats = %d %d %d %d", writes, memHits, diskHits, diskBytes)
+	if h := store.Health(); h.Writes != 3 || h.MemHits != 1 || h.DiskHits != 1 || h.DiskBytes == 0 {
+		t.Fatalf("stats = %+v", h)
 	}
 	if err := store.Delete("a"); err != nil {
 		t.Fatalf("delete a: %v", err)
@@ -101,9 +100,8 @@ func TestExecutorWithRealCheckpointsMatchesInMemory(t *testing.T) {
 	}
 	withStore := run(store)
 	inMemory := run(nil)
-	writes, memHits, diskHits, _ := store.Stats()
-	if writes == 0 || memHits+diskHits == 0 {
-		t.Fatalf("store unused: writes=%d resumes=%d", writes, memHits+diskHits)
+	if h := store.Health(); h.Writes == 0 || h.MemHits+h.DiskHits == 0 {
+		t.Fatalf("store unused: writes=%d resumes=%d", h.Writes, h.MemHits+h.DiskHits)
 	}
 	for i := range withStore {
 		a, b := withStore[i], inMemory[i]
@@ -467,8 +465,7 @@ func TestCheckpointStoreConcurrentUse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	writes, memHits, diskHits, _ := store.Stats()
-	if writes != 8*50 || memHits+diskHits != 8*50 {
-		t.Errorf("stats lost operations: writes=%d resumes=%d", writes, memHits+diskHits)
+	if h := store.Health(); h.Writes != 8*50 || h.MemHits+h.DiskHits != 8*50 {
+		t.Errorf("stats lost operations: writes=%d resumes=%d", h.Writes, h.MemHits+h.DiskHits)
 	}
 }

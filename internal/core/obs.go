@@ -97,22 +97,31 @@ func (m *execMetrics) outcome(status JobStatus) *obs.Counter {
 	return m.outcomes[status]
 }
 
+// ckptEvent is a CheckpointStore event that CheckpointStore.book counts.
+type ckptEvent int
+
+const (
+	ckptAccepted   ckptEvent = iota // a save or import that returned nil
+	ckptDiskWrite                   // a frame reached disk
+	ckptCoalesced                   // a staged frame superseded or deleted before its flush
+	ckptEncoded                     // a lazy save's encoder ran
+	ckptFlushError                  // a staged frame a flush failed to write
+	ckptMemHit                      // a load served from the memory tier
+	ckptDiskHit                     // a load replayed from disk or the stage
+	ckptCorrupt                     // a frame that failed validation
+	ckptRetry                       // an I/O attempt retried
+	ckptTransient                   // an operation that exhausted its retries
+	ckptSlowIO                      // an injected slow-storage event
+	ckptSwept                       // stale files removed at open
+	ckptObsMoved                    // SetObs moved the counters to a new registry (counts nothing)
+)
+
 // storeMetrics holds a CheckpointStore's obs handles. Counters and the
 // frame-size histogram are virtual-time deterministic; the latency
 // histograms measure real I/O and are wall-class.
 type storeMetrics struct {
-	writes       *obs.Counter
-	diskWrites   *obs.Counter
-	coalesced    *obs.Counter
-	encodes      *obs.Counter
-	flushErrors  *obs.Counter
+	count        [ckptSwept + 1]*obs.Counter // by event
 	stagedBytes  *obs.Gauge
-	memHits      *obs.Counter
-	diskHits     *obs.Counter
-	corrupt      *obs.Counter
-	retries      *obs.Counter
-	transient    *obs.Counter
-	swept        *obs.Counter
 	frameBytes   *obs.Histogram
 	writeLatency *obs.Histogram // wall
 	readLatency  *obs.Histogram // wall
@@ -128,21 +137,23 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		reg = obs.Default()
 	}
 	const p = "rotary_ckpt_"
-	return &storeMetrics{
-		writes:       reg.Counter(p+"writes_total", "checkpoint saves and imports accepted"),
-		diskWrites:   reg.Counter(p+"disk_writes_total", "frames written to disk"),
-		coalesced:    reg.Counter(p+"coalesced_total", "staged saves superseded or deleted before they were flushed"),
-		flushErrors:  reg.Counter(p+"flush_errors_total", "staged frames a flush failed to write (kept staged for the next flush)"),
-		encodes:      reg.Counter(p+"encodes_total", "lazy saves whose encoder ran, inside the save or forced by a flush, load or export (writes_total minus this is saves that cost no encode)"),
+	m := &storeMetrics{
 		stagedBytes:  reg.Gauge(p+"staged_bytes", "encoded payload bytes staged for the next flush (a frame whose encoder has not run counts 0)"),
-		memHits:      reg.Counter(p+"mem_hits_total", "loads served from the memory tier"),
-		diskHits:     reg.Counter(p+"disk_hits_total", "loads replayed from disk"),
-		corrupt:      reg.Counter(p+"corrupt_detected_total", "loads rejected by frame validation"),
-		retries:      reg.Counter(p+"retries_total", "transient I/O attempts retried"),
-		transient:    reg.Counter(p+"transient_failures_total", "operations that exhausted their retries"),
-		swept:        reg.Counter(p+"swept_total", "stale checkpoint files removed at startup"),
 		frameBytes:   reg.Histogram(p+"frame_bytes", "on-disk checkpoint frame size in bytes", ckptBytesBuckets),
 		writeLatency: reg.WallHistogram(p+"write_seconds", "wall-clock disk write latency", ckptLatencyBuckets),
 		readLatency:  reg.WallHistogram(p+"read_seconds", "wall-clock disk read latency", ckptLatencyBuckets),
 	}
+	m.count[ckptAccepted] = reg.Counter(p+"writes_total", "checkpoint saves and imports accepted")
+	m.count[ckptDiskWrite] = reg.Counter(p+"disk_writes_total", "frames written to disk")
+	m.count[ckptCoalesced] = reg.Counter(p+"coalesced_total", "staged saves superseded or deleted before they were flushed")
+	m.count[ckptFlushError] = reg.Counter(p+"flush_errors_total", "staged frames a flush failed to write (kept staged for the next flush)")
+	m.count[ckptEncoded] = reg.Counter(p+"encodes_total", "lazy saves whose encoder ran, inside the save or forced by a flush, load or export (writes_total minus this is saves that cost no encode)")
+	m.count[ckptMemHit] = reg.Counter(p+"mem_hits_total", "loads served from the memory tier")
+	m.count[ckptDiskHit] = reg.Counter(p+"disk_hits_total", "loads replayed from disk")
+	m.count[ckptCorrupt] = reg.Counter(p+"corrupt_detected_total", "loads rejected by frame validation")
+	m.count[ckptRetry] = reg.Counter(p+"retries_total", "transient I/O attempts retried")
+	m.count[ckptTransient] = reg.Counter(p+"transient_failures_total", "operations that exhausted their retries")
+	m.count[ckptSlowIO] = reg.Counter(p+"slow_ios_total", "injected slow-storage events")
+	m.count[ckptSwept] = reg.Counter(p+"swept_total", "stale checkpoint files removed at startup")
+	return m
 }

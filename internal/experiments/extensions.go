@@ -54,11 +54,11 @@ func AblationMaterialization(cfg Config) (*AblationResult, error) {
 			return nil, err
 		}
 		attained := metrics.AnalyzeAQP(sched.Name(), exec.Jobs(), nil).AttainedByClass()["total"]
-		writes, memHits, diskHits, diskBytes := store.Stats()
+		h := store.Health()
 		res.Values[v.label+"/makespan"] = exec.Engine().Now().Seconds()
 		res.Values[v.label+"/attained"] = float64(attained)
 		fmt.Fprintf(&b, "%-12s makespan=%.0fs attained=%d writes=%d mem-resumes=%d disk-resumes=%d disk-bytes=%d\n",
-			v.label, exec.Engine().Now().Seconds(), attained, writes, memHits, diskHits, diskBytes)
+			v.label, exec.Engine().Now().Seconds(), attained, h.Writes, h.MemHits, h.DiskHits, h.DiskBytes)
 	}
 	res.Text = b.String()
 	return res, nil
