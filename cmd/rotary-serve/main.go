@@ -171,6 +171,7 @@ func main() {
 	fmt.Printf("generating TPC-H at SF=%g (seed %d)…\n", *sf, *seed)
 	stack := stackOpts{
 		ds:         tpch.Generate(*sf, *seed),
+		seed:       *seed,
 		policy:     *policy,
 		admit:      admitPolicy,
 		queueBound: *queueBound,
@@ -189,7 +190,6 @@ func main() {
 			ingBatch:   *ingBatch,
 			journalDir: *journalDir,
 			shards:     *shards,
-			seed:       *seed,
 			traceRing:  *traceRing,
 			pace:       *pace,
 			httpAddr:   *httpAddr,
@@ -214,12 +214,14 @@ func main() {
 	var (
 		jl    *serve.Journal
 		store *core.CheckpointStore
+		state stateDir
 	)
 	if *journalDir != "" {
 		// Durable mode: journal plus a persistent checkpoint store whose
 		// sweep retains journal-referenced checkpoints, so recovered jobs
 		// reattach across restarts instead of restarting from scratch.
-		if jl, store, err = serve.OpenDurableIO(*journalDir, faultIO(*faultRate, *seed, 0)); err != nil {
+		state = stateDir{path: *journalDir, dio: faultIO(*faultRate, *seed, 0)}
+		if jl, store, err = serve.OpenDurableIO(state.path, state.dio); err != nil {
 			log.Fatal(err)
 		}
 		defer jl.Close()
@@ -238,7 +240,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	exec, cat, sched, err := buildStack(stack, *seed, nil, tracer, store)
+	exec, cat, sched, err := buildStack(stack, *seed, nil, tracer, store, state)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -293,6 +295,7 @@ func main() {
 // single or sharded.
 type stackOpts struct {
 	ds         *tpch.Dataset
+	seed       uint64 // ds's generator seed
 	policy     string
 	admit      admission.Policy
 	queueBound int
@@ -302,17 +305,28 @@ type stackOpts struct {
 	tenants    admission.TenantTable
 }
 
+// stateDir is one stack's durable state directory and the disk layer
+// under it; the zero value is a process-scoped stack.
+type stateDir struct {
+	path string
+	dio  diskio.IO
+}
+
 // buildStack assembles one arbiter stack over the shared dataset: the
-// catalog (seeded by catSeed), a history repository, the policy (wrapped
-// in weighted fair share when tenants are configured), the admission
-// controller and the executor. reg (nil = the process default), tracer
-// and store are the caller's; the epoch watchdog is armed only over a
-// store, since a preempted epoch rolls back to its checkpoint.
+// catalog (seeded by catSeed), a history repository (seedHistory), the
+// policy (wrapped in weighted fair share when tenants are configured),
+// the admission controller and the executor. reg (nil = the process
+// default), tracer, store and state are the caller's; the epoch watchdog
+// is armed only over a store, since a preempted epoch rolls back to its
+// checkpoint.
 func buildStack(o stackOpts, catSeed uint64, reg *obs.Registry, tracer *core.Tracer,
-	store *core.CheckpointStore) (*core.AQPExecutor, *tpch.Catalog, core.AQPScheduler, error) {
+	store *core.CheckpointStore, state stateDir) (*core.AQPExecutor, *tpch.Catalog, core.AQPScheduler, error) {
 	cat := tpch.NewCatalog(o.ds, catSeed)
 	repo := estimate.NewRepository()
-	sched, err := cliutil.NewAQPPolicy(o.policy, repo, cat)
+	if err := seedHistory(o, catSeed, reg, state, repo, cat); err != nil {
+		return nil, nil, nil, err
+	}
+	sched, err := cliutil.AQPPolicies.New(o.policy, repo)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -339,6 +353,40 @@ func buildStack(o stackOpts, catSeed uint64, reg *obs.Registry, tracer *core.Tra
 	return core.NewAQPExecutor(cfg, sched, repo), cat, sched, nil
 }
 
+// seedHistory fills repo and cat's ground-truth cache with §IV-A's
+// historical data: one standalone run of every query. A durable stack
+// loads them from its state directory's seeded-history file when the file
+// matches this stack's data, and otherwise seeds and writes the file; a
+// write the disk refuses is logged and leaves the next boot to seed again.
+// The rotary_serve_history_* counters say which the boot did.
+func seedHistory(o stackOpts, catSeed uint64, reg *obs.Registry, state stateDir,
+	repo *estimate.Repository, cat *tpch.Catalog) error {
+	if reg == nil {
+		reg = obs.Default()
+	}
+	loadedN := reg.Counter("rotary_serve_history_loaded_total", "Boots that loaded the seeded history from the state directory.")
+	seededN := reg.Counter("rotary_serve_history_seeded_total", "Boots that seeded the history by running every query.")
+	batchRows := workload.RecommendedBatchRows(cat)
+	if state.path == "" {
+		seededN.Inc()
+		return workload.SeedAQPHistory(repo, cat, batchRows)
+	}
+	key := workload.HistoryKey{SF: o.ds.SF, DatasetSeed: o.seed, CatalogSeed: catSeed, BatchRows: batchRows}
+	loaded, saveErr, err := workload.LoadOrSeedAQPHistory(state.dio, state.path, key, repo, cat)
+	if err != nil {
+		return err
+	}
+	if saveErr != nil {
+		log.Printf("seeded history not saved, the next boot seeds again: %v", saveErr)
+	}
+	if loaded {
+		loadedN.Inc()
+	} else {
+		seededN.Inc()
+	}
+	return nil
+}
+
 // shardedOpts carries the sharded daemon's configuration from the flag
 // set into runSharded.
 type shardedOpts struct {
@@ -349,7 +397,6 @@ type shardedOpts struct {
 	ingBatch   int
 	journalDir string
 	shards     int
-	seed       uint64
 	traceRing  int
 	pace       float64
 	httpAddr   string
@@ -375,16 +422,22 @@ func faultIO(rate float64, seed uint64, index int) diskio.IO {
 	})
 }
 
-// runSharded runs the router-fronted multi-arbiter daemon: one shared
-// TPC-H dataset, N isolated shard stacks (catalog, history repository,
-// scheduler, admission controller, tracer, metrics registry) built on
-// demand — at boot and again on every supervised restart.
-func runSharded(o shardedOpts) error {
-	build := func(index int, store *core.CheckpointStore) (*core.AQPExecutor, *tpch.Catalog, *obs.Registry, error) {
+// shardBuilder builds shard stacks on demand — at boot and again on
+// every supervised restart: each its own catalog, history repository
+// (kept in the shard's state directory), scheduler, admission controller,
+// tracer and metrics registry over the one shared dataset.
+func shardBuilder(o shardedOpts) serve.ShardBuilder {
+	return func(index int, store *core.CheckpointStore) (*core.AQPExecutor, *tpch.Catalog, *obs.Registry, error) {
 		reg := obs.NewRegistry()
-		exec, cat, _, err := buildStack(o.stackOpts, o.seed+uint64(index), reg, core.NewTracer(o.traceRing), store)
+		state := stateDir{path: serve.ShardDir(o.journalDir, index), dio: faultIO(o.faultRate, o.seed, index)}
+		exec, cat, _, err := buildStack(o.stackOpts, o.seed+uint64(index), reg, core.NewTracer(o.traceRing), store, state)
 		return exec, cat, reg, err
 	}
+}
+
+// runSharded runs the router-fronted multi-arbiter daemon: N shard
+// stacks (shardBuilder) behind one router.
+func runSharded(o shardedOpts) error {
 	router, err := serve.NewRouter(serve.RouterConfig{
 		Socket:          o.socket,
 		Listeners:       o.listeners,
@@ -392,7 +445,7 @@ func runSharded(o shardedOpts) error {
 		IngressBatch:    o.ingBatch,
 		Shards:          o.shards,
 		Dir:             o.journalDir,
-		Build:           build,
+		Build:           shardBuilder(o),
 		Pace:            o.pace,
 		HealProbeSecs:   o.healProbe,
 		MaxHealFailures: o.healBudget,

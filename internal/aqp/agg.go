@@ -318,7 +318,21 @@ func ratio(current, final float64) float64 {
 // (a group not yet materialized contributes 0). Column weights from the
 // specs are honored; unset (zero) weights mean equal importance, the
 // assumption applied in the paper's evaluation.
-func Accuracy(current, final Snapshot) float64 {
+func Accuracy(current, final Snapshot) float64 { return NewFinal(final).Accuracy(current) }
+
+// Final is a final answer prepared for scoring many snapshots against it:
+// its group names are sorted once, not on every score.
+type Final struct {
+	snap  Snapshot
+	names []string
+}
+
+// NewFinal prepares final for repeated Accuracy calls.
+func NewFinal(final Snapshot) Final { return Final{snap: final, names: final.GroupNames()} }
+
+// Accuracy is the package-level Accuracy of current against f.
+func (f Final) Accuracy(current Snapshot) float64 {
+	final := f.snap
 	if len(final.Specs) == 0 || len(final.Groups) == 0 {
 		return 1
 	}
@@ -342,11 +356,10 @@ func Accuracy(current, final Snapshot) float64 {
 	// Iterate groups in sorted order so the floating-point accumulation is
 	// deterministic — checkpoint round trips must reproduce accuracies
 	// bit-for-bit.
-	names := final.GroupNames()
 	var acc float64
 	for i := 0; i < k; i++ {
 		var colAcc float64
-		for _, g := range names {
+		for _, g := range f.names {
 			fvals := final.Groups[g]
 			cvals, ok := current.Groups[g]
 			if !ok || i >= len(cvals) || i >= len(fvals) {

@@ -74,7 +74,7 @@ func decodeTable(d *Dec, specs []AggSpec) *GroupTable {
 	slab := make([]cell, n*len(specs))
 	prev := ""
 	for i := 0; i < n; i++ {
-		name := string(d.bytes(d.Count(1)))
+		name := d.Name()
 		if i > 0 && name <= prev {
 			d.Failf("group %q out of order", name)
 		}
@@ -101,8 +101,7 @@ func (r *Running[T]) tables() []*GroupTable {
 // and the executor's pristine copy keep what is returned.
 func (r *Running[T]) Checkpoint() ([]byte, error) {
 	b := make([]byte, 0, r.ckptLen+r.ckptLen/4+256)
-	b = binary.AppendUvarint(b, uint64(len(r.name)))
-	b = append(b, r.name...)
+	b = AppendName(b, r.name)
 	read, parts := r.consumer.Read(), r.consumer.Partitions()
 	b = binary.AppendUvarint(b, uint64(parts))
 	for p := range parts {
@@ -129,8 +128,8 @@ func (r *Running[T]) Checkpoint() ([]byte, error) {
 // trailing bytes) before the first field of r changes, so a rejected
 // checkpoint leaves the query exactly as it was.
 func (r *Running[T]) Restore(data []byte) error {
-	d := &Dec{b: data}
-	if name := string(d.bytes(d.Count(1))); d.err == nil && name != r.name {
+	d := NewDec(data)
+	if name := d.Name(); d.err == nil && name != r.name {
 		return fmt.Errorf("aqp: restore: checkpoint is for %q, query is %q", name, r.name)
 	}
 	parts := r.consumer.Partitions()
@@ -165,10 +164,7 @@ func (r *Running[T]) Restore(data []byte) error {
 	if r.proc.LoadAux != nil {
 		commitAux = r.proc.LoadAux(d)
 	}
-	if len(d.b) > 0 {
-		d.Failf("%d trailing bytes", len(d.b))
-	}
-	if d.err == nil {
+	if d.err = d.End(); d.err == nil {
 		d.err = r.consumer.Seek(read)
 	}
 	if d.err != nil {
@@ -183,6 +179,66 @@ func (r *Running[T]) Restore(data []byte) error {
 	return nil
 }
 
+// AppendName appends s with its uvarint length, as Dec.Name reads it.
+func AppendName(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// AppendSnapshot appends a snapshot in the form Dec.Snapshot reads:
+//
+//	uvarint specs | per spec: name, uvarint kind, weight
+//	uvarint groups | per group, ascending by name:
+//	  name | uvarint values | per value its float bits
+func AppendSnapshot(b []byte, s Snapshot) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s.Specs)))
+	for _, spec := range s.Specs {
+		b = binary.AppendUvarint(AppendName(b, spec.Name), uint64(spec.Kind))
+		b = AppendFloat(b, spec.Weight)
+	}
+	names := s.GroupNames()
+	b = binary.AppendUvarint(b, uint64(len(names)))
+	for _, g := range names {
+		vals := s.Groups[g]
+		b = binary.AppendUvarint(AppendName(b, g), uint64(len(vals)))
+		for _, v := range vals {
+			b = AppendFloat(b, v)
+		}
+	}
+	return b
+}
+
+// Snapshot reads what AppendSnapshot wrote. Group names must strictly
+// ascend and kinds must be known, so a decoded snapshot re-encodes to the
+// same bytes.
+func (d *Dec) Snapshot() Snapshot {
+	specs := make([]AggSpec, d.Count(10))
+	for i := range specs {
+		specs[i].Name = d.Name()
+		if k := d.Uvarint(); k > uint64(Max) {
+			d.Failf("unknown aggregate kind %d", k)
+		} else {
+			specs[i].Kind = AggKind(k)
+		}
+		specs[i].Weight = d.Float()
+	}
+	n := d.Count(2)
+	s := Snapshot{Specs: specs, Groups: make(map[string][]float64, n)}
+	prev := ""
+	for i := 0; i < n; i++ {
+		name := d.Name()
+		if i > 0 && name <= prev {
+			d.Failf("group %q out of order", name)
+		}
+		prev = name
+		vals := make([]float64, d.Count(8))
+		for j := range vals {
+			vals[j] = d.Float()
+		}
+		s.Groups[name] = vals
+	}
+	return s
+}
+
 // Dec reads checkpoint fields off bytes that are not trusted. The first
 // truncated or malformed field latches an error and every later read
 // returns zero, so a decoder reads straight through; Restore reports the
@@ -191,6 +247,20 @@ type Dec struct {
 	b   []byte
 	err error
 }
+
+// NewDec starts reading b.
+func NewDec(b []byte) *Dec { return &Dec{b: b} }
+
+// End reports the first decode error or, failing that, bytes left unread.
+func (d *Dec) End() error {
+	if d.err == nil && len(d.b) > 0 {
+		d.Failf("%d trailing bytes", len(d.b))
+	}
+	return d.err
+}
+
+// Name reads the length-prefixed string AppendName wrote.
+func (d *Dec) Name() string { return string(d.bytes(d.Count(1))) }
 
 // Failf latches a decode error; the first one wins.
 func (d *Dec) Failf(format string, args ...any) {

@@ -93,6 +93,8 @@ type OnlineQuery interface {
 	// Accuracy returns the paper's αc/αf accuracy against the final
 	// answer, or 0 if no ground truth is attached.
 	Accuracy() float64
+	// AccuracyOf is Accuracy of a snapshot the caller already took.
+	AccuracyOf(Snapshot) float64
 	// DataProgress reports the fraction of the dataset consumed.
 	DataProgress() float64
 	// RowsProcessed reports the total fact rows consumed.
@@ -127,7 +129,7 @@ type Running[T any] struct {
 	merged   *GroupTable   // memoized merge of partials, dropped each epoch
 	proc     Processor[T]
 	cost     CostModel
-	final    *Snapshot
+	final    *Final
 	ckptLen  int // length of the previous checkpoint, sizes the next buffer
 }
 
@@ -173,7 +175,10 @@ func (r *Running[T]) table() *GroupTable {
 }
 
 // SetFinal attaches the ground-truth final answer used by Accuracy.
-func (r *Running[T]) SetFinal(final Snapshot) { r.final = &final }
+func (r *Running[T]) SetFinal(final Snapshot) {
+	f := NewFinal(final)
+	r.final = &f
+}
 
 // Name implements OnlineQuery.
 func (r *Running[T]) Name() string { return r.name }
@@ -226,7 +231,15 @@ func (r *Running[T]) Accuracy() float64 {
 	if r.final == nil {
 		return 0
 	}
-	return Accuracy(r.table().Snapshot(), *r.final)
+	return r.final.Accuracy(r.table().Snapshot())
+}
+
+// AccuracyOf implements OnlineQuery.
+func (r *Running[T]) AccuracyOf(snap Snapshot) float64 {
+	if r.final == nil {
+		return 0
+	}
+	return r.final.Accuracy(snap)
 }
 
 // DataProgress implements OnlineQuery.

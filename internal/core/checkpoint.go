@@ -383,13 +383,7 @@ func (s *CheckpointStore) save(id string, f stagedFrame) error {
 			s.lruIdx[id] = s.lru.PushFront(id)
 		}
 		s.memory[id] = f.data
-		if s.lru.Len() > s.memorySlots {
-			evicted := s.lru.Remove(s.lru.Back()).(string)
-			spill := s.memory[evicted]
-			delete(s.lruIdx, evicted)
-			delete(s.memory, evicted)
-			err = s.writeFile(evicted, spill)
-		}
+		s.spill()
 	case !s.deferred:
 		err = s.writeFile(id, f.data)
 	default:
@@ -404,6 +398,24 @@ func (s *CheckpointStore) save(id string, f stagedFrame) error {
 	}
 	s.book(ckptAccepted, 1)
 	return nil
+}
+
+// spill writes the least recently saved checkpoints to disk until the
+// memory tier is back within its slots. An entry leaves memory only once
+// its file is written: a spill the disk refuses keeps it resident (over
+// the slot count) for the next save to retry, and is no failure of the
+// save that triggered it, whose own checkpoint is safe in memory.
+func (s *CheckpointStore) spill() {
+	for s.lru.Len() > s.memorySlots {
+		back := s.lru.Back()
+		evicted := back.Value.(string)
+		if s.writeFile(evicted, s.memory[evicted]) != nil {
+			return
+		}
+		s.lru.Remove(back)
+		delete(s.lruIdx, evicted)
+		delete(s.memory, evicted)
+	}
 }
 
 // dropStaged discards id's staged frame, if any: a newer save or a delete

@@ -306,6 +306,41 @@ func TestCheckpointStoreLRUEvictionOrder(t *testing.T) {
 	}
 }
 
+// A spill the disk refuses keeps the evicted checkpoint resident and
+// charges no error to the save that triggered it; once the disk recovers,
+// the next save spills it and both checkpoints load.
+func TestRefusedSpillKeepsCheckpoint(t *testing.T) {
+	faulty := diskio.NewFaulty(nil, diskio.FaultConfig{Seed: 3})
+	store, err := core.NewCheckpointStoreIO(t.TempDir(), 1, nil, faulty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save("a", []byte("state-a")); err != nil {
+		t.Fatal(err)
+	}
+	faulty.ForceFail(nil)
+	if err := store.Save("b", []byte("state-b")); err != nil {
+		t.Fatalf("save b while a's spill is refused: %v, want nil", err)
+	}
+	faulty.Clear()
+	for _, id := range []string{"a", "b"} {
+		if data, _, err := store.Load(id); err != nil || string(data) != "state-"+id {
+			t.Errorf("load %s: %q, %v", id, data, err)
+		}
+	}
+	if h := store.Health(); h.Writes != 2 || h.TransientFailures != 1 {
+		t.Errorf("health %+v, want 2 accepted saves and the one refused spill", h)
+	}
+	if err := store.Save("c", []byte("state-c")); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b"} {
+		if _, fromMem, err := store.Load(id); err != nil || fromMem {
+			t.Errorf("load %s after the disk recovered: fromMemory=%v err=%v, want spilled to disk", id, fromMem, err)
+		}
+	}
+}
+
 // Stale checkpoint files from a previous (crashed) run are swept away
 // when a store opens over the directory.
 func TestCheckpointStoreSweepsStaleFiles(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 type AQPJob struct {
 	jobCore
 	query aqp.OnlineQuery
+	specs []aqp.AggSpec // the query's aggregate columns, fixed for its life
 	class string
 
 	// Memory facts: the CBO-style pre-run estimate and the row batch used
@@ -224,6 +225,7 @@ func NewAQPJob(cfg AQPJobConfig) (*AQPJob, error) {
 	return &AQPJob{
 		jobCore:      jobCore{id: cfg.ID, crit: cfg.Criteria, tenant: cfg.Tenant},
 		query:        cfg.Query,
+		specs:        cfg.Query.Snapshot().Specs,
 		class:        cfg.Class,
 		estMemMB:     cfg.EstMemMB,
 		batchRows:    cfg.BatchRows,
@@ -297,13 +299,12 @@ func (j *AQPJob) StopAccuracy() float64 { return j.stopAcc }
 // non-uniform event accrual), while AVG, MIN, and MAX columns use the
 // envelope's p/q stability ratio from §IV-A.
 func (j *AQPJob) EstimatedAccuracy() float64 {
-	specs := j.query.Snapshot().Specs
-	if len(specs) == 0 {
+	if len(j.specs) == 0 {
 		return 0
 	}
 	frac := j.query.DataProgress()
 	var sum float64
-	for i, spec := range specs {
+	for i, spec := range j.specs {
 		switch spec.Kind {
 		case aqp.Sum, aqp.Count:
 			sum += j.envelope.colScaled(i, frac)
@@ -311,7 +312,7 @@ func (j *AQPJob) EstimatedAccuracy() float64 {
 			sum += j.envelope.colRatio(i)
 		}
 	}
-	return sum / float64(len(specs))
+	return sum / float64(len(j.specs))
 }
 
 // colRatio averages the envelope ratios over the cells of column i.
@@ -376,7 +377,7 @@ func (j *AQPJob) observeEpoch(now sim.Time) {
 		At:       now,
 		Epoch:    j.epochs,
 		EstAcc:   est,
-		TrueAcc:  j.query.Accuracy(),
+		TrueAcc:  j.query.AccuracyOf(snap),
 		Progress: j.AttainmentProgress(),
 	})
 }

@@ -184,9 +184,10 @@ type scriptedQuery struct {
 	frac float64
 }
 
-func (q *scriptedQuery) Snapshot() aqp.Snapshot { return q.snap }
-func (q *scriptedQuery) DataProgress() float64  { return q.frac }
-func (q *scriptedQuery) Accuracy() float64      { return 0 }
+func (q *scriptedQuery) Snapshot() aqp.Snapshot          { return q.snap }
+func (q *scriptedQuery) DataProgress() float64           { return q.frac }
+func (q *scriptedQuery) Accuracy() float64               { return 0 }
+func (q *scriptedQuery) AccuracyOf(aqp.Snapshot) float64 { return 0 }
 
 // EstimatedAccuracy averages per-cell estimates over hundreds of groups.
 // The sum must not follow map iteration order, which Go randomizes per

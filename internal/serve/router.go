@@ -164,6 +164,12 @@ func (m *routerMetrics) count(op string) {
 	m.other.Inc()
 }
 
+// ShardDir is shard index's state directory under a router's Dir: its
+// journal, its checkpoints and whatever else its builder keeps there.
+func ShardDir(dir string, index int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%d", index))
+}
+
 // NewRouter builds a sharded daemon front end. Nothing starts until
 // Serve.
 func NewRouter(cfg RouterConfig) (*Router, error) {
@@ -202,7 +208,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		r.shards = append(r.shards, &shardHandle{
 			index: i,
-			dir:   filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d", i)),
+			dir:   ShardDir(cfg.Dir, i),
 		})
 	}
 	return r, nil

@@ -131,6 +131,8 @@ func TestGroundTruthFingerprint(t *testing.T) {
 		hashSnapshot(h, final)
 	}
 	if got := h.Sum64(); got != want {
-		t.Errorf("ground-truth fingerprint %#x, want %#x", got, want)
+		t.Errorf("ground-truth fingerprint %#x, want %#x; if the change is meant, re-pin want and bump "+
+			"seededHistoryVersion (internal/workload/history.go), or durable daemons keep loading the old truths "+
+			"from their state directories", got, want)
 	}
 }

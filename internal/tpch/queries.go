@@ -345,11 +345,18 @@ func (c *Catalog) Drain(name string, batchRows, batches int, epoch func(cost flo
 		}
 	}
 	t := oq.Snapshot()
+	c.SetGroundTruth(name, t)
+	return t, nil
+}
 
+// SetGroundTruth caches t as the named query's final answer, for
+// GroundTruth and NewQuery to serve without a pass. t must be what Drain
+// returns for this catalog's data and seed: workload.LoadOrSeedAQPHistory
+// installs the truths a durable daemon's earlier boot drained.
+func (c *Catalog) SetGroundTruth(name string, t aqp.Snapshot) {
 	c.mu.Lock()
 	c.truth[name] = t
 	c.mu.Unlock()
-	return t, nil
 }
 
 // built wraps the type-erased query under construction.

@@ -208,6 +208,19 @@ func DefaultAQPMemoryMB(cat *tpch.Catalog) float64 {
 // The records are added in tpch.AllQueries order once all are in, which
 // makes the repository identical to one seeded query by query.
 func SeedAQPHistory(repo *estimate.Repository, cat *tpch.Catalog, batchRows int) error {
+	recs, err := seedAQPRecords(cat, batchRows)
+	if err != nil {
+		return err
+	}
+	for _, rec := range recs {
+		repo.AddAQP(rec)
+	}
+	return nil
+}
+
+// seedAQPRecords runs SeedAQPHistory's 22 queries and returns their
+// records in tpch.AllQueries order.
+func seedAQPRecords(cat *tpch.Catalog, batchRows int) ([]estimate.AQPRecord, error) {
 	if batchRows <= 0 {
 		batchRows = 2000
 	}
@@ -231,13 +244,10 @@ func SeedAQPHistory(repo *estimate.Repository, cat *tpch.Catalog, batchRows int)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	for _, rec := range recs {
-		repo.AddAQP(rec)
-	}
-	return nil
+	return recs, nil
 }
 
 // aqpHistoryRecord is one query's standalone run for SeedAQPHistory.
@@ -272,8 +282,9 @@ func aqpHistoryRecord(cat *tpch.Catalog, name string, batchRows int) (estimate.A
 	// Historical curves store the retrospective true accuracy: once a job
 	// has run to completion its final answer is known, so its whole αc/αf
 	// trajectory is reconstructible.
+	scorer := aqp.NewFinal(final)
 	for i, snap := range snaps {
-		curve[i].Y = aqp.Accuracy(snap, final)
+		curve[i].Y = scorer.Accuracy(snap)
 	}
 	return estimate.AQPRecord{
 		ID:        "hist-" + name,
