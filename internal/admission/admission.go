@@ -272,8 +272,7 @@ func (c *Controller) decide(r Request) (Decision, outcome) {
 	}
 
 	o := admitted
-	if c.cfg.SlackFactor > 0 && r.RemainingSecs > 0 && !math.IsInf(r.RemainingSecs, 1) &&
-		c.cfg.SlackFactor*r.EstCompletionSecs > r.RemainingSecs {
+	if c.ChecksSlack(r.RemainingSecs) && c.cfg.SlackFactor*r.EstCompletionSecs > r.RemainingSecs {
 		if c.cfg.Policy != Degrade {
 			return Decision{
 				Verdict: RejectJob,
@@ -301,6 +300,14 @@ func (c *Controller) decide(r Request) (Decision, outcome) {
 		return Decision{Verdict: DegradeBestEffort, Reason: "deadline-infeasible"}, degraded
 	}
 	return Decision{Verdict: Admit}, admitted
+}
+
+// ChecksSlack reports whether Decide's deadline feasibility check reads
+// a request's EstCompletionSecs: the check is on (SlackFactor > 0) and
+// the job has a finite, positive time left. An executor whose estimate
+// walks its active set skips it otherwise; no verdict can tell.
+func (c *Controller) ChecksSlack(remainingSecs float64) bool {
+	return c.cfg.SlackFactor > 0 && remainingSecs > 0 && !math.IsInf(remainingSecs, 1)
 }
 
 // ResolveShed finalizes a ShedVictim verdict for the arrival described

@@ -189,10 +189,10 @@ func TestRunningQueryLifecycle(t *testing.T) {
 			break
 		}
 	}
-	truth := final.Snapshot()
+	truth := NewFinal(final.Snapshot())
 
 	q := mk()
-	q.SetFinal(truth)
+	q.SetFinal(&truth)
 	rows, cost := q.ProcessBatch(50, 2)
 	if rows != 50 {
 		t.Fatalf("processed %d rows, want 50", rows)
@@ -208,7 +208,7 @@ func TestRunningQueryLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	q2 := mk()
-	q2.SetFinal(truth)
+	q2.SetFinal(&truth)
 	if err := q2.Restore(cp); err != nil {
 		t.Fatal(err)
 	}

@@ -174,11 +174,13 @@ func (r *Running[T]) table() *GroupTable {
 	return r.merged
 }
 
-// SetFinal attaches the ground-truth final answer used by Accuracy.
-func (r *Running[T]) SetFinal(final Snapshot) {
-	f := NewFinal(final)
-	r.final = &f
-}
+// SetFinal attaches the ground-truth final answer used by Accuracy. f is
+// only read, so every instance of a query may share one (tpch.Catalog
+// prepares one per query).
+func (r *Running[T]) SetFinal(f *Final) { r.final = f }
+
+// Final returns the final answer SetFinal attached (nil before).
+func (r *Running[T]) Final() *Final { return r.final }
 
 // Name implements OnlineQuery.
 func (r *Running[T]) Name() string { return r.name }

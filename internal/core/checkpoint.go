@@ -203,6 +203,12 @@ type CheckpointStore struct {
 	staged     map[string]*stagedFrame
 	stageOrder []string
 
+	// onDisk holds the ids with a frame file: written by this store, or
+	// left by the open-time sweep (retained, or refused by the disk).
+	// Delete unlinks only these — most jobs end before a flush ever writes
+	// their frame.
+	onDisk map[string]bool
+
 	counts    [ckptSwept + 1]int // the ledger: events booked (frames, for ckptDiskWrite)
 	diskBytes int64              // and the frame bytes that reached disk
 	closed    bool
@@ -247,6 +253,7 @@ func NewCheckpointStoreIO(dir string, memorySlots int, retain func(id string) bo
 		lru:         list.New(),
 		lruIdx:      make(map[string]*list.Element),
 		staged:      make(map[string]*stagedFrame),
+		onDisk:      make(map[string]bool),
 		met:         newStoreMetrics(nil),
 	}
 	swept, _ := s.sweep() // best effort: the next open sweeps again
@@ -266,12 +273,13 @@ func (s *CheckpointStore) SetObs(reg *obs.Registry) {
 }
 
 // sweep removes leftover *.ckpt and *.ckpt.tmp files, reporting how many
-// it deleted and the first failure. Checkpoints are scratch state scoped
-// to one run; anything present at store creation (or left at Close) is an
-// orphan — except checkpoints the retain predicate claims, which a
-// durable journal still references for jobs a restarted daemon will
-// reattach. Torn temp files are always swept: the atomic-write protocol
-// means a .ckpt.tmp never holds the only copy of a valid checkpoint.
+// it deleted and the first failure; a frame it leaves stays in onDisk.
+// Checkpoints are scratch state scoped to one run; anything present at
+// store creation (or left at Close) is an orphan — except checkpoints the
+// retain predicate claims, which a durable journal still references for
+// jobs a restarted daemon will reattach. Torn temp files are always
+// swept: the atomic-write protocol means a .ckpt.tmp never holds the only
+// copy of a valid checkpoint.
 func (s *CheckpointStore) sweep() (n int, err error) {
 	entries, err := s.dio.ReadDir(s.dir)
 	if err != nil {
@@ -282,15 +290,22 @@ func (s *CheckpointStore) sweep() (n int, err error) {
 		if e.IsDir() {
 			continue
 		}
-		if id, ok := strings.CutSuffix(name, ".ckpt"); ok && s.retain != nil && s.retain(id) {
+		id, frame := strings.CutSuffix(name, ".ckpt")
+		if frame && s.retain != nil && s.retain(id) {
+			s.onDisk[id] = true
 			continue
-		} else if !ok && !strings.HasSuffix(name, ".ckpt.tmp") {
+		} else if !frame && !strings.HasSuffix(name, ".ckpt.tmp") {
 			continue
 		}
 		if rmErr := s.dio.Remove(filepath.Join(s.dir, name)); rmErr == nil {
 			n++
-		} else if err == nil {
-			err = rmErr
+		} else {
+			if frame {
+				s.onDisk[id] = true
+			}
+			if err == nil {
+				err = rmErr
+			}
 		}
 	}
 	return n, err
@@ -536,6 +551,7 @@ func (s *CheckpointStore) writeFrame(id string, frame []byte) error {
 	if err := s.retry(func() error { return AtomicWriteFileIO(s.dio, s.path(id), frame) }); err != nil {
 		return fmt.Errorf("core: write checkpoint %s: %w (%v)", id, ErrTransient, err)
 	}
+	s.onDisk[id] = true
 	s.book(ckptDiskWrite, len(frame))
 	s.met.writeLatency.Observe(time.Since(ioStart).Seconds())
 	return nil
@@ -666,7 +682,9 @@ func (s *CheckpointStore) TakePenaltySecs() float64 {
 	return p
 }
 
-// Delete removes a job's checkpoint from both tiers and the stage.
+// Delete removes a job's checkpoint from both tiers and the stage, and
+// unlinks its frame file only if one is on disk (onDisk): a job whose
+// saves never left the memory tier or the stage costs no syscall.
 // Deleting an id with no checkpoint is a no-op.
 func (s *CheckpointStore) Delete(id string) error {
 	s.mu.Lock()
@@ -677,9 +695,13 @@ func (s *CheckpointStore) Delete(id string) error {
 		delete(s.lruIdx, id)
 		delete(s.memory, id)
 	}
+	if !s.onDisk[id] {
+		return nil
+	}
 	if err := s.dio.Remove(s.path(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("core: delete checkpoint %s: %w", id, err)
 	}
+	delete(s.onDisk, id)
 	return nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"rotary/internal/core"
 	"rotary/internal/diskio"
 	"rotary/internal/obs"
+	"rotary/internal/tpch"
 )
 
 // opLogIO records every operation the store issues, by base name, in
@@ -616,5 +617,93 @@ func TestRefusedWritesAreNotAccepted(t *testing.T) {
 	}
 	if h, got := store.Health(), metric(t, reg, "writes_total"); h.Writes != 1 || got != 1 {
 		t.Fatalf("landed save: ledger %d, writes_total %v, want 1 and 1", h.Writes, got)
+	}
+}
+
+// Delete unlinks a frame only where one is on disk: a checkpoint that
+// never left the stage, or an id never saved, costs no Remove; a flushed
+// frame and one the open-time sweep retained are still removed.
+func TestStageDeleteUnlinksOnlyFramesOnDisk(t *testing.T) {
+	dir := t.TempDir()
+	first, _, _ := stagedStore(t, dir, nil)
+	first.Save("kept", []byte("k"))
+	if err := first.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil { // the retain predicate keeps the frame
+		t.Fatal(err)
+	}
+
+	store, dio, _ := stagedStore(t, dir, nil)
+	store.Save("flushed", []byte("f"))
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	store.Save("staged", []byte("s"))
+	dio.take()
+	removes := func() []string {
+		var out []string
+		for _, op := range dio.take() {
+			if strings.HasPrefix(op, "remove") {
+				out = append(out, op)
+			}
+		}
+		return out
+	}
+	for _, id := range []string{"staged", "never-saved"} {
+		if err := store.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := removes(); len(got) != 0 {
+		t.Fatalf("deleting checkpoints that never reached disk issued %v", got)
+	}
+	for _, id := range []string{"flushed", "kept"} {
+		if err := store.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := removes(), []string{"remove " + id + ".ckpt"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("delete %s issued %v, want %v", id, got, want)
+		}
+		if _, err := os.Stat(filepath.Join(dir, id+".ckpt")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s.ckpt still on disk after delete: %v", id, err)
+		}
+		if err := store.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		if got := removes(); len(got) != 0 {
+			t.Fatalf("second delete of %s issued %v", id, got)
+		}
+	}
+}
+
+// Terminal jobs whose checkpoints never reached disk issue no Remove: a
+// write-behind store that is never flushed sees saves, resumes and
+// retirements, and not one unlink.
+func TestStageTerminalJobsUnlinkNothingUnwritten(t *testing.T) {
+	cat := tpch.NewCatalog(tpch.Generate(0.005, 1), 1)
+	store, dio, _ := stagedStore(t, t.TempDir(), nil)
+	cfg := core.DefaultAQPExecConfig(1e6)
+	cfg.Threads = 1 // force constant deferral between the jobs
+	cfg.Store = store
+	exec := core.NewAQPExecutor(cfg, fifoAQP{reserve: true}, nil)
+	for i, q := range []string{"q1", "q6", "q12"} {
+		exec.Submit(buildJob(t, cat, fmt.Sprintf("j%d", i), q, 0.9, 1e6), 0)
+	}
+	if err := exec.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range exec.Jobs() {
+		if !j.Status().Terminal() {
+			t.Fatalf("job %s ended %v", j.ID(), j.Status())
+		}
+	}
+	if h := store.Health(); h.Writes == 0 {
+		t.Fatal("no checkpoint was saved: the run never deferred a job")
+	}
+	for _, op := range dio.take() {
+		if strings.HasPrefix(op, "remove") {
+			t.Fatalf("a retirement unlinked a checkpoint that never reached disk: %q", op)
+		}
 	}
 }

@@ -74,6 +74,11 @@ type jobCore struct {
 	rejectErr      error
 	retryAfterSecs float64
 
+	// seq is the job's registration number, the order TakeNoted hands
+	// noted jobs over in; noted marks a job already in the noted queue.
+	seq   int
+	noted bool
+
 	epochLog []EpochObs
 }
 
@@ -218,6 +223,15 @@ type execCore[J lifecycleJob[J]] struct {
 	jobs    []J
 	pending []J
 	running map[string]J
+	// tenantPending counts the wait queue per tenant (admission's
+	// MaxPending input); enqueue and removePending, the queue's only
+	// writers, keep it.
+	tenantPending map[string]int
+	// registered counts registrations: the next job's seq.
+	registered int
+	// noted queues each job note booked a transition for since the last
+	// TakeNoted, once.
+	noted []J
 	// limbo counts jobs in neither queue: preempted or crashed, waiting
 	// out a penalty/recovery delay before re-enqueueing. Admission counts
 	// them — they still occupy a slot of the bounded active set.
@@ -259,13 +273,14 @@ func newExecCore[J lifecycleJob[J]](model resourceModel[J], eng *sim.Engine, rep
 		lc.Tracer = defaultTracer
 	}
 	return execCore[J]{
-		lc:      lc,
-		model:   model,
-		eng:     eng,
-		repo:    repo,
-		met:     newExecMetrics(lc.Obs, sub),
-		slots:   slots,
-		running: make(map[string]J),
+		lc:            lc,
+		model:         model,
+		eng:           eng,
+		repo:          repo,
+		met:           newExecMetrics(lc.Obs, sub),
+		slots:         slots,
+		running:       make(map[string]J),
+		tenantPending: make(map[string]int),
 	}
 }
 
@@ -347,6 +362,8 @@ func (c *execCore[J]) register(j J, at sim.Time, recovered bool) {
 			b.pristine = data
 		}
 	}
+	b.seq = c.registered
+	c.registered++
 	c.jobs = append(c.jobs, j)
 	c.eng.ScheduleAt(at, func() {
 		b.arrival = c.eng.Now()
@@ -379,7 +396,9 @@ func (c *execCore[J]) register(j J, at sim.Time, recovered bool) {
 // admit runs the admission decision for an arriving job, reporting
 // whether the job entered the wait queue. Refused jobs (and shed victims)
 // terminate immediately with StatusRejected/StatusShed, recording no
-// history: they never produced a curve worth learning from.
+// history: they never produced a curve worth learning from. Its inputs
+// cost O(1) at any queue depth: the tenant's queue count is kept, and the
+// backlog estimate is summed only when the slack check reads it.
 func (c *execCore[J]) admit(j J) bool {
 	b := j.base()
 	depth := len(c.pending) + len(c.running) + c.limbo
@@ -387,20 +406,16 @@ func (c *execCore[J]) admit(j J) bool {
 	if secs, ok := b.crit.Deadline.DeadlineSeconds(); ok {
 		remaining = secs
 	}
-	tenantPending := 0
-	for _, p := range c.pending {
-		if p.base().tenant == b.tenant {
-			tenantPending++
-		}
-	}
 	req := admission.Request{
-		ID:                b.id,
-		QueueDepth:        depth,
-		EstCompletionSecs: c.estCompletionSecs(j),
-		RemainingSecs:     remaining,
-		Tenant:            b.tenant,
-		Now:               c.eng.Now().Seconds(),
-		TenantPending:     tenantPending,
+		ID:            b.id,
+		QueueDepth:    depth,
+		RemainingSecs: remaining,
+		Tenant:        b.tenant,
+		Now:           c.eng.Now().Seconds(),
+		TenantPending: c.tenantPending[b.tenant],
+	}
+	if c.lc.Admission.ChecksSlack(remaining) {
+		req.EstCompletionSecs = c.estCompletionSecs(j)
 	}
 	dec := c.lc.Admission.Decide(req)
 	switch dec.Verdict {
@@ -434,6 +449,8 @@ func (c *execCore[J]) admit(j J) bool {
 // costs spread over the whole pool, plus the arrival's own first epoch.
 // Running jobs sum in id order: float addition is not associative, and
 // map order would let a verdict at the deadline's edge vary between runs.
+// The sum walks the active set, so admit calls it only when the
+// controller's slack check will read it.
 func (c *execCore[J]) estCompletionSecs(j J) float64 {
 	var backlog float64
 	for _, p := range c.pending {
@@ -494,19 +511,27 @@ func (c *execCore[J]) terminate(j J, status JobStatus, ev TraceEvent) {
 	}
 }
 
-// enqueue appends to the wait queue, tracking its high-water mark.
+// enqueue appends to the wait queue, tracking its high-water mark and
+// the tenant's queue count.
 func (c *execCore[J]) enqueue(j J) {
 	c.pending = append(c.pending, j)
+	c.tenantPending[j.base().tenant]++
 	if d := len(c.pending); d > c.overload.MaxPendingDepth {
 		c.overload.MaxPendingDepth = d
 	}
 	c.met.pendingJobs.Set(float64(len(c.pending)))
 }
 
+// removePending takes a job out of the wait queue, if it is there.
 func (c *execCore[J]) removePending(j J) {
 	for i, p := range c.pending {
 		if p == j {
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
+			if t := j.base().tenant; c.tenantPending[t] > 1 {
+				c.tenantPending[t]--
+			} else {
+				delete(c.tenantPending, t)
+			}
 			c.met.pendingJobs.Set(float64(len(c.pending)))
 			return
 		}

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // reattachedDetail marks the arrival of a journal-recovered job.
 const reattachedDetail = "recovered"
@@ -15,9 +19,14 @@ const reattachedDetail = "recovered"
 // reason, a cause, the arrival a shed made room for). x is the one
 // number: seconds wasted (crash, watchdog) or of the epoch (epoch done),
 // MB needed (OOM), 1 for a resume the memory tier served. Detail is
-// formatted only when a tracer listens: untraced, note allocates nothing.
+// formatted only when a tracer listens: untraced, note allocates nothing
+// but the job's first slot in the noted queue (see TakeNoted).
 func (c *execCore[J]) note(j J, ev TraceEvent, x float64) {
 	b, m := j.base(), c.met
+	if !b.noted {
+		b.noted = true
+		c.noted = append(c.noted, j)
+	}
 	m.count[ev.Kind].Inc()
 	switch ev.Kind {
 	case TraceArrive:
@@ -90,4 +99,23 @@ func (c *execCore[J]) note(j J, ev TraceEvent, x float64) {
 		ev.Detail = c.model.detail(j, ev.Kind, x)
 	}
 	c.lc.Tracer.Emit(ev)
+}
+
+// TakeNoted hands over the jobs note booked a transition for since the
+// last call, each once, in registration order. Every change of an AQP
+// job's status or epoch count is noted, so these are the only AQP jobs
+// whose lifecycle can differ from what the caller last saw: the serving
+// mode's journal sweep diffs exactly them, at a cost independent of how
+// many jobs are live. (A DLT job's re-queue after an OOM is not noted.) buf, the caller's previous result, is cleared and becomes the
+// next queue; until a caller takes it, the queue holds each job at most
+// once.
+func (c *execCore[J]) TakeNoted(buf []J) []J {
+	out := c.noted
+	for _, j := range out {
+		j.base().noted = false
+	}
+	slices.SortFunc(out, func(a, b J) int { return cmp.Compare(a.base().seq, b.base().seq) })
+	clear(buf)
+	c.noted = buf[:0]
+	return out
 }

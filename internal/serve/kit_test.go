@@ -36,6 +36,9 @@ type daemon struct {
 	admit        *admission.Config // admission controller; tenants in it add weighted fair share
 	cfg          Config            // server tweaks (the zero Pace keeps runs deterministic); Socket, Obs, Journal filled in
 	compactBytes int64             // journal compaction floor; 0 keeps the default
+	// afterRequest, when set, runs on each incarnation's driver goroutine
+	// after every request it handles, and once when it boots.
+	afterRequest func(*Server)
 
 	dir, socket string
 
@@ -115,6 +118,10 @@ func (d *daemon) boot(t testing.TB) {
 		t.Fatalf("New: %v", err)
 	}
 	d.srv = srv
+	if d.afterRequest != nil {
+		srv.requestHook = func() { d.afterRequest(srv) }
+		d.afterRequest(srv)
+	}
 }
 
 // start boots one incarnation and serves it.

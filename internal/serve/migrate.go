@@ -223,5 +223,12 @@ func (s *Server) migrateCommit(m Message) Response {
 		s.lastJourn[m.ID] = mark
 	}
 	mark.terminal = true
+	if e := s.liveJobs[m.ID]; e != nil {
+		// Committed without a migrate-out: the journal now holds the job's
+		// terminal record, so it leaves the live set here.
+		delete(s.liveJobs, m.ID)
+		s.terminal++
+		s.liveSize.Store(int64(len(s.liveJobs)))
+	}
 	return Response{OK: true, ID: m.ID, Status: "migrated", VirtualNow: now}
 }

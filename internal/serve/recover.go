@@ -202,21 +202,24 @@ func (s *Server) journalClock() {
 	s.lastClockAt = now
 }
 
-// syncState diffs the live job set against the last journaled position
-// of each job and appends the missing transitions — grants, completed
-// epochs, terminal statuses — in one batch. Called from the driver
-// goroutine after every block of virtual-time progress (submit, advance,
-// tick, drain), it guarantees the journal never lags the state a client
-// could observe, without instrumenting the executor's event handlers.
+// syncState diffs the jobs that changed against the last journaled
+// position of each and appends the missing transitions — grants,
+// completed epochs, terminal statuses — in one batch. Called from the
+// driver goroutine after every block of virtual-time progress (submit,
+// advance, tick, drain), it guarantees the journal never lags the state a
+// client could observe.
 //
-// It walks s.liveList (registration order, so record order is
-// deterministic) rather than the executor's full registry: cost per
-// sweep is proportional to in-flight jobs, not lifetime submits. Jobs
-// that reach a terminal status are pruned from the live set here, which
-// is also where the terminal counter advances. The walk runs even
-// without a journal — the live set and counters back resume/stats — and
-// s.journal drops the records when jl is nil. A periodic clock record
-// bounds how far an idle paced server's restart may rewind time.
+// The executor books every transition through one writer (note), which
+// queues each job it touches once; the sweep takes that queue
+// (exec.TakeNoted, in registration order, so the record stream is the
+// one a walk of every live job would write) and diffs only those jobs.
+// A sweep therefore costs the jobs that moved since the last one, not the
+// live set, and a submit costs the same at any queue depth. Jobs that
+// reach a terminal status leave the live set here, which is also where
+// the terminal counter advances. The sweep runs even without a journal —
+// the live set and counters back resume/stats — and s.journal drops the
+// records when jl is nil. A periodic clock record bounds how far an idle
+// paced server's restart may rewind time.
 //
 // The sweep opens by flushing the checkpoint store — before the degraded
 // return, so the stage never piles up — so the frames the step staged reach
@@ -230,27 +233,22 @@ func (s *Server) syncState() {
 	if s.jl != nil && s.jl.Degraded() != nil {
 		// Freeze the diff marks while the journal is degraded: advancing
 		// them would count transitions as journaled that the failed
-		// appends dropped. The live state keeps moving; the first sweep
-		// after a successful heal (maybeHeal calls one) re-diffs every
-		// job against its frozen mark and re-emits exactly the missed
-		// records onto the fresh segment.
+		// appends dropped. The live state keeps moving and the executor
+		// keeps queueing what it notes; the first sweep after a successful
+		// heal (maybeHeal calls one) takes that whole queue, diffs each job
+		// against its frozen mark and re-emits exactly the missed records
+		// onto the fresh segment.
 		return
 	}
 	now := s.exec.Engine().Now().Seconds()
 	var recs []Record
-	keep := s.liveList[:0]
-	for _, e := range s.liveList {
-		if e.gone {
-			continue // detached by migrate-out; a re-registered id got a fresh entry
+	s.noted = s.exec.TakeNoted(s.noted)
+	for _, j := range s.noted {
+		e := s.liveJobs[j.ID()]
+		if e == nil || e.j != j {
+			continue // detached by migrate-out, or already retired
 		}
-		j, mark := e.j, e.mark
-		if mark.terminal {
-			// Journal already holds its terminal record (e.g. a committed
-			// migration); just retire it from the live set.
-			delete(s.liveJobs, j.ID())
-			s.terminal++
-			continue
-		}
+		mark := e.mark
 		if ep := j.Epochs(); ep > mark.epochs {
 			recs = append(recs, Record{Kind: recEpoch, ID: j.ID(), Epochs: ep, At: now})
 			mark.epochs = ep
@@ -270,9 +268,7 @@ func (s *Server) syncState() {
 			}
 			mark.running = running
 		}
-		keep = append(keep, e)
 	}
-	s.liveList = keep
 	s.liveSize.Store(int64(len(s.liveJobs)))
 	if s.jl != nil && now-s.lastClockAt >= clockJournalSecs {
 		recs = append(recs, Record{Kind: recClock, At: now})

@@ -323,19 +323,19 @@ type Server struct {
 	// Job bookkeeping (driver goroutine only). jobIndex holds every job
 	// registered with the executor this incarnation — the O(1) lookup
 	// behind status and duplicate checks that used to scan exec.Jobs().
-	// liveJobs is the subset not yet journal-terminal: the only jobs
-	// syncState must walk, so a long-lived daemon's per-batch sync cost
-	// tracks its in-flight load, not its lifetime submit count.
-	jobIndex map[string]*core.AQPJob
-	liveJobs map[string]*liveEntry
-	// liveList is the live entries in registration order — syncState
-	// iterates it so journal record order stays deterministic (map
-	// iteration is not), compacting out detached and terminal entries as
-	// it goes. Each entry carries its job's journal mark so the sweep —
-	// the per-batch hot path — touches no maps at all.
-	liveList   []*liveEntry
+	// liveJobs is the subset not yet journal-terminal, each with its
+	// journal mark: syncState looks up only the jobs the executor noted,
+	// so a sweep costs what changed, not what is live.
+	jobIndex   map[string]*core.AQPJob
+	liveJobs   map[string]*liveEntry
 	terminal   int
 	nextAutoID int
+	// noted is syncState's last batch from exec.TakeNoted, handed back as
+	// the next queue's buffer.
+	noted []*core.AQPJob
+	// requestHook is a test hook run on the driver goroutine after each
+	// request of a batch is handled; nil in production.
+	requestHook func()
 
 	// liveSize mirrors len(liveJobs) for connection handlers computing
 	// overload retry hints without touching driver state.
@@ -369,13 +369,13 @@ type jobMark struct {
 	terminal bool
 }
 
-// liveEntry is one live job's row in the sweep list: the job, its
-// journal mark, and a tombstone set on detach (migrate-out) so the
-// sweep skips stale entries without consulting the live map.
+// liveEntry is one live job's row in liveJobs: the job and its journal
+// mark. syncState finds it by the id of a noted job and diffs only when
+// the job is this very object — a detached job (migrate-out) has no
+// entry, and its id may come back as a new one.
 type liveEntry struct {
 	j    *core.AQPJob
 	mark *jobMark
-	gone bool
 }
 
 // New builds a server over an executor and the catalog its jobs bind to.
@@ -772,6 +772,9 @@ fill:
 		s.staging = true
 		resp := s.handle(r.msg)
 		s.staging = false
+		if s.requestHook != nil {
+			s.requestHook()
+		}
 		pending = append(pending, pendingReply{
 			reply:     r.reply,
 			resp:      resp,
@@ -817,8 +820,8 @@ func (s *Server) drainNow() Response {
 	eng := s.exec.Engine()
 	for len(s.liveJobs) > 0 {
 		progressed := false
-		// Step a block of events between live-set syncs so the drain cost
-		// is events + periodic O(live) sweeps, not O(live) per event.
+		// Step a block of events between syncs: each sweep diffs only the
+		// jobs the block moved, so a block costs its events.
 		for i := 0; i < 256; i++ {
 			if !eng.Step() {
 				break
@@ -874,22 +877,15 @@ func (s *Server) registerJob(j *core.AQPJob) {
 		mark = &jobMark{}
 		s.lastJourn[id] = mark
 	}
-	e := &liveEntry{j: j, mark: mark}
-	s.liveJobs[id] = e
-	s.liveList = append(s.liveList, e)
+	s.liveJobs[id] = &liveEntry{j: j, mark: mark}
 	s.liveSize.Store(int64(len(s.liveJobs)))
 }
 
 // unregisterJob drops a detached job (migrate-out): it is no longer the
 // executor's — status answers from the journal until migrate-commit.
-// The sweep-list entry is tombstoned, not searched out; syncState
-// compacts it away on its next pass.
 func (s *Server) unregisterJob(id string) {
 	delete(s.jobIndex, id)
-	if e := s.liveJobs[id]; e != nil {
-		e.gone = true
-		delete(s.liveJobs, id)
-	}
+	delete(s.liveJobs, id)
 	s.liveSize.Store(int64(len(s.liveJobs)))
 }
 

@@ -111,6 +111,10 @@ type Catalog struct {
 
 	mu    sync.Mutex
 	truth map[string]aqp.Snapshot
+	// finals holds each truth prepared for scoring (its group names
+	// sorted), built at the first NewQuery after SetGroundTruth installs
+	// it and shared by every instance.
+	finals map[string]*aqp.Final
 }
 
 // NewCatalog indexes ds and prepares the fact topics with delivery order
@@ -119,7 +123,7 @@ type Catalog struct {
 // The lineitem topic is most of the work and depends on nothing else the
 // catalog builds, so it is shuffled beside the rest.
 func NewCatalog(ds *Dataset, seed uint64) *Catalog {
-	c := &Catalog{ds: ds, truth: make(map[string]aqp.Snapshot)}
+	c := &Catalog{ds: ds, truth: make(map[string]aqp.Snapshot), finals: make(map[string]*aqp.Final)}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -292,18 +296,39 @@ func (c *Catalog) MemoryProfile(name string) (aqp.MemoryProfile, error) {
 // NewQuery builds a fresh runnable instance of the named query with its
 // own stream consumer and the ground-truth final answer attached (from the
 // catalog's cache, which workload.SeedAQPHistory fills; a cold name costs
-// one full pass). Every call returns an independent job.
+// one full pass). Every call returns an independent job; the jobs of one
+// query share its prepared, read-only final answer.
 func (c *Catalog) NewQuery(name string) (aqp.OnlineQuery, error) {
 	q, err := c.build(name)
 	if err != nil {
 		return nil, err
 	}
-	truth, err := c.GroundTruth(name)
-	if err != nil {
-		return nil, err
+	f, ok := c.final(name)
+	if !ok {
+		if _, err := c.GroundTruth(name); err != nil {
+			return nil, err
+		}
+		f, _ = c.final(name)
 	}
-	q.setFinal(truth)
+	q.setFinal(f)
 	return q.online(), nil
+}
+
+// final returns the named query's cached truth prepared for scoring,
+// preparing it on first use; false means no truth is cached yet.
+func (c *Catalog) final(name string) (*aqp.Final, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f, ok := c.finals[name]; ok {
+		return f, true
+	}
+	t, ok := c.truth[name]
+	if !ok {
+		return nil, false
+	}
+	f := aqp.NewFinal(t)
+	c.finals[name] = &f
+	return &f, true
 }
 
 // GroundTruth returns the final aggregates of the named query over the
@@ -356,19 +381,20 @@ func (c *Catalog) Drain(name string, batchRows, batches int, epoch func(cost flo
 func (c *Catalog) SetGroundTruth(name string, t aqp.Snapshot) {
 	c.mu.Lock()
 	c.truth[name] = t
+	delete(c.finals, name)
 	c.mu.Unlock()
 }
 
 // built wraps the type-erased query under construction.
 type built interface {
 	online() aqp.OnlineQuery
-	setFinal(aqp.Snapshot)
+	setFinal(*aqp.Final)
 }
 
 type builtQuery[T any] struct{ r *aqp.Running[T] }
 
 func (b builtQuery[T]) online() aqp.OnlineQuery { return b.r }
-func (b builtQuery[T]) setFinal(s aqp.Snapshot) { b.r.SetFinal(s) }
+func (b builtQuery[T]) setFinal(f *aqp.Final)   { b.r.SetFinal(f) }
 
 func (c *Catalog) lineQuery(name string, specs []aqp.AggSpec, proc aqp.Processor[Lineitem]) (built, error) {
 	cm, err := c.CostModel(name)

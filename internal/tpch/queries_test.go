@@ -408,3 +408,54 @@ func TestEpochCostMatchesProcessBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestQueriesShareOnePreparedFinal: every job of a query shares one
+// prepared final answer, built once per ground truth; each job's
+// accuracy stays bit-identical to scoring its snapshot with
+// aqp.Accuracy, and SetGroundTruth replaces the shared answer.
+func TestQueriesShareOnePreparedFinal(t *testing.T) {
+	cat := testCatalog(t, 0.005)
+	type prepared interface{ Final() *aqp.Final }
+	build := func() aqp.OnlineQuery {
+		q, err := cat.NewQuery("q9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	a, b := build(), build()
+	fa, fb := a.(prepared).Final(), b.(prepared).Final()
+	if fa == nil || fa != fb {
+		t.Fatalf("two q9 jobs hold finals %p and %p, want one shared", fa, fb)
+	}
+	truth, err := cat.GroundTruth("q9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(q aqp.OnlineQuery, final aqp.Snapshot) {
+		t.Helper()
+		got, want := q.Accuracy(), aqp.Accuracy(q.Snapshot(), final)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("accuracy %v, aqp.Accuracy %v", got, want)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		a.ProcessBatch(300, 1)
+		b.ProcessBatch(300, 2)
+		b.ProcessBatch(300, 2)
+		same(a, truth)
+		same(b, truth)
+	}
+
+	// A replaced truth invalidates the shared answer: later jobs score
+	// against the new one, jobs already built keep theirs.
+	half := a.Snapshot()
+	cat.SetGroundTruth("q9", half)
+	c := build()
+	if fc := c.(prepared).Final(); fc == fa {
+		t.Fatal("SetGroundTruth left the old prepared final in place")
+	}
+	c.ProcessBatch(300, 1)
+	same(c, half)
+	same(a, truth)
+}
