@@ -357,7 +357,8 @@ func buildStack(o stackOpts, catSeed uint64, reg *obs.Registry, tracer *core.Tra
 // historical data: one standalone run of every query. A durable stack
 // loads them from its state directory's seeded-history file when the file
 // matches this stack's data, and otherwise seeds and writes the file; a
-// write the disk refuses is logged and leaves the next boot to seed again.
+// write the disk refuses (or does not make durable) is logged and the
+// boot goes on.
 // The rotary_serve_history_* counters say which the boot did.
 func seedHistory(o stackOpts, catSeed uint64, reg *obs.Registry, state stateDir,
 	repo *estimate.Repository, cat *tpch.Catalog) error {
@@ -377,7 +378,7 @@ func seedHistory(o stackOpts, catSeed uint64, reg *obs.Registry, state stateDir,
 		return err
 	}
 	if saveErr != nil {
-		log.Printf("seeded history not saved, the next boot seeds again: %v", saveErr)
+		log.Printf("seeded history not saved durably: %v", saveErr)
 	}
 	if loaded {
 		loadedN.Inc()

@@ -94,13 +94,16 @@ func decodeCheckpointFrame(frame []byte) ([]byte, error) {
 
 // AtomicWriteFileIO publishes data at path crash-safely through dio: the
 // bytes are written to a same-directory temp file, fsynced, renamed over
-// the final path, and the directory is synced best-effort so the rename
-// itself is durable. A crash at any point leaves either the old file or
-// the new one — never a torn mix. The checkpoint store and the serve
-// journal's compaction both publish through it. The pluggable disk layer
-// lets chaos runs fail any step of the protocol: a failed rename or a
-// failed cleanup remove leaves the temp file orphaned on the real disk,
-// which is exactly what the open-time sweeps exist to reclaim.
+// the final path, and the directory is fsynced so the rename itself is
+// durable. A crash at any point leaves either the old file or the new one
+// — never a torn mix. Every step is checked: an error means the new bytes
+// may not survive a crash, though after a failed directory sync the new
+// file is already in place. The checkpoint store, the serve journal's
+// segment roll and the seeded-history file publish through it. The
+// pluggable disk layer lets chaos runs fail any step of the protocol: a
+// failed rename or a failed cleanup remove leaves the temp file orphaned
+// on the real disk, which is exactly what the open-time sweeps exist to
+// reclaim.
 func AtomicWriteFileIO(dio diskio.IO, path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := dio.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -125,8 +128,7 @@ func AtomicWriteFileIO(dio diskio.IO, path string, data []byte) error {
 		_ = dio.Remove(tmp)
 		return err
 	}
-	_ = dio.SyncDir(filepath.Dir(path))
-	return nil
+	return dio.SyncDir(filepath.Dir(path))
 }
 
 // StoreHealth snapshots a CheckpointStore's ledger: the ablation, the
@@ -512,44 +514,51 @@ func (s *CheckpointStore) slowIO() {
 	s.penaltySecs += s.injector.SlowDelaySecs()
 }
 
-// writeFile frames the payload and writes it atomically: temp file in the
-// same directory, fsync, rename. Injected transient faults are retried
-// with exponential backoff charged in virtual time; injected corruption
-// flips a payload byte after the CRC is computed, so the damage is
-// carried to disk undetected and caught by Load's checksum — exactly the
-// failure mode a real bit-rot or torn DMA produces.
+// writeFile frames the payload and writes it (Save, spill, Flush), with
+// the store's fault injector armed on every attempt.
 func (s *CheckpointStore) writeFile(id string, data []byte) error {
-	frame := encodeCheckpointFrame(data)
-	if err := s.retry(func() error {
-		switch s.injector.WriteFault() {
+	return s.writeFrame(id, encodeCheckpointFrame(data), s.injector)
+}
+
+// writeFrame is the one place a frame reaches disk (Save, Flush, Import),
+// under one retry loop. Each attempt draws in's fault first (Import passes
+// nil): an injected transient fails it before any I/O; injected corruption
+// flips one payload byte in a copy after the CRC was computed, so the
+// damage reaches disk undetected and Load's checksum catches it — the
+// failure a real bit-rot or torn DMA produces; slow I/O is charged in
+// virtual time. Then AtomicWriteFileIO writes the frame. Every failure,
+// injected or real, gets the same bounded retries, then surfaces as
+// ErrTransient — the typed error the executor answers with a scratch
+// restart. An ENOSPC blip therefore costs the affected job a replay, not
+// the whole run: the previous checkpoint (if any) is still intact under
+// the final path.
+func (s *CheckpointStore) writeFrame(id string, frame []byte, in *faults.Injector) error {
+	ioStart := time.Now()
+	err := s.retry(func() error {
+		out := frame
+		switch in.WriteFault() {
 		case faults.Transient:
 			return ErrTransient
 		case faults.Corrupt:
-			// Flip one payload byte in a copy; the header CRC was computed
-			// over the clean payload, so Load will reject this frame.
-			frame = append([]byte(nil), frame...)
-			frame[ckptHeaderLen+len(data)/2] ^= 0xFF
+			out = append([]byte(nil), frame...)
+			out[ckptHeaderLen+(len(frame)-ckptHeaderLen)/2] ^= 0xFF
 		case faults.Slow:
 			s.slowIO()
 		}
+		if err := AtomicWriteFileIO(s.dio, s.path(id), out); err != nil {
+			// The rename may have happened before a later step failed, so
+			// the frame may be on disk: Delete must try to unlink it (a
+			// frame that never landed costs it one ENOENT).
+			s.onDisk[id] = true
+			return err
+		}
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
+		if !errors.Is(err, ErrTransient) {
+			err = fmt.Errorf("%w (%v)", ErrTransient, err)
+		}
 		return fmt.Errorf("core: write checkpoint %s: %w", id, err)
-	}
-	return s.writeFrame(id, frame)
-}
-
-// writeFrame is the one place a frame reaches disk (Save, Flush, Import).
-// Real (or disk-layer-injected) I/O failures get the same bounded
-// retries as injected transients, then surface as ErrTransient — the
-// typed error the executor answers with a scratch restart. An ENOSPC
-// blip therefore costs the affected job a replay, not the whole run: the
-// atomic-write protocol guarantees the previous checkpoint (if any) is
-// still intact under the final path.
-func (s *CheckpointStore) writeFrame(id string, frame []byte) error {
-	ioStart := time.Now()
-	if err := s.retry(func() error { return AtomicWriteFileIO(s.dio, s.path(id), frame) }); err != nil {
-		return fmt.Errorf("core: write checkpoint %s: %w (%v)", id, ErrTransient, err)
 	}
 	s.onDisk[id] = true
 	s.book(ckptDiskWrite, len(frame))
@@ -664,7 +673,7 @@ func (s *CheckpointStore) Import(id string, frame []byte) error {
 		return fmt.Errorf("core: import checkpoint %s: %w", id, err)
 	}
 	defer func(p float64) { s.penaltySecs = p }(s.penaltySecs)
-	if err := s.writeFrame(id, frame); err != nil {
+	if err := s.writeFrame(id, frame, nil); err != nil {
 		return fmt.Errorf("core: import checkpoint %s: %w", id, err)
 	}
 	s.book(ckptAccepted, 1)

@@ -707,3 +707,41 @@ func TestStageTerminalJobsUnlinkNothingUnwritten(t *testing.T) {
 		}
 	}
 }
+
+// dirSyncFails is the real disk whose directory fsyncs alone fail: every
+// rename lands, but none is known to be durable.
+type dirSyncFails struct{ diskio.IO }
+
+func (dirSyncFails) SyncDir(string) error { return errors.New("injected directory sync failure") }
+
+// A write whose directory sync fails is no accepted write: it is retried,
+// then surfaces as ErrTransient. The frame it renamed into place is on
+// disk all the same, so Delete must still unlink it.
+func TestUnsyncedFrameWriteFailsAndStaysDeletable(t *testing.T) {
+	dir := t.TempDir()
+	dio := newOpLogIO(dirSyncFails{diskio.OS{}})
+	store, err := core.NewCheckpointStoreIO(dir, 0, nil, dio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save("j", []byte("state")); !errors.Is(err, core.ErrTransient) {
+		t.Fatalf("save whose directory sync failed: %v, want ErrTransient", err)
+	}
+	if h := store.Health(); h.Writes != 0 || h.Retries != 3 || h.TransientFailures != 1 {
+		t.Fatalf("health %+v, want no accepted write, 3 retries, 1 transient failure", h)
+	}
+	path := filepath.Join(dir, "j.ckpt")
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("premise: the renamed frame is on disk: %v", err)
+	}
+	dio.take()
+	if err := store.Delete("j"); err != nil {
+		t.Fatal(err)
+	}
+	if got := dio.take(); !reflect.DeepEqual(got, []string{"remove j.ckpt"}) {
+		t.Fatalf("delete issued %v, want the frame's remove", got)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("j.ckpt still on disk after delete: %v", err)
+	}
+}

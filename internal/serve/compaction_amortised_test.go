@@ -18,17 +18,19 @@ import (
 // compactIO is a test-local disk decorator around the real filesystem.
 // It counts compaction output (bytes written to the atomic-write temp
 // file, and renames publishing it), can fail exactly the directory
-// operations — Rename and SyncDir, as on a directory gone read-only — so
-// an append's own write+fsync on the open segment succeeds and only the
-// compaction behind it (and any heal) breaks, which Faulty.ForceFail
-// cannot express, and can skip fsyncs so a 20 000-group property test
-// stays fast (the amortisation counts do not depend on durability).
+// operations — Rename and SyncDir, as on a directory gone read-only — or
+// the directory fsync alone, so an append's own write+fsync on the open
+// segment succeeds and only the compaction behind it (and any heal)
+// breaks, which Faulty.ForceFail cannot express, and can skip fsyncs so
+// a 20 000-group property test stays fast (the amortisation counts do
+// not depend on durability).
 type compactIO struct {
 	diskio.IO
-	noSync     bool
-	tmpBytes   atomic.Int64
-	renames    atomic.Int64
-	failDirOps atomic.Bool
+	noSync      bool
+	tmpBytes    atomic.Int64
+	renames     atomic.Int64
+	failDirOps  atomic.Bool
+	failSyncDir atomic.Bool
 }
 
 func newCompactIO() *compactIO { return &compactIO{IO: diskio.OS{}} }
@@ -71,7 +73,7 @@ func (c *compactIO) Rename(oldpath, newpath string) error {
 }
 
 func (c *compactIO) SyncDir(dir string) error {
-	if c.failDirOps.Load() {
+	if c.failDirOps.Load() || c.failSyncDir.Load() {
 		return errors.New("injected dir-sync failure")
 	}
 	if c.noSync {
@@ -206,7 +208,6 @@ func TestJournalAgedReopenDoesNotCompact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReplayJournal: %v", err)
 	}
-	headLen, _ := segmentHeadLen(t, filepath.Join(dir, journalFile))
 
 	dio.renames.Store(0)
 	// The 2 048 floor stands in for DefaultCompactBytes: the snapshot
@@ -216,6 +217,7 @@ func TestJournalAgedReopenDoesNotCompact(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer jl.Close()
+	headLen, _ := segmentHeadLen(t, filepath.Join(dir, segmentName(jl.Segment())))
 	jl.SetCompactBytes(2048)
 	_, _, size, snap := jl.Stats()
 	if snap != headLen {

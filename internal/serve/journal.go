@@ -7,8 +7,15 @@
 // restart the journal replays to the last durable state: the registry of
 // jobs, each job's latest status, the admission queue's arrival order,
 // and the virtual-clock position. Growth-triggered compaction folds the
-// log into a single snapshot record published through the checkpoint
-// store's atomic-write machinery.
+// log into a single snapshot record at the head of a fresh segment.
+//
+// One roll starts every snapshot-headed segment, for compaction and for
+// Heal alike: the snapshot (plus, for a heal, a recovery-barrier record)
+// is published as the next segment through core.AtomicWriteFileIO — temp
+// file, fsync, rename, directory fsync, each checked — then read back and
+// compared byte for byte; only then does the journal swap its append
+// handle to it and remove the segments it supersedes. A failed roll
+// latches the journal degraded and leaves its handle on the old segment.
 //
 // Compaction trigger and bound: the active segment is compacted when it
 // exceeds max(C, 2·S), where C is the compaction floor (SetCompactBytes,
@@ -35,8 +42,7 @@
 // past it would be unrecoverable on replay and is refused with
 // ErrJournalDegraded. Degradation is recoverable: Heal rolls the log to
 // a fresh segment headed by a snapshot of the durable state plus a
-// recovery-barrier record, fsyncs it, verifies the segment round-trips
-// byte-for-byte off the disk, and only then swaps the write handle and
+// recovery-barrier record, and a roll that published and verified it
 // lifts the latch. Recovery replays the segment chain in order with the
 // same longest-valid-prefix rule per segment; each snapshot-headed
 // segment subsumes everything before it, including any torn tail the
@@ -86,8 +92,8 @@ const (
 	// restart of an idle paced server does not rewind time to the last
 	// job transition.
 	recClock = "clock"
-	// recSnapshot is the compaction record: the full replayed state,
-	// folded into one line at the head of a fresh journal file.
+	// recSnapshot is the roll's record: the full replayed state, folded
+	// into one line at the head of a fresh segment.
 	recSnapshot = "snapshot"
 	// recBarrier is the recovery barrier written (after a snapshot) at
 	// the head of the fresh segment a Heal rolls to: proof on disk that
@@ -183,8 +189,8 @@ func (r Recovered) NonTerminal() []JobRecord {
 const journalMagic = "RJNL1"
 
 // journalFile is the base segment's file name inside the journal
-// directory. Segments rolled by Heal append a numeric suffix
-// (serve.journal.000001, …); replay walks them in sequence order.
+// directory. Segments rolled by compaction or Heal append a numeric
+// suffix (serve.journal.000001, …); replay walks them in sequence order.
 const journalFile = "serve.journal"
 
 // DefaultCompactBytes is the compaction floor: below it the journal never
@@ -234,8 +240,8 @@ type Journal struct {
 	compactBytes int64
 	// snapshotBytes is the framed size of the snapshot line heading the
 	// active segment (0 if it has none): the S of the max(C, 2·S) trigger.
-	// Set wherever a snapshot becomes the segment head — compaction, heal,
-	// and replay at open, so a restarted aged journal stays aged.
+	// Set wherever a snapshot becomes the segment head — the roll, and
+	// replay at open, so a restarted aged journal stays aged.
 	snapshotBytes int64
 
 	// Live replay state, mirrored on every append so compaction can fold
@@ -271,7 +277,7 @@ type Journal struct {
 // the new daemon incarnation with an incremented server-epoch record.
 // Every disk operation goes through dio (nil means the real disk).
 // Orphaned atomic-write temp files from a crashed or fault-interrupted
-// compaction are swept before replay.
+// roll are swept before replay.
 func OpenJournalIO(dir string, dio diskio.IO) (*Journal, error) {
 	if dio == nil {
 		dio = diskio.OS{}
@@ -352,7 +358,7 @@ func ReplayJournalIO(dir string, dio diskio.IO) (Recovered, error) {
 
 // sweepJournalTemps removes orphaned atomic-write temp files
 // (serve.journal*.tmp) left behind when a crash or an injected fault
-// interrupted a compaction between temp-fsync and rename. The rename
+// interrupted a roll between temp-fsync and rename. The rename
 // never happened, so a temp never holds the only copy of durable state
 // — sweeping is always safe, and leaving them would leak disk forever.
 func sweepJournalTemps(dio diskio.IO, dir string) {
@@ -397,9 +403,8 @@ func listSegments(dio diskio.IO, dir string) ([]int, error) {
 // segment's longest valid prefix. When truncate is set, each segment's
 // invalid tail is cut off on disk (open-for-write semantics); read-only
 // callers leave the files untouched. A torn tail in a non-final segment
-// is safe to drop either way: segments after it were created by Heal or
-// compaction, whose head snapshot subsumes everything the tail could
-// have held.
+// is safe to drop either way: segments after it were started by a roll,
+// whose head snapshot subsumes everything the tail could have held.
 func (jl *Journal) replayChain(segs []int, truncate bool) (dropped int64, err error) {
 	for _, seq := range segs {
 		d, err := jl.replaySegment(filepath.Join(jl.dir, segmentName(seq)), truncate)
@@ -679,17 +684,11 @@ func (jl *Journal) Degraded() error {
 }
 
 // Heal attempts to lift a degraded journal by rolling to a fresh
-// segment: the next sequence number is created, seeded with a snapshot
-// of the in-memory mirror (which holds exactly the durably-applied
-// state — records are folded only after their fsync succeeded) plus a
-// recovery-barrier record, fsynced along with its directory entry, and
-// read back to verify the bytes round-trip. Only after the verification
-// passes does the journal swap its write handle, lift the latch, and
-// best-effort remove the superseded segments (the snapshot subsumes
-// them; leftovers replay harmlessly and are reclaimed by the next
-// compaction or heal). Any failure leaves the journal degraded with the
-// original latch cause intact and counts a heal failure. Healing a
-// healthy journal is a no-op.
+// segment headed by a snapshot of the in-memory mirror plus a
+// recovery-barrier record (see roll). Only a roll that published and
+// verified the segment lifts the latch and counts a heal; any failure
+// leaves the journal degraded with the original latch cause intact and
+// counts a heal failure. Healing a healthy journal is a no-op.
 func (jl *Journal) Heal() error {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
@@ -699,17 +698,34 @@ func (jl *Journal) Heal() error {
 	if jl.degraded == nil {
 		return nil
 	}
-	if err := jl.healLocked(); err != nil {
+	barrier := Record{Kind: recBarrier, ServerEpoch: jl.serverEpoch, At: jl.virtualNow, Heals: int(jl.heals) + 1}
+	if err := jl.roll(barrier); err != nil {
 		jl.healFailures++
 		return fmt.Errorf("serve: journal heal: %w", err)
 	}
+	jl.degraded = nil
+	jl.heals++
 	return nil
 }
 
-func (jl *Journal) healLocked() error {
+// roll starts the next segment, the one way a snapshot-headed segment
+// begins (compaction and Heal). The segment is a snapshot of the
+// in-memory mirror — which holds exactly the durably applied state:
+// records fold only after their fsync — followed by extra (Heal's
+// recovery barrier). It is published as segment seq+1 through
+// core.AtomicWriteFileIO, whose directory fsync is checked: a crash that
+// forgot the new segment's name while acked records sit in it would lose
+// them. The segment is then read back and must match byte for byte
+// before the journal swaps its append handle to it and removes the
+// segments it supersedes. On any failure the new segment is removed
+// best-effort and the append handle stays on the old segment; the caller
+// latches (or keeps) the journal degraded, so nothing is appended to the
+// old segment while a newer one may exist, and the next roll replaces
+// it. A crash at any point leaves a chain that replays to the same state.
+func (jl *Journal) roll(extra ...Record) error {
 	seq := jl.seq + 1
 	path := filepath.Join(jl.dir, segmentName(seq))
-	snapLine, err := frameJournalLine(Record{
+	want, err := frameJournalLine(Record{
 		Kind:        recSnapshot,
 		ServerEpoch: jl.serverEpoch,
 		At:          jl.virtualNow,
@@ -718,66 +734,54 @@ func (jl *Journal) healLocked() error {
 	if err != nil {
 		return err
 	}
-	barLine, err := frameJournalLine(Record{
-		Kind:        recBarrier,
-		ServerEpoch: jl.serverEpoch,
-		At:          jl.virtualNow,
-		Heals:       int(jl.heals) + 1,
-	})
+	snapshotBytes := int64(len(want))
+	for _, rec := range extra {
+		line, err := frameJournalLine(rec)
+		if err != nil {
+			return err
+		}
+		want = append(want, line...)
+	}
+	f, err := jl.publishSegment(path, want)
 	if err != nil {
-		return err
-	}
-	want := append(append(make([]byte, 0, len(snapLine)+len(barLine)), snapLine...), barLine...)
-	f, err := jl.dio.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("open segment %d: %w", seq, err)
-	}
-	if _, err := f.Write(want); err != nil {
-		f.Close()
 		_ = jl.dio.Remove(path)
-		return fmt.Errorf("write segment %d: %w", seq, err)
+		return fmt.Errorf("segment %d: %w", seq, err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = jl.dio.Remove(path)
-		return fmt.Errorf("sync segment %d: %w", seq, err)
-	}
-	// The directory entry must be durable too: a crash that forgets the
-	// new segment's name while acked records sit in it would lose them.
-	if err := jl.dio.SyncDir(jl.dir); err != nil {
-		f.Close()
-		_ = jl.dio.Remove(path)
-		return fmt.Errorf("sync journal dir: %w", err)
-	}
-	// Round-trip verification: the bytes must come back off the disk
-	// exactly as framed, and both frames must re-parse. Reads bypass
-	// fault injection, so this observes the disk's real content.
-	got, err := jl.dio.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("verify segment %d: %w", seq, err)
-	}
-	if !bytes.Equal(got, want) {
-		f.Close()
-		_ = jl.dio.Remove(path)
-		return fmt.Errorf("verify segment %d: read back %d bytes, wrote %d", seq, len(got), len(want))
-	}
-	// Commit: swap the write handle, lift the latch, reclaim the chain.
-	if jl.f != nil {
-		_ = jl.f.Close()
-	}
-	oldSeq := jl.seq
+	_ = jl.f.Close() // every record in it is already durable
 	jl.f = f
 	jl.seq = seq
 	jl.path = path
 	jl.size = int64(len(want))
-	jl.snapshotBytes = int64(len(snapLine))
-	jl.degraded = nil
-	jl.heals++
-	for s := oldSeq; s >= 0; s-- {
-		_ = jl.dio.Remove(filepath.Join(jl.dir, segmentName(s)))
+	jl.snapshotBytes = snapshotBytes
+	// Reclaim exactly the superseded segments on disk. A failed listing or
+	// remove leaves segments that replay harmlessly before this one; the
+	// next roll lists them again.
+	if segs, err := listSegments(jl.dio, jl.dir); err == nil {
+		for _, s := range segs {
+			if s < seq {
+				_ = jl.dio.Remove(filepath.Join(jl.dir, segmentName(s)))
+			}
+		}
 	}
 	return nil
+}
+
+// publishSegment writes a new segment's bytes crash-safely, verifies
+// they come back off the disk exactly as framed (reads bypass fault
+// injection, so this observes the disk's real content), and opens the
+// segment for appends.
+func (jl *Journal) publishSegment(path string, want []byte) (diskio.File, error) {
+	if err := core.AtomicWriteFileIO(jl.dio, path, want); err != nil {
+		return nil, err
+	}
+	got, err := jl.dio.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
+	}
+	if !bytes.Equal(got, want) {
+		return nil, fmt.Errorf("verify: read back %d bytes, wrote %d", len(got), len(want))
+	}
+	return jl.dio.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
 // Append durably logs the records as one group: the whole batch is framed
@@ -789,11 +793,11 @@ func (jl *Journal) healLocked() error {
 // hold a torn frame that ends the longest valid prefix, so further
 // appends would be unrecoverable on replay and are refused — until Heal
 // rolls to a verified fresh segment. When the file outgrows
-// max(compactBytes, 2·snapshotBytes) it is folded into a snapshot
-// published with the checkpoint store's atomic-write machinery. By then
-// the group is durable and applied, so a failed compaction latches
-// degraded (the next append is refused, Heal recovers) but must not fail
-// this append: the caller would un-ack records the disk provably holds.
+// max(compactBytes, 2·snapshotBytes) the journal rolls to a fresh segment
+// headed by a snapshot (compaction). By then the group is durable and
+// applied, so a failed compaction latches degraded (the next append is
+// refused, Heal recovers) but must not fail this append: the caller would
+// un-ack records the disk provably holds.
 func (jl *Journal) Append(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -841,8 +845,10 @@ func (jl *Journal) Append(recs ...Record) error {
 		jl.groups++
 	}
 	if jl.size > max(jl.compactBytes, 2*jl.snapshotBytes) {
-		if err := jl.compactLocked(); err != nil {
-			jl.degraded = err
+		if err := jl.roll(); err != nil {
+			jl.degraded = fmt.Errorf("compaction: %w", err)
+		} else {
+			jl.compactions++
 		}
 	}
 	return nil
@@ -857,44 +863,6 @@ func (jl *Journal) SetCompactBytes(n int64) {
 		n = DefaultCompactBytes
 	}
 	jl.compactBytes = n
-}
-
-// compactLocked folds the journal into one snapshot record, atomically
-// replaces the active segment with it, and best-effort removes older
-// segments (the snapshot subsumes them). A crash during compaction
-// leaves either the old chain or the new snapshot — both replay to the
-// same state. The returned error is the degraded latch's cause: the
-// appended records are durable, but the write handle may be in an
-// unknown state, and Heal's segment roll is the recovery path.
-func (jl *Journal) compactLocked() error {
-	snap := Record{
-		Kind:        recSnapshot,
-		ServerEpoch: jl.serverEpoch,
-		At:          jl.virtualNow,
-		Jobs:        jl.snapshotJobs(),
-	}
-	line, err := frameJournalLine(snap)
-	if err != nil {
-		return fmt.Errorf("compaction: %w", err)
-	}
-	if err := core.AtomicWriteFileIO(jl.dio, jl.path, line); err != nil {
-		return fmt.Errorf("compaction: %w", err)
-	}
-	if err := jl.f.Close(); err != nil {
-		return fmt.Errorf("compaction close: %w", err)
-	}
-	f, err := jl.dio.OpenFile(jl.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("compaction reopen: %w", err)
-	}
-	jl.f = f
-	jl.size = int64(len(line))
-	jl.snapshotBytes = jl.size
-	jl.compactions++
-	for s := jl.seq - 1; s >= 0; s-- {
-		_ = jl.dio.Remove(filepath.Join(jl.dir, segmentName(s)))
-	}
-	return nil
 }
 
 // Close closes the journal file. Records already appended stay durable;

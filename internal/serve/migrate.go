@@ -63,6 +63,13 @@ func (s *Server) migrateOut(m Message) Response {
 		return Response{Error: fmt.Sprintf("serve: job %q has no journal record (journal degraded?)", m.ID),
 			Code: CodeBadRequest}
 	}
+	// The job's journal mark: detaching drops it from the live set, and
+	// the epochs the drain completes are journaled below against it. (A
+	// job migrate-commit already retired has none: every epoch is new.)
+	marked := 0
+	if e := s.liveJobs[m.ID]; e != nil {
+		marked = e.epochs
+	}
 	// Drain until the job is queue-resident (detachable): each Step runs
 	// the next engine event, completing the in-flight epoch or limbo wait.
 	for {
@@ -95,17 +102,10 @@ func (s *Server) migrateOut(m Message) Response {
 	s.syncState()
 	// Journal epochs the drain completed before handing off the record, so
 	// the target resumes from the same durable position a crash-restart
-	// would. The diff mark goes terminal-shaped only at migrate-commit.
-	mark := s.lastJourn[m.ID]
-	if mark == nil {
-		mark = &jobMark{}
-		s.lastJourn[m.ID] = mark
-	}
-	if e := j.Epochs(); e > mark.epochs {
+	// would.
+	if e := j.Epochs(); e > marked {
 		s.journal(Record{Kind: recEpoch, ID: m.ID, Epochs: e, At: now})
-		mark.epochs = e
 	}
-	mark.running = false
 	jr.Status = "pending"
 	jr.BestEffort = j.BestEffort()
 	if e := j.Epochs(); e > jr.Epochs {
@@ -172,14 +172,13 @@ func (s *Server) migrateIn(m Message) Response {
 		recs = append(recs, Record{Kind: recEpoch, ID: jr.ID, Epochs: jr.Epochs, At: now})
 	}
 	s.journal(recs...)
-	// Seed the diff mark at the carried epoch count so migrated progress is
-	// not re-journaled; only epochs completed here append records.
-	s.lastJourn[jr.ID] = &jobMark{epochs: jr.Epochs}
 	if jr.ReqID != "" {
 		s.reqIndex[jr.ReqID] = jr.ID
 	}
 	s.exec.Recover(j, eng.Now(), jr.BestEffort)
-	s.registerJob(j)
+	// Seed the diff mark at the carried epoch count so migrated progress is
+	// not re-journaled; only epochs completed here append records.
+	s.registerJob(j, jr.Epochs)
 	// Fire the re-registration and its same-instant arbitration so the
 	// reply reports the job's live status on its new shard.
 	eng.RunUntil(eng.Now())
@@ -217,12 +216,6 @@ func (s *Server) migrateCommit(m Message) Response {
 		return Response{OK: true, ID: m.ID, Status: jr.Status, Code: CodeMigrateNoop, VirtualNow: now}
 	}
 	s.journal(Record{Kind: recTerminal, ID: m.ID, Status: "migrated", Epochs: jr.Epochs, At: now})
-	mark := s.lastJourn[m.ID]
-	if mark == nil {
-		mark = &jobMark{}
-		s.lastJourn[m.ID] = mark
-	}
-	mark.terminal = true
 	if e := s.liveJobs[m.ID]; e != nil {
 		// Committed without a migrate-out: the journal now holds the job's
 		// terminal record, so it leaves the live set here.

@@ -88,11 +88,6 @@ func (s *Server) recoverFromJournal() error {
 		if jr.ReqID != "" {
 			s.reqIndex[jr.ReqID] = jr.ID
 		}
-		if terminalStatus(jr.Status) {
-			// Terminal in the journal: nothing to re-register, and the diff
-			// mark stops syncState from ever logging it again.
-			s.lastJourn[jr.ID] = &jobMark{terminal: true, epochs: jr.Epochs}
-		}
 		// Recover the auto-id counter past every journaled "srv-<n>" id —
 		// terminal ones included — so a restart never re-mints an id the
 		// journal still remembers.
@@ -107,11 +102,10 @@ func (s *Server) recoverFromJournal() error {
 		if err != nil {
 			return fmt.Errorf("serve: recover job %s: %w", jr.ID, err)
 		}
+		s.exec.Recover(j, eng.Now(), jr.BestEffort)
 		// Seed the mark at the journaled epoch count so replayed progress
 		// is not re-journaled; only epochs beyond it append records.
-		s.lastJourn[jr.ID] = &jobMark{epochs: jr.Epochs}
-		s.exec.Recover(j, eng.Now(), jr.BestEffort)
-		s.registerJob(j)
+		s.registerJob(j, jr.Epochs)
 	}
 	// Fire the re-registrations and their same-instant arbitration so the
 	// recovered queue is granted before the first client request.
@@ -248,25 +242,23 @@ func (s *Server) syncState() {
 		if e == nil || e.j != j {
 			continue // detached by migrate-out, or already retired
 		}
-		mark := e.mark
-		if ep := j.Epochs(); ep > mark.epochs {
+		if ep := j.Epochs(); ep > e.epochs {
 			recs = append(recs, Record{Kind: recEpoch, ID: j.ID(), Epochs: ep, At: now})
-			mark.epochs = ep
-			mark.running = false
+			e.epochs = ep
+			e.running = false
 		}
 		st := j.Status()
 		if st.Terminal() {
 			recs = append(recs, Record{Kind: recTerminal, ID: j.ID(), Status: st.String(), Epochs: j.Epochs(), At: now})
-			mark.terminal = true
 			delete(s.liveJobs, j.ID())
 			s.terminal++
 			continue
 		}
-		if running := st == core.StatusRunning; running != mark.running {
+		if running := st == core.StatusRunning; running != e.running {
 			if running {
 				recs = append(recs, Record{Kind: recGrant, ID: j.ID(), At: now})
 			}
-			mark.running = running
+			e.running = running
 		}
 	}
 	s.liveSize.Store(int64(len(s.liveJobs)))

@@ -308,7 +308,6 @@ type Server struct {
 	jl          *Journal
 	serverEpoch int
 	recovered   int
-	lastJourn   map[string]*jobMark
 	reqIndex    map[string]string // req_id -> job id
 	lastClockAt float64
 	jlErr       error
@@ -324,8 +323,9 @@ type Server struct {
 	// registered with the executor this incarnation — the O(1) lookup
 	// behind status and duplicate checks that used to scan exec.Jobs().
 	// liveJobs is the subset not yet journal-terminal, each with its
-	// journal mark: syncState looks up only the jobs the executor noted,
-	// so a sweep costs what changed, not what is live.
+	// journal mark (no other job keeps one): syncState looks up only the
+	// jobs the executor noted, so a sweep costs what changed, not what is
+	// live.
 	jobIndex   map[string]*core.AQPJob
 	liveJobs   map[string]*liveEntry
 	terminal   int
@@ -361,21 +361,15 @@ type Server struct {
 	killOnce sync.Once
 }
 
-// jobMark is the last journaled position of one job: the diff target
-// syncState compares the executor's live state against.
-type jobMark struct {
-	running  bool
-	epochs   int
-	terminal bool
-}
-
 // liveEntry is one live job's row in liveJobs: the job and its journal
-// mark. syncState finds it by the id of a noted job and diffs only when
-// the job is this very object — a detached job (migrate-out) has no
-// entry, and its id may come back as a new one.
+// mark, the last journaled position syncState diffs the executor's live
+// state against. syncState finds it by the id of a noted job and diffs
+// only when the job is this very object — a detached job (migrate-out)
+// has no entry, and its id may come back as a new one.
 type liveEntry struct {
-	j    *core.AQPJob
-	mark *jobMark
+	j       *core.AQPJob
+	running bool
+	epochs  int
 }
 
 // New builds a server over an executor and the catalog its jobs bind to.
@@ -422,7 +416,6 @@ func New(cfg Config, exec *core.AQPExecutor, cat *tpch.Catalog) (*Server, error)
 		killCh:      make(chan struct{}),
 		jl:          cfg.Journal,
 		serverEpoch: 1,
-		lastJourn:   make(map[string]*jobMark),
 		reqIndex:    make(map[string]string),
 		jobIndex:    make(map[string]*core.AQPJob),
 		liveJobs:    make(map[string]*liveEntry),
@@ -866,18 +859,12 @@ func (s *Server) knownJobID(id string) bool {
 }
 
 // registerJob indexes a job the executor just accepted (submit, journal
-// recovery, migrate-in), binding it to its journal mark (the recovery
-// and migrate paths pre-seed s.lastJourn; a fresh submit starts from a
-// zero mark).
-func (s *Server) registerJob(j *core.AQPJob) {
+// recovery, migrate-in), with its journal mark at epochs: the count the
+// journal already holds for it (0 for a fresh submit).
+func (s *Server) registerJob(j *core.AQPJob, epochs int) {
 	id := j.ID()
 	s.jobIndex[id] = j
-	mark := s.lastJourn[id]
-	if mark == nil {
-		mark = &jobMark{}
-		s.lastJourn[id] = mark
-	}
-	s.liveJobs[id] = &liveEntry{j: j, mark: mark}
+	s.liveJobs[id] = &liveEntry{j: j, epochs: epochs}
 	s.liveSize.Store(int64(len(s.liveJobs)))
 }
 
@@ -1069,7 +1056,7 @@ func (s *Server) submit(m Message) Response {
 	s.journal(Record{Kind: recSubmit, ID: id, ReqID: m.ReqID, Statement: m.Statement,
 		Tenant: m.Tenant, BatchRows: spec.BatchRows, At: eng.Now().Seconds()})
 	s.exec.Submit(j, eng.Now())
-	s.registerJob(j)
+	s.registerJob(j, 0)
 	// Fire the arrival and its same-instant arbitration so the reply
 	// reports the admission verdict.
 	eng.RunUntil(eng.Now())

@@ -13,34 +13,35 @@ import (
 // reference model: it visits every job registered this incarnation and
 // lists each transition its journal mark does not yet hold — an epoch, a
 // terminal status, a grant or its release — plus any disagreement
-// between the marks and the live set. Right after a sweep it must find
-// nothing, however few jobs the sweep itself visited.
+// between the live set and the journal's record of which jobs are
+// terminal. Right after a sweep it must find nothing, however few jobs
+// the sweep itself visited.
 func unjournaled(s *Server) []string {
 	var lag []string
 	for id, j := range s.jobIndex {
-		mark, e := s.lastJourn[id], s.liveJobs[id]
+		e, terminal := s.liveJobs[id], journaledTerminal(s, id, j)
 		switch {
-		case mark == nil:
-			lag = append(lag, id+": registered without a journal mark")
-			continue
-		case mark.terminal:
-			if e != nil {
-				lag = append(lag, id+": journal-terminal but still live")
-			}
-			continue
-		case e == nil || e.j != j || e.mark != mark:
+		case e == nil && !terminal:
 			lag = append(lag, id+": live job missing from the live set")
 			continue
+		case e == nil:
+			continue // retired
+		case terminal:
+			lag = append(lag, id+": journal-terminal but still live")
+			continue
+		case e.j != j:
+			lag = append(lag, id+": live set holds another job under its id")
+			continue
 		}
-		if ep := j.Epochs(); ep > mark.epochs {
-			lag = append(lag, fmt.Sprintf("%s: epoch %d unjournaled (mark %d)", id, ep, mark.epochs))
+		if ep := j.Epochs(); ep > e.epochs {
+			lag = append(lag, fmt.Sprintf("%s: epoch %d unjournaled (mark %d)", id, ep, e.epochs))
 		}
 		st := j.Status()
 		if st.Terminal() {
 			lag = append(lag, fmt.Sprintf("%s: terminal status %s unjournaled", id, st))
 		}
-		if running := st == core.StatusRunning; running != mark.running {
-			lag = append(lag, fmt.Sprintf("%s: status %s, mark running=%v", id, st, mark.running))
+		if running := st == core.StatusRunning; running != e.running {
+			lag = append(lag, fmt.Sprintf("%s: status %s, mark running=%v", id, st, e.running))
 		}
 	}
 	retired := 0
@@ -55,6 +56,23 @@ func unjournaled(s *Server) []string {
 	}
 	sort.Strings(lag)
 	return lag
+}
+
+// journaledTerminal reports whether the journal holds a terminal record
+// for id: durably, or staged in the group commit the current batch ends
+// with. A daemon without a journal journals nothing, and the job's own
+// status stands in.
+func journaledTerminal(s *Server, id string, j *core.AQPJob) bool {
+	if s.jl == nil {
+		return j.Status().Terminal()
+	}
+	for i := len(s.staged) - 1; i >= 0; i-- {
+		if r := s.staged[i]; r.ID == id && r.Kind == recTerminal {
+			return true
+		}
+	}
+	jr, ok := s.jl.Job(id)
+	return ok && terminalStatus(jr.Status)
 }
 
 // auditSweep arms d so that after every request (and at every boot) the

@@ -86,9 +86,11 @@ func frameHistory(body []byte) []byte {
 // the file's records and truths and runs no query (loaded). Otherwise —
 // no file, a torn or flipped byte, another key — it seeds and rewrites
 // the file through dio (nil means the real disk). A write the disk
-// refuses comes back as saveErr: the boot is seeded all the same, the
-// previous file (if any) is untouched, and the next boot seeds again.
-// err is a seeding failure.
+// refuses comes back as saveErr and the boot is seeded all the same: the
+// previous file (if any) is untouched and the next boot seeds again —
+// unless only the directory sync failed, which leaves the new, whole file
+// in place for the next boot to load if it survived. err is a seeding
+// failure.
 func LoadOrSeedAQPHistory(dio diskio.IO, dir string, key HistoryKey, repo *estimate.Repository, cat *tpch.Catalog) (loaded bool, saveErr, err error) {
 	if dio == nil {
 		dio = diskio.OS{}

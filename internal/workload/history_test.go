@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -172,4 +173,29 @@ func TestLoadOrSeedAQPHistoryRefusedWrite(t *testing.T) {
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Errorf("a refused write left %d files, first %s", len(entries), entries[0].Name())
 	}
+}
+
+// dirSyncFails is the real disk whose directory fsyncs alone fail.
+type dirSyncFails struct{ diskio.IO }
+
+func (dirSyncFails) SyncDir(string) error { return errors.New("injected directory sync failure") }
+
+// A history file whose directory sync fails is reported as not saved —
+// its name may not survive a crash — and the boot goes on seeded. The
+// renamed file is whole, so a later boot that finds it loads it.
+func TestLoadOrSeedAQPHistoryUnsyncedDir(t *testing.T) {
+	dir := t.TempDir()
+	ds := tpch.Generate(0.005, 1)
+	key := HistoryKey{SF: 0.005, DatasetSeed: 1, CatalogSeed: 1, BatchRows: 500}
+	repo, cat := estimate.NewRepository(), tpch.NewCatalog(ds, key.CatalogSeed)
+	loaded, saveErr, err := LoadOrSeedAQPHistory(dirSyncFails{diskio.OS{}}, dir, key, repo, cat)
+	if err != nil || loaded || saveErr == nil {
+		t.Fatalf("loaded %v, save %v, seed %v; want a seeded boot and the directory-sync error", loaded, saveErr, err)
+	}
+	sameSeeding(t, repo, cat, ds, key)
+	repo, cat, loaded = historyBoot(t, nil, dir, ds, key)
+	if !loaded {
+		t.Fatal("the renamed file did not load")
+	}
+	sameSeeding(t, repo, cat, ds, key)
 }
