@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rotary/internal/codec"
 	"rotary/internal/sim"
 	"rotary/internal/stream"
 )
@@ -103,9 +104,9 @@ func TestGroupTableRoundTrip(t *testing.T) {
 			gt.Update(string(rune('a'+r.IntN(5))), r.Range(-10, 10), r.Range(-10, 10))
 		}
 		data := gt.appendTo(nil)
-		d := &Dec{b: data}
+		d := codec.NewDec(data)
 		back := decodeTable(d, specs)
-		if d.err != nil || len(d.b) != 0 || !tablesEqual(gt, back) {
+		if d.End() != nil || !tablesEqual(gt, back) {
 			return false
 		}
 		return bytes.Equal(data, back.appendTo(nil))

@@ -3,10 +3,10 @@ package aqp
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 
+	"rotary/internal/codec"
 	"rotary/internal/stream"
 )
 
@@ -37,11 +37,6 @@ import (
 
 const cellBytes = 40
 
-// AppendFloat appends f's IEEE-754 bits, little-endian.
-func AppendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
 // appendTo appends the table's groups in name order.
 func (t *GroupTable) appendTo(b []byte) []byte {
 	type row struct {
@@ -55,12 +50,11 @@ func (t *GroupTable) appendTo(b []byte) []byte {
 	slices.SortFunc(rows, func(x, y row) int { return strings.Compare(x.name, y.name) })
 	b = binary.AppendUvarint(b, uint64(len(rows)))
 	for _, r := range rows {
-		b = binary.AppendUvarint(b, uint64(len(r.name)))
-		b = append(b, r.name...)
+		b = codec.AppendName(b, r.name)
 		for _, c := range r.cells {
-			b = AppendFloat(AppendFloat(b, c.Sum), c.SumSq)
+			b = codec.AppendFloat(codec.AppendFloat(b, c.Sum), c.SumSq)
 			b = binary.LittleEndian.AppendUint64(b, uint64(c.Count))
-			b = AppendFloat(AppendFloat(b, c.Min), c.Max)
+			b = codec.AppendFloat(codec.AppendFloat(b, c.Min), c.Max)
 		}
 	}
 	return b
@@ -68,7 +62,7 @@ func (t *GroupTable) appendTo(b []byte) []byte {
 
 // decodeTable reads one table of len(specs)-cell groups. Names must
 // strictly ascend, so a decoded table re-encodes to the same bytes.
-func decodeTable(d *Dec, specs []AggSpec) *GroupTable {
+func decodeTable(d *codec.Dec, specs []AggSpec) *GroupTable {
 	n := d.Count(1 + len(specs)*cellBytes)
 	t := &GroupTable{specs: specs, groups: make(map[string][]cell, n)}
 	slab := make([]cell, n*len(specs))
@@ -81,7 +75,7 @@ func decodeTable(d *Dec, specs []AggSpec) *GroupTable {
 		prev = name
 		cs := slab[i*len(specs) : (i+1)*len(specs) : (i+1)*len(specs)]
 		for j := range cs {
-			cs[j] = cell{Sum: d.Float(), SumSq: d.Float(), Count: int64(d.u64()), Min: d.Float(), Max: d.Float()}
+			cs[j] = cell{Sum: d.Float(), SumSq: d.Float(), Count: int64(d.Uint64()), Min: d.Float(), Max: d.Float()}
 		}
 		t.groups[name] = cs
 	}
@@ -101,7 +95,7 @@ func (r *Running[T]) tables() []*GroupTable {
 // and the executor's pristine copy keep what is returned.
 func (r *Running[T]) Checkpoint() ([]byte, error) {
 	b := make([]byte, 0, r.ckptLen+r.ckptLen/4+256)
-	b = AppendName(b, r.name)
+	b = codec.AppendName(b, r.name)
 	read, parts := r.consumer.Read(), r.consumer.Partitions()
 	b = binary.AppendUvarint(b, uint64(parts))
 	for p := range parts {
@@ -128,12 +122,12 @@ func (r *Running[T]) Checkpoint() ([]byte, error) {
 // trailing bytes) before the first field of r changes, so a rejected
 // checkpoint leaves the query exactly as it was.
 func (r *Running[T]) Restore(data []byte) error {
-	d := NewDec(data)
-	if name := d.Name(); d.err == nil && name != r.name {
+	d := codec.NewDec(data)
+	if name := d.Name(); d.Err() == nil && name != r.name {
 		return fmt.Errorf("aqp: restore: checkpoint is for %q, query is %q", name, r.name)
 	}
 	parts := r.consumer.Partitions()
-	if n := d.Count(1); d.err == nil && n != parts {
+	if n := d.Count(1); n != parts {
 		d.Failf("%d partition offsets for %d partitions", n, parts)
 	}
 	offsets := make([]uint64, parts)
@@ -150,11 +144,11 @@ func (r *Running[T]) Restore(data []byte) error {
 	if want := read % parts; pointer != uint64(want) {
 		d.Failf("round-robin pointer %d, but %d records read leave it at %d", pointer, read, want)
 	}
-	if n := d.Uvarint(); d.err == nil && n != uint64(len(r.specs)) {
+	if n := d.Uvarint(); n != uint64(len(r.specs)) {
 		d.Failf("%d cells per group for %d specs", n, len(r.specs))
 	}
 	tables := make([]*GroupTable, len(r.tables()))
-	if n := d.Uvarint(); d.err == nil && n != uint64(len(tables)) {
+	if n := d.Uvarint(); n != uint64(len(tables)) {
 		d.Failf("%d aggregate tables, this query's data path keeps %d", n, len(tables))
 	}
 	for i := range tables {
@@ -164,11 +158,12 @@ func (r *Running[T]) Restore(data []byte) error {
 	if r.proc.LoadAux != nil {
 		commitAux = r.proc.LoadAux(d)
 	}
-	if d.err = d.End(); d.err == nil {
-		d.err = r.consumer.Seek(read)
+	err := d.End()
+	if err == nil {
+		err = r.consumer.Seek(read)
 	}
-	if d.err != nil {
-		return fmt.Errorf("aqp: restore %s: %w", r.name, d.err)
+	if err != nil {
+		return fmt.Errorf("aqp: restore %s: %w", r.name, err)
 	}
 	commitAux()
 	if r.partials == nil {
@@ -179,12 +174,7 @@ func (r *Running[T]) Restore(data []byte) error {
 	return nil
 }
 
-// AppendName appends s with its uvarint length, as Dec.Name reads it.
-func AppendName(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-// AppendSnapshot appends a snapshot in the form Dec.Snapshot reads:
+// AppendSnapshot appends a snapshot in the form DecodeSnapshot reads:
 //
 //	uvarint specs | per spec: name, uvarint kind, weight
 //	uvarint groups | per group, ascending by name:
@@ -192,25 +182,25 @@ func AppendName(b []byte, s string) []byte {
 func AppendSnapshot(b []byte, s Snapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s.Specs)))
 	for _, spec := range s.Specs {
-		b = binary.AppendUvarint(AppendName(b, spec.Name), uint64(spec.Kind))
-		b = AppendFloat(b, spec.Weight)
+		b = binary.AppendUvarint(codec.AppendName(b, spec.Name), uint64(spec.Kind))
+		b = codec.AppendFloat(b, spec.Weight)
 	}
 	names := s.GroupNames()
 	b = binary.AppendUvarint(b, uint64(len(names)))
 	for _, g := range names {
 		vals := s.Groups[g]
-		b = binary.AppendUvarint(AppendName(b, g), uint64(len(vals)))
+		b = binary.AppendUvarint(codec.AppendName(b, g), uint64(len(vals)))
 		for _, v := range vals {
-			b = AppendFloat(b, v)
+			b = codec.AppendFloat(b, v)
 		}
 	}
 	return b
 }
 
-// Snapshot reads what AppendSnapshot wrote. Group names must strictly
-// ascend and kinds must be known, so a decoded snapshot re-encodes to the
-// same bytes.
-func (d *Dec) Snapshot() Snapshot {
+// DecodeSnapshot reads what AppendSnapshot wrote. Group names must
+// strictly ascend and kinds must be known, so a decoded snapshot
+// re-encodes to the same bytes.
+func DecodeSnapshot(d *codec.Dec) Snapshot {
 	specs := make([]AggSpec, d.Count(10))
 	for i := range specs {
 		specs[i].Name = d.Name()
@@ -238,80 +228,3 @@ func (d *Dec) Snapshot() Snapshot {
 	}
 	return s
 }
-
-// Dec reads checkpoint fields off bytes that are not trusted. The first
-// truncated or malformed field latches an error and every later read
-// returns zero, so a decoder reads straight through; Restore reports the
-// latched error once the whole payload has been walked.
-type Dec struct {
-	b   []byte
-	err error
-}
-
-// NewDec starts reading b.
-func NewDec(b []byte) *Dec { return &Dec{b: b} }
-
-// End reports the first decode error or, failing that, bytes left unread.
-func (d *Dec) End() error {
-	if d.err == nil && len(d.b) > 0 {
-		d.Failf("%d trailing bytes", len(d.b))
-	}
-	return d.err
-}
-
-// Name reads the length-prefixed string AppendName wrote.
-func (d *Dec) Name() string { return string(d.bytes(d.Count(1))) }
-
-// Failf latches a decode error; the first one wins.
-func (d *Dec) Failf(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *Dec) bytes(n int) []byte {
-	if n > len(d.b) {
-		d.Failf("checkpoint truncated")
-	}
-	if d.err != nil {
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-// Uvarint reads one unsigned varint.
-func (d *Dec) Uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.Failf("checkpoint truncated")
-	}
-	if d.err != nil {
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// Count reads a uvarint element count and rejects it unless that many
-// elements of at least minBytes each fit in the input left, so nothing
-// sized from the result exceeds O(len(input)).
-func (d *Dec) Count(minBytes int) int {
-	v := d.Uvarint()
-	if v > uint64(len(d.b)/minBytes) {
-		d.Failf("count %d exceeds the %d bytes left", v, len(d.b))
-		return 0
-	}
-	return int(v)
-}
-
-func (d *Dec) u64() uint64 {
-	if b := d.bytes(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-// Float reads the eight bytes AppendFloat wrote.
-func (d *Dec) Float() float64 { return math.Float64frombits(d.u64()) }

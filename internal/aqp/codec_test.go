@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"rotary/internal/codec"
 	"rotary/internal/stream"
 )
 
@@ -25,8 +26,8 @@ func auxProcessor() Processor[synthRow] {
 				gt.Update(rows[i].Group, v, 1, v, v, v)
 			}
 		},
-		SaveAux: func(b []byte) []byte { return binary.AppendUvarint(AppendFloat(b, total), uint64(seen)) },
-		LoadAux: func(d *Dec) func() {
+		SaveAux: func(b []byte) []byte { return binary.AppendUvarint(codec.AppendFloat(b, total), uint64(seen)) },
+		LoadAux: func(d *codec.Dec) func() {
 			t, s := d.Float(), int64(d.Uvarint())
 			return func() { total, seen = t, s }
 		},
@@ -143,40 +144,43 @@ func swapFirstGroups(t *testing.T, cp []byte) []byte {
 	t.Helper()
 	// "q" (2) + 4 partitions (5) + pointer + rows (2: 500) + specs + tables.
 	const table = 2 + 5 + 1 + 2 + 1 + 1
-	d := &Dec{b: cp[table:]}
-	if n := d.Count(1); n < 2 {
+	start := table
+	if n := uvarintAt(cp, &start); n < 2 {
 		t.Fatalf("fixture's first table has %d groups", n)
 	}
-	start := len(cp) - len(d.b)
-	group := func() []byte {
-		from := len(cp) - len(d.b)
-		d.bytes(d.Count(1) + len(allKindSpecs())*cellBytes)
-		return cp[from : len(cp)-len(d.b)]
+	group := func(from int) []byte {
+		end := from
+		end += int(uvarintAt(cp, &end)) + len(allKindSpecs())*cellBytes
+		return cp[from:end]
 	}
-	g1, g2 := group(), group()
-	if d.err != nil {
-		t.Fatal(d.err)
-	}
+	g1 := group(start)
+	g2 := group(start + len(g1))
 	out := append([]byte(nil), cp[:start]...)
 	out = append(append(out, g2...), g1...)
 	return append(out, cp[start+len(g1)+len(g2):]...)
 }
 
+// uvarintAt reads the uvarint at b[*pos] and moves *pos past it.
+func uvarintAt(b []byte, pos *int) uint64 {
+	v, n := binary.Uvarint(b[*pos:])
+	*pos += n
+	return v
+}
+
 // withPosition returns a copy of cp with its consumer section replaced.
 func withPosition(cp []byte, offsets []int, pointer, rows int) []byte {
-	d := &Dec{b: cp}
-	d.bytes(d.Count(1))
-	start := len(cp) - len(d.b)
-	for n := d.Count(1); n >= 0; n-- { // the offsets, then the pointer
-		d.Uvarint()
+	start := 0
+	start += int(uvarintAt(cp, &start)) // the query name
+	end := start
+	for n := uvarintAt(cp, &end) + 2; n > 0; n-- { // the offsets, the pointer, the rows
+		uvarintAt(cp, &end)
 	}
-	d.Uvarint()
 	out := binary.AppendUvarint(append([]byte(nil), cp[:start]...), uint64(len(offsets)))
 	for _, off := range offsets {
 		out = binary.AppendUvarint(out, uint64(off))
 	}
 	out = binary.AppendUvarint(binary.AppendUvarint(out, uint64(pointer)), uint64(rows))
-	return append(out, cp[len(cp)-len(d.b):]...)
+	return append(out, cp[end:]...)
 }
 
 // unreachablePositions rewrites the consumer section of cp, a checkpoint
@@ -201,7 +205,7 @@ func unreachablePositions(cp []byte, read, total, parts int) map[string][]byte {
 	}
 }
 
-// A snapshot survives AppendSnapshot and Dec.Snapshot bit for bit —
+// A snapshot survives AppendSnapshot and DecodeSnapshot bit for bit —
 // negative zero, infinities and NaN included — and every truncation of
 // its encoding is rejected, never half-read.
 func TestSnapshotCodecRoundTrip(t *testing.T) {
@@ -214,8 +218,8 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		},
 	}
 	enc := AppendSnapshot(nil, s)
-	d := NewDec(enc)
-	back := d.Snapshot()
+	d := codec.NewDec(enc)
+	back := DecodeSnapshot(d)
 	if err := d.End(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +230,8 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		t.Fatalf("specs %v, want %v", back.Specs, s.Specs)
 	}
 	for n := 0; n < len(enc); n++ {
-		d := NewDec(enc[:n])
-		d.Snapshot()
+		d := codec.NewDec(enc[:n])
+		DecodeSnapshot(d)
 		if d.End() == nil {
 			t.Fatalf("a %d-byte prefix of the %d-byte encoding decoded cleanly", n, len(enc))
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rotary/internal/codec"
 	"rotary/internal/sim"
 	"rotary/internal/stream"
 )
@@ -242,7 +243,7 @@ func TestParallelCheckpointRoundTrip(t *testing.T) {
 // sequential path.
 func withNoAux(p Processor[synthRow]) Processor[synthRow] {
 	p.SaveAux = func(b []byte) []byte { return b }
-	p.LoadAux = func(*Dec) func() { return func() {} }
+	p.LoadAux = func(*codec.Dec) func() { return func() {} }
 	return p
 }
 
@@ -275,10 +276,10 @@ func TestCheckpointPreservesNonFiniteSentinels(t *testing.T) {
 	if c := gt.groups["overflow"][0]; !math.IsInf(c.SumSq, 1) || !math.IsNaN(c.Sum) {
 		t.Fatalf("fixture lost its non-finite accumulators: %+v", c)
 	}
-	d := &Dec{b: gt.appendTo(nil)}
+	d := codec.NewDec(gt.appendTo(nil))
 	back := decodeTable(d, specs)
-	if d.err != nil || len(d.b) != 0 {
-		t.Fatalf("decode: %v, %d bytes left", d.err, len(d.b))
+	if err := d.End(); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if !tablesEqual(gt, back) {
 		t.Fatalf("round trip changed cells:\n%+v\n%+v", gt.groups, back.groups)

@@ -3,6 +3,7 @@ package aqp
 import (
 	"math"
 
+	"rotary/internal/codec"
 	"rotary/internal/stream"
 )
 
@@ -60,7 +61,7 @@ type Processor[T any] struct {
 	// caller installs nothing unless the whole checkpoint decoded cleanly
 	// (a decode failure is latched in d).
 	SaveAux func(b []byte) []byte
-	LoadAux func(d *Dec) (commit func())
+	LoadAux func(d *codec.Dec) (commit func())
 	// AuxBytes reports the auxiliary state's current footprint. Nil means
 	// zero.
 	AuxBytes func() int64

@@ -2,10 +2,8 @@ package core
 
 import (
 	"container/list"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -13,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"rotary/internal/codec"
 	"rotary/internal/diskio"
 	"rotary/internal/faults"
 	"rotary/internal/obs"
@@ -35,59 +34,23 @@ var (
 	ErrTransient = errors.New("core: transient checkpoint I/O error")
 )
 
-// Checkpoint wire format: a fixed header followed by the payload.
-//
-//	offset size  field
-//	0      4     magic "RCKP"
-//	4      1     format version (2)
-//	5      3     reserved (zero)
-//	8      4     payload length, little-endian
-//	12     4     CRC32 (IEEE) of the payload, little-endian
-//	16     …     payload
-//
-// The header lets Load reject torn, truncated, or bit-flipped files by
-// checksum before any byte of the payload reaches a deserializer. The
-// version names the payload encoding as well: version 1 carried JSON job
-// state, version 2 carries the binary codec of internal/aqp. A frame of
-// another version is ErrCorrupt, so a checkpoint directory written by
-// older code costs each job a restart from scratch, never a failed run.
-const (
-	ckptMagic     = "RCKP"
-	ckptVersion   = 2
-	ckptHeaderLen = 16
-)
+// A checkpoint file is one codec.Frame whose magic is "RCKP", the format
+// version (2) and three reserved zero bytes — 16 header bytes with the
+// payload's length and CRC32 — so Load rejects torn, truncated, or
+// bit-flipped files by checksum before any byte of the payload reaches a
+// deserializer. The version names the payload encoding as well: version
+// 1 carried JSON job state, version 2 carries the binary codec of
+// internal/aqp. A frame of another version fails the magic and is
+// ErrCorrupt, so a checkpoint directory written by older code costs each
+// job a restart from scratch, never a failed run.
+const ckptMagic = "RCKP\x02\x00\x00\x00"
 
-// encodeCheckpointFrame wraps a payload in the checksummed header.
-func encodeCheckpointFrame(payload []byte) []byte {
-	frame := make([]byte, ckptHeaderLen+len(payload))
-	copy(frame, ckptMagic)
-	frame[4] = ckptVersion
-	binary.LittleEndian.PutUint32(frame[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[12:16], crc32.ChecksumIEEE(payload))
-	copy(frame[ckptHeaderLen:], payload)
-	return frame
-}
-
-// decodeCheckpointFrame validates a frame and returns its payload, or an
-// error wrapping ErrCorrupt. It never returns payload bytes that failed
-// the checksum.
-func decodeCheckpointFrame(frame []byte) ([]byte, error) {
-	if len(frame) < ckptHeaderLen {
-		return nil, fmt.Errorf("%w: %d-byte file shorter than header", ErrCorrupt, len(frame))
-	}
-	if string(frame[:4]) != ckptMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, frame[:4])
-	}
-	if frame[4] != ckptVersion {
-		return nil, fmt.Errorf("%w: unsupported format version %d", ErrCorrupt, frame[4])
-	}
-	n := binary.LittleEndian.Uint32(frame[8:12])
-	if int(n) != len(frame)-ckptHeaderLen {
-		return nil, fmt.Errorf("%w: header claims %d payload bytes, file has %d", ErrCorrupt, n, len(frame)-ckptHeaderLen)
-	}
-	payload := frame[ckptHeaderLen:]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(frame[12:16]); got != want {
-		return nil, fmt.Errorf("%w: CRC32 mismatch (stored %08x, computed %08x)", ErrCorrupt, want, got)
+// unframe returns a checkpoint frame's payload, or an error wrapping
+// ErrCorrupt.
+func unframe(frame []byte) ([]byte, error) {
+	payload, err := codec.Unframe(ckptMagic, frame)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return payload, nil
 }
@@ -517,7 +480,7 @@ func (s *CheckpointStore) slowIO() {
 // writeFile frames the payload and writes it (Save, spill, Flush), with
 // the store's fault injector armed on every attempt.
 func (s *CheckpointStore) writeFile(id string, data []byte) error {
-	return s.writeFrame(id, encodeCheckpointFrame(data), s.injector)
+	return s.writeFrame(id, codec.Frame(ckptMagic, data), s.injector)
 }
 
 // writeFrame is the one place a frame reaches disk (Save, Flush, Import),
@@ -541,7 +504,7 @@ func (s *CheckpointStore) writeFrame(id string, frame []byte, in *faults.Injecto
 			return ErrTransient
 		case faults.Corrupt:
 			out = append([]byte(nil), frame...)
-			out[ckptHeaderLen+(len(frame)-ckptHeaderLen)/2] ^= 0xFF
+			out[len(out)-1] ^= 0xFF
 		case faults.Slow:
 			s.slowIO()
 		}
@@ -611,7 +574,7 @@ func (s *CheckpointStore) Load(id string) (data []byte, fromMemory bool, err err
 		return nil, false, fmt.Errorf("core: load checkpoint %s: %w", id, err)
 	}
 	s.met.readLatency.Observe(time.Since(ioStart).Seconds())
-	payload, err := decodeCheckpointFrame(frame)
+	payload, err := unframe(frame)
 	if err != nil {
 		s.book(ckptCorrupt, 1)
 		return nil, false, fmt.Errorf("core: load checkpoint %s: %w", id, err)
@@ -634,14 +597,14 @@ func (s *CheckpointStore) Export(id string) ([]byte, error) {
 		return nil, fmt.Errorf("core: export checkpoint %s: store closed", id)
 	}
 	if d, ok := s.memory[id]; ok {
-		return encodeCheckpointFrame(d), nil
+		return codec.Frame(ckptMagic, d), nil
 	}
 	if f, ok := s.staged[id]; ok {
 		d, err := s.payload(id, f, true)
 		if err != nil {
 			return nil, err
 		}
-		return encodeCheckpointFrame(d), nil
+		return codec.Frame(ckptMagic, d), nil
 	}
 	frame, err := s.dio.ReadFile(s.path(id))
 	if err != nil {
@@ -650,7 +613,7 @@ func (s *CheckpointStore) Export(id string) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("core: export checkpoint %s: %w", id, err)
 	}
-	if _, err := decodeCheckpointFrame(frame); err != nil {
+	if _, err := unframe(frame); err != nil {
 		s.book(ckptCorrupt, 1)
 		return nil, fmt.Errorf("core: export checkpoint %s: %w", id, err)
 	}
@@ -669,7 +632,7 @@ func (s *CheckpointStore) Import(id string, frame []byte) error {
 	if s.closed {
 		return fmt.Errorf("core: import checkpoint %s: store closed", id)
 	}
-	if _, err := decodeCheckpointFrame(frame); err != nil {
+	if _, err := unframe(frame); err != nil {
 		return fmt.Errorf("core: import checkpoint %s: %w", id, err)
 	}
 	defer func(p float64) { s.penaltySecs = p }(s.penaltySecs)

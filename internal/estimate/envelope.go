@@ -80,56 +80,3 @@ func (e *Envelope) Ratio() float64 {
 func (e *Envelope) Converged(threshold float64) bool {
 	return len(e.vals) >= e.window && e.Ratio() >= threshold
 }
-
-// EnvelopeSet maintains one envelope per aggregate cell of a query's
-// snapshots (group × column), producing the composite estimated accuracy
-// Rotary-AQP arbitrates on. Cells are keyed by the caller.
-type EnvelopeSet struct {
-	window int
-	cells  map[string]*Envelope
-}
-
-// NewEnvelopeSet returns an empty set with the given per-cell window.
-func NewEnvelopeSet(window int) *EnvelopeSet {
-	return &EnvelopeSet{window: window, cells: make(map[string]*Envelope)}
-}
-
-// Observe feeds one cell's per-epoch value.
-func (s *EnvelopeSet) Observe(key string, v float64) {
-	e, ok := s.cells[key]
-	if !ok {
-		e = NewEnvelope(s.window)
-		s.cells[key] = e
-	}
-	e.Observe(v)
-}
-
-// EstimatedAccuracy reports the mean per-cell ratio — the system-side
-// estimate of αc/αf that does not require knowing the final answer.
-func (s *EnvelopeSet) EstimatedAccuracy() float64 {
-	if len(s.cells) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, e := range s.cells {
-		sum += e.Ratio()
-	}
-	return sum / float64(len(s.cells))
-}
-
-// Converged reports whether every cell's envelope has converged at the
-// threshold.
-func (s *EnvelopeSet) Converged(threshold float64) bool {
-	if len(s.cells) == 0 {
-		return false
-	}
-	for _, e := range s.cells {
-		if !e.Converged(threshold) {
-			return false
-		}
-	}
-	return true
-}
-
-// Cells reports how many aggregate cells are tracked.
-func (s *EnvelopeSet) Cells() int { return len(s.cells) }

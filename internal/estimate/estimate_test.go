@@ -141,24 +141,6 @@ func TestEnvelopeZeroStable(t *testing.T) {
 	}
 }
 
-func TestEnvelopeSetComposite(t *testing.T) {
-	s := NewEnvelopeSet(3)
-	for i := 0; i < 3; i++ {
-		s.Observe("stable", 10)
-		s.Observe("growing", float64(i+1))
-	}
-	if s.Converged(0.99) {
-		t.Error("set converged while one cell grows")
-	}
-	acc := s.EstimatedAccuracy()
-	if acc <= 0 || acc >= 1 {
-		t.Errorf("composite accuracy %v out of (0,1)", acc)
-	}
-	if s.Cells() != 2 {
-		t.Errorf("cells = %d", s.Cells())
-	}
-}
-
 func seededRepo() *Repository {
 	r := NewRepository()
 	r.AddDLT(DLTRecord{ID: "exact", Model: "resnet-18", Family: "resnet", Dataset: "cifar10",

@@ -38,6 +38,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"rotary/internal/codec"
 )
 
 // Codec names (ClientConfig.Codec and metric labels).
@@ -321,15 +323,17 @@ func (c *jsonClientCodec) ReadResponse() (Response, error) {
 // --- binary payload encoding ---------------------------------------------
 //
 // A payload is a sequence of (tag byte, value) pairs, one per non-zero
-// field. Value shapes by field type: strings are uvarint length +
-// bytes; ints are zigzag varints (negative values survive a malicious
-// or buggy peer without silent truncation); float64 is 8 big-endian
-// IEEE bytes; bool is the tag alone (presence = true); uint64 is a
-// plain uvarint. The two rare nested shapes — the migrate handoff's
-// *JobRecord and the shards report's []ShardInfo — ride as
-// length-prefixed JSON sub-payloads: they appear on slow-path admin
-// ops only, and reusing the JSON shape keeps one source of truth for
-// their fields.
+// field, written with package codec's appenders and read with its Dec.
+// Value shapes by field type: strings are uvarint length + bytes; ints
+// are zigzag varints (negative values survive a malicious or buggy peer
+// without silent truncation); float64 is its 8 IEEE bytes, little-endian
+// like every float Rotary writes, and is sent unless all its bits are
+// zero, so NaN, ±Inf and −0 arrive bit for bit; bool is the tag alone
+// (presence = true); uint64 is a plain uvarint. The two rare nested
+// shapes — the migrate handoff's *JobRecord and the shards report's
+// []ShardInfo — ride as length-prefixed JSON sub-payloads: they appear
+// on slow-path admin ops only, and reusing the JSON shape keeps one
+// source of truth for their fields.
 
 // Message field tags.
 const (
@@ -371,70 +375,44 @@ const (
 	rtJobRecord
 )
 
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-func appendInt(b []byte, tag byte, v int) []byte {
-	b = append(b, tag)
-	return binary.AppendVarint(b, int64(v))
-}
-
-func appendString(b []byte, tag byte, s string) []byte {
-	b = append(b, tag)
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBytes(b []byte, tag byte, p []byte) []byte {
-	b = append(b, tag)
-	b = appendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func appendFloat(b []byte, tag byte, f float64) []byte {
-	b = append(b, tag)
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(f))
-}
-
 func encodeMessage(m Message) []byte {
 	b := make([]byte, 0, 64)
 	if m.Op != "" {
-		b = appendString(b, mtOp, m.Op)
+		b = codec.AppendName(append(b, mtOp), m.Op)
 	}
 	if m.ID != "" {
-		b = appendString(b, mtID, m.ID)
+		b = codec.AppendName(append(b, mtID), m.ID)
 	}
 	if m.ReqID != "" {
-		b = appendString(b, mtReqID, m.ReqID)
+		b = codec.AppendName(append(b, mtReqID), m.ReqID)
 	}
 	if m.ServerEpoch != 0 {
-		b = appendInt(b, mtServerEpoch, m.ServerEpoch)
+		b = binary.AppendVarint(append(b, mtServerEpoch), int64(m.ServerEpoch))
 	}
 	if m.Statement != "" {
-		b = appendString(b, mtStatement, m.Statement)
+		b = codec.AppendName(append(b, mtStatement), m.Statement)
 	}
 	if m.Tenant != "" {
-		b = appendString(b, mtTenant, m.Tenant)
+		b = codec.AppendName(append(b, mtTenant), m.Tenant)
 	}
 	if m.Shard != 0 {
-		b = appendInt(b, mtShard, m.Shard)
+		b = binary.AppendVarint(append(b, mtShard), int64(m.Shard))
 	}
 	if m.Job != nil {
 		p, _ := json.Marshal(m.Job)
-		b = appendBytes(b, mtJob, p)
+		b = codec.AppendName(append(b, mtJob), string(p))
 	}
 	if m.BatchRows != 0 {
-		b = appendInt(b, mtBatchRows, m.BatchRows)
+		b = binary.AppendVarint(append(b, mtBatchRows), int64(m.BatchRows))
 	}
-	if m.Seconds != 0 {
-		b = appendFloat(b, mtSeconds, m.Seconds)
+	if math.Float64bits(m.Seconds) != 0 {
+		b = codec.AppendFloat(append(b, mtSeconds), m.Seconds)
 	}
 	if m.Wall {
 		b = append(b, mtWall)
 	}
 	if m.N != 0 {
-		b = appendInt(b, mtN, m.N)
+		b = binary.AppendVarint(append(b, mtN), int64(m.N))
 	}
 	return b
 }
@@ -445,241 +423,159 @@ func encodeResponse(r Response) []byte {
 		b = append(b, rtOK)
 	}
 	if r.Error != "" {
-		b = appendString(b, rtError, r.Error)
+		b = codec.AppendName(append(b, rtError), r.Error)
 	}
 	if r.Code != "" {
-		b = appendString(b, rtCode, r.Code)
+		b = codec.AppendName(append(b, rtCode), r.Code)
 	}
 	if r.ID != "" {
-		b = appendString(b, rtID, r.ID)
+		b = codec.AppendName(append(b, rtID), r.ID)
 	}
 	if r.Status != "" {
-		b = appendString(b, rtStatus, r.Status)
+		b = codec.AppendName(append(b, rtStatus), r.Status)
 	}
 	if r.Tenant != "" {
-		b = appendString(b, rtTenant, r.Tenant)
+		b = codec.AppendName(append(b, rtTenant), r.Tenant)
 	}
-	if r.Accuracy != 0 {
-		b = appendFloat(b, rtAccuracy, r.Accuracy)
+	if math.Float64bits(r.Accuracy) != 0 {
+		b = codec.AppendFloat(append(b, rtAccuracy), r.Accuracy)
 	}
-	if r.Progress != 0 {
-		b = appendFloat(b, rtProgress, r.Progress)
+	if math.Float64bits(r.Progress) != 0 {
+		b = codec.AppendFloat(append(b, rtProgress), r.Progress)
 	}
 	if r.BestEffort {
 		b = append(b, rtBestEffort)
 	}
-	if r.VirtualNow != 0 {
-		b = appendFloat(b, rtVirtualNow, r.VirtualNow)
+	if math.Float64bits(r.VirtualNow) != 0 {
+		b = codec.AppendFloat(append(b, rtVirtualNow), r.VirtualNow)
 	}
 	if r.Jobs != 0 {
-		b = appendInt(b, rtJobs, r.Jobs)
+		b = binary.AppendVarint(append(b, rtJobs), int64(r.Jobs))
 	}
 	if r.Terminal != 0 {
-		b = appendInt(b, rtTerminal, r.Terminal)
+		b = binary.AppendVarint(append(b, rtTerminal), int64(r.Terminal))
 	}
 	if r.Report != "" {
-		b = appendString(b, rtReport, r.Report)
+		b = codec.AppendName(append(b, rtReport), r.Report)
 	}
 	if r.Dropped != 0 {
-		b = append(b, rtDropped)
-		b = appendUvarint(b, r.Dropped)
+		b = binary.AppendUvarint(append(b, rtDropped), r.Dropped)
 	}
 	if r.ServerEpoch != 0 {
-		b = appendInt(b, rtServerEpoch, r.ServerEpoch)
+		b = binary.AppendVarint(append(b, rtServerEpoch), int64(r.ServerEpoch))
 	}
 	if r.Recovered != 0 {
-		b = appendInt(b, rtRecovered, r.Recovered)
+		b = binary.AppendVarint(append(b, rtRecovered), int64(r.Recovered))
 	}
-	if r.RetryAfterSecs != 0 {
-		b = appendFloat(b, rtRetryAfterSecs, r.RetryAfterSecs)
+	if math.Float64bits(r.RetryAfterSecs) != 0 {
+		b = codec.AppendFloat(append(b, rtRetryAfterSecs), r.RetryAfterSecs)
 	}
 	if r.Shard != 0 {
-		b = appendInt(b, rtShard, r.Shard)
+		b = binary.AppendVarint(append(b, rtShard), int64(r.Shard))
 	}
 	if len(r.Shards) != 0 {
 		p, _ := json.Marshal(r.Shards)
-		b = appendBytes(b, rtShards, p)
+		b = codec.AppendName(append(b, rtShards), string(p))
 	}
 	if r.Job != nil {
 		p, _ := json.Marshal(r.Job)
-		b = appendBytes(b, rtJobRecord, p)
+		b = codec.AppendName(append(b, rtJobRecord), string(p))
 	}
 	return b
 }
 
-// payloadReader walks a tag-encoded payload with bounds checks; any
-// malformed read poisons it so decode loops can check the error once.
-type payloadReader struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (p *payloadReader) more() bool { return p.err == nil && p.pos < len(p.b) }
-
-func (p *payloadReader) fail(what string) {
-	if p.err == nil {
-		p.err = fmt.Errorf("serve: truncated binary payload (%s at offset %d)", what, p.pos)
-	}
-}
-
-func (p *payloadReader) tag() byte {
-	if p.err != nil || p.pos >= len(p.b) {
-		p.fail("tag")
-		return 0
-	}
-	t := p.b[p.pos]
-	p.pos++
-	return t
-}
-
-func (p *payloadReader) uvarint() uint64 {
-	if p.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(p.b[p.pos:])
-	if n <= 0 {
-		p.fail("uvarint")
-		return 0
-	}
-	p.pos += n
-	return v
-}
-
-func (p *payloadReader) int() int {
-	if p.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(p.b[p.pos:])
-	if n <= 0 {
-		p.fail("varint")
-		return 0
-	}
-	p.pos += n
-	return int(v)
-}
-
-func (p *payloadReader) bytes() []byte {
-	n := p.uvarint()
-	if p.err != nil {
-		return nil
-	}
-	if n > uint64(len(p.b)-p.pos) {
-		p.fail("bytes")
-		return nil
-	}
-	out := p.b[p.pos : p.pos+int(n)]
-	p.pos += int(n)
-	return out
-}
-
-func (p *payloadReader) string() string { return string(p.bytes()) }
-
-func (p *payloadReader) float() float64 {
-	if p.err != nil {
-		return 0
-	}
-	if len(p.b)-p.pos < 8 {
-		p.fail("float64")
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(p.b[p.pos:]))
-	p.pos += 8
-	return v
-}
-
 func decodeMessage(b []byte) (Message, error) {
 	var m Message
-	p := &payloadReader{b: b}
-	for p.more() {
-		switch t := p.tag(); t {
+	d := codec.NewDec(b)
+	for d.More() {
+		switch t := d.Byte(); t {
 		case mtOp:
-			m.Op = p.string()
+			m.Op = d.Name()
 		case mtID:
-			m.ID = p.string()
+			m.ID = d.Name()
 		case mtReqID:
-			m.ReqID = p.string()
+			m.ReqID = d.Name()
 		case mtServerEpoch:
-			m.ServerEpoch = p.int()
+			m.ServerEpoch = int(d.Varint())
 		case mtStatement:
-			m.Statement = p.string()
+			m.Statement = d.Name()
 		case mtTenant:
-			m.Tenant = p.string()
+			m.Tenant = d.Name()
 		case mtShard:
-			m.Shard = p.int()
+			m.Shard = int(d.Varint())
 		case mtJob:
 			var jr JobRecord
-			if raw := p.bytes(); p.err == nil {
+			if raw := d.Bytes(); d.Err() == nil {
 				if err := json.Unmarshal(raw, &jr); err != nil {
 					return m, fmt.Errorf("serve: binary message job record: %w", err)
 				}
 				m.Job = &jr
 			}
 		case mtBatchRows:
-			m.BatchRows = p.int()
+			m.BatchRows = int(d.Varint())
 		case mtSeconds:
-			m.Seconds = p.float()
+			m.Seconds = d.Float()
 		case mtWall:
 			m.Wall = true
 		case mtN:
-			m.N = p.int()
+			m.N = int(d.Varint())
 		default:
 			return m, fmt.Errorf("serve: unknown binary message tag %d", t)
 		}
 	}
-	return m, p.err
+	return m, d.Err()
 }
 
 func decodeResponse(b []byte) (Response, error) {
 	var r Response
-	p := &payloadReader{b: b}
-	for p.more() {
-		switch t := p.tag(); t {
+	d := codec.NewDec(b)
+	for d.More() {
+		switch t := d.Byte(); t {
 		case rtOK:
 			r.OK = true
 		case rtError:
-			r.Error = p.string()
+			r.Error = d.Name()
 		case rtCode:
-			r.Code = p.string()
+			r.Code = d.Name()
 		case rtID:
-			r.ID = p.string()
+			r.ID = d.Name()
 		case rtStatus:
-			r.Status = p.string()
+			r.Status = d.Name()
 		case rtTenant:
-			r.Tenant = p.string()
+			r.Tenant = d.Name()
 		case rtAccuracy:
-			r.Accuracy = p.float()
+			r.Accuracy = d.Float()
 		case rtProgress:
-			r.Progress = p.float()
+			r.Progress = d.Float()
 		case rtBestEffort:
 			r.BestEffort = true
 		case rtVirtualNow:
-			r.VirtualNow = p.float()
+			r.VirtualNow = d.Float()
 		case rtJobs:
-			r.Jobs = p.int()
+			r.Jobs = int(d.Varint())
 		case rtTerminal:
-			r.Terminal = p.int()
+			r.Terminal = int(d.Varint())
 		case rtReport:
-			r.Report = p.string()
+			r.Report = d.Name()
 		case rtDropped:
-			r.Dropped = p.uvarint()
+			r.Dropped = d.Uvarint()
 		case rtServerEpoch:
-			r.ServerEpoch = p.int()
+			r.ServerEpoch = int(d.Varint())
 		case rtRecovered:
-			r.Recovered = p.int()
+			r.Recovered = int(d.Varint())
 		case rtRetryAfterSecs:
-			r.RetryAfterSecs = p.float()
+			r.RetryAfterSecs = d.Float()
 		case rtShard:
-			r.Shard = p.int()
+			r.Shard = int(d.Varint())
 		case rtShards:
-			if raw := p.bytes(); p.err == nil && len(raw) > 0 {
+			if raw := d.Bytes(); d.Err() == nil && len(raw) > 0 {
 				if err := json.Unmarshal(raw, &r.Shards); err != nil {
 					return r, fmt.Errorf("serve: binary response shards: %w", err)
 				}
 			}
 		case rtJobRecord:
 			var jr JobRecord
-			if raw := p.bytes(); p.err == nil {
+			if raw := d.Bytes(); d.Err() == nil {
 				if err := json.Unmarshal(raw, &jr); err != nil {
 					return r, fmt.Errorf("serve: binary response job record: %w", err)
 				}
@@ -689,7 +585,7 @@ func decodeResponse(b []byte) (Response, error) {
 			return r, fmt.Errorf("serve: unknown binary response tag %d", t)
 		}
 	}
-	return r, p.err
+	return r, d.Err()
 }
 
 // --- listen address specs -------------------------------------------------

@@ -88,6 +88,43 @@ func TestJournalHealRollsToFreshSegment(t *testing.T) {
 	}
 }
 
+// TestJournalHealsSurviveCompaction: the heal count lives in the
+// recovery barrier of the segment Heal rolls to, and a compaction
+// supersedes that segment, so its snapshot must carry the count on.
+func TestJournalHealsSurviveCompaction(t *testing.T) {
+	dir := t.TempDir()
+	faulty := diskio.NewFaulty(nil, diskio.FaultConfig{Seed: 1})
+	jl, err := OpenJournalIO(dir, faulty)
+	if err != nil {
+		t.Fatalf("OpenJournalIO: %v", err)
+	}
+	defer jl.Close()
+	faulty.ForceFail(nil)
+	if err := jl.Append(Record{Kind: recClock, At: 1}); err == nil {
+		t.Fatal("append succeeded inside the fault window")
+	}
+	faulty.Clear()
+	if err := jl.Heal(); err != nil {
+		t.Fatalf("Heal: %v", err)
+	}
+	jl.SetCompactBytes(512)
+	for i := 0; ; i++ {
+		if _, compactions, _, _ := jl.Stats(); compactions == 1 {
+			break
+		} else if i == 1000 {
+			t.Fatalf("%d compactions after %d appends over a 512-byte threshold, want 1", compactions, i)
+		}
+		id := fmt.Sprintf("j%02d", i)
+		if err := jl.Append(Record{Kind: recSubmit, ID: id, Statement: "q1 ACC MIN 60% WITHIN 900 SECONDS", At: float64(i)}); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
+	}
+	jl.Close()
+	if rec := openTestJournal(t, dir).Recovered(); rec.Heals != 1 {
+		t.Fatalf("replayed heal count after a compaction %d, want 1", rec.Heals)
+	}
+}
+
 // TestJournalHealIdempotentWhenHealthy: Heal on a healthy journal is a
 // no-op — no segment roll, no counted heal.
 func TestJournalHealIdempotentWhenHealthy(t *testing.T) {

@@ -5,6 +5,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,6 +82,17 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(r, got) {
 			t.Fatalf("response %d round trip:\n sent %+v\n got  %+v", i, r, got)
+		}
+	}
+	// Floats cross as their bits: NaN, ±Inf, −0 and a subnormal too.
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64} {
+		m, err := decodeMessage(encodeMessage(Message{Op: "advance", Seconds: f}))
+		if err != nil || math.Float64bits(m.Seconds) != math.Float64bits(f) {
+			t.Errorf("Seconds %v (bits %016x) came back as %v (bits %016x), err %v", f, math.Float64bits(f), m.Seconds, math.Float64bits(m.Seconds), err)
+		}
+		r, err := decodeResponse(encodeResponse(Response{OK: true, Accuracy: f}))
+		if err != nil || math.Float64bits(r.Accuracy) != math.Float64bits(f) {
+			t.Errorf("Accuracy %v (bits %016x) came back as %v (bits %016x), err %v", f, math.Float64bits(f), r.Accuracy, math.Float64bits(r.Accuracy), err)
 		}
 	}
 }

@@ -116,7 +116,7 @@ type Record struct {
 	Epochs      int         `json:"epochs,omitempty"`
 	At          float64     `json:"at"`
 	ServerEpoch int         `json:"server_epoch,omitempty"`
-	Heals       int         `json:"heals,omitempty"` // recovery-barrier only
+	Heals       int         `json:"heals,omitempty"` // recovery-barrier and snapshot
 	Jobs        []JobRecord `json:"jobs,omitempty"`  // snapshot only
 }
 
@@ -161,8 +161,9 @@ type Recovered struct {
 	// DroppedBytes counts corrupt or truncated tail bytes discarded at
 	// open (0 for a clean journal).
 	DroppedBytes int64
-	// Heals is the cumulative recovery-barrier count replayed from the
-	// chain: how many times past incarnations healed a degraded journal.
+	// Heals is the cumulative heal count replayed from the chain's
+	// recovery barriers and snapshots: how many times past incarnations
+	// healed a degraded journal.
 	Heals int64
 }
 
@@ -525,13 +526,12 @@ func (jl *Journal) apply(rec Record) {
 			jl.jobs[j.ID] = &j
 			jl.order = append(jl.order, j.ID)
 		}
+		jl.heals = max(jl.heals, int64(rec.Heals))
 		if rec.ServerEpoch > jl.serverEpoch {
 			jl.serverEpoch = rec.ServerEpoch
 		}
 	case recBarrier:
-		if int64(rec.Heals) > jl.heals {
-			jl.heals = int64(rec.Heals)
-		}
+		jl.heals = max(jl.heals, int64(rec.Heals))
 		if rec.ServerEpoch > jl.serverEpoch {
 			jl.serverEpoch = rec.ServerEpoch
 		}
@@ -729,6 +729,7 @@ func (jl *Journal) roll(extra ...Record) error {
 		Kind:        recSnapshot,
 		ServerEpoch: jl.serverEpoch,
 		At:          jl.virtualNow,
+		Heals:       int(jl.heals),
 		Jobs:        jl.snapshotJobs(),
 	})
 	if err != nil {

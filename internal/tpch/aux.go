@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 
-	"rotary/internal/aqp"
+	"rotary/internal/codec"
 )
 
 // Checkpoint codecs for the per-key auxiliary state of Q4/Q17/Q18/Q21,
@@ -84,7 +84,7 @@ func (a *auxStore[V]) append(b []byte, put func([]byte, *V) []byte) []byte {
 // Keys must strictly ascend inside 1..n; valueBytes is the least get
 // consumes, which bounds the count by the input left. get decodes key k's
 // value into v and may reject it with d.Failf.
-func decodeAux[V any](d *aqp.Dec, n, valueBytes int, get func(d *aqp.Dec, k int32, v *V)) *auxStore[V] {
+func decodeAux[V any](d *codec.Dec, n, valueBytes int, get func(d *codec.Dec, k int32, v *V)) *auxStore[V] {
 	a := newAuxStore[V](n)
 	count := d.Count(1 + valueBytes)
 	if count == 0 {
@@ -117,7 +117,7 @@ func appendKeys(b []byte, keys []int32) []byte {
 	return b
 }
 
-func decodeKeys(d *aqp.Dec, dst []int32, maxKey int) uint8 {
+func decodeKeys(d *codec.Dec, dst []int32, maxKey int) uint8 {
 	n := d.Count(1)
 	if n > len(dst) {
 		d.Failf("%d supplier keys where at most %d fit", n, len(dst))

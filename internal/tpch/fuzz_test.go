@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"rotary/internal/aqp"
+	"rotary/internal/codec"
 )
 
 // FuzzCheckpointDecode is internal/aqp's fuzz target of the same name
@@ -33,7 +33,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	q18, _ := cat.NewQuery("q18")
 	pristine, _ := q18.Checkpoint()
 	for _, key := range []int64{-5, 1 << 30} {
-		f.Add(withAuxEntry(pristine, key, append(aqp.AppendFloat(nil, 5), 0)))
+		f.Add(withAuxEntry(pristine, key, append(codec.AppendFloat(nil, 5), 0)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, name := range auxQueries {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"rotary/internal/aqp"
+	"rotary/internal/codec"
 	"rotary/internal/stream"
 )
 
@@ -581,8 +582,8 @@ func (c *Catalog) buildQ4() (built, error) {
 		SaveAux: func(b []byte) []byte {
 			return seen.append(b, func(b []byte, _ *struct{}) []byte { return b })
 		},
-		LoadAux: func(d *aqp.Dec) func() {
-			m := decodeAux(d, nOrders, 0, func(*aqp.Dec, int32, *struct{}) {})
+		LoadAux: func(d *codec.Dec) func() {
+			m := decodeAux(d, nOrders, 0, func(*codec.Dec, int32, *struct{}) {})
 			return func() { seen = m }
 		},
 		AuxBytes: func() int64 { return int64(seen.len()) * 16 },
@@ -898,11 +899,11 @@ func (c *Catalog) buildQ17() (built, error) {
 		},
 		SaveAux: func(b []byte) []byte {
 			return avgs.append(b, func(b []byte, a *pavg) []byte {
-				return binary.AppendUvarint(aqp.AppendFloat(b, a.Sum), uint64(a.Count))
+				return binary.AppendUvarint(codec.AppendFloat(b, a.Sum), uint64(a.Count))
 			})
 		},
-		LoadAux: func(d *aqp.Dec) func() {
-			m := decodeAux(d, nParts, 9, func(d *aqp.Dec, _ int32, a *pavg) {
+		LoadAux: func(d *codec.Dec) func() {
+			m := decodeAux(d, nParts, 9, func(d *codec.Dec, _ int32, a *pavg) {
 				a.Sum, a.Count = d.Float(), int64(d.Uvarint())
 			})
 			return func() { avgs = m }
@@ -938,14 +939,14 @@ func (c *Catalog) buildQ18() (built, error) {
 		},
 		SaveAux: func(b []byte) []byte {
 			return acc.append(b, func(b []byte, st *ostate) []byte {
-				if b = aqp.AppendFloat(b, st.Qty); st.Added {
+				if b = codec.AppendFloat(b, st.Qty); st.Added {
 					return append(b, 1)
 				}
 				return append(b, 0)
 			})
 		},
-		LoadAux: func(d *aqp.Dec) func() {
-			m := decodeAux(d, nOrders, 9, func(d *aqp.Dec, _ int32, st *ostate) {
+		LoadAux: func(d *codec.Dec) func() {
+			m := decodeAux(d, nOrders, 9, func(d *codec.Dec, _ int32, st *ostate) {
 				st.Qty, st.Added = d.Float(), d.Uvarint() != 0
 			})
 			return func() { acc = m }
@@ -1075,9 +1076,9 @@ func (c *Catalog) buildQ21() (built, error) {
 		},
 		// A live entry has seen fewer lines than its order has (the last
 		// one deletes it) and lists at most one supplier per line seen.
-		LoadAux: func(d *aqp.Dec) func() {
+		LoadAux: func(d *codec.Dec) func() {
 			nSupps := len(c.ds.Suppliers)
-			m := decodeAux(d, nOrders, 3, func(d *aqp.Dec, k int32, st *o21) {
+			m := decodeAux(d, nOrders, 3, func(d *codec.Dec, k int32, st *o21) {
 				seen, lines := d.Uvarint(), c.order(k).LineCount
 				if seen >= uint64(lines) {
 					d.Failf("order %d: %d of its %d lines seen", k, seen, lines)

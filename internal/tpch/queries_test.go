@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rotary/internal/aqp"
+	"rotary/internal/codec"
 )
 
 func testCatalog(t *testing.T, sf float64) *Catalog {
@@ -156,8 +157,8 @@ func TestFailedAuxRestoreLeavesQueryUntouched(t *testing.T) {
 		bad   map[string]entry // each rejected
 	}{
 		"q4":  {keys: nOrders, valid: entry{1, nil}},
-		"q17": {keys: nParts, valid: entry{1, binary.AppendUvarint(aqp.AppendFloat(nil, 5), 1)}},
-		"q18": {keys: nOrders, valid: entry{1, append(aqp.AppendFloat(nil, 5), 0)}},
+		"q17": {keys: nParts, valid: entry{1, binary.AppendUvarint(codec.AppendFloat(nil, 5), 1)}},
+		"q18": {keys: nOrders, valid: entry{1, append(codec.AppendFloat(nil, 5), 0)}},
 		"q21": {keys: nOrders, valid: entry{multi, q21(1, []int32{1}, []int32{1})}, bad: map[string]entry{
 			"all lines seen":           {multi, q21(lines, []int32{1}, nil)},
 			"more suppliers than seen": {multi, q21(1, []int32{1, 2}, nil)},

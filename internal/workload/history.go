@@ -3,11 +3,11 @@ package workload
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"path/filepath"
 
 	"rotary/internal/aqp"
+	"rotary/internal/codec"
 	"rotary/internal/core"
 	"rotary/internal/diskio"
 	"rotary/internal/estimate"
@@ -37,47 +37,29 @@ type HistoryKey struct {
 	BatchRows   int
 }
 
-// The seeded-history file is one frame:
-//
-//	offset size  field
-//	0      4     magic "RSHF"
-//	4      4     body length, little-endian
-//	8      4     CRC32 (IEEE) of the body, little-endian
-//	12     …     body
-//
-// The body opens with the key — uvarint version, the SF's float bits,
+// The seeded-history file is one codec.Frame under the magic "RSHF":
+// the magic, the body's length and its CRC32, then the body. The body
+// opens with the key — uvarint version, the SF's float bits,
 // uvarint dataset seed, catalog seed and batch rows, uvarint query count
 // and each query's name — and then holds, per query in key order, its
 // history record (id, query, class, uvarint batch rows, uvarint points,
 // each point's X and Y float bits) and its final answer
 // (aqp.AppendSnapshot). Floats are stored as their bits, so a load is
 // bit-identical to the seeding it replaces.
-const (
-	historyMagic     = "RSHF"
-	historyHeaderLen = 12
-)
+const historyMagic = "RSHF"
 
 // appendHistoryKey appends the key a seeded-history body opens with.
 func appendHistoryKey(b []byte, version uint64, k HistoryKey, queries []string) []byte {
 	b = binary.AppendUvarint(b, version)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(k.SF))
+	b = codec.AppendFloat(b, k.SF)
 	b = binary.AppendUvarint(b, k.DatasetSeed)
 	b = binary.AppendUvarint(b, k.CatalogSeed)
 	b = binary.AppendUvarint(b, uint64(k.BatchRows))
 	b = binary.AppendUvarint(b, uint64(len(queries)))
 	for _, q := range queries {
-		b = aqp.AppendName(b, q)
+		b = codec.AppendName(b, q)
 	}
 	return b
-}
-
-// frameHistory wraps a body in the checksummed header.
-func frameHistory(body []byte) []byte {
-	frame := make([]byte, historyHeaderLen, historyHeaderLen+len(body))
-	copy(frame, historyMagic)
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(body))
-	return append(frame, body...)
 }
 
 // LoadOrSeedAQPHistory leaves repo and cat's ground-truth cache as
@@ -118,7 +100,7 @@ func LoadOrSeedAQPHistory(dio diskio.IO, dir string, key HistoryKey, repo *estim
 		body = appendHistoryRecord(body, recs[i])
 		body = aqp.AppendSnapshot(body, truth)
 	}
-	return false, core.AtomicWriteFileIO(dio, path, frameHistory(body)), nil
+	return false, core.AtomicWriteFileIO(dio, path, codec.Frame(historyMagic, body)), nil
 }
 
 // readSeededHistory returns the records and truths of the file at path
@@ -126,36 +108,34 @@ func LoadOrSeedAQPHistory(dio diskio.IO, dir string, key HistoryKey, repo *estim
 // missing, damaged or stale file.
 func readSeededHistory(dio diskio.IO, path string, head []byte) (recs []estimate.AQPRecord, truths []aqp.Snapshot, ok bool) {
 	frame, err := dio.ReadFile(path)
-	if err != nil || len(frame) < historyHeaderLen || string(frame[:4]) != historyMagic {
+	if err != nil {
 		return nil, nil, false
 	}
-	body := frame[historyHeaderLen:]
-	if binary.LittleEndian.Uint32(frame[4:8]) != uint32(len(body)) ||
-		binary.LittleEndian.Uint32(frame[8:12]) != crc32.ChecksumIEEE(body) ||
-		!bytes.HasPrefix(body, head) {
+	body, err := codec.Unframe(historyMagic, frame)
+	if err != nil || !bytes.HasPrefix(body, head) {
 		return nil, nil, false
 	}
-	d := aqp.NewDec(body[len(head):])
+	d := codec.NewDec(body[len(head):])
 	for range tpch.AllQueries {
 		recs = append(recs, decodeHistoryRecord(d))
-		truths = append(truths, d.Snapshot())
+		truths = append(truths, aqp.DecodeSnapshot(d))
 	}
 	return recs, truths, d.End() == nil
 }
 
 // appendHistoryRecord appends one history record's fields.
 func appendHistoryRecord(b []byte, rec estimate.AQPRecord) []byte {
-	b = aqp.AppendName(aqp.AppendName(aqp.AppendName(b, rec.ID), rec.Query), rec.Class)
+	b = codec.AppendName(codec.AppendName(codec.AppendName(b, rec.ID), rec.Query), rec.Class)
 	b = binary.AppendUvarint(b, uint64(rec.BatchRows))
 	b = binary.AppendUvarint(b, uint64(len(rec.Curve)))
 	for _, p := range rec.Curve {
-		b = aqp.AppendFloat(aqp.AppendFloat(b, p.X), p.Y)
+		b = codec.AppendFloat(codec.AppendFloat(b, p.X), p.Y)
 	}
 	return b
 }
 
 // decodeHistoryRecord reads what appendHistoryRecord wrote.
-func decodeHistoryRecord(d *aqp.Dec) estimate.AQPRecord {
+func decodeHistoryRecord(d *codec.Dec) estimate.AQPRecord {
 	rec := estimate.AQPRecord{ID: d.Name(), Query: d.Name(), Class: d.Name()}
 	if n := d.Uvarint(); n > math.MaxInt32 {
 		d.Failf("batch rows %d", n)

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"rotary/internal/codec"
 	"rotary/internal/diskio"
 	"rotary/internal/estimate"
 	"rotary/internal/tpch"
@@ -77,12 +78,15 @@ func rekey(t *testing.T, dir string, oldHead, head []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := frame[historyHeaderLen:]
+	body, err := codec.Unframe(historyMagic, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !slices.Equal(body[:len(oldHead)], oldHead) {
 		t.Fatal("file does not open with the key it was written under")
 	}
 	body = append(slices.Clip(head), body[len(oldHead):]...)
-	if err := os.WriteFile(path, frameHistory(body), 0o644); err != nil {
+	if err := os.WriteFile(path, codec.Frame(historyMagic, body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
